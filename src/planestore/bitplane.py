@@ -261,15 +261,18 @@ def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
     with open(path, "rb") as f:
         if f.read(4) != IMAGE_MAGIC:
             raise ValueError(f"{path}: not a plane-store image")
-        version, num_weights, stride, nfmt = struct.unpack("<HQQH", f.read(20))
-        if version != IMAGE_VERSION:
-            raise ValueError(f"{path}: unsupported image version {version}")
-        ladder = []
-        for _ in range(nfmt):
-            (nlen,) = struct.unpack("<B", f.read(1))
-            name = f.read(nlen).decode("utf-8")
-            exp_bits, man_bits, bias = struct.unpack("<BBh", f.read(4))
-            ladder.append(make_format(name, exp_bits, man_bits, bias if exp_bits else None))
+        try:
+            version, num_weights, stride, nfmt = struct.unpack("<HQQH", f.read(20))
+            if version != IMAGE_VERSION:
+                raise ValueError(f"{path}: unsupported image version {version}")
+            ladder = []
+            for _ in range(nfmt):
+                (nlen,) = struct.unpack("<B", f.read(1))
+                name = f.read(nlen).decode("utf-8")
+                exp_bits, man_bits, bias = struct.unpack("<BBh", f.read(4))
+                ladder.append(make_format(name, exp_bits, man_bits, bias if exp_bits else None))
+        except struct.error:
+            raise ValueError(f"{path}: truncated header") from None
         planes = np.frombuffer(f.read(NUM_PLANES * stride), dtype=np.uint8).copy()
     if stride != plane_stride_for(num_weights):
         raise ValueError(f"{path}: plane_stride {stride} inconsistent with {num_weights} weights")

@@ -151,8 +151,45 @@ def _build_distribution(data: dict, where: str) -> ScoreDistribution:
     return ScoreDistribution(**data)
 
 
+def _check_types(value, default, where: str) -> None:
+    """Reject a value whose type differs from the built-in default's.
+
+    An integer field takes an integer, a float field any number, a string
+    field a string; lists check each item against the default's first.
+    Keys the defaults lack are left to the code that reads them.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {where!r} must be a mapping")
+        for key, item in value.items():
+            if key in default:
+                _check_types(item, default[key], f"{where}.{key}" if where else key)
+        return
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ValueError(f"config key {where!r} must be a list")
+        for index, item in enumerate(value):
+            _check_types(item, default[0], f"{where}[{index}]")
+        return
+    if isinstance(default, float):
+        ok, want = isinstance(value, (int, float)), "a number"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int), "an integer"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok or isinstance(value, bool):
+        raise ValueError(f"config key {where!r} must be {want}, got {value!r}")
+
+
 def build_config(resolved: dict) -> ExperimentConfig:
     """Typed objects from a fully merged plain-data config."""
+    # importance is replaced wholesale, so every entry there, under
+    # whatever kind name, follows the shape of one default distribution.
+    schema = dict(DEFAULTS)
+    schema["importance"] = dict.fromkeys(
+        resolved["importance"], DEFAULTS["importance"]["attention_head"]
+    )
+    _check_types(resolved, schema, "")
     ladder = tuple(
         make_format(
             entry["name"],

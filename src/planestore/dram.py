@@ -14,6 +14,12 @@ tRAS before the precharge plus tRP after it.  Completion of a read is its
 issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
+`schedule` states that policy one burst at a time and is the readable
+reference.  `plan` produces the same command stream one same-row run of
+bursts at a time, as numpy columns, and `simulate` replays a stream with
+every legality check vectorized per channel.  docs/dram-model.md shows
+why the run-level recurrence is exact.
+
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
 clock per channel.  The default constants are derived from a
@@ -25,8 +31,12 @@ not ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
+
+from .address import BLOCK
 
 
 class CommandKind(enum.Enum):
@@ -93,12 +103,23 @@ class DramConfig:
             raise ValueError("clock_ns must be positive")
         if self.e_act_pj < 0 or self.e_rd_pj < 0 or self.p_bg_mw < 0:
             raise ValueError("energy constants must be non-negative")
+        # Traces are cut into BLOCK-byte requests at BLOCK-aligned addresses.
+        for name in ("burst_bytes", "interleave_bytes"):
+            if counts[name] != BLOCK:
+                raise ValueError(
+                    f"{name} must be {BLOCK}, the block size traces are cut into,"
+                    f" got {counts[name]}"
+                )
         if self.row_bytes % self.burst_bytes:
             raise ValueError("burst_bytes must divide row_bytes")
-        if self.interleave_bytes % self.burst_bytes:
-            raise ValueError("interleave_bytes must be a multiple of burst_bytes")
         if self.t_ras < self.t_rcd:
             raise ValueError("t_ras must be at least t_rcd")
+        for name in ("t_ccd_s", "t_ccd_l"):
+            if counts[name] < self.burst_cycles:
+                raise ValueError(
+                    f"{name} must be at least the {self.burst_cycles}-cycle burst,"
+                    f" or data bursts overlap on the bus, got {counts[name]}"
+                )
 
     @property
     def burst_cycles(self) -> int:
@@ -108,6 +129,18 @@ class DramConfig:
     @property
     def columns_per_row(self) -> int:
         return self.row_bytes // self.burst_bytes
+
+
+def _split(config: DramConfig, byte_addr):
+    """(channel, bank, row, column) of aligned addresses: ints or arrays."""
+    granule = config.interleave_bytes
+    channel = (byte_addr // granule) % config.channels
+    chan_byte = (byte_addr // (granule * config.channels)) * granule + byte_addr % granule
+    burst = chan_byte // config.burst_bytes
+    column = burst % config.columns_per_row
+    bank = (burst // config.columns_per_row) % config.banks_per_channel
+    row = burst // (config.columns_per_row * config.banks_per_channel)
+    return channel, bank, row, column
 
 
 def map_address(config: DramConfig, byte_addr: int) -> tuple[int, int, int, int]:
@@ -123,14 +156,7 @@ def map_address(config: DramConfig, byte_addr: int) -> tuple[int, int, int, int]
         raise ValueError(
             f"address {byte_addr} is not {config.burst_bytes}-byte aligned"
         )
-    granule = config.interleave_bytes
-    channel = (byte_addr // granule) % config.channels
-    chan_byte = (byte_addr // (granule * config.channels)) * granule + byte_addr % granule
-    burst = chan_byte // config.burst_bytes
-    column = burst % config.columns_per_row
-    bank = (burst // config.columns_per_row) % config.banks_per_channel
-    row = burst // (config.columns_per_row * config.banks_per_channel)
-    return channel, bank, row, column
+    return _split(config, byte_addr)
 
 
 class _ChannelState:
@@ -160,7 +186,8 @@ def schedule(
     Requests are served strictly in arrival order per channel (FCFS) with
     an open-page policy: a row hit costs just the RD; a miss precharges
     the stale row (if any) and activates the new one first.  Yields
-    commands lazily so multi-million-burst traces never materialize.
+    commands lazily, one burst at a time.  This is the reference
+    statement of the policy; `plan` computes the same stream faster.
     """
     channels = [_ChannelState(config) for _ in range(config.channels)]
     for index, request in enumerate(requests):
@@ -192,6 +219,160 @@ def schedule(
             yield DramCommand(CommandKind.RD, ch, bank, row, column, rd_at, index)
 
 
+# Column code of each CommandKind: its position in the enum.
+_KIND_CODE = {kind: code for code, kind in enumerate(CommandKind)}
+_ACT, _RD, _PRE = (_KIND_CODE[k] for k in (CommandKind.ACT, CommandKind.RD, CommandKind.PRE))
+
+
+@dataclass(frozen=True, eq=False)
+class CommandTable:
+    """A timed command stream as columns, one entry per command, in
+    stream order.  kind holds the position of the command's CommandKind
+    in the enum; the other columns mirror DramCommand's fields."""
+
+    kind: np.ndarray
+    channel: np.ndarray
+    bank: np.ndarray
+    row: np.ndarray
+    column: np.ndarray
+    issue_cycle: np.ndarray
+    request_index: np.ndarray
+    # Stream position -> kind, for commands whose kind is no CommandKind
+    # (their kind code is -1); the replay names the kind when it rejects one.
+    odd_kinds: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return self.kind.size
+
+    @classmethod
+    def from_commands(cls, commands: Iterable[DramCommand]) -> "CommandTable":
+        rows, odd = [], {}
+        for position, cmd in enumerate(commands):
+            code = _KIND_CODE.get(cmd.kind, -1)
+            if code < 0:
+                odd[position] = cmd.kind
+            rows.append((code, *cmd[1:]))
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+        return cls(cols[0].astype(np.int8), *cols[1:], odd_kinds=odd)
+
+
+def _walk_runs(config: DramConfig, banks: list, rows: list, lengths: list) -> tuple:
+    """Bank state machine of one channel, one step per same-(bank, row) run.
+
+    Returns, per run: the PRE cycle, the ACT cycle (-1 for none), the
+    row the PRE closes, and the cycle of the run's first RD.  The run's
+    k-th RD issues t_ccd_l * k cycles after its first.
+    """
+    t_rcd, t_rp, t_ras = config.t_rcd, config.t_rp, config.t_ras
+    t_l, t_s = config.t_ccd_l, config.t_ccd_s
+    open_row = [-1] * config.banks_per_channel
+    act_cycle = [0] * config.banks_per_channel
+    act_ready = [0] * config.banks_per_channel
+    last_bus = -1
+    last_rd, last_bank = -t_l - t_s, -1  # no read yet: the gap binds nothing
+    pre_at, act_at, closed, first_rd = [], [], [], []
+    for bank, row, length in zip(banks, rows, lengths):
+        stale = open_row[bank]
+        if stale == row:
+            pre_at.append(-1)
+            act_at.append(-1)
+        else:
+            if stale >= 0:
+                last_bus = max(last_bus + 1, act_cycle[bank] + t_ras)
+                act_ready[bank] = last_bus + t_rp
+                pre_at.append(last_bus)
+            else:
+                pre_at.append(-1)
+            last_bus = max(last_bus + 1, act_ready[bank])
+            act_at.append(last_bus)
+            open_row[bank] = row
+            act_cycle[bank] = last_bus
+        closed.append(stale)
+        rd = max(
+            last_bus + 1,
+            act_cycle[bank] + t_rcd,
+            last_rd + (t_l if bank == last_bank else t_s),
+        )
+        first_rd.append(rd)
+        last_rd = last_bus = rd + (length - 1) * t_l
+        last_bank = bank
+    return pre_at, act_at, closed, first_rd
+
+
+def plan(config: DramConfig, requests: Sequence) -> CommandTable:
+    """schedule()'s command stream, computed one same-row run at a time.
+
+    Requests expand to bursts and map to (channel, bank, row, column) as
+    arrays.  Each channel's bursts, in stream order, split into runs that
+    stay on one (bank, row); only a run's first burst can need PRE/ACT,
+    so the bank state machine steps once per run (`_walk_runs`) and the
+    reads inside a run are placed arithmetically.
+    """
+    n = len(requests)
+    start = np.fromiter((r.byte_addr for r in requests), np.int64, n)
+    size = np.fromiter((r.len_bytes for r in requests), np.int64, n)
+    step = config.burst_bytes
+    bursts = np.maximum(-(-size // step), 0)
+    misplaced = (bursts > 0) & ((start < 0) | (start % step != 0))
+    if misplaced.any():
+        map_address(config, int(start[misplaced.argmax()]))  # raises its error
+    request = np.repeat(np.arange(n, dtype=np.int32), bursts)
+    total = request.size
+    offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(bursts) - bursts, bursts)
+    channel, bank, row, column = (
+        a.astype(np.int32) for a in _split(config, start[request] + offset * step)
+    )
+    del start, size, offset
+
+    rd_cycle = np.empty(total, np.int64)
+    run_burst, pre_at, act_at, closed = [], [], [], []
+    for ch in range(config.channels):
+        sel = np.flatnonzero(channel == ch)
+        if not sel.size:
+            continue
+        b, r = bank[sel], row[sel]
+        first = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (r[1:] != r[:-1])])
+        length = np.diff(np.r_[first, sel.size])
+        pre, act, shut, rd0 = _walk_runs(
+            config, b[first].tolist(), r[first].tolist(), length.tolist()
+        )
+        run = np.repeat(np.arange(first.size), length)
+        rd_cycle[sel] = np.array(rd0, np.int64)[run] + (
+            np.arange(sel.size) - first[run]
+        ) * config.t_ccd_l
+        run_burst.append(sel[first])
+        pre_at += pre
+        act_at += act
+        closed += shut
+    run_burst = np.concatenate(run_burst) if run_burst else np.zeros(0, np.int64)
+    pre_at, act_at, closed = (np.array(x, np.int64) for x in (pre_at, act_at, closed))
+    has_pre, has_act = pre_at >= 0, act_at >= 0
+
+    # A burst's PRE and ACT come right before its RD, so every command
+    # takes its burst's fields; only kind, cycle and a PRE's row differ.
+    extra = np.zeros(total, np.int64)
+    extra[run_burst] = has_pre.astype(np.int64) + has_act
+    owner = np.repeat(np.arange(total), 1 + extra)
+    rd_pos = np.cumsum(1 + extra) - 1
+    del extra
+    kind = np.full(owner.size, _RD, np.int8)
+    issue = np.empty(owner.size, np.int64)
+    issue[rd_pos] = rd_cycle
+    act_pos = rd_pos[run_burst[has_act]] - 1
+    kind[act_pos] = _ACT
+    issue[act_pos] = act_at[has_act]
+    pre_pos = act_pos[has_pre[has_act]] - 1
+    kind[pre_pos] = _PRE
+    issue[pre_pos] = pre_at[has_pre]
+    cmd_row = row[owner]
+    cmd_row[pre_pos] = closed[has_pre]
+    cmd_column = column[owner]
+    cmd_column[pre_pos] = 0
+    return CommandTable(
+        kind, channel[owner], bank[owner], cmd_row, cmd_column, issue, request[owner]
+    )
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Outcome of one simulated trace.  Immutable once produced.
@@ -213,84 +394,129 @@ class SimResult:
     num_reads: int
 
 
-def simulate(config: DramConfig, commands: Iterable[DramCommand]) -> SimResult:
+# The replay's checks in the order it applies them to one command; the
+# first that fails names the violation.
+_VIOLATIONS = (
+    "command addresses channel {ch} bank {bank} outside the config",
+    "command bus conflict on channel {ch} at cycle {cycle}",
+    "activate on channel {ch} bank {bank} with a row already open",
+    "t_rp violated on channel {ch} bank {bank}",
+    "precharge on channel {ch} bank {bank} with no open row",
+    "t_ras violated on channel {ch} bank {bank}",
+    "read on channel {ch} bank {bank} with no open row",
+    "read to row {row} on channel {ch} bank {bank} while row {open_row} is open",
+    "t_rcd violated on channel {ch} bank {bank}",
+    "t_ccd_l violated on channel {ch}",
+    "t_ccd_s violated on channel {ch}",
+    "unknown command kind {kind!r}",
+)
+
+
+def _previous(flags: np.ndarray) -> np.ndarray:
+    """Index of the nearest earlier True in flags, or -1."""
+    marks = np.where(flags, np.arange(flags.size), -1)
+    return np.r_[-1, np.maximum.accumulate(marks)[:-1]]
+
+
+def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
+    """(stream position, message) of one channel's first illegal command.
+
+    sel lists the channel's commands in stream order.  Each check reads
+    the state the commands before it leave: the previous command on the
+    channel, the previous read, and the bank's newest ACT or PRE (open
+    if it was an ACT).  Up to the first illegal command that is exactly
+    the state a command-by-command replay holds.  Returns None when all
+    are legal.
+    """
+    ch = int(table.channel[sel[0]])
+    kind, bank, row = table.kind[sel], table.bank[sel], table.row[sel]
+    cycle = table.issue_cycle[sel].astype(np.int64)
+    is_act, is_rd, is_pre = kind == _ACT, kind == _RD, kind == _PRE
+
+    by_bank = np.argsort(bank, kind="stable")
+    sorted_bank = bank[by_bank]
+    run_start = np.r_[True, sorted_bank[1:] != sorted_bank[:-1]]
+    first_of_bank = np.maximum.accumulate(np.where(run_start, np.arange(sel.size), 0))
+    prev = _previous((is_act | is_pre)[by_bank])
+    state = np.empty(sel.size, np.int64)
+    state[by_bank] = np.where(prev >= first_of_bank, by_bank[prev], -1)
+    has_state = state >= 0
+    state = np.where(has_state, state, 0)
+    is_open = has_state & (kind[state] == _ACT)
+    open_row, state_cycle = row[state], cycle[state]
+
+    last_rd = _previous(is_rd)
+    early_rd = is_rd & (last_rd >= 0)
+    last_rd = np.where(early_rd, last_rd, 0)
+    same_bank = bank[last_rd] == bank
+    early_rd &= cycle < cycle[last_rd] + np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
+
+    checks = [
+        (bank >= config.banks_per_channel) | (ch >= config.channels),
+        cycle <= np.r_[-1, cycle[:-1]],
+        is_act & is_open,
+        is_act & has_state & ~is_open & (cycle < state_cycle + config.t_rp),
+        is_pre & ~is_open,
+        is_pre & (cycle < state_cycle + config.t_ras),
+        is_rd & ~is_open,
+        is_rd & (open_row != row),
+        is_rd & (cycle < state_cycle + config.t_rcd),
+        early_rd & same_bank,
+        early_rd,
+        kind < 0,
+    ]
+    code = np.select(checks, np.arange(1, len(checks) + 1), 0)
+    bad = np.flatnonzero(code)
+    if not bad.size:
+        return None
+    j = int(bad[0])
+    position = int(sel[j])
+    message = _VIOLATIONS[code[j] - 1].format(
+        ch=ch,
+        bank=int(bank[j]),
+        row=int(row[j]),
+        cycle=int(cycle[j]),
+        open_row=int(open_row[j]),
+        kind=table.odd_kinds.get(position),
+    )
+    return position, message
+
+
+def simulate(config: DramConfig, commands) -> SimResult:
     """Replay a command stream, checking legality, and account for it.
 
-    The stream must respect the bank state machine and the configured
-    timings; a violation raises ValueError naming the constraint.  The
-    trace ends at the last data beat (or the last command, for a stream
-    with no reads).  Background energy covers every channel for the whole
-    span, busy or not: standby power does not care who is reading.
+    commands is a CommandTable or an iterable of DramCommand.  The stream
+    must respect the bank state machine and the configured timings; the
+    first violation in stream order raises ValueError naming the
+    constraint.  The trace ends at the last data beat (or the last
+    command, for a stream with no reads).  Background energy covers every
+    channel for the whole span, busy or not: standby power does not care
+    who is reading.
     """
-    open_row: dict = {}
-    act_cycle: dict = {}
-    pre_cycle: dict = {}
-    last_bus: dict = {}
-    last_rd: dict = {}
+    table = commands if isinstance(commands, CommandTable) else CommandTable.from_commands(commands)
+    violations = [
+        _first_violation(config, table, np.flatnonzero(table.channel == ch))
+        for ch in np.unique(table.channel)
+    ]
+    violations = [v for v in violations if v is not None]
+    if violations:
+        raise ValueError(min(violations)[1])
 
-    count_act = 0
-    count_rd = 0
-    last_cycle = -1
-    end_cycle = 0
-    reads: dict[int, int] = {}
-    acts: dict[int, int] = {}
-    completion: dict[int, int] = {}
-    n_requests = 0
+    is_rd = table.kind == _RD
+    count_rd = int(is_rd.sum())
+    count_act = int(np.count_nonzero(table.kind == _ACT))
+    n_requests = int(table.request_index.max()) + 1 if len(table) else 0
+    rd_request = table.request_index[is_rd]
+    done = table.issue_cycle[is_rd] + (config.t_cl + config.burst_cycles)
+    completion = np.zeros(n_requests, np.int64)
+    np.maximum.at(completion, rd_request, done)
+    reads = np.bincount(rd_request, minlength=n_requests)
+    acts = np.bincount(table.request_index[table.kind == _ACT], minlength=n_requests)
 
-    for cmd in commands:
-        ch, bank = cmd.channel, cmd.bank
-        key = (ch, bank)
-        if ch >= config.channels or bank >= config.banks_per_channel:
-            raise ValueError(f"command addresses channel {ch} bank {bank} outside the config")
-        if cmd.issue_cycle <= last_bus.get(ch, -1):
-            raise ValueError(f"command bus conflict on channel {ch} at cycle {cmd.issue_cycle}")
-        last_bus[ch] = cmd.issue_cycle
-        last_cycle = max(last_cycle, cmd.issue_cycle)
-        n_requests = max(n_requests, cmd.request_index + 1)
-
-        if cmd.kind is CommandKind.ACT:
-            if key in open_row:
-                raise ValueError(f"activate on channel {ch} bank {bank} with a row already open")
-            if key in pre_cycle and cmd.issue_cycle < pre_cycle[key] + config.t_rp:
-                raise ValueError(f"t_rp violated on channel {ch} bank {bank}")
-            open_row[key] = cmd.row
-            act_cycle[key] = cmd.issue_cycle
-            count_act += 1
-            acts[cmd.request_index] = acts.get(cmd.request_index, 0) + 1
-        elif cmd.kind is CommandKind.PRE:
-            if key not in open_row:
-                raise ValueError(f"precharge on channel {ch} bank {bank} with no open row")
-            if cmd.issue_cycle < act_cycle[key] + config.t_ras:
-                raise ValueError(f"t_ras violated on channel {ch} bank {bank}")
-            del open_row[key]
-            pre_cycle[key] = cmd.issue_cycle
-        elif cmd.kind is CommandKind.RD:
-            if key not in open_row:
-                raise ValueError(f"read on channel {ch} bank {bank} with no open row")
-            if open_row[key] != cmd.row:
-                raise ValueError(f"read to row {cmd.row} on channel {ch} bank {bank} while row {open_row[key]} is open")
-            if cmd.issue_cycle < act_cycle[key] + config.t_rcd:
-                raise ValueError(f"t_rcd violated on channel {ch} bank {bank}")
-            if ch in last_rd:
-                prev_cycle, prev_bank = last_rd[ch]
-                gap = config.t_ccd_l if prev_bank == bank else config.t_ccd_s
-                name = "t_ccd_l" if prev_bank == bank else "t_ccd_s"
-                if cmd.issue_cycle < prev_cycle + gap:
-                    raise ValueError(f"{name} violated on channel {ch}")
-            last_rd[ch] = (cmd.issue_cycle, bank)
-            done = cmd.issue_cycle + config.t_cl + config.burst_cycles
-            end_cycle = max(end_cycle, done)
-            count_rd += 1
-            reads[cmd.request_index] = reads.get(cmd.request_index, 0) + 1
-            prev = completion.get(cmd.request_index, 0)
-            completion[cmd.request_index] = max(prev, done)
-        else:
-            raise ValueError(f"unknown command kind {cmd.kind!r}")
-
-    if count_rd == 0:
-        total_cycles = last_cycle + 1 if last_cycle >= 0 else 0
+    if count_rd:
+        total_cycles = int(done.max())
     else:
-        total_cycles = end_cycle
+        total_cycles = int(table.issue_cycle.max()) + 1 if len(table) else 0
     total_ns = total_cycles * config.clock_ns
     e_act = config.e_act_pj * count_act
     e_rd = config.e_rd_pj * count_rd
@@ -305,9 +531,9 @@ def simulate(config: DramConfig, commands: Iterable[DramCommand]) -> SimResult:
         total_cycles=total_cycles,
         total_ns=total_ns,
         energy_pj=energy,
-        completion_cycles=tuple(completion.get(i, 0) for i in range(n_requests)),
-        request_reads=tuple(reads.get(i, 0) for i in range(n_requests)),
-        request_acts=tuple(acts.get(i, 0) for i in range(n_requests)),
+        completion_cycles=tuple(completion.tolist()),
+        request_reads=tuple(reads.tolist()),
+        request_acts=tuple(acts.tolist()),
         bytes_transferred=config.burst_bytes * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
@@ -315,8 +541,8 @@ def simulate(config: DramConfig, commands: Iterable[DramCommand]) -> SimResult:
 
 
 def run_trace(config: DramConfig, requests: Sequence) -> SimResult:
-    """Schedule and simulate in one go (the common cold-start case)."""
-    return simulate(config, schedule(config, requests))
+    """Plan and replay in one go (the production path)."""
+    return simulate(config, plan(config, requests))
 
 
 def energy_breakdown(result: SimResult, tags: Sequence) -> dict:
@@ -326,22 +552,25 @@ def energy_breakdown(result: SimResult, tags: Sequence) -> dict:
     background energy is prorated by bytes moved.  Category totals sum
     back to the result's total.  Every request must carry a tag.
     """
-    if len(tags) != len(result.completion_cycles):
-        raise ValueError(
-            f"got {len(tags)} tags for {len(result.completion_cycles)} requests"
-        )
-    for index, tag in enumerate(tags):
-        if tag is None:
-            raise ValueError(f"request {index} is untagged")
-    out: dict = {}
+    n = len(result.completion_cycles)
+    if len(tags) != n:
+        raise ValueError(f"got {len(tags)} tags for {n} requests")
+    codes: dict = {}
+    tag_code = np.fromiter((codes.setdefault(t, len(codes)) for t in tags), np.intp, n)
+    if None in codes:
+        untagged = next(i for i, t in enumerate(tags) if t is None)
+        raise ValueError(f"request {untagged} is untagged")
+    # Each request's share is summed in the same order, with the same
+    # float operations, as a request-by-request loop, and bincount adds
+    # the shares up in request order: the totals are bit-identical to it.
     e = result.energy_pj
-    for index, tag in enumerate(tags):
-        share = 0.0
-        if result.num_acts:
-            share += e["activation"] * result.request_acts[index] / result.num_acts
-        if result.num_reads:
-            # Bursts are uniform, so the read-count ratio is the byte ratio.
-            share += e["read"] * result.request_reads[index] / result.num_reads
-            share += e["background"] * result.request_reads[index] / result.num_reads
-        out[tag] = out.get(tag, 0.0) + share
-    return out
+    share = np.zeros(n)
+    if result.num_acts:
+        share += e["activation"] * np.asarray(result.request_acts) / result.num_acts
+    if result.num_reads:
+        # Bursts are uniform, so the read-count ratio is the byte ratio.
+        reads = np.asarray(result.request_reads)
+        share += e["read"] * reads / result.num_reads
+        share += e["background"] * reads / result.num_reads
+    totals = np.bincount(tag_code, weights=share, minlength=len(codes))
+    return {tag: float(totals[code]) for tag, code in codes.items()}

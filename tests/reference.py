@@ -1,8 +1,14 @@
-"""Exact-rational reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-Everything here works in Fraction arithmetic over explicitly enumerated
-code tables, deliberately avoiding the bit-twiddling style of the package
-under test. Slow but exact; call sites memoize where sweeps get large.
+The conversion oracles work in Fraction arithmetic over explicitly
+enumerated code tables, deliberately avoiding the bit-twiddling style of
+the package under test. Slow but exact; call sites memoize where sweeps
+get large.
+
+reference_simulate is the per-command legality replay the DRAM model
+started from: one dictionary update per command, in stream order.  The
+package's vectorized replay must accept and reject exactly the streams
+it does, with the same message, and account for them identically.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
+
+from planestore.dram import CommandKind, DramCommand, DramConfig, SimResult
 
 TWO = Fraction(2)
 
@@ -139,3 +148,106 @@ def ref_encode_fp16(value: float) -> int:
     sign = 1 if math.copysign(1.0, value) < 0 else 0
     code = _nearest_even_code(_magnitude_table(5, 10, 15), abs(Fraction(value)))
     return (sign << 15) | code
+
+
+def reference_simulate(
+    config: DramConfig, commands: Iterable[DramCommand]
+) -> SimResult:
+    """Replay a command stream, checking legality, and account for it.
+
+    The stream must respect the bank state machine and the configured
+    timings; a violation raises ValueError naming the constraint.  The
+    trace ends at the last data beat (or the last command, for a stream
+    with no reads).  Background energy covers every channel for the whole
+    span, busy or not: standby power does not care who is reading.
+    """
+    open_row: dict = {}
+    act_cycle: dict = {}
+    pre_cycle: dict = {}
+    last_bus: dict = {}
+    last_rd: dict = {}
+
+    count_act = 0
+    count_rd = 0
+    last_cycle = -1
+    end_cycle = 0
+    reads: dict[int, int] = {}
+    acts: dict[int, int] = {}
+    completion: dict[int, int] = {}
+    n_requests = 0
+
+    for cmd in commands:
+        ch, bank = cmd.channel, cmd.bank
+        key = (ch, bank)
+        if ch >= config.channels or bank >= config.banks_per_channel:
+            raise ValueError(f"command addresses channel {ch} bank {bank} outside the config")
+        if cmd.issue_cycle <= last_bus.get(ch, -1):
+            raise ValueError(f"command bus conflict on channel {ch} at cycle {cmd.issue_cycle}")
+        last_bus[ch] = cmd.issue_cycle
+        last_cycle = max(last_cycle, cmd.issue_cycle)
+        n_requests = max(n_requests, cmd.request_index + 1)
+
+        if cmd.kind is CommandKind.ACT:
+            if key in open_row:
+                raise ValueError(f"activate on channel {ch} bank {bank} with a row already open")
+            if key in pre_cycle and cmd.issue_cycle < pre_cycle[key] + config.t_rp:
+                raise ValueError(f"t_rp violated on channel {ch} bank {bank}")
+            open_row[key] = cmd.row
+            act_cycle[key] = cmd.issue_cycle
+            count_act += 1
+            acts[cmd.request_index] = acts.get(cmd.request_index, 0) + 1
+        elif cmd.kind is CommandKind.PRE:
+            if key not in open_row:
+                raise ValueError(f"precharge on channel {ch} bank {bank} with no open row")
+            if cmd.issue_cycle < act_cycle[key] + config.t_ras:
+                raise ValueError(f"t_ras violated on channel {ch} bank {bank}")
+            del open_row[key]
+            pre_cycle[key] = cmd.issue_cycle
+        elif cmd.kind is CommandKind.RD:
+            if key not in open_row:
+                raise ValueError(f"read on channel {ch} bank {bank} with no open row")
+            if open_row[key] != cmd.row:
+                raise ValueError(f"read to row {cmd.row} on channel {ch} bank {bank} while row {open_row[key]} is open")
+            if cmd.issue_cycle < act_cycle[key] + config.t_rcd:
+                raise ValueError(f"t_rcd violated on channel {ch} bank {bank}")
+            if ch in last_rd:
+                prev_cycle, prev_bank = last_rd[ch]
+                gap = config.t_ccd_l if prev_bank == bank else config.t_ccd_s
+                name = "t_ccd_l" if prev_bank == bank else "t_ccd_s"
+                if cmd.issue_cycle < prev_cycle + gap:
+                    raise ValueError(f"{name} violated on channel {ch}")
+            last_rd[ch] = (cmd.issue_cycle, bank)
+            done = cmd.issue_cycle + config.t_cl + config.burst_cycles
+            end_cycle = max(end_cycle, done)
+            count_rd += 1
+            reads[cmd.request_index] = reads.get(cmd.request_index, 0) + 1
+            prev = completion.get(cmd.request_index, 0)
+            completion[cmd.request_index] = max(prev, done)
+        else:
+            raise ValueError(f"unknown command kind {cmd.kind!r}")
+
+    if count_rd == 0:
+        total_cycles = last_cycle + 1 if last_cycle >= 0 else 0
+    else:
+        total_cycles = end_cycle
+    total_ns = total_cycles * config.clock_ns
+    e_act = config.e_act_pj * count_act
+    e_rd = config.e_rd_pj * count_rd
+    e_bg = config.p_bg_mw * config.channels * total_ns  # mW * ns = pJ
+    energy = {
+        "activation": e_act,
+        "read": e_rd,
+        "background": e_bg,
+        "total": e_act + e_rd + e_bg,
+    }
+    return SimResult(
+        total_cycles=total_cycles,
+        total_ns=total_ns,
+        energy_pj=energy,
+        completion_cycles=tuple(completion.get(i, 0) for i in range(n_requests)),
+        request_reads=tuple(reads.get(i, 0) for i in range(n_requests)),
+        request_acts=tuple(acts.get(i, 0) for i in range(n_requests)),
+        bytes_transferred=config.burst_bytes * count_rd,
+        num_acts=count_act,
+        num_reads=count_rd,
+    )

@@ -163,6 +163,32 @@ def test_empty_targets_rejected(tmp_path):
         load_config(path, env={})
 
 
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('dram:\n  channels: "4"\n', "'dram.channels' must be an integer, got '4'"),
+        ("geometry:\n  layers: 1.5\n", "'geometry.layers' must be an integer, got 1.5"),
+        ("dram:\n  clock_ns: fast\n", "'dram.clock_ns' must be a number"),
+        ("targets: [1.6, eight]\n", "'targets[1]' must be a number"),
+        ("importance:\n  default: {family: beta, a: two}\n",
+         "'importance.default.a' must be a number"),
+        # Representable in YAML, not in the memory model.
+        ("dram:\n  burst_bytes: 128\n  interleave_bytes: 128\n", "burst_bytes must be 64"),
+        ("dram:\n  t_ccd_s: 4\n", "t_ccd_s must be at least the 8-cycle burst"),
+    ],
+)
+def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
+    path = write_config(tmp_path, text)
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert message in one_line_error(capsys)
+
+
 # ------------------------------------------------------------------ pack
 
 
@@ -218,6 +244,17 @@ def test_pack_error_paths(small_config, tmp_path, capsys):
 
     assert main(["pack", "--config", small_config, "--weights", "no/such.f16"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_repack_of_truncated_header_is_one_line_error(small_config, tmp_path, capsys):
+    image = tmp_path / "a.sqbp"
+    assert main(["pack", "--config", small_config, "--count", "64", "--image", str(image)]) == 0
+    capsys.readouterr()
+    whole = image.read_bytes()
+    for cut in (10, 24, 30):  # inside the fixed header, then inside the ladder
+        image.write_bytes(whole[:cut])
+        assert main(["pack", "--config", small_config, "--repack", str(image)]) == 1
+        assert "truncated header" in one_line_error(capsys)
 
 
 # --------------------------------------------------------------- regions

@@ -19,6 +19,8 @@ from planestore.dram import (
     simulate,
 )
 
+from reference import reference_simulate
+
 CFG = DramConfig()
 NO_BG = DramConfig(p_bg_mw=0.0)
 
@@ -50,6 +52,23 @@ def test_config_validation():
         DramConfig(clock_ns=0.0)
     with pytest.raises(ValueError, match="interleave"):
         DramConfig(interleave_bytes=96)
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"burst_bytes": 128, "interleave_bytes": 128}, "burst_bytes must be 64"),
+        ({"interleave_bytes": 128}, "interleave_bytes must be 64"),
+        ({"t_ccd_s": 4}, "t_ccd_s must be at least the 8-cycle burst"),
+        ({"t_ccd_l": 7}, "t_ccd_l must be at least the 8-cycle burst"),
+    ],
+)
+def test_config_rejects_what_the_model_cannot_represent(fields, match):
+    # Other block sizes crash mid-trace on misaligned addresses; a tCCD
+    # below the burst length lets data bursts overlap on the bus.
+    with pytest.raises(ValueError, match=match):
+        DramConfig(**fields)
+    DramConfig(t_ccd_s=8, t_ccd_l=8)
 
 
 # --- address mapping --------------------------------------------------------
@@ -204,24 +223,29 @@ def pre(ch, bank, row, cycle, index=0):
     return DramCommand(CommandKind.PRE, ch, bank, row, 0, cycle, index)
 
 
+def rejects(stream, match):
+    """The replay rejects stream with the reference replay's message."""
+    with pytest.raises(ValueError, match=match) as got:
+        simulate(CFG, stream)
+    with pytest.raises(ValueError) as want:
+        reference_simulate(CFG, stream)
+    assert str(got.value) == str(want.value)
+
+
 def test_read_without_activate_rejected():
-    with pytest.raises(ValueError, match="no open row"):
-        simulate(CFG, [rd(0, 0, 0, 0, 0)])
+    rejects([rd(0, 0, 0, 0, 0)], "no open row")
 
 
 def test_read_to_wrong_row_rejected():
-    with pytest.raises(ValueError, match="while row 0 is open"):
-        simulate(CFG, [act(0, 0, 0, 0), rd(0, 0, 5, 0, 40)])
+    rejects([act(0, 0, 0, 0), rd(0, 0, 5, 0, 40)], "while row 0 is open")
 
 
 def test_trcd_enforced():
-    with pytest.raises(ValueError, match="t_rcd"):
-        simulate(CFG, [act(0, 0, 0, 0), rd(0, 0, 0, 0, 20)])
+    rejects([act(0, 0, 0, 0), rd(0, 0, 0, 0, 20)], "t_rcd")
 
 
 def test_tccd_l_enforced():
-    with pytest.raises(ValueError, match="t_ccd_l"):
-        simulate(CFG, [act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), rd(0, 0, 0, 1, 40)])
+    rejects([act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), rd(0, 0, 0, 1, 40)], "t_ccd_l")
 
 
 def test_tccd_s_enforced():
@@ -231,34 +255,28 @@ def test_tccd_s_enforced():
         rd(0, 0, 0, 0, 35),
         rd(0, 1, 0, 0, 40),
     ]
-    with pytest.raises(ValueError, match="t_ccd_s"):
-        simulate(CFG, stream)
+    rejects(stream, "t_ccd_s")
 
 
 def test_double_activate_rejected():
-    with pytest.raises(ValueError, match="already open"):
-        simulate(CFG, [act(0, 0, 0, 0), act(0, 0, 1, 50)])
+    rejects([act(0, 0, 0, 0), act(0, 0, 1, 50)], "already open")
 
 
 def test_precharge_without_open_row_rejected():
-    with pytest.raises(ValueError, match="no open row"):
-        simulate(CFG, [pre(0, 0, 0, 0)])
+    rejects([pre(0, 0, 0, 0)], "no open row")
 
 
 def test_tras_enforced():
-    with pytest.raises(ValueError, match="t_ras"):
-        simulate(CFG, [act(0, 0, 0, 0), pre(0, 0, 0, 50)])
+    rejects([act(0, 0, 0, 0), pre(0, 0, 0, 50)], "t_ras")
 
 
 def test_trp_enforced():
     stream = [act(0, 0, 0, 0), pre(0, 0, 0, 80), act(0, 0, 1, 100)]
-    with pytest.raises(ValueError, match="t_rp"):
-        simulate(CFG, stream)
+    rejects(stream, "t_rp")
 
 
 def test_command_bus_conflict_rejected():
-    with pytest.raises(ValueError, match="bus conflict"):
-        simulate(CFG, [act(0, 0, 0, 10), act(0, 1, 0, 10)])
+    rejects([act(0, 0, 0, 10), act(0, 1, 0, 10)], "bus conflict")
 
 
 def test_legal_hand_stream_accepted():
@@ -266,6 +284,13 @@ def test_legal_hand_stream_accepted():
     result = simulate(CFG, stream)
     assert result.num_acts == 2
     assert result.num_reads == 1
+    assert result == reference_simulate(CFG, stream)
+
+
+def test_out_of_config_and_unknown_kinds_rejected():
+    rejects([act(4, 0, 0, 0)], "channel 4 bank 0 outside the config")
+    rejects([act(0, 0, 0, 0), act(0, 32, 0, 1)], "channel 0 bank 32 outside")
+    rejects([act(0, 0, 0, 0), DramCommand("RD", 0, 0, 0, 0, 34)], "unknown command kind 'RD'")
 
 
 # --- invariants -------------------------------------------------------------
