@@ -4,10 +4,13 @@ The device exposes one logical region per ladder format, each sized as if
 the whole model were stored at that format (L * N_i bits). Every region is
 backed by the same physical plane image; a read's region selects the
 format, its offset selects the weight range, and translation fans the
-range out into burst-granular requests on just the needed planes.
+range out into one block-aligned span per needed plane.
 
 The traditional baseline layout stores weights contiguously at full
 precision, one 64-byte-aligned extent per chunk in directory order.
+
+A request stream is a `Trace`: numpy columns with one row per
+block-granular read, in issue order.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .bitplane import ChunkDirectory, PlaneLayout
 from .quant import FpFormat, GuardConfig, NO_GUARD, plane_set
@@ -56,18 +61,70 @@ class LogicalRead:
             raise ValueError("negative logical read")
 
 
-@dataclass(frozen=True)
-class PhysicalRequest:
-    """One burst-aligned read the DRAM back end will serve."""
+def first_invalid(addr: np.ndarray, size: np.ndarray):
+    """(row, message) of the first row that is not a non-empty read of
+    whole BLOCK-aligned blocks at a non-negative address, or None when
+    every row is one."""
+    bad = np.flatnonzero(
+        (addr < 0) | (addr % BLOCK != 0) | (size % BLOCK != 0) | (size <= 0)
+    )
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    request = f"request [{addr[row]}, +{size[row]})"
+    if addr[row] < 0:
+        return row, f"{request} starts at a negative address"
+    return row, f"{request} not {BLOCK}B-granular"
 
-    byte_addr: int
-    len_bytes: int
-    plane_index: int = -1  # -1 for weight-contiguous (no plane provenance)
-    purpose: str = "weight_fetch"
+
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A request stream as columns, one row per read, in issue order.
+
+    addr and size are byte address and length (int64), BLOCK-granular.
+    tag holds each row's index into labels (int32, -1 for untagged);
+    chunk holds the id of the directory chunk the row loads (int32, -1
+    for none).  tag and chunk default to all -1.
+    """
+
+    addr: np.ndarray
+    size: np.ndarray
+    tag: np.ndarray = None
+    labels: tuple = ()
+    chunk: np.ndarray = None
 
     def __post_init__(self) -> None:
-        if self.byte_addr % BLOCK or self.len_bytes % BLOCK or self.len_bytes <= 0:
-            raise ValueError(f"request [{self.byte_addr}, +{self.len_bytes}) not {BLOCK}B-granular")
+        n = len(self.addr)
+        columns = {
+            "addr": (self.addr, np.int64),
+            "size": (self.size, np.int64),
+            "tag": (np.full(n, -1) if self.tag is None else self.tag, np.int32),
+            "chunk": (np.full(n, -1) if self.chunk is None else self.chunk, np.int32),
+        }
+        for name, (values, dtype) in columns.items():
+            column = np.asarray(values, dtype).reshape(-1)
+            if column.size != n:
+                raise ValueError(f"trace column {name} has {column.size} rows, addr has {n}")
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        bad = first_invalid(self.addr, self.size)
+        if bad is not None:
+            raise ValueError(bad[1])
+        if n and not -1 <= self.tag.min() <= self.tag.max() < len(self.labels):
+            raise ValueError(f"tag codes must lie in [-1, {len(self.labels)})")
+
+    def __len__(self) -> int:
+        return self.addr.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.labels == other.labels and all(
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("addr", "size", "tag", "chunk")
+        )
+
+    __hash__ = None
 
 
 def build_regions(num_weights: int, ladder: Sequence[FpFormat]) -> RegionTable:
@@ -103,8 +160,9 @@ def resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int, int]:
     return region.fmt, offset // width, read.len_bits // width
 
 
-def plane_span(layout: PlaneLayout, plane: int, start: int, count: int) -> tuple[int, int]:
-    """Aligned physical byte range covering bits [start, start+count) of a plane."""
+def plane_span(layout: PlaneLayout, plane, start: int, count: int):
+    """Aligned physical byte range covering bits [start, start+count) of a
+    plane: (lo, size).  plane may be an int or an array of planes."""
     plane_base = layout.base_addr + plane * layout.plane_stride
     lo = (plane_base + start // 8) // BLOCK * BLOCK
     last = plane_base + (start + count - 1) // 8
@@ -116,8 +174,12 @@ def translate(
     resolved: tuple[FpFormat, int, int],
     guard: GuardConfig = NO_GUARD,
     layout: PlaneLayout = None,
-) -> list[PhysicalRequest]:
-    """One aligned request per needed plane covering the weight range."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One aligned span per needed plane covering the weight range.
+
+    Returns (plane, lo, size) int64 arrays in ascending address order
+    (planes sit at increasing bases, so that is also plane order).
+    """
     fmt, start, count = resolved
     if fmt.is_skip:
         raise ValueError("cannot translate a skipped chunk")
@@ -125,12 +187,9 @@ def translate(
         raise ValueError("translate requires the image layout")
     if not 0 <= start <= start + count <= layout.num_weights:
         raise ValueError(f"weight range [{start}, +{count}) outside the image")
-    requests = []
-    for p in plane_set(fmt, guard):
-        lo, size = plane_span(layout, p, start, count)
-        requests.append(PhysicalRequest(lo, size, plane_index=p))
-    requests.sort(key=lambda r: r.byte_addr)
-    return requests
+    planes = np.array(plane_set(fmt, guard), np.int64)
+    lo, size = plane_span(layout, planes, start, count)
+    return planes, lo, size
 
 
 @dataclass(frozen=True)
@@ -156,15 +215,16 @@ class TraditionalLayout:
 
 def translate_traditional(
     resolved: tuple[FpFormat, int, int], layout: TraditionalLayout
-) -> list[PhysicalRequest]:
-    """Full-precision fetch of the weight range, split into block requests.
+) -> tuple[int, int]:
+    """Full-precision fetch of the weight range: its aligned (lo, size)
+    extent, size 0 for a skipped chunk.
 
     The target format is irrelevant by construction, except that skipped
     chunks transfer nothing at all.
     """
     fmt, start, count = resolved
     if fmt.is_skip:
-        return []
+        return 0, 0
     if not 0 <= start <= start + count <= layout.num_weights:
         raise ValueError(f"weight range [{start}, +{count}) outside the layout")
     idx = bisect_right(layout.chunk_starts, start) - 1
@@ -174,7 +234,7 @@ def translate_traditional(
     last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
     lo = first // BLOCK * BLOCK
     hi = (last // BLOCK + 1) * BLOCK
-    return [PhysicalRequest(addr, BLOCK) for addr in range(lo, hi, BLOCK)]
+    return lo, hi - lo
 
 
 def region_report(table: RegionTable) -> list[dict]:

@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .address import PhysicalRequest, build_regions, region_report
+from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
@@ -284,22 +284,34 @@ def cmd_trace(args) -> int:
 
     modes = ("bitplane", "traditional") if args.mode == "both" else (args.mode,)
     for mode in modes:
-        entries = gen_trace(assignment, directory, mode, config.guard)
+        trace = gen_trace(assignment, directory, mode, config.guard)
         path = os.path.join(out, f"trace_{mode}_{tag}.txt")
         with open(path, "w", encoding="utf-8") as fh:
-            for e in entries:
-                fh.write(f"{e.request.byte_addr} {e.request.len_bytes} {e.kind.value}\n")
-        print(f"{mode}: {len(entries)} requests, {trace_bytes(entries)} bytes, {path}")
+            fh.write(render_trace(trace))
+        print(f"{mode}: {len(trace)} requests, {trace_bytes(trace)} bytes, {path}")
     return 0
 
 
-def _parse_trace(path: str):
-    requests, tags = [], []
+def render_trace(trace: Trace) -> str:
+    """Trace file text: one 'byte_addr len_bytes tag' line per row."""
+    names = [getattr(label, "value", label) for label in trace.labels]
+    tags = [names[code] for code in trace.tag.tolist()]
+    return "".join(
+        f"{addr} {size} {tag}\n"
+        for addr, size, tag in zip(trace.addr.tolist(), trace.size.tolist(), tags)
+    )
+
+
+def _parse_trace(path: str) -> Trace:
+    """Read a trace file into columns; tags become codes into the labels
+    in order of first appearance, a missing tag code -1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read trace: {exc}")
+    addr, size, tag, line_of = [], [], [], []
+    codes: dict = {}
     for lineno, line in enumerate(lines, 1):
         fields = line.split()
         if not fields:
@@ -310,24 +322,31 @@ def _parse_trace(path: str):
                 f" got {line.strip()!r}"
             )
         try:
-            addr, length = int(fields[0]), int(fields[1])
+            values = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric address or length")
-        try:
-            requests.append(PhysicalRequest(addr, length))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}")
-        tags.append(fields[2] if len(fields) == 3 else None)
-    return requests, tags
+        # Bounded so that address + length fits the int64 columns.
+        if max(map(abs, values)) >= 1 << 62:
+            raise ValueError(f"{path}:{lineno}: address or length out of range")
+        addr.append(values[0])
+        size.append(values[1])
+        tag.append(codes.setdefault(fields[2], len(codes)) if len(fields) == 3 else -1)
+        line_of.append(lineno)
+    addr, size = np.array(addr, np.int64), np.array(size, np.int64)
+    bad = first_invalid(addr, size)
+    if bad is not None:
+        row, message = bad
+        raise ValueError(f"{path}:{line_of[row]}: {message}")
+    return Trace(addr, size, tag, tuple(codes))
 
 
 def cmd_sim(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    requests, tags = _parse_trace(args.trace)
-    result = run_trace(config.dram, requests)
+    trace = _parse_trace(args.trace)
+    result = run_trace(config.dram, trace)
     payload = {
         "trace": args.trace,
-        "requests": len(requests),
+        "requests": len(trace),
         "total_cycles": result.total_cycles,
         "total_ns": result.total_ns,
         "bytes_transferred": result.bytes_transferred,
@@ -335,8 +354,8 @@ def cmd_sim(args) -> int:
         "num_reads": result.num_reads,
         "energy_pj": dict(result.energy_pj),
     }
-    if requests and all(t is not None for t in tags):
-        payload["energy_by_tag_pj"] = energy_breakdown(result, tags)
+    if len(trace) and trace.tag.min() >= 0:
+        payload["energy_by_tag_pj"] = energy_breakdown(result, trace.tag, trace.labels)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.result is not None:
         with open(args.result, "w", encoding="utf-8") as fh:

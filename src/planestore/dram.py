@@ -14,8 +14,9 @@ tRAS before the precharge plus tRP after it.  Completion of a read is its
 issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
-`schedule` states that policy one burst at a time and is the readable
-reference.  `plan` produces the same command stream one same-row run of
+Both take the request stream as an `address.Trace` and read its addr
+and size columns.  `schedule` states that policy one burst at a time
+and is the readable reference.  `plan` produces the same command stream one same-row run of
 bursts at a time, as numpy columns, and `simulate` replays a stream with
 every legality check vectorized per channel.  docs/dram-model.md shows
 why the run-level recurrence is exact.
@@ -31,12 +32,12 @@ not ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .address import BLOCK
+from .address import BLOCK, Trace
 
 
 class CommandKind(enum.Enum):
@@ -178,9 +179,7 @@ class _ChannelState:
         return cycle + gap
 
 
-def schedule(
-    config: DramConfig, requests: Iterable
-) -> Iterator[DramCommand]:
+def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
     """Turn a physical request stream into a timed DDR command stream.
 
     Requests are served strictly in arrival order per channel (FCFS) with
@@ -190,9 +189,9 @@ def schedule(
     statement of the policy; `plan` computes the same stream faster.
     """
     channels = [_ChannelState(config) for _ in range(config.channels)]
-    for index, request in enumerate(requests):
-        for offset in range(0, request.len_bytes, config.burst_bytes):
-            ch, bank, row, column = map_address(config, request.byte_addr + offset)
+    for index, (addr, size) in enumerate(zip(trace.addr.tolist(), trace.size.tolist())):
+        for offset in range(0, size, config.burst_bytes):
+            ch, bank, row, column = map_address(config, addr + offset)
             st = channels[ch]
             if st.open_row[bank] != row:
                 if st.open_row[bank] is not None:
@@ -299,7 +298,7 @@ def _walk_runs(config: DramConfig, banks: list, rows: list, lengths: list) -> tu
     return pre_at, act_at, closed, first_rd
 
 
-def plan(config: DramConfig, requests: Sequence) -> CommandTable:
+def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream, computed one same-row run at a time.
 
     Requests expand to bursts and map to (channel, bank, row, column) as
@@ -308,9 +307,9 @@ def plan(config: DramConfig, requests: Sequence) -> CommandTable:
     so the bank state machine steps once per run (`_walk_runs`) and the
     reads inside a run are placed arithmetically.
     """
-    n = len(requests)
-    start = np.fromiter((r.byte_addr for r in requests), np.int64, n)
-    size = np.fromiter((r.len_bytes for r in requests), np.int64, n)
+    start = np.asarray(trace.addr, np.int64)
+    size = np.asarray(trace.size, np.int64)
+    n = start.size
     step = config.burst_bytes
     bursts = np.maximum(-(-size // step), 0)
     misplaced = (bursts > 0) & ((start < 0) | (start % step != 0))
@@ -373,25 +372,43 @@ def plan(config: DramConfig, requests: Sequence) -> CommandTable:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Outcome of one simulated trace.  Immutable once produced.
 
     completion_cycles holds the last data beat of each request, indexed
     by request_index; request_reads and request_acts count the RD and ACT
     commands attributed to each request (a PRE carries no energy of its
-    own, e_act covers it).
+    own, e_act covers it).  The three are read-only int64 arrays.
     """
 
     total_cycles: int
     total_ns: float
     energy_pj: dict
-    completion_cycles: tuple
-    request_reads: tuple
-    request_acts: tuple
+    completion_cycles: np.ndarray
+    request_reads: np.ndarray
+    request_acts: np.ndarray
     bytes_transferred: int
     num_acts: int
     num_reads: int
+
+    def __post_init__(self) -> None:
+        for name in ("completion_cycles", "request_reads", "request_acts"):
+            column = np.array(getattr(self, name), np.int64).reshape(-1)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimResult):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in (
+                (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+            )
+        )
+
+    __hash__ = None
 
 
 # The replay's checks in the order it applies them to one command; the
@@ -531,46 +548,47 @@ def simulate(config: DramConfig, commands) -> SimResult:
         total_cycles=total_cycles,
         total_ns=total_ns,
         energy_pj=energy,
-        completion_cycles=tuple(completion.tolist()),
-        request_reads=tuple(reads.tolist()),
-        request_acts=tuple(acts.tolist()),
+        completion_cycles=completion,
+        request_reads=reads,
+        request_acts=acts,
         bytes_transferred=config.burst_bytes * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
     )
 
 
-def run_trace(config: DramConfig, requests: Sequence) -> SimResult:
+def run_trace(config: DramConfig, trace: Trace) -> SimResult:
     """Plan and replay in one go (the production path)."""
-    return simulate(config, plan(config, requests))
+    return simulate(config, plan(config, trace))
 
 
-def energy_breakdown(result: SimResult, tags: Sequence) -> dict:
+def energy_breakdown(result: SimResult, tags, labels: Sequence) -> dict:
     """Split a result's energy across the per-request tags.
 
-    Activation and read energy follow the commands each request caused;
-    background energy is prorated by bytes moved.  Category totals sum
-    back to the result's total.  Every request must carry a tag.
+    tags holds one code per request, an index into labels (a trace's
+    tag column); the split is keyed by label.  Activation and read
+    energy follow the commands each request caused; background energy
+    is prorated by bytes moved.  Category totals sum back to the
+    result's total.  Every request must carry a tag.
     """
     n = len(result.completion_cycles)
-    if len(tags) != n:
-        raise ValueError(f"got {len(tags)} tags for {n} requests")
-    codes: dict = {}
-    tag_code = np.fromiter((codes.setdefault(t, len(codes)) for t in tags), np.intp, n)
-    if None in codes:
-        untagged = next(i for i, t in enumerate(tags) if t is None)
-        raise ValueError(f"request {untagged} is untagged")
+    tags = np.asarray(tags)
+    if tags.size != n:
+        raise ValueError(f"got {tags.size} tags for {n} requests")
+    untagged = np.flatnonzero(tags < 0)
+    if untagged.size:
+        raise ValueError(f"request {untagged[0]} is untagged")
     # Each request's share is summed in the same order, with the same
     # float operations, as a request-by-request loop, and bincount adds
     # the shares up in request order: the totals are bit-identical to it.
     e = result.energy_pj
     share = np.zeros(n)
     if result.num_acts:
-        share += e["activation"] * np.asarray(result.request_acts) / result.num_acts
+        share += e["activation"] * result.request_acts / result.num_acts
     if result.num_reads:
         # Bursts are uniform, so the read-count ratio is the byte ratio.
-        reads = np.asarray(result.request_reads)
+        reads = result.request_reads
         share += e["read"] * reads / result.num_reads
         share += e["background"] * reads / result.num_reads
-    totals = np.bincount(tag_code, weights=share, minlength=len(codes))
-    return {tag: float(totals[code]) for tag, code in codes.items()}
+    totals = np.bincount(tags, weights=share, minlength=len(labels))
+    return {label: float(total) for label, total in zip(labels, totals)}

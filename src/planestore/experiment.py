@@ -16,6 +16,8 @@ fraction.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bitplane import ChunkDirectory, ChunkKind
 from .dram import DramConfig, energy_breakdown, run_trace
 from .quant import DEFAULT_LADDER, NO_GUARD, GuardConfig
@@ -47,22 +49,21 @@ def solver_target(non_predictor_bits: float, predictor_frac: float) -> float:
     return 16.0 * predictor_frac + non_predictor_bits * (1.0 - predictor_frac)
 
 
-def chunk_latency_deltas(directory: ChunkDirectory, entries, result, clock_ns: float) -> dict:
+def chunk_latency_deltas(directory: ChunkDirectory, trace, result, clock_ns: float) -> dict:
     """Marginal load time per chunk: how far the trace clock advances
-    while that chunk's requests complete.  Prefix-max keeps the deltas
-    non-negative when channels finish slightly out of order."""
-    last_completion: dict[int, int] = {}
-    for index, entry in enumerate(entries):
-        last_completion[entry.chunk_id] = result.completion_cycles[index]
-    deltas: dict[int, float] = {}
-    prefix = 0
-    for chunk_id in (e.chunk_id for e in entries):
-        if chunk_id in deltas:
-            continue
-        before = prefix
-        prefix = max(prefix, last_completion[chunk_id])
-        deltas[chunk_id] = (prefix - before) * clock_ns
-    return deltas
+    while that chunk's requests complete.  A chunk's rows are one
+    contiguous segment of the trace's chunk column, and the segment's
+    clock is the completion of its last request.  Prefix-max keeps the
+    deltas non-negative when channels finish slightly out of order."""
+    chunk = trace.chunk
+    if not chunk.size:
+        return {}
+    change = np.flatnonzero(chunk[1:] != chunk[:-1])
+    first, last = np.r_[0, change + 1], np.r_[change, chunk.size - 1]
+    done = result.completion_cycles[last]
+    ends = np.maximum.accumulate(np.r_[0, done])
+    deltas = np.diff(ends) * clock_ns
+    return dict(zip(chunk[first].tolist(), deltas.tolist()))
 
 
 def run_mode(
@@ -73,11 +74,11 @@ def run_mode(
     dram_config: DramConfig,
 ) -> dict:
     """Trace one mode, simulate it, and summarize what the report needs."""
-    entries = gen_trace(assignment, directory, mode, guard)
-    result = run_trace(dram_config, [e.request for e in entries])
-    energy_by_kind = energy_breakdown(result, [e.kind for e in entries])
-    byte_split = bytes_by_kind(entries)
-    deltas = chunk_latency_deltas(directory, entries, result, dram_config.clock_ns)
+    trace = gen_trace(assignment, directory, mode, guard)
+    result = run_trace(dram_config, trace)
+    energy_by_kind = energy_breakdown(result, trace.tag, trace.labels)
+    byte_split = bytes_by_kind(trace)
+    deltas = chunk_latency_deltas(directory, trace, result, dram_config.clock_ns)
 
     kinds = {}
     for kind in KIND_ORDER:
@@ -104,8 +105,8 @@ def run_mode(
         }
 
     return {
-        "bytes": trace_bytes(entries),
-        "requests": len(entries),
+        "bytes": trace_bytes(trace),
+        "requests": len(trace),
         "total_latency_ns": result.total_ns,
         "total_energy_pj": result.energy_pj["total"],
         "energy_breakdown_pj": {

@@ -6,21 +6,22 @@ chunked (attention heads, MLP neurons, one predictor chunk per layer);
 a seeded score model decides how important each non-predictor chunk is;
 a threshold set maps scores to ladder formats; and the trace generator
 turns an assignment into the physical request stream each storage layout
-would issue.  Everything is deterministic given the seed.
+would issue, as a `Trace` whose tags index `KIND_LABELS` and whose chunk
+column holds directory ids.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .address import (
     BLOCK,
     LogicalRead,
-    PhysicalRequest,
     RegionTable,
+    Trace,
     TraditionalLayout,
     build_regions,
     resolve,
@@ -37,6 +38,11 @@ from .bitplane import (
 from .quant import DEFAULT_LADDER, NO_GUARD, FpFormat, GuardConfig
 
 TRACE_MODES = ("bitplane", "traditional")
+
+# Tag labels of every trace gen_trace builds: a row's tag is its chunk
+# kind's position here.
+KIND_LABELS = tuple(ChunkKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(KIND_LABELS)}
 
 # Upper end of the solver's search knob.  At 64 the default band profile
 # pushes every band fraction past 1, so the all-FP16 ceiling is reachable.
@@ -391,12 +397,6 @@ def solve_thresholds(
     return best_set
 
 
-class TraceEntry(NamedTuple):
-    request: PhysicalRequest
-    kind: ChunkKind
-    chunk_id: int
-
-
 def gen_trace(
     assignment: FormatAssignment,
     directory: ChunkDirectory,
@@ -405,16 +405,18 @@ def gen_trace(
     region_table: RegionTable = None,
     plane_layout: PlaneLayout = None,
     traditional_layout: TraditionalLayout = None,
-) -> list:
+) -> Trace:
     """Physical request stream for loading the whole model once.
 
-    Chunks go out in directory order; skipped chunks emit nothing in
-    either mode.  bitplane mode resolves each chunk in the bloated
-    logical space and fetches only the planes its format needs, keeping
-    a per-plane high-water mark so a burst straddling two chunks is never
+    Chunks go out in directory order, each chunk's rows contiguous;
+    skipped chunks emit nothing in either mode.  bitplane mode resolves
+    each chunk in the bloated logical space and fetches only the planes
+    its format needs, one request per plane span, trimmed against a
+    per-plane high-water mark so a block straddling two chunks is never
     fetched twice.  traditional mode streams each chunk's full-width
-    words from its packed extent.  Layouts default to the canonical
-    placement for the directory when not supplied.
+    words from its packed extent, one request per block.  Layouts
+    default to the canonical placement for the directory when not
+    supplied.
     """
     if mode not in TRACE_MODES:
         raise ValueError(f"mode must be one of {TRACE_MODES}, got {mode!r}")
@@ -429,8 +431,9 @@ def gen_trace(
     else:
         layout = traditional_layout or TraditionalLayout.from_directory(directory)
 
-    entries = []
-    high_water: dict = {}  # plane index -> last fetched block
+    # Per loaded chunk: its id, kind code and spans (extents in
+    # traditional mode, where each chunk has exactly one).
+    chunk_ids, kind_codes, planes, lo, size = [], [], [], [], []
     for chunk, fmt in zip(directory, assignment.formats):
         if fmt.is_skip:
             continue
@@ -441,38 +444,71 @@ def gen_trace(
         )
         resolved = resolve(table, read)
         if mode == "traditional":
-            for request in translate_traditional(resolved, layout):
-                entries.append(TraceEntry(request, chunk.kind, chunk.chunk_id))
-            continue
-        for request in translate(resolved, guard, layout):
-            first = request.byte_addr // BLOCK
-            last = (request.byte_addr + request.len_bytes - 1) // BLOCK
-            start = max(first, high_water.get(request.plane_index, -1) + 1)
-            if start > last:
-                continue  # the seam block was already fetched for the previous chunk
-            trimmed = PhysicalRequest(
-                start * BLOCK,
-                (last - start + 1) * BLOCK,
-                plane_index=request.plane_index,
-                purpose=request.purpose,
-            )
-            high_water[request.plane_index] = last
-            entries.append(TraceEntry(trimmed, chunk.kind, chunk.chunk_id))
-    return entries
+            extent_lo, extent_size = translate_traditional(resolved, layout)
+            lo.append(extent_lo)
+            size.append(extent_size)
+        else:
+            span_planes, span_lo, span_size = translate(resolved, guard, layout)
+            planes.append(span_planes)
+            lo.append(span_lo)
+            size.append(span_size)
+        chunk_ids.append(chunk.chunk_id)
+        kind_codes.append(_KIND_CODE[chunk.kind])
+
+    # Map each request row to its position in the loaded-chunk lists.
+    if mode == "traditional":
+        # One extent per chunk, issued one block at a time.
+        extent_lo, blocks = np.array(lo, np.int64), np.array(size, np.int64) // BLOCK
+        row_chunk = np.repeat(np.arange(blocks.size), blocks)
+        block = np.arange(row_chunk.size) - np.repeat(np.cumsum(blocks) - blocks, blocks)
+        addr = extent_lo[row_chunk] + block * BLOCK
+        size = np.full(addr.size, BLOCK, np.int64)
+    else:
+        empty = np.zeros(0, np.int64)
+        keep, addr, size = _trim_seams(
+            *(np.concatenate([empty, *spans]) for spans in (planes, lo, size))
+        )
+        row_chunk = np.repeat(np.arange(len(planes)), [p.size for p in planes])[keep]
+    return Trace(
+        addr,
+        size,
+        np.array(kind_codes, np.int32)[row_chunk],
+        KIND_LABELS,
+        np.array(chunk_ids, np.int32)[row_chunk],
+    )
 
 
-def trace_bytes(entries: Iterable[TraceEntry]) -> int:
-    return sum(e.request.len_bytes for e in entries)
+def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
+    """Drop from each span the blocks an earlier span on its plane fetched.
+
+    Spans are in trace order.  Returns (keep, addr, size): which spans
+    still fetch anything, and what each kept span fetches.
+    """
+    first = lo // BLOCK
+    last = (lo + size) // BLOCK - 1
+    # High-water mark: the last block fetched on the span's plane by any
+    # earlier span, -1 if none.  Offsetting each plane's blocks past the
+    # previous plane's lets one running max serve every plane at once.
+    order = np.argsort(planes, kind="stable")
+    offset = planes[order] * (int(last.max()) + 2 if last.size else 1)
+    running = np.maximum.accumulate(offset + last[order])
+    high_water = np.empty_like(last)
+    high_water[order] = np.maximum(np.r_[-1, running[:-1]] - offset, -1)
+    start = np.maximum(first, high_water + 1)
+    keep = start <= last
+    start, last = start[keep], last[keep]
+    return keep, start * BLOCK, (last - start + 1) * BLOCK
 
 
-def bytes_by_kind(entries: Sequence[TraceEntry]) -> dict:
-    """Total trace bytes per chunk kind (the fetched-bits breakdown)."""
-    codes: dict = {}
-    kind_code = np.fromiter((codes.setdefault(e.kind, len(codes)) for e in entries), np.intp)
-    size = np.fromiter((e.request.len_bytes for e in entries), np.float64)
+def trace_bytes(trace: Trace) -> int:
+    return int(trace.size.sum())
+
+
+def bytes_by_kind(trace: Trace) -> dict:
+    """Total trace bytes per tag label (the fetched-bits breakdown)."""
     # Byte counts stay far below 2**53, so the float sums are exact.
-    totals = np.bincount(kind_code, weights=size, minlength=len(codes))
-    return {kind: int(totals[code]) for kind, code in codes.items()}
+    totals = np.bincount(trace.tag, weights=trace.size, minlength=len(trace.labels))
+    return {label: int(total) for label, total in zip(trace.labels, totals)}
 
 
 def predictor_share(breakdown: Mapping) -> float:

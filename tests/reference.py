@@ -9,6 +9,11 @@ reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.  The
 package's vectorized replay must accept and reject exactly the streams
 it does, with the same message, and account for them identically.
+
+reference_trace is the trace generator the package started from: one
+request object per plane span, or per 64-byte block in traditional
+mode, trimmed against a per-plane high-water dictionary.  The columnar
+`gen_trace` must produce the same rows.
 """
 
 from __future__ import annotations
@@ -16,9 +21,20 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from planestore.address import (
+    BLOCK,
+    FP16_BYTES,
+    LogicalRead,
+    TraditionalLayout,
+    build_regions,
+    plane_span,
+    resolve,
+)
+from planestore.bitplane import ChunkKind, PlaneLayout, plane_stride_for
 from planestore.dram import CommandKind, DramCommand, DramConfig, SimResult
+from planestore.quant import NO_GUARD, plane_set
 
 TWO = Fraction(2)
 
@@ -251,3 +267,82 @@ def reference_simulate(
         num_acts=count_act,
         num_reads=count_rd,
     )
+
+
+class TraceRow(NamedTuple):
+    byte_addr: int
+    len_bytes: int
+    kind: ChunkKind
+    chunk_id: int
+
+
+def _reference_translate(resolved, guard, layout) -> list:
+    """(byte_addr, len_bytes, plane) per needed plane, address order."""
+    fmt, start, count = resolved
+    if fmt.is_skip:
+        raise ValueError("cannot translate a skipped chunk")
+    if not 0 <= start <= start + count <= layout.num_weights:
+        raise ValueError(f"weight range [{start}, +{count}) outside the image")
+    spans = []
+    for p in plane_set(fmt, guard):
+        lo, size = plane_span(layout, p, start, count)
+        spans.append((lo, size, p))
+    spans.sort()
+    return spans
+
+
+def _reference_translate_traditional(resolved, layout) -> list:
+    """(byte_addr, 64) per block of the weight range's FP16 extent."""
+    fmt, start, count = resolved
+    if fmt.is_skip:
+        return []
+    if not 0 <= start <= start + count <= layout.num_weights:
+        raise ValueError(f"weight range [{start}, +{count}) outside the layout")
+    idx = bisect_right(layout.chunk_starts, start) - 1
+    chunk_base = layout.chunk_bases[idx]
+    chunk_start = layout.chunk_starts[idx]
+    first = chunk_base + (start - chunk_start) * FP16_BYTES
+    last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
+    lo = first // BLOCK * BLOCK
+    hi = (last // BLOCK + 1) * BLOCK
+    return [(addr, BLOCK) for addr in range(lo, hi, BLOCK)]
+
+
+def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
+    """The request stream for loading the whole model once, as TraceRows.
+
+    Chunks go out in directory order; skipped chunks emit nothing.
+    bitplane mode fetches each needed plane's span, minus the blocks a
+    previous chunk already fetched on that plane; traditional mode
+    fetches the chunk's FP16 extent one block at a time.
+    """
+    table = build_regions(directory.num_weights, assignment.ladder)
+    bases = {region.fmt: region.base_bit for region in table.regions}
+    if mode == "bitplane":
+        layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
+    else:
+        layout = TraditionalLayout.from_directory(directory)
+    rows = []
+    high_water: dict = {}  # plane index -> last fetched block
+    for chunk, fmt in zip(directory, assignment.formats):
+        if fmt.is_skip:
+            continue
+        read = LogicalRead(
+            bases[fmt] + chunk.start * fmt.total_bits, chunk.length * fmt.total_bits
+        )
+        resolved = resolve(table, read)
+        if mode == "traditional":
+            for addr, size in _reference_translate_traditional(resolved, layout):
+                rows.append(TraceRow(addr, size, chunk.kind, chunk.chunk_id))
+            continue
+        for addr, size, plane in _reference_translate(resolved, guard, layout):
+            first = addr // BLOCK
+            last = (addr + size - 1) // BLOCK
+            start = max(first, high_water.get(plane, -1) + 1)
+            if start > last:
+                continue  # the seam block was already fetched for the previous chunk
+            high_water[plane] = last
+            rows.append(
+                TraceRow(start * BLOCK, (last - start + 1) * BLOCK, chunk.kind, chunk.chunk_id)
+            )
+    return rows

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from planestore.address import (
     LogicalRead,
-    PhysicalRequest,
+    Trace,
     build_regions,
     resolve,
 )
@@ -195,7 +195,7 @@ def test_06_memory_model_matches_hand_traces():
          76, (2, 2)),
     ]
     for addrs, expected, cycles, (n_act, n_rd) in cases:
-        commands = list(schedule(cfg, [PhysicalRequest(a, 64) for a in addrs]))
+        commands = list(schedule(cfg, Trace(addrs, [64] * len(addrs))))
         got = [
             (c.kind.name, c.channel, c.bank, c.row, c.column, c.issue_cycle)
             for c in commands

@@ -30,6 +30,8 @@ from planestore.workload import (
     solve_thresholds,
 )
 
+from reference import reference_trace
+
 
 # Small enough to sweep in well under a second, with every chunk size a
 # multiple of 512 so both layouts align exactly at full precision.
@@ -316,6 +318,30 @@ def test_trace_single_mode(small_config, tmp_path, capsys):
     assert not (out / "trace_traditional_8.txt").exists()
 
 
+def test_trace_files_match_the_reference_generator(tmp_path, capsys):
+    # Chunk sizes off the 512-weight grid and guard planes, so plane
+    # seams and guards show in the bitplane trace.
+    text = SMALL_YAML.replace("8192", "1000").replace("4096", "700") + (
+        "guard: {exp_bits: 1, man_bits: 1}\n"
+    )
+    config = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["trace", "--config", config, "--out", str(out), "--target", "4.8"]) == 0
+    capsys.readouterr()
+    cfg = load_config(config, env={})
+    directory = enumerate_chunks(cfg.geometry)
+    scores = gen_scores(directory, cfg.importance)
+    thresholds = solve_thresholds(
+        directory, scores, solver_target(4.8, predictor_fraction(directory)),
+        cfg.ladder, cfg.band_profile,
+    )
+    assignment = assign_formats(directory, scores, thresholds)
+    for mode in ("bitplane", "traditional"):
+        rows = reference_trace(assignment, directory, mode, cfg.guard)
+        expected = "".join(f"{r.byte_addr} {r.len_bytes} {r.kind.value}\n" for r in rows)
+        assert (out / f"trace_{mode}_4.8.txt").read_bytes() == expected.encode()
+
+
 def test_sim_round_trip(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     main(["trace", "--config", small_config, "--out", str(out), "--target", "4.8"])
@@ -356,6 +382,18 @@ def test_sim_rejects_bad_lines(small_config, tmp_path, capsys):
     assert main(["sim", "--config", small_config, str(bad)]) == 1
     err = capsys.readouterr().err
     assert "bad.txt:1" in err
+
+    # The first bad row is named, in one line, whatever follows it.
+    for text, line, message in (
+        ("0 64 a\n\n0 30 a\n0 0 a\n", 3, "request [0, +30) not 64B-granular"),
+        ("0 0 a\n", 1, "request [0, +0) not 64B-granular"),
+        ("64 64\n-64 64 a\n", 2, "request [-64, +64) starts at a negative address"),
+        ("0 64 a\n0 99999999999999999999 a\n", 2, "address or length out of range"),
+    ):
+        bad.write_text(text)
+        assert main(["sim", "--config", small_config, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:{line}: {message}\n"
 
     assert main(["sim", "--config", small_config, "no/such.trace"]) == 1
     assert "cannot read" in capsys.readouterr().err

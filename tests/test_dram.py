@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planestore.address import PhysicalRequest
+from planestore.address import Trace
 from planestore.dram import (
     CommandKind,
     DramCommand,
@@ -26,7 +26,12 @@ NO_BG = DramConfig(p_bg_mw=0.0)
 
 
 def req(addr, length=64):
-    return PhysicalRequest(byte_addr=addr, len_bytes=length)
+    return addr, length
+
+
+def trace_of(requests):
+    """A Trace from req() pairs."""
+    return Trace([a for a, _ in requests], [n for _, n in requests])
 
 
 def kinds(commands):
@@ -109,13 +114,13 @@ def test_map_address_walks_columns_first():
 # --- scheduling -------------------------------------------------------------
 
 def test_cold_single_burst_is_act_rd():
-    cmds = list(schedule(CFG, [req(0)]))
+    cmds = list(schedule(CFG, trace_of([req(0)])))
     assert kinds(cmds) == [CommandKind.ACT, CommandKind.RD]
     assert [c.issue_cycle for c in cmds] == [0, CFG.t_rcd]
 
 
 def test_row_hit_adds_only_a_read():
-    cmds = list(schedule(CFG, [req(0), req(256)]))
+    cmds = list(schedule(CFG, trace_of([req(0), req(256)])))
     assert kinds(cmds) == [CommandKind.ACT, CommandKind.RD, CommandKind.RD]
     assert cmds[-1].issue_cycle == CFG.t_rcd + CFG.t_ccd_l
 
@@ -124,7 +129,7 @@ def test_row_boundary_crossing_costs_two_acts_per_channel():
     # 4,096B starting 2,048B before the per-channel row edge: the stream
     # crosses exactly one row boundary on every channel.
     start = (CFG.columns_per_row - 8) * 256
-    cmds = list(schedule(CFG, [req(start, 4096)]))
+    cmds = list(schedule(CFG, trace_of([req(start, 4096)])))
     acts = [c for c in cmds if c.kind is CommandKind.ACT]
     per_channel = {ch: 0 for ch in range(CFG.channels)}
     for c in acts:
@@ -135,7 +140,7 @@ def test_row_boundary_crossing_costs_two_acts_per_channel():
 
 def test_row_conflict_precharges_first():
     conflict = CFG.columns_per_row * CFG.banks_per_channel * 256
-    cmds = list(schedule(CFG, [req(0), req(conflict)]))
+    cmds = list(schedule(CFG, trace_of([req(0), req(conflict)])))
     assert kinds(cmds) == [
         CommandKind.ACT,
         CommandKind.RD,
@@ -150,47 +155,47 @@ def test_row_conflict_precharges_first():
 
 
 def test_schedule_is_lazy():
-    stream = schedule(CFG, [req(0)])
+    stream = schedule(CFG, trace_of([req(0)]))
     assert next(stream).kind is CommandKind.ACT
 
 
 # --- simulation -------------------------------------------------------------
 
 def test_single_burst_completion():
-    result = run_trace(CFG, [req(0)])
+    result = run_trace(CFG, trace_of([req(0)]))
     assert result.total_cycles == 76
     assert math.isclose(result.total_ns, 76 * CFG.clock_ns)
     assert result.total_ns == pytest.approx(31.7, abs=0.05)
     assert result.bytes_transferred == 64
-    assert result.completion_cycles == (76,)
+    assert result.completion_cycles.tolist() == [76]
 
 
 def test_empty_trace():
-    result = run_trace(CFG, [])
+    result = run_trace(CFG, trace_of([]))
     assert result.total_cycles == 0
     assert result.energy_pj["total"] == 0.0
-    assert result.completion_cycles == ()
+    assert result.completion_cycles.tolist() == []
     assert result.bytes_transferred == 0
 
 
 @pytest.mark.parametrize("n", [1, 10, 100])
 def test_back_to_back_row_hits_closed_form(n):
     requests = [req(256 * i) for i in range(n)]
-    result = run_trace(CFG, requests)
+    result = run_trace(CFG, trace_of(requests))
     expected = CFG.t_rcd + CFG.t_cl + (n - 1) * CFG.t_ccd_l + CFG.burst_cycles
     assert result.total_cycles == expected
 
 
 def test_energy_is_exact_with_no_background():
     requests = [req(0, 256), req(4096, 128), req(1 << 20)]
-    result = run_trace(NO_BG, requests)
+    result = run_trace(NO_BG, trace_of(requests))
     expected = NO_BG.e_act_pj * result.num_acts + NO_BG.e_rd_pj * result.num_reads
     assert result.energy_pj["total"] == expected
     assert result.energy_pj["background"] == 0.0
 
 
 def test_energy_components_sum_to_total():
-    result = run_trace(CFG, [req(0, 512), req(1 << 16, 192)])
+    result = run_trace(CFG, trace_of([req(0, 512), req(1 << 16, 192)]))
     e = result.energy_pj
     assert math.isclose(e["total"], e["activation"] + e["read"] + e["background"])
     assert e["background"] > 0
@@ -198,12 +203,12 @@ def test_energy_components_sum_to_total():
 
 def test_determinism():
     requests = [req(64 * i, 64) for i in range(0, 40, 3)]
-    assert run_trace(CFG, requests) == run_trace(CFG, requests)
+    assert run_trace(CFG, trace_of(requests)) == run_trace(CFG, trace_of(requests))
 
 
 def test_per_request_accounting():
-    result = run_trace(CFG, [req(0, 256), req(1024, 64)])
-    assert result.request_reads == (4, 1)
+    result = run_trace(CFG, trace_of([req(0, 256), req(1024, 64)]))
+    assert result.request_reads.tolist() == [4, 1]
     assert sum(result.request_reads) == result.num_reads
     assert sum(result.request_acts) == result.num_acts
     assert result.completion_cycles[1] >= result.completion_cycles[0] - 76
@@ -297,14 +302,14 @@ def test_out_of_config_and_unknown_kinds_rejected():
 
 def test_byte_conservation():
     requests = [req(0, 320), req(8192, 64), req(1 << 19, 1024)]
-    result = run_trace(CFG, requests)
-    assert result.bytes_transferred == sum(r.len_bytes for r in requests)
+    result = run_trace(CFG, trace_of(requests))
+    assert result.bytes_transferred == sum(n for _, n in requests)
 
 
 def test_adding_a_request_never_helps():
     base = [req(256 * i) for i in range(6)]
     longer = base + [req(1 << 21, 128)]
-    a, b = run_trace(CFG, base), run_trace(CFG, longer)
+    a, b = run_trace(CFG, trace_of(base)), run_trace(CFG, trace_of(longer))
     assert b.total_cycles >= a.total_cycles
     assert b.energy_pj["total"] >= a.energy_pj["total"]
 
@@ -315,11 +320,11 @@ def test_sorted_stream_minimizes_activates():
     conflict = CFG.columns_per_row * CFG.banks_per_channel * 256
     addrs = [0, 256, 512, conflict, conflict + 256]
     best = sum(
-        1 for c in schedule(CFG, [req(a) for a in addrs]) if c.kind is CommandKind.ACT
+        1 for c in schedule(CFG, trace_of([req(a) for a in addrs])) if c.kind is CommandKind.ACT
     )
     for perm in itertools.permutations(addrs):
         n = sum(
-            1 for c in schedule(CFG, [req(a) for a in perm]) if c.kind is CommandKind.ACT
+            1 for c in schedule(CFG, trace_of([req(a) for a in perm])) if c.kind is CommandKind.ACT
         )
         assert n >= best
     assert best == 2
@@ -337,31 +342,31 @@ def test_sorted_stream_minimizes_activates():
 )
 def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
-    result = run_trace(CFG, requests)
-    assert result.bytes_transferred == sum(r.len_bytes for r in requests)
-    assert result == simulate(CFG, list(schedule(CFG, requests)))
+    result = run_trace(CFG, trace_of(requests))
+    assert result.bytes_transferred == sum(n for _, n in requests)
+    assert result == simulate(CFG, list(schedule(CFG, trace_of(requests))))
     assert len(result.completion_cycles) == len(requests)
 
 
 # --- energy attribution -----------------------------------------------------
 
 def test_breakdown_single_category():
-    result = run_trace(CFG, [req(0, 256), req(4096, 64)])
-    split = energy_breakdown(result, ["predictor", "predictor"])
+    result = run_trace(CFG, trace_of([req(0, 256), req(4096, 64)]))
+    split = energy_breakdown(result, [0, 0], ["predictor"])
     assert split == {"predictor": pytest.approx(result.energy_pj["total"])}
 
 
 def test_breakdown_symmetric_categories():
     requests = [req(64 * i) for i in range(8)]
-    result = run_trace(CFG, requests)
-    split = energy_breakdown(result, list("abababab"))
+    result = run_trace(CFG, trace_of(requests))
+    split = energy_breakdown(result, [0, 1] * 4, ("a", "b"))
     assert split["a"] == pytest.approx(split["b"], rel=0.01)
     assert split["a"] + split["b"] == pytest.approx(result.energy_pj["total"])
 
 
 def test_breakdown_follows_byte_share():
-    result = run_trace(NO_BG, [req(0, 960), req(4096, 320)])
-    split = energy_breakdown(result, ["big", "small"])
+    result = run_trace(NO_BG, trace_of([req(0, 960), req(4096, 320)]))
+    split = energy_breakdown(result, [0, 1], ["big", "small"])
     reads = result.request_reads
     assert split["big"] >= split["small"]
     assert split["small"] == pytest.approx(
@@ -370,8 +375,8 @@ def test_breakdown_follows_byte_share():
 
 
 def test_breakdown_requires_tags():
-    result = run_trace(CFG, [req(0), req(256)])
+    result = run_trace(CFG, trace_of([req(0), req(256)]))
     with pytest.raises(ValueError, match="untagged"):
-        energy_breakdown(result, ["a", None])
+        energy_breakdown(result, [0, -1], ["a"])
     with pytest.raises(ValueError, match="2 requests"):
-        energy_breakdown(result, ["a"])
+        energy_breakdown(result, [0], ["a"])

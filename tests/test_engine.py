@@ -8,12 +8,14 @@ traces and command streams.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planestore.address import PhysicalRequest
+from planestore.address import Trace
 from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
@@ -38,6 +40,11 @@ DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yam
 KINDS = list(CommandKind)
 
 
+def trace_of(requests):
+    """A Trace from (byte_addr, len_bytes) pairs."""
+    return Trace([a for a, _ in requests], [n for _, n in requests])
+
+
 def commands_of(table):
     """A CommandTable as the DramCommand list it encodes."""
     columns = (
@@ -50,9 +57,9 @@ def commands_of(table):
     ]
 
 
-def assert_engine_matches_reference(config, requests):
-    table = plan(config, requests)
-    expected = list(schedule(config, requests))
+def assert_engine_matches_reference(config, trace):
+    table = plan(config, trace)
+    expected = list(schedule(config, trace))
     assert commands_of(table) == expected
     result = simulate(config, table)
     assert result == reference_simulate(config, expected)
@@ -77,23 +84,18 @@ def assert_engine_matches_reference(config, requests):
 )
 def test_hand_traces_match_reference(requests):
     config = DramConfig(p_bg_mw=0.0)
-    assert_engine_matches_reference(
-        config, [PhysicalRequest(addr, size) for addr, size in requests]
-    )
+    assert_engine_matches_reference(config, trace_of(requests))
 
 
 def test_bad_address_raises_the_scalar_error():
-    class Raw:
-        def __init__(self, byte_addr, len_bytes):
-            self.byte_addr, self.len_bytes = byte_addr, len_bytes
-
+    # Trace rejects these rows itself; bare columns reach the engine.
     config = DramConfig()
-    for bad, match in ((Raw(96, 64), "not 64-byte aligned"), (Raw(-64, 64), "negative")):
-        requests = [Raw(0, 64), bad]
+    for bad, match in ((96, "not 64-byte aligned"), (-64, "negative")):
+        raw = SimpleNamespace(addr=np.array([0, bad]), size=np.array([64, 64]))
         with pytest.raises(ValueError, match=match):
-            list(schedule(config, requests))
+            list(schedule(config, raw))
         with pytest.raises(ValueError, match=match):
-            plan(config, requests)
+            plan(config, raw)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +112,7 @@ def sweep_traces():
         )
         assignment = assign_formats(directory, scores, thresholds)
         for mode in ("bitplane", "traditional"):
-            entries = gen_trace(assignment, directory, mode, cfg.guard)
-            traces[target, mode] = [e.request for e in entries]
+            traces[target, mode] = gen_trace(assignment, directory, mode, cfg.guard)
     return cfg, traces
 
 
@@ -119,9 +120,9 @@ def test_default_sweep_traces_match_reference(sweep_traces):
     cfg, traces = sweep_traces
     assert len(traces) == 10
     counts = {}
-    for key, requests in traces.items():
-        table, result = assert_engine_matches_reference(cfg.dram, requests)
-        counts[key] = (len(requests), len(table), result.num_acts)
+    for key, trace in traces.items():
+        table, result = assert_engine_matches_reference(cfg.dram, trace)
+        counts[key] = (len(trace), len(table), result.num_acts)
     # The baseline counts the benchmark pins for this config and seed.
     assert counts[8.0, "traditional"][:2] == (198_396, 202_180)
     assert counts[1.6, "bitplane"][2] == 1_931
@@ -148,16 +149,16 @@ configs = st.builds(
 # banks, random requests keep reopening rows that another request closed.
 traces = st.lists(
     st.tuples(st.integers(0, 400), st.integers(1, 12)), max_size=25
-).map(lambda reqs: [PhysicalRequest(64 * slot, 64 * n) for slot, n in reqs])
+).map(lambda reqs: trace_of([(64 * slot, 64 * n) for slot, n in reqs]))
 
 
 @settings(deadline=None, max_examples=150)
 @given(configs, traces)
-def test_random_traces_match_reference(config, requests):
-    table, result = assert_engine_matches_reference(config, requests)
+def test_random_traces_match_reference(config, trace):
+    table, result = assert_engine_matches_reference(config, trace)
     e = result.energy_pj
     assert e["activation"] + e["read"] + e["background"] == e["total"]
-    assert result.bytes_transferred == sum(r.len_bytes for r in requests)
+    assert result.bytes_transferred == trace.size.sum()
 
 
 def same_verdict(config, stream):
@@ -196,11 +197,11 @@ def test_random_streams_get_the_reference_verdict(stream):
 
 @settings(deadline=None, max_examples=400)
 @given(configs, traces, st.data())
-def test_perturbed_schedules_get_the_reference_verdict(config, requests, data):
+def test_perturbed_schedules_get_the_reference_verdict(config, trace, data):
     # A legal stream with one command moved in time, sent to another row,
     # dropped, retyped or swapped with its successor: mostly one
     # violation, sometimes none.
-    stream = list(schedule(config, requests))
+    stream = list(schedule(config, trace))
     if not stream:
         return
     i = data.draw(st.integers(0, len(stream) - 1))

@@ -287,24 +287,28 @@ def two_head_setup():
     return directory, assignment
 
 
+def kinds_of(trace):
+    return [trace.labels[code] for code in trace.tag.tolist()]
+
+
 def test_traditional_trace_single_extent():
     directory, assignment = two_head_setup()
-    entries = gen_trace(assignment, directory, "traditional")
-    assert len(entries) == 32
-    assert [e.request.byte_addr for e in entries] == list(range(0, 2048, 64))
-    assert all(e.request.len_bytes == 64 for e in entries)
-    assert all(e.kind is ChunkKind.ATTENTION_HEAD for e in entries)
-    assert all(e.chunk_id == 0 for e in entries)
+    trace = gen_trace(assignment, directory, "traditional")
+    assert len(trace) == 32
+    assert trace.addr.tolist() == list(range(0, 2048, 64))
+    assert (trace.size == 64).all()
+    assert all(kind is ChunkKind.ATTENTION_HEAD for kind in kinds_of(trace))
+    assert (trace.chunk == 0).all()
 
 
 def test_bitplane_trace_one_request_per_plane():
     directory, assignment = two_head_setup()
-    entries = gen_trace(assignment, directory, "bitplane")
-    assert len(entries) == 16
-    assert [e.request.plane_index for e in entries] == list(range(16))
-    assert all(e.request.len_bytes == 128 for e in entries)
+    trace = gen_trace(assignment, directory, "bitplane")
+    assert len(trace) == 16
     stride = plane_stride_for(2048)
-    assert [e.request.byte_addr for e in entries] == [p * stride for p in range(16)]
+    # One request per plane, in plane order: plane p's span starts at p * stride.
+    assert (trace.size == 128).all()
+    assert trace.addr.tolist() == [p * stride for p in range(16)]
 
 
 def test_all_fp8_trace_is_half_the_bytes():
@@ -321,13 +325,13 @@ def test_traditional_bytes_formula():
     directory = enumerate_chunks(g)
     scores = gen_scores(directory, ImportanceModel(21, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
-    entries = gen_trace(assignment, directory, "traditional")
+    trace = gen_trace(assignment, directory, "traditional")
     expected = sum(
         -(-chunk.length * 2 // 64) * 64
         for chunk, fmt in zip(directory, assignment.formats)
         if not fmt.is_skip
     )
-    assert trace_bytes(entries) == expected
+    assert trace_bytes(trace) == expected
 
 
 def test_mode_equivalence_on_full_precision():
@@ -356,15 +360,14 @@ def test_seam_blocks_fetched_once():
     # must hand the shared block to the earlier chunk only.
     directory = enumerate_chunks(flat_geometry(5, 1000))
     assignment = FormatAssignment((FP16,) * 5, DEFAULT_LADDER)
-    entries = gen_trace(assignment, directory, "bitplane")
-    seen = set()
-    for e in entries:
-        for block in range(
-            e.request.byte_addr // 64, (e.request.byte_addr + e.request.len_bytes) // 64
-        ):
-            assert (e.request.plane_index, block) not in seen
-            seen.add((e.request.plane_index, block))
+    trace = gen_trace(assignment, directory, "bitplane")
     stride = plane_stride_for(5000)
+    seen = set()
+    for addr, size in zip(trace.addr.tolist(), trace.size.tolist()):
+        plane = addr // stride
+        for block in range(addr // 64, (addr + size) // 64):
+            assert (plane, block) not in seen
+            seen.add((plane, block))
     blocks_per_plane = -(-5000 // 8 // 64)
     expected = {
         (p, (p * stride) // 64 + b) for p in range(16) for b in range(blocks_per_plane)
@@ -401,14 +404,14 @@ def test_trace_tags_kinds():
     directory = enumerate_chunks(g)
     assignment = FormatAssignment((FP16,) * 4, DEFAULT_LADDER)
     for mode in ("bitplane", "traditional"):
-        entries = gen_trace(assignment, directory, mode)
-        by_kind = bytes_by_kind(entries)
-        assert set(by_kind) == {
+        trace = gen_trace(assignment, directory, mode)
+        by_kind = bytes_by_kind(trace)
+        assert set(kinds_of(trace)) == set(by_kind) == {
             ChunkKind.ATTENTION_HEAD,
             ChunkKind.MLP_NEURON,
             ChunkKind.PREDICTOR,
         }
-        assert trace_bytes(entries) == sum(by_kind.values())
+        assert trace_bytes(trace) == sum(by_kind.values())
 
 
 # --- predictor share --------------------------------------------------------
