@@ -52,15 +52,15 @@ def solver_target(non_predictor_bits: float, predictor_frac: float) -> float:
 def chunk_latency_deltas(directory: ChunkDirectory, trace, result, clock_ns: float) -> dict:
     """Marginal load time per chunk: how far the trace clock advances
     while that chunk's requests complete.  A chunk's rows are one
-    contiguous segment of the trace's chunk column, and the segment's
-    clock is the completion of its last request.  Prefix-max keeps the
+    contiguous segment of the trace's chunk column, and the chunk is
+    loaded when the latest of its requests completes, which on a
+    multi-channel trace need not be its last one.  Prefix-max keeps the
     deltas non-negative when channels finish slightly out of order."""
     chunk = trace.chunk
     if not chunk.size:
         return {}
-    change = np.flatnonzero(chunk[1:] != chunk[:-1])
-    first, last = np.r_[0, change + 1], np.r_[change, chunk.size - 1]
-    done = result.completion_cycles[last]
+    first = np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]
+    done = np.maximum.reduceat(result.completion_cycles, first)
     ends = np.maximum.accumulate(np.r_[0, done])
     deltas = np.diff(ends) * clock_ns
     return dict(zip(chunk[first].tolist(), deltas.tolist()))

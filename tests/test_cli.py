@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from planestore.address import Trace
 from planestore.bitplane import ChunkKind, load_image
 from planestore.cli import (
     CSV_COLUMNS,
@@ -14,7 +15,9 @@ from planestore.cli import (
     main,
 )
 from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, default_config, load_config
+from planestore.dram import DramConfig, run_trace
 from planestore.experiment import (
+    chunk_latency_deltas,
     compare_assignment,
     predictor_fraction,
     run_mode,
@@ -481,6 +484,16 @@ def test_chunk_latency_deltas_telescope_to_total():
             for stats in per_kind.values()
         )
         assert total_chunk_time == pytest.approx(summary["total_latency_ns"])
+
+
+def test_chunk_latency_takes_each_chunks_latest_completion():
+    # Chunk 0 reads four blocks on channel 0, then one on channel 1; that
+    # last read finishes at cycle 76, before channel 0's fourth at 112.
+    # Chunk 1's read queues behind them on channel 0 and finishes at 124.
+    trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
+    result = run_trace(DramConfig(), trace)
+    assert result.completion_cycles.tolist() == [76, 88, 100, 112, 76, 124]
+    assert chunk_latency_deltas(None, trace, result, 1.0) == {0: 112.0, 1: 12.0}
 
 
 def _small_assignment(cfg, directory):
