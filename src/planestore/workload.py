@@ -486,14 +486,15 @@ def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
     """
     first = lo // BLOCK
     last = (lo + size) // BLOCK - 1
-    # High-water mark: the last block fetched on the span's plane by any
-    # earlier span, -1 if none.  Offsetting each plane's blocks past the
-    # previous plane's lets one running max serve every plane at once.
+    # High-water mark: the last block fetched on the span's plane so far,
+    # -1 if none.  A plane's spans come in chunk order and chunks in
+    # weight order, so that is the last block of the plane's previous span.
     order = np.argsort(planes, kind="stable")
-    offset = planes[order] * (int(last.max()) + 2 if last.size else 1)
-    running = np.maximum.accumulate(offset + last[order])
+    by_plane = planes[order]
+    previous = np.r_[-1, last[order][:-1]]
+    previous[np.r_[True, by_plane[1:] != by_plane[:-1]]] = -1
     high_water = np.empty_like(last)
-    high_water[order] = np.maximum(np.r_[-1, running[:-1]] - offset, -1)
+    high_water[order] = previous
     start = np.maximum(first, high_water + 1)
     keep = start <= last
     start, last = start[keep], last[keep]

@@ -139,6 +139,13 @@ def test_bitplane_overfetch_bound_is_tight():
     assert smart[1] == plain[1] + 64 * (2 * 16 - 1)
 
 
+def test_all_skipped_assignment_gives_empty_traces():
+    directory = enumerate_chunks(ModelGeometry(1, 2, 100, 1, 100, 0))
+    assignment = FormatAssignment((FP0,) * 3, DEFAULT_LADDER)
+    for mode in ("bitplane", "traditional"):
+        assert gen_trace(assignment, directory, mode) == Trace([], [], [], KIND_LABELS, [])
+
+
 # --- the Trace type ----------------------------------------------------------
 
 def test_trace_defaults_and_equality():
