@@ -293,16 +293,17 @@ def cmd_trace(args) -> int:
 
 
 def render_trace(trace: Trace) -> str:
-    """Trace file text: one 'byte_addr len_bytes tag' line per row."""
-    names = [getattr(label, "value", label) for label in trace.labels]
-    tags = [names[code] for code in trace.tag.tolist()]
+    """Trace file text: one 'byte_addr len_bytes tag' line per row, the
+    tag left out for an untagged row."""
+    # Tag code -1 picks the trailing "".
+    tags = [f" {getattr(label, 'value', label)}" for label in trace.labels] + [""]
     return "".join(
-        f"{addr} {size} {tag}\n"
-        for addr, size, tag in zip(trace.addr.tolist(), trace.size.tolist(), tags)
+        f"{addr} {size}{tags[code]}\n"
+        for addr, size, code in zip(trace.addr.tolist(), trace.size.tolist(), trace.tag.tolist())
     )
 
 
-def _parse_trace(path: str) -> Trace:
+def parse_trace(path: str) -> Trace:
     """Read a trace file into columns; tags become codes into the labels
     in order of first appearance, a missing tag code -1."""
     try:
@@ -342,7 +343,7 @@ def _parse_trace(path: str) -> Trace:
 
 def cmd_sim(args) -> int:
     config = load_config(args.config, args.seed, args.out)
-    trace = _parse_trace(args.trace)
+    trace = parse_trace(args.trace)
     result = run_trace(config.dram, trace)
     payload = {
         "trace": args.trace,

@@ -14,12 +14,13 @@ tRAS before the precharge plus tRP after it.  Completion of a read is its
 issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
-Both take the request stream as an `address.Trace` and read its addr
-and size columns.  `schedule` states that policy one burst at a time
-and is the readable reference.  `plan` produces the same command stream one same-row run of
+`schedule` states that policy one burst at a time and is the readable
+reference.  `plan` produces the same command stream one same-row run of
 bursts at a time, as numpy columns, and `simulate` replays a stream with
 every legality check vectorized per channel.  docs/dram-model.md shows
-why the run-level recurrence is exact.
+why the run-level recurrence is exact.  Both `schedule` and `plan` take
+the request stream as an `address.Trace` and read its addr and size
+columns.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
@@ -572,7 +573,7 @@ def energy_breakdown(result: SimResult, tags, labels: Sequence) -> dict:
     result's total.  Every request must carry a tag.
     """
     n = len(result.completion_cycles)
-    tags = np.asarray(tags)
+    tags = np.asarray(tags, np.intp)
     if tags.size != n:
         raise ValueError(f"got {tags.size} tags for {n} requests")
     untagged = np.flatnonzero(tags < 0)

@@ -13,6 +13,8 @@ from planestore.cli import (
     REPORT_SCHEMA_VERSION,
     check_report,
     main,
+    parse_trace,
+    render_trace,
 )
 from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, default_config, load_config
 from planestore.dram import DramConfig, run_trace
@@ -343,6 +345,16 @@ def test_trace_files_match_the_reference_generator(tmp_path, capsys):
         rows = reference_trace(assignment, directory, mode, cfg.guard)
         expected = "".join(f"{r.byte_addr} {r.len_bytes} {r.kind.value}\n" for r in rows)
         assert (out / f"trace_{mode}_4.8.txt").read_bytes() == expected.encode()
+
+
+def test_trace_text_round_trips_through_columns(tmp_path):
+    path = tmp_path / "t.txt"
+    text = "0 64 a\n4096 192\n128 64 b\n64 64 a\n"
+    path.write_text(text)
+    trace = parse_trace(str(path))
+    assert trace.labels == ("a", "b")
+    assert trace.tag.tolist() == [0, -1, 1, 0]
+    assert render_trace(trace) == text
 
 
 def test_sim_round_trip(small_config, tmp_path, capsys):
