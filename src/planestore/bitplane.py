@@ -1,4 +1,4 @@
-"""Plane-major packing of FP16 weights and selective plane fetches.
+"""Plane-major packing of FP16 weights and the store-image file.
 
 A packed image holds 16 contiguous bit arrays, one per plane under the
 quant module's numbering (sign, exponent MSB first, mantissa MSB first).
@@ -9,24 +9,15 @@ the store-image file format below relies on exactly this layout.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .quant import (
-    FpFormat,
-    GuardConfig,
-    Rounding,
-    WeightWord,
-    FP16,
-    convert,
-    make_format,
-    plane_set,
-)
+from .quant import FpFormat, WeightWord, make_format
 
 NUM_PLANES = 16
 STRIDE_GRANULE = 64  # bytes; plane arrays padded to the interleave granule
@@ -103,22 +94,6 @@ def plane_stride_for(num_weights: int) -> int:
     return -(-raw // STRIDE_GRANULE) * STRIDE_GRANULE
 
 
-@dataclass(frozen=True)
-class PlaneSegment:
-    """Bits [bit_offset, bit_offset + bit_length) of one plane."""
-
-    plane_index: int
-    bit_offset: int
-    bit_length: int
-    payload: np.ndarray  # one uint8 per bit
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.plane_index < NUM_PLANES:
-            raise ValueError(f"plane_index {self.plane_index} out of range")
-        if len(self.payload) != self.bit_length:
-            raise ValueError("payload length disagrees with bit_length")
-
-
 class BitPlaneImage:
     """Immutable plane-major image of ``num_weights`` FP16 words."""
 
@@ -129,7 +104,7 @@ class BitPlaneImage:
         self.num_weights = num_weights
         self.plane_stride = stride
         self.base_addr = base_addr
-        self._planes = planes
+        self._planes = np.ascontiguousarray(planes)
         self._planes.setflags(write=False)
 
     @property
@@ -162,78 +137,32 @@ def pack(weights: Sequence[WeightWord] | np.ndarray, base_addr: int = 0) -> BitP
     arr = _as_word_array(weights)
     stride = plane_stride_for(arr.size)
     planes = np.zeros((NUM_PLANES, stride), dtype=np.uint8)
+    bits = np.empty(arr.size, dtype=np.uint8)
+    used = (arr.size + 7) >> 3
     for p in range(NUM_PLANES):
-        bits = ((arr >> (15 - p)) & 1).astype(np.uint8)
-        packed = np.packbits(bits, bitorder="big")
-        planes[p, : packed.size] = packed
+        np.bitwise_and(arr >> (15 - p), 1, out=bits, casting="unsafe")
+        planes[p, :used] = np.packbits(bits, bitorder="big")
     return BitPlaneImage(arr.size, planes, base_addr)
 
 
-def unpack_full(image: BitPlaneImage, start: int = 0, stop: int | None = None) -> list[WeightWord]:
-    """Bit-exact inverse of pack over [start, stop)."""
+def unpack_full(image: BitPlaneImage, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Bit-exact inverse of pack over [start, stop), as a fresh uint16 array.
+
+    Each plane unpacks only the bytes that cover the range.
+    """
     if stop is None:
         stop = image.num_weights
     if not 0 <= start <= stop <= image.num_weights:
         raise ValueError(f"weight range [{start}, {stop}) outside [0, {image.num_weights})")
-    if start == stop:
-        return []
+    lo, hi = start >> 3, (stop + 7) >> 3
+    first, last = start - 8 * lo, stop - 8 * lo
     words = np.zeros(stop - start, dtype=np.uint16)
+    shifted = np.empty_like(words)
     for p in range(NUM_PLANES):
-        bits = np.unpackbits(image.plane_bytes(p), bitorder="big")[start:stop]
-        words |= bits.astype(np.uint16) << (15 - p)
-    return [WeightWord(int(w), FP16) for w in words]
-
-
-def fetch_planes(
-    image: BitPlaneImage, start: int, length: int, planes: Sequence[int]
-) -> list[PlaneSegment]:
-    """Extract bits [start, start+length) of each requested plane."""
-    if len(planes) == 0:
-        raise ValueError("empty plane set")
-    if not 0 <= start <= start + length <= image.num_weights:
-        raise ValueError(f"chunk [{start}, +{length}) outside [0, {image.num_weights})")
-    segments = []
-    for p in planes:
-        bits = np.unpackbits(image.plane_bytes(p), bitorder="big")[start : start + length]
-        segments.append(PlaneSegment(p, start, length, bits))
-    return segments
-
-
-@lru_cache(maxsize=64)
-def _convert_lut(target: FpFormat, guard: GuardConfig, mode: Rounding) -> np.ndarray:
-    lut = np.empty(1 << 16, dtype=np.uint16)
-    for bits in range(1 << 16):
-        lut[bits] = convert(WeightWord(bits, FP16), target, guard, mode).bits
-    return lut
-
-
-def reconstruct(
-    segments: Sequence[PlaneSegment],
-    target: FpFormat,
-    guard: GuardConfig,
-    mode: Rounding = Rounding.TRUNCATE,
-) -> list[WeightWord]:
-    """Assemble partial words from segments and convert each to ``target``.
-
-    Unfetched planes contribute zero bits, matching the conversion
-    contract, so the result equals element-wise conversion of the original
-    words whenever the segments came from plane_set(target, guard).
-    """
-    lengths = {s.bit_length for s in segments}
-    if len(lengths) != 1:
-        raise ValueError("mismatched segment lengths")
-    needed = set(plane_set(target, guard))
-    present = {s.plane_index for s in segments}
-    if not needed <= present:
-        raise ValueError(f"segments missing planes {sorted(needed - present)}")
-    n = lengths.pop()
-    words = np.zeros(n, dtype=np.uint16)
-    for s in segments:
-        if s.plane_index in needed:
-            words |= s.payload.astype(np.uint16) << (15 - s.plane_index)
-    lut = _convert_lut(target, guard, mode)
-    out = lut[words]
-    return [WeightWord(int(w), target) for w in out]
+        bits = np.unpackbits(image.plane_bytes(p)[lo:hi], bitorder="big")[first:last]
+        np.left_shift(bits, 15 - p, out=shifted, dtype=np.uint16)
+        words |= shifted
+    return words
 
 
 def save_image(image: BitPlaneImage, ladder: Sequence[FpFormat], path: str) -> None:
@@ -253,18 +182,18 @@ def save_image(image: BitPlaneImage, ladder: Sequence[FpFormat], path: str) -> N
                 raise ValueError(f"format name too long: {fmt.name}")
             f.write(struct.pack("<B", len(name)) + name)
             f.write(struct.pack("<BBh", fmt.exp_bits, fmt.man_bits, fmt.bias))
-        for p in range(NUM_PLANES):
-            f.write(image.plane_bytes(p).tobytes())
+        f.write(image._planes.data)
 
 
 def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
+    """Read a store-image file, checking its header against its size."""
     with open(path, "rb") as f:
         if f.read(4) != IMAGE_MAGIC:
             raise ValueError(f"{path}: not a plane-store image")
         try:
             version, num_weights, stride, nfmt = struct.unpack("<HQQH", f.read(20))
             if version != IMAGE_VERSION:
-                raise ValueError(f"{path}: unsupported image version {version}")
+                raise ValueError(f"unsupported image version {version}")
             ladder = []
             for _ in range(nfmt):
                 (nlen,) = struct.unpack("<B", f.read(1))
@@ -273,9 +202,20 @@ def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
                 ladder.append(make_format(name, exp_bits, man_bits, bias if exp_bits else None))
         except struct.error:
             raise ValueError(f"{path}: truncated header") from None
-        planes = np.frombuffer(f.read(NUM_PLANES * stride), dtype=np.uint8).copy()
-    if stride != plane_stride_for(num_weights):
-        raise ValueError(f"{path}: plane_stride {stride} inconsistent with {num_weights} weights")
-    if planes.size != NUM_PLANES * stride:
-        raise ValueError(f"{path}: truncated plane data")
-    return BitPlaneImage(num_weights, planes.reshape(NUM_PLANES, stride)), tuple(ladder)
+        except ValueError as exc:  # a bad version, format name or format widths
+            raise ValueError(f"{path}: {exc}") from None
+        if num_weights == 0:
+            raise ValueError(f"{path}: image must hold at least one weight")
+        if stride != plane_stride_for(num_weights):
+            raise ValueError(
+                f"{path}: plane_stride {stride} inconsistent with {num_weights} weights"
+            )
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if NUM_PLANES * stride > left:
+            raise ValueError(f"{path}: truncated plane data")
+        if NUM_PLANES * stride < left:
+            raise ValueError(f"{path}: trailing data")
+        planes = np.empty((NUM_PLANES, stride), dtype=np.uint8)
+        if f.readinto(planes.data) != planes.nbytes:
+            raise ValueError(f"{path}: truncated plane data")
+    return BitPlaneImage(num_weights, planes), tuple(ladder)

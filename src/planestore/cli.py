@@ -201,7 +201,7 @@ def cmd_pack(args) -> int:
     ladder = config.ladder
     if args.repack is not None:
         image, ladder = load_image(args.repack)
-        words = np.asarray([w.bits for w in unpack_full(image)], dtype=np.uint16)
+        words = unpack_full(image)
     elif args.weights is not None:
         try:
             with open(args.weights, "rb") as fh:

@@ -1,6 +1,10 @@
-"""Packing, directory, fetch, and reconstruction tests."""
+"""Packing, unpacking, directory, image-file, fetch and reconstruction tests."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -8,16 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.bitplane import (
+    NUM_PLANES,
     BitPlaneImage,
     Chunk,
     ChunkDirectory,
     ChunkKind,
     PlaneLayout,
-    fetch_planes,
     load_image,
     pack,
     plane_stride_for,
-    reconstruct,
     save_image,
     unpack_full,
 )
@@ -27,12 +30,87 @@ from planestore.quant import (
     FP6,
     FP8,
     FP16,
+    FpFormat,
     GuardConfig,
     Rounding,
     WeightWord,
     convert,
     plane_set,
 )
+
+
+# Selective plane fetches and word reconstruction from fetched planes.
+# Nothing in the package reads partial planes back; these helpers pin the
+# plane layout that the address model charges for, and the conversion
+# contract that unfetched planes contribute zero bits.
+
+
+@dataclass(frozen=True)
+class PlaneSegment:
+    """Bits [bit_offset, bit_offset + bit_length) of one plane."""
+
+    plane_index: int
+    bit_offset: int
+    bit_length: int
+    payload: np.ndarray  # one uint8 per bit
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.plane_index < NUM_PLANES:
+            raise ValueError(f"plane_index {self.plane_index} out of range")
+        if len(self.payload) != self.bit_length:
+            raise ValueError("payload length disagrees with bit_length")
+
+
+def fetch_planes(
+    image: BitPlaneImage, start: int, length: int, planes: Sequence[int]
+) -> list[PlaneSegment]:
+    """Extract bits [start, start+length) of each requested plane."""
+    if len(planes) == 0:
+        raise ValueError("empty plane set")
+    if not 0 <= start <= start + length <= image.num_weights:
+        raise ValueError(f"chunk [{start}, +{length}) outside [0, {image.num_weights})")
+    segments = []
+    for p in planes:
+        bits = np.unpackbits(image.plane_bytes(p), bitorder="big")[start : start + length]
+        segments.append(PlaneSegment(p, start, length, bits))
+    return segments
+
+
+@lru_cache(maxsize=64)
+def _convert_lut(target: FpFormat, guard: GuardConfig, mode: Rounding) -> np.ndarray:
+    lut = np.empty(1 << 16, dtype=np.uint16)
+    for bits in range(1 << 16):
+        lut[bits] = convert(WeightWord(bits, FP16), target, guard, mode).bits
+    return lut
+
+
+def reconstruct(
+    segments: Sequence[PlaneSegment],
+    target: FpFormat,
+    guard: GuardConfig,
+    mode: Rounding = Rounding.TRUNCATE,
+) -> list[WeightWord]:
+    """Assemble partial words from segments and convert each to ``target``.
+
+    Unfetched planes contribute zero bits, matching the conversion
+    contract, so the result equals element-wise conversion of the original
+    words whenever the segments came from plane_set(target, guard).
+    """
+    lengths = {s.bit_length for s in segments}
+    if len(lengths) != 1:
+        raise ValueError("mismatched segment lengths")
+    needed = set(plane_set(target, guard))
+    present = {s.plane_index for s in segments}
+    if not needed <= present:
+        raise ValueError(f"segments missing planes {sorted(needed - present)}")
+    n = lengths.pop()
+    words = np.zeros(n, dtype=np.uint16)
+    for s in segments:
+        if s.plane_index in needed:
+            words |= s.payload.astype(np.uint16) << (15 - s.plane_index)
+    lut = _convert_lut(target, guard, mode)
+    out = lut[words]
+    return [WeightWord(int(w), target) for w in out]
 
 
 def test_plane_stride_rounding():
@@ -63,25 +141,54 @@ def test_roundtrip_random():
     rng = np.random.default_rng(7)
     words = rng.integers(0, 1 << 16, size=10_000, dtype=np.uint16)
     img = pack(words)
-    assert [w.bits for w in unpack_full(img)] == words.tolist()
+    assert np.array_equal(unpack_full(img), words)
 
 
 def test_roundtrip_full_enumeration():
     words = np.arange(1 << 16, dtype=np.uint16)
     img = pack(words)
     out = unpack_full(img)
-    assert all(out[i].bits == i for i in range(1 << 16))
+    assert out.dtype == np.uint16
+    assert np.array_equal(out, np.arange(1 << 16))
 
 
 def test_unpack_ranges():
     words = np.arange(100, dtype=np.uint16)
     img = pack(words)
-    assert unpack_full(img, 10, 10) == []
-    assert [w.bits for w in unpack_full(img, 90, 100)] == list(range(90, 100))
+    empty = unpack_full(img, 10, 10)
+    assert empty.size == 0 and empty.dtype == np.uint16
+    assert np.array_equal(unpack_full(img, 90, 100), np.arange(90, 100))
     with pytest.raises(ValueError):
         unpack_full(img, 0, 101)
     with pytest.raises(ValueError):
         pack([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unpack_slice_equals_word_slice(data):
+    # Lengths around whole bytes and whole 64-byte granules, so that ranges
+    # start and end mid-byte, on byte edges and inside the last partial byte.
+    n = data.draw(
+        st.one_of(st.integers(1, 40), st.integers(500, 530), st.integers(1, 3000)), label="n"
+    )
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    words = np.random.default_rng(seed).integers(0, 1 << 16, n, dtype=np.uint16)
+    a = data.draw(st.integers(0, n), label="a")
+    b = data.draw(st.integers(a, n), label="b")
+    got = unpack_full(pack(words), a, b)
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, words[a:b])
+
+
+def test_unpack_slice_edges_of_last_partial_byte():
+    words = np.random.default_rng(17).integers(0, 1 << 16, 1003, dtype=np.uint16)
+    img = pack(words)
+    for a, b in ((1000, 1003), (1001, 1002), (999, 1003), (996, 1001), (0, 1003), (1003, 1003)):
+        got = unpack_full(img, a, b)
+        assert got.dtype == np.uint16 and np.array_equal(got, words[a:b]), (a, b)
+    with pytest.raises(ValueError):
+        unpack_full(img, 5, 4)
 
 
 def test_physical_shape():
@@ -185,7 +292,7 @@ def test_image_file_roundtrip(tmp_path):
     loaded, ladder = load_image(path)
     assert ladder == DEFAULT_LADDER
     assert loaded.num_weights == 1000
-    assert [w.bits for w in unpack_full(loaded)] == words.tolist()
+    assert np.array_equal(unpack_full(loaded), words)
     for p in range(16):
         assert np.array_equal(loaded.plane_bytes(p), img.plane_bytes(p))
 

@@ -1,13 +1,14 @@
 """Config loading and the command-line harness."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from planestore.address import Trace
-from planestore.bitplane import ChunkKind, load_image
+from planestore.bitplane import ChunkKind, load_image, plane_stride_for, unpack_full
 from planestore.cli import (
     CSV_COLUMNS,
     REPORT_SCHEMA_VERSION,
@@ -262,6 +263,62 @@ def test_repack_of_truncated_header_is_one_line_error(small_config, tmp_path, ca
         image.write_bytes(whole[:cut])
         assert main(["pack", "--config", small_config, "--repack", str(image)]) == 1
         assert "truncated header" in one_line_error(capsys)
+
+
+def _relabel(whole: bytes, num_weights=None, stride=None) -> bytes:
+    """Rewrite the num_weights (offset 6) and plane_stride (offset 14) fields."""
+    out = bytearray(whole)
+    if num_weights is not None:
+        out[6:14] = struct.pack("<Q", num_weights)
+    if stride is not None:
+        out[14:22] = struct.pack("<Q", stride)
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # A consistent stride for 2**60 weights: 2**61 plane bytes, never allocated.
+        (lambda b: _relabel(b, 2**60, plane_stride_for(2**60)), "truncated plane data"),
+        (lambda b: _relabel(b, num_weights=2**60), "plane_stride 64 inconsistent"),
+        (lambda b: _relabel(b, stride=2**62), f"plane_stride {2**62} inconsistent"),
+        (lambda b: _relabel(b, num_weights=0), "image must hold at least one weight"),
+        (lambda b: b + b"\x00", "trailing data"),
+        (lambda b: b[:-1], "truncated plane data"),
+        # The first ladder entry is FP16: length byte, 4 name bytes, then exp_bits.
+        (lambda b: b[:29] + bytes([9]) + b[30:], "FP16: exp_bits must be in 1..5"),
+    ],
+    ids=[
+        "huge-count", "huge-count-small-stride", "huge-stride", "no-weights", "trailing",
+        "short", "bad-format",
+    ],
+)
+def test_repack_of_lying_header_is_one_line_error(small_config, tmp_path, capsys, edit, message):
+    image = tmp_path / "a.sqbp"
+    assert main(["pack", "--config", small_config, "--count", "64", "--image", str(image)]) == 0
+    capsys.readouterr()
+    image.write_bytes(edit(image.read_bytes()))
+    assert main(["pack", "--config", small_config, "--repack", str(image)]) == 1
+    assert one_line_error(capsys).startswith(f"error: {image}: {message}")
+
+
+def test_repack_zeroes_padding_bits(small_config, tmp_path):
+    # 1001 weights: the last used byte of each plane holds one weight bit,
+    # and two whole bytes of padding follow it up to the 128-byte stride.
+    clean, dirty, out = tmp_path / "clean.sqbp", tmp_path / "dirty.sqbp", tmp_path / "out.sqbp"
+    assert main(["pack", "--config", small_config, "--count", "1001", "--image", str(clean)]) == 0
+    whole = bytearray(clean.read_bytes())
+    stride = plane_stride_for(1001)
+    planes = len(whole) - 16 * stride
+    for p in range(16):
+        row = planes + p * stride
+        whole[row + 125] |= 0x7F
+        whole[row + 126 : row + stride] = b"\xff" * (stride - 126)
+    dirty.write_bytes(bytes(whole))
+    image, _ = load_image(str(dirty))
+    assert np.array_equal(unpack_full(image), unpack_full(load_image(str(clean))[0]))
+    assert main(["pack", "--config", small_config, "--repack", str(dirty), "--image", str(out)]) == 0
+    assert out.read_bytes() == clean.read_bytes() != dirty.read_bytes()
 
 
 # --------------------------------------------------------------- regions
