@@ -15,12 +15,13 @@ issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
 `schedule` states that policy one burst at a time and is the readable
-reference.  `plan` produces the same command stream one same-row run of
-bursts at a time, as numpy columns, and `simulate` replays a stream with
-every legality check vectorized per channel.  docs/dram-model.md shows
-why the run-level recurrence is exact.  Both `schedule` and `plan` take
-the request stream as an `address.Trace` and read its addr and size
-columns.
+reference.  `plan` produces the same command stream as a run table, one
+RD row per run of reads to consecutive columns of an open row, stepping
+the bank state machine once per row opening; `simulate` replays a table
+or a plain command stream with every legality check vectorized per
+channel.  docs/dram-model.md shows why the run-level recurrence is
+exact.  Both `schedule` and `plan` take the request stream as an
+`address.Trace` and read its addr and size columns.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
@@ -226,9 +227,17 @@ _ACT, _RD, _PRE = (_KIND_CODE[k] for k in (CommandKind.ACT, CommandKind.RD, Comm
 
 @dataclass(frozen=True, eq=False)
 class CommandTable:
-    """A timed command stream as columns, one entry per command, in
-    stream order.  kind holds the position of the command's CommandKind
-    in the enum; the other columns mirror DramCommand's fields."""
+    """A timed command stream as columns, one row per command or run.
+
+    kind holds the position of the row's CommandKind in the enum; the
+    other per-row columns mirror DramCommand's fields for the row's first
+    command.  An RD row stands for count reads to consecutive columns of
+    its (bank, row), the k-th at issue_cycle + k * t_ccd_l, column + k;
+    every other row has count 1.  read_request holds the request of
+    every read, row after row, in table order.  A channel's rows are in
+    its stream order; rows of different channels may interleave in any
+    order.
+    """
 
     kind: np.ndarray
     channel: np.ndarray
@@ -237,15 +246,28 @@ class CommandTable:
     column: np.ndarray
     issue_cycle: np.ndarray
     request_index: np.ndarray
+    count: np.ndarray
+    read_request: np.ndarray
     # Stream position -> kind, for commands whose kind is no CommandKind
     # (their kind code is -1); the replay names the kind when it rejects one.
     odd_kinds: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        reads = self.count[self.kind == _RD]
+        if (reads < 1).any() or (self.count[self.kind != _RD] != 1).any():
+            raise ValueError("an RD row needs a count of at least 1, any other row 1")
+        if int(reads.sum()) != self.read_request.size:
+            raise ValueError(
+                f"read_request holds {self.read_request.size} reads,"
+                f" the RD rows {int(reads.sum())}"
+            )
 
     def __len__(self) -> int:
         return self.kind.size
 
     @classmethod
     def from_commands(cls, commands: Iterable[DramCommand]) -> "CommandTable":
+        """One count-1 row per command, in stream order."""
         rows, odd = [], {}
         for position, cmd in enumerate(commands):
             code = _KIND_CODE.get(cmd.kind, -1)
@@ -253,123 +275,170 @@ class CommandTable:
                 odd[position] = cmd.kind
             rows.append((code, *cmd[1:]))
         cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
-        return cls(cols[0].astype(np.int8), *cols[1:], odd_kinds=odd)
+        kind = cols[0].astype(np.int8)
+        return cls(
+            kind, *cols[1:], count=np.ones(kind.size, np.int64),
+            read_request=cols[6][kind == _RD], odd_kinds=odd,
+        )
 
 
-def _walk_runs(config: DramConfig, banks: list, rows: list, lengths: list) -> tuple:
-    """Bank state machine of one channel, one step per same-(bank, row) run.
+def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: list, tails: list):
+    """Bank state machine of one channel, one step per row-opening run.
 
-    Returns, per run: the PRE cycle, the ACT cycle (-1 for none), the
-    row the PRE closes, and the cycle of the run's first RD.  The run's
-    k-th RD issues t_ccd_l * k cycles after its first.
+    Per opening, in stream order: its bank, whether a PRE closes another
+    row first, hits (how far the hit runs since the previous opening
+    moved the channel's last read), gaps (the tCCD from the channel's
+    previous run, 1 for its first) and tails ((length - 1) * t_ccd_l).
+    Returns the ACT cycle and the first RD cycle of each opening; its
+    PRE, if any, is tRP before the ACT.
     """
     t_rcd, t_rp, t_ras = config.t_rcd, config.t_rp, config.t_ras
-    t_l, t_s = config.t_ccd_l, config.t_ccd_s
-    open_row = [-1] * config.banks_per_channel
-    act_cycle = [0] * config.banks_per_channel
-    act_ready = [0] * config.banks_per_channel
-    last_bus = -1
-    last_rd, last_bank = -t_l - t_s, -1  # no read yet: the gap binds nothing
-    pre_at, act_at, closed, first_rd = [], [], [], []
-    for bank, row, length in zip(banks, rows, lengths):
-        stale = open_row[bank]
-        if stale == row:
-            pre_at.append(-1)
-            act_at.append(-1)
+    act_at = [0] * config.banks_per_channel
+    last = -1  # the channel's last read, which is also its last command
+    act_cycles, rd_cycles = [], []
+    # Comparisons rather than max(): this loop is the engine's one
+    # Python step per opening, and the calls would double its cost.
+    for bank, pre, hit, gap, tail in zip(banks, pres, hits, gaps, tails):
+        last += hit
+        if pre:  # PRE = max(last + 1, act_at[bank] + t_ras), then ACT tRP later
+            act = act_at[bank] + t_ras
+            if act <= last:
+                act = last + 1
+            act += t_rp
         else:
-            if stale >= 0:
-                last_bus = max(last_bus + 1, act_cycle[bank] + t_ras)
-                act_ready[bank] = last_bus + t_rp
-                pre_at.append(last_bus)
-            else:
-                pre_at.append(-1)
-            last_bus = max(last_bus + 1, act_ready[bank])
-            act_at.append(last_bus)
-            open_row[bank] = row
-            act_cycle[bank] = last_bus
-        closed.append(stale)
-        rd = max(
-            last_bus + 1,
-            act_cycle[bank] + t_rcd,
-            last_rd + (t_l if bank == last_bank else t_s),
-        )
-        first_rd.append(rd)
-        last_rd = last_bus = rd + (length - 1) * t_l
-        last_bank = bank
-    return pre_at, act_at, closed, first_rd
+            act = last + 1
+        act_at[bank] = act
+        rd = act + t_rcd
+        if rd < last + gap:
+            rd = last + gap
+        act_cycles.append(act)
+        rd_cycles.append(rd)
+        last = rd + tail
+    return act_cycles, rd_cycles
 
 
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
-    """schedule()'s command stream, computed one same-row run at a time.
+    """schedule()'s command stream as a run table: one RD row per run.
 
-    Requests expand to bursts and map to (channel, bank, row, column) as
-    arrays.  Each channel's bursts, in stream order, split into runs that
-    stay on one (bank, row); only a run's first burst can need PRE/ACT,
-    so the bank state machine steps once per run (`_walk_runs`) and the
-    reads inside a run are placed arithmetically.
+    Requests expand to bursts, each with its channel and its burst index
+    within the channel.  A run is a maximal stretch of one channel's
+    bursts, in stream order, on consecutive columns of one (bank, row).
+    It becomes one RD row whose reads issue t_ccd_l apart, preceded by
+    the PRE and ACT rows that open its row, if it is not a hit.  Between
+    two openings on a channel the reads are a cumulative sum, so the
+    bank state machine steps once per opening (`_open_rows`).  Rows are
+    ordered by the stream position of each run's first burst.
     """
     start = np.asarray(trace.addr, np.int64)
     size = np.asarray(trace.size, np.int64)
-    n = start.size
     step = config.burst_bytes
     bursts = np.maximum(-(-size // step), 0)
     misplaced = (bursts > 0) & ((start < 0) | (start % step != 0))
     if misplaced.any():
         map_address(config, int(start[misplaced.argmax()]))  # raises its error
-    request = np.repeat(np.arange(n, dtype=np.int32), bursts)
+    request = np.repeat(np.arange(start.size, dtype=np.int32), bursts)
     total = request.size
-    offset = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(bursts) - bursts, bursts)
-    channel, bank, row, column = (
-        a.astype(np.int32) for a in _split(config, start[request] + offset * step)
-    )
-    del start, size, offset
+    if not total:
+        return CommandTable(np.zeros(0, np.int8), *[np.zeros(0, np.int64)] * 8)
+    # Global burst index; interleave_bytes == burst_bytes, so a burst's
+    # channel and its burst index within the channel split it directly.
+    burst = np.repeat(start // step - (np.cumsum(bursts) - bursts), bursts)
+    burst += np.arange(total)
+    channel = burst % config.channels
+    local = burst // config.channels
+    del start, size, burst
 
-    rd_cycle = np.empty(total, np.int64)
-    run_burst, pre_at, act_at, closed = [], [], [], []
+    cpr, t_l, t_s = config.columns_per_row, config.t_ccd_l, config.t_ccd_s
+    # by_channel lists the bursts channel after channel, each channel's in
+    # stream order; first holds each run's first burst as a position in it.
+    by_channel, run_first, run_channel = [], [], []
+    offset = 0
     for ch in range(config.channels):
         sel = np.flatnonzero(channel == ch)
         if not sel.size:
             continue
-        b, r = bank[sel], row[sel]
-        first = np.flatnonzero(np.r_[True, (b[1:] != b[:-1]) | (r[1:] != r[:-1])])
-        length = np.diff(np.r_[first, sel.size])
-        pre, act, shut, rd0 = _walk_runs(
-            config, b[first].tolist(), r[first].tolist(), length.tolist()
-        )
-        run = np.repeat(np.arange(first.size), length)
-        rd_cycle[sel] = np.array(rd0, np.int64)[run] + (
-            np.arange(sel.size) - first[run]
-        ) * config.t_ccd_l
-        run_burst.append(sel[first])
-        pre_at += pre
-        act_at += act
-        closed += shut
-    run_burst = np.concatenate(run_burst) if run_burst else np.zeros(0, np.int64)
-    pre_at, act_at, closed = (np.array(x, np.int64) for x in (pre_at, act_at, closed))
-    has_pre, has_act = pre_at >= 0, act_at >= 0
+        lb = local[sel]
+        first = np.flatnonzero(np.r_[True, (lb[1:] != lb[:-1] + 1) | (lb[1:] % cpr == 0)])
+        by_channel.append(sel)
+        run_first.append(first + offset)
+        run_channel.append(np.full(first.size, ch, np.int64))
+        offset += sel.size
+    del channel
+    by_channel, first, ch = map(np.concatenate, (by_channel, run_first, run_channel))
+    length = np.diff(np.r_[first, total])
+    page, column = np.divmod(local[by_channel[first]], cpr)
+    bank, row = page % config.banks_per_channel, page // config.banks_per_channel
+    del local
 
-    # A burst's PRE and ACT come right before its RD, so every command
-    # takes its burst's fields; only kind, cycle and a PRE's row differ.
-    extra = np.zeros(total, np.int64)
-    extra[run_burst] = has_pre.astype(np.int64) + has_act
-    owner = np.repeat(np.arange(total), 1 + extra)
-    rd_pos = np.cumsum(1 + extra) - 1
-    del extra
-    kind = np.full(owner.size, _RD, np.int8)
-    issue = np.empty(owner.size, np.int64)
-    issue[rd_pos] = rd_cycle
-    act_pos = rd_pos[run_burst[has_act]] - 1
-    kind[act_pos] = _ACT
-    issue[act_pos] = act_at[has_act]
-    pre_pos = act_pos[has_pre[has_act]] - 1
-    kind[pre_pos] = _PRE
-    issue[pre_pos] = pre_at[has_pre]
-    cmd_row = row[owner]
-    cmd_row[pre_pos] = closed[has_pre]
-    cmd_column = column[owner]
-    cmd_column[pre_pos] = 0
+    # A run opens its row unless the previous run on its bank had the
+    # same row; it precharges first if its bank had a run at all.
+    n_runs = first.size
+    same_channel = np.r_[False, ch[1:] == ch[:-1]]
+    key = ch * config.banks_per_channel + bank
+    by_bank = np.argsort(key, kind="stable")
+    follows = np.r_[False, key[by_bank][1:] == key[by_bank][:-1]]
+    closed = np.full(n_runs, -1, np.int64)
+    closed[by_bank[follows]] = row[by_bank[np.flatnonzero(follows) - 1]]
+    opening = closed != row
+    has_pre = opening & (closed >= 0)
+
+    # Every hit run reads right after the channel's previous run: its
+    # last read is the previous run's plus its gap plus its tail.
+    gap = np.where(same_channel & (bank == np.r_[-1, bank[:-1]]), t_l, t_s)
+    gap[~same_channel] = 1  # no earlier read: with last = -1 the gap binds nothing
+    tail = (length - 1) * t_l
+    moved = np.cumsum(np.where(opening, 0, gap + tail))
+    opens = np.flatnonzero(opening)
+    hits = np.diff(np.r_[0, moved[opens]])
+    hits[~same_channel[opens]] = 0
+    steps = [a.tolist() for a in (bank[opens], has_pre[opens], hits, gap[opens], tail[opens])]
+    chan_of = ch[opens]
+    bounds = np.flatnonzero(np.r_[True, chan_of[1:] != chan_of[:-1], True]).tolist()
+    act_at, first_rd = [], []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        act, rd = _open_rows(config, *(a[lo:hi] for a in steps))
+        act_at += act
+        first_rd += rd
+    # Each run's last read: its segment's opening's, moved by the hits since.
+    last_rd = np.array(first_rd, np.int64) + tail[opens] - moved[opens]
+    rd_cycle = last_rd[np.cumsum(opening) - 1] + moved - tail
+    act_cycle = np.full(n_runs, -1, np.int64)
+    act_cycle[opens] = act_at
+
+    # Table order: runs by the stream position of their first burst, each
+    # preceded by its PRE and ACT rows.
+    order = np.argsort(by_channel[first])
+    (first, length, ch, bank, row, column, closed, opening, has_pre, rd_cycle, act_cycle) = (
+        a[order] for a in (
+            first, length, ch, bank, row, column, closed, opening, has_pre, rd_cycle, act_cycle
+        )
+    )
+    rows_of = 1 + opening.astype(np.int64) + has_pre
+    rd_pos = np.cumsum(rows_of) - 1
+    act_pos, pre_pos = rd_pos[opening] - 1, rd_pos[has_pre] - 2
+
+    def column_of(values, act=None, pre=None):
+        """A per-run column as a table column, patched at ACT and PRE rows."""
+        out = np.repeat(values, rows_of)
+        if act is not None:
+            out[act_pos] = act
+        if pre is not None:
+            out[pre_pos] = pre
+        return out
+
+    # Every read, run after run in table order, as a position in by_channel.
+    reads = np.repeat(first - (np.cumsum(length) - length), length)
+    reads += np.arange(total)
     return CommandTable(
-        kind, channel[owner], bank[owner], cmd_row, cmd_column, issue, request[owner]
+        kind=column_of(np.full(n_runs, _RD, np.int8), _ACT, _PRE),
+        channel=column_of(ch),
+        bank=column_of(bank),
+        row=column_of(row, pre=closed[has_pre]),
+        column=column_of(column, pre=0),
+        issue_cycle=column_of(rd_cycle, act_cycle[opening], act_cycle[has_pre] - config.t_rp),
+        request_index=column_of(request[by_channel[first]]),
+        count=column_of(length, 1, 1),
+        read_request=request[by_channel[reads]],
     )
 
 
@@ -437,18 +506,23 @@ def _previous(flags: np.ndarray) -> np.ndarray:
 
 
 def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
-    """(stream position, message) of one channel's first illegal command.
+    """(table position, message) of one channel's first illegal row.
 
-    sel lists the channel's commands in stream order.  Each check reads
-    the state the commands before it leave: the previous command on the
-    channel, the previous read, and the bank's newest ACT or PRE (open
-    if it was an ACT).  Up to the first illegal command that is exactly
-    the state a command-by-command replay holds.  Returns None when all
-    are legal.
+    sel lists the channel's rows in stream order.  Each row's first
+    command is checked against the state the rows before it leave: the
+    last cycle of the previous row on the channel, the last read of the
+    previous RD row, and the bank's newest ACT or PRE (open if it was an
+    ACT).  Up to the first illegal row that is exactly the state a
+    command-by-command replay holds.  The later reads of an RD row need
+    no check of their own: nothing else issues on the channel between
+    them, they stay on the open row, and they are t_ccd_l >= 1 apart,
+    which satisfies the bus, tCCD and tRCD rules once the first read
+    does.  Returns None when all are legal.
     """
     ch = int(table.channel[sel[0]])
     kind, bank, row = table.kind[sel], table.bank[sel], table.row[sel]
     cycle = table.issue_cycle[sel].astype(np.int64)
+    last = cycle + (table.count[sel] - 1) * config.t_ccd_l
     is_act, is_rd, is_pre = kind == _ACT, kind == _RD, kind == _PRE
 
     by_bank = np.argsort(bank, kind="stable")
@@ -467,11 +541,11 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
     early_rd = is_rd & (last_rd >= 0)
     last_rd = np.where(early_rd, last_rd, 0)
     same_bank = bank[last_rd] == bank
-    early_rd &= cycle < cycle[last_rd] + np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
+    early_rd &= cycle < last[last_rd] + np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
 
     checks = [
         (bank >= config.banks_per_channel) | (ch >= config.channels),
-        cycle <= np.r_[-1, cycle[:-1]],
+        cycle <= np.r_[-1, last[:-1]],
         is_act & is_open,
         is_act & has_state & ~is_open & (cycle < state_cycle + config.t_rp),
         is_pre & ~is_open,
@@ -503,32 +577,50 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
 def simulate(config: DramConfig, commands) -> SimResult:
     """Replay a command stream, checking legality, and account for it.
 
-    commands is a CommandTable or an iterable of DramCommand.  The stream
-    must respect the bank state machine and the configured timings; the
-    first violation in stream order raises ValueError naming the
-    constraint.  The trace ends at the last data beat (or the last
+    commands is a CommandTable (an RD row stands for its count reads) or
+    an iterable of DramCommand.  The stream must respect the bank state
+    machine and the configured timings; the first violation, in table
+    order, raises ValueError naming the constraint.  The trace ends at the last data beat (or the last
     command, for a stream with no reads).  Background energy covers every
     channel for the whole span, busy or not: standby power does not care
     who is reading.
     """
     table = commands if isinstance(commands, CommandTable) else CommandTable.from_commands(commands)
-    violations = [
-        _first_violation(config, table, np.flatnonzero(table.channel == ch))
-        for ch in np.unique(table.channel)
-    ]
+    channel = table.channel
+    if len(table) and (channel.min() < 0 or channel.max() >= config.channels):
+        present = np.unique(channel)
+    else:
+        present = range(config.channels)
+    violations = []
+    for ch in present:
+        sel = np.flatnonzero(channel == ch)
+        if sel.size:
+            violations.append(_first_violation(config, table, sel))
     violations = [v for v in violations if v is not None]
     if violations:
         raise ValueError(min(violations)[1])
 
-    is_rd = table.kind == _RD
-    count_rd = int(is_rd.sum())
+    rd_rows = np.flatnonzero(table.kind == _RD)
+    count = table.count[rd_rows]
+    request = table.read_request
+    count_rd = request.size
     count_act = int(np.count_nonzero(table.kind == _ACT))
-    n_requests = int(table.request_index.max()) + 1 if len(table) else 0
-    rd_request = table.request_index[is_rd]
-    done = table.issue_cycle[is_rd] + (config.t_cl + config.burst_cycles)
+    n_requests = max(
+        (int(column.max()) + 1 for column in (table.request_index, request) if column.size),
+        default=0,
+    )
+    # Completion of each read: its row's issue cycle plus k * t_ccd_l for
+    # the row's k-th read, plus CAS latency and the burst.
+    row_start = np.cumsum(count) - count
+    done = np.repeat(
+        table.issue_cycle[rd_rows] - row_start * config.t_ccd_l
+        + (config.t_cl + config.burst_cycles),
+        count,
+    )
+    done += np.arange(count_rd) * config.t_ccd_l
     completion = np.zeros(n_requests, np.int64)
-    np.maximum.at(completion, rd_request, done)
-    reads = np.bincount(rd_request, minlength=n_requests)
+    np.maximum.at(completion, request, done)
+    reads = np.bincount(request, minlength=n_requests)
     acts = np.bincount(table.request_index[table.kind == _ACT], minlength=n_requests)
 
     if count_rd:

@@ -7,6 +7,7 @@ traces, on every trace of the default sweep, and on random configs,
 traces and command streams.
 """
 
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,25 +46,46 @@ def trace_of(requests):
     return Trace([a for a, _ in requests], [n for _, n in requests])
 
 
-def commands_of(table):
-    """A CommandTable as the DramCommand list it encodes."""
+def commands_of(config, table):
+    """A CommandTable as the DramCommand list it encodes, each run's
+    reads expanded: the k-th at issue + k * t_ccd_l, column + k."""
+    commands, reads = [], iter(table.read_request.tolist())
     columns = (
-        table.channel, table.bank, table.row, table.column,
-        table.issue_cycle, table.request_index,
+        table.kind, table.channel, table.bank, table.row, table.column,
+        table.issue_cycle, table.request_index, table.count,
     )
-    return [
-        DramCommand(KINDS[kind], *fields)
-        for kind, *fields in zip(table.kind.tolist(), *(c.tolist() for c in columns))
-    ]
+    for kind, channel, bank, row, column, issue, request, count in zip(
+        *(c.tolist() for c in columns)
+    ):
+        if KINDS[kind] is not CommandKind.RD:
+            commands.append(DramCommand(KINDS[kind], channel, bank, row, column, issue, request))
+            continue
+        for k in range(count):
+            commands.append(DramCommand(
+                CommandKind.RD, channel, bank, row, column + k,
+                issue + k * config.t_ccd_l, next(reads),
+            ))
+    return commands
+
+
+def by_channel(stream):
+    """A command stream as its channels' streams, one after another.
+
+    Channels share no state, so a stream is equivalent to any
+    interleaving of its channels' streams; the engine orders runs, not
+    bursts, by their stream position."""
+    return sorted(stream, key=lambda cmd: cmd.channel)
 
 
 def assert_engine_matches_reference(config, trace):
     table = plan(config, trace)
     expected = list(schedule(config, trace))
-    assert commands_of(table) == expected
+    commands = commands_of(config, table)
+    assert by_channel(commands) == by_channel(expected)
     result = simulate(config, table)
     assert result == reference_simulate(config, expected)
-    return table, result
+    assert result == reference_simulate(config, commands)
+    return table, commands, result
 
 
 @pytest.mark.parametrize(
@@ -85,6 +107,37 @@ def assert_engine_matches_reference(config, trace):
 def test_hand_traces_match_reference(requests):
     config = DramConfig(p_bg_mw=0.0)
     assert_engine_matches_reference(config, trace_of(requests))
+
+
+def run_table(table):
+    """(kind, bank, row, issue_cycle, count) per table row."""
+    return list(zip(
+        [KINDS[k].value for k in table.kind.tolist()], table.bank.tolist(),
+        table.row.tolist(), table.issue_cycle.tolist(), table.count.tolist(),
+    ))
+
+
+def test_precharge_waits_for_t_ras():
+    # Both bursts land on channel 0, bank 0, in rows 0 and 1.  The second
+    # run's PRE waits for tRAS after the first ACT (0 + 77), not for the
+    # bus (34 + 1); its ACT follows tRP later and its read tRCD after that.
+    config = DramConfig()
+    table, _, _ = assert_engine_matches_reference(config, trace_of([(0, 64), (1048576, 64)]))
+    assert run_table(table) == [
+        ("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 1),
+        ("PRE", 0, 0, 77, 1), ("ACT", 0, 1, 111, 1), ("RD", 0, 1, 145, 1),
+    ]
+
+
+def test_first_read_after_an_opening_waits_for_t_ccd():
+    # One channel: two reads to bank 0 (cycles 1 and 13), then bank 1
+    # opens at 14.  With tRCD = 1 its first read could issue at 15, but
+    # tCCD_S after the read at 13 holds it to 21.
+    config = DramConfig(channels=1, t_rcd=1)
+    table, _, _ = assert_engine_matches_reference(config, trace_of([(0, 128), (8192, 64)]))
+    assert run_table(table) == [
+        ("ACT", 0, 0, 0, 1), ("RD", 0, 0, 1, 2), ("ACT", 1, 0, 14, 1), ("RD", 1, 0, 21, 1),
+    ]
 
 
 def test_bad_address_raises_the_scalar_error():
@@ -119,14 +172,20 @@ def sweep_traces():
 def test_default_sweep_traces_match_reference(sweep_traces):
     cfg, traces = sweep_traces
     assert len(traces) == 10
-    counts = {}
+    counts, rows = {}, 0
     for key, trace in traces.items():
-        table, result = assert_engine_matches_reference(cfg.dram, trace)
-        counts[key] = (len(trace), len(table), result.num_acts)
+        table, commands, result = assert_engine_matches_reference(cfg.dram, trace)
+        counts[key] = (len(trace), len(commands), result.num_acts)
+        rows += len(table)
     # The baseline counts the benchmark pins for this config and seed.
     assert counts[8.0, "traditional"][:2] == (198_396, 202_180)
     assert counts[1.6, "bitplane"][2] == 1_931
     assert counts[1.6, "traditional"][2] == 728
+    # One table row per run and per PRE/ACT, not per burst, and one
+    # step of the bank state machine per opening (per ACT).
+    assert sum(c[1] for c in counts.values()) == 1_020_159
+    assert rows == 144_126
+    assert sum(c[2] for c in counts.values()) == 17_482
 
 
 # --- random configs, traces and streams -------------------------------------
@@ -155,22 +214,49 @@ traces = st.lists(
 @settings(deadline=None, max_examples=150)
 @given(configs, traces)
 def test_random_traces_match_reference(config, trace):
-    table, result = assert_engine_matches_reference(config, trace)
+    _, _, result = assert_engine_matches_reference(config, trace)
     e = result.energy_pj
     assert e["activation"] + e["read"] + e["background"] == e["total"]
     assert result.bytes_transferred == trace.size.sum()
 
 
-def same_verdict(config, stream):
-    """Both replays raise the same message, or return the same result."""
+@st.composite
+def interleaved_traces(draw):
+    """k sequential streams a stride apart, read round-robin in pieces of
+    1-8 blocks, as a bit-plane trace reads its planes: short runs that
+    alternate banks and, when streams share a bank, conflict."""
+    k = draw(st.integers(1, 6))
+    stride = draw(st.one_of(st.integers(1, 300), st.sampled_from([256, 1024, 4096, 16384])))
+    pieces, rng = draw(st.integers(1, 600)), draw(st.randoms(use_true_random=False))
+    heads = [i * stride for i in range(k)]
+    requests = []
+    for j in range(pieces):
+        blocks = rng.randint(1, 8)
+        requests.append((64 * heads[j % k], 64 * blocks))
+        heads[j % k] += blocks
+    return trace_of(requests)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.one_of(configs, st.just(DramConfig())), interleaved_traces())
+def test_interleaved_streams_match_reference(config, trace):
+    assert_engine_matches_reference(config, trace)
+
+
+def same_verdict(config, stream, table=None):
+    """Both replays raise the same message, or return the same result.
+
+    The reference replays stream; simulate replays table, which must
+    encode stream, or stream itself."""
+    replayed = stream if table is None else table
     try:
         want = reference_simulate(config, stream)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            simulate(config, stream)
+            simulate(config, replayed)
         assert str(got.value) == str(exc)
     else:
-        assert simulate(config, stream) == want
+        assert simulate(config, replayed) == want
 
 
 # Channel and bank 2 lie outside the 2 x 2 config the streams run on.
@@ -218,3 +304,21 @@ def test_perturbed_schedules_get_the_reference_verdict(config, trace, data):
     elif i + 1 < len(stream):
         stream[i], stream[i + 1] = stream[i + 1], stream[i]
     same_verdict(config, stream)
+
+
+@settings(deadline=None, max_examples=300)
+@given(configs, interleaved_traces(), st.data())
+def test_perturbed_run_tables_get_the_reference_verdict(config, trace, data):
+    # One row of a planned run table moved in time or sent to another
+    # row or bank.  A row that follows a multi-read run is checked against
+    # that run's last read, not its first.
+    table = plan(config, trace)
+    i = data.draw(st.integers(0, len(table) - 1))
+    name = data.draw(st.sampled_from(["issue_cycle", "issue_cycle", "row", "bank"]))
+    column = getattr(table, name).copy()
+    if name == "issue_cycle":
+        column[i] += data.draw(st.one_of(st.integers(-12, 12), st.integers(-60, 60)))
+    else:
+        column[i] += data.draw(st.sampled_from([-1, 1]))
+    table = dataclasses.replace(table, **{name: column})
+    same_verdict(config, commands_of(config, table), table)
