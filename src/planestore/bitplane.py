@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .files import write_file
 from .quant import FpFormat, WeightWord, make_format
 
 NUM_PLANES = 16
@@ -173,16 +174,19 @@ def save_image(image: BitPlaneImage, ladder: Sequence[FpFormat], path: str) -> N
     bytes), exp_bits u8, man_bits u8, bias i16; then the plane arrays in
     plane order, plane_stride bytes each.
     """
-    with open(path, "wb") as f:
-        f.write(IMAGE_MAGIC)
-        f.write(struct.pack("<HQQH", IMAGE_VERSION, image.num_weights, image.plane_stride, len(ladder)))
-        for fmt in ladder:
-            name = fmt.name.encode("utf-8")
-            if len(name) > 255:
-                raise ValueError(f"format name too long: {fmt.name}")
-            f.write(struct.pack("<B", len(name)) + name)
-            f.write(struct.pack("<BBh", fmt.exp_bits, fmt.man_bits, fmt.bias))
-        f.write(image._planes.data)
+    header = [
+        IMAGE_MAGIC,
+        struct.pack("<HQQH", IMAGE_VERSION, image.num_weights, image.plane_stride, len(ladder)),
+    ]
+    for fmt in ladder:
+        name = fmt.name.encode("utf-8")
+        if len(name) > 255:
+            raise ValueError(f"format name too long: {fmt.name}")
+        header.append(struct.pack("<B", len(name)) + name)
+        header.append(struct.pack("<BBh", fmt.exp_bits, fmt.man_bits, fmt.bias))
+    # The header is complete before the file is touched, so a ladder it
+    # cannot encode leaves an existing image as it was.
+    write_file(path, b"".join(header), image._planes.data)
 
 
 def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:

@@ -26,6 +26,7 @@ from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
+from .files import write_file
 from .experiment import predictor_fraction, run_sweep, solver_target
 from .workload import (
     assign_formats,
@@ -247,8 +248,7 @@ def cmd_regions(args) -> int:
     text = json.dumps(region_report(table), sort_keys=True, indent=2) + "\n"
     if args.out is not None:
         path = os.path.join(_out_dir(config), "regions.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(path, text)
         print(f"regions: {path}")
     else:
         sys.stdout.write(text)
@@ -273,21 +273,21 @@ def cmd_trace(args) -> int:
     tag = f"{target:g}"
 
     path = os.path.join(out, f"assignment_{tag}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("chunk_id", "kind", "score", "format"))
-        scored = iter(scores)
-        for chunk, fmt in zip(directory, assignment.formats):
-            score = "" if chunk.kind is ChunkKind.PREDICTOR else f"{next(scored):.10g}"
-            writer.writerow((chunk.chunk_id, chunk.kind.value, score, fmt.name))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("chunk_id", "kind", "score", "format"))
+    scored = iter(scores)
+    for chunk, fmt in zip(directory, assignment.formats):
+        score = "" if chunk.kind is ChunkKind.PREDICTOR else f"{next(scored):.10g}"
+        writer.writerow((chunk.chunk_id, chunk.kind.value, score, fmt.name))
+    write_file(path, buf.getvalue())
     print(f"assignment: {path}")
 
     modes = ("bitplane", "traditional") if args.mode == "both" else (args.mode,)
     for mode in modes:
         trace = gen_trace(assignment, directory, mode, config.guard)
         path = os.path.join(out, f"trace_{mode}_{tag}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_trace(trace))
+        write_file(path, render_trace(trace))
         print(f"{mode}: {len(trace)} requests, {trace_bytes(trace)} bytes, {path}")
     return 0
 
@@ -359,8 +359,7 @@ def cmd_sim(args) -> int:
         payload["energy_by_tag_pj"] = energy_breakdown(result, trace.tag, trace.labels)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.result is not None:
-        with open(args.result, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(args.result, text)
         print(f"result: {args.result}")
     else:
         sys.stdout.write(text)
@@ -389,11 +388,9 @@ def cmd_compare(args) -> int:
 
     out = _out_dir(config)
     json_path = os.path.join(out, "comparison.json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_file(json_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     csv_path = os.path.join(out, "comparison.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(report))
+    write_file(csv_path, render_csv(report))
     # Anything time-dependent stays out of the report proper so reruns
     # with one config are byte-identical.
     meta = {
@@ -403,8 +400,7 @@ def cmd_compare(args) -> int:
         "config_file": args.config or "(built-in defaults)",
     }
     meta_path = os.path.join(out, "comparison.meta.json")
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_file(meta_path, json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
     print(render_summary(report))
     print(f"report: {json_path}")
@@ -417,8 +413,7 @@ def cmd_report(args) -> int:
     check_report(report)
     print(render_summary(report))
     if args.csv is not None:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_csv(report))
+        write_file(args.csv, render_csv(report))
         print(f"csv: {args.csv}")
     return 0
 

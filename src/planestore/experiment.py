@@ -49,7 +49,7 @@ def solver_target(non_predictor_bits: float, predictor_frac: float) -> float:
     return 16.0 * predictor_frac + non_predictor_bits * (1.0 - predictor_frac)
 
 
-def chunk_latency_deltas(directory: ChunkDirectory, trace, result, clock_ns: float) -> dict:
+def chunk_latency_deltas(trace, result, clock_ns: float) -> dict:
     """Marginal load time per chunk: how far the trace clock advances
     while that chunk's requests complete.  A chunk's rows are one
     contiguous segment of the trace's chunk column, and the chunk is
@@ -78,7 +78,7 @@ def run_mode(
     result = run_trace(dram_config, trace)
     energy_by_kind = energy_breakdown(result, trace.tag, trace.labels)
     byte_split = bytes_by_kind(trace)
-    deltas = chunk_latency_deltas(directory, trace, result, dram_config.clock_ns)
+    deltas = chunk_latency_deltas(trace, result, dram_config.clock_ns)
 
     kinds = {}
     for kind in KIND_ORDER:

@@ -254,6 +254,41 @@ def test_pack_error_paths(small_config, tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unencodable_ladder_leaves_the_old_image_alone(tmp_path, capsys):
+    # A format name longer than the header's 255-byte field is rejected
+    # before the destination is opened, so the image there stays whole.
+    long_name = write_config(
+        tmp_path,
+        "ladder:\n"
+        "  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+        f"  - {{name: {'F' * 300}, exp_bits: 0, man_bits: 0}}\n",
+    )
+    image = tmp_path / "x.sqbp"
+    assert main(["pack", "--count", "1024", "--image", str(image)]) == 0
+    before = image.read_bytes()
+    capsys.readouterr()
+    assert main(["pack", "--config", long_name, "--count", "1024", "--image", str(image)]) == 1
+    assert "format name too long" in one_line_error(capsys)
+    assert image.read_bytes() == before
+
+
+def test_outputs_are_rewritten_and_written_through_symlinks(small_config, tmp_path, capsys):
+    # The second write replaces a longer image with a shorter one.
+    image, fresh = tmp_path / "x.sqbp", tmp_path / "fresh.sqbp"
+    for count, path in (("2048", image), ("64", image), ("64", fresh)):
+        assert main(["pack", "--config", small_config, "--count", count, "--image", str(path)]) == 0
+    assert image.read_bytes() == fresh.read_bytes()
+
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("stale")
+    link.symlink_to(target)
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 64\n")
+    assert main(["sim", "--config", small_config, str(trace), "--result", str(link)]) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["num_reads"] == 1
+
+
 def test_repack_of_truncated_header_is_one_line_error(small_config, tmp_path, capsys):
     image = tmp_path / "a.sqbp"
     assert main(["pack", "--config", small_config, "--count", "64", "--image", str(image)]) == 0
@@ -562,7 +597,7 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
     result = run_trace(DramConfig(), trace)
     assert result.completion_cycles.tolist() == [76, 88, 100, 112, 76, 124]
-    assert chunk_latency_deltas(None, trace, result, 1.0) == {0: 112.0, 1: 12.0}
+    assert chunk_latency_deltas(trace, result, 1.0) == {0: 112.0, 1: 12.0}
 
 
 def _small_assignment(cfg, directory):
