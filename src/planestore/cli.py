@@ -26,8 +26,8 @@ from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
-from .files import write_file
 from .experiment import predictor_fraction, run_sweep, solver_target
+from .files import write_file
 from .workload import (
     assign_formats,
     enumerate_chunks,

@@ -1,10 +1,11 @@
 """The run-level DRAM engine against the per-burst reference.
 
-`plan` must produce exactly the command stream `schedule` yields, and
-`simulate` must accept, reject and account for streams exactly as the
+`plan`'s run table, expanded to commands, must be exactly the stream
+`schedule` yields on every channel, and `simulate` must accept, reject
+and account for run tables and command streams exactly as the
 command-by-command replay in reference.py does.  Checked on hand
-traces, on every trace of the default sweep, and on random configs,
-traces and command streams.
+traces, on every trace of the default sweep, on random and interleaved
+traces and configs, and on perturbed command streams and run tables.
 """
 
 import dataclasses
@@ -138,6 +139,22 @@ def test_first_read_after_an_opening_waits_for_t_ccd():
     assert run_table(table) == [
         ("ACT", 0, 0, 0, 1), ("RD", 0, 0, 1, 2), ("ACT", 1, 0, 14, 1), ("RD", 1, 0, 21, 1),
     ]
+
+
+def test_malformed_run_table_rejected():
+    # Four channels, each an ACT and an RD row of two reads.
+    table = plan(DramConfig(), trace_of([(0, 512)]))
+    act, rd = 0, 1
+    assert run_table(table)[:2] == [("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 2)]
+    for row, value, match in (
+        (rd, 0, "count of at least 1"),
+        (rd, 3, "read_request holds 8 reads, the RD rows 9"),
+        (act, 2, "any other row 1"),
+    ):
+        count = table.count.copy()
+        count[row] = value
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(table, count=count)
 
 
 def test_bad_address_raises_the_scalar_error():
