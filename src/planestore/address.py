@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitplane import ChunkDirectory, PlaneLayout
-from .quant import FpFormat, GuardConfig, NO_GUARD, plane_set
+from .quant import FpFormat, GuardConfig, plane_set
 
 BLOCK = 64  # bytes; cacheline transaction granularity on both sides
 BLOCK_BITS = BLOCK * 8
@@ -163,7 +163,7 @@ def resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int, int]:
 def plane_span(layout: PlaneLayout, plane, start: int, count: int):
     """Aligned physical byte range covering bits [start, start+count) of a
     plane: (lo, size).  plane may be an int or an array of planes."""
-    plane_base = layout.base_addr + plane * layout.plane_stride
+    plane_base = plane * layout.plane_stride
     lo = (plane_base + start // 8) // BLOCK * BLOCK
     last = plane_base + (start + count - 1) // 8
     hi = (last // BLOCK + 1) * BLOCK
@@ -171,9 +171,7 @@ def plane_span(layout: PlaneLayout, plane, start: int, count: int):
 
 
 def translate(
-    resolved: tuple[FpFormat, int, int],
-    guard: GuardConfig = NO_GUARD,
-    layout: PlaneLayout = None,
+    resolved: tuple[FpFormat, int, int], guard: GuardConfig, layout: PlaneLayout
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One aligned span per needed plane covering the weight range.
 
@@ -183,8 +181,6 @@ def translate(
     fmt, start, count = resolved
     if fmt.is_skip:
         raise ValueError("cannot translate a skipped chunk")
-    if layout is None:
-        raise ValueError("translate requires the image layout")
     if not 0 <= start <= start + count <= layout.num_weights:
         raise ValueError(f"weight range [{start}, +{count}) outside the image")
     planes = np.array(plane_set(fmt, guard), np.int64)
@@ -197,20 +193,19 @@ class TraditionalLayout:
     """Weight-contiguous FP16 placement: chunk extents in directory order,
     each base aligned to the block granule."""
 
-    base_addr: int
     chunk_starts: tuple[int, ...]  # weight index of each chunk
     chunk_bases: tuple[int, ...]  # physical byte base of each chunk
     num_weights: int
 
     @classmethod
-    def from_directory(cls, directory: ChunkDirectory, base_addr: int = 0) -> "TraditionalLayout":
+    def from_directory(cls, directory: ChunkDirectory) -> "TraditionalLayout":
         starts, bases = [], []
-        offset = base_addr
+        offset = 0
         for chunk in directory:
             starts.append(chunk.start)
             bases.append(offset)
             offset += -(-chunk.length * FP16_BYTES // BLOCK) * BLOCK
-        return cls(base_addr, tuple(starts), tuple(bases), directory.num_weights)
+        return cls(tuple(starts), tuple(bases), directory.num_weights)
 
 
 def translate_traditional(

@@ -13,12 +13,12 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .files import write_file
-from .quant import FpFormat, WeightWord, make_format
+from .quant import FpFormat, make_format
 
 NUM_PLANES = 16
 STRIDE_GRANULE = 64  # bytes; plane arrays padded to the interleave granule
@@ -78,7 +78,6 @@ class PlaneLayout:
 
     num_weights: int
     plane_stride: int
-    base_addr: int = 0
 
     def __post_init__(self) -> None:
         if self.plane_stride != plane_stride_for(self.num_weights):
@@ -98,19 +97,14 @@ def plane_stride_for(num_weights: int) -> int:
 class BitPlaneImage:
     """Immutable plane-major image of ``num_weights`` FP16 words."""
 
-    def __init__(self, num_weights: int, planes: np.ndarray, base_addr: int = 0):
+    def __init__(self, num_weights: int, planes: np.ndarray):
         stride = plane_stride_for(num_weights)
         if planes.shape != (NUM_PLANES, stride) or planes.dtype != np.uint8:
             raise ValueError(f"planes must be uint8 [{NUM_PLANES}, {stride}]")
         self.num_weights = num_weights
         self.plane_stride = stride
-        self.base_addr = base_addr
         self._planes = np.ascontiguousarray(planes)
         self._planes.setflags(write=False)
-
-    @property
-    def layout(self) -> PlaneLayout:
-        return PlaneLayout(self.num_weights, self.plane_stride, self.base_addr)
 
     @property
     def footprint_bytes(self) -> int:
@@ -120,22 +114,11 @@ class BitPlaneImage:
         return self._planes[plane]
 
 
-def _as_word_array(weights: Iterable) -> np.ndarray:
-    if isinstance(weights, np.ndarray):
-        arr = weights.astype(np.uint16, casting="safe", copy=False)
-    else:
-        arr = np.fromiter(
-            (w.bits if isinstance(w, WeightWord) else int(w) for w in weights),
-            dtype=np.uint16,
-        )
+def pack(words: np.ndarray) -> BitPlaneImage:
+    """Disaggregate an array of FP16 words into 16 plane arrays."""
+    arr = words.astype(np.uint16, casting="safe", copy=False)
     if arr.size == 0:
         raise ValueError("cannot pack an empty weight sequence")
-    return arr
-
-
-def pack(weights: Sequence[WeightWord] | np.ndarray, base_addr: int = 0) -> BitPlaneImage:
-    """Disaggregate FP16 words into 16 plane arrays."""
-    arr = _as_word_array(weights)
     stride = plane_stride_for(arr.size)
     planes = np.zeros((NUM_PLANES, stride), dtype=np.uint8)
     bits = np.empty(arr.size, dtype=np.uint8)
@@ -143,7 +126,7 @@ def pack(weights: Sequence[WeightWord] | np.ndarray, base_addr: int = 0) -> BitP
     for p in range(NUM_PLANES):
         np.bitwise_and(arr >> (15 - p), 1, out=bits, casting="unsafe")
         planes[p, :used] = np.packbits(bits, bitorder="big")
-    return BitPlaneImage(arr.size, planes, base_addr)
+    return BitPlaneImage(arr.size, planes)
 
 
 def unpack_full(image: BitPlaneImage, start: int = 0, stop: int | None = None) -> np.ndarray:

@@ -96,6 +96,7 @@ DEFAULTS: dict = {
 }
 
 _DIST_KEYS = ("family", "a", "b", "mix", "a_lo", "b_lo")
+_LADDER_KEYS = ("name", "exp_bits", "man_bits", "bias")  # every one but bias required
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +143,17 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _build_distribution(data: dict, where: str) -> ScoreDistribution:
-    extra = set(data) - set(_DIST_KEYS)
+def _check_keys(data: dict, known: tuple, required: tuple, where: str) -> None:
+    extra = set(data) - set(known)
     if extra:
-        raise ValueError(f"unknown keys {sorted(extra)} in {where}")
-    if "family" not in data:
-        raise ValueError(f"{where} needs a 'family'")
+        raise ValueError(f"unknown keys {sorted(map(str, extra))} in {where}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{where} needs {', '.join(map(repr, missing))}")
+
+
+def _build_distribution(data: dict, where: str) -> ScoreDistribution:
+    _check_keys(data, _DIST_KEYS, ("family",), where)
     return ScoreDistribution(**data)
 
 
@@ -155,8 +161,9 @@ def _check_types(value, default, where: str) -> None:
     """Reject a value whose type differs from the built-in default's.
 
     An integer field takes an integer, a float field any number, a string
-    field a string; lists check each item against the default's first.
-    Keys the defaults lack are left to the code that reads them.
+    field a string; lists must not be empty, and each item is checked
+    against the default's first.  Keys the defaults lack are left to the
+    code that reads them.
     """
     if isinstance(default, dict):
         if not isinstance(value, dict):
@@ -168,6 +175,8 @@ def _check_types(value, default, where: str) -> None:
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ValueError(f"config key {where!r} must be a list")
+        if not value:
+            raise ValueError(f"config key {where!r} must not be empty")
         for index, item in enumerate(value):
             _check_types(item, default[0], f"{where}[{index}]")
         return
@@ -190,6 +199,8 @@ def build_config(resolved: dict) -> ExperimentConfig:
         resolved["importance"], DEFAULTS["importance"]["attention_head"]
     )
     _check_types(resolved, schema, "")
+    for index, entry in enumerate(resolved["ladder"]):
+        _check_keys(entry, _LADDER_KEYS, _LADDER_KEYS[:3], f"ladder[{index}]")
     ladder = tuple(
         make_format(
             entry["name"],
@@ -222,9 +233,6 @@ def build_config(resolved: dict) -> ExperimentConfig:
         exponents=tuple(resolved["solver"]["exponents"]),
     )
     dram = DramConfig(**resolved["dram"])
-    targets = tuple(float(t) for t in resolved["targets"])
-    if not targets:
-        raise ValueError("targets must not be empty")
     return ExperimentConfig(
         ladder=ladder,
         guard=guard,
@@ -232,11 +240,22 @@ def build_config(resolved: dict) -> ExperimentConfig:
         importance=importance,
         band_profile=profile,
         dram=dram,
-        targets=targets,
+        targets=tuple(float(t) for t in resolved["targets"]),
         output_dir=resolved["output"]["dir"],
         seed=resolved["seed"],
         resolved=resolved,
     )
+
+
+def _yaml_error(exc: yaml.YAMLError, text: str) -> str:
+    """One line for a YAML parse error: where it is and what is wrong."""
+    mark = getattr(exc, "context_mark", None) or getattr(exc, "problem_mark", None)
+    problem = getattr(exc, "problem", None)
+    if mark is None or problem is None:
+        return " ".join(str(exc).split())
+    lines = text.splitlines()
+    source = lines[mark.line].strip() if mark.line < len(lines) else ""
+    return f"line {mark.line + 1} ({source!r}): {problem}"
 
 
 def load_config(
@@ -250,7 +269,11 @@ def load_config(
     data: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            loaded = yaml.safe_load(fh)
+            text = fh.read()
+        try:
+            loaded = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path}: {_yaml_error(exc, text)}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

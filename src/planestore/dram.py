@@ -25,10 +25,11 @@ exact.  Both `schedule` and `plan` take the request stream as an
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
-clock per channel.  The default constants are derived from a
-representative 16 Gb x4 DDR5-4800 datasheet power calculation; the
-arithmetic lives in docs/dram-model.md.  They are calibration inputs,
-not ground truth.
+clock per channel.  The built-in constants live with every other
+default in `config.DEFAULTS` (configs/default.yaml mirrors them); they
+are derived from a representative 16 Gb x4 DDR5-4800 datasheet power
+calculation, and the arithmetic lives in docs/dram-model.md.  They are
+calibration inputs, not ground truth.
 """
 
 from __future__ import annotations
@@ -69,21 +70,21 @@ class DramConfig:
     for burst_bytes / 8 = 8 command cycles (BL16, double data rate).
     """
 
-    channels: int = 4
-    banks_per_channel: int = 32
-    row_bytes: int = 8192
-    burst_bytes: int = 64
-    interleave_bytes: int = 64
-    clock_ns: float = 0.4167
-    t_rcd: int = 34
-    t_cl: int = 34
-    t_rp: int = 34
-    t_ras: int = 77
-    t_ccd_l: int = 12
-    t_ccd_s: int = 8
-    e_act_pj: float = 11700.0
-    e_rd_pj: float = 9090.0
-    p_bg_mw: float = 792.0
+    channels: int
+    banks_per_channel: int
+    row_bytes: int
+    burst_bytes: int
+    interleave_bytes: int
+    clock_ns: float
+    t_rcd: int
+    t_cl: int
+    t_rp: int
+    t_ras: int
+    t_ccd_l: int
+    t_ccd_s: int
+    e_act_pj: float
+    e_rd_pj: float
+    p_bg_mw: float
 
     def __post_init__(self) -> None:
         counts = {

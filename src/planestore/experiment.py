@@ -20,7 +20,7 @@ import numpy as np
 
 from .bitplane import ChunkDirectory, ChunkKind
 from .dram import DramConfig, energy_breakdown, run_trace
-from .quant import DEFAULT_LADDER, NO_GUARD, GuardConfig
+from .quant import GuardConfig
 from .workload import (
     FormatAssignment,
     ImportanceModel,
@@ -32,7 +32,6 @@ from .workload import (
     predictor_share,
     solve_thresholds,
     trace_bytes,
-    DEFAULT_BAND_PROFILE,
     BandProfile,
 )
 
@@ -169,13 +168,12 @@ def compare_target(
     directory: ChunkDirectory,
     scores,
     target_bits: float,
-    guard: GuardConfig = NO_GUARD,
-    dram_config: DramConfig = None,
-    ladder=DEFAULT_LADDER,
-    profile: BandProfile = DEFAULT_BAND_PROFILE,
+    guard: GuardConfig,
+    dram_config: DramConfig,
+    ladder,
+    profile: BandProfile,
 ) -> dict:
     """One sweep point: solve, assign, trace and simulate both modes."""
-    dram_config = dram_config or DramConfig()
     frac = predictor_fraction(directory)
     inclusive = solver_target(target_bits, frac)
     thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
@@ -198,10 +196,10 @@ def run_sweep(
     directory: ChunkDirectory,
     model: ImportanceModel,
     targets,
-    guard: GuardConfig = NO_GUARD,
-    dram_config: DramConfig = None,
-    ladder=DEFAULT_LADDER,
-    profile: BandProfile = DEFAULT_BAND_PROFILE,
+    guard: GuardConfig,
+    dram_config: DramConfig,
+    ladder,
+    profile: BandProfile,
 ) -> list:
     """The full grid: every target, both modes, one score draw."""
     scores = gen_scores(directory, model)

@@ -20,7 +20,6 @@ import numpy as np
 from .address import (
     BLOCK,
     LogicalRead,
-    RegionTable,
     Trace,
     TraditionalLayout,
     build_regions,
@@ -35,7 +34,7 @@ from .bitplane import (
     PlaneLayout,
     plane_stride_for,
 )
-from .quant import DEFAULT_LADDER, NO_GUARD, FpFormat, GuardConfig
+from .quant import FpFormat, GuardConfig
 
 TRACE_MODES = ("bitplane", "traditional")
 
@@ -190,7 +189,7 @@ class ThresholdSet:
     """
 
     values: tuple
-    ladder: tuple = DEFAULT_LADDER
+    ladder: tuple
 
     def __post_init__(self) -> None:
         if len(self.ladder) < 2:
@@ -281,12 +280,6 @@ class BandProfile:
             raise ValueError("band profile terms must be positive")
 
 
-DEFAULT_BAND_PROFILE = BandProfile(
-    gains=(0.0646, 0.0569, 0.0549, 0.0068, 0.0031),
-    exponents=(0.7944, 0.7475, 0.9899, 1.9866, 2.1518),
-)
-
-
 def _force_decreasing(raw: list) -> list:
     """Nudge raw quantiles into a strictly decreasing chain inside (0, 1]."""
     eps = 1e-12
@@ -309,8 +302,8 @@ def solve_thresholds(
     directory: ChunkDirectory,
     scores: Sequence[float],
     target_avg_bits: float,
-    ladder: Sequence[FpFormat] = DEFAULT_LADDER,
-    profile: BandProfile = DEFAULT_BAND_PROFILE,
+    ladder: Sequence[FpFormat],
+    profile: BandProfile,
 ) -> ThresholdSet:
     """Find thresholds whose assignment averages target_avg_bits per weight.
 
@@ -401,10 +394,7 @@ def gen_trace(
     assignment: FormatAssignment,
     directory: ChunkDirectory,
     mode: str,
-    guard: GuardConfig = NO_GUARD,
-    region_table: RegionTable = None,
-    plane_layout: PlaneLayout = None,
-    traditional_layout: TraditionalLayout = None,
+    guard: GuardConfig,
 ) -> Trace:
     """Physical request stream for loading the whole model once.
 
@@ -414,22 +404,19 @@ def gen_trace(
     its format needs, one request per plane span, trimmed against a
     per-plane high-water mark so a block straddling two chunks is never
     fetched twice.  traditional mode streams each chunk's full-width
-    words from its packed extent, one request per block.  Layouts
-    default to the canonical placement for the directory when not
-    supplied.
+    words from its packed extent, one request per block.  Both layouts
+    are the canonical placement for the directory.
     """
     if mode not in TRACE_MODES:
         raise ValueError(f"mode must be one of {TRACE_MODES}, got {mode!r}")
     if len(assignment.formats) != len(directory):
         raise ValueError("assignment does not match the directory")
-    table = region_table or build_regions(directory.num_weights, assignment.ladder)
+    table = build_regions(directory.num_weights, assignment.ladder)
     bases = {region.fmt: region.base_bit for region in table.regions}
     if mode == "bitplane":
-        layout = plane_layout or PlaneLayout(
-            directory.num_weights, plane_stride_for(directory.num_weights)
-        )
+        layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
     else:
-        layout = traditional_layout or TraditionalLayout.from_directory(directory)
+        layout = TraditionalLayout.from_directory(directory)
 
     # Per loaded chunk: its id, kind code and spans (extents in
     # traditional mode, where each chunk has exactly one).

@@ -1,8 +1,16 @@
-"""Reference implementations used as test oracles.
+"""Reference implementations used as test oracles, and the typed defaults.
+
+The typed defaults (the format ladder, the band profile, the DRAM
+constants) come from `config.default_config()`, so that the tests and
+the package read one set of built-in values.
+
+`convert`, `dequantize` and `encode_fp16` are the bit-twiddling
+conversion the store's planes serve: nothing in the package converts
+values, so it lives here, checked against the exact oracles below.
 
 The conversion oracles work in Fraction arithmetic over explicitly
 enumerated code tables, deliberately avoiding the bit-twiddling style of
-the package under test. Slow but exact; call sites memoize where sweeps
+`convert`. Slow but exact; call sites memoize where sweeps
 get large.
 
 reference_simulate is the per-command legality replay the DRAM model
@@ -18,7 +26,11 @@ mode, trimmed against a per-plane high-water dictionary.  The columnar
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from bisect import bisect_right
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -33,8 +45,185 @@ from planestore.address import (
     resolve,
 )
 from planestore.bitplane import ChunkKind, PlaneLayout, plane_stride_for
+from planestore.config import default_config
 from planestore.dram import CommandKind, DramCommand, DramConfig, SimResult
-from planestore.quant import NO_GUARD, plane_set
+from planestore.quant import (
+    FP16_BIAS,
+    FP16_EXP_BITS,
+    FP16_MAN_BITS,
+    FpFormat,
+    GuardConfig,
+    fetched_widths,
+    plane_set,
+)
+
+DEFAULT = default_config()
+LADDER = DEFAULT.ladder
+FP16, FP12, FP8, FP6, FP4, FP0 = LADDER
+BAND_PROFILE = DEFAULT.band_profile
+NO_GUARD = GuardConfig(0, 0)
+
+
+def dram(**overrides) -> DramConfig:
+    """The default DRAM constants with the given fields replaced."""
+    return dataclasses.replace(DEFAULT.dram, **overrides)
+
+
+class Rounding(Enum):
+    """Mantissa narrowing behavior when dropping stored LSBs."""
+
+    TRUNCATE = "truncate"
+    ROUND_NEAREST_EVEN = "round-nearest-even"
+
+
+@dataclass(frozen=True)
+class WeightWord:
+    """A bit pattern tagged with the format that gives it meaning."""
+
+    bits: int
+    fmt: FpFormat
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.bits < (1 << self.fmt.total_bits):
+            raise ValueError(f"bits 0x{self.bits:x} out of range for {self.fmt.name}")
+
+
+def _round_field(value: int, drop: int, mode: Rounding) -> int:
+    """Narrow an unsigned field by ``drop`` LSBs under the given mode.
+
+    The dropped LSBs are the exact remainder; ties go to even. The result
+    may carry out of the field width (caller handles overflow).
+    """
+    if drop == 0:
+        return value
+    kept = value >> drop
+    if mode is Rounding.TRUNCATE:
+        return kept
+    rem = value & ((1 << drop) - 1)
+    half = 1 << (drop - 1)
+    if rem > half or (rem == half and kept & 1):
+        kept += 1
+    return kept
+
+
+def convert(
+    source: WeightWord,
+    target: FpFormat,
+    guard: GuardConfig = NO_GUARD,
+    mode: Rounding = Rounding.TRUNCATE,
+) -> WeightWord:
+    """Convert a stored FP16 word to ``target`` using only fetched planes.
+
+    Unfetched exponent/mantissa LSBs are zero. Formats that keep the FP16
+    exponent scale convert by slicing the magnitude word directly, with the
+    fetched guard mantissa bits driving nearest-even rounding; narrower
+    exponents re-bias, saturating to the maximum-magnitude finite value on
+    overflow and flushing to signed zero on underflow.
+    """
+    if source.fmt.total_bits != 16 or not source.fmt.keeps_fp16_scale:
+        raise ValueError("conversion source must be a full FP16 word")
+    if target.is_skip:
+        raise ValueError("cannot convert to the skipped format")
+
+    exp_f, man_f = fetched_widths(target, guard)
+    bits = source.bits
+    sign = bits >> 15
+    exp = (bits >> FP16_MAN_BITS) & 0x1F
+    man = bits & 0x3FF
+
+    # Zero unfetched LSB planes; this is the only data conversion sees.
+    exp_keep = exp & ~((1 << (FP16_EXP_BITS - exp_f)) - 1)
+    man_keep = man & ~((1 << (FP16_MAN_BITS - man_f)) - 1)
+
+    if target.keeps_fp16_scale:
+        # Pure slicing: exponent passes through (subnormals included), the
+        # mantissa narrows with carry into the exponent field.
+        field = (exp_keep << man_f) | (man_keep >> (FP16_MAN_BITS - man_f))
+        field = _round_field(field, man_f - target.man_bits, mode)
+        if field >> (FP16_EXP_BITS + target.man_bits):
+            field = (1 << (FP16_EXP_BITS + target.man_bits)) - 1  # clamp to max finite
+        return WeightWord((sign << (FP16_EXP_BITS + target.man_bits)) | field, target)
+
+    exp_max = (1 << target.exp_bits) - 1
+    if exp_keep == 0:
+        # Source subnormal magnitude is far below any re-biased min normal.
+        return WeightWord(sign << (target.exp_bits + target.man_bits), target)
+    rebias = exp_keep - FP16_BIAS + target.bias
+    if rebias > exp_max:
+        return _saturated(sign, target)
+    if rebias < 1:
+        return WeightWord(sign << (target.exp_bits + target.man_bits), target)
+
+    man_t = _round_field(man_keep >> (FP16_MAN_BITS - man_f), man_f - target.man_bits, mode)
+    if man_t >> target.man_bits:
+        man_t = 0
+        rebias += 1
+        if rebias > exp_max:
+            return _saturated(sign, target)
+    word = (sign << (target.exp_bits + target.man_bits)) | (rebias << target.man_bits) | man_t
+    return WeightWord(word, target)
+
+
+def _saturated(sign: int, fmt: FpFormat) -> WeightWord:
+    body = (1 << (fmt.exp_bits + fmt.man_bits)) - 1
+    return WeightWord((sign << (fmt.exp_bits + fmt.man_bits)) | body, fmt)
+
+
+def dequantize(word: WeightWord) -> float:
+    """Value of a minifloat word: (-1)^s * 2^(e-bias) * (1 + m/2^man_bits),
+    with the e = 0 row subnormal."""
+    fmt = word.fmt
+    if fmt.is_skip:
+        raise ValueError("skipped format has no value")
+    sign = word.bits >> (fmt.exp_bits + fmt.man_bits)
+    exp = (word.bits >> fmt.man_bits) & ((1 << fmt.exp_bits) - 1)
+    man = word.bits & ((1 << fmt.man_bits) - 1)
+    scale = 1 << fmt.man_bits
+    if exp == 0:
+        value = math.ldexp(man / scale, 1 - fmt.bias)
+    else:
+        value = math.ldexp(1 + man / scale, exp - fmt.bias)
+    return -value if sign else value
+
+
+def encode_fp16(value: float) -> WeightWord:
+    """Nearest-even FP16 encoding of a finite real (test-fixture helper).
+
+    Magnitudes beyond the largest finite pattern clamp to it; note the
+    codomain has no Inf, so values that IEEE half would round to infinity
+    land on large finite codes instead.
+    """
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError("encode_fp16 requires a finite value")
+    sign = 1 if math.copysign(1.0, value) < 0 else 0
+    mag = abs(value)
+    if mag == 0.0:
+        return WeightWord(sign << 15, FP16)
+
+    frac, exp2 = math.frexp(mag)  # mag = frac * 2^exp2, frac in [0.5, 1)
+    biased = exp2 - 1 + FP16_BIAS
+    if biased <= 0:
+        # Subnormal row: units of 2^-24.
+        q = _round_half_even(math.ldexp(mag, 24))
+        if q >= 1 << FP16_MAN_BITS:
+            return WeightWord((sign << 15) | (1 << FP16_MAN_BITS), FP16)
+        return WeightWord((sign << 15) | q, FP16)
+    man = _round_half_even(math.ldexp(frac * 2 - 1, FP16_MAN_BITS))
+    if man >> FP16_MAN_BITS:
+        man = 0
+        biased += 1
+    if biased >= (1 << FP16_EXP_BITS):
+        return WeightWord((sign << 15) | 0x7FFF, FP16)
+    return WeightWord((sign << 15) | (biased << FP16_MAN_BITS) | man, FP16)
+
+
+def _round_half_even(x: float) -> int:
+    lo = math.floor(x)
+    rem = x - lo
+    if rem > 0.5 or (rem == 0.5 and lo & 1):
+        return lo + 1
+    return lo
+
 
 TWO = Fraction(2)
 
@@ -83,7 +272,7 @@ def _nearest_even_code(mags: tuple[Fraction, ...], v: Fraction) -> int:
     return i if (i % 2 == 0) else i - 1
 
 
-def _round_half_even(n: Fraction) -> int:
+def _round_fraction_half_even(n: Fraction) -> int:
     floor = n.numerator // n.denominator
     rem = n - floor
     if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and floor % 2 == 1):
@@ -125,7 +314,7 @@ def _convert_map(
                     continue
                 frac = v / TWO ** (exp_m - 15) - 1
                 n = frac * (1 << man_bits)
-                man_t = n.numerator // n.denominator if truncate else _round_half_even(n)
+                man_t = n.numerator // n.denominator if truncate else _round_fraction_half_even(n)
                 if man_t == 1 << man_bits:
                     man_t = 0
                     target_exp += 1
@@ -159,8 +348,6 @@ def ref_convert(
 
 def ref_encode_fp16(value: float) -> int:
     """Nearest-even FP16 code for a finite real, clamping beyond the table."""
-    import math
-
     sign = 1 if math.copysign(1.0, value) < 0 else 0
     code = _nearest_even_code(_magnitude_table(5, 10, 15), abs(Fraction(value)))
     return (sign << 15) | code

@@ -23,21 +23,9 @@ from planestore.address import (
 from planestore.bitplane import ChunkKind, pack, unpack_full
 from planestore.cli import main
 from planestore.config import default_config
-from planestore.dram import DramConfig, schedule, simulate
+from planestore.dram import schedule, simulate
 from planestore.experiment import compare_assignment, run_sweep
-from planestore.quant import (
-    DEFAULT_LADDER,
-    FP0,
-    FP6,
-    FP8,
-    FP16,
-    GuardConfig,
-    NO_GUARD,
-    Rounding,
-    WeightWord,
-    convert,
-    plane_set,
-)
+from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
     FormatAssignment,
     ModelGeometry,
@@ -51,6 +39,18 @@ from planestore.workload import (
 )
 
 import reference
+from reference import (
+    FP0,
+    FP6,
+    FP8,
+    FP16,
+    LADDER,
+    NO_GUARD,
+    Rounding,
+    WeightWord,
+    convert,
+    dram,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def reduction(entry, kind, field):
 
 def test_01_conversion_matches_exact_rational_reference():
     mismatches = 0
-    for fmt in DEFAULT_LADDER:
+    for fmt in LADDER:
         if fmt.is_skip:
             with pytest.raises(ValueError):
                 convert(WeightWord(0, FP16), fmt)
@@ -112,7 +112,7 @@ def test_02_pack_unpack_round_trip_is_identity():
 
 
 def test_03_fetched_plane_count_law():
-    for fmt in DEFAULT_LADDER:
+    for fmt in LADDER:
         for guard_exp in (0, 1, 2):
             for guard_man in (0, 1, 2):
                 guard = GuardConfig(guard_exp, guard_man)
@@ -131,7 +131,7 @@ def test_03_fetched_plane_count_law():
 
 def test_04_bloated_space_sizes_and_resolve_round_trip():
     rng = np.random.default_rng(404)
-    rungs = [f for f in DEFAULT_LADDER if not f.is_skip]
+    rungs = [f for f in LADDER if not f.is_skip]
     for _ in range(100):
         num_weights = int(rng.integers(1, 500_001))
         keep = sorted(rng.choice(len(rungs), int(rng.integers(1, 6)), replace=False))
@@ -162,7 +162,7 @@ def test_05_transferred_bytes_track_format_width():
 
 
 def test_06_memory_model_matches_hand_traces():
-    cfg = DramConfig(p_bg_mw=0.0)
+    cfg = dram(p_bg_mw=0.0)
     act, rd = cfg.e_act_pj, cfg.e_rd_pj
     cases = [
         # (addresses, command sequence, total cycles, (#ACT, #RD))
@@ -267,7 +267,7 @@ def test_10_threshold_solver_hits_targets_and_is_monotone(cfg, directory):
             return
         scores = np.random.default_rng(seed).random(len(small))
         before = avg_bits(
-            assign_formats(small, scores, ThresholdSet(tuple(values))), small
+            assign_formats(small, scores, ThresholdSet(tuple(values), LADDER)), small
         )
         raised = list(values)
         ceiling = 1.0 if raise_index == 0 else raised[raise_index - 1] - 1e-9
@@ -277,7 +277,7 @@ def test_10_threshold_solver_hits_targets_and_is_monotone(cfg, directory):
         if raised[4] <= 0.0:
             return
         after = avg_bits(
-            assign_formats(small, scores, ThresholdSet(tuple(raised))), small
+            assign_formats(small, scores, ThresholdSet(tuple(raised), LADDER)), small
         )
         assert after <= before + 1e-12
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from planestore.address import (
     LogicalRead,
-    RegionTable,
     Trace,
     TraditionalLayout,
     build_regions,
@@ -20,7 +19,8 @@ from planestore.address import (
     translate_traditional,
 )
 from planestore.bitplane import Chunk, ChunkDirectory, ChunkKind, PlaneLayout, plane_stride_for
-from planestore.quant import DEFAULT_LADDER, FP0, FP4, FP6, FP8, FP12, FP16, GuardConfig, plane_set
+from planestore.quant import GuardConfig, plane_set
+from reference import FP0, FP4, FP6, FP8, FP12, FP16, LADDER, NO_GUARD
 
 LADDER5 = [FP16, FP12, FP8, FP6, FP4]
 
@@ -48,7 +48,7 @@ def test_build_regions_bases():
 
 
 def test_fp0_contributes_no_region():
-    t = build_regions(64, DEFAULT_LADDER)
+    t = build_regions(64, LADDER)
     assert [r.fmt.name for r in t.regions] == ["FP16", "FP12", "FP8", "FP6", "FP4"]
 
 
@@ -58,7 +58,7 @@ def test_bloat_identity_random():
     rng = random.Random(42)
     for _ in range(100):
         num = rng.randrange(1, 10_000)
-        ladder = rng.sample(DEFAULT_LADDER, rng.randrange(1, len(DEFAULT_LADDER) + 1))
+        ladder = rng.sample(LADDER, rng.randrange(1, len(LADDER) + 1))
         t = build_regions(num, ladder)
         assert t.total_logical_bits == sum(num * f.total_bits for f in ladder if not f.is_skip)
 
@@ -111,7 +111,7 @@ def test_translate_neuron_chunk():
     planes, lo, size = translate((FP6, 0, 7200), GuardConfig(0, 0), layout)
     assert len(lo) == 6
     assert (size == 960).all()
-    assert set(planes.tolist()) == set(plane_set(FP6))
+    assert set(planes.tolist()) == set(plane_set(FP6, NO_GUARD))
 
 
 def test_translate_rejects_fp0():
@@ -173,7 +173,7 @@ def test_proportionality_amortizes(fmt, count, start):
     trad_layout = TraditionalLayout.from_directory(directory)
     smart = translate((fmt, start, count), GuardConfig(0, 0), layout)[2].sum()
     trad = translate_traditional((FP16, start, count), trad_layout)[1]
-    planes = len(plane_set(fmt))
+    planes = len(plane_set(fmt, NO_GUARD))
     # Per plane the aligned span exceeds the payload by under two blocks.
     tol = (planes * 2 * 64 + 64) / (2 * count)
     assert abs(smart / trad - planes / 16) <= tol

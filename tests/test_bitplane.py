@@ -17,26 +17,14 @@ from planestore.bitplane import (
     Chunk,
     ChunkDirectory,
     ChunkKind,
-    PlaneLayout,
     load_image,
     pack,
     plane_stride_for,
     save_image,
     unpack_full,
 )
-from planestore.quant import (
-    DEFAULT_LADDER,
-    FP4,
-    FP6,
-    FP8,
-    FP16,
-    FpFormat,
-    GuardConfig,
-    Rounding,
-    WeightWord,
-    convert,
-    plane_set,
-)
+from planestore.quant import FpFormat, GuardConfig, plane_set
+from reference import FP4, FP6, FP8, FP16, LADDER, NO_GUARD, Rounding, WeightWord, convert
 
 
 # Selective plane fetches and word reconstruction from fetched planes.
@@ -123,14 +111,14 @@ def test_plane_stride_rounding():
 
 
 def test_pack_all_ones():
-    img = pack([WeightWord(0xFFFF, FP16)])
+    img = pack(np.array([0xFFFF], np.uint16))
     for p in range(16):
         assert np.unpackbits(img.plane_bytes(p))[0] == 1
         assert img.plane_bytes(p)[1:].sum() == 0
 
 
 def test_pack_sign_only():
-    img = pack([WeightWord(0x8000, FP16), WeightWord(0x0000, FP16)])
+    img = pack(np.array([0x8000, 0x0000], np.uint16))
     sign_bits = np.unpackbits(img.plane_bytes(0))[:2]
     assert sign_bits.tolist() == [1, 0]
     for p in range(1, 16):
@@ -161,7 +149,7 @@ def test_unpack_ranges():
     with pytest.raises(ValueError):
         unpack_full(img, 0, 101)
     with pytest.raises(ValueError):
-        pack([])
+        pack(np.zeros(0, np.uint16))
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,7 +183,7 @@ def test_physical_shape():
     img = pack(np.arange(1000, dtype=np.uint16))
     assert img.footprint_bytes == 16 * img.plane_stride
     assert img.footprint_bytes * 8 >= 1000 * 16
-    assert img.layout == PlaneLayout(1000, img.plane_stride, 0)
+    assert img.plane_stride == plane_stride_for(1000)
 
 
 def test_directory_validation():
@@ -217,22 +205,22 @@ def test_directory_validation():
 def test_fetch_planes_accounting():
     rng = np.random.default_rng(3)
     img = pack(rng.integers(0, 1 << 16, size=64, dtype=np.uint16))
-    segs = fetch_planes(img, 0, 8, plane_set(FP8))
+    segs = fetch_planes(img, 0, 8, plane_set(FP8, NO_GUARD))
     assert len(segs) == 8
     assert sum(s.bit_length for s in segs) == 64
-    full = fetch_planes(img, 0, 8, plane_set(FP16))
+    full = fetch_planes(img, 0, 8, plane_set(FP16, NO_GUARD))
     assert sum(s.bit_length for s in full) == 128
     with pytest.raises(ValueError):
         fetch_planes(img, 0, 8, [])
     with pytest.raises(ValueError):
-        fetch_planes(img, 60, 8, plane_set(FP8))
+        fetch_planes(img, 60, 8, plane_set(FP8, NO_GUARD))
 
 
 def test_fetch_matches_brute_force():
     rng = np.random.default_rng(11)
     words = rng.integers(0, 1 << 16, size=7200, dtype=np.uint16)
     img = pack(words)
-    segs = fetch_planes(img, 100, 7000, plane_set(FP6))
+    segs = fetch_planes(img, 100, 7000, plane_set(FP6, NO_GUARD))
     assert len(segs) == 6
     for s in segs:
         want = (words[100:7100] >> (15 - s.plane_index)) & 1
@@ -243,14 +231,14 @@ def test_reconstruct_identity_path():
     rng = np.random.default_rng(5)
     words = rng.integers(0, 1 << 16, size=500, dtype=np.uint16)
     img = pack(words)
-    segs = fetch_planes(img, 0, 500, plane_set(FP16))
+    segs = fetch_planes(img, 0, 500, plane_set(FP16, NO_GUARD))
     out = reconstruct(segs, FP16, GuardConfig(0, 0))
     assert [w.bits for w in out] == words.tolist()
 
 
 def test_reconstruct_simple():
-    img = pack([WeightWord(0x3C00, FP16)])
-    segs = fetch_planes(img, 0, 1, plane_set(FP8))
+    img = pack(np.array([0x3C00], np.uint16))
+    segs = fetch_planes(img, 0, 1, plane_set(FP8, NO_GUARD))
     assert reconstruct(segs, FP8, GuardConfig(0, 0))[0].bits == 0b0_01111_00
 
 
@@ -275,7 +263,7 @@ def test_reconstruct_composition(seed, fmt, guard_man, truncate):
 
 def test_reconstruct_errors():
     img = pack(np.arange(16, dtype=np.uint16))
-    segs = fetch_planes(img, 0, 8, plane_set(FP8))
+    segs = fetch_planes(img, 0, 8, plane_set(FP8, NO_GUARD))
     short = fetch_planes(img, 0, 4, [6])
     with pytest.raises(ValueError, match="mismatched"):
         reconstruct(segs + short, FP8, GuardConfig(0, 0))
@@ -288,9 +276,9 @@ def test_image_file_roundtrip(tmp_path):
     words = rng.integers(0, 1 << 16, size=1000, dtype=np.uint16)
     img = pack(words)
     path = str(tmp_path / "model.planes")
-    save_image(img, DEFAULT_LADDER, path)
+    save_image(img, LADDER, path)
     loaded, ladder = load_image(path)
-    assert ladder == DEFAULT_LADDER
+    assert ladder == LADDER
     assert loaded.num_weights == 1000
     assert np.array_equal(unpack_full(loaded), words)
     for p in range(16):

@@ -1,6 +1,7 @@
 """Config loading and the command-line harness."""
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from planestore.cli import (
     render_trace,
 )
 from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, default_config, load_config
-from planestore.dram import DramConfig, run_trace
+from planestore.dram import run_trace
 from planestore.experiment import (
     chunk_latency_deltas,
     compare_assignment,
@@ -26,7 +27,6 @@ from planestore.experiment import (
     run_mode,
     solver_target,
 )
-from planestore.quant import FP8, NO_GUARD
 from planestore.workload import (
     FormatAssignment,
     ModelGeometry,
@@ -36,7 +36,7 @@ from planestore.workload import (
     solve_thresholds,
 )
 
-from reference import reference_trace
+from reference import FP8, NO_GUARD, dram, reference_trace
 
 
 # Small enough to sweep in well under a second, with every chunk size a
@@ -80,6 +80,14 @@ def test_default_config_resolves():
     assert cfg.geometry.total_weights == 8113536
     assert cfg.dram.channels == 4
     assert cfg.resolved == DEFAULTS
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_checked_in_default_file_matches_builtins():
@@ -189,6 +197,14 @@ def one_line_error(capsys) -> str:
         # Representable in YAML, not in the memory model.
         ("dram:\n  burst_bytes: 128\n  interleave_bytes: 128\n", "burst_bytes must be 64"),
         ("dram:\n  t_ccd_s: 4\n", "t_ccd_s must be at least the 8-cycle burst"),
+        # Syntax errors name the line they start on.
+        ("seed: [1\n", "line 1 ('seed: [1'): expected ',' or ']'"),
+        ("ladder:\n  - {name: FP16, exp_bits: 5}\n  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
+         "ladder[0] needs 'man_bits'"),
+        ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10, extra: 1}\n"
+         "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
+         "unknown keys ['extra'] in ladder[0]"),
+        ("solver: {gains: [], exponents: []}\n", "config key 'solver.gains' must not be empty"),
     ],
 )
 def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
@@ -595,7 +611,7 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     # last read finishes at cycle 76, before channel 0's fourth at 112.
     # Chunk 1's read queues behind them on channel 0 and finishes at 124.
     trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
-    result = run_trace(DramConfig(), trace)
+    result = run_trace(dram(), trace)
     assert result.completion_cycles.tolist() == [76, 88, 100, 112, 76, 124]
     assert chunk_latency_deltas(trace, result, 1.0) == {0: 112.0, 1: 12.0}
 

@@ -11,7 +11,6 @@ from planestore.address import Trace
 from planestore.dram import (
     CommandKind,
     DramCommand,
-    DramConfig,
     energy_breakdown,
     map_address,
     run_trace,
@@ -19,10 +18,10 @@ from planestore.dram import (
     simulate,
 )
 
-from reference import reference_simulate
+from reference import dram, reference_simulate
 
-CFG = DramConfig()
-NO_BG = DramConfig(p_bg_mw=0.0)
+CFG = dram()
+NO_BG = dram(p_bg_mw=0.0)
 
 
 def req(addr, length=64):
@@ -48,15 +47,15 @@ def test_default_config_shape():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="divide row_bytes"):
-        DramConfig(row_bytes=100)
+        dram(row_bytes=100)
     with pytest.raises(ValueError, match="t_ras"):
-        DramConfig(t_ras=10, t_rcd=34)
+        dram(t_ras=10, t_rcd=34)
     with pytest.raises(ValueError, match="positive"):
-        DramConfig(channels=0)
+        dram(channels=0)
     with pytest.raises(ValueError, match="clock_ns"):
-        DramConfig(clock_ns=0.0)
+        dram(clock_ns=0.0)
     with pytest.raises(ValueError, match="interleave"):
-        DramConfig(interleave_bytes=96)
+        dram(interleave_bytes=96)
 
 
 @pytest.mark.parametrize(
@@ -72,8 +71,8 @@ def test_config_rejects_what_the_model_cannot_represent(fields, match):
     # Other block sizes crash mid-trace on misaligned addresses; a tCCD
     # below the burst length lets data bursts overlap on the bus.
     with pytest.raises(ValueError, match=match):
-        DramConfig(**fields)
-    DramConfig(t_ccd_s=8, t_ccd_l=8)
+        dram(**fields)
+    dram(t_ccd_s=8, t_ccd_l=8)
 
 
 # --- address mapping --------------------------------------------------------

@@ -22,7 +22,6 @@ from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
     DramCommand,
-    DramConfig,
     plan,
     schedule,
     simulate,
@@ -36,7 +35,7 @@ from planestore.workload import (
     solve_thresholds,
 )
 
-from reference import reference_simulate
+from reference import dram, reference_simulate
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 KINDS = list(CommandKind)
@@ -106,7 +105,7 @@ def assert_engine_matches_reference(config, trace):
     ],
 )
 def test_hand_traces_match_reference(requests):
-    config = DramConfig(p_bg_mw=0.0)
+    config = dram(p_bg_mw=0.0)
     assert_engine_matches_reference(config, trace_of(requests))
 
 
@@ -122,7 +121,7 @@ def test_precharge_waits_for_t_ras():
     # Both bursts land on channel 0, bank 0, in rows 0 and 1.  The second
     # run's PRE waits for tRAS after the first ACT (0 + 77), not for the
     # bus (34 + 1); its ACT follows tRP later and its read tRCD after that.
-    config = DramConfig()
+    config = dram()
     table, _, _ = assert_engine_matches_reference(config, trace_of([(0, 64), (1048576, 64)]))
     assert run_table(table) == [
         ("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 1),
@@ -134,7 +133,7 @@ def test_first_read_after_an_opening_waits_for_t_ccd():
     # One channel: two reads to bank 0 (cycles 1 and 13), then bank 1
     # opens at 14.  With tRCD = 1 its first read could issue at 15, but
     # tCCD_S after the read at 13 holds it to 21.
-    config = DramConfig(channels=1, t_rcd=1)
+    config = dram(channels=1, t_rcd=1)
     table, _, _ = assert_engine_matches_reference(config, trace_of([(0, 128), (8192, 64)]))
     assert run_table(table) == [
         ("ACT", 0, 0, 0, 1), ("RD", 0, 0, 1, 2), ("ACT", 1, 0, 14, 1), ("RD", 1, 0, 21, 1),
@@ -143,7 +142,7 @@ def test_first_read_after_an_opening_waits_for_t_ccd():
 
 def test_malformed_run_table_rejected():
     # Four channels, each an ACT and an RD row of two reads.
-    table = plan(DramConfig(), trace_of([(0, 512)]))
+    table = plan(dram(), trace_of([(0, 512)]))
     act, rd = 0, 1
     assert run_table(table)[:2] == [("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 2)]
     for row, value, match in (
@@ -159,7 +158,7 @@ def test_malformed_run_table_rejected():
 
 def test_bad_address_raises_the_scalar_error():
     # Trace rejects these rows itself; bare columns reach the engine.
-    config = DramConfig()
+    config = dram()
     for bad, match in ((96, "not 64-byte aligned"), (-64, "negative")):
         raw = SimpleNamespace(addr=np.array([0, bad]), size=np.array([64, 64]))
         with pytest.raises(ValueError, match=match):
@@ -208,7 +207,7 @@ def test_default_sweep_traces_match_reference(sweep_traces):
 # --- random configs, traces and streams -------------------------------------
 
 configs = st.builds(
-    DramConfig,
+    dram,
     channels=st.integers(1, 4),
     banks_per_channel=st.integers(1, 8),
     row_bytes=st.sampled_from([64, 128, 256, 512]),
@@ -255,7 +254,7 @@ def interleaved_traces(draw):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.one_of(configs, st.just(DramConfig())), interleaved_traces())
+@given(st.one_of(configs, st.just(dram())), interleaved_traces())
 def test_interleaved_streams_match_reference(config, trace):
     assert_engine_matches_reference(config, trace)
 
@@ -295,7 +294,7 @@ raw_commands = st.lists(
 @settings(deadline=None, max_examples=300)
 @given(raw_commands)
 def test_random_streams_get_the_reference_verdict(stream):
-    same_verdict(DramConfig(channels=2, banks_per_channel=2), stream)
+    same_verdict(dram(channels=2, banks_per_channel=2), stream)
 
 
 @settings(deadline=None, max_examples=400)

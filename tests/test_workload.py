@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from planestore.bitplane import ChunkKind, PlaneLayout, plane_stride_for
-from planestore.quant import DEFAULT_LADDER, FP0, FP6, FP8, FP12, FP16, GuardConfig
+from planestore.bitplane import ChunkKind, plane_stride_for
+from planestore.quant import GuardConfig
 from planestore.workload import (
-    DEFAULT_BAND_PROFILE,
     FormatAssignment,
     ImportanceModel,
     ModelGeometry,
@@ -23,8 +22,10 @@ from planestore.workload import (
     trace_bytes,
 )
 
+from reference import BAND_PROFILE, FP0, FP6, FP8, FP12, FP16, LADDER, NO_GUARD
+
 UNIFORM = ScoreDistribution("uniform")
-SIXTHS = ThresholdSet((5 / 6, 4 / 6, 3 / 6, 2 / 6, 1 / 6))
+SIXTHS = ThresholdSet((5 / 6, 4 / 6, 3 / 6, 2 / 6, 1 / 6), LADDER)
 
 
 def flat_geometry(chunks, weights=64, predictor=0):
@@ -158,11 +159,11 @@ def test_distribution_validation():
 
 def test_threshold_validation():
     with pytest.raises(ValueError, match="strictly decreasing"):
-        ThresholdSet((0.5, 0.5, 0.4, 0.3, 0.2))
+        ThresholdSet((0.5, 0.5, 0.4, 0.3, 0.2), LADDER)
     with pytest.raises(ValueError, match="outside"):
-        ThresholdSet((1.2, 0.8, 0.6, 0.4, 0.2))
+        ThresholdSet((1.2, 0.8, 0.6, 0.4, 0.2), LADDER)
     with pytest.raises(ValueError, match="thresholds"):
-        ThresholdSet((0.5, 0.4))
+        ThresholdSet((0.5, 0.4), LADDER)
 
 
 def test_bucket_rule_endpoints():
@@ -187,7 +188,7 @@ def test_assignment_score_count_checked():
 def test_top_heavy_thresholds_prune_almost_everything():
     directory = enumerate_chunks(flat_geometry(2000))
     scores = gen_scores(directory, ImportanceModel(1, UNIFORM))
-    near_one = ThresholdSet(tuple(1 - k * 1e-6 for k in range(1, 6)))
+    near_one = ThresholdSet(tuple(1 - k * 1e-6 for k in range(1, 6)), LADDER)
     assignment = assign_formats(directory, scores, near_one)
     dropped = sum(1 for f in assignment.formats if f.is_skip)
     assert dropped >= 0.99 * len(directory)
@@ -197,7 +198,7 @@ def test_quantile_thresholds_split_in_sixths():
     directory = enumerate_chunks(flat_geometry(6000))
     scores = gen_scores(directory, ImportanceModel(4, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
-    for fmt in DEFAULT_LADDER:
+    for fmt in LADDER:
         share = sum(1 for f in assignment.formats if f is fmt) / 6000
         assert share == pytest.approx(1 / 6, abs=0.05)
 
@@ -206,16 +207,16 @@ def test_quantile_thresholds_split_in_sixths():
 
 def test_avg_bits_examples():
     directory = enumerate_chunks(flat_geometry(5, 100))
-    all16 = FormatAssignment((FP16,) * 5, DEFAULT_LADDER)
+    all16 = FormatAssignment((FP16,) * 5, LADDER)
     assert avg_bits(all16, directory) == 16.0
-    ladder_mix = FormatAssignment((FP16, FP12, FP8, FP6, DEFAULT_LADDER[4]), DEFAULT_LADDER)
+    ladder_mix = FormatAssignment((FP16, FP12, FP8, FP6, LADDER[4]), LADDER)
     assert avg_bits(ladder_mix, directory) == pytest.approx(9.2)
 
 
 def test_solver_reaches_full_precision():
     directory = enumerate_chunks(flat_geometry(400, predictor=32))
     scores = gen_scores(directory, ImportanceModel(2, UNIFORM))
-    ts = solve_thresholds(directory, scores, 16.0)
+    ts = solve_thresholds(directory, scores, 16.0, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
     assert avg_bits(assignment, directory) == 16.0
 
@@ -224,7 +225,7 @@ def test_solver_floor_with_all_zero_scores():
     directory = enumerate_chunks(flat_geometry(100, 64, predictor=64))
     scores = np.zeros(100)
     floor = 16.0 * 64 / directory.num_weights
-    ts = solve_thresholds(directory, scores, floor)
+    ts = solve_thresholds(directory, scores, floor, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
     assert [f for f in assignment.formats if not f.is_skip] == [FP16]
     assert avg_bits(assignment, directory) == pytest.approx(floor)
@@ -234,7 +235,7 @@ def test_solver_floor_with_all_zero_scores():
 def test_solver_hits_target(target):
     directory = enumerate_chunks(flat_geometry(1000, 96, predictor=128))
     scores = gen_scores(directory, ImportanceModel(42, UNIFORM))
-    ts = solve_thresholds(directory, scores, target)
+    ts = solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
     assert avg_bits(assignment, directory) == pytest.approx(target, abs=0.05)
 
@@ -243,29 +244,29 @@ def test_solver_rejects_unreachable_targets():
     directory = enumerate_chunks(flat_geometry(100, 64, predictor=64))
     scores = gen_scores(directory, ImportanceModel(8, UNIFORM))
     with pytest.raises(ValueError, match="achievable range"):
-        solve_thresholds(directory, scores, 0.01)
+        solve_thresholds(directory, scores, 0.01, LADDER, BAND_PROFILE)
     with pytest.raises(ValueError, match="achievable range"):
-        solve_thresholds(directory, scores, 17.0)
+        solve_thresholds(directory, scores, 17.0, LADDER, BAND_PROFILE)
 
 
 def test_solver_deterministic():
     directory = enumerate_chunks(flat_geometry(300, predictor=16))
     scores = gen_scores(directory, ImportanceModel(6, UNIFORM))
-    a = solve_thresholds(directory, scores, 6.0)
-    b = solve_thresholds(directory, scores, 6.0)
+    a = solve_thresholds(directory, scores, 6.0, LADDER, BAND_PROFILE)
+    b = solve_thresholds(directory, scores, 6.0, LADDER, BAND_PROFILE)
     assert a.values == b.values
 
 
 def test_raising_a_threshold_never_adds_bits():
     directory = enumerate_chunks(flat_geometry(500))
     scores = gen_scores(directory, ImportanceModel(13, UNIFORM))
-    base = solve_thresholds(directory, scores, 7.0)
+    base = solve_thresholds(directory, scores, 7.0, LADDER, BAND_PROFILE)
     baseline = avg_bits(assign_formats(directory, scores, base), directory)
     for k in range(5):
         values = list(base.values)
         ceiling = 1.0 if k == 0 else values[k - 1]
         values[k] = values[k] + 0.5 * (ceiling - values[k])
-        bumped = assign_formats(directory, scores, ThresholdSet(tuple(values)))
+        bumped = assign_formats(directory, scores, ThresholdSet(tuple(values), LADDER))
         assert avg_bits(bumped, directory) <= baseline + 1e-12
 
 
@@ -276,14 +277,14 @@ def test_band_profile_validation():
         BandProfile((1.0, 2.0), (1.0,))
     with pytest.raises(ValueError, match="positive"):
         BandProfile((0.0,), (1.0,))
-    assert len(DEFAULT_BAND_PROFILE.gains) == len(DEFAULT_LADDER) - 1
+    assert len(BAND_PROFILE.gains) == len(LADDER) - 1
 
 
 # --- trace generation -------------------------------------------------------
 
 def two_head_setup():
     directory = enumerate_chunks(flat_geometry(2, 1024))
-    assignment = FormatAssignment((FP16, FP0), DEFAULT_LADDER)
+    assignment = FormatAssignment((FP16, FP0), LADDER)
     return directory, assignment
 
 
@@ -293,7 +294,7 @@ def kinds_of(trace):
 
 def test_traditional_trace_single_extent():
     directory, assignment = two_head_setup()
-    trace = gen_trace(assignment, directory, "traditional")
+    trace = gen_trace(assignment, directory, "traditional", NO_GUARD)
     assert len(trace) == 32
     assert trace.addr.tolist() == list(range(0, 2048, 64))
     assert (trace.size == 64).all()
@@ -303,7 +304,7 @@ def test_traditional_trace_single_extent():
 
 def test_bitplane_trace_one_request_per_plane():
     directory, assignment = two_head_setup()
-    trace = gen_trace(assignment, directory, "bitplane")
+    trace = gen_trace(assignment, directory, "bitplane", NO_GUARD)
     assert len(trace) == 16
     stride = plane_stride_for(2048)
     # One request per plane, in plane order: plane p's span starts at p * stride.
@@ -313,9 +314,9 @@ def test_bitplane_trace_one_request_per_plane():
 
 def test_all_fp8_trace_is_half_the_bytes():
     directory = enumerate_chunks(flat_geometry(4, 4096))
-    assignment = FormatAssignment((FP8,) * 4, DEFAULT_LADDER)
-    smart = trace_bytes(gen_trace(assignment, directory, "bitplane"))
-    plain = trace_bytes(gen_trace(assignment, directory, "traditional"))
+    assignment = FormatAssignment((FP8,) * 4, LADDER)
+    smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
+    plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
     assert smart * 2 == plain
     assert plain == 2 * directory.num_weights
 
@@ -325,7 +326,7 @@ def test_traditional_bytes_formula():
     directory = enumerate_chunks(g)
     scores = gen_scores(directory, ImportanceModel(21, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
-    trace = gen_trace(assignment, directory, "traditional")
+    trace = gen_trace(assignment, directory, "traditional", NO_GUARD)
     expected = sum(
         -(-chunk.length * 2 // 64) * 64
         for chunk, fmt in zip(directory, assignment.formats)
@@ -337,9 +338,9 @@ def test_traditional_bytes_formula():
 def test_mode_equivalence_on_full_precision():
     g = ModelGeometry(2, 2, 1000, 4, 52, 36)
     directory = enumerate_chunks(g)
-    assignment = FormatAssignment((FP16,) * len(directory), DEFAULT_LADDER)
-    smart = trace_bytes(gen_trace(assignment, directory, "bitplane"))
-    plain = trace_bytes(gen_trace(assignment, directory, "traditional"))
+    assignment = FormatAssignment((FP16,) * len(directory), LADDER)
+    smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
+    plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
     # Per-chunk alignment slack: 16 block-aligned plane reads against one
     # block-aligned extent.
     assert abs(smart - plain) <= len(directory) * 16 * 64
@@ -348,9 +349,9 @@ def test_mode_equivalence_on_full_precision():
 
 def test_mode_equivalence_tight_when_chunks_align():
     directory = enumerate_chunks(SCALED)
-    assignment = FormatAssignment((FP16,) * len(directory), DEFAULT_LADDER)
-    smart = trace_bytes(gen_trace(assignment, directory, "bitplane"))
-    plain = trace_bytes(gen_trace(assignment, directory, "traditional"))
+    assignment = FormatAssignment((FP16,) * len(directory), LADDER)
+    smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
+    plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
     assert plain == 2 * directory.num_weights
     assert abs(smart - plain) <= 16 * 64
 
@@ -359,8 +360,8 @@ def test_seam_blocks_fetched_once():
     # 1,000-weight chunks put plane seams mid-block; the high-water mark
     # must hand the shared block to the earlier chunk only.
     directory = enumerate_chunks(flat_geometry(5, 1000))
-    assignment = FormatAssignment((FP16,) * 5, DEFAULT_LADDER)
-    trace = gen_trace(assignment, directory, "bitplane")
+    assignment = FormatAssignment((FP16,) * 5, LADDER)
+    trace = gen_trace(assignment, directory, "bitplane", NO_GUARD)
     stride = plane_stride_for(5000)
     seen = set()
     for addr, size in zip(trace.addr.tolist(), trace.size.tolist()):
@@ -377,8 +378,8 @@ def test_seam_blocks_fetched_once():
 
 def test_guard_planes_expand_the_fetch():
     directory = enumerate_chunks(flat_geometry(2, 4096))
-    assignment = FormatAssignment((FP8, FP8), DEFAULT_LADDER)
-    bare = gen_trace(assignment, directory, "bitplane")
+    assignment = FormatAssignment((FP8, FP8), LADDER)
+    bare = gen_trace(assignment, directory, "bitplane", NO_GUARD)
     guarded = gen_trace(assignment, directory, "bitplane", guard=GuardConfig(0, 2))
     assert trace_bytes(guarded) > trace_bytes(bare)
 
@@ -388,23 +389,23 @@ def test_trace_determinism():
     scores = gen_scores(directory, ImportanceModel(17, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
     for mode in ("bitplane", "traditional"):
-        assert gen_trace(assignment, directory, mode) == gen_trace(
-            assignment, directory, mode
+        assert gen_trace(assignment, directory, mode, NO_GUARD) == gen_trace(
+            assignment, directory, mode, NO_GUARD
         )
 
 
 def test_trace_rejects_bad_mode():
     directory, assignment = two_head_setup()
     with pytest.raises(ValueError, match="mode"):
-        gen_trace(assignment, directory, "interleaved")
+        gen_trace(assignment, directory, "interleaved", NO_GUARD)
 
 
 def test_trace_tags_kinds():
     g = ModelGeometry(1, 1, 4096, 2, 4096, 4096)
     directory = enumerate_chunks(g)
-    assignment = FormatAssignment((FP16,) * 4, DEFAULT_LADDER)
+    assignment = FormatAssignment((FP16,) * 4, LADDER)
     for mode in ("bitplane", "traditional"):
-        trace = gen_trace(assignment, directory, mode)
+        trace = gen_trace(assignment, directory, mode, NO_GUARD)
         by_kind = bytes_by_kind(trace)
         assert set(kinds_of(trace)) == set(by_kind) == {
             ChunkKind.ATTENTION_HEAD,
