@@ -9,13 +9,18 @@ range out into one block-aligned span per needed plane.
 The traditional baseline layout stores weights contiguously at full
 precision, one 64-byte-aligned extent per chunk in directory order.
 
+The address functions work on columns, one row per read: `resolve`
+maps a whole array of logical reads, `translate` fans every resolved
+read out into its plane spans, and `translate_traditional` finds every
+read's extent.  `workload.gen_trace` feeds them the directory's columns,
+so a trace costs one call of each, not one per chunk.
+
 A request stream is a `Trace`: numpy columns with one row per
 block-granular read, in issue order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,23 +56,12 @@ class RegionTable:
         return sum(r.size_bits for r in self.regions)
 
 
-@dataclass(frozen=True)
-class LogicalRead:
-    addr_bit: int
-    len_bits: int
-
-    def __post_init__(self) -> None:
-        if self.addr_bit < 0 or self.len_bits < 0:
-            raise ValueError("negative logical read")
-
-
 def first_invalid(addr: np.ndarray, size: np.ndarray):
     """(row, message) of the first row that is not a non-empty read of
     whole BLOCK-aligned blocks at a non-negative address, or None when
     every row is one."""
-    bad = np.flatnonzero(
-        (addr < 0) | (addr % BLOCK != 0) | (size % BLOCK != 0) | (size <= 0)
-    )
+    # BLOCK is a power of two: a multiple of it has no low bits set.
+    bad = np.flatnonzero((addr < 0) | ((addr | size) & (BLOCK - 1) != 0) | (size <= 0))
     if not bad.size:
         return None
     row = int(bad[0])
@@ -144,25 +138,79 @@ def build_regions(num_weights: int, ladder: Sequence[FpFormat]) -> RegionTable:
     return RegionTable(num_weights, tuple(regions))
 
 
-def resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int, int]:
-    """Map a logical read to (format, start_weight, weight_count)."""
-    if read.addr_bit + read.len_bits > table.total_logical_bits:
-        raise ValueError("read beyond the logical space")
-    bases = [r.base_bit for r in table.regions]
-    idx = bisect_right(bases, read.addr_bit) - 1
-    region = table.regions[idx]
-    if read.addr_bit + read.len_bits > region.end_bit:
-        raise ValueError("cross-region read")
-    width = region.fmt.total_bits
-    offset = read.addr_bit - region.base_bit
-    if offset % width or read.len_bits % width:
-        raise ValueError("not weight-aligned")
-    return region.fmt, offset // width, read.len_bits // width
+def _first_failure(*masks: np.ndarray):
+    """(row, k) for the first row that fails any of the masks, with k the
+    first mask it fails, or None when no row fails.  The masks are one
+    read's checks in the order a single read is checked."""
+    rows = np.flatnonzero(np.logical_or.reduce(masks))
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    return row, next(k for k, mask in enumerate(masks) if mask[row])
 
 
-def plane_span(layout: PlaneLayout, plane, start: int, count: int):
+@dataclass(frozen=True, eq=False)
+class Resolved:
+    """Resolved reads as columns: read i serves weights [start[i],
+    start[i] + count[i]) at formats[code[i]]."""
+
+    formats: tuple
+    code: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "formats", tuple(self.formats))
+        for name in ("code", "start", "count"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), np.int64).reshape(-1))
+        if not self.code.size == self.start.size == self.count.size:
+            raise ValueError("resolved columns differ in length")
+        if self.code.size and not 0 <= self.code.min() <= self.code.max() < len(self.formats):
+            raise ValueError(f"format codes must lie in [0, {len(self.formats)})")
+
+
+def resolve(table: RegionTable, addr_bit, len_bits) -> Resolved:
+    """Map logical reads, given as bit address and bit length columns, to
+    their formats and weight ranges.
+
+    Raises for the first read that is negative, runs beyond the logical
+    space, crosses a region boundary or is not weight-aligned, checked in
+    that order.
+    """
+    addr = np.asarray(addr_bit, np.int64).reshape(-1)
+    length = np.asarray(len_bits, np.int64).reshape(-1)
+    if addr.size != length.size:
+        raise ValueError(f"{addr.size} read addresses for {length.size} lengths")
+    # The padding keeps the lookups below in bounds for a table without
+    # regions, where every read but an empty one runs beyond the space.
+    bases = np.array([r.base_bit for r in table.regions] or [0], np.int64)
+    ends = np.array([r.end_bit for r in table.regions] or [0], np.int64)
+    widths = np.array([r.fmt.total_bits for r in table.regions] or [1], np.int64)
+    end = addr + length
+    region = np.maximum(np.searchsorted(bases, addr, side="right") - 1, 0)
+    width = widths[region]
+    offset = addr - bases[region]
+    failure = _first_failure(
+        (addr < 0) | (length < 0),
+        end > table.total_logical_bits,
+        end > ends[region],
+        (offset % width != 0) | (length % width != 0),
+    )
+    if failure is not None:
+        raise ValueError(
+            (
+                "negative logical read",
+                "read beyond the logical space",
+                "cross-region read",
+                "not weight-aligned",
+            )[failure[1]]
+        )
+    return Resolved(tuple(r.fmt for r in table.regions), region, offset // width, length // width)
+
+
+def plane_span(layout: PlaneLayout, plane, start, count):
     """Aligned physical byte range covering bits [start, start+count) of a
-    plane: (lo, size).  plane may be an int or an array of planes."""
+    plane: (lo, size).  Each argument may be an int or an array."""
     plane_base = plane * layout.plane_stride
     lo = (plane_base + start // 8) // BLOCK * BLOCK
     last = plane_base + (start + count - 1) // 8
@@ -170,65 +218,84 @@ def plane_span(layout: PlaneLayout, plane, start: int, count: int):
     return lo, hi - lo
 
 
+def _outside(resolved: Resolved, num_weights: int) -> np.ndarray:
+    start, count = resolved.start, resolved.count
+    return (start < 0) | (count < 0) | (start + count > num_weights)
+
+
+def _range_error(resolved: Resolved, row: int, what: str) -> ValueError:
+    start, count = resolved.start[row], resolved.count[row]
+    return ValueError(f"weight range [{start}, +{count}) outside the {what}")
+
+
 def translate(
-    resolved: tuple[FpFormat, int, int], guard: GuardConfig, layout: PlaneLayout
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One aligned span per needed plane covering the weight range.
+    resolved: Resolved, guard: GuardConfig, layout: PlaneLayout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One aligned span per needed plane of every resolved read.
 
-    Returns (plane, lo, size) int64 arrays in ascending address order
-    (planes sit at increasing bases, so that is also plane order).
+    Returns (read, plane, lo, size) int64 columns: the reads in their
+    given order, each read's spans in ascending address order (planes
+    sit at increasing bases, so that is also plane order).
     """
-    fmt, start, count = resolved
-    if fmt.is_skip:
-        raise ValueError("cannot translate a skipped chunk")
-    if not 0 <= start <= start + count <= layout.num_weights:
-        raise ValueError(f"weight range [{start}, +{count}) outside the image")
-    planes = np.array(plane_set(fmt, guard), np.int64)
-    lo, size = plane_span(layout, planes, start, count)
-    return planes, lo, size
+    code = resolved.code
+    skip = np.array([fmt.is_skip for fmt in resolved.formats], bool)
+    failure = _first_failure(skip[code], _outside(resolved, layout.num_weights))
+    if failure is not None:
+        row, check = failure
+        if check == 0:
+            raise ValueError("cannot translate a skipped chunk")
+        raise _range_error(resolved, row, "image")
+    # One plane set per format, expanded to every read of that format.
+    sets = [() if fmt.is_skip else plane_set(fmt, guard) for fmt in resolved.formats]
+    by_format = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
+    for k, planes in enumerate(sets):
+        by_format[k, : len(planes)] = planes
+    counts = np.array([len(planes) for planes in sets], np.int64)[code]
+    read = np.repeat(np.arange(code.size), counts)
+    slot = np.arange(read.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    plane = by_format[code[read], slot]
+    lo, size = plane_span(layout, plane, resolved.start[read], resolved.count[read])
+    return read, plane, lo, size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraditionalLayout:
     """Weight-contiguous FP16 placement: chunk extents in directory order,
     each base aligned to the block granule."""
 
-    chunk_starts: tuple[int, ...]  # weight index of each chunk
-    chunk_bases: tuple[int, ...]  # physical byte base of each chunk
+    chunk_starts: np.ndarray  # weight index of each chunk
+    chunk_bases: np.ndarray  # physical byte base of each chunk
     num_weights: int
 
     @classmethod
     def from_directory(cls, directory: ChunkDirectory) -> "TraditionalLayout":
-        starts, bases = [], []
-        offset = 0
-        for chunk in directory:
-            starts.append(chunk.start)
-            bases.append(offset)
-            offset += -(-chunk.length * FP16_BYTES // BLOCK) * BLOCK
-        return cls(tuple(starts), tuple(bases), directory.num_weights)
+        columns = directory.columns
+        extents = -(-columns.length * FP16_BYTES // BLOCK) * BLOCK
+        return cls(columns.start, np.cumsum(extents) - extents, directory.num_weights)
 
 
 def translate_traditional(
-    resolved: tuple[FpFormat, int, int], layout: TraditionalLayout
-) -> tuple[int, int]:
-    """Full-precision fetch of the weight range: its aligned (lo, size)
-    extent, size 0 for a skipped chunk.
+    resolved: Resolved, layout: TraditionalLayout
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-precision fetch of every resolved read's weight range: its
+    aligned (lo, size) extent as int64 columns, size 0 for a read at a
+    skipped format.
 
     The target format is irrelevant by construction, except that skipped
     chunks transfer nothing at all.
     """
-    fmt, start, count = resolved
-    if fmt.is_skip:
-        return 0, 0
-    if not 0 <= start <= start + count <= layout.num_weights:
-        raise ValueError(f"weight range [{start}, +{count}) outside the layout")
-    idx = bisect_right(layout.chunk_starts, start) - 1
+    start, count = resolved.start, resolved.count
+    skip = np.array([fmt.is_skip for fmt in resolved.formats], bool)[resolved.code]
+    failure = _first_failure(~skip & _outside(resolved, layout.num_weights))
+    if failure is not None:
+        raise _range_error(resolved, failure[0], "layout")
+    idx = np.searchsorted(layout.chunk_starts, start, side="right") - 1
     chunk_base = layout.chunk_bases[idx]
     chunk_start = layout.chunk_starts[idx]
     first = chunk_base + (start - chunk_start) * FP16_BYTES
     last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
-    lo = first // BLOCK * BLOCK
-    hi = (last // BLOCK + 1) * BLOCK
+    lo = np.where(skip, 0, first // BLOCK * BLOCK)
+    hi = np.where(skip, 0, (last // BLOCK + 1) * BLOCK)
     return lo, hi - lo
 
 

@@ -13,7 +13,8 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,6 +32,10 @@ class ChunkKind(Enum):
     ATTENTION_HEAD = "attention_head"
     MLP_NEURON = "mlp_neuron"
     PREDICTOR = "predictor"
+
+
+# A chunk's kind code is its kind's position here.
+KIND_LABELS = tuple(ChunkKind)
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,24 @@ class ChunkDirectory:
 
     def __len__(self) -> int:
         return len(self.chunks)
+
+    @cached_property
+    def columns(self) -> "ChunkColumns":
+        """The chunks as read-only int64 columns, built on first use."""
+        code = {kind: code for code, kind in enumerate(KIND_LABELS)}
+        rows = [(c.chunk_id, c.start, c.length, code[c.kind]) for c in self.chunks]
+        table = np.array(rows, np.int64).reshape(-1, 4).T.copy()
+        table.setflags(write=False)
+        return ChunkColumns(*table)
+
+
+class ChunkColumns(NamedTuple):
+    """One row per chunk, in directory order; kind holds KIND_LABELS codes."""
+
+    chunk_id: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    kind: np.ndarray
 
 
 @dataclass(frozen=True)

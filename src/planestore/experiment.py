@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitplane import ChunkDirectory, ChunkKind
+from .bitplane import KIND_LABELS, ChunkDirectory, ChunkKind
 from .dram import DramConfig, energy_breakdown, run_trace
 from .quant import GuardConfig
 from .workload import (
@@ -39,7 +39,8 @@ KIND_ORDER = (ChunkKind.ATTENTION_HEAD, ChunkKind.MLP_NEURON, ChunkKind.PREDICTO
 
 
 def predictor_fraction(directory: ChunkDirectory) -> float:
-    pinned = sum(c.length for c in directory if c.kind is ChunkKind.PREDICTOR)
+    columns = directory.columns
+    pinned = int(columns.length[columns.kind == KIND_LABELS.index(ChunkKind.PREDICTOR)].sum())
     return pinned / directory.num_weights
 
 
@@ -79,18 +80,22 @@ def run_mode(
     byte_split = bytes_by_kind(trace)
     deltas = chunk_latency_deltas(trace, result, dram_config.clock_ns)
 
+    columns = directory.columns
+    loaded = assignment.loaded
+    # A fully deduplicated chunk advanced the clock by nothing; it still
+    # counts, it is simply a zero-cost load.
+    latency = np.zeros(len(directory))
+    latency[loaded] = [deltas.get(i, 0.0) for i in columns.chunk_id[loaded].tolist()]
     kinds = {}
     for kind in KIND_ORDER:
-        chunks = [
-            (c, f) for c, f in zip(directory, assignment.formats) if c.kind is kind
-        ]
-        if not chunks:
+        of_kind = columns.kind == KIND_LABELS.index(kind)
+        total_chunks = int(of_kind.sum())
+        if not total_chunks:
             continue
-        weights = sum(c.length for c, _ in chunks)
-        live = [c for c, f in chunks if not f.is_skip]
-        # A fully deduplicated chunk advanced the clock by nothing; it
-        # still counts, it is simply a zero-cost load.
-        latencies = [deltas.get(c.chunk_id, 0.0) for c in live]
+        weights = int(columns.length[of_kind].sum())
+        # Summed in directory order, one chunk at a time, as the report
+        # has always summed them.
+        latencies = latency[of_kind & loaded].tolist()
         kinds[kind.value] = {
             "bytes": byte_split.get(kind, 0),
             "energy_pj": energy_by_kind.get(kind, 0.0),
@@ -98,8 +103,8 @@ def run_mode(
             "mean_chunk_latency_ns": (
                 sum(latencies) / len(latencies) if latencies else 0.0
             ),
-            "loaded_chunks": len(live),
-            "total_chunks": len(chunks),
+            "loaded_chunks": len(latencies),
+            "total_chunks": total_chunks,
             "weights": weights,
         }
 
@@ -183,10 +188,12 @@ def compare_target(
         "solver_target_bits": inclusive,
         "achieved_avg_bits": avg_bits(assignment, directory),
         "thresholds": list(thresholds.values),
-        "formats": {
-            fmt.name: sum(1 for f in assignment.formats if f is fmt)
-            for fmt in ladder
-        },
+        "formats": dict(
+            zip(
+                (fmt.name for fmt in ladder),
+                np.bincount(assignment.codes, minlength=len(ladder)).tolist(),
+            )
+        ),
     }
     out.update(compare_assignment(directory, assignment, guard, dram_config))
     return out

@@ -12,14 +12,13 @@ column holds directory ids.  Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .address import (
     BLOCK,
-    LogicalRead,
     Trace,
     TraditionalLayout,
     build_regions,
@@ -28,6 +27,7 @@ from .address import (
     translate_traditional,
 )
 from .bitplane import (
+    KIND_LABELS,
     Chunk,
     ChunkDirectory,
     ChunkKind,
@@ -38,10 +38,9 @@ from .quant import FpFormat, GuardConfig
 
 TRACE_MODES = ("bitplane", "traditional")
 
-# Tag labels of every trace gen_trace builds: a row's tag is its chunk
-# kind's position here.
-KIND_LABELS = tuple(ChunkKind)
-_KIND_CODE = {kind: code for code, kind in enumerate(KIND_LABELS)}
+# KIND_LABELS are the tag labels of every trace gen_trace builds: a row's
+# tag is its chunk's kind code.
+_PREDICTOR = KIND_LABELS.index(ChunkKind.PREDICTOR)
 
 # Upper end of the solver's search knob.  At 64 the default band profile
 # pushes every band fraction past 1, so the all-FP16 ceiling is reachable.
@@ -194,6 +193,12 @@ class ThresholdSet:
     def __post_init__(self) -> None:
         if len(self.ladder) < 2:
             raise ValueError("ladder needs a top format and a skip level")
+        if not self.ladder[-1].is_skip:
+            # Scores below the last cut get the last rung, which the
+            # solver counts as 0 bits.
+            raise ValueError(
+                f"ladder must end in a skip level (0 bits), not {self.ladder[-1].name}"
+            )
         if len(self.values) != len(self.ladder) - 1:
             raise ValueError(
                 f"{len(self.ladder)}-format ladder needs {len(self.ladder) - 1} "
@@ -218,45 +223,63 @@ class ThresholdSet:
 
 @dataclass(frozen=True)
 class FormatAssignment:
-    """Per-chunk formats in directory order; predictors ride the top rung."""
+    """Per-chunk formats in directory order; predictors ride the top rung.
+
+    codes holds each chunk's ladder position (the first, should the
+    ladder repeat a format).
+    """
 
     formats: tuple
     ladder: tuple
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        allowed = set(self.ladder)
-        for fmt in self.formats:
-            if fmt not in allowed:
-                raise ValueError(f"format {fmt.name} is not on the ladder")
+        position = {}
+        for code, fmt in enumerate(self.ladder):
+            position.setdefault(fmt, code)
+        try:
+            codes = [position[fmt] for fmt in self.formats]
+        except KeyError as exc:
+            raise ValueError(f"format {exc.args[0].name} is not on the ladder") from None
+        codes = np.array(codes, np.int64)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def loaded(self) -> np.ndarray:
+        """Which chunks load anything: those not at the skip format."""
+        return ~np.array([fmt.is_skip for fmt in self.ladder], bool)[self.codes]
 
 
 def assign_formats(
     directory: ChunkDirectory, scores: Sequence[float], thresholds: ThresholdSet
 ) -> FormatAssignment:
-    """Bucket every chunk by its score; predictors are pinned full width."""
+    """Bucket every chunk by its score; predictors are pinned full width.
+
+    Exactly ThresholdSet.format_for per chunk: a score gets the rung of
+    the first cut it reaches, so its code counts the cuts above it.  On
+    the negated cuts, which ascend, that count is a left-sided search;
+    a NaN score reaches no cut and gets the last rung.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    wanted = sum(1 for c in directory if c.kind is not ChunkKind.PREDICTOR)
+    scored = directory.columns.kind != _PREDICTOR
+    wanted = int(scored.sum())
     if scores.size != wanted:
         raise ValueError(f"got {scores.size} scores for {wanted} scored chunks")
-    formats = []
-    i = 0
-    for chunk in directory:
-        if chunk.kind is ChunkKind.PREDICTOR:
-            formats.append(thresholds.ladder[0])
-        else:
-            formats.append(thresholds.format_for(float(scores[i])))
-            i += 1
-    return FormatAssignment(tuple(formats), tuple(thresholds.ladder))
+    codes = np.zeros(len(directory), np.int64)
+    cuts = -np.asarray(thresholds.values, np.float64)
+    codes[scored] = np.searchsorted(cuts, -scores, side="left")
+    ladder = tuple(thresholds.ladder)
+    formats = np.array(ladder, object)[codes]
+    return FormatAssignment(tuple(formats.tolist()), ladder)
 
 
 def avg_bits(assignment: FormatAssignment, directory: ChunkDirectory) -> float:
     """Weight-weighted stored bits per weight, skipped chunks counting 0."""
     if len(assignment.formats) != len(directory):
         raise ValueError("assignment does not match the directory")
-    total = sum(
-        chunk.length * fmt.total_bits
-        for chunk, fmt in zip(directory, assignment.formats)
-    )
+    widths = np.array([fmt.total_bits for fmt in assignment.ladder], np.int64)
+    total = int(np.dot(directory.columns.length, widths[assignment.codes]))
     return total / directory.num_weights
 
 
@@ -318,13 +341,12 @@ def solve_thresholds(
     if len(profile.gains) != len(ladder) - 1:
         raise ValueError("band profile does not match the ladder")
     scores = np.asarray(scores, dtype=np.float64)
-    lens = np.asarray(
-        [c.length for c in directory if c.kind is not ChunkKind.PREDICTOR],
-        dtype=np.float64,
-    )
+    columns = directory.columns
+    predictor = columns.kind == _PREDICTOR
+    lens = columns.length[~predictor].astype(np.float64)
     if scores.shape != lens.shape:
         raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
-    pinned = sum(c.length for c in directory if c.kind is ChunkKind.PREDICTOR)
+    pinned = int(columns.length[predictor].sum())
     pinned_bits = pinned * ladder[0].total_bits
     total_weights = directory.num_weights
     widths = np.asarray([f.total_bits for f in ladder[:-1]], dtype=np.float64)
@@ -406,62 +428,53 @@ def gen_trace(
     fetched twice.  traditional mode streams each chunk's full-width
     words from its packed extent, one request per block.  Both layouts
     are the canonical placement for the directory.
+
+    The work runs on the directory's columns: one resolve call for all
+    loaded chunks, then one translate (or translate_traditional) call.
     """
     if mode not in TRACE_MODES:
         raise ValueError(f"mode must be one of {TRACE_MODES}, got {mode!r}")
     if len(assignment.formats) != len(directory):
         raise ValueError("assignment does not match the directory")
     table = build_regions(directory.num_weights, assignment.ladder)
-    bases = {region.fmt: region.base_bit for region in table.regions}
     if mode == "bitplane":
         layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
     else:
         layout = TraditionalLayout.from_directory(directory)
 
-    # Per loaded chunk: its id, kind code and spans (extents in
-    # traditional mode, where each chunk has exactly one).
-    chunk_ids, kind_codes, planes, lo, size = [], [], [], [], []
-    for chunk, fmt in zip(directory, assignment.formats):
-        if fmt.is_skip:
-            continue
-        if fmt not in bases:
-            raise ValueError(f"format {fmt.name} has no region in the table")
-        read = LogicalRead(
-            bases[fmt] + chunk.start * fmt.total_bits, chunk.length * fmt.total_bits
-        )
-        resolved = resolve(table, read)
-        if mode == "traditional":
-            extent_lo, extent_size = translate_traditional(resolved, layout)
-            lo.append(extent_lo)
-            size.append(extent_size)
-        else:
-            span_planes, span_lo, span_size = translate(resolved, guard, layout)
-            planes.append(span_planes)
-            lo.append(span_lo)
-            size.append(span_size)
-        chunk_ids.append(chunk.chunk_id)
-        kind_codes.append(_KIND_CODE[chunk.kind])
+    # Each loaded chunk becomes one read of its format's region (the
+    # skip format has none, and no chunk at it is read).
+    bases = {region.fmt: region.base_bit for region in table.regions}
+    ladder = assignment.ladder
+    rung_base = np.array([bases.get(fmt, 0) for fmt in ladder], np.int64)
+    rung_bits = np.array([fmt.total_bits for fmt in ladder], np.int64)
+    columns = directory.columns
+    loaded = assignment.loaded
+    code = assignment.codes[loaded]
+    start, length = columns.start[loaded], columns.length[loaded]
+    resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
 
-    # Map each request row to its position in the loaded-chunk lists.
+    # Map each request row to its loaded chunk.
     if mode == "traditional":
         # One extent per chunk, issued one block at a time.
-        extent_lo, blocks = np.array(lo, np.int64), np.array(size, np.int64) // BLOCK
+        extent_lo, extent_size = translate_traditional(resolved, layout)
+        blocks = extent_size // BLOCK
         row_chunk = np.repeat(np.arange(blocks.size), blocks)
-        block = np.arange(row_chunk.size) - np.repeat(np.cumsum(blocks) - blocks, blocks)
-        addr = extent_lo[row_chunk] + block * BLOCK
+        # Row r of a chunk whose rows start at row f reads its extent's
+        # block r - f.
+        first_row = np.cumsum(blocks) - blocks
+        addr = (extent_lo - first_row * BLOCK)[row_chunk] + np.arange(row_chunk.size) * BLOCK
         size = np.full(addr.size, BLOCK, np.int64)
     else:
-        empty = np.zeros(0, np.int64)
-        keep, addr, size = _trim_seams(
-            *(np.concatenate([empty, *spans]) for spans in (planes, lo, size))
-        )
-        row_chunk = np.repeat(np.arange(len(planes)), [p.size for p in planes])[keep]
+        read, planes, lo, size = translate(resolved, guard, layout)
+        keep, addr, size = _trim_seams(planes, lo, size)
+        row_chunk = read[keep]
     return Trace(
         addr,
         size,
-        np.array(kind_codes, np.int32)[row_chunk],
+        columns.kind[loaded].astype(np.int32)[row_chunk],
         KIND_LABELS,
-        np.array(chunk_ids, np.int32)[row_chunk],
+        columns.chunk_id[loaded].astype(np.int32)[row_chunk],
     )
 
 

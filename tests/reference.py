@@ -22,6 +22,13 @@ reference_trace is the trace generator the package started from: one
 request object per plane span, or per 64-byte block in traditional
 mode, trimmed against a per-plane high-water dictionary.  The columnar
 `gen_trace` must produce the same rows.
+
+`scalar_resolve`, `scalar_translate` and `scalar_translate_traditional`
+are the package's address functions as they were when `gen_trace`
+called them once per chunk, taking one `LogicalRead` or one resolved
+`(format, start, count)`.  reference_trace resolves with them, and the
+package's array-valued versions must agree with them read by read,
+errors included.
 """
 
 from __future__ import annotations
@@ -35,14 +42,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from planestore.address import (
     BLOCK,
     FP16_BYTES,
-    LogicalRead,
+    RegionTable,
     TraditionalLayout,
     build_regions,
     plane_span,
-    resolve,
 )
 from planestore.bitplane import ChunkKind, PlaneLayout, plane_stride_for
 from planestore.config import default_config
@@ -456,6 +464,74 @@ def reference_simulate(
     )
 
 
+@dataclass(frozen=True)
+class LogicalRead:
+    addr_bit: int
+    len_bits: int
+
+    def __post_init__(self) -> None:
+        if self.addr_bit < 0 or self.len_bits < 0:
+            raise ValueError("negative logical read")
+
+
+def scalar_resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int, int]:
+    """Map a logical read to (format, start_weight, weight_count)."""
+    if read.addr_bit + read.len_bits > table.total_logical_bits:
+        raise ValueError("read beyond the logical space")
+    bases = [r.base_bit for r in table.regions]
+    idx = bisect_right(bases, read.addr_bit) - 1
+    region = table.regions[idx]
+    if read.addr_bit + read.len_bits > region.end_bit:
+        raise ValueError("cross-region read")
+    width = region.fmt.total_bits
+    offset = read.addr_bit - region.base_bit
+    if offset % width or read.len_bits % width:
+        raise ValueError("not weight-aligned")
+    return region.fmt, offset // width, read.len_bits // width
+
+
+def scalar_translate(
+    resolved: tuple[FpFormat, int, int], guard: GuardConfig, layout: PlaneLayout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One aligned span per needed plane covering the weight range.
+
+    Returns (plane, lo, size) int64 arrays in ascending address order
+    (planes sit at increasing bases, so that is also plane order).
+    """
+    fmt, start, count = resolved
+    if fmt.is_skip:
+        raise ValueError("cannot translate a skipped chunk")
+    if not 0 <= start <= start + count <= layout.num_weights:
+        raise ValueError(f"weight range [{start}, +{count}) outside the image")
+    planes = np.array(plane_set(fmt, guard), np.int64)
+    lo, size = plane_span(layout, planes, start, count)
+    return planes, lo, size
+
+
+def scalar_translate_traditional(
+    resolved: tuple[FpFormat, int, int], layout: TraditionalLayout
+) -> tuple[int, int]:
+    """Full-precision fetch of the weight range: its aligned (lo, size)
+    extent, size 0 for a skipped chunk.
+
+    The target format is irrelevant by construction, except that skipped
+    chunks transfer nothing at all.
+    """
+    fmt, start, count = resolved
+    if fmt.is_skip:
+        return 0, 0
+    if not 0 <= start <= start + count <= layout.num_weights:
+        raise ValueError(f"weight range [{start}, +{count}) outside the layout")
+    idx = bisect_right(layout.chunk_starts, start) - 1
+    chunk_base = layout.chunk_bases[idx]
+    chunk_start = layout.chunk_starts[idx]
+    first = chunk_base + (start - chunk_start) * FP16_BYTES
+    last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
+    lo = first // BLOCK * BLOCK
+    hi = (last // BLOCK + 1) * BLOCK
+    return lo, hi - lo
+
+
 class TraceRow(NamedTuple):
     byte_addr: int
     len_bytes: int
@@ -517,7 +593,7 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
         read = LogicalRead(
             bases[fmt] + chunk.start * fmt.total_bits, chunk.length * fmt.total_bits
         )
-        resolved = resolve(table, read)
+        resolved = scalar_resolve(table, read)
         if mode == "traditional":
             for addr, size in _reference_translate_traditional(resolved, layout):
                 rows.append(TraceRow(addr, size, chunk.kind, chunk.chunk_id))

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.address import (
-    LogicalRead,
     Trace,
     build_regions,
     resolve,
@@ -140,12 +139,17 @@ def test_04_bloated_space_sizes_and_resolve_round_trip():
         assert sum(r.size_bits for r in table.regions) == sum(
             num_weights * f.total_bits for f in ladder
         )
+        addr_bits, len_bits, expected = [], [], []
         for region in table.regions:
             width = region.fmt.total_bits
             start = int(rng.integers(0, num_weights))
             count = int(rng.integers(1, num_weights - start + 1))
-            read = LogicalRead(region.base_bit + start * width, count * width)
-            assert resolve(table, read) == (region.fmt, start, count)
+            addr_bits.append(region.base_bit + start * width)
+            len_bits.append(count * width)
+            expected.append((region.fmt, start, count))
+        resolved = resolve(table, addr_bits, len_bits)
+        got = zip(resolved.code.tolist(), resolved.start.tolist(), resolved.count.tolist())
+        assert [(resolved.formats[code], start, count) for code, start, count in got] == expected
 
 
 def test_05_transferred_bytes_track_format_width():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.address import (
-    LogicalRead,
+    Resolved,
     Trace,
     TraditionalLayout,
     build_regions,
@@ -20,13 +20,48 @@ from planestore.address import (
 )
 from planestore.bitplane import Chunk, ChunkDirectory, ChunkKind, PlaneLayout, plane_stride_for
 from planestore.quant import GuardConfig, plane_set
-from reference import FP0, FP4, FP6, FP8, FP12, FP16, LADDER, NO_GUARD
+from reference import (
+    FP0,
+    FP4,
+    FP6,
+    FP8,
+    FP12,
+    FP16,
+    LADDER,
+    NO_GUARD,
+    LogicalRead,
+    scalar_resolve,
+    scalar_translate,
+    scalar_translate_traditional,
+)
 
 LADDER5 = [FP16, FP12, FP8, FP6, FP4]
 
 
 def layout_for(num_weights: int) -> PlaneLayout:
     return PlaneLayout(num_weights, plane_stride_for(num_weights))
+
+
+def rows_of(resolved: Resolved) -> list:
+    """Resolved reads as (format, start, count) tuples."""
+    columns = (resolved.code.tolist(), resolved.start.tolist(), resolved.count.tolist())
+    return [(resolved.formats[code], start, count) for code, start, count in zip(*columns)]
+
+
+def resolve_one(table, addr_bit: int, len_bits: int) -> tuple:
+    [row] = rows_of(resolve(table, [addr_bit], [len_bits]))
+    return row
+
+
+def one(fmt, start: int, count: int) -> Resolved:
+    """A single resolved read."""
+    return Resolved((fmt,), [0], [start], [count])
+
+
+def extent(resolved_read: Resolved, layout: TraditionalLayout) -> tuple:
+    """The traditional (lo, size) extent of a single resolved read."""
+    lo, size = translate_traditional(resolved_read, layout)
+    return int(lo[0]), int(size[0])
 
 
 def test_build_regions_sizes():
@@ -65,21 +100,21 @@ def test_bloat_identity_random():
 
 def test_resolve_examples():
     t = build_regions(64, LADDER5)
-    assert resolve(t, LogicalRead(1024, 24)) == (FP12, 0, 2)
-    assert resolve(t, LogicalRead(0, 1024)) == (FP16, 0, 64)
-    assert resolve(t, LogicalRead(1792 + 8 * 10, 8 * 5)) == (FP8, 10, 5)
+    assert resolve_one(t, 1024, 24) == (FP12, 0, 2)
+    assert resolve_one(t, 0, 1024) == (FP16, 0, 64)
+    assert resolve_one(t, 1792 + 8 * 10, 8 * 5) == (FP8, 10, 5)
 
 
 def test_resolve_errors():
     t = build_regions(64, LADDER5)
     with pytest.raises(ValueError, match="cross-region read"):
-        resolve(t, LogicalRead(1020, 8))
+        resolve_one(t, 1020, 8)
     with pytest.raises(ValueError, match="not weight-aligned"):
-        resolve(t, LogicalRead(1025, 12))
+        resolve_one(t, 1025, 12)
     with pytest.raises(ValueError, match="not weight-aligned"):
-        resolve(t, LogicalRead(1024, 13))
+        resolve_one(t, 1024, 13)
     with pytest.raises(ValueError, match="beyond the logical space"):
-        resolve(t, LogicalRead(2688 + 64 * 4, 4))
+        resolve_one(t, 2688 + 64 * 4, 4)
 
 
 def test_resolve_roundtrip():
@@ -87,13 +122,16 @@ def test_resolve_roundtrip():
     for region in t.regions:
         width = region.fmt.total_bits
         for start, count in [(0, 1), (10, 5), (500, 12), (0, 512)]:
-            read = LogicalRead(region.base_bit + start * width, count * width)
-            assert resolve(t, read) == (region.fmt, start, count)
+            assert resolve_one(t, region.base_bit + start * width, count * width) == (
+                region.fmt,
+                start,
+                count,
+            )
 
 
 def test_translate_whole_planes():
     layout = PlaneLayout(32768, 4096)
-    planes, lo, size = translate((FP16, 0, 32768), GuardConfig(0, 0), layout)
+    _, planes, lo, size = translate(one(FP16, 0, 32768), GuardConfig(0, 0), layout)
     assert len(lo) == 16
     assert (size == 4096).all()
     assert lo.tolist() == [p * 4096 for p in range(16)]
@@ -101,14 +139,14 @@ def test_translate_whole_planes():
 
 def test_translate_single_burst_per_plane():
     layout = layout_for(512)
-    planes, lo, size = translate((FP8, 0, 512), GuardConfig(0, 0), layout)
+    _, planes, lo, size = translate(one(FP8, 0, 512), GuardConfig(0, 0), layout)
     assert len(lo) == 8
     assert (size == 64).all()
 
 
 def test_translate_neuron_chunk():
     layout = layout_for(7200)
-    planes, lo, size = translate((FP6, 0, 7200), GuardConfig(0, 0), layout)
+    _, planes, lo, size = translate(one(FP6, 0, 7200), GuardConfig(0, 0), layout)
     assert len(lo) == 6
     assert (size == 960).all()
     assert set(planes.tolist()) == set(plane_set(FP6, NO_GUARD))
@@ -116,7 +154,7 @@ def test_translate_neuron_chunk():
 
 def test_translate_rejects_fp0():
     with pytest.raises(ValueError, match="skipped"):
-        translate((FP0, 0, 8), GuardConfig(0, 0), layout_for(8))
+        translate(one(FP0, 0, 8), GuardConfig(0, 0), layout_for(8))
 
 
 def test_plane_span_brute_force():
@@ -145,19 +183,19 @@ def make_directory(lengths):
 def test_translate_traditional_block_requests():
     directory = make_directory([512, 512])
     layout = TraditionalLayout.from_directory(directory)
-    extent = translate_traditional((FP16, 0, 512), layout)
-    assert extent == (0, 16 * 64)  # gen_trace issues it as 16 block requests
+    full = extent(one(FP16, 0, 512), layout)
+    assert full == (0, 16 * 64)  # gen_trace issues it as 16 block requests
     # Format-independence: FP8 fetches the same bytes.
-    assert translate_traditional((FP8, 0, 512), layout) == extent
+    assert extent(one(FP8, 0, 512), layout) == full
     # Skipped chunks transfer nothing.
-    assert translate_traditional((FP0, 0, 512), layout) == (0, 0)
+    assert extent(one(FP0, 0, 512), layout) == (0, 0)
 
 
 def test_traditional_chunk_bases_aligned():
     directory = make_directory([100, 100, 100])
     layout = TraditionalLayout.from_directory(directory)
-    assert layout.chunk_bases == (0, 256, 512)  # 200B extents padded to 64B
-    assert translate_traditional((FP16, 100, 100), layout) == (256, 256)
+    assert layout.chunk_bases.tolist() == [0, 256, 512]  # 200B extents padded to 64B
+    assert extent(one(FP16, 100, 100), layout) == (256, 256)
 
 
 @settings(max_examples=30, deadline=None)
@@ -171,8 +209,8 @@ def test_proportionality_amortizes(fmt, count, start):
     layout = PlaneLayout(num, plane_stride_for(num))
     directory = ChunkDirectory(num, (Chunk(0, 0, num, ChunkKind.MLP_NEURON),))
     trad_layout = TraditionalLayout.from_directory(directory)
-    smart = translate((fmt, start, count), GuardConfig(0, 0), layout)[2].sum()
-    trad = translate_traditional((FP16, start, count), trad_layout)[1]
+    smart = translate(one(fmt, start, count), GuardConfig(0, 0), layout)[3].sum()
+    trad = extent(one(FP16, start, count), trad_layout)[1]
     planes = len(plane_set(fmt, NO_GUARD))
     # Per plane the aligned span exceeds the payload by under two blocks.
     tol = (planes * 2 * 64 + 64) / (2 * count)
@@ -181,10 +219,10 @@ def test_proportionality_amortizes(fmt, count, start):
 
 def test_determinism():
     layout = layout_for(9999)
-    a = translate((FP6, 123, 4567), GuardConfig(1, 1), layout)
-    b = translate((FP6, 123, 4567), GuardConfig(1, 1), layout)
+    a = translate(one(FP6, 123, 4567), GuardConfig(1, 1), layout)
+    b = translate(one(FP6, 123, 4567), GuardConfig(1, 1), layout)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    assert a[1].tolist() == sorted(a[1].tolist())
+    assert a[2].tolist() == sorted(a[2].tolist())
 
 
 def test_request_validation():
@@ -198,3 +236,144 @@ def test_region_report():
     rows = region_report(build_regions(64, LADDER5))
     assert rows[0] == {"format": "FP16", "base_bit": 0, "size_bits": 1024, "base_byte": 0, "size_bytes": 128}
     assert rows[1]["base_bit"] == 1024
+
+
+# --- the array-valued functions against their scalar oracles ---------------
+
+
+def outcome(fn, *args):
+    """fn(*args) as plain ints, or ("error", message) when it raises."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return tuple(np.asarray(x).tolist() if not hasattr(x, "name") else x for x in result)
+
+
+def assert_batch_matches(expected: list, batch):
+    """A batch call raises the first failing read's error, or returns
+    every read's result."""
+    errors = [want for want in expected if want[0] == "error"]
+    if errors:
+        with pytest.raises(ValueError) as info:
+            batch()
+        assert str(info.value) == errors[0][1]
+        return None
+    return batch()
+
+
+@st.composite
+def region_tables(draw):
+    num_weights = draw(st.integers(1, 5000))
+    picked = draw(st.sets(st.sampled_from(LADDER5), min_size=1))
+    return build_regions(num_weights, [f for f in LADDER if f in picked or f.is_skip])
+
+
+@st.composite
+def logical_reads(draw, table):
+    """Bit reads of every kind: whole weights inside one region, and reads
+    that cross a region's end, are misaligned, run beyond the space or
+    start below 0."""
+    region = draw(st.sampled_from(table.regions))
+    width = region.fmt.total_bits
+    start = draw(st.integers(0, table.num_weights))
+    count = draw(st.integers(0, table.num_weights - start))
+    addr, length = region.base_bit + start * width, count * width
+    kind = draw(st.sampled_from(["inside", "inside", "cross", "misaligned", "beyond", "negative"]))
+    if kind == "cross":
+        length = region.end_bit - addr + draw(st.integers(1, 64))
+    elif kind == "misaligned":
+        addr += draw(st.integers(0, width - 1))
+        length += draw(st.integers(0, width - 1))
+    elif kind == "beyond":
+        addr = table.total_logical_bits - draw(st.integers(0, 32))
+        length = draw(st.integers(33, 96))
+    elif kind == "negative":
+        addr, length = draw(st.sampled_from([(-width, width), (addr, -width)]))
+    return addr, length
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_resolve_matches_scalar_resolve(data):
+    table = data.draw(region_tables())
+    reads = data.draw(st.lists(logical_reads(table), min_size=1, max_size=8))
+
+    def scalar(addr, length):
+        return scalar_resolve(table, LogicalRead(addr, length))
+
+    expected = [outcome(scalar, addr, length) for addr, length in reads]
+    for (addr, length), want in zip(reads, expected):
+        assert outcome(resolve_one, table, addr, length) == want
+    resolved = assert_batch_matches(expected, lambda: resolve(table, *zip(*reads)))
+    if resolved is not None:
+        assert rows_of(resolved) == expected
+
+
+@st.composite
+def resolved_reads(draw, num_weights):
+    """(format, (start, count)) reads, some of them ending just past the
+    weights or starting or counting below 0."""
+    start = draw(st.integers(-2, num_weights + 2))
+    count = draw(
+        st.one_of(st.integers(-2, num_weights + 2), st.integers(-2, 2).map(lambda d: num_weights - start + d))
+    )
+    return draw(st.sampled_from(LADDER)), (start, count)
+
+
+def batch_of(reads) -> Resolved:
+    """The reads as one Resolved, each distinct format listed once."""
+    formats = tuple(dict.fromkeys(fmt for fmt, _ in reads))
+    return Resolved(
+        formats,
+        [formats.index(fmt) for fmt, _ in reads],
+        [start for _, (start, _) in reads],
+        [count for _, (_, count) in reads],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 1000).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(resolved_reads(n), min_size=1, max_size=8))
+    ),
+    st.builds(GuardConfig, st.integers(0, 2), st.integers(0, 2)),
+)
+def test_translate_matches_scalar_translate(case, guard):
+    num_weights, reads = case
+    layout = layout_for(num_weights)
+    expected = [
+        outcome(scalar_translate, (fmt, start, count), guard, layout)
+        for fmt, (start, count) in reads
+    ]
+    for (fmt, (start, count)), want in zip(reads, expected):
+        got = outcome(translate, one(fmt, start, count), guard, layout)
+        assert got == want if want[0] == "error" else got[1:] == want
+    spans = assert_batch_matches(expected, lambda: translate(batch_of(reads), guard, layout))
+    if spans is not None:
+        read, *columns = (c.tolist() for c in spans)
+        for i, want in enumerate(expected):
+            rows = [k for k, r in enumerate(read) if r == i]
+            assert tuple([column[k] for k in rows] for column in columns) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(1, 300), min_size=1, max_size=6).flatmap(
+        lambda lengths: st.tuples(
+            st.just(lengths), st.lists(resolved_reads(sum(lengths)), min_size=1, max_size=8)
+        )
+    )
+)
+def test_translate_traditional_matches_scalar(case):
+    lengths, reads = case
+    layout = TraditionalLayout.from_directory(make_directory(lengths))
+    expected = [
+        outcome(scalar_translate_traditional, (fmt, start, count), layout)
+        for fmt, (start, count) in reads
+    ]
+    for (fmt, (start, count)), want in zip(reads, expected):
+        assert outcome(extent, one(fmt, start, count), layout) == want
+    extents = assert_batch_matches(expected, lambda: translate_traditional(batch_of(reads), layout))
+    if extents is not None:
+        assert list(zip(*(c.tolist() for c in extents))) == expected

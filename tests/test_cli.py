@@ -205,6 +205,18 @@ def one_line_error(capsys) -> str:
          "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
          "unknown keys ['extra'] in ladder[0]"),
         ("solver: {gains: [], exponents: []}\n", "config key 'solver.gains' must not be empty"),
+        # Without a skip rung, chunks below the last cut would get FP8
+        # while the solver counted them as 0 bits.
+        ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+         "  - {name: FP8, exp_bits: 5, man_bits: 2}\n"
+         "solver: {gains: [0.1], exponents: [1.0]}\ntargets: [4.0]\n",
+         "ladder must end in a skip level (0 bits), not FP8"),
+        # Every parameter a family reads must be in the config it embeds.
+        ("importance:\n  default: {family: beta}\n", "importance.default needs 'a', 'b'"),
+        ("importance:\n  default: {family: beta, a: 2.0}\n", "importance.default needs 'b'"),
+        ("importance:\n  default: {family: two_point}\n", "importance.default needs 'mix'"),
+        ("importance:\n  default: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
+         "importance.default needs 'b_lo'"),
     ],
 )
 def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):

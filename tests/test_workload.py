@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planestore.bitplane import ChunkKind, plane_stride_for
 from planestore.quant import GuardConfig
@@ -177,6 +179,34 @@ def test_assignment_pins_predictors():
     directory = enumerate_chunks(flat_geometry(3, predictor=8))
     assignment = assign_formats(directory, [0.0, 0.0, 0.0], SIXTHS)
     assert assignment.formats == (FP0, FP0, FP0, FP16)
+
+
+cut_sets = st.lists(
+    st.floats(0.0, 1.0), min_size=5, max_size=5, unique=True
+).map(lambda cuts: ThresholdSet(tuple(sorted(cuts, reverse=True)), LADDER))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cut_sets, st.lists(st.floats(0.0, 1.0), max_size=10), st.integers(0, 3))
+def test_assignment_matches_format_for_at_every_cut(thresholds, extra, predictor):
+    # Scores exactly at each cut, one step above and one below it, plus
+    # the ends and NaN: a score equal to values[k] gets ladder[k].
+    scores = [0.0, 1.0, float("nan"), *extra]
+    for cut in thresholds.values:
+        scores += [cut, np.nextafter(cut, 2.0), np.nextafter(cut, -1.0)]
+    # Two layers put a predictor chunk between the scored ones.
+    half = -(-len(scores) // 2)
+    scores += [0.5] * (2 * half - len(scores))
+    directory = enumerate_chunks(
+        ModelGeometry(2, half, 64, 0, 1, predictor_weights_per_layer=predictor)
+    )
+    assignment = assign_formats(directory, scores, thresholds)
+    want = [thresholds.format_for(score) for score in scores]
+    if predictor:
+        want[half:half] = [FP16]
+        want.append(FP16)
+    assert assignment.formats == tuple(want)
+    assert assignment.codes.tolist() == [LADDER.index(fmt) for fmt in want]
 
 
 def test_assignment_score_count_checked():
