@@ -18,6 +18,7 @@ import yaml
 from .dram import DramConfig
 from .quant import GuardConfig, make_format
 from .workload import (
+    FAMILY_PARAMETERS,
     BandProfile,
     ImportanceModel,
     ModelGeometry,
@@ -96,15 +97,6 @@ DEFAULTS: dict = {
 }
 
 _DIST_KEYS = ("family", "a", "b", "mix", "a_lo", "b_lo")
-# The parameters each family reads: all of them must be given, so that
-# ScoreDistribution's field defaults never decide a result the embedded
-# config does not record.
-_FAMILY_KEYS = {
-    "uniform": (),
-    "beta": ("a", "b"),
-    "two_point": ("mix",),
-    "beta_mixture": ("a", "b", "mix", "a_lo", "b_lo"),
-}
 _LADDER_KEYS = ("name", "exp_bits", "man_bits", "bias")  # every one but bias required
 
 
@@ -163,7 +155,10 @@ def _check_keys(data: dict, known: tuple, required: tuple, where: str) -> None:
 
 def _build_distribution(data: dict, where: str) -> ScoreDistribution:
     _check_keys(data, _DIST_KEYS, ("family",), where)
-    _check_keys(data, _DIST_KEYS, _FAMILY_KEYS.get(data["family"], ()), where)
+    # Every parameter the family reads must be given, so that the
+    # ScoreDistribution field defaults never decide a result the embedded
+    # config does not record.
+    _check_keys(data, _DIST_KEYS, FAMILY_PARAMETERS.get(data["family"], ()), where)
     return ScoreDistribution(**data)
 
 

@@ -101,6 +101,15 @@ def enumerate_chunks(geometry: ModelGeometry) -> ChunkDirectory:
     return ChunkDirectory(start, tuple(chunks))
 
 
+# The parameters each score distribution family reads.
+FAMILY_PARAMETERS = {
+    "uniform": (),
+    "beta": ("a", "b"),
+    "two_point": ("mix",),
+    "beta_mixture": ("a", "b", "mix", "a_lo", "b_lo"),
+}
+
+
 @dataclass(frozen=True)
 class ScoreDistribution:
     """One family of importance-score distributions on [0, 1].
@@ -118,7 +127,7 @@ class ScoreDistribution:
     b_lo: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("uniform", "beta", "two_point", "beta_mixture"):
+        if self.family not in FAMILY_PARAMETERS:
             raise ValueError(f"unknown score distribution {self.family!r}")
         if min(self.a, self.b, self.a_lo, self.b_lo) <= 0:
             raise ValueError("beta shape parameters must be positive")

@@ -19,7 +19,7 @@ from planestore.address import (
     translate_traditional,
 )
 from planestore.bitplane import Chunk, ChunkDirectory, ChunkKind, PlaneLayout, plane_stride_for
-from planestore.quant import GuardConfig, plane_set
+from planestore.quant import FpFormat, GuardConfig, plane_set
 from reference import (
     FP0,
     FP4,
@@ -247,7 +247,7 @@ def outcome(fn, *args):
         result = fn(*args)
     except ValueError as exc:
         return "error", str(exc)
-    return tuple(np.asarray(x).tolist() if not hasattr(x, "name") else x for x in result)
+    return tuple(x if isinstance(x, FpFormat) else np.asarray(x).tolist() for x in result)
 
 
 def assert_batch_matches(expected: list, batch):
