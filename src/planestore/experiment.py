@@ -93,8 +93,8 @@ def run_mode(
         if not total_chunks:
             continue
         weights = int(columns.length[of_kind].sum())
-        # Summed in directory order, one chunk at a time, as the report
-        # has always summed them.
+        # A sequential sum in directory order: a pairwise sum would move
+        # the report's last bits.
         latencies = latency[of_kind & loaded].tolist()
         kinds[kind.value] = {
             "bytes": byte_split.get(kind, 0),

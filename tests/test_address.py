@@ -315,9 +315,8 @@ def resolved_reads(draw, num_weights):
     """(format, (start, count)) reads, some of them ending just past the
     weights or starting or counting below 0."""
     start = draw(st.integers(-2, num_weights + 2))
-    count = draw(
-        st.one_of(st.integers(-2, num_weights + 2), st.integers(-2, 2).map(lambda d: num_weights - start + d))
-    )
+    near_end = st.integers(-2, 2).map(lambda d: num_weights - start + d)
+    count = draw(st.one_of(st.integers(-2, num_weights + 2), near_end))
     return draw(st.sampled_from(LADDER)), (start, count)
 
 
