@@ -12,8 +12,9 @@ precision, one 64-byte-aligned extent per chunk in directory order.
 The address functions work on columns, one row per read: `resolve`
 maps a whole array of logical reads, `translate` fans every resolved
 read out into its plane spans, and `translate_traditional` finds every
-read's extent.  `workload.gen_trace` feeds them the directory's columns,
-so a trace costs one call of each, not one per chunk.
+read's extent.  `workload.gen_trace` feeds them the chunk directory's
+`start` and `length` columns, so a trace costs one call of each, not
+one per chunk.
 
 A request stream is a `Trace`: numpy columns with one row per
 block-granular read, in issue order.
@@ -269,9 +270,8 @@ class TraditionalLayout:
 
     @classmethod
     def from_directory(cls, directory: ChunkDirectory) -> "TraditionalLayout":
-        columns = directory.columns
-        extents = -(-columns.length * FP16_BYTES // BLOCK) * BLOCK
-        return cls(columns.start, np.cumsum(extents) - extents, directory.num_weights)
+        extents = -(-directory.length * FP16_BYTES // BLOCK) * BLOCK
+        return cls(directory.start, np.cumsum(extents) - extents, directory.num_weights)
 
 
 def translate_traditional(

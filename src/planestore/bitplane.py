@@ -5,16 +5,19 @@ quant module's numbering (sign, exponent MSB first, mantissa MSB first).
 Plane p of weight w is bit (15 - p) of its stored word. Within a plane,
 weight w lands at byte w >> 3, bit 7 - (w & 7) (MSB-first within bytes);
 the store-image file format below relies on exactly this layout.
+
+The chunk directory cuts the weight index space into the pieces that
+get a format each (attention heads, MLP neurons, predictor blocks).  It
+is two columns, one row per chunk: a length and a kind code.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,61 +41,38 @@ class ChunkKind(Enum):
 KIND_LABELS = tuple(ChunkKind)
 
 
-@dataclass(frozen=True)
-class Chunk:
-    chunk_id: int
-    start: int
-    length: int
-    kind: ChunkKind
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.length <= 0:
-            raise ValueError(f"chunk {self.chunk_id}: bad range [{self.start}, +{self.length})")
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.length
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChunkDirectory:
-    """Ordered, disjoint chunks tiling the weight index space exactly."""
+    """The chunks tiling the weight index space, in order, as read-only
+    int64 columns.
 
-    num_weights: int
-    chunks: tuple[Chunk, ...]
+    Chunk i holds length[i] weights of kind KIND_LABELS[kind[i]] and
+    starts where chunk i - 1 ends, at start[i]; its id is i.
+    """
 
-    def __post_init__(self) -> None:
-        expect = 0
-        for c in self.chunks:
-            if c.start != expect:
-                raise ValueError(f"chunk {c.chunk_id} starts at {c.start}, expected {expect}")
-            expect = c.stop
-        if expect != self.num_weights:
-            raise ValueError(f"chunks cover [0, {expect}), image has {self.num_weights} weights")
-
-    def __iter__(self):
-        return iter(self.chunks)
-
-    def __len__(self) -> int:
-        return len(self.chunks)
-
-    @cached_property
-    def columns(self) -> "ChunkColumns":
-        """The chunks as read-only int64 columns, built on first use."""
-        code = {kind: code for code, kind in enumerate(KIND_LABELS)}
-        rows = [(c.chunk_id, c.start, c.length, code[c.kind]) for c in self.chunks]
-        table = np.array(rows, np.int64).reshape(-1, 4).T.copy()
-        table.setflags(write=False)
-        return ChunkColumns(*table)
-
-
-class ChunkColumns(NamedTuple):
-    """One row per chunk, in directory order; kind holds KIND_LABELS codes."""
-
-    chunk_id: np.ndarray
-    start: np.ndarray
     length: np.ndarray
     kind: np.ndarray
+    start: np.ndarray = field(init=False, repr=False)
+    num_weights: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        length = np.array(self.length, np.int64).reshape(-1)
+        kind = np.array(self.kind, np.int64).reshape(-1)
+        if length.size != kind.size:
+            raise ValueError(f"{length.size} chunk lengths for {kind.size} kinds")
+        if length.size and length.min() <= 0:
+            chunk = int(np.argmax(length <= 0))
+            raise ValueError(f"chunk {chunk}: length {length[chunk]} is not positive")
+        if kind.size and not 0 <= kind.min() <= kind.max() < len(KIND_LABELS):
+            raise ValueError(f"chunk kind codes must lie in [0, {len(KIND_LABELS)})")
+        start = np.cumsum(length) - length
+        for name, column in (("length", length), ("kind", kind), ("start", start)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "num_weights", int(length.sum()))
+
+    def __len__(self) -> int:
+        return self.length.size
 
 
 @dataclass(frozen=True)

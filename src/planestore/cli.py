@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .address import Trace, build_regions, first_invalid, region_report
-from .bitplane import ChunkKind, load_image, pack, save_image, unpack_full
+from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
 from .experiment import predictor_fraction, run_sweep, solver_target
@@ -140,7 +140,11 @@ def render_summary(report: dict) -> str:
 
 
 def check_report(report: dict) -> None:
-    """Reduction fields must be recomputable from the raw fields."""
+    """Reduction fields must be recomputable from the raw fields.
+
+    A missing field raises KeyError and a value of the wrong type
+    TypeError; `cmd_report` turns both into a corrupted-report error.
+    """
     if report.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(
             f"report schema version {report.get('schema_version')!r}, "
@@ -154,7 +158,9 @@ def check_report(report: dict) -> None:
         if abs(stored - want) > 1e-6:
             raise ValueError(f"{name}: stored {stored} != recomputed {want}")
 
-    for entry in report["targets"]:
+    for index, entry in enumerate(report["targets"]):
+        if not isinstance(entry, dict):
+            raise TypeError(f"targets[{index}] is not an object")
         tag = f"target {entry['target_bits']}"
         smart, plain = entry["modes"]["bitplane"], entry["modes"]["traditional"]
         red = entry["reductions"]
@@ -276,10 +282,12 @@ def cmd_trace(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("chunk_id", "kind", "score", "format"))
-    scored = iter(scores)
-    for chunk, fmt in zip(directory, assignment.formats):
-        score = "" if chunk.kind is ChunkKind.PREDICTOR else f"{next(scored):.10g}"
-        writer.writerow((chunk.chunk_id, chunk.kind.value, score, fmt.name))
+    scored = iter(scores.tolist())
+    codes = zip(directory.kind.tolist(), assignment.codes.tolist())
+    for chunk_id, (kind_code, code) in enumerate(codes):
+        kind = KIND_LABELS[kind_code]
+        score = "" if kind is ChunkKind.PREDICTOR else f"{next(scored):.10g}"
+        writer.writerow((chunk_id, kind.value, score, assignment.ladder[code].name))
     write_file(path, buf.getvalue())
     print(f"assignment: {path}")
 
@@ -410,10 +418,18 @@ def cmd_compare(args) -> int:
 
 def cmd_report(args) -> int:
     report = _load_report(args.report)
-    check_report(report)
-    print(render_summary(report))
+    try:
+        check_report(report)
+        summary, table = render_summary(report), render_csv(report)
+    except KeyError as exc:
+        raise ValueError(
+            f"corrupted report {args.report}: missing field {exc.args[0]!r}"
+        ) from None
+    except TypeError as exc:
+        raise ValueError(f"corrupted report {args.report}: {exc}") from None
+    print(summary)
     if args.csv is not None:
-        write_file(args.csv, render_csv(report))
+        write_file(args.csv, table)
         print(f"csv: {args.csv}")
     return 0
 

@@ -35,13 +35,10 @@ from .workload import (
     BandProfile,
 )
 
-KIND_ORDER = (ChunkKind.ATTENTION_HEAD, ChunkKind.MLP_NEURON, ChunkKind.PREDICTOR)
-
 
 def predictor_fraction(directory: ChunkDirectory) -> float:
-    columns = directory.columns
-    pinned = int(columns.length[columns.kind == KIND_LABELS.index(ChunkKind.PREDICTOR)].sum())
-    return pinned / directory.num_weights
+    predictor = directory.kind == KIND_LABELS.index(ChunkKind.PREDICTOR)
+    return int(directory.length[predictor].sum()) / directory.num_weights
 
 
 def solver_target(non_predictor_bits: float, predictor_frac: float) -> float:
@@ -80,19 +77,18 @@ def run_mode(
     byte_split = bytes_by_kind(trace)
     deltas = chunk_latency_deltas(trace, result, dram_config.clock_ns)
 
-    columns = directory.columns
     loaded = assignment.loaded
     # A fully deduplicated chunk advanced the clock by nothing; it still
     # counts, it is simply a zero-cost load.
     latency = np.zeros(len(directory))
-    latency[loaded] = [deltas.get(i, 0.0) for i in columns.chunk_id[loaded].tolist()]
+    latency[loaded] = [deltas.get(i, 0.0) for i in np.flatnonzero(loaded).tolist()]
     kinds = {}
-    for kind in KIND_ORDER:
-        of_kind = columns.kind == KIND_LABELS.index(kind)
+    for code, kind in enumerate(KIND_LABELS):
+        of_kind = directory.kind == code
         total_chunks = int(of_kind.sum())
         if not total_chunks:
             continue
-        weights = int(columns.length[of_kind].sum())
+        weights = int(directory.length[of_kind].sum())
         # A sequential sum in directory order: a pairwise sum would move
         # the report's last bits.
         latencies = latency[of_kind & loaded].tolist()

@@ -65,11 +65,6 @@ class FpFormat:
     def is_skip(self) -> bool:
         return self.sign_bits == 0
 
-    @property
-    def keeps_fp16_scale(self) -> bool:
-        """True when conversion is pure plane slicing (no re-bias needed)."""
-        return self.exp_bits == FP16_EXP_BITS and self.bias == FP16_BIAS
-
 
 def make_format(name: str, exp_bits: int, man_bits: int, bias: int | None = None) -> FpFormat:
     if exp_bits == 0 and man_bits == 0:

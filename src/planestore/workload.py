@@ -8,11 +8,15 @@ a threshold set maps scores to ladder formats; and the trace generator
 turns an assignment into the physical request stream each storage layout
 would issue, as a `Trace` whose tags index `KIND_LABELS` and whose chunk
 column holds directory ids.  Everything is deterministic given the seed.
+
+The directory and the assignment are columns with one row per chunk (a
+length and a kind code; a ladder position), and a chunk's id is its
+row.  Apart from the score draws, nothing here loops over chunks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +32,6 @@ from .address import (
 )
 from .bitplane import (
     KIND_LABELS,
-    Chunk,
     ChunkDirectory,
     ChunkKind,
     PlaneLayout,
@@ -67,6 +70,11 @@ class ModelGeometry:
         for name in ("weights_per_head", "weights_per_neuron"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if not self.weights_per_layer:
+            raise ValueError(
+                "geometry holds no weights: heads_per_layer, neurons_per_layer "
+                "and predictor_weights_per_layer are all 0"
+            )
 
     @property
     def weights_per_layer(self) -> int:
@@ -82,23 +90,17 @@ class ModelGeometry:
 
 
 def enumerate_chunks(geometry: ModelGeometry) -> ChunkDirectory:
-    """Tile the weight space: per layer heads, then neurons, then predictor."""
-    chunks = []
-    start = 0
+    """Tile the weight space: per layer heads, then neurons, then predictor.
 
-    def add(length: int, kind: ChunkKind) -> None:
-        nonlocal start
-        chunks.append(Chunk(len(chunks), start, length, kind))
-        start += length
-
-    for _ in range(geometry.layers):
-        for _ in range(geometry.heads_per_layer):
-            add(geometry.weights_per_head, ChunkKind.ATTENTION_HEAD)
-        for _ in range(geometry.neurons_per_layer):
-            add(geometry.weights_per_neuron, ChunkKind.MLP_NEURON)
-        if geometry.predictor_weights_per_layer:
-            add(geometry.predictor_weights_per_layer, ChunkKind.PREDICTOR)
-    return ChunkDirectory(start, tuple(chunks))
+    A layer holds its kinds in KIND_LABELS order, and every layer is the
+    same, so the directory repeats one layer's columns.
+    """
+    g = geometry
+    counts = [g.heads_per_layer, g.neurons_per_layer, 1 if g.predictor_weights_per_layer else 0]
+    lengths = [g.weights_per_head, g.weights_per_neuron, g.predictor_weights_per_layer]
+    length = np.repeat(lengths, counts)
+    kind = np.repeat(np.arange(len(KIND_LABELS)), counts)
+    return ChunkDirectory(np.tile(length, g.layers), np.tile(kind, g.layers))
 
 
 # The parameters each score distribution family reads.
@@ -177,11 +179,10 @@ def gen_scores(directory: ChunkDirectory, model: ImportanceModel) -> np.ndarray:
     """
     rng = np.random.default_rng(model.seed)
     out = []
-    for chunk in directory:
-        if chunk.kind is ChunkKind.PREDICTOR:
+    for code in directory.kind.tolist():
+        if code == _PREDICTOR:
             continue
-        score = model.dist_for(chunk.kind).draw(rng)
-        out.append(score)
+        out.append(model.dist_for(KIND_LABELS[code]).draw(rng))
     scores = np.asarray(out, dtype=np.float64)
     if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
         raise AssertionError("score distribution left [0, 1]")
@@ -223,36 +224,24 @@ class ThresholdSet:
         if sorted(widths, reverse=True) != widths or len(set(widths)) != len(widths):
             raise ValueError("ladder must be strictly decreasing in width")
 
-    def format_for(self, score: float) -> FpFormat:
-        for t, fmt in zip(self.values, self.ladder):
-            if score >= t:
-                return fmt
-        return self.ladder[-1]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormatAssignment:
-    """Per-chunk formats in directory order; predictors ride the top rung.
+    """Per-chunk formats in directory order: chunk i gets
+    ladder[codes[i]], held as a read-only int64 column.  Predictors ride
+    the top rung."""
 
-    codes holds each chunk's ladder position (the first, should the
-    ladder repeat a format).
-    """
-
-    formats: tuple
+    codes: np.ndarray
     ladder: tuple
-    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        position = {}
-        for code, fmt in enumerate(self.ladder):
-            position.setdefault(fmt, code)
-        try:
-            codes = [position[fmt] for fmt in self.formats]
-        except KeyError as exc:
-            raise ValueError(f"format {exc.args[0].name} is not on the ladder") from None
-        codes = np.array(codes, np.int64)
+        codes = np.array(self.codes, np.int64).reshape(-1)
+        ladder = tuple(self.ladder)
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(ladder):
+            raise ValueError(f"format codes must lie in [0, {len(ladder)})")
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "ladder", ladder)
 
     @property
     def loaded(self) -> np.ndarray:
@@ -265,30 +254,28 @@ def assign_formats(
 ) -> FormatAssignment:
     """Bucket every chunk by its score; predictors are pinned full width.
 
-    Exactly ThresholdSet.format_for per chunk: a score gets the rung of
-    the first cut it reaches, so its code counts the cuts above it.  On
-    the negated cuts, which ascend, that count is a left-sided search;
-    a NaN score reaches no cut and gets the last rung.
+    A score gets the rung of the first cut it reaches (values[k] itself
+    gets ladder[k]), so its code counts the cuts above it.  On the
+    negated cuts, which ascend, that count is a left-sided search; a NaN
+    score reaches no cut and gets the last rung.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    scored = directory.columns.kind != _PREDICTOR
+    scored = directory.kind != _PREDICTOR
     wanted = int(scored.sum())
     if scores.size != wanted:
         raise ValueError(f"got {scores.size} scores for {wanted} scored chunks")
     codes = np.zeros(len(directory), np.int64)
     cuts = -np.asarray(thresholds.values, np.float64)
     codes[scored] = np.searchsorted(cuts, -scores, side="left")
-    ladder = tuple(thresholds.ladder)
-    formats = np.array(ladder, object)[codes]
-    return FormatAssignment(tuple(formats.tolist()), ladder)
+    return FormatAssignment(codes, thresholds.ladder)
 
 
 def avg_bits(assignment: FormatAssignment, directory: ChunkDirectory) -> float:
     """Weight-weighted stored bits per weight, skipped chunks counting 0."""
-    if len(assignment.formats) != len(directory):
+    if assignment.codes.size != len(directory):
         raise ValueError("assignment does not match the directory")
     widths = np.array([fmt.total_bits for fmt in assignment.ladder], np.int64)
-    total = int(np.dot(directory.columns.length, widths[assignment.codes]))
+    total = int(np.dot(directory.length, widths[assignment.codes]))
     return total / directory.num_weights
 
 
@@ -350,12 +337,11 @@ def solve_thresholds(
     if len(profile.gains) != len(ladder) - 1:
         raise ValueError("band profile does not match the ladder")
     scores = np.asarray(scores, dtype=np.float64)
-    columns = directory.columns
-    predictor = columns.kind == _PREDICTOR
-    lens = columns.length[~predictor].astype(np.float64)
+    predictor = directory.kind == _PREDICTOR
+    lens = directory.length[~predictor].astype(np.float64)
     if scores.shape != lens.shape:
         raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
-    pinned = int(columns.length[predictor].sum())
+    pinned = int(directory.length[predictor].sum())
     pinned_bits = pinned * ladder[0].total_bits
     total_weights = directory.num_weights
     widths = np.asarray([f.total_bits for f in ladder[:-1]], dtype=np.float64)
@@ -438,12 +424,13 @@ def gen_trace(
     words from its packed extent, one request per block.  Both layouts
     are the canonical placement for the directory.
 
-    The work runs on the directory's columns: one resolve call for all
-    loaded chunks, then one translate (or translate_traditional) call.
+    The work runs on the directory's and the assignment's columns: one
+    resolve call for all loaded chunks, then one translate (or
+    translate_traditional) call.
     """
     if mode not in TRACE_MODES:
         raise ValueError(f"mode must be one of {TRACE_MODES}, got {mode!r}")
-    if len(assignment.formats) != len(directory):
+    if assignment.codes.size != len(directory):
         raise ValueError("assignment does not match the directory")
     table = build_regions(directory.num_weights, assignment.ladder)
     if mode == "bitplane":
@@ -457,10 +444,9 @@ def gen_trace(
     ladder = assignment.ladder
     rung_base = np.array([bases.get(fmt, 0) for fmt in ladder], np.int64)
     rung_bits = np.array([fmt.total_bits for fmt in ladder], np.int64)
-    columns = directory.columns
     loaded = assignment.loaded
     code = assignment.codes[loaded]
-    start, length = columns.start[loaded], columns.length[loaded]
+    start, length = directory.start[loaded], directory.length[loaded]
     resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
 
     # Map each request row to its loaded chunk.
@@ -481,9 +467,9 @@ def gen_trace(
     return Trace(
         addr,
         size,
-        columns.kind[loaded].astype(np.int32)[row_chunk],
+        directory.kind[loaded].astype(np.int32)[row_chunk],
         KIND_LABELS,
-        columns.chunk_id[loaded].astype(np.int32)[row_chunk],
+        np.flatnonzero(loaded).astype(np.int32)[row_chunk],
     )
 
 

@@ -29,6 +29,14 @@ called them once per chunk, taking one `LogicalRead` or one resolved
 `(format, start, count)`.  reference_trace resolves with them, and the
 package's array-valued versions must agree with them read by read,
 errors included.
+
+The package holds the chunk directory and the format assignment as
+columns.  `chunks` and `formats_of` read them back one chunk at a time,
+`assignment_of` builds an assignment from per-chunk formats, and
+`format_for` is the per-score bucket rule `assign_formats` must match.
+`reference_enumerate_chunks` and `reference_gen_scores` are the
+per-chunk loops the package's `enumerate_chunks` and `gen_scores`
+started from.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from planestore.address import (
     build_regions,
     plane_span,
 )
-from planestore.bitplane import ChunkKind, PlaneLayout, plane_stride_for
+from planestore.bitplane import KIND_LABELS, ChunkKind, PlaneLayout, plane_stride_for
 from planestore.config import default_config
 from planestore.dram import CommandKind, DramCommand, DramConfig, SimResult
 from planestore.quant import (
@@ -64,6 +72,7 @@ from planestore.quant import (
     fetched_widths,
     plane_set,
 )
+from planestore.workload import FormatAssignment, ThresholdSet
 
 DEFAULT = default_config()
 LADDER = DEFAULT.ladder
@@ -75,6 +84,88 @@ NO_GUARD = GuardConfig(0, 0)
 def dram(**overrides) -> DramConfig:
     """The default DRAM constants with the given fields replaced."""
     return dataclasses.replace(DEFAULT.dram, **overrides)
+
+
+class ChunkRow(NamedTuple):
+    """One chunk of a directory."""
+
+    chunk_id: int
+    start: int
+    length: int
+    kind: ChunkKind
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.length
+
+
+def chunks(directory) -> list[ChunkRow]:
+    """A directory's chunks, one row each, in directory order."""
+    columns = zip(directory.start.tolist(), directory.length.tolist(), directory.kind.tolist())
+    return [
+        ChunkRow(chunk_id, start, length, KIND_LABELS[code])
+        for chunk_id, (start, length, code) in enumerate(columns)
+    ]
+
+
+def assignment_of(formats, ladder) -> FormatAssignment:
+    """The assignment of the given per-chunk formats, each coded by its
+    first position on the ladder."""
+    ladder = tuple(ladder)
+    return FormatAssignment([ladder.index(fmt) for fmt in formats], ladder)
+
+
+def formats_of(assignment: FormatAssignment) -> tuple:
+    """Each chunk's format, in directory order."""
+    return tuple(assignment.ladder[code] for code in assignment.codes.tolist())
+
+
+def format_for(thresholds: ThresholdSet, score: float) -> FpFormat:
+    """The format a score gets: the rung of the first cut it reaches,
+    the last rung if it reaches none."""
+    for t, fmt in zip(thresholds.values, thresholds.ladder):
+        if score >= t:
+            return fmt
+    return thresholds.ladder[-1]
+
+
+def reference_enumerate_chunks(geometry) -> list[ChunkRow]:
+    """Tile the weight space: per layer heads, then neurons, then predictor."""
+    chunks = []
+    start = 0
+
+    def add(length: int, kind: ChunkKind) -> None:
+        nonlocal start
+        chunks.append(ChunkRow(len(chunks), start, length, kind))
+        start += length
+
+    for _ in range(geometry.layers):
+        for _ in range(geometry.heads_per_layer):
+            add(geometry.weights_per_head, ChunkKind.ATTENTION_HEAD)
+        for _ in range(geometry.neurons_per_layer):
+            add(geometry.weights_per_neuron, ChunkKind.MLP_NEURON)
+        if geometry.predictor_weights_per_layer:
+            add(geometry.predictor_weights_per_layer, ChunkKind.PREDICTOR)
+    return chunks
+
+
+def reference_gen_scores(rows, model) -> np.ndarray:
+    """One score per non-predictor chunk row, in order.
+
+    Predictor chunks consume no randomness, so adding or removing them
+    from the geometry does not shift every other chunk's draw.
+    """
+    rng = np.random.default_rng(model.seed)
+    out = []
+    for chunk in rows:
+        if chunk.kind is ChunkKind.PREDICTOR:
+            continue
+        score = model.dist_for(chunk.kind).draw(rng)
+        out.append(score)
+    scores = np.asarray(out, dtype=np.float64)
+    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        raise AssertionError("score distribution left [0, 1]")
+    return scores
 
 
 class Rounding(Enum):
@@ -114,6 +205,11 @@ def _round_field(value: int, drop: int, mode: Rounding) -> int:
     return kept
 
 
+def keeps_fp16_scale(fmt: FpFormat) -> bool:
+    """True when conversion is pure plane slicing (no re-bias needed)."""
+    return fmt.exp_bits == FP16_EXP_BITS and fmt.bias == FP16_BIAS
+
+
 def convert(
     source: WeightWord,
     target: FpFormat,
@@ -128,7 +224,7 @@ def convert(
     exponents re-bias, saturating to the maximum-magnitude finite value on
     overflow and flushing to signed zero on underflow.
     """
-    if source.fmt.total_bits != 16 or not source.fmt.keeps_fp16_scale:
+    if source.fmt.total_bits != 16 or not keeps_fp16_scale(source.fmt):
         raise ValueError("conversion source must be a full FP16 word")
     if target.is_skip:
         raise ValueError("cannot convert to the skipped format")
@@ -143,7 +239,7 @@ def convert(
     exp_keep = exp & ~((1 << (FP16_EXP_BITS - exp_f)) - 1)
     man_keep = man & ~((1 << (FP16_MAN_BITS - man_f)) - 1)
 
-    if target.keeps_fp16_scale:
+    if keeps_fp16_scale(target):
         # Pure slicing: exponent passes through (subnormals included), the
         # mantissa narrows with carry into the exponent field.
         field = (exp_keep << man_f) | (man_keep >> (FP16_MAN_BITS - man_f))
@@ -587,7 +683,7 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
         layout = TraditionalLayout.from_directory(directory)
     rows = []
     high_water: dict = {}  # plane index -> last fetched block
-    for chunk, fmt in zip(directory, assignment.formats):
+    for chunk, fmt in zip(chunks(directory), formats_of(assignment)):
         if fmt.is_skip:
             continue
         read = LogicalRead(

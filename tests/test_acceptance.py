@@ -26,7 +26,6 @@ from planestore.dram import schedule, simulate
 from planestore.experiment import compare_assignment, run_sweep
 from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
-    FormatAssignment,
     ModelGeometry,
     ThresholdSet,
     assign_formats,
@@ -47,6 +46,8 @@ from reference import (
     NO_GUARD,
     Rounding,
     WeightWord,
+    assignment_of,
+    chunks,
     convert,
     dram,
 )
@@ -156,7 +157,7 @@ def test_05_transferred_bytes_track_format_width():
     directory = enumerate_chunks(ModelGeometry(1, 4, 1 << 20, 0, 1, 0))
 
     def ratio(fmt):
-        assignment = FormatAssignment((fmt,) * len(directory), (fmt,))
+        assignment = assignment_of((fmt,) * len(directory), (fmt,))
         smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
         plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
         return smart / plain
@@ -243,7 +244,7 @@ def test_09_predictor_byte_share_endpoints(sweep):
 
 def test_10_threshold_solver_hits_targets_and_is_monotone(cfg, directory):
     rng = np.random.default_rng(1234)
-    scored = sum(1 for c in directory if c.kind is not ChunkKind.PREDICTOR)
+    scored = sum(1 for c in chunks(directory) if c.kind is not ChunkKind.PREDICTOR)
     for scores in (rng.random(scored), rng.beta(2.0, 5.0, scored)):
         for target in cfg.targets:
             thresholds = solve_thresholds(
@@ -289,7 +290,7 @@ def test_10_threshold_solver_hits_targets_and_is_monotone(cfg, directory):
 
 
 def test_11_full_precision_assignment_is_layout_parity(cfg, directory):
-    assignment = FormatAssignment((FP16,) * len(directory), cfg.ladder)
+    assignment = assignment_of((FP16,) * len(directory), cfg.ladder)
     result = compare_assignment(directory, assignment, cfg.guard, cfg.dram)
     smart = result["modes"]["bitplane"]["total_energy_pj"]
     plain = result["modes"]["traditional"]["total_energy_pj"]

@@ -18,7 +18,13 @@ from planestore.address import (
     translate,
     translate_traditional,
 )
-from planestore.bitplane import Chunk, ChunkDirectory, ChunkKind, PlaneLayout, plane_stride_for
+from planestore.bitplane import (
+    KIND_LABELS,
+    ChunkDirectory,
+    ChunkKind,
+    PlaneLayout,
+    plane_stride_for,
+)
 from planestore.quant import FpFormat, GuardConfig, plane_set
 from reference import (
     FP0,
@@ -172,12 +178,8 @@ def test_plane_span_brute_force():
 
 
 def make_directory(lengths):
-    chunks = []
-    start = 0
-    for i, n in enumerate(lengths):
-        chunks.append(Chunk(i, start, n, ChunkKind.MLP_NEURON))
-        start += n
-    return ChunkDirectory(start, tuple(chunks))
+    """MLP-neuron chunks of the given lengths, back to back."""
+    return ChunkDirectory(lengths, [KIND_LABELS.index(ChunkKind.MLP_NEURON)] * len(lengths))
 
 
 def test_translate_traditional_block_requests():
@@ -207,7 +209,7 @@ def test_traditional_chunk_bases_aligned():
 def test_proportionality_amortizes(fmt, count, start):
     num = start + count
     layout = PlaneLayout(num, plane_stride_for(num))
-    directory = ChunkDirectory(num, (Chunk(0, 0, num, ChunkKind.MLP_NEURON),))
+    directory = make_directory([num])
     trad_layout = TraditionalLayout.from_directory(directory)
     smart = translate(one(fmt, start, count), GuardConfig(0, 0), layout)[3].sum()
     trad = extent(one(FP16, start, count), trad_layout)[1]

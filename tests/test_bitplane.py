@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from planestore.bitplane import (
     NUM_PLANES,
+    KIND_LABELS,
     BitPlaneImage,
-    Chunk,
     ChunkDirectory,
-    ChunkKind,
     load_image,
     pack,
     plane_stride_for,
@@ -187,19 +186,24 @@ def test_physical_shape():
 
 
 def test_directory_validation():
-    d = ChunkDirectory(
-        12,
-        (
-            Chunk(0, 0, 4, ChunkKind.ATTENTION_HEAD),
-            Chunk(1, 4, 4, ChunkKind.MLP_NEURON),
-            Chunk(2, 8, 4, ChunkKind.PREDICTOR),
-        ),
-    )
+    d = ChunkDirectory([4, 4, 4], [0, 1, 2])
     assert len(d) == 3
-    with pytest.raises(ValueError, match="expected 4"):
-        ChunkDirectory(12, (Chunk(0, 0, 4, ChunkKind.PREDICTOR), Chunk(1, 6, 6, ChunkKind.PREDICTOR)))
-    with pytest.raises(ValueError, match="cover"):
-        ChunkDirectory(13, (Chunk(0, 0, 4, ChunkKind.PREDICTOR), Chunk(1, 4, 8, ChunkKind.PREDICTOR)))
+    # Starts follow from the lengths, so the chunks tile [0, 12) exactly.
+    assert d.start.tolist() == [0, 4, 8]
+    assert d.num_weights == 12
+    for column in (d.length, d.kind, d.start):
+        assert column.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    with pytest.raises(ValueError, match="3 chunk lengths for 2 kinds"):
+        ChunkDirectory([4, 4, 4], [0, 1])
+    with pytest.raises(ValueError, match="chunk 1: length 0 is not positive"):
+        ChunkDirectory([4, 0], [2, 2])
+    with pytest.raises(ValueError, match="chunk 0: length -4"):
+        ChunkDirectory([-4, 4], [2, 2])
+    for code in (-1, len(KIND_LABELS)):
+        with pytest.raises(ValueError, match="kind codes must lie in"):
+            ChunkDirectory([4, 4], [0, code])
 
 
 def test_fetch_planes_accounting():

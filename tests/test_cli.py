@@ -28,7 +28,6 @@ from planestore.experiment import (
     solver_target,
 )
 from planestore.workload import (
-    FormatAssignment,
     ModelGeometry,
     assign_formats,
     enumerate_chunks,
@@ -36,8 +35,18 @@ from planestore.workload import (
     solve_thresholds,
 )
 
-from reference import FP8, NO_GUARD, dram, reference_trace
+from reference import (
+    FP8,
+    NO_GUARD,
+    assignment_of,
+    chunks,
+    dram,
+    format_for,
+    reference_gen_scores,
+    reference_trace,
+)
 
+DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
 # Small enough to sweep in well under a second, with every chunk size a
 # multiple of 512 so both layouts align exactly at full precision.
@@ -91,8 +100,7 @@ def test_readme_python_example_runs():
 
 
 def test_checked_in_default_file_matches_builtins():
-    path = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
-    cfg = load_config(str(path), env={})
+    cfg = load_config(str(DEFAULT_YAML), env={})
     assert cfg.resolved == DEFAULTS
 
 
@@ -217,6 +225,9 @@ def one_line_error(capsys) -> str:
         ("importance:\n  default: {family: two_point}\n", "importance.default needs 'mix'"),
         ("importance:\n  default: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
          "importance.default needs 'b_lo'"),
+        # Nothing to load: the predictor fraction would divide by zero.
+        ("geometry: {heads_per_layer: 0, neurons_per_layer: 0, predictor_weights_per_layer: 0}\n",
+         "geometry holds no weights"),
     ],
 )
 def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
@@ -430,6 +441,35 @@ def test_trace_writes_both_modes_and_assignment(small_config, tmp_path, capsys):
     assert all(r.split(",")[3] == "FP16" for r in predictor_rows)
 
 
+def test_trace_assignment_csv_matches_per_chunk_rows(tmp_path, capsys):
+    # The shipped config: per-kind score mixtures, predictor chunks, and
+    # every ladder rung in use at 4.8 bits.
+    out = tmp_path / "out"
+    assert main(
+        ["trace", "--config", str(DEFAULT_YAML), "--out", str(out), "--target", "4.8"]
+    ) == 0
+    capsys.readouterr()
+    cfg = load_config(str(DEFAULT_YAML), env={})
+    directory = enumerate_chunks(cfg.geometry)
+    rows = chunks(directory)
+    scores = reference_gen_scores(rows, cfg.importance)
+    thresholds = solve_thresholds(
+        directory, scores, solver_target(4.8, predictor_fraction(directory)),
+        cfg.ladder, cfg.band_profile,
+    )
+    lines = ["chunk_id,kind,score,format"]
+    scored = iter(scores.tolist())
+    for chunk in rows:
+        if chunk.kind is ChunkKind.PREDICTOR:
+            score, fmt = "", cfg.ladder[0]
+        else:
+            value = next(scored)
+            score, fmt = f"{value:.10g}", format_for(thresholds, value)
+        lines.append(f"{chunk.chunk_id},{chunk.kind.value},{score},{fmt.name}")
+    assert len(lines) == 1 + 1042
+    assert (out / "assignment_4.8.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_trace_single_mode(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(
@@ -640,7 +680,7 @@ def _small_assignment(cfg, directory):
 def test_all_fp8_assignment_halves_bytes():
     geometry = ModelGeometry(1, 8, 8192, 0, 4096, 0)
     directory = enumerate_chunks(geometry)
-    assignment = FormatAssignment((FP8,) * len(directory), (FP8,))
+    assignment = assignment_of((FP8,) * len(directory), (FP8,))
     cfg = default_config()
     result = compare_assignment(directory, assignment, NO_GUARD, cfg.dram)
     assert result["reductions"]["bytes_pct"] == 50.0
@@ -666,6 +706,21 @@ def test_report_rejects_corrupt_file(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["report", str(bad)]) == 1
     assert "corrupted report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ([{}], "missing field 'target_bits'"),
+        ([1], "targets[0] is not an object"),
+        ([{"target_bits": 4.8, "modes": {"traditional": {}}}], "missing field 'bitplane'"),
+    ],
+)
+def test_report_rejects_malformed_entries(tmp_path, capsys, targets, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "targets": targets}))
+    assert main(["report", str(path)]) == 1
+    assert f"corrupted report {path}: {message}" in one_line_error(capsys)
 
 
 def test_report_rejects_schema_mismatch(small_config, tmp_path, capsys):

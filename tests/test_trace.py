@@ -17,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.address import Trace
-from planestore.bitplane import NUM_PLANES, BitPlaneImage, pack
+from planestore.bitplane import NUM_PLANES, BitPlaneImage, ChunkKind, pack
 from planestore.config import load_config
 from planestore.experiment import predictor_fraction, solver_target
 from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
+    FAMILY_PARAMETERS,
     KIND_LABELS,
-    FormatAssignment,
+    ImportanceModel,
     ModelGeometry,
+    ScoreDistribution,
     assign_formats,
     enumerate_chunks,
     gen_scores,
@@ -32,7 +34,21 @@ from planestore.workload import (
     solve_thresholds,
 )
 
-from reference import FP0, FP16, LADDER, NO_GUARD, Rounding, WeightWord, convert, reference_trace
+from reference import (
+    FP0,
+    FP16,
+    LADDER,
+    NO_GUARD,
+    Rounding,
+    WeightWord,
+    assignment_of,
+    chunks,
+    convert,
+    formats_of,
+    reference_enumerate_chunks,
+    reference_gen_scores,
+    reference_trace,
+)
 from test_bitplane import fetch_planes, reconstruct
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -87,6 +103,29 @@ geometries = st.builds(
 guards = st.builds(GuardConfig, st.integers(0, 2), st.integers(0, 2))
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMETERS))
+@settings(deadline=None, max_examples=60)
+@given(geometry=geometries, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_directory_and_scores_match_the_per_chunk_loops(family, geometry, seed, data):
+    def distribution():
+        params = {
+            name: data.draw(st.floats(0.0, 1.0) if name == "mix" else st.floats(0.05, 20.0))
+            for name in FAMILY_PARAMETERS[family]
+        }
+        return ScoreDistribution(family, **params)
+
+    model = ImportanceModel(
+        seed, {ChunkKind.ATTENTION_HEAD: distribution(), ChunkKind.MLP_NEURON: distribution()}
+    )
+    directory = enumerate_chunks(geometry)
+    rows = reference_enumerate_chunks(geometry)
+    assert chunks(directory) == rows
+    assert directory.num_weights == geometry.total_weights
+    got, want = gen_scores(directory, model), reference_gen_scores(rows, model)
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 @st.composite
 def cases(draw):
     """(directory, assignment, guard) with a random sub-ladder of the
@@ -97,7 +136,7 @@ def cases(draw):
     formats = draw(
         st.lists(st.sampled_from(ladder), min_size=len(directory), max_size=len(directory))
     )
-    return directory, FormatAssignment(tuple(formats), ladder), draw(guards)
+    return directory, assignment_of(formats, ladder), draw(guards)
 
 
 @settings(deadline=None, max_examples=150)
@@ -122,7 +161,7 @@ def test_bitplane_overfetch_is_bounded_per_loaded_chunk(case):
     directory, assignment, guard = case
     smart = chunk_bytes(gen_trace(assignment, directory, "bitplane", guard), directory)
     plain = chunk_bytes(gen_trace(assignment, directory, "traditional", guard), directory)
-    for chunk, fmt in zip(directory, assignment.formats):
+    for chunk, fmt in zip(chunks(directory), formats_of(assignment)):
         if fmt.is_skip:
             assert smart[chunk.chunk_id] == plain[chunk.chunk_id] == 0
             continue
@@ -135,7 +174,7 @@ def test_bitplane_overfetch_bound_is_tight():
     # skipped chunk: two blocks on each of 16 planes against one block of
     # FP16 words.  One block per plane is therefore no bound.
     directory = enumerate_chunks(ModelGeometry(1, 1, 511, 1, 2, 0))
-    assignment = FormatAssignment((FP0, FP16), LADDER)
+    assignment = assignment_of((FP0, FP16), LADDER)
     smart = chunk_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD), directory)
     plain = chunk_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD), directory)
     assert smart[1] == 32 * 64
@@ -164,7 +203,7 @@ def test_fetched_bytes_suffice_to_serve_every_loaded_chunk(case, seed):
     planes = np.concatenate([image.plane_bytes(p) for p in range(NUM_PLANES)])
     planes[~fetched] = 0
     served = BitPlaneImage(image.num_weights, planes.reshape(NUM_PLANES, -1))
-    for chunk, fmt in zip(directory, assignment.formats):
+    for chunk, fmt in zip(chunks(directory), formats_of(assignment)):
         if fmt.is_skip:
             continue
         segments = fetch_planes(served, chunk.start, chunk.length, plane_set(fmt, guard))
@@ -178,7 +217,7 @@ def test_fetched_bytes_suffice_to_serve_every_loaded_chunk(case, seed):
 
 def test_all_skipped_assignment_gives_empty_traces():
     directory = enumerate_chunks(ModelGeometry(1, 2, 100, 1, 100, 0))
-    assignment = FormatAssignment((FP0,) * 3, LADDER)
+    assignment = assignment_of((FP0,) * 3, LADDER)
     for mode in ("bitplane", "traditional"):
         assert gen_trace(assignment, directory, mode, NO_GUARD) == Trace([], [], [], KIND_LABELS, [])
 

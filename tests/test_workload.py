@@ -24,7 +24,20 @@ from planestore.workload import (
     trace_bytes,
 )
 
-from reference import BAND_PROFILE, FP0, FP6, FP8, FP12, FP16, LADDER, NO_GUARD
+from reference import (
+    BAND_PROFILE,
+    FP0,
+    FP6,
+    FP8,
+    FP12,
+    FP16,
+    LADDER,
+    NO_GUARD,
+    assignment_of,
+    chunks,
+    format_for,
+    formats_of,
+)
 
 UNIFORM = ScoreDistribution("uniform")
 SIXTHS = ThresholdSet((5 / 6, 4 / 6, 3 / 6, 2 / 6, 1 / 6), LADDER)
@@ -58,13 +71,15 @@ def test_geometry_validation():
         ModelGeometry(0, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError, match="positive"):
         ModelGeometry(1, 1, 0, 1, 1, 1)
+    with pytest.raises(ValueError, match="no weights"):
+        ModelGeometry(1, 0, 1, 0, 1, 0)
     assert flat_geometry(2, 4, predictor=4).weights_per_layer == 12
 
 
 def test_enumerate_small_example():
     directory = enumerate_chunks(flat_geometry(2, 4, predictor=4))
-    assert [c.start for c in directory] == [0, 4, 8]
-    assert [c.kind for c in directory] == [
+    assert [c.start for c in chunks(directory)] == [0, 4, 8]
+    assert [c.kind for c in chunks(directory)] == [
         ChunkKind.ATTENTION_HEAD,
         ChunkKind.ATTENTION_HEAD,
         ChunkKind.PREDICTOR,
@@ -74,7 +89,7 @@ def test_enumerate_small_example():
 
 def test_enumerate_layer_order():
     g = ModelGeometry(2, 1, 8, 2, 4, 6)
-    kinds = [c.kind.value for c in enumerate_chunks(g)]
+    kinds = [c.kind.value for c in chunks(enumerate_chunks(g))]
     layer = ["attention_head", "mlp_neuron", "mlp_neuron", "predictor"]
     assert kinds == layer + layer
 
@@ -108,7 +123,7 @@ def test_two_point_scores_are_prune_only():
     scores = gen_scores(directory, model)
     assert set(np.unique(scores)) <= {0.0, 1.0}
     assignment = assign_formats(directory, scores, SIXTHS)
-    assert set(assignment.formats) <= {FP16, FP0}
+    assert set(formats_of(assignment)) <= {FP16, FP0}
 
 
 def test_scores_deterministic_per_seed():
@@ -169,16 +184,16 @@ def test_threshold_validation():
 
 
 def test_bucket_rule_endpoints():
-    assert SIXTHS.format_for(1.0) is FP16
-    assert SIXTHS.format_for(5 / 6) is FP16
-    assert SIXTHS.format_for(0.5) is FP8
-    assert SIXTHS.format_for(0.0) is FP0
+    assert format_for(SIXTHS, 1.0) is FP16
+    assert format_for(SIXTHS, 5 / 6) is FP16
+    assert format_for(SIXTHS, 0.5) is FP8
+    assert format_for(SIXTHS, 0.0) is FP0
 
 
 def test_assignment_pins_predictors():
     directory = enumerate_chunks(flat_geometry(3, predictor=8))
     assignment = assign_formats(directory, [0.0, 0.0, 0.0], SIXTHS)
-    assert assignment.formats == (FP0, FP0, FP0, FP16)
+    assert formats_of(assignment) == (FP0, FP0, FP0, FP16)
 
 
 cut_sets = st.lists(
@@ -201,12 +216,24 @@ def test_assignment_matches_format_for_at_every_cut(thresholds, extra, predictor
         ModelGeometry(2, half, 64, 0, 1, predictor_weights_per_layer=predictor)
     )
     assignment = assign_formats(directory, scores, thresholds)
-    want = [thresholds.format_for(score) for score in scores]
+    want = [format_for(thresholds, score) for score in scores]
     if predictor:
         want[half:half] = [FP16]
         want.append(FP16)
-    assert assignment.formats == tuple(want)
+    assert formats_of(assignment) == tuple(want)
     assert assignment.codes.tolist() == [LADDER.index(fmt) for fmt in want]
+
+
+def test_assignment_codes_checked():
+    assignment = FormatAssignment([0, 5, 2], list(LADDER))
+    assert assignment.ladder == LADDER
+    assert assignment.codes.dtype == np.int64
+    assert formats_of(assignment) == (FP16, FP0, FP8)
+    with pytest.raises(ValueError, match="read-only"):
+        assignment.codes[0] = 1
+    for codes in ([0, -1], [len(LADDER)]):
+        with pytest.raises(ValueError, match=r"format codes must lie in \[0, 6\)"):
+            FormatAssignment(codes, LADDER)
 
 
 def test_assignment_score_count_checked():
@@ -220,7 +247,7 @@ def test_top_heavy_thresholds_prune_almost_everything():
     scores = gen_scores(directory, ImportanceModel(1, UNIFORM))
     near_one = ThresholdSet(tuple(1 - k * 1e-6 for k in range(1, 6)), LADDER)
     assignment = assign_formats(directory, scores, near_one)
-    dropped = sum(1 for f in assignment.formats if f.is_skip)
+    dropped = sum(1 for f in formats_of(assignment) if f.is_skip)
     assert dropped >= 0.99 * len(directory)
 
 
@@ -229,7 +256,7 @@ def test_quantile_thresholds_split_in_sixths():
     scores = gen_scores(directory, ImportanceModel(4, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
     for fmt in LADDER:
-        share = sum(1 for f in assignment.formats if f is fmt) / 6000
+        share = sum(1 for f in formats_of(assignment) if f is fmt) / 6000
         assert share == pytest.approx(1 / 6, abs=0.05)
 
 
@@ -237,9 +264,9 @@ def test_quantile_thresholds_split_in_sixths():
 
 def test_avg_bits_examples():
     directory = enumerate_chunks(flat_geometry(5, 100))
-    all16 = FormatAssignment((FP16,) * 5, LADDER)
+    all16 = assignment_of((FP16,) * 5, LADDER)
     assert avg_bits(all16, directory) == 16.0
-    ladder_mix = FormatAssignment((FP16, FP12, FP8, FP6, LADDER[4]), LADDER)
+    ladder_mix = assignment_of((FP16, FP12, FP8, FP6, LADDER[4]), LADDER)
     assert avg_bits(ladder_mix, directory) == pytest.approx(9.2)
 
 
@@ -257,7 +284,7 @@ def test_solver_floor_with_all_zero_scores():
     floor = 16.0 * 64 / directory.num_weights
     ts = solve_thresholds(directory, scores, floor, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
-    assert [f for f in assignment.formats if not f.is_skip] == [FP16]
+    assert [f for f in formats_of(assignment) if not f.is_skip] == [FP16]
     assert avg_bits(assignment, directory) == pytest.approx(floor)
 
 
@@ -314,7 +341,7 @@ def test_band_profile_validation():
 
 def two_head_setup():
     directory = enumerate_chunks(flat_geometry(2, 1024))
-    assignment = FormatAssignment((FP16, FP0), LADDER)
+    assignment = assignment_of((FP16, FP0), LADDER)
     return directory, assignment
 
 
@@ -344,7 +371,7 @@ def test_bitplane_trace_one_request_per_plane():
 
 def test_all_fp8_trace_is_half_the_bytes():
     directory = enumerate_chunks(flat_geometry(4, 4096))
-    assignment = FormatAssignment((FP8,) * 4, LADDER)
+    assignment = assignment_of((FP8,) * 4, LADDER)
     smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
     plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
     assert smart * 2 == plain
@@ -359,7 +386,7 @@ def test_traditional_bytes_formula():
     trace = gen_trace(assignment, directory, "traditional", NO_GUARD)
     expected = sum(
         -(-chunk.length * 2 // 64) * 64
-        for chunk, fmt in zip(directory, assignment.formats)
+        for chunk, fmt in zip(chunks(directory), formats_of(assignment))
         if not fmt.is_skip
     )
     assert trace_bytes(trace) == expected
@@ -368,7 +395,7 @@ def test_traditional_bytes_formula():
 def test_mode_equivalence_on_full_precision():
     g = ModelGeometry(2, 2, 1000, 4, 52, 36)
     directory = enumerate_chunks(g)
-    assignment = FormatAssignment((FP16,) * len(directory), LADDER)
+    assignment = assignment_of((FP16,) * len(directory), LADDER)
     smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
     plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
     # Per-chunk alignment slack: 16 block-aligned plane reads against one
@@ -379,7 +406,7 @@ def test_mode_equivalence_on_full_precision():
 
 def test_mode_equivalence_tight_when_chunks_align():
     directory = enumerate_chunks(SCALED)
-    assignment = FormatAssignment((FP16,) * len(directory), LADDER)
+    assignment = assignment_of((FP16,) * len(directory), LADDER)
     smart = trace_bytes(gen_trace(assignment, directory, "bitplane", NO_GUARD))
     plain = trace_bytes(gen_trace(assignment, directory, "traditional", NO_GUARD))
     assert plain == 2 * directory.num_weights
@@ -390,7 +417,7 @@ def test_seam_blocks_fetched_once():
     # 1,000-weight chunks put plane seams mid-block; the high-water mark
     # must hand the shared block to the earlier chunk only.
     directory = enumerate_chunks(flat_geometry(5, 1000))
-    assignment = FormatAssignment((FP16,) * 5, LADDER)
+    assignment = assignment_of((FP16,) * 5, LADDER)
     trace = gen_trace(assignment, directory, "bitplane", NO_GUARD)
     stride = plane_stride_for(5000)
     seen = set()
@@ -408,7 +435,7 @@ def test_seam_blocks_fetched_once():
 
 def test_guard_planes_expand_the_fetch():
     directory = enumerate_chunks(flat_geometry(2, 4096))
-    assignment = FormatAssignment((FP8, FP8), LADDER)
+    assignment = assignment_of((FP8, FP8), LADDER)
     bare = gen_trace(assignment, directory, "bitplane", NO_GUARD)
     guarded = gen_trace(assignment, directory, "bitplane", guard=GuardConfig(0, 2))
     assert trace_bytes(guarded) > trace_bytes(bare)
@@ -433,7 +460,7 @@ def test_trace_rejects_bad_mode():
 def test_trace_tags_kinds():
     g = ModelGeometry(1, 1, 4096, 2, 4096, 4096)
     directory = enumerate_chunks(g)
-    assignment = FormatAssignment((FP16,) * 4, LADDER)
+    assignment = assignment_of((FP16,) * 4, LADDER)
     for mode in ("bitplane", "traditional"):
         trace = gen_trace(assignment, directory, mode, NO_GUARD)
         by_kind = bytes_by_kind(trace)
