@@ -142,8 +142,10 @@ def render_summary(report: dict) -> str:
 def check_report(report: dict) -> None:
     """Reduction fields must be recomputable from the raw fields.
 
-    A missing field raises KeyError and a value of the wrong type
-    TypeError; `cmd_report` turns both into a corrupted-report error.
+    Every field the summary and the CSV print must be a number.  A
+    missing field raises KeyError and a value of the wrong type
+    TypeError naming it; `cmd_report` turns both into a corrupted-report
+    error.
     """
     if report.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(
@@ -159,37 +161,52 @@ def check_report(report: dict) -> None:
             raise ValueError(f"{name}: stored {stored} != recomputed {want}")
 
     for index, entry in enumerate(report["targets"]):
-        if not isinstance(entry, dict):
-            raise TypeError(f"targets[{index}] is not an object")
-        tag = f"target {entry['target_bits']}"
-        smart, plain = entry["modes"]["bitplane"], entry["modes"]["traditional"]
-        red = entry["reductions"]
-        expect(f"{tag} bytes_pct", red["bytes_pct"], plain["bytes"], smart["bytes"])
-        expect(
-            f"{tag} total_energy_pct",
-            red["total_energy_pct"],
-            plain["total_energy_pj"],
-            smart["total_energy_pj"],
-        )
-        expect(
-            f"{tag} total_latency_pct",
-            red["total_latency_pct"],
-            plain["total_latency_ns"],
-            smart["total_latency_ns"],
-        )
-        for kind, pair in red["per_kind"].items():
+
+        def field(*path, numeric=False):
+            """The entry's value at path: a number, or else an object."""
+            value, name = entry, f"targets[{index}]"
+            for key in path:
+                if not isinstance(value, dict):
+                    raise TypeError(f"{name} is not an object")
+                value, name = value[key], f"{name}.{key}"
+            if numeric:
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError(f"{name} is not a number")
+            elif not isinstance(value, dict):
+                raise TypeError(f"{name} is not an object")
+            return value
+
+        def number(*path):
+            return field(*path, numeric=True)
+
+        tag = f"target {number('target_bits')}"
+        for mode in ("bitplane", "traditional"):
+            field("modes", mode)
+        number("achieved_avg_bits")
+        number("modes", "bitplane", "predictor_byte_share")
+        for raw, pct in (
+            ("bytes", "bytes_pct"),
+            ("total_energy_pj", "total_energy_pct"),
+            ("total_latency_ns", "total_latency_pct"),
+        ):
             expect(
-                f"{tag} {kind} energy_per_weight_pct",
-                pair["energy_per_weight_pct"],
-                plain["per_kind"][kind]["energy_per_weight_pj"],
-                smart["per_kind"][kind]["energy_per_weight_pj"],
+                f"{tag} {pct}",
+                number("reductions", pct),
+                number("modes", "traditional", raw),
+                number("modes", "bitplane", raw),
             )
-            expect(
-                f"{tag} {kind} mean_chunk_latency_pct",
-                pair["mean_chunk_latency_pct"],
-                plain["per_kind"][kind]["mean_chunk_latency_ns"],
-                smart["per_kind"][kind]["mean_chunk_latency_ns"],
-            )
+        per_kind = field("reductions", "per_kind")
+        for kind in per_kind:
+            for raw, pct in (
+                ("energy_per_weight_pj", "energy_per_weight_pct"),
+                ("mean_chunk_latency_ns", "mean_chunk_latency_pct"),
+            ):
+                expect(
+                    f"{tag} {kind} {pct}",
+                    number("reductions", "per_kind", kind, pct),
+                    number("modes", "traditional", "per_kind", kind, raw),
+                    number("modes", "bitplane", "per_kind", kind, raw),
+                )
 
 
 def _load_report(path: str) -> dict:

@@ -15,13 +15,19 @@ issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
 `schedule` states that policy one burst at a time and is the readable
-reference.  `plan` produces the same command stream as a run table, one
-RD row per run of reads to consecutive columns of an open row, stepping
-the bank state machine once per row opening; `simulate` replays a table
-or a plain command stream with every legality check vectorized per
-channel.  docs/dram-model.md shows why the run-level recurrence is
-exact.  Both `schedule` and `plan` take the request stream as an
-`address.Trace` and read its addr and size columns.
+reference.  `plan` produces the same command stream as a run table.  It
+merges contiguous requests of one size into extents, finds each
+extent's burst range on every channel in closed form, and emits one RD
+row per run of reads to consecutive columns of an open row, stepping
+the bank state machine once per row opening; it builds no array as long
+as the burst count.  Its rows are grouped by channel, and each RD row
+names the requests of its reads by a rule, not a per-read column.
+`simulate` replays a table or a plain command stream with every
+legality check vectorized per channel, and derives per-request reads
+and completions from the rows.  docs/dram-model.md shows why the
+run-level recurrence is exact.  Both `schedule` and `plan` take the
+request stream as an `address.Trace` and read its addr and size
+columns.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
@@ -234,10 +240,13 @@ class CommandTable:
     other per-row columns mirror DramCommand's fields for the row's first
     command.  An RD row stands for count reads to consecutive columns of
     its (bank, row), the k-th at issue_cycle + k * t_ccd_l, column + k;
-    every other row has count 1.  read_request holds the request of
-    every read, row after row, in table order.  A channel's rows are in
-    its stream order; rows of different channels may interleave in any
-    order.
+    every other row has count 1.  Read k of an RD row belongs to request
+    request_index + (burst_in_request + k * channels) // request_bursts:
+    its reads are one channel stride apart in an extent of requests of
+    request_bursts bursts each, the first being burst burst_in_request
+    of request request_index.  A row of one command has (0, 1).  A
+    channel's rows are in its stream order; rows of different channels
+    may interleave in any order.
     """
 
     kind: np.ndarray
@@ -248,7 +257,8 @@ class CommandTable:
     issue_cycle: np.ndarray
     request_index: np.ndarray
     count: np.ndarray
-    read_request: np.ndarray
+    burst_in_request: np.ndarray
+    request_bursts: np.ndarray
     # Stream position -> kind, for commands whose kind is no CommandKind
     # (their kind code is -1); the replay names the kind when it rejects one.
     odd_kinds: dict = field(default_factory=dict)
@@ -257,11 +267,11 @@ class CommandTable:
         reads = self.count[self.kind == _RD]
         if (reads < 1).any() or (self.count[self.kind != _RD] != 1).any():
             raise ValueError("an RD row needs a count of at least 1, any other row 1")
-        if int(reads.sum()) != self.read_request.size:
-            raise ValueError(
-                f"read_request holds {self.read_request.size} reads,"
-                f" the RD rows {int(reads.sum())}"
-            )
+        if (self.request_index < 0).any():
+            raise ValueError("a row's request_index must not be negative")
+        into, per = self.burst_in_request, self.request_bursts
+        if ((into < 0) | (into >= per)).any():
+            raise ValueError("a row's burst_in_request must lie in [0, request_bursts)")
 
     def __len__(self) -> int:
         return self.kind.size
@@ -277,10 +287,29 @@ class CommandTable:
             rows.append((code, *cmd[1:]))
         cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
         kind = cols[0].astype(np.int8)
+        ones = np.ones(kind.size, np.int64)
         return cls(
-            kind, *cols[1:], count=np.ones(kind.size, np.int64),
-            read_request=cols[6][kind == _RD], odd_kinds=odd,
+            kind, *cols[1:], count=ones, burst_in_request=np.zeros(kind.size, np.int64),
+            request_bursts=ones, odd_kinds=odd,
         )
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable").  numpy sorts 16-bit keys stably
+    by radix, several times faster than wider ones, so keys that fit in
+    16 bits (as banks do) are sorted as such."""
+    if keys.size and -(1 << 15) <= keys.min() and keys.max() < 1 << 15:
+        keys = keys.astype(np.int16)
+    return np.argsort(keys, kind="stable")
+
+
+def _spread(lengths: np.ndarray):
+    """(owner, rank) of every item, group after group, when group i
+    holds lengths[i] items: owner is the item's group, rank its position
+    in the group."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, rank
 
 
 def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: list, tails: list):
@@ -321,62 +350,75 @@ def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: li
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
-    Requests expand to bursts, each with its channel and its burst index
-    within the channel.  A run is a maximal stretch of one channel's
-    bursts, in stream order, on consecutive columns of one (bank, row).
-    It becomes one RD row whose reads issue t_ccd_l apart, preceded by
-    the PRE and ACT rows that open its row, if it is not a hit.  Between
-    two openings on a channel the reads are a cumulative sum, so the
-    bank state machine steps once per opening (`_open_rows`).  Rows are
-    ordered by the stream position of each run's first burst.
+    Consecutive requests that are contiguous and have the same burst
+    count merge into an extent.  Because interleave_bytes equals
+    burst_bytes, an extent covers one contiguous range of burst indices
+    within each channel, found in closed form.  Cut at row boundaries,
+    each piece is a run: reads to consecutive columns of one (bank, row),
+    issued t_ccd_l apart.  A run becomes one RD row, preceded by the PRE
+    and ACT rows that open its row if it is not a hit.  Between two
+    openings on a channel the reads are a cumulative sum, so the bank
+    state machine steps once per opening (`_open_rows`).  Rows are
+    grouped by channel, each channel's in stream order.  No array is as
+    long as the burst count.
     """
     start = np.asarray(trace.addr, np.int64)
     size = np.asarray(trace.size, np.int64)
     step = config.burst_bytes
     bursts = np.maximum(-(-size // step), 0)
-    misplaced = (bursts > 0) & ((start < 0) | (start % step != 0))
+    burst = start // step
+    misplaced = (bursts > 0) & ((start < 0) | (burst * step != start))
     if misplaced.any():
         map_address(config, int(start[misplaced.argmax()]))  # raises its error
-    request = np.repeat(np.arange(start.size, dtype=np.int32), bursts)
-    total = request.size
-    if not total:
-        return CommandTable(np.zeros(0, np.int8), *[np.zeros(0, np.int64)] * 8)
-    # Global burst index; interleave_bytes == burst_bytes, so a burst's
-    # channel and its burst index within the channel split it directly.
-    burst = np.repeat(start // step - (np.cumsum(bursts) - bursts), bursts)
-    burst += np.arange(total)
-    channel = burst % config.channels
-    local = burst // config.channels
-    del start, size, burst
+    # Each extent's first request, its requests' burst count and its
+    # first global burst index.  A request with no bursts starts an
+    # extent that covers none.
+    starts = np.ones(start.size, bool)
+    starts[1:] = (burst[1:] != burst[:-1] + bursts[:-1]) | (bursts[1:] != bursts[:-1])
+    head = np.flatnonzero(starts)
+    ext_bursts, ext_first = bursts[head], burst[head]
+    ext_total = np.diff(np.r_[head, start.size]) * ext_bursts
+    del start, size, bursts, burst, starts
 
-    cpr, t_l, t_s = config.columns_per_row, config.t_ccd_l, config.t_ccd_s
-    # by_channel lists the bursts channel after channel, each channel's in
-    # stream order; first holds each run's first burst as a position in it.
-    by_channel, run_first, run_channel = [], [], []
-    offset = 0
-    for ch in range(config.channels):
-        sel = np.flatnonzero(channel == ch)
-        if not sel.size:
-            continue
-        lb = local[sel]
-        first = np.flatnonzero(np.r_[True, (lb[1:] != lb[:-1] + 1) | (lb[1:] % cpr == 0)])
-        by_channel.append(sel)
-        run_first.append(first + offset)
-        run_channel.append(np.full(first.size, ch, np.int64))
-        offset += sel.size
-    del channel
-    by_channel, first, ch = map(np.concatenate, (by_channel, run_first, run_channel))
-    length = np.diff(np.r_[first, total])
-    page, column = np.divmod(local[by_channel[first]], cpr)
+    # On channel c an extent reads the global bursts ext_first + skip,
+    # + skip + channels, ..., skip = (c - ext_first) mod channels: span
+    # consecutive burst indices within the channel from lo on.  Ranges
+    # are listed channel after channel, each channel's in stream order.
+    channels, cpr = config.channels, config.columns_per_row
+    skip = (np.arange(channels)[:, None] - ext_first) % channels
+    span = np.maximum(-(-(ext_total - skip) // channels), 0).ravel()
+    live = np.flatnonzero(span)
+    if not live.size:
+        return CommandTable(np.zeros(0, np.int8), *[np.zeros(0, np.int64)] * 9)
+    span = span[live]
+    ch, extent = np.divmod(live, head.size)
+    lo = (ext_first[extent] + skip.ravel()[live]) // channels
+    del skip, live
+
+    # Cut each range at row boundaries: one run per row it touches.
+    first_page = lo // cpr
+    pieces = (lo + span - 1) // cpr - first_page + 1
+    piece_of, page = _spread(pieces)
+    page += first_page[piece_of]
+    local = np.maximum(lo[piece_of], page * cpr)
+    length = np.minimum(page * cpr + cpr, (lo + span)[piece_of]) - local
+    ch, extent = ch[piece_of], extent[piece_of]
+    column = local - page * cpr
     bank, row = page % config.banks_per_channel, page // config.banks_per_channel
-    del local
+    # A run's first read is global burst local * channels + ch; its read
+    # k lies k * channels bursts further on.
+    request_bursts = ext_bursts[extent]
+    request, burst_in_request = np.divmod(local * channels + ch - ext_first[extent], request_bursts)
+    request += head[extent]
+    del lo, span, first_page, pieces, piece_of, page, local, extent
 
+    t_l, t_s = config.t_ccd_l, config.t_ccd_s
     # A run opens its row unless the previous run on its bank had the
     # same row; it precharges first if its bank had a run at all.
-    n_runs = first.size
+    n_runs = length.size
     same_channel = np.r_[False, ch[1:] == ch[:-1]]
     key = ch * config.banks_per_channel + bank
-    by_bank = np.argsort(key, kind="stable")
+    by_bank = _stable_order(key)
     follows = np.r_[False, key[by_bank][1:] == key[by_bank][:-1]]
     closed = np.full(n_runs, -1, np.int64)
     closed[by_bank[follows]] = row[by_bank[np.flatnonzero(follows) - 1]]
@@ -406,14 +448,8 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     act_cycle = np.full(n_runs, -1, np.int64)
     act_cycle[opens] = act_at
 
-    # Table order: runs by the stream position of their first burst, each
-    # preceded by its PRE and ACT rows.
-    order = np.argsort(by_channel[first])
-    (first, length, ch, bank, row, column, closed, opening, has_pre, rd_cycle, act_cycle) = (
-        a[order] for a in (
-            first, length, ch, bank, row, column, closed, opening, has_pre, rd_cycle, act_cycle
-        )
-    )
+    # Table order: runs as listed (channel after channel, each in stream
+    # order), each preceded by its PRE and ACT rows.
     rows_of = 1 + opening.astype(np.int64) + has_pre
     rd_pos = np.cumsum(rows_of) - 1
     act_pos, pre_pos = rd_pos[opening] - 1, rd_pos[has_pre] - 2
@@ -427,9 +463,6 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
             out[pre_pos] = pre
         return out
 
-    # Every read, run after run in table order, as a position in by_channel.
-    reads = np.repeat(first - (np.cumsum(length) - length), length)
-    reads += np.arange(total)
     return CommandTable(
         kind=column_of(np.full(n_runs, _RD, np.int8), _ACT, _PRE),
         channel=column_of(ch),
@@ -437,9 +470,10 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
         row=column_of(row, pre=closed[has_pre]),
         column=column_of(column, pre=0),
         issue_cycle=column_of(rd_cycle, act_cycle[opening], act_cycle[has_pre] - config.t_rp),
-        request_index=column_of(request[by_channel[first]]),
+        request_index=column_of(request),
         count=column_of(length, 1, 1),
-        read_request=request[by_channel[reads]],
+        burst_in_request=column_of(burst_in_request, 0, 0),
+        request_bursts=column_of(request_bursts, 1, 1),
     )
 
 
@@ -526,7 +560,7 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
     last = cycle + (table.count[sel] - 1) * config.t_ccd_l
     is_act, is_rd, is_pre = kind == _ACT, kind == _RD, kind == _PRE
 
-    by_bank = np.argsort(bank, kind="stable")
+    by_bank = _stable_order(bank)
     sorted_bank = bank[by_bank]
     run_start = np.r_[True, sorted_bank[1:] != sorted_bank[:-1]]
     first_of_bank = np.maximum.accumulate(np.where(run_start, np.arange(sel.size), 0))
@@ -581,51 +615,73 @@ def simulate(config: DramConfig, commands) -> SimResult:
     commands is a CommandTable (an RD row stands for its count reads) or
     an iterable of DramCommand.  The stream must respect the bank state
     machine and the configured timings; the first violation, in table
-    order, raises ValueError naming the constraint.  The trace ends at the last data beat (or the last
-    command, for a stream with no reads).  Background energy covers every
-    channel for the whole span, busy or not: standby power does not care
-    who is reading.
+    order, raises ValueError naming the constraint.  The trace ends at
+    the last data beat (or the last command, for a stream with no
+    reads).  Background energy covers every channel for the whole span,
+    busy or not: standby power does not care who is reading.
     """
     table = commands if isinstance(commands, CommandTable) else CommandTable.from_commands(commands)
-    channel = table.channel
-    if len(table) and (channel.min() < 0 or channel.max() >= config.channels):
-        present = np.unique(channel)
-    else:
-        present = range(config.channels)
-    violations = []
-    for ch in present:
-        sel = np.flatnonzero(channel == ch)
-        if sel.size:
-            violations.append(_first_violation(config, table, sel))
-    violations = [v for v in violations if v is not None]
-    if violations:
-        raise ValueError(min(violations)[1])
+    if len(table):
+        # Each channel's rows as one block, in table order.
+        order = _stable_order(table.channel)
+        grouped = table.channel[order]
+        bounds = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1], True]).tolist()
+        violations = [
+            _first_violation(config, table, order[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        violations = [v for v in violations if v is not None]
+        if violations:
+            raise ValueError(min(violations)[1])
 
-    rd_rows = np.flatnonzero(table.kind == _RD)
-    count = table.count[rd_rows]
-    request = table.read_request
-    count_rd = request.size
+    rd = table.kind == _RD
+    issue, count = table.issue_cycle[rd], table.count[rd]
+    first, into, per = table.request_index[rd], table.burst_in_request[rd], table.request_bursts[rd]
+    count_rd = int(count.sum())
     count_act = int(np.count_nonzero(table.kind == _ACT))
+    # Read k of an RD row is for request first + (into + k * channels) //
+    # per and completes at issue + k * t_ccd_l plus CAS latency and the
+    # burst; a request completes with its last read.
+    stride, t_l = config.channels, config.t_ccd_l
+    latency = config.t_cl + config.burst_cycles
+    # When per < channels every read is for a request of its own: one
+    # entry per read, k counting on from row to row.  A trace of
+    # single-burst requests has as many entries as bursts, so the
+    # columns are built in place.
+    narrow = per < stride
+    n = count[narrow]
+    before, k = np.cumsum(n) - n, np.arange(int(n.sum()))
+    read_request = k * stride
+    read_request += np.repeat(into[narrow] - before * stride, n)
+    read_request //= np.repeat(per[narrow], n)
+    read_request += np.repeat(first[narrow], n)
+    read_done = k
+    read_done *= t_l
+    read_done += np.repeat(issue[narrow] + latency - before * t_l, n)
+    del k
+    # Otherwise the row's requests run first, first + 1, ... without a
+    # gap, and first + q takes the reads k with q * per <= into + k *
+    # channels < (q + 1) * per: one entry per request, with its reads
+    # k_lo .. k_hi - 1.
+    row, q = _spread(np.where(narrow, 0, (into + (count - 1) * stride) // per + 1))
+    k_lo = np.maximum(-((into[row] - q * per[row]) // stride), 0)
+    k_hi = np.minimum(-((into[row] - (q + 1) * per[row]) // stride), count[row])
+    span_request = first[row] + q
     n_requests = max(
-        (int(column.max()) + 1 for column in (table.request_index, request) if column.size),
+        (int(c.max()) + 1 for c in (table.request_index, read_request, span_request) if c.size),
         default=0,
     )
-    # Completion of each read: its row's issue cycle plus k * t_ccd_l for
-    # the row's k-th read, plus CAS latency and the burst.
-    row_start = np.cumsum(count) - count
-    done = np.repeat(
-        table.issue_cycle[rd_rows] - row_start * config.t_ccd_l
-        + (config.t_cl + config.burst_cycles),
-        count,
-    )
-    done += np.arange(count_rd) * config.t_ccd_l
-    completion = np.zeros(n_requests, np.int64)
-    np.maximum.at(completion, request, done)
-    reads = np.bincount(request, minlength=n_requests)
-    acts = np.bincount(table.request_index[table.kind == _ACT], minlength=n_requests)
+    completion, reads, acts = (np.zeros(n_requests, np.int64) for _ in range(3))
+    np.maximum.at(completion, read_request, read_done)
+    np.maximum.at(completion, span_request, issue[row] + (k_hi - 1) * t_l + latency)
+    np.add.at(reads, read_request, 1)
+    np.add.at(reads, span_request, k_hi - k_lo)
+    np.add.at(acts, table.request_index[table.kind == _ACT], 1)
+    # Free the entries before SimResult copies the three columns.
+    del read_request, read_done, span_request, row, q, k_lo, k_hi
 
     if count_rd:
-        total_cycles = int(done.max())
+        total_cycles = int((issue + (count - 1) * t_l).max()) + latency
     else:
         total_cycles = int(table.issue_cycle.max()) + 1 if len(table) else 0
     total_ns = total_cycles * config.clock_ns

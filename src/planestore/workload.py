@@ -370,17 +370,22 @@ def solve_thresholds(
         idx = int(np.searchsorted(cum, want, side="left"))
         return float(s_desc[idx])
 
-    def thresholds_at(theta: float) -> ThresholdSet:
+    def thresholds_at(theta: float) -> tuple:
         terms = [g * theta**p for g, p in zip(profile.gains, profile.exponents)]
         fractions = np.clip(np.cumsum(terms), 0.0, 1.0)
-        raw = [quantile(float(f)) for f in fractions]
-        return ThresholdSet(tuple(_force_decreasing(raw)), ladder)
+        return tuple(_force_decreasing([quantile(float(f)) for f in fractions]))
 
-    def measured(ts: ThresholdSet) -> float:
-        bits = np.zeros_like(scores)
-        for k in range(len(ts.values) - 1, -1, -1):
-            bits[scores >= ts.values[k]] = widths[k]
-        return (pinned_bits + float(np.dot(lens, bits))) / total_weights
+    # Cuts are score quantiles, so most bisection steps repeat a set.
+    # A score's bits follow assign_formats' rule (a left-sided search on
+    # the negated cuts); the skip rung counts 0 bits.
+    bits_of = np.append(widths, 0.0)
+    averages: dict = {}
+
+    def measured(values: tuple) -> float:
+        if values not in averages:
+            codes = np.searchsorted(-np.asarray(values), -scores, side="left")
+            averages[values] = (pinned_bits + float(np.dot(lens, bits_of[codes]))) / total_weights
+        return averages[values]
 
     lo_set, hi_set = thresholds_at(0.0), thresholds_at(THETA_MAX)
     lo_avg, hi_avg = measured(lo_set), measured(hi_set)
@@ -396,15 +401,15 @@ def solve_thresholds(
     lo, hi = 0.0, THETA_MAX
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        ts = thresholds_at(mid)
-        got = measured(ts)
+        values = thresholds_at(mid)
+        got = measured(values)
         if abs(got - target_avg_bits) < best_err:
-            best_set, best_err = ts, abs(got - target_avg_bits)
+            best_set, best_err = values, abs(got - target_avg_bits)
         if got < target_avg_bits:
             lo = mid
         else:
             hi = mid
-    return best_set
+    return ThresholdSet(best_set, ladder)
 
 
 def gen_trace(

@@ -36,7 +36,9 @@ columns.  `chunks` and `formats_of` read them back one chunk at a time,
 `format_for` is the per-score bucket rule `assign_formats` must match.
 `reference_enumerate_chunks` and `reference_gen_scores` are the
 per-chunk loops the package's `enumerate_chunks` and `gen_scores`
-started from.
+started from.  `reference_solve_thresholds` is the solver before its
+bisection remembered the average of each threshold set it had measured:
+it builds a `ThresholdSet` per step and masks every score once per cut.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,7 +62,13 @@ from planestore.address import (
     build_regions,
     plane_span,
 )
-from planestore.bitplane import KIND_LABELS, ChunkKind, PlaneLayout, plane_stride_for
+from planestore.bitplane import (
+    KIND_LABELS,
+    ChunkDirectory,
+    ChunkKind,
+    PlaneLayout,
+    plane_stride_for,
+)
 from planestore.config import default_config
 from planestore.dram import CommandKind, DramCommand, DramConfig, SimResult
 from planestore.quant import (
@@ -72,7 +80,14 @@ from planestore.quant import (
     fetched_widths,
     plane_set,
 )
-from planestore.workload import FormatAssignment, ThresholdSet
+from planestore.workload import (
+    THETA_MAX,
+    BandProfile,
+    FormatAssignment,
+    ThresholdSet,
+    _force_decreasing,
+    _PREDICTOR,
+)
 
 DEFAULT = default_config()
 LADDER = DEFAULT.ladder
@@ -166,6 +181,96 @@ def reference_gen_scores(rows, model) -> np.ndarray:
     if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
         raise AssertionError("score distribution left [0, 1]")
     return scores
+
+
+def reference_solve_thresholds(
+    directory: ChunkDirectory,
+    scores: Sequence[float],
+    target_avg_bits: float,
+    ladder: Sequence[FpFormat],
+    profile: BandProfile,
+) -> ThresholdSet:
+    """Find thresholds whose assignment averages target_avg_bits per weight.
+
+    Monotone bisection over a single knob: the knob position fixes a
+    cumulative weight fraction per band via the profile, each fraction
+    becomes a weighted score quantile, and the resulting average rises
+    monotonically with the knob.  The average counts predictors at full
+    width; tolerance is +/-0.05 bits.  An unreachable target raises with
+    the achievable range.
+    """
+    ladder = tuple(ladder)
+    if len(profile.gains) != len(ladder) - 1:
+        raise ValueError("band profile does not match the ladder")
+    scores = np.asarray(scores, dtype=np.float64)
+    predictor = directory.kind == _PREDICTOR
+    lens = directory.length[~predictor].astype(np.float64)
+    if scores.shape != lens.shape:
+        raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
+    pinned = int(directory.length[predictor].sum())
+    pinned_bits = pinned * ladder[0].total_bits
+    total_weights = directory.num_weights
+    widths = np.asarray([f.total_bits for f in ladder[:-1]], dtype=np.float64)
+
+    if scores.size == 0:
+        fixed = pinned_bits / total_weights
+        if abs(fixed - target_avg_bits) > 0.05:
+            raise ValueError(
+                f"target {target_avg_bits} bits/weight is outside the achievable "
+                f"range [{fixed:.3f}, {fixed:.3f}]"
+            )
+        n = len(ladder) - 1
+        return ThresholdSet(tuple((n - k) / (n + 1) for k in range(n)), ladder)
+
+    order = np.argsort(-scores, kind="stable")
+    s_desc = scores[order]
+    cum = np.cumsum(lens[order])
+    mass = float(cum[-1])
+
+    def quantile(fraction: float) -> float:
+        want = fraction * mass
+        if want <= 0.0:
+            return min(1.0, float(np.nextafter(s_desc[0], 2.0)))
+        if want >= mass:
+            return float(s_desc[-1])
+        idx = int(np.searchsorted(cum, want, side="left"))
+        return float(s_desc[idx])
+
+    def thresholds_at(theta: float) -> ThresholdSet:
+        terms = [g * theta**p for g, p in zip(profile.gains, profile.exponents)]
+        fractions = np.clip(np.cumsum(terms), 0.0, 1.0)
+        raw = [quantile(float(f)) for f in fractions]
+        return ThresholdSet(tuple(_force_decreasing(raw)), ladder)
+
+    def measured(ts: ThresholdSet) -> float:
+        bits = np.zeros_like(scores)
+        for k in range(len(ts.values) - 1, -1, -1):
+            bits[scores >= ts.values[k]] = widths[k]
+        return (pinned_bits + float(np.dot(lens, bits))) / total_weights
+
+    lo_set, hi_set = thresholds_at(0.0), thresholds_at(THETA_MAX)
+    lo_avg, hi_avg = measured(lo_set), measured(hi_set)
+    if not lo_avg - 0.05 <= target_avg_bits <= hi_avg + 0.05:
+        raise ValueError(
+            f"target {target_avg_bits} bits/weight is outside the achievable "
+            f"range [{lo_avg:.3f}, {hi_avg:.3f}]"
+        )
+
+    best_set, best_err = lo_set, abs(lo_avg - target_avg_bits)
+    if abs(hi_avg - target_avg_bits) < best_err:
+        best_set, best_err = hi_set, abs(hi_avg - target_avg_bits)
+    lo, hi = 0.0, THETA_MAX
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        ts = thresholds_at(mid)
+        got = measured(ts)
+        if abs(got - target_avg_bits) < best_err:
+            best_set, best_err = ts, abs(got - target_avg_bits)
+        if got < target_avg_bits:
+            lo = mid
+        else:
+            hi = mid
+    return best_set
 
 
 class Rounding(Enum):

@@ -1,5 +1,6 @@
 """Config loading and the command-line harness."""
 
+import hashlib
 import json
 import re
 import struct
@@ -582,6 +583,20 @@ def run_compare(config, out, capsys):
     return capsys.readouterr().out
 
 
+# sha256 of the report `planestore compare --out out` writes on the
+# built-in defaults.  A change that only makes the program faster must
+# leave these bytes alone.
+DEFAULT_REPORT_SHA256 = "4827805b27fba96a24ecc72a04acb2c2b5ceb21c7765c6e648e7f5f0618d15dd"
+
+
+def test_default_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    assert main(["compare", "--out", "out"]) == 0
+    report = (tmp_path / "out" / "comparison.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == DEFAULT_REPORT_SHA256
+
+
 def test_compare_outputs(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     text = run_compare(small_config, out, capsys)
@@ -721,6 +736,42 @@ def test_report_rejects_malformed_entries(tmp_path, capsys, targets, message):
     path.write_text(json.dumps({"schema_version": REPORT_SCHEMA_VERSION, "targets": targets}))
     assert main(["report", str(path)]) == 1
     assert f"corrupted report {path}: {message}" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("achieved_avg_bits",), "x", "targets[0].achieved_avg_bits is not a number"),
+        (("target_bits",), None, "targets[0].target_bits is not a number"),
+        (("modes", "bitplane", "bytes"), True, "targets[0].modes.bitplane.bytes is not a number"),
+        (
+            ("modes", "bitplane", "predictor_byte_share"),
+            [0.1],
+            "targets[0].modes.bitplane.predictor_byte_share is not a number",
+        ),
+        (("reductions", "bytes_pct"), "0", "targets[0].reductions.bytes_pct is not a number"),
+        (
+            ("reductions", "per_kind", "attention_head", "energy_per_weight_pct"),
+            "x",
+            "targets[0].reductions.per_kind.attention_head.energy_per_weight_pct is not a number",
+        ),
+        (("reductions", "per_kind"), 5, "targets[0].reductions.per_kind is not an object"),
+        (("modes", "traditional"), [], "targets[0].modes.traditional is not an object"),
+    ],
+)
+def test_report_names_a_field_of_the_wrong_type(small_config, tmp_path, capsys, path, value, message):
+    out = tmp_path / "out"
+    run_compare(small_config, out, capsys)
+    report = out / "comparison.json"
+    data = json.loads(report.read_text())
+    parent = data["targets"][0]
+    for key in path[:-1]:
+        parent = parent[key]
+    assert path[-1] in parent
+    parent[path[-1]] = value
+    report.write_text(json.dumps(data))
+    assert main(["report", str(report)]) == 1
+    assert one_line_error(capsys) == f"error: corrupted report {report}: {message}\n"
 
 
 def test_report_rejects_schema_mismatch(small_config, tmp_path, capsys):

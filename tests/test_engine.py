@@ -5,7 +5,9 @@
 and account for run tables and command streams exactly as the
 command-by-command replay in reference.py does.  Checked on hand
 traces, on every trace of the default sweep, on random and interleaved
-traces and configs, and on perturbed command streams and run tables.
+traces and configs, on runs of contiguous equal-size requests (the
+extents `plan` merges), and on perturbed command streams and run
+tables.
 """
 
 import dataclasses
@@ -48,13 +50,16 @@ def trace_of(requests):
 
 def commands_of(config, table):
     """A CommandTable as the DramCommand list it encodes, each run's
-    reads expanded: the k-th at issue + k * t_ccd_l, column + k."""
-    commands, reads = [], iter(table.read_request.tolist())
+    reads expanded: the k-th at issue + k * t_ccd_l, column + k, for
+    request request_index + (burst_in_request + k * channels) //
+    request_bursts."""
+    commands = []
     columns = (
         table.kind, table.channel, table.bank, table.row, table.column,
         table.issue_cycle, table.request_index, table.count,
+        table.burst_in_request, table.request_bursts,
     )
-    for kind, channel, bank, row, column, issue, request, count in zip(
+    for kind, channel, bank, row, column, issue, request, count, into, per in zip(
         *(c.tolist() for c in columns)
     ):
         if KINDS[kind] is not CommandKind.RD:
@@ -63,7 +68,7 @@ def commands_of(config, table):
         for k in range(count):
             commands.append(DramCommand(
                 CommandKind.RD, channel, bank, row, column + k,
-                issue + k * config.t_ccd_l, next(reads),
+                issue + k * config.t_ccd_l, request + (into + k * config.channels) // per,
             ))
     return commands
 
@@ -72,8 +77,8 @@ def by_channel(stream):
     """A command stream as its channels' streams, one after another.
 
     Channels share no state, so a stream is equivalent to any
-    interleaving of its channels' streams; the engine orders runs, not
-    bursts, by their stream position."""
+    interleaving of its channels' streams; the engine groups its rows by
+    channel."""
     return sorted(stream, key=lambda cmd: cmd.channel)
 
 
@@ -86,6 +91,19 @@ def assert_engine_matches_reference(config, trace):
     assert result == reference_simulate(config, expected)
     assert result == reference_simulate(config, commands)
     return table, commands, result
+
+
+# Default-config bursts per row across all channels: a row boundary falls
+# every ROW_SPAN blocks of the address space.
+ROW_SPAN = dram().channels * dram().columns_per_row
+
+
+def extent_runs(blocks):
+    head = ROW_SPAN - 2 * blocks - 1
+    requests = [(64 * (head + i * blocks), 64 * blocks) for i in range(12)]
+    head += 12 * blocks
+    requests += [(64 * (head + i * 2), 128) for i in range(6)]
+    return requests + [(64 * (ROW_SPAN - 40 + i * blocks), 64 * blocks) for i in range(5)]
 
 
 @pytest.mark.parametrize(
@@ -102,6 +120,11 @@ def assert_engine_matches_reference(config, trace):
         [(7936, 4096), (1048576, 512), (0, 256), (32768, 192)],
         [(0, 1024), (1048576, 1024), (0, 1024)],
         [],
+        # Extents of 1, fewer than, as many as and more than 4 (the
+        # channel count) bursts a request: each starts just before a row
+        # boundary on every channel, is followed by one of another size,
+        # then jumps back into its own rows.
+        *(extent_runs(blocks) for blocks in (1, 3, 4, 5, 130)),
     ],
 )
 def test_hand_traces_match_reference(requests):
@@ -145,15 +168,22 @@ def test_malformed_run_table_rejected():
     table = plan(dram(), trace_of([(0, 512)]))
     act, rd = 0, 1
     assert run_table(table)[:2] == [("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 2)]
-    for row, value, match in (
-        (rd, 0, "count of at least 1"),
-        (rd, 3, "read_request holds 8 reads, the RD rows 9"),
-        (act, 2, "any other row 1"),
+    # One request of eight bursts: channel 0 reads its bursts 0 and 4.
+    assert (table.request_bursts[rd], table.burst_in_request[rd]) == (8, 0)
+    attribution = "burst_in_request must lie in \\[0, request_bursts\\)"
+    for name, row, value, match in (
+        ("count", rd, 0, "count of at least 1"),
+        ("count", act, 2, "any other row 1"),
+        ("burst_in_request", rd, 8, attribution),
+        ("burst_in_request", rd, -1, attribution),
+        ("request_bursts", rd, 0, attribution),
+        ("request_bursts", act, 0, attribution),
+        ("request_index", rd, -1, "request_index must not be negative"),
     ):
-        count = table.count.copy()
-        count[row] = value
+        column = getattr(table, name).copy()
+        column[row] = value
         with pytest.raises(ValueError, match=match):
-            dataclasses.replace(table, count=count)
+            dataclasses.replace(table, **{name: column})
 
 
 def test_bad_address_raises_the_scalar_error():
@@ -259,6 +289,33 @@ def test_interleaved_streams_match_reference(config, trace):
     assert_engine_matches_reference(config, trace)
 
 
+@st.composite
+def extent_traces(draw):
+    """Runs of contiguous requests of one burst count each, the way a
+    traditional trace streams a chunk.  Counts of 1, below, at and above
+    the channel count of every config here; between runs the address
+    jumps (often to just before a row boundary) or carries on, and the
+    count may change, so extents cross rows and adjoin each other."""
+    requests, head = [], draw(st.integers(0, 2 * ROW_SPAN))
+    for _ in range(draw(st.integers(1, 5))):
+        jump = draw(st.sampled_from(["none", "boundary", "anywhere"]))
+        if jump == "boundary":
+            head = max(ROW_SPAN * draw(st.integers(0, 6)) + draw(st.integers(-12, 12)), 0)
+        elif jump == "anywhere":
+            head = draw(st.integers(0, 8 * ROW_SPAN))
+        blocks = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 130]))
+        for _ in range(draw(st.integers(1, max(2, 120 // blocks)))):
+            requests.append((64 * head, 64 * blocks))
+            head += blocks
+    return trace_of(requests)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(configs, st.just(dram())), extent_traces())
+def test_extent_runs_match_reference(config, trace):
+    assert_engine_matches_reference(config, trace)
+
+
 def same_verdict(config, stream, table=None):
     """Both replays raise the same message, or return the same result.
 
@@ -323,7 +380,7 @@ def test_perturbed_schedules_get_the_reference_verdict(config, trace, data):
 
 
 @settings(deadline=None, max_examples=300)
-@given(configs, interleaved_traces(), st.data())
+@given(configs, st.one_of(interleaved_traces(), extent_traces()), st.data())
 def test_perturbed_run_tables_get_the_reference_verdict(config, trace, data):
     # One row of a planned run table moved in time or sent to another
     # row or bank.  A row that follows a multi-read run is checked against

@@ -35,6 +35,7 @@ from planestore.workload import (
 )
 
 from reference import (
+    BAND_PROFILE,
     FP0,
     FP16,
     LADDER,
@@ -47,6 +48,7 @@ from reference import (
     formats_of,
     reference_enumerate_chunks,
     reference_gen_scores,
+    reference_solve_thresholds,
     reference_trace,
 )
 from test_bitplane import fetch_planes, reconstruct
@@ -124,6 +126,41 @@ def test_directory_and_scores_match_the_per_chunk_loops(family, geometry, seed, 
     got, want = gen_scores(directory, model), reference_gen_scores(rows, model)
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMETERS))
+@settings(deadline=None, max_examples=40)
+@given(
+    geometry=geometries,
+    seed=st.integers(0, 2**32 - 1),
+    spots=st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_thresholds_match_the_per_step_solver(family, geometry, seed, spots, data):
+    # Each spot places a target between the predictors' own average (0)
+    # and full width (1); a few land past either end of the achievable
+    # range, where both solvers must raise the same error.
+    params = {
+        name: data.draw(st.floats(0.0, 1.0) if name == "mix" else st.floats(0.05, 20.0))
+        for name in FAMILY_PARAMETERS[family]
+    }
+    model = ImportanceModel(seed, {
+        ChunkKind.ATTENTION_HEAD: ScoreDistribution(family, **params),
+        ChunkKind.MLP_NEURON: ScoreDistribution(family, **params),
+    })
+    directory = enumerate_chunks(geometry)
+    scores = gen_scores(directory, model)
+    floor = FP16.total_bits * predictor_fraction(directory)
+    for spot in spots:
+        target = floor + spot * (FP16.total_bits - floor)
+        try:
+            want = reference_solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
+            assert str(got.value) == str(exc)
+        else:
+            assert solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE) == want
 
 
 @st.composite
