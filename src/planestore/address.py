@@ -14,10 +14,12 @@ maps a whole array of logical reads, `translate` fans every resolved
 read out into its plane spans, and `translate_traditional` finds every
 read's extent.  `workload.gen_trace` feeds them the chunk directory's
 `start` and `length` columns, so a trace costs one call of each, not
-one per chunk.
+one per chunk.  The skip format has no region, so a `Resolved` read
+never carries it, and neither translation has a case for it.
 
-A request stream is a `Trace`: numpy columns with one row per
-block-granular read, in issue order.
+A request stream is a `Trace`: read-only numpy columns with one row per
+block-granular read, in issue order.  Its constructor rejects any other
+row, so the DRAM model's `plan` takes the rows as they come.
 """
 
 from __future__ import annotations
@@ -74,12 +76,15 @@ def first_invalid(addr: np.ndarray, size: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A request stream as columns, one row per read, in issue order.
+    """A request stream as read-only columns, one row per read, in issue
+    order.
 
-    addr and size are byte address and length (int64), BLOCK-granular.
-    tag holds each row's index into labels (int32, -1 for untagged);
-    chunk holds the id of the directory chunk the row loads (int32, -1
-    for none).  tag and chunk default to all -1.
+    addr and size are byte address and length (int64): every row is a
+    non-empty read of whole BLOCK-aligned blocks at a non-negative
+    address, which the constructor checks, so consumers need not.  tag
+    holds each row's index into labels (int32, -1 for untagged); chunk
+    holds the id of the directory chunk the row loads (int32, -1 for
+    none).  tag and chunk default to all -1.
     """
 
     addr: np.ndarray
@@ -100,6 +105,7 @@ class Trace:
             column = np.asarray(values, dtype).reshape(-1)
             if column.size != n:
                 raise ValueError(f"trace column {name} has {column.size} rows, addr has {n}")
+            column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "labels", tuple(self.labels))
         bad = first_invalid(self.addr, self.size)
@@ -153,7 +159,8 @@ def _first_failure(*masks: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class Resolved:
     """Resolved reads as columns: read i serves weights [start[i],
-    start[i] + count[i]) at formats[code[i]]."""
+    start[i] + count[i]) at formats[code[i]].  No format is the skip
+    format: a skipped chunk has no region, so nothing resolves to it."""
 
     formats: tuple
     code: np.ndarray
@@ -162,6 +169,9 @@ class Resolved:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "formats", tuple(self.formats))
+        for fmt in self.formats:
+            if fmt.is_skip:
+                raise ValueError(f"{fmt.name}: a read cannot resolve to the skip format")
         for name in ("code", "start", "count"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), np.int64).reshape(-1))
         if not self.code.size == self.start.size == self.count.size:
@@ -239,15 +249,11 @@ def translate(
     sit at increasing bases, so that is also plane order).
     """
     code = resolved.code
-    skip = np.array([fmt.is_skip for fmt in resolved.formats], bool)
-    failure = _first_failure(skip[code], _outside(resolved, layout.num_weights))
+    failure = _first_failure(_outside(resolved, layout.num_weights))
     if failure is not None:
-        row, check = failure
-        if check == 0:
-            raise ValueError("cannot translate a skipped chunk")
-        raise _range_error(resolved, row, "image")
+        raise _range_error(resolved, failure[0], "image")
     # One plane set per format, expanded to every read of that format.
-    sets = [() if fmt.is_skip else plane_set(fmt, guard) for fmt in resolved.formats]
+    sets = [plane_set(fmt, guard) for fmt in resolved.formats]
     by_format = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
     for k, planes in enumerate(sets):
         by_format[k, : len(planes)] = planes
@@ -278,15 +284,12 @@ def translate_traditional(
     resolved: Resolved, layout: TraditionalLayout
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full-precision fetch of every resolved read's weight range: its
-    aligned (lo, size) extent as int64 columns, size 0 for a read at a
-    skipped format.
+    aligned (lo, size) extent as int64 columns.
 
-    The target format is irrelevant by construction, except that skipped
-    chunks transfer nothing at all.
+    The target format is irrelevant by construction.
     """
     start, count = resolved.start, resolved.count
-    skip = np.array([fmt.is_skip for fmt in resolved.formats], bool)[resolved.code]
-    failure = _first_failure(~skip & _outside(resolved, layout.num_weights))
+    failure = _first_failure(_outside(resolved, layout.num_weights))
     if failure is not None:
         raise _range_error(resolved, failure[0], "layout")
     idx = np.searchsorted(layout.chunk_starts, start, side="right") - 1
@@ -294,8 +297,8 @@ def translate_traditional(
     chunk_start = layout.chunk_starts[idx]
     first = chunk_base + (start - chunk_start) * FP16_BYTES
     last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
-    lo = np.where(skip, 0, first // BLOCK * BLOCK)
-    hi = np.where(skip, 0, (last // BLOCK + 1) * BLOCK)
+    lo = first // BLOCK * BLOCK
+    hi = (last // BLOCK + 1) * BLOCK
     return lo, hi - lo
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .files import write_file
-from .quant import FpFormat, make_format
+from .quant import FpFormat
 
 NUM_PLANES = 16
 STRIDE_GRANULE = 64  # bytes; plane arrays padded to the interleave granule
@@ -158,7 +158,8 @@ def save_image(image: BitPlaneImage, ladder: Sequence[FpFormat], path: str) -> N
     Layout (little-endian): magic "SQBP", version u16, num_weights u64,
     plane_stride u64, ladder count u16, then per format a name (u8 length +
     bytes), exp_bits u8, man_bits u8, bias i16; then the plane arrays in
-    plane order, plane_stride bytes each.
+    plane order, plane_stride bytes each.  The bias restates the one the
+    widths give, and `load_image` rejects a header where it does not.
     """
     header = [
         IMAGE_MAGIC,
@@ -189,10 +190,13 @@ def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
                 (nlen,) = struct.unpack("<B", f.read(1))
                 name = f.read(nlen).decode("utf-8")
                 exp_bits, man_bits, bias = struct.unpack("<BBh", f.read(4))
-                ladder.append(make_format(name, exp_bits, man_bits, bias if exp_bits else None))
+                fmt = FpFormat(name, exp_bits, man_bits)
+                if bias != fmt.bias:
+                    raise ValueError(f"{name}: bias {bias} differs from the derived {fmt.bias}")
+                ladder.append(fmt)
         except struct.error:
             raise ValueError(f"{path}: truncated header") from None
-        except ValueError as exc:  # a bad version, format name or format widths
+        except ValueError as exc:  # a bad version, format name, widths or bias
             raise ValueError(f"{path}: {exc}") from None
         if num_weights == 0:
             raise ValueError(f"{path}: image must hold at least one weight")

@@ -1,11 +1,13 @@
 """Command-line harness: pack images, dump regions, trace, simulate, compare.
 
-Subcommands share three flags: --config (YAML, merged over built-in
-defaults), --seed and --out (explicit overrides).  `compare` is the main
-entry: it runs the full target sweep in both layouts and writes a
-deterministic JSON report (timestamps live in a .meta.json sidecar so
-reruns with one config are byte-identical), a plot-ready CSV and a
-summary table.  `report` re-renders a stored report without resimulating.
+Each subcommand takes only the flags it reads: --config (YAML, merged
+over built-in defaults) all but `report`, --out (the output directory)
+`pack`, `regions`, `trace` and `compare`, and --seed the three of those
+that draw from it.  `compare` is the main entry: it runs the full
+target sweep in both layouts and writes a deterministic JSON report
+(timestamps live in a .meta.json sidecar so reruns with one config are
+byte-identical), a plot-ready CSV and a summary table.  `report`
+re-renders a stored report without resimulating.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
-from .experiment import predictor_fraction, run_sweep, solver_target
+from .experiment import run_sweep, solver_target
 from .files import write_file
 from .workload import (
     assign_formats,
@@ -265,7 +267,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    config = load_config(args.config, args.seed, args.out)
+    config = load_config(args.config, out=args.out)
     count = args.count if args.count is not None else config.geometry.total_weights
     table = build_regions(count, config.ladder)
     text = json.dumps(region_report(table), sort_keys=True, indent=2) + "\n"
@@ -280,7 +282,7 @@ def cmd_regions(args) -> int:
 
 def _solve_assignment(config: ExperimentConfig, directory, target: float):
     scores = gen_scores(directory, config.importance)
-    inclusive = solver_target(target, predictor_fraction(directory))
+    inclusive = solver_target(directory, config.ladder, target)
     thresholds = solve_thresholds(
         directory, scores, inclusive, config.ladder, config.band_profile
     )
@@ -367,7 +369,7 @@ def parse_trace(path: str) -> Trace:
 
 
 def cmd_sim(args) -> int:
-    config = load_config(args.config, args.seed, args.out)
+    config = load_config(args.config)
     trace = parse_trace(args.trace)
     result = run_trace(config.dram, trace)
     payload = {
@@ -459,13 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="YAML config merged over built-in defaults")
-        p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--out", help="override the output directory")
+    shared = {
+        "config": dict(help="YAML config merged over built-in defaults"),
+        "seed": dict(type=int, help="override the configured seed"),
+        "out": dict(help="override the output directory"),
+    }
+
+    def flags(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     p = sub.add_parser("pack", help="pack weights into a plane-store image")
-    common(p)
+    flags(p, "config", "seed", "out")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--weights", help="raw little-endian FP16 word file")
     src.add_argument("--repack", help="existing image to unpack and repack")
@@ -474,12 +481,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("regions", help="dump the bloated logical-space map")
-    common(p)
+    flags(p, "config", "out")
     p.add_argument("--count", type=int, help="weight count (default: geometry total)")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("trace", help="emit request traces and the assignment")
-    common(p)
+    flags(p, "config", "seed", "out")
     p.add_argument("--target", type=float, help="bits/weight target (default: first)")
     p.add_argument(
         "--mode",
@@ -489,17 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("sim", help="simulate a trace file")
-    common(p)
+    flags(p, "config")
     p.add_argument("trace", help="trace file, one 'byte_addr len_bytes tag' per line")
     p.add_argument("--result", help="write the JSON result here instead of stdout")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("compare", help="run the full sweep in both modes")
-    common(p)
+    flags(p, "config", "seed", "out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="re-render a stored comparison report")
-    common(p)
     p.add_argument("report", help="comparison.json produced by compare")
     p.add_argument("--csv", help="also write the plot-ready CSV here")
     p.set_defaults(func=cmd_report)

@@ -4,7 +4,7 @@ Every knob the comparison depends on lives here with a checked-in default,
 so a report plus its embedded config is enough to rerun the experiment.
 Precedence, lowest to highest: built-in defaults, the YAML file, the
 PLANESTORE_OUT environment variable (output directory only), then
-explicit CLI flags (--seed, --out).
+explicit CLI flags (--seed, --out, where a subcommand takes them).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import yaml
 
 from .dram import DramConfig
-from .quant import GuardConfig, make_format
+from .quant import FpFormat, GuardConfig
 from .workload import (
     FAMILY_PARAMETERS,
     BandProfile,
@@ -97,7 +97,7 @@ DEFAULTS: dict = {
 }
 
 _DIST_KEYS = ("family", "a", "b", "mix", "a_lo", "b_lo")
-_LADDER_KEYS = ("name", "exp_bits", "man_bits", "bias")  # every one but bias required
+_LADDER_KEYS = ("name", "exp_bits", "man_bits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,16 +205,8 @@ def build_config(resolved: dict) -> ExperimentConfig:
     )
     _check_types(resolved, schema, "")
     for index, entry in enumerate(resolved["ladder"]):
-        _check_keys(entry, _LADDER_KEYS, _LADDER_KEYS[:3], f"ladder[{index}]")
-    ladder = tuple(
-        make_format(
-            entry["name"],
-            entry["exp_bits"],
-            entry["man_bits"],
-            entry.get("bias"),
-        )
-        for entry in resolved["ladder"]
-    )
+        _check_keys(entry, _LADDER_KEYS, _LADDER_KEYS, f"ladder[{index}]")
+    ladder = tuple(FpFormat(**entry) for entry in resolved["ladder"])
     guard = GuardConfig(resolved["guard"]["exp_bits"], resolved["guard"]["man_bits"])
     geometry = ModelGeometry(**resolved["geometry"])
     dists = {

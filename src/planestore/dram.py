@@ -27,7 +27,9 @@ legality check vectorized per channel, and derives per-request reads
 and completions from the rows.  docs/dram-model.md shows why the
 run-level recurrence is exact.  Both `schedule` and `plan` take the
 request stream as an `address.Trace` and read its addr and size
-columns.
+columns.  `plan` relies on the rows being valid, which the Trace
+constructor checks; `schedule`, the reference, maps every burst through
+`map_address` and so still raises its per-burst errors on bare columns.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
@@ -41,7 +43,7 @@ calibration inputs, not ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -259,11 +261,10 @@ class CommandTable:
     count: np.ndarray
     burst_in_request: np.ndarray
     request_bursts: np.ndarray
-    # Stream position -> kind, for commands whose kind is no CommandKind
-    # (their kind code is -1); the replay names the kind when it rejects one.
-    odd_kinds: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.kind.size and not 0 <= self.kind.min() <= self.kind.max() < len(CommandKind):
+            raise ValueError(f"command kind codes must lie in [0, {len(CommandKind)})")
         reads = self.count[self.kind == _RD]
         if (reads < 1).any() or (self.count[self.kind != _RD] != 1).any():
             raise ValueError("an RD row needs a count of at least 1, any other row 1")
@@ -279,18 +280,17 @@ class CommandTable:
     @classmethod
     def from_commands(cls, commands: Iterable[DramCommand]) -> "CommandTable":
         """One count-1 row per command, in stream order."""
-        rows, odd = [], {}
-        for position, cmd in enumerate(commands):
-            code = _KIND_CODE.get(cmd.kind, -1)
-            if code < 0:
-                odd[position] = cmd.kind
-            rows.append((code, *cmd[1:]))
+        rows = []
+        for cmd in commands:
+            if cmd.kind not in _KIND_CODE:
+                raise ValueError(f"unknown command kind {cmd.kind!r}")
+            rows.append((_KIND_CODE[cmd.kind], *cmd[1:]))
         cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
         kind = cols[0].astype(np.int8)
         ones = np.ones(kind.size, np.int64)
         return cls(
             kind, *cols[1:], count=ones, burst_in_request=np.zeros(kind.size, np.int64),
-            request_bursts=ones, odd_kinds=odd,
+            request_bursts=ones,
         )
 
 
@@ -362,17 +362,15 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     grouped by channel, each channel's in stream order.  No array is as
     long as the burst count.
     """
-    start = np.asarray(trace.addr, np.int64)
-    size = np.asarray(trace.size, np.int64)
+    # A Trace's rows are non-empty whole blocks at aligned addresses, and
+    # a burst is one block (DramConfig insists), so a request's bursts
+    # are its size over the burst.
+    start, size = trace.addr, trace.size
     step = config.burst_bytes
-    bursts = np.maximum(-(-size // step), 0)
+    bursts = size // step
     burst = start // step
-    misplaced = (bursts > 0) & ((start < 0) | (burst * step != start))
-    if misplaced.any():
-        map_address(config, int(start[misplaced.argmax()]))  # raises its error
     # Each extent's first request, its requests' burst count and its
-    # first global burst index.  A request with no bursts starts an
-    # extent that covers none.
+    # first global burst index.
     starts = np.ones(start.size, bool)
     starts[1:] = (burst[1:] != burst[:-1] + bursts[:-1]) | (bursts[1:] != bursts[:-1])
     head = np.flatnonzero(starts)
@@ -499,8 +497,8 @@ class SimResult:
 
     def __post_init__(self) -> None:
         for name in ("completion_cycles", "request_reads", "request_acts"):
-            column = np.array(getattr(self, name), np.int64).reshape(-1)
-            column.flags.writeable = False
+            column = np.asarray(getattr(self, name), np.int64).reshape(-1)
+            column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     def __eq__(self, other) -> bool:
@@ -530,7 +528,6 @@ _VIOLATIONS = (
     "t_rcd violated on channel {ch} bank {bank}",
     "t_ccd_l violated on channel {ch}",
     "t_ccd_s violated on channel {ch}",
-    "unknown command kind {kind!r}",
 )
 
 
@@ -590,23 +587,20 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
         is_rd & (cycle < state_cycle + config.t_rcd),
         early_rd & same_bank,
         early_rd,
-        kind < 0,
     ]
     code = np.select(checks, np.arange(1, len(checks) + 1), 0)
     bad = np.flatnonzero(code)
     if not bad.size:
         return None
     j = int(bad[0])
-    position = int(sel[j])
     message = _VIOLATIONS[code[j] - 1].format(
         ch=ch,
         bank=int(bank[j]),
         row=int(row[j]),
         cycle=int(cycle[j]),
         open_row=int(open_row[j]),
-        kind=table.odd_kinds.get(position),
     )
-    return position, message
+    return int(sel[j]), message
 
 
 def simulate(config: DramConfig, commands) -> SimResult:
@@ -677,7 +671,7 @@ def simulate(config: DramConfig, commands) -> SimResult:
     np.add.at(reads, read_request, 1)
     np.add.at(reads, span_request, k_hi - k_lo)
     np.add.at(acts, table.request_index[table.kind == _ACT], 1)
-    # Free the entries before SimResult copies the three columns.
+    # Free the per-read entries before the totals below.
     del read_request, read_done, span_request, row, q, k_lo, k_hi
 
     if count_rd:

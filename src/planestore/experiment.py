@@ -10,8 +10,8 @@ mean chunk load latency, byte totals and the predictor's share.
 Sweep targets are quoted as the average over non-predictor weights (the
 natural knob: predictors are pinned full width and would otherwise drag
 the floor up).  The threshold solver works on the inclusive average, so
-each sweep point converts via 16p + x(1-p) with p the predictor weight
-fraction.
+each sweep point converts via w p + x (1 - p), with p the predictor
+weight fraction and w the width of the top rung, which predictors ride.
 """
 
 from __future__ import annotations
@@ -41,9 +41,11 @@ def predictor_fraction(directory: ChunkDirectory) -> float:
     return int(directory.length[predictor].sum()) / directory.num_weights
 
 
-def solver_target(non_predictor_bits: float, predictor_frac: float) -> float:
-    """Inclusive average implied by a non-predictor sweep value."""
-    return 16.0 * predictor_frac + non_predictor_bits * (1.0 - predictor_frac)
+def solver_target(directory: ChunkDirectory, ladder, non_predictor_bits: float) -> float:
+    """Inclusive average implied by a non-predictor sweep value, with the
+    predictors at the ladder's top rung."""
+    frac = predictor_fraction(directory)
+    return ladder[0].total_bits * frac + non_predictor_bits * (1.0 - frac)
 
 
 def chunk_latency_deltas(trace, result, clock_ns: float) -> dict:
@@ -175,8 +177,7 @@ def compare_target(
     profile: BandProfile,
 ) -> dict:
     """One sweep point: solve, assign, trace and simulate both modes."""
-    frac = predictor_fraction(directory)
-    inclusive = solver_target(target_bits, frac)
+    inclusive = solver_target(directory, ladder, target_bits)
     thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
     assignment = assign_formats(directory, scores, thresholds)
     out = {

@@ -3,9 +3,10 @@
 Weights are stored as FP16 bit patterns and served at narrower formats by
 slicing bit-planes. Plane numbering is fixed: plane 0 is the sign, planes
 1..5 the exponent MSB first, planes 6..15 the mantissa MSB first. A format
-that keeps the full 5-bit exponent converts by pure plane slicing; narrower
-exponents are re-biased with saturation on overflow and flush-to-zero on
-underflow.
+is a name and its exponent and mantissa widths; its sign bit and bias
+follow from them. A format that keeps the full 5-bit exponent converts by
+pure plane slicing; narrower exponents are re-biased with saturation on
+overflow and flush-to-zero on underflow.
 
 There are no Inf/NaN encodings anywhere in the ladder: the all-ones exponent
 code is an ordinary finite value. This keeps plane slicing exact (masking
@@ -27,51 +28,42 @@ FP16_BIAS = 15
 
 @dataclass(frozen=True)
 class FpFormat:
-    """One rung of the format ladder.
+    """One rung of the format ladder, given by its two widths.
 
     ``exp_bits`` and ``man_bits`` must be sub-slices of the FP16 layout.
-    ``bias`` follows the standard minifloat rule 2^(exp_bits-1) - 1; the
-    zero-width format (a skipped chunk) has every width 0.
+    Everything else follows from them: every rung carries one sign bit
+    and the standard minifloat bias 2^(exp_bits-1) - 1, except the
+    zero-width format (a skipped chunk), which has both widths 0 and no
+    sign bit.
     """
 
     name: str
-    sign_bits: int
     exp_bits: int
     man_bits: int
-    bias: int
 
     def __post_init__(self) -> None:
-        if self.sign_bits == 0:
-            if self.exp_bits or self.man_bits or self.bias:
-                raise ValueError(f"{self.name}: zero-width format must have all widths 0")
+        if self.is_skip:
             return
-        if self.sign_bits != 1:
-            raise ValueError(f"{self.name}: sign_bits must be 0 or 1")
         if not 1 <= self.exp_bits <= FP16_EXP_BITS:
             raise ValueError(f"{self.name}: exp_bits must be in 1..{FP16_EXP_BITS}")
         if not 0 <= self.man_bits <= FP16_MAN_BITS:
             raise ValueError(f"{self.name}: man_bits must be in 0..{FP16_MAN_BITS}")
-        expected_bias = (1 << (self.exp_bits - 1)) - 1
-        if self.bias != expected_bias:
-            raise ValueError(
-                f"{self.name}: bias {self.bias} does not match 2^(exp_bits-1)-1 = {expected_bias}"
-            )
+
+    @property
+    def is_skip(self) -> bool:
+        return self.exp_bits == 0 and self.man_bits == 0
+
+    @property
+    def sign_bits(self) -> int:
+        return 0 if self.is_skip else 1
+
+    @property
+    def bias(self) -> int:
+        return 0 if self.is_skip else (1 << (self.exp_bits - 1)) - 1
 
     @property
     def total_bits(self) -> int:
         return self.sign_bits + self.exp_bits + self.man_bits
-
-    @property
-    def is_skip(self) -> bool:
-        return self.sign_bits == 0
-
-
-def make_format(name: str, exp_bits: int, man_bits: int, bias: int | None = None) -> FpFormat:
-    if exp_bits == 0 and man_bits == 0:
-        return FpFormat(name, 0, 0, 0, 0)
-    if bias is None:
-        bias = (1 << (exp_bits - 1)) - 1
-    return FpFormat(name, 1, exp_bits, man_bits, bias)
 
 
 @dataclass(frozen=True)

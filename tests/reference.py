@@ -4,9 +4,11 @@ The typed defaults (the format ladder, the band profile, the DRAM
 constants) come from `config.default_config()`, so that the tests and
 the package read one set of built-in values.
 
-`convert`, `dequantize` and `encode_fp16` are the bit-twiddling
+`convert_words`, `dequantize` and `encode_fp16` are the bit-twiddling
 conversion the store's planes serve: nothing in the package converts
 values, so it lives here, checked against the exact oracles below.
+`convert_words` works on arrays of words; `convert` is its one-word
+form.
 
 The conversion oracles work in Fraction arithmetic over explicitly
 enumerated code tables, deliberately avoiding the bit-twiddling style of
@@ -292,7 +294,7 @@ class WeightWord:
             raise ValueError(f"bits 0x{self.bits:x} out of range for {self.fmt.name}")
 
 
-def _round_field(value: int, drop: int, mode: Rounding) -> int:
+def _round_field(value: np.ndarray, drop: int, mode: Rounding) -> np.ndarray:
     """Narrow an unsigned field by ``drop`` LSBs under the given mode.
 
     The dropped LSBs are the exact remainder; ties go to even. The result
@@ -305,9 +307,7 @@ def _round_field(value: int, drop: int, mode: Rounding) -> int:
         return kept
     rem = value & ((1 << drop) - 1)
     half = 1 << (drop - 1)
-    if rem > half or (rem == half and kept & 1):
-        kept += 1
-    return kept
+    return kept + ((rem > half) | ((rem == half) & ((kept & 1) == 1)))
 
 
 def keeps_fp16_scale(fmt: FpFormat) -> bool:
@@ -315,28 +315,29 @@ def keeps_fp16_scale(fmt: FpFormat) -> bool:
     return fmt.exp_bits == FP16_EXP_BITS and fmt.bias == FP16_BIAS
 
 
-def convert(
-    source: WeightWord,
+def convert_words(
+    words,
     target: FpFormat,
     guard: GuardConfig = NO_GUARD,
     mode: Rounding = Rounding.TRUNCATE,
-) -> WeightWord:
-    """Convert a stored FP16 word to ``target`` using only fetched planes.
+) -> np.ndarray:
+    """Convert stored FP16 words to ``target`` using only fetched planes.
 
-    Unfetched exponent/mantissa LSBs are zero. Formats that keep the FP16
-    exponent scale convert by slicing the magnitude word directly, with the
-    fetched guard mantissa bits driving nearest-even rounding; narrower
-    exponents re-bias, saturating to the maximum-magnitude finite value on
-    overflow and flushing to signed zero on underflow.
+    words is an array of FP16 bit patterns; the result holds the target
+    words as int64.  Unfetched exponent/mantissa LSBs are zero. Formats
+    that keep the FP16 exponent scale convert by slicing the magnitude
+    word directly, with the fetched guard mantissa bits driving
+    nearest-even rounding; narrower exponents re-bias, saturating to the
+    maximum-magnitude finite value on overflow and flushing to signed
+    zero on underflow.
     """
-    if source.fmt.total_bits != 16 or not keeps_fp16_scale(source.fmt):
-        raise ValueError("conversion source must be a full FP16 word")
     if target.is_skip:
         raise ValueError("cannot convert to the skipped format")
 
     exp_f, man_f = fetched_widths(target, guard)
-    bits = source.bits
-    sign = bits >> 15
+    bits = np.asarray(words, np.int64)
+    body = target.exp_bits + target.man_bits
+    signed = (bits >> 15) << body
     exp = (bits >> FP16_MAN_BITS) & 0x1F
     man = bits & 0x3FF
 
@@ -346,36 +347,39 @@ def convert(
 
     if keeps_fp16_scale(target):
         # Pure slicing: exponent passes through (subnormals included), the
-        # mantissa narrows with carry into the exponent field.
+        # mantissa narrows with carry into the exponent field, clamped to
+        # the maximum finite value.
         field = (exp_keep << man_f) | (man_keep >> (FP16_MAN_BITS - man_f))
         field = _round_field(field, man_f - target.man_bits, mode)
-        if field >> (FP16_EXP_BITS + target.man_bits):
-            field = (1 << (FP16_EXP_BITS + target.man_bits)) - 1  # clamp to max finite
-        return WeightWord((sign << (FP16_EXP_BITS + target.man_bits)) | field, target)
+        return signed | np.minimum(field, (1 << body) - 1)
 
     exp_max = (1 << target.exp_bits) - 1
-    if exp_keep == 0:
-        # Source subnormal magnitude is far below any re-biased min normal.
-        return WeightWord(sign << (target.exp_bits + target.man_bits), target)
     rebias = exp_keep - FP16_BIAS + target.bias
-    if rebias > exp_max:
-        return _saturated(sign, target)
-    if rebias < 1:
-        return WeightWord(sign << (target.exp_bits + target.man_bits), target)
-
     man_t = _round_field(man_keep >> (FP16_MAN_BITS - man_f), man_f - target.man_bits, mode)
-    if man_t >> target.man_bits:
-        man_t = 0
-        rebias += 1
-        if rebias > exp_max:
-            return _saturated(sign, target)
-    word = (sign << (target.exp_bits + target.man_bits)) | (rebias << target.man_bits) | man_t
-    return WeightWord(word, target)
+    # A mantissa that rounds up out of its field carries into the exponent.
+    carry = man_t >> target.man_bits
+    rounded = rebias + carry
+    return np.select(
+        [
+            # A source subnormal is far below any re-biased min normal.
+            (exp_keep == 0) | (rebias < 1),
+            rounded > exp_max,
+        ],
+        [signed, signed | ((1 << body) - 1)],
+        signed | (rounded << target.man_bits) | np.where(carry, 0, man_t),
+    )
 
 
-def _saturated(sign: int, fmt: FpFormat) -> WeightWord:
-    body = (1 << (fmt.exp_bits + fmt.man_bits)) - 1
-    return WeightWord((sign << (fmt.exp_bits + fmt.man_bits)) | body, fmt)
+def convert(
+    source: WeightWord,
+    target: FpFormat,
+    guard: GuardConfig = NO_GUARD,
+    mode: Rounding = Rounding.TRUNCATE,
+) -> WeightWord:
+    """`convert_words` for one stored FP16 word."""
+    if source.fmt.total_bits != 16 or not keeps_fp16_scale(source.fmt):
+        raise ValueError("conversion source must be a full FP16 word")
+    return WeightWord(int(convert_words(source.bits, target, guard, mode)), target)
 
 
 def dequantize(word: WeightWord) -> float:
@@ -534,16 +538,28 @@ def _convert_map(
     return out
 
 
+@lru_cache(maxsize=None)
+def _convert_table(*key) -> np.ndarray:
+    """_convert_map(*key) as a read-only array indexed by masked word;
+    words no mask produces hold -1."""
+    mapping = _convert_map(*key)
+    table = np.full(1 << 16, -1, np.int64)
+    table[list(mapping)] = list(mapping.values())
+    table.setflags(write=False)
+    return table
+
+
 def ref_convert(
-    bits16: int,
+    bits16,
     exp_bits: int,
     man_bits: int,
     bias: int,
     guard_exp: int,
     guard_man: int,
     truncate: bool,
-) -> int:
-    """Reference conversion of an FP16 bit pattern to the target layout."""
+):
+    """Reference conversion of FP16 bit patterns, an int or an int array,
+    to the target layout."""
     fetched_exp = min(5, exp_bits + guard_exp)
     fetched_man = min(10, man_bits + guard_man)
     sign = bits16 >> 15
@@ -552,7 +568,7 @@ def ref_convert(
     exp_m = (exp >> (5 - fetched_exp)) << (5 - fetched_exp)
     man_m = (man >> (10 - fetched_man)) << (10 - fetched_man)
     masked = (sign << 15) | (exp_m << 10) | man_m
-    return _convert_map(exp_bits, man_bits, bias, fetched_exp, fetched_man, truncate)[masked]
+    return _convert_table(exp_bits, man_bits, bias, fetched_exp, fetched_man, truncate)[masked]
 
 
 def ref_encode_fp16(value: float) -> int:

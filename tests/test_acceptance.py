@@ -49,6 +49,7 @@ from reference import (
     assignment_of,
     chunks,
     convert,
+    convert_words,
     dram,
 )
 
@@ -81,24 +82,21 @@ def reduction(entry, kind, field):
 
 
 def test_01_conversion_matches_exact_rational_reference():
-    mismatches = 0
+    words = np.arange(1 << 16)
     for fmt in LADDER:
         if fmt.is_skip:
             with pytest.raises(ValueError):
                 convert(WeightWord(0, FP16), fmt)
             continue
-        for guard_man in (0, 1, 2):
-            guard = GuardConfig(0, guard_man)
-            for mode in (Rounding.TRUNCATE, Rounding.ROUND_NEAREST_EVEN):
-                truncate = mode is Rounding.TRUNCATE
-                for bits in range(1 << 16):
-                    got = convert(WeightWord(bits, FP16), fmt, guard, mode).bits
+        for guard_exp in (0, 1, 2):
+            for guard_man in (0, 1, 2):
+                for mode in Rounding:
+                    got = convert_words(words, fmt, GuardConfig(guard_exp, guard_man), mode)
                     want = reference.ref_convert(
-                        bits, fmt.exp_bits, fmt.man_bits, fmt.bias,
-                        0, guard_man, truncate,
+                        words, fmt.exp_bits, fmt.man_bits, fmt.bias,
+                        guard_exp, guard_man, mode is Rounding.TRUNCATE,
                     )
-                    mismatches += got != want
-    assert mismatches == 0
+                    assert np.array_equal(got, want), (fmt.name, guard_exp, guard_man, mode)
 
 
 def test_02_pack_unpack_round_trip_is_identity():

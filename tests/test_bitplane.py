@@ -23,7 +23,7 @@ from planestore.bitplane import (
     unpack_full,
 )
 from planestore.quant import FpFormat, GuardConfig, plane_set
-from reference import FP4, FP6, FP8, FP16, LADDER, NO_GUARD, Rounding, WeightWord, convert
+from reference import FP4, FP6, FP8, FP16, LADDER, NO_GUARD, Rounding, WeightWord, convert_words
 
 
 # Selective plane fetches and word reconstruction from fetched planes.
@@ -65,9 +65,8 @@ def fetch_planes(
 
 @lru_cache(maxsize=64)
 def _convert_lut(target: FpFormat, guard: GuardConfig, mode: Rounding) -> np.ndarray:
-    lut = np.empty(1 << 16, dtype=np.uint16)
-    for bits in range(1 << 16):
-        lut[bits] = convert(WeightWord(bits, FP16), target, guard, mode).bits
+    lut = convert_words(np.arange(1 << 16), target, guard, mode).astype(np.uint16)
+    lut.setflags(write=False)
     return lut
 
 
@@ -261,7 +260,7 @@ def test_reconstruct_composition(seed, fmt, guard_man, truncate):
     guard = GuardConfig(0, guard_man)
     mode = Rounding.TRUNCATE if truncate else Rounding.ROUND_NEAREST_EVEN
     got = reconstruct(fetch_planes(img, 50, 100, plane_set(fmt, guard)), fmt, guard, mode)
-    want = [convert(WeightWord(int(b), FP16), fmt, guard, mode) for b in words[50:150]]
+    want = [WeightWord(b, fmt) for b in convert_words(words[50:150], fmt, guard, mode).tolist()]
     assert got == want
 
 

@@ -14,6 +14,7 @@ from planestore.bitplane import ChunkKind, load_image, plane_stride_for, unpack_
 from planestore.cli import (
     CSV_COLUMNS,
     REPORT_SCHEMA_VERSION,
+    _solve_assignment,
     check_report,
     main,
     parse_trace,
@@ -31,6 +32,7 @@ from planestore.experiment import (
 from planestore.workload import (
     ModelGeometry,
     assign_formats,
+    avg_bits,
     enumerate_chunks,
     gen_scores,
     solve_thresholds,
@@ -172,13 +174,14 @@ def test_config_ladder_is_constructed(tmp_path):
 
 
 def test_config_bad_bias_rejected(tmp_path):
+    # A rung's bias follows from its exponent width; no key can set it.
     path = write_config(
         tmp_path,
         "ladder:\n"
         "  - {name: FP16, exp_bits: 5, man_bits: 10, bias: 14}\n"
         "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
     )
-    with pytest.raises(ValueError, match="bias"):
+    with pytest.raises(ValueError, match=r"unknown keys \['bias'\] in ladder\[0\]"):
         load_config(path, env={})
 
 
@@ -214,6 +217,11 @@ def one_line_error(capsys) -> str:
          "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
          "unknown keys ['extra'] in ladder[0]"),
         ("solver: {gains: [], exponents: []}\n", "config key 'solver.gains' must not be empty"),
+        # Only the skip rung has no exponent.
+        ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+         "  - {name: M3, exp_bits: 0, man_bits: 3}\n  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
+         "solver: {gains: [0.1, 0.1], exponents: [1.0, 1.0]}\n",
+         "M3: exp_bits must be in 1..5"),
         # Without a skip rung, chunks below the last cut would get FP8
         # while the solver counted them as 0 bits.
         ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
@@ -235,6 +243,24 @@ def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
     assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--config", "c.yaml", "r.json"],
+        ["report", "--seed", "3", "r.json"],
+        ["report", "--out", "o", "r.json"],
+        ["sim", "--seed", "3", "t.txt"],
+        ["sim", "--out", "o", "t.txt"],
+        ["regions", "--seed", "3"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ pack
@@ -340,6 +366,15 @@ def test_repack_of_truncated_header_is_one_line_error(small_config, tmp_path, ca
         assert "truncated header" in one_line_error(capsys)
 
 
+def _set_rung(whole: bytes, name: bytes, exp_man=None, bias=None) -> bytes:
+    """Rewrite the exp_bits and man_bits bytes, or the i16 bias, of the
+    ladder entry named name."""
+    at = whole.index(bytes([len(name)]) + name) + 1 + len(name)
+    if exp_man is not None:
+        return whole[:at] + bytes(exp_man) + whole[at + 2 :]
+    return whole[: at + 2] + struct.pack("<h", bias) + whole[at + 4 :]
+
+
 def _relabel(whole: bytes, num_weights=None, stride=None) -> bytes:
     """Rewrite the num_weights (offset 6) and plane_stride (offset 14) fields."""
     out = bytearray(whole)
@@ -362,10 +397,14 @@ def _relabel(whole: bytes, num_weights=None, stride=None) -> bytes:
         (lambda b: b[:-1], "truncated plane data"),
         # The first ladder entry is FP16: length byte, 4 name bytes, then exp_bits.
         (lambda b: b[:29] + bytes([9]) + b[30:], "FP16: exp_bits must be in 1..5"),
+        (lambda b: _set_rung(b, b"FP8", exp_man=(0, 3)), "FP8: exp_bits must be in 1..5"),
+        # The stored bias must restate the one the widths give.
+        (lambda b: _set_rung(b, b"FP16", bias=14), "FP16: bias 14 differs from the derived 15"),
+        (lambda b: _set_rung(b, b"FP0", bias=5), "FP0: bias 5 differs from the derived 0"),
     ],
     ids=[
         "huge-count", "huge-count-small-stride", "huge-stride", "no-weights", "trailing",
-        "short", "bad-format",
+        "short", "bad-format", "no-exponent", "bad-bias", "bad-skip-bias",
     ],
 )
 def test_repack_of_lying_header_is_one_line_error(small_config, tmp_path, capsys, edit, message):
@@ -455,7 +494,7 @@ def test_trace_assignment_csv_matches_per_chunk_rows(tmp_path, capsys):
     rows = chunks(directory)
     scores = reference_gen_scores(rows, cfg.importance)
     thresholds = solve_thresholds(
-        directory, scores, solver_target(4.8, predictor_fraction(directory)),
+        directory, scores, solver_target(directory, cfg.ladder, 4.8),
         cfg.ladder, cfg.band_profile,
     )
     lines = ["chunk_id,kind,score,format"]
@@ -498,7 +537,7 @@ def test_trace_files_match_the_reference_generator(tmp_path, capsys):
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
     thresholds = solve_thresholds(
-        directory, scores, solver_target(4.8, predictor_fraction(directory)),
+        directory, scores, solver_target(directory, cfg.ladder, 4.8),
         cfg.ladder, cfg.band_profile,
     )
     assignment = assign_formats(directory, scores, thresholds)
@@ -653,6 +692,31 @@ def test_compare_infeasible_target_fails(tmp_path, capsys):
     assert "achievable range" in capsys.readouterr().err
 
 
+def test_solver_target_counts_predictors_at_the_top_rung(tmp_path, capsys):
+    # Predictors ride the top rung, here 12 bits wide, not 16.
+    text = (
+        "ladder:\n"
+        "  - {name: FP12, exp_bits: 5, man_bits: 6}\n"
+        "  - {name: FP8, exp_bits: 5, man_bits: 2}\n"
+        "  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
+        "solver: {gains: [0.0646, 0.0569], exponents: [0.7944, 0.7475]}\n"
+        "targets: [6.0]\n"
+    )
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    [entry] = json.loads((out / "comparison.json").read_text())["targets"]
+    cfg = load_config(path, env={})
+    directory = enumerate_chunks(cfg.geometry)
+    p = predictor_fraction(directory)
+    assert entry["solver_target_bits"] == pytest.approx(12 * p + 6.0 * (1 - p))
+    non_predictor = (entry["achieved_avg_bits"] - 12 * p) / (1 - p)
+    assert abs(non_predictor - 6.0) <= 0.05
+    # `trace` solves through the same helper.
+    _, assignment = _solve_assignment(cfg, directory, 6.0)
+    assert avg_bits(assignment, directory) == entry["achieved_avg_bits"]
+
+
 def test_chunk_latency_deltas_telescope_to_total():
     geometry = ModelGeometry(1, 4, 8192, 8, 4096, 4096)
     directory = enumerate_chunks(geometry)
@@ -685,7 +749,7 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
 
 def _small_assignment(cfg, directory):
     scores = gen_scores(directory, cfg.importance)
-    inclusive = solver_target(6.0, predictor_fraction(directory))
+    inclusive = solver_target(directory, cfg.ladder, 6.0)
     thresholds = solve_thresholds(
         directory, scores, inclusive, cfg.ladder, cfg.band_profile
     )

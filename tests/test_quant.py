@@ -6,11 +6,12 @@ checked exhaustively rather than sampled.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planestore.quant import FpFormat, GuardConfig, make_format, plane_set
+from planestore.quant import FpFormat, GuardConfig, plane_set
 from reference import (
     FP0,
     FP4,
@@ -23,6 +24,7 @@ from reference import (
     Rounding,
     WeightWord,
     convert,
+    convert_words,
     dequantize,
     encode_fp16,
     fp16_value,
@@ -31,7 +33,8 @@ from reference import (
     ref_encode_fp16,
 )
 
-E4M3 = make_format("E4M3", 4, 3)
+E4M3 = FpFormat("E4M3", 4, 3)
+WORDS = np.arange(1 << 16)  # every FP16 bit pattern
 GUARDS = [GuardConfig(ge, gm) for ge in (0, 1, 2) for gm in (0, 1, 2)]
 
 
@@ -44,15 +47,16 @@ def test_ladder_shape():
 
 def test_format_validation():
     with pytest.raises(ValueError):
-        FpFormat("bad", 1, 6, 2, 31)  # exponent wider than the stored layout
+        FpFormat("bad", 6, 2)  # exponent wider than the stored layout
     with pytest.raises(ValueError):
-        FpFormat("bad", 1, 5, 11, 15)
-    with pytest.raises(ValueError):
-        FpFormat("bad", 1, 5, 2, 14)  # bias must follow 2^(e-1)-1
-    with pytest.raises(ValueError):
-        FpFormat("bad", 0, 1, 0, 0)
+        FpFormat("bad", 5, 11)
+    with pytest.raises(ValueError, match="^M3: exp_bits must be in 1..5$"):
+        FpFormat("M3", 0, 3)  # only the skip format has no exponent
     with pytest.raises(ValueError):
         GuardConfig(3, 0)
+    # Sign and bias follow from the widths.
+    assert (E4M3.sign_bits, E4M3.bias, E4M3.total_bits) == (1, 7, 8)
+    assert (FP0.sign_bits, FP0.bias, FP0.total_bits) == (0, 0, 0)
 
 
 def test_plane_set_examples():
@@ -96,43 +100,35 @@ def test_truncation_subset_law():
     # Formats keeping the full exponent convert by masking mantissa planes.
     for fmt in (FP16, FP12, FP8):
         drop = 10 - fmt.man_bits
-        for bits in range(1 << 16):
-            got = convert(WeightWord(bits, FP16), fmt).bits
-            sliced = ((bits >> 15) << (5 + fmt.man_bits)) | (
-                ((bits & 0x7FFF) >> drop)
-            )
-            assert got == sliced
+        sliced = ((WORDS >> 15) << (5 + fmt.man_bits)) | ((WORDS & 0x7FFF) >> drop)
+        assert np.array_equal(convert_words(WORDS, fmt), sliced)
 
 
 def test_guard_degeneracy():
     for fmt in (FP12, FP8, FP6, FP4, E4M3):
         for ge in (0, 1, 2):
             g = GuardConfig(ge, 0)
-            for bits in range(0, 1 << 16, 7):
-                w = WeightWord(bits, FP16)
-                assert (
-                    convert(w, fmt, g, Rounding.ROUND_NEAREST_EVEN).bits
-                    == convert(w, fmt, g, Rounding.TRUNCATE).bits
-                )
+            assert np.array_equal(
+                convert_words(WORDS, fmt, g, Rounding.ROUND_NEAREST_EVEN),
+                convert_words(WORDS, fmt, g, Rounding.TRUNCATE),
+            )
 
 
 def test_monotone_fidelity():
     # Error is non-increasing as mantissa width grows at full exponent width.
-    for bits in range(1 << 16):
-        w = WeightWord(bits, FP16)
-        src = dequantize(w)
-        err8 = abs(dequantize(convert(w, FP8)) - src)
-        err12 = abs(dequantize(convert(w, FP12)) - src)
-        err16 = abs(dequantize(convert(w, FP16)) - src)
+    narrowed = zip(*(convert_words(WORDS, fmt).tolist() for fmt in (FP8, FP12, FP16)))
+    for bits, (w8, w12, w16) in zip(WORDS.tolist(), narrowed):
+        src = dequantize(WeightWord(bits, FP16))
+        err8 = abs(dequantize(WeightWord(w8, FP8)) - src)
+        err12 = abs(dequantize(WeightWord(w12, FP12)) - src)
+        err16 = abs(dequantize(WeightWord(w16, FP16)) - src)
         assert err16 <= err12 <= err8
 
 
 def test_sign_preservation():
     for fmt in (FP12, FP8, FP6, FP4, E4M3):
-        for bits in range(0, 1 << 16, 11):
-            w = WeightWord(bits, FP16)
-            out = convert(w, fmt, GuardConfig(1, 1), Rounding.ROUND_NEAREST_EVEN)
-            assert out.bits >> (fmt.exp_bits + fmt.man_bits) == bits >> 15
+        out = convert_words(WORDS, fmt, GuardConfig(1, 1), Rounding.ROUND_NEAREST_EVEN)
+        assert np.array_equal(out >> (fmt.exp_bits + fmt.man_bits), WORDS >> 15)
 
 
 def test_saturation_and_flush():

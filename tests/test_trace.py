@@ -44,7 +44,7 @@ from reference import (
     WeightWord,
     assignment_of,
     chunks,
-    convert,
+    convert_words,
     formats_of,
     reference_enumerate_chunks,
     reference_gen_scores,
@@ -74,11 +74,11 @@ def test_default_sweep_traces_match_reference():
     cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
-    frac = predictor_fraction(directory)
     requests = {}
     for target in cfg.targets:
         thresholds = solve_thresholds(
-            directory, scores, solver_target(target, frac), cfg.ladder, cfg.band_profile
+            directory, scores, solver_target(directory, cfg.ladder, target),
+            cfg.ladder, cfg.band_profile,
         )
         assignment = assign_formats(directory, scores, thresholds)
         for mode in ("bitplane", "traditional"):
@@ -245,11 +245,8 @@ def test_fetched_bytes_suffice_to_serve_every_loaded_chunk(case, seed):
             continue
         segments = fetch_planes(served, chunk.start, chunk.length, plane_set(fmt, guard))
         got = reconstruct(segments, fmt, guard, mode)
-        want = [
-            convert(WeightWord(int(bits), FP16), fmt, guard, mode)
-            for bits in words[chunk.start : chunk.stop]
-        ]
-        assert got == want, chunk
+        want = convert_words(words[chunk.start : chunk.stop], fmt, guard, mode)
+        assert got == [WeightWord(bits, fmt) for bits in want.tolist()], chunk
 
 
 def test_all_skipped_assignment_gives_empty_traces():
