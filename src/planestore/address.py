@@ -229,14 +229,20 @@ def plane_span(layout: PlaneLayout, plane, start, count):
     return lo, hi - lo
 
 
-def _outside(resolved: Resolved, num_weights: int) -> np.ndarray:
+def _check_ranges(resolved: Resolved, num_weights: int, what: str, *more) -> None:
+    """Raise for the first read whose weight range lies outside the
+    image or layout (what), is empty, or fails one of the further
+    (mask, reason) checks, checked in that order."""
     start, count = resolved.start, resolved.count
-    return (start < 0) | (count < 0) | (start + count > num_weights)
-
-
-def _range_error(resolved: Resolved, row: int, what: str) -> ValueError:
-    start, count = resolved.start[row], resolved.count[row]
-    return ValueError(f"weight range [{start}, +{count}) outside the {what}")
+    checks = (
+        ((start < 0) | (count < 0) | (start + count > num_weights), f"outside the {what}"),
+        (count == 0, "is empty"),
+        *more,
+    )
+    failure = _first_failure(*(mask for mask, _ in checks))
+    if failure is not None:
+        row, k = failure
+        raise ValueError(f"weight range [{start[row]}, +{count[row]}) {checks[k][1]}")
 
 
 def translate(
@@ -249,9 +255,7 @@ def translate(
     sit at increasing bases, so that is also plane order).
     """
     code = resolved.code
-    failure = _first_failure(_outside(resolved, layout.num_weights))
-    if failure is not None:
-        raise _range_error(resolved, failure[0], "image")
+    _check_ranges(resolved, layout.num_weights, "image")
     # One plane set per format, expanded to every read of that format.
     sets = [plane_set(fmt, guard) for fmt in resolved.formats]
     by_format = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
@@ -286,13 +290,16 @@ def translate_traditional(
     """Full-precision fetch of every resolved read's weight range: its
     aligned (lo, size) extent as int64 columns.
 
-    The target format is irrelevant by construction.
+    The target format is irrelevant by construction.  A range must lie
+    in one chunk: chunk extents are padded apart.
     """
     start, count = resolved.start, resolved.count
-    failure = _first_failure(_outside(resolved, layout.num_weights))
-    if failure is not None:
-        raise _range_error(resolved, failure[0], "layout")
     idx = np.searchsorted(layout.chunk_starts, start, side="right") - 1
+    chunk_ends = np.r_[layout.chunk_starts[1:], layout.num_weights]
+    _check_ranges(
+        resolved, layout.num_weights, "layout",
+        (start + count > chunk_ends[idx], "crosses a chunk boundary"),
+    )
     chunk_base = layout.chunk_bases[idx]
     chunk_start = layout.chunk_starts[idx]
     first = chunk_base + (start - chunk_start) * FP16_BYTES

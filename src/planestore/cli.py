@@ -28,16 +28,9 @@ from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
-from .experiment import run_sweep, solver_target
+from .experiment import reduction, run_sweep, solve_assignment
 from .files import write_file
-from .workload import (
-    assign_formats,
-    enumerate_chunks,
-    gen_scores,
-    gen_trace,
-    solve_thresholds,
-    trace_bytes,
-)
+from .workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -158,7 +151,7 @@ def check_report(report: dict) -> None:
         raise ValueError("report has no targets")
 
     def expect(name, stored, plain, smart):
-        want = 0.0 if plain == 0 else 100.0 * (1.0 - smart / plain)
+        want = reduction(plain, smart)
         if abs(stored - want) > 1e-6:
             raise ValueError(f"{name}: stored {stored} != recomputed {want}")
 
@@ -280,20 +273,14 @@ def cmd_regions(args) -> int:
     return 0
 
 
-def _solve_assignment(config: ExperimentConfig, directory, target: float):
-    scores = gen_scores(directory, config.importance)
-    inclusive = solver_target(directory, config.ladder, target)
-    thresholds = solve_thresholds(
-        directory, scores, inclusive, config.ladder, config.band_profile
-    )
-    return scores, assign_formats(directory, scores, thresholds)
-
-
 def cmd_trace(args) -> int:
     config = load_config(args.config, args.seed, args.out)
     directory = enumerate_chunks(config.geometry)
     target = args.target if args.target is not None else config.targets[0]
-    scores, assignment = _solve_assignment(config, directory, target)
+    scores = gen_scores(directory, config.importance)
+    _, _, assignment = solve_assignment(
+        directory, scores, target, config.ladder, config.band_profile
+    )
     out = _out_dir(config)
     tag = f"{target:g}"
 

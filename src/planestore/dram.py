@@ -22,14 +22,14 @@ row per run of reads to consecutive columns of an open row, stepping
 the bank state machine once per row opening; it builds no array as long
 as the burst count.  Its rows are grouped by channel, and each RD row
 names the requests of its reads by a rule, not a per-read column.
-`simulate` replays a table or a plain command stream with every
-legality check vectorized per channel, and derives per-request reads
-and completions from the rows.  docs/dram-model.md shows why the
-run-level recurrence is exact.  Both `schedule` and `plan` take the
-request stream as an `address.Trace` and read its addr and size
-columns.  `plan` relies on the rows being valid, which the Trace
-constructor checks; `schedule`, the reference, maps every burst through
-`map_address` and so still raises its per-burst errors on bare columns.
+`simulate` replays a table with every legality check vectorized per
+channel, and derives per-request reads and completions from the rows.
+docs/dram-model.md shows why the run-level recurrence is exact.  Both
+`schedule` and `plan` take the request stream as an `address.Trace`
+and read its addr and size columns.  `plan` relies on the rows being
+valid, which the Trace constructor checks; `schedule`, the reference,
+maps every burst through `map_address` and so still raises its
+per-burst errors on bare columns.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
@@ -51,10 +51,10 @@ import numpy as np
 from .address import BLOCK, Trace
 
 
-class CommandKind(enum.Enum):
-    ACT = "ACT"
-    RD = "RD"
-    PRE = "PRE"
+class CommandKind(enum.IntEnum):
+    ACT = 0
+    RD = 1
+    PRE = 2
 
 
 class DramCommand(NamedTuple):
@@ -229,20 +229,20 @@ def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
             yield DramCommand(CommandKind.RD, ch, bank, row, column, rd_at, index)
 
 
-# Column code of each CommandKind: its position in the enum.
-_KIND_CODE = {kind: code for code, kind in enumerate(CommandKind)}
-_ACT, _RD, _PRE = (_KIND_CODE[k] for k in (CommandKind.ACT, CommandKind.RD, CommandKind.PRE))
+# Plain ints: numpy compares a column with an int several times faster
+# than with an IntEnum member.
+_ACT, _RD, _PRE = (int(kind) for kind in (CommandKind.ACT, CommandKind.RD, CommandKind.PRE))
 
 
 @dataclass(frozen=True, eq=False)
 class CommandTable:
     """A timed command stream as columns, one row per command or run.
 
-    kind holds the position of the row's CommandKind in the enum; the
-    other per-row columns mirror DramCommand's fields for the row's first
-    command.  An RD row stands for count reads to consecutive columns of
-    its (bank, row), the k-th at issue_cycle + k * t_ccd_l, column + k;
-    every other row has count 1.  Read k of an RD row belongs to request
+    kind holds the row's CommandKind value; the other per-row columns
+    mirror DramCommand's fields for the row's first command.  An RD row
+    stands for count reads to consecutive columns of its (bank, row),
+    the k-th at issue_cycle + k * t_ccd_l, column + k; every other row
+    has count 1.  Read k of an RD row belongs to request
     request_index + (burst_in_request + k * channels) // request_bursts:
     its reads are one channel stride apart in an extent of requests of
     request_bursts bursts each, the first being burst burst_in_request
@@ -282,9 +282,9 @@ class CommandTable:
         """One count-1 row per command, in stream order."""
         rows = []
         for cmd in commands:
-            if cmd.kind not in _KIND_CODE:
+            if not isinstance(cmd.kind, CommandKind):
                 raise ValueError(f"unknown command kind {cmd.kind!r}")
-            rows.append((_KIND_CODE[cmd.kind], *cmd[1:]))
+            rows.append(cmd)
         cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
         kind = cols[0].astype(np.int8)
         ones = np.ones(kind.size, np.int64)
@@ -576,7 +576,7 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
     early_rd &= cycle < last[last_rd] + np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
 
     checks = [
-        (bank >= config.banks_per_channel) | (ch >= config.channels),
+        (bank < 0) | (bank >= config.banks_per_channel) | (ch < 0) | (ch >= config.channels),
         cycle <= np.r_[-1, last[:-1]],
         is_act & is_open,
         is_act & has_state & ~is_open & (cycle < state_cycle + config.t_rp),
@@ -603,18 +603,16 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
     return int(sel[j]), message
 
 
-def simulate(config: DramConfig, commands) -> SimResult:
-    """Replay a command stream, checking legality, and account for it.
+def simulate(config: DramConfig, table: CommandTable) -> SimResult:
+    """Replay a command table, checking legality, and account for it.
 
-    commands is a CommandTable (an RD row stands for its count reads) or
-    an iterable of DramCommand.  The stream must respect the bank state
-    machine and the configured timings; the first violation, in table
-    order, raises ValueError naming the constraint.  The trace ends at
-    the last data beat (or the last command, for a stream with no
-    reads).  Background energy covers every channel for the whole span,
-    busy or not: standby power does not care who is reading.
+    An RD row stands for its count reads.  The stream must respect the
+    bank state machine and the configured timings; the first violation,
+    in table order, raises ValueError naming the constraint.  The trace
+    ends at the last data beat (or the last command, for a stream with
+    no reads).  Background energy covers every channel for the whole
+    span, busy or not: standby power does not care who is reading.
     """
-    table = commands if isinstance(commands, CommandTable) else CommandTable.from_commands(commands)
     if len(table):
         # Each channel's rows as one block, in table order.
         order = _stable_order(table.channel)

@@ -48,21 +48,32 @@ def solver_target(directory: ChunkDirectory, ladder, non_predictor_bits: float) 
     return ladder[0].total_bits * frac + non_predictor_bits * (1.0 - frac)
 
 
-def chunk_latency_deltas(trace, result, clock_ns: float) -> dict:
-    """Marginal load time per chunk: how far the trace clock advances
-    while that chunk's requests complete.  A chunk's rows are one
-    contiguous segment of the trace's chunk column, and the chunk is
-    loaded when the latest of its requests completes, which on a
-    multi-channel trace need not be its last one.  Prefix-max keeps the
-    deltas non-negative when channels finish slightly out of order."""
+def solve_assignment(directory, scores, target_bits: float, ladder, profile: BandProfile):
+    """(solver target, thresholds, assignment) for a non-predictor sweep
+    value: the one solve step `compare` and `trace` share."""
+    inclusive = solver_target(directory, ladder, target_bits)
+    thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
+    return inclusive, thresholds, assign_formats(directory, scores, thresholds)
+
+
+def chunk_latency_deltas(trace, result, clock_ns: float, num_chunks: int) -> np.ndarray:
+    """Marginal load time of each of num_chunks directory chunks, 0 for a
+    chunk with no rows: how far the trace clock advances while that
+    chunk's requests complete.  A chunk's rows are one contiguous
+    segment of the trace's chunk column, and the chunk is loaded when the
+    latest of its requests completes, which on a multi-channel trace need
+    not be its last one.  Prefix-max keeps the deltas non-negative when
+    channels finish slightly out of order."""
+    latency = np.zeros(num_chunks)
     chunk = trace.chunk
-    if not chunk.size:
-        return {}
-    first = np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]
-    done = np.maximum.reduceat(result.completion_cycles, first)
-    ends = np.maximum.accumulate(np.r_[0, done])
-    deltas = np.diff(ends) * clock_ns
-    return dict(zip(chunk[first].tolist(), deltas.tolist()))
+    if chunk.size:
+        if chunk.min() < 0:
+            raise ValueError(f"trace row {int(np.argmax(chunk < 0))} loads no chunk")
+        first = np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]
+        done = np.maximum.reduceat(result.completion_cycles, first)
+        ends = np.maximum.accumulate(np.r_[0, done])
+        latency[chunk[first]] = np.diff(ends) * clock_ns
+    return latency
 
 
 def run_mode(
@@ -77,13 +88,10 @@ def run_mode(
     result = run_trace(dram_config, trace)
     energy_by_kind = energy_breakdown(result, trace.tag, trace.labels)
     byte_split = bytes_by_kind(trace)
-    deltas = chunk_latency_deltas(trace, result, dram_config.clock_ns)
-
-    loaded = assignment.loaded
     # A fully deduplicated chunk advanced the clock by nothing; it still
     # counts, it is simply a zero-cost load.
-    latency = np.zeros(len(directory))
-    latency[loaded] = [deltas.get(i, 0.0) for i in np.flatnonzero(loaded).tolist()]
+    latency = chunk_latency_deltas(trace, result, dram_config.clock_ns, len(directory))
+    loaded = assignment.loaded
     kinds = {}
     for code, kind in enumerate(KIND_LABELS):
         of_kind = directory.kind == code
@@ -121,7 +129,7 @@ def run_mode(
     }
 
 
-def _reduction(traditional: float, bitplane: float) -> float:
+def reduction(traditional: float, bitplane: float) -> float:
     """Percent reduction, the headline sense: 1 - bitplane/traditional."""
     if traditional == 0:
         return 0.0
@@ -142,24 +150,22 @@ def compare_assignment(
     smart, plain = modes["bitplane"], modes["traditional"]
     per_kind = {}
     for key in plain["per_kind"]:
-        if key not in smart["per_kind"]:
-            continue
         per_kind[key] = {
-            "energy_per_weight_pct": _reduction(
+            "energy_per_weight_pct": reduction(
                 plain["per_kind"][key]["energy_per_weight_pj"],
                 smart["per_kind"][key]["energy_per_weight_pj"],
             ),
-            "mean_chunk_latency_pct": _reduction(
+            "mean_chunk_latency_pct": reduction(
                 plain["per_kind"][key]["mean_chunk_latency_ns"],
                 smart["per_kind"][key]["mean_chunk_latency_ns"],
             ),
         }
     reductions = {
-        "bytes_pct": _reduction(plain["bytes"], smart["bytes"]),
-        "total_energy_pct": _reduction(
+        "bytes_pct": reduction(plain["bytes"], smart["bytes"]),
+        "total_energy_pct": reduction(
             plain["total_energy_pj"], smart["total_energy_pj"]
         ),
-        "total_latency_pct": _reduction(
+        "total_latency_pct": reduction(
             plain["total_latency_ns"], smart["total_latency_ns"]
         ),
         "per_kind": per_kind,
@@ -177,9 +183,9 @@ def compare_target(
     profile: BandProfile,
 ) -> dict:
     """One sweep point: solve, assign, trace and simulate both modes."""
-    inclusive = solver_target(directory, ladder, target_bits)
-    thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
-    assignment = assign_formats(directory, scores, thresholds)
+    inclusive, thresholds, assignment = solve_assignment(
+        directory, scores, target_bits, ladder, profile
+    )
     out = {
         "target_bits": target_bits,
         "solver_target_bits": inclusive,

@@ -28,9 +28,9 @@ mode, trimmed against a per-plane high-water dictionary.  The columnar
 `scalar_resolve`, `scalar_translate` and `scalar_translate_traditional`
 are the package's address functions as they were when `gen_trace`
 called them once per chunk, taking one `LogicalRead` or one resolved
-`(format, start, count)`.  reference_trace resolves with them, and the
-package's array-valued versions must agree with them read by read,
-errors included.
+`(format, start, count)`.  reference_trace resolves and translates
+with them, and the package's array-valued versions must agree with them
+read by read, errors included.
 
 The package holds the chunk directory and the format assignment as
 columns.  `chunks` and `formats_of` read them back one chunk at a time,
@@ -607,7 +607,7 @@ def reference_simulate(
     for cmd in commands:
         ch, bank = cmd.channel, cmd.bank
         key = (ch, bank)
-        if ch >= config.channels or bank >= config.banks_per_channel:
+        if not (0 <= ch < config.channels and 0 <= bank < config.banks_per_channel):
             raise ValueError(f"command addresses channel {ch} bank {bank} outside the config")
         if cmd.issue_cycle <= last_bus.get(ch, -1):
             raise ValueError(f"command bus conflict on channel {ch} at cycle {cmd.issue_cycle}")
@@ -716,10 +716,10 @@ def scalar_translate(
     (planes sit at increasing bases, so that is also plane order).
     """
     fmt, start, count = resolved
-    if fmt.is_skip:
-        raise ValueError("cannot translate a skipped chunk")
     if not 0 <= start <= start + count <= layout.num_weights:
         raise ValueError(f"weight range [{start}, +{count}) outside the image")
+    if count == 0:
+        raise ValueError(f"weight range [{start}, +{count}) is empty")
     planes = np.array(plane_set(fmt, guard), np.int64)
     lo, size = plane_span(layout, planes, start, count)
     return planes, lo, size
@@ -728,18 +728,20 @@ def scalar_translate(
 def scalar_translate_traditional(
     resolved: tuple[FpFormat, int, int], layout: TraditionalLayout
 ) -> tuple[int, int]:
-    """Full-precision fetch of the weight range: its aligned (lo, size)
-    extent, size 0 for a skipped chunk.
+    """Full-precision fetch of the weight range, which must lie within
+    one chunk: its aligned (lo, size) extent.
 
-    The target format is irrelevant by construction, except that skipped
-    chunks transfer nothing at all.
+    The target format is irrelevant by construction.
     """
     fmt, start, count = resolved
-    if fmt.is_skip:
-        return 0, 0
     if not 0 <= start <= start + count <= layout.num_weights:
         raise ValueError(f"weight range [{start}, +{count}) outside the layout")
+    if count == 0:
+        raise ValueError(f"weight range [{start}, +{count}) is empty")
     idx = bisect_right(layout.chunk_starts, start) - 1
+    chunk_ends = layout.chunk_starts.tolist()[1:] + [layout.num_weights]
+    if start + count > chunk_ends[idx]:
+        raise ValueError(f"weight range [{start}, +{count}) crosses a chunk boundary")
     chunk_base = layout.chunk_bases[idx]
     chunk_start = layout.chunk_starts[idx]
     first = chunk_base + (start - chunk_start) * FP16_BYTES
@@ -754,38 +756,6 @@ class TraceRow(NamedTuple):
     len_bytes: int
     kind: ChunkKind
     chunk_id: int
-
-
-def _reference_translate(resolved, guard, layout) -> list:
-    """(byte_addr, len_bytes, plane) per needed plane, address order."""
-    fmt, start, count = resolved
-    if fmt.is_skip:
-        raise ValueError("cannot translate a skipped chunk")
-    if not 0 <= start <= start + count <= layout.num_weights:
-        raise ValueError(f"weight range [{start}, +{count}) outside the image")
-    spans = []
-    for p in plane_set(fmt, guard):
-        lo, size = plane_span(layout, p, start, count)
-        spans.append((lo, size, p))
-    spans.sort()
-    return spans
-
-
-def _reference_translate_traditional(resolved, layout) -> list:
-    """(byte_addr, 64) per block of the weight range's FP16 extent."""
-    fmt, start, count = resolved
-    if fmt.is_skip:
-        return []
-    if not 0 <= start <= start + count <= layout.num_weights:
-        raise ValueError(f"weight range [{start}, +{count}) outside the layout")
-    idx = bisect_right(layout.chunk_starts, start) - 1
-    chunk_base = layout.chunk_bases[idx]
-    chunk_start = layout.chunk_starts[idx]
-    first = chunk_base + (start - chunk_start) * FP16_BYTES
-    last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
-    lo = first // BLOCK * BLOCK
-    hi = (last // BLOCK + 1) * BLOCK
-    return [(addr, BLOCK) for addr in range(lo, hi, BLOCK)]
 
 
 def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
@@ -812,10 +782,12 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
         )
         resolved = scalar_resolve(table, read)
         if mode == "traditional":
-            for addr, size in _reference_translate_traditional(resolved, layout):
-                rows.append(TraceRow(addr, size, chunk.kind, chunk.chunk_id))
+            lo, size = scalar_translate_traditional(resolved, layout)
+            for addr in range(lo, lo + size, BLOCK):
+                rows.append(TraceRow(addr, BLOCK, chunk.kind, chunk.chunk_id))
             continue
-        for addr, size, plane in _reference_translate(resolved, guard, layout):
+        spans = scalar_translate(resolved, guard, layout)
+        for plane, addr, size in zip(*(c.tolist() for c in spans)):
             first = addr // BLOCK
             last = (addr + size - 1) // BLOCK
             start = max(first, high_water.get(plane, -1) + 1)

@@ -201,6 +201,34 @@ def test_traditional_chunk_bases_aligned():
     assert extent(one(FP16, 100, 100), layout) == (256, 256)
 
 
+def test_traditional_read_across_chunks_rejected():
+    # Weights 50-149 span chunks 0 and 1, whose extents are padded apart:
+    # no one extent holds them.
+    layout = TraditionalLayout.from_directory(make_directory([100, 100, 100]))
+    message = r"^weight range \[50, \+100\) crosses a chunk boundary$"
+    with pytest.raises(ValueError, match=message):
+        extent(one(FP16, 50, 100), layout)
+    with pytest.raises(ValueError, match=message):
+        scalar_translate_traditional((FP16, 50, 100), layout)
+    # A read that ends on the boundary stays inside its chunk.
+    assert extent(one(FP16, 50, 50), layout) == (64, 192)
+
+
+def test_empty_read_rejected():
+    image = layout_for(512)
+    traditional = TraditionalLayout.from_directory(make_directory([512]))
+    for start in (0, 100):
+        message = rf"^weight range \[{start}, \+0\) is empty$"
+        with pytest.raises(ValueError, match=message):
+            translate(one(FP8, start, 0), NO_GUARD, image)
+        with pytest.raises(ValueError, match=message):
+            scalar_translate((FP8, start, 0), NO_GUARD, image)
+        with pytest.raises(ValueError, match=message):
+            extent(one(FP8, start, 0), traditional)
+        with pytest.raises(ValueError, match=message):
+            scalar_translate_traditional((FP8, start, 0), traditional)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([FP12, FP8, FP6, FP4]),
@@ -316,11 +344,22 @@ def test_resolve_matches_scalar_resolve(data):
 @st.composite
 def resolved_reads(draw, num_weights):
     """(format, (start, count)) reads at a loaded format, some of them
-    ending just past the weights or starting or counting below 0."""
+    empty, ending just past the weights or starting or counting below 0."""
     start = draw(st.integers(-2, num_weights + 2))
     near_end = st.integers(-2, 2).map(lambda d: num_weights - start + d)
     count = draw(st.one_of(st.integers(-2, num_weights + 2), near_end))
     return draw(st.sampled_from(LADDER5)), (start, count)
+
+
+@st.composite
+def chunk_reads(draw, lengths):
+    """(format, (start, count)) reads inside one chunk of the given
+    lengths, some of them ending on its last weight."""
+    chunk = draw(st.integers(0, len(lengths) - 1))
+    offset = draw(st.integers(0, lengths[chunk] - 1))
+    rest = lengths[chunk] - offset
+    count = draw(st.one_of(st.integers(1, rest), st.just(rest)))
+    return draw(st.sampled_from(LADDER5)), (sum(lengths[:chunk]) + offset, count)
 
 
 def batch_of(reads) -> Resolved:
@@ -363,7 +402,11 @@ def test_translate_matches_scalar_translate(case, guard):
 @given(
     st.lists(st.integers(1, 300), min_size=1, max_size=6).flatmap(
         lambda lengths: st.tuples(
-            st.just(lengths), st.lists(resolved_reads(sum(lengths)), min_size=1, max_size=8)
+            st.just(lengths),
+            st.lists(
+                st.one_of(resolved_reads(sum(lengths)), chunk_reads(lengths)),
+                min_size=1, max_size=8,
+            ),
         )
     )
 )

@@ -14,7 +14,6 @@ from planestore.bitplane import ChunkKind, load_image, plane_stride_for, unpack_
 from planestore.cli import (
     CSV_COLUMNS,
     REPORT_SCHEMA_VERSION,
-    _solve_assignment,
     check_report,
     main,
     parse_trace,
@@ -27,16 +26,9 @@ from planestore.experiment import (
     compare_assignment,
     predictor_fraction,
     run_mode,
-    solver_target,
+    solve_assignment,
 )
-from planestore.workload import (
-    ModelGeometry,
-    assign_formats,
-    avg_bits,
-    enumerate_chunks,
-    gen_scores,
-    solve_thresholds,
-)
+from planestore.workload import ModelGeometry, avg_bits, enumerate_chunks, gen_scores
 
 from reference import (
     FP8,
@@ -493,10 +485,7 @@ def test_trace_assignment_csv_matches_per_chunk_rows(tmp_path, capsys):
     directory = enumerate_chunks(cfg.geometry)
     rows = chunks(directory)
     scores = reference_gen_scores(rows, cfg.importance)
-    thresholds = solve_thresholds(
-        directory, scores, solver_target(directory, cfg.ladder, 4.8),
-        cfg.ladder, cfg.band_profile,
-    )
+    _, thresholds, _ = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
     lines = ["chunk_id,kind,score,format"]
     scored = iter(scores.tolist())
     for chunk in rows:
@@ -536,11 +525,7 @@ def test_trace_files_match_the_reference_generator(tmp_path, capsys):
     cfg = load_config(config, env={})
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
-    thresholds = solve_thresholds(
-        directory, scores, solver_target(directory, cfg.ladder, 4.8),
-        cfg.ladder, cfg.band_profile,
-    )
-    assignment = assign_formats(directory, scores, thresholds)
+    _, _, assignment = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
     for mode in ("bitplane", "traditional"):
         rows = reference_trace(assignment, directory, mode, cfg.guard)
         expected = "".join(f"{r.byte_addr} {r.len_bytes} {r.kind.value}\n" for r in rows)
@@ -712,8 +697,9 @@ def test_solver_target_counts_predictors_at_the_top_rung(tmp_path, capsys):
     assert entry["solver_target_bits"] == pytest.approx(12 * p + 6.0 * (1 - p))
     non_predictor = (entry["achieved_avg_bits"] - 12 * p) / (1 - p)
     assert abs(non_predictor - 6.0) <= 0.05
-    # `trace` solves through the same helper.
-    _, assignment = _solve_assignment(cfg, directory, 6.0)
+    # `trace` solves through the same step.
+    scores = gen_scores(directory, cfg.importance)
+    _, _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
     assert avg_bits(assignment, directory) == entry["achieved_avg_bits"]
 
 
@@ -721,7 +707,8 @@ def test_chunk_latency_deltas_telescope_to_total():
     geometry = ModelGeometry(1, 4, 8192, 8, 4096, 4096)
     directory = enumerate_chunks(geometry)
     cfg = default_config()
-    _, assignment = _small_assignment(cfg, directory)
+    scores = gen_scores(directory, cfg.importance)
+    _, _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
     for mode in ("bitplane", "traditional"):
         summary = run_mode(directory, assignment, mode, NO_GUARD, cfg.dram)
         per_kind = summary["per_kind"]
@@ -744,16 +731,36 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
     result = run_trace(dram(), trace)
     assert result.completion_cycles.tolist() == [76, 88, 100, 112, 76, 124]
-    assert chunk_latency_deltas(trace, result, 1.0) == {0: 112.0, 1: 12.0}
+    # One entry per directory chunk; chunk 2 has no rows.
+    assert chunk_latency_deltas(trace, result, 1.0, 3).tolist() == [112.0, 12.0, 0.0]
+    untagged = Trace([0], [64])
+    with pytest.raises(ValueError, match="trace row 0 loads no chunk"):
+        chunk_latency_deltas(untagged, run_trace(dram(), untagged), 1.0, 1)
 
 
-def _small_assignment(cfg, directory):
-    scores = gen_scores(directory, cfg.importance)
-    inclusive = solver_target(directory, cfg.ladder, 6.0)
-    thresholds = solve_thresholds(
-        directory, scores, inclusive, cfg.ladder, cfg.band_profile
-    )
-    return scores, assign_formats(directory, scores, thresholds)
+def test_sim_of_trace_files_equals_the_compare_entry(tmp_path, capsys):
+    # `trace` and `compare` solve the same target in one shared step, so
+    # simulating the trace files gives compare's numbers exactly.
+    out = tmp_path / "out"
+    assert main(["compare", "--out", str(out)]) == 0
+    assert main(["trace", "--out", str(out), "--target", "4.8"]) == 0
+    capsys.readouterr()
+    targets = json.loads((out / "comparison.json").read_text())["targets"]
+    [entry] = [entry for entry in targets if entry["target_bits"] == 4.8]
+    for mode in ("bitplane", "traditional"):
+        assert main(["sim", str(out / f"trace_{mode}_4.8.txt")]) == 0
+        sim = json.loads(capsys.readouterr().out)
+        want = entry["modes"][mode]
+        assert sim["total_ns"] == want["total_latency_ns"]
+        assert sim["energy_pj"]["total"] == want["total_energy_pj"]
+        assert {k: sim["energy_pj"][k] for k in want["energy_breakdown_pj"]} == (
+            want["energy_breakdown_pj"]
+        )
+        assert sim["bytes_transferred"] == want["bytes"]
+        assert sim["requests"] == want["requests"]
+        assert sim["energy_by_tag_pj"] == {
+            kind: stats["energy_pj"] for kind, stats in want["per_kind"].items()
+        }
 
 
 def test_all_fp8_assignment_halves_bytes():

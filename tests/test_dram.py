@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from planestore.address import Trace
 from planestore.dram import (
     CommandKind,
+    CommandTable,
     DramCommand,
     energy_breakdown,
     map_address,
@@ -230,7 +231,7 @@ def pre(ch, bank, row, cycle, index=0):
 def rejects(stream, match):
     """The replay rejects stream with the reference replay's message."""
     with pytest.raises(ValueError, match=match) as got:
-        simulate(CFG, stream)
+        simulate(CFG, CommandTable.from_commands(stream))
     with pytest.raises(ValueError) as want:
         reference_simulate(CFG, stream)
     assert str(got.value) == str(want.value)
@@ -285,7 +286,7 @@ def test_command_bus_conflict_rejected():
 
 def test_legal_hand_stream_accepted():
     stream = [act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), pre(0, 0, 0, 77), act(0, 0, 1, 111)]
-    result = simulate(CFG, stream)
+    result = simulate(CFG, CommandTable.from_commands(stream))
     assert result.num_acts == 2
     assert result.num_reads == 1
     assert result == reference_simulate(CFG, stream)
@@ -295,6 +296,9 @@ def test_out_of_config_and_unknown_kinds_rejected():
     rejects([act(4, 0, 0, 0)], "channel 4 bank 0 outside the config")
     rejects([act(0, 0, 0, 0), act(0, 32, 0, 1)], "channel 0 bank 32 outside")
     rejects([act(0, 0, 0, 0), DramCommand("RD", 0, 0, 0, 0, 34)], "unknown command kind 'RD'")
+    rejects([act(-1, 0, 0, 0), rd(-1, 0, 0, 0, 40)], "channel -1 bank 0 outside the config")
+    rejects([act(0, -3, 0, 0), rd(0, -3, 0, 0, 40)], "channel 0 bank -3 outside the config")
+    rejects([act(-1, -3, 0, 0), rd(-1, -3, 0, 0, 40)], "channel -1 bank -3 outside the config")
 
 
 # --- invariants -------------------------------------------------------------
@@ -343,7 +347,7 @@ def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
     result = run_trace(CFG, trace_of(requests))
     assert result.bytes_transferred == sum(n for _, n in requests)
-    assert result == simulate(CFG, list(schedule(CFG, trace_of(requests))))
+    assert result == simulate(CFG, CommandTable.from_commands(schedule(CFG, trace_of(requests))))
     assert len(result.completion_cycles) == len(requests)
 
 

@@ -23,19 +23,14 @@ from planestore.address import Trace
 from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
+    CommandTable,
     DramCommand,
     plan,
     schedule,
     simulate,
 )
-from planestore.experiment import solver_target
-from planestore.workload import (
-    assign_formats,
-    enumerate_chunks,
-    gen_scores,
-    gen_trace,
-    solve_thresholds,
-)
+from planestore.experiment import solve_assignment
+from planestore.workload import enumerate_chunks, gen_scores, gen_trace
 
 from reference import dram, reference_simulate
 
@@ -135,7 +130,7 @@ def test_hand_traces_match_reference(requests):
 def run_table(table):
     """(kind, bank, row, issue_cycle, count) per table row."""
     return list(zip(
-        [KINDS[k].value for k in table.kind.tolist()], table.bank.tolist(),
+        [KINDS[k].name for k in table.kind.tolist()], table.bank.tolist(),
         table.row.tolist(), table.issue_cycle.tolist(), table.count.tolist(),
     ))
 
@@ -206,11 +201,7 @@ def sweep_traces():
     scores = gen_scores(directory, cfg.importance)
     traces = {}
     for target in cfg.targets:
-        thresholds = solve_thresholds(
-            directory, scores, solver_target(directory, cfg.ladder, target),
-            cfg.ladder, cfg.band_profile,
-        )
-        assignment = assign_formats(directory, scores, thresholds)
+        _, _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
         for mode in ("bitplane", "traditional"):
             traces[target, mode] = gen_trace(assignment, directory, mode, cfg.guard)
     return cfg, traces
@@ -321,25 +312,28 @@ def same_verdict(config, stream, table=None):
     """Both replays raise the same message, or return the same result.
 
     The reference replays stream; simulate replays table, which must
-    encode stream, or stream itself."""
-    replayed = stream if table is None else table
+    encode stream, or when table is None stream's `from_commands` table."""
+
+    def replay():
+        return simulate(config, CommandTable.from_commands(stream) if table is None else table)
+
     try:
         want = reference_simulate(config, stream)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            simulate(config, replayed)
+            replay()
         assert str(got.value) == str(exc)
     else:
-        assert simulate(config, replayed) == want
+        assert replay() == want
 
 
-# Channel and bank 2 lie outside the 2 x 2 config the streams run on.
+# Channel and bank -1 and 2 lie outside the 2 x 2 config the streams run on.
 raw_commands = st.lists(
     st.builds(
         DramCommand,
         kind=st.sampled_from(KINDS),
-        channel=st.sampled_from([0] * 4 + [1] * 4 + [2]),
-        bank=st.sampled_from([0] * 4 + [1] * 4 + [2]),
+        channel=st.sampled_from([0] * 4 + [1] * 4 + [-1, 2]),
+        bank=st.sampled_from([0] * 4 + [1] * 4 + [-1, 2]),
         row=st.integers(0, 2),
         column=st.just(0),
         issue_cycle=st.integers(0, 200),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from planestore.address import Trace
 from planestore.bitplane import NUM_PLANES, BitPlaneImage, ChunkKind, pack
 from planestore.config import load_config
-from planestore.experiment import predictor_fraction, solver_target
+from planestore.experiment import predictor_fraction, solve_assignment
 from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
     FAMILY_PARAMETERS,
@@ -27,7 +27,6 @@ from planestore.workload import (
     ImportanceModel,
     ModelGeometry,
     ScoreDistribution,
-    assign_formats,
     enumerate_chunks,
     gen_scores,
     gen_trace,
@@ -76,11 +75,7 @@ def test_default_sweep_traces_match_reference():
     scores = gen_scores(directory, cfg.importance)
     requests = {}
     for target in cfg.targets:
-        thresholds = solve_thresholds(
-            directory, scores, solver_target(directory, cfg.ladder, target),
-            cfg.ladder, cfg.band_profile,
-        )
-        assignment = assign_formats(directory, scores, thresholds)
+        _, _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
         for mode in ("bitplane", "traditional"):
             requests[target, mode] = len(
                 assert_matches_reference(assignment, directory, mode, cfg.guard)
