@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .files import write_file
-from .quant import FpFormat
+from .quant import FpFormat, check_ladder
 
 NUM_PLANES = 16
 STRIDE_GRANULE = 64  # bytes; plane arrays padded to the interleave granule
@@ -194,9 +194,10 @@ def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
                 if bias != fmt.bias:
                     raise ValueError(f"{name}: bias {bias} differs from the derived {fmt.bias}")
                 ladder.append(fmt)
+            check_ladder(ladder)
         except struct.error:
             raise ValueError(f"{path}: truncated header") from None
-        except ValueError as exc:  # a bad version, format name, widths or bias
+        except ValueError as exc:  # a bad version, format name, widths, bias or ladder
             raise ValueError(f"{path}: {exc}") from None
         if num_weights == 0:
             raise ValueError(f"{path}: image must hold at least one weight")

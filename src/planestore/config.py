@@ -10,13 +10,14 @@ explicit CLI flags (--seed, --out, where a subcommand takes them).
 from __future__ import annotations
 
 import copy
+import math
 import os
 from dataclasses import dataclass
 
 import yaml
 
 from .dram import DramConfig
-from .quant import FpFormat, GuardConfig
+from .quant import FpFormat, GuardConfig, check_ladder
 from .workload import (
     FAMILY_PARAMETERS,
     BandProfile,
@@ -165,9 +166,10 @@ def _build_distribution(data: dict, where: str) -> ScoreDistribution:
 def _check_types(value, default, where: str) -> None:
     """Reject a value whose type differs from the built-in default's.
 
-    An integer field takes an integer, a float field any number, a string
-    field a string; lists must not be empty, and each item is checked
-    against the default's first.  Keys the defaults lack are left to the
+    An integer field takes an integer, a float field any finite number
+    (YAML's .nan and .inf are floats too), a string field a string;
+    lists must not be empty, and each item is checked against the
+    default's first.  Keys the defaults lack are left to the
     code that reads them.
     """
     if isinstance(default, dict):
@@ -193,6 +195,8 @@ def _check_types(value, default, where: str) -> None:
         ok, want = isinstance(value, str), "a string"
     if not ok or isinstance(value, bool):
         raise ValueError(f"config key {where!r} must be {want}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {where!r} must be finite, got {value!r}")
 
 
 def build_config(resolved: dict) -> ExperimentConfig:
@@ -207,6 +211,7 @@ def build_config(resolved: dict) -> ExperimentConfig:
     for index, entry in enumerate(resolved["ladder"]):
         _check_keys(entry, _LADDER_KEYS, _LADDER_KEYS, f"ladder[{index}]")
     ladder = tuple(FpFormat(**entry) for entry in resolved["ladder"])
+    check_ladder(ladder)
     guard = GuardConfig(resolved["guard"]["exp_bits"], resolved["guard"]["man_bits"])
     geometry = ModelGeometry(**resolved["geometry"])
     dists = {
@@ -229,6 +234,11 @@ def build_config(resolved: dict) -> ExperimentConfig:
         gains=tuple(resolved["solver"]["gains"]),
         exponents=tuple(resolved["solver"]["exponents"]),
     )
+    if len(profile.gains) != len(ladder) - 1:
+        raise ValueError(
+            f"solver needs {len(ladder) - 1} gains and exponents for a"
+            f" {len(ladder)}-rung ladder, got {len(profile.gains)}"
+        )
     dram = DramConfig(**resolved["dram"])
     return ExperimentConfig(
         ladder=ladder,

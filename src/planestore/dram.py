@@ -16,17 +16,19 @@ per channel per cycle.
 
 `schedule` states that policy one burst at a time and is the readable
 reference.  `plan` produces the same command stream as a run table.  It
-merges contiguous requests of one size into extents, finds each
-extent's burst range on every channel in closed form, and emits one RD
-row per run of reads to consecutive columns of an open row, stepping
-the bank state machine once per row opening; it builds no array as long
-as the burst count.  Its rows are grouped by channel, and each RD row
-names the requests of its reads by a rule, not a per-read column.
-`simulate` replays a table with every legality check vectorized per
-channel, and derives per-request reads and completions from the rows.
-docs/dram-model.md shows why the run-level recurrence is exact.  Both
-`schedule` and `plan` take the request stream as an `address.Trace`
-and read its addr and size columns.  `plan` relies on the rows being
+merges contiguous requests of one size and one chunk into extents,
+finds each extent's burst range on every channel in closed form, and
+emits one RD row per run of reads to consecutive columns of an open
+row, stepping the bank state machine once per row opening; it builds no
+array as long as the burst count.  Its rows are grouped by channel, and
+each names the request of its first command; all of an RD row's reads
+load that request's chunk.  `simulate` replays a table with every
+legality check vectorized per channel and returns totals only; the
+per-request and per-chunk figures are read off the table and the trace
+(`energy_breakdown`, `read_completions`).  docs/dram-model.md shows why
+the run-level recurrence is exact.  Both `schedule` and `plan` take the
+request stream as an `address.Trace` and read its addr and size
+columns, `plan` its chunk column too.  `plan` relies on the rows being
 valid, which the Trace constructor checks; `schedule`, the reference,
 maps every burst through `map_address` and so still raises its
 per-burst errors on bare columns.
@@ -43,8 +45,8 @@ calibration inputs, not ground truth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -239,16 +241,12 @@ class CommandTable:
     """A timed command stream as columns, one row per command or run.
 
     kind holds the row's CommandKind value; the other per-row columns
-    mirror DramCommand's fields for the row's first command.  An RD row
-    stands for count reads to consecutive columns of its (bank, row),
-    the k-th at issue_cycle + k * t_ccd_l, column + k; every other row
-    has count 1.  Read k of an RD row belongs to request
-    request_index + (burst_in_request + k * channels) // request_bursts:
-    its reads are one channel stride apart in an extent of requests of
-    request_bursts bursts each, the first being burst burst_in_request
-    of request request_index.  A row of one command has (0, 1).  A
-    channel's rows are in its stream order; rows of different channels
-    may interleave in any order.
+    mirror DramCommand's fields for the row's first command, so
+    request_index is the request of that command.  An RD row stands for
+    count reads to consecutive columns of its (bank, row), the k-th at
+    issue_cycle + k * t_ccd_l, column + k; every other row has count 1.
+    A channel's rows are in its stream order; rows of different
+    channels may interleave in any order.
     """
 
     kind: np.ndarray
@@ -259,8 +257,6 @@ class CommandTable:
     issue_cycle: np.ndarray
     request_index: np.ndarray
     count: np.ndarray
-    burst_in_request: np.ndarray
-    request_bursts: np.ndarray
 
     def __post_init__(self) -> None:
         if self.kind.size and not 0 <= self.kind.min() <= self.kind.max() < len(CommandKind):
@@ -270,12 +266,19 @@ class CommandTable:
             raise ValueError("an RD row needs a count of at least 1, any other row 1")
         if (self.request_index < 0).any():
             raise ValueError("a row's request_index must not be negative")
-        into, per = self.burst_in_request, self.request_bursts
-        if ((into < 0) | (into >= per)).any():
-            raise ValueError("a row's burst_in_request must lie in [0, request_bursts)")
 
     def __len__(self) -> int:
         return self.kind.size
+
+    def check_requests(self, n_requests: int) -> None:
+        """Raise unless every row names one of a trace's n_requests."""
+        past = np.flatnonzero(self.request_index >= n_requests)
+        if past.size:
+            row = int(past[0])
+            raise ValueError(
+                f"command table row {row} names request {int(self.request_index[row])},"
+                f" but the trace has {n_requests} requests"
+            )
 
     @classmethod
     def from_commands(cls, commands: Iterable[DramCommand]) -> "CommandTable":
@@ -287,11 +290,7 @@ class CommandTable:
             rows.append(cmd)
         cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
         kind = cols[0].astype(np.int8)
-        ones = np.ones(kind.size, np.int64)
-        return cls(
-            kind, *cols[1:], count=ones, burst_in_request=np.zeros(kind.size, np.int64),
-            request_bursts=ones,
-        )
+        return cls(kind, *cols[1:], count=np.ones(kind.size, np.int64))
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -350,17 +349,18 @@ def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: li
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
-    Consecutive requests that are contiguous and have the same burst
-    count merge into an extent.  Because interleave_bytes equals
-    burst_bytes, an extent covers one contiguous range of burst indices
-    within each channel, found in closed form.  Cut at row boundaries,
+    Consecutive requests that are contiguous, have the same burst count
+    and load the same chunk merge into an extent.  Because
+    interleave_bytes equals burst_bytes, an extent covers one contiguous
+    range of burst indices within each channel, found in closed form.  Cut at row boundaries,
     each piece is a run: reads to consecutive columns of one (bank, row),
     issued t_ccd_l apart.  A run becomes one RD row, preceded by the PRE
     and ACT rows that open its row if it is not a hit.  Between two
     openings on a channel the reads are a cumulative sum, so the bank
     state machine steps once per opening (`_open_rows`).  Rows are
     grouped by channel, each channel's in stream order.  No array is as
-    long as the burst count.
+    long as the burst count.  A run never crosses an extent, so all of
+    an RD row's reads load the chunk of its first read's request.
     """
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block (DramConfig insists), so a request's bursts
@@ -371,12 +371,17 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     burst = start // step
     # Each extent's first request, its requests' burst count and its
     # first global burst index.
+    chunk = trace.chunk
     starts = np.ones(start.size, bool)
-    starts[1:] = (burst[1:] != burst[:-1] + bursts[:-1]) | (bursts[1:] != bursts[:-1])
+    starts[1:] = (
+        (burst[1:] != burst[:-1] + bursts[:-1])
+        | (bursts[1:] != bursts[:-1])
+        | (chunk[1:] != chunk[:-1])
+    )
     head = np.flatnonzero(starts)
     ext_bursts, ext_first = bursts[head], burst[head]
     ext_total = np.diff(np.r_[head, start.size]) * ext_bursts
-    del start, size, bursts, burst, starts
+    del start, size, bursts, burst, chunk, starts
 
     # On channel c an extent reads the global bursts ext_first + skip,
     # + skip + channels, ..., skip = (c - ext_first) mod channels: span
@@ -387,7 +392,7 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     span = np.maximum(-(-(ext_total - skip) // channels), 0).ravel()
     live = np.flatnonzero(span)
     if not live.size:
-        return CommandTable(np.zeros(0, np.int8), *[np.zeros(0, np.int64)] * 9)
+        return CommandTable(np.zeros(0, np.int8), *[np.zeros(0, np.int64)] * 7)
     span = span[live]
     ch, extent = np.divmod(live, head.size)
     lo = (ext_first[extent] + skip.ravel()[live]) // channels
@@ -403,11 +408,8 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     ch, extent = ch[piece_of], extent[piece_of]
     column = local - page * cpr
     bank, row = page % config.banks_per_channel, page // config.banks_per_channel
-    # A run's first read is global burst local * channels + ch; its read
-    # k lies k * channels bursts further on.
-    request_bursts = ext_bursts[extent]
-    request, burst_in_request = np.divmod(local * channels + ch - ext_first[extent], request_bursts)
-    request += head[extent]
+    # A run's first read is global burst local * channels + ch.
+    request = (local * channels + ch - ext_first[extent]) // ext_bursts[extent] + head[extent]
     del lo, span, first_page, pieces, piece_of, page, local, extent
 
     t_l, t_s = config.t_ccd_l, config.t_ccd_s
@@ -470,48 +472,19 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
         issue_cycle=column_of(rd_cycle, act_cycle[opening], act_cycle[has_pre] - config.t_rp),
         request_index=column_of(request),
         count=column_of(length, 1, 1),
-        burst_in_request=column_of(burst_in_request, 0, 0),
-        request_bursts=column_of(request_bursts, 1, 1),
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimResult:
-    """Outcome of one simulated trace.  Immutable once produced.
-
-    completion_cycles holds the last data beat of each request, indexed
-    by request_index; request_reads and request_acts count the RD and ACT
-    commands attributed to each request (a PRE carries no energy of its
-    own, e_act covers it).  The three are read-only int64 arrays.
-    """
+    """Totals of one simulated trace."""
 
     total_cycles: int
     total_ns: float
     energy_pj: dict
-    completion_cycles: np.ndarray
-    request_reads: np.ndarray
-    request_acts: np.ndarray
     bytes_transferred: int
     num_acts: int
     num_reads: int
-
-    def __post_init__(self) -> None:
-        for name in ("completion_cycles", "request_reads", "request_acts"):
-            column = np.asarray(getattr(self, name), np.int64).reshape(-1)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimResult):
-            return NotImplemented
-        return all(
-            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-            for mine, theirs in (
-                (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-            )
-        )
-
-    __hash__ = None
 
 
 # The replay's checks in the order it applies them to one command; the
@@ -603,8 +576,18 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
     return int(sel[j]), message
 
 
+def read_completions(config: DramConfig, table: CommandTable):
+    """(table position, completion cycle) of every RD row: its last read
+    issues (count - 1) * t_ccd_l after its first, and its data has
+    arrived CAS latency plus one burst after that."""
+    rd = np.flatnonzero(table.kind == _RD)
+    done = table.issue_cycle[rd] + (table.count[rd] - 1) * config.t_ccd_l
+    done += config.t_cl + config.burst_cycles
+    return rd, done
+
+
 def simulate(config: DramConfig, table: CommandTable) -> SimResult:
-    """Replay a command table, checking legality, and account for it.
+    """Replay a command table, checking legality, and total it up.
 
     An RD row stands for its count reads.  The stream must respect the
     bank state machine and the configured timings; the first violation,
@@ -626,54 +609,11 @@ def simulate(config: DramConfig, table: CommandTable) -> SimResult:
         if violations:
             raise ValueError(min(violations)[1])
 
-    rd = table.kind == _RD
-    issue, count = table.issue_cycle[rd], table.count[rd]
-    first, into, per = table.request_index[rd], table.burst_in_request[rd], table.request_bursts[rd]
-    count_rd = int(count.sum())
+    rd, done = read_completions(config, table)
+    count_rd = int(table.count[rd].sum())
     count_act = int(np.count_nonzero(table.kind == _ACT))
-    # Read k of an RD row is for request first + (into + k * channels) //
-    # per and completes at issue + k * t_ccd_l plus CAS latency and the
-    # burst; a request completes with its last read.
-    stride, t_l = config.channels, config.t_ccd_l
-    latency = config.t_cl + config.burst_cycles
-    # When per < channels every read is for a request of its own: one
-    # entry per read, k counting on from row to row.  A trace of
-    # single-burst requests has as many entries as bursts, so the
-    # columns are built in place.
-    narrow = per < stride
-    n = count[narrow]
-    before, k = np.cumsum(n) - n, np.arange(int(n.sum()))
-    read_request = k * stride
-    read_request += np.repeat(into[narrow] - before * stride, n)
-    read_request //= np.repeat(per[narrow], n)
-    read_request += np.repeat(first[narrow], n)
-    read_done = k
-    read_done *= t_l
-    read_done += np.repeat(issue[narrow] + latency - before * t_l, n)
-    del k
-    # Otherwise the row's requests run first, first + 1, ... without a
-    # gap, and first + q takes the reads k with q * per <= into + k *
-    # channels < (q + 1) * per: one entry per request, with its reads
-    # k_lo .. k_hi - 1.
-    row, q = _spread(np.where(narrow, 0, (into + (count - 1) * stride) // per + 1))
-    k_lo = np.maximum(-((into[row] - q * per[row]) // stride), 0)
-    k_hi = np.minimum(-((into[row] - (q + 1) * per[row]) // stride), count[row])
-    span_request = first[row] + q
-    n_requests = max(
-        (int(c.max()) + 1 for c in (table.request_index, read_request, span_request) if c.size),
-        default=0,
-    )
-    completion, reads, acts = (np.zeros(n_requests, np.int64) for _ in range(3))
-    np.maximum.at(completion, read_request, read_done)
-    np.maximum.at(completion, span_request, issue[row] + (k_hi - 1) * t_l + latency)
-    np.add.at(reads, read_request, 1)
-    np.add.at(reads, span_request, k_hi - k_lo)
-    np.add.at(acts, table.request_index[table.kind == _ACT], 1)
-    # Free the per-read entries before the totals below.
-    del read_request, read_done, span_request, row, q, k_lo, k_hi
-
-    if count_rd:
-        total_cycles = int((issue + (count - 1) * t_l).max()) + latency
+    if rd.size:
+        total_cycles = int(done.max())
     else:
         total_cycles = int(table.issue_cycle.max()) + 1 if len(table) else 0
     total_ns = total_cycles * config.clock_ns
@@ -690,34 +630,32 @@ def simulate(config: DramConfig, table: CommandTable) -> SimResult:
         total_cycles=total_cycles,
         total_ns=total_ns,
         energy_pj=energy,
-        completion_cycles=completion,
-        request_reads=reads,
-        request_acts=acts,
         bytes_transferred=config.burst_bytes * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
     )
 
 
-def run_trace(config: DramConfig, trace: Trace) -> SimResult:
-    """Plan and replay in one go (the production path)."""
-    return simulate(config, plan(config, trace))
+def run_trace(config: DramConfig, trace: Trace) -> tuple[CommandTable, SimResult]:
+    """Plan and replay in one go (the production path): the run table
+    and its totals."""
+    table = plan(config, trace)
+    return table, simulate(config, table)
 
 
-def energy_breakdown(result: SimResult, tags, labels: Sequence) -> dict:
-    """Split a result's energy across the per-request tags.
+def energy_breakdown(result: SimResult, table: CommandTable, trace: Trace) -> dict:
+    """Split a result's energy across the trace's tags.
 
-    tags holds one code per request, an index into labels (a trace's
-    tag column); the split is keyed by label.  Activation and read
-    energy follow the commands each request caused; background energy
-    is prorated by bytes moved.  Category totals sum back to the
-    result's total.  Every request must carry a tag.
+    table is the run table result replayed, and trace the request
+    stream it was planned from.  Activation energy follows each
+    request's ACTs, the ACT rows that name it; read and background
+    energy follow its reads, one per block.  The split is keyed by the
+    trace's labels, and the category totals sum back to the result's
+    total.  Every request must carry a tag.
     """
-    n = len(result.completion_cycles)
-    tags = np.asarray(tags, np.intp)
-    if tags.size != n:
-        raise ValueError(f"got {tags.size} tags for {n} requests")
-    untagged = np.flatnonzero(tags < 0)
+    n = len(trace)
+    table.check_requests(n)
+    untagged = np.flatnonzero(trace.tag < 0)
     if untagged.size:
         raise ValueError(f"request {untagged[0]} is untagged")
     # Each request's share is summed in the same order, with the same
@@ -726,11 +664,12 @@ def energy_breakdown(result: SimResult, tags, labels: Sequence) -> dict:
     e = result.energy_pj
     share = np.zeros(n)
     if result.num_acts:
-        share += e["activation"] * result.request_acts / result.num_acts
+        acts = np.bincount(table.request_index[table.kind == _ACT], minlength=n)
+        share += e["activation"] * acts / result.num_acts
     if result.num_reads:
         # Bursts are uniform, so the read-count ratio is the byte ratio.
-        reads = result.request_reads
+        reads = trace.size // BLOCK
         share += e["read"] * reads / result.num_reads
         share += e["background"] * reads / result.num_reads
-    totals = np.bincount(tags, weights=share, minlength=len(labels))
-    return {label: float(total) for label, total in zip(labels, totals)}
+    totals = np.bincount(trace.tag, weights=share, minlength=len(trace.labels))
+    return {label: float(total) for label, total in zip(trace.labels, totals)}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitplane import KIND_LABELS, ChunkDirectory, ChunkKind
-from .dram import DramConfig, energy_breakdown, run_trace
+from .dram import DramConfig, energy_breakdown, read_completions, run_trace
 from .quant import GuardConfig
 from .workload import (
     FormatAssignment,
@@ -56,23 +56,28 @@ def solve_assignment(directory, scores, target_bits: float, ladder, profile: Ban
     return inclusive, thresholds, assign_formats(directory, scores, thresholds)
 
 
-def chunk_latency_deltas(trace, result, clock_ns: float, num_chunks: int) -> np.ndarray:
+def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int) -> np.ndarray:
     """Marginal load time of each of num_chunks directory chunks, 0 for a
     chunk with no rows: how far the trace clock advances while that
-    chunk's requests complete.  A chunk's rows are one contiguous
-    segment of the trace's chunk column, and the chunk is loaded when the
-    latest of its requests completes, which on a multi-channel trace need
-    not be its last one.  Prefix-max keeps the deltas non-negative when
-    channels finish slightly out of order."""
+    chunk's requests complete.  table is the trace's run table, whose RD
+    rows each read for one chunk, the chunk of the request they name.
+    A chunk is loaded when the latest of its rows completes, which on a
+    multi-channel trace need not be its last one.  A chunk's rows are
+    one contiguous segment of the trace's chunk column, and prefix-max
+    in segment order keeps the deltas non-negative when channels finish
+    slightly out of order."""
     latency = np.zeros(num_chunks)
     chunk = trace.chunk
     if chunk.size:
         if chunk.min() < 0:
             raise ValueError(f"trace row {int(np.argmax(chunk < 0))} loads no chunk")
-        first = np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]
-        done = np.maximum.reduceat(result.completion_cycles, first)
-        ends = np.maximum.accumulate(np.r_[0, done])
-        latency[chunk[first]] = np.diff(ends) * clock_ns
+        table.check_requests(chunk.size)
+        rd, done = read_completions(dram_config, table)
+        loaded = np.zeros(num_chunks, np.int64)
+        np.maximum.at(loaded, chunk[table.request_index[rd]], done)
+        order = chunk[np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]]
+        ends = np.maximum.accumulate(np.r_[0, loaded[order]])
+        latency[order] = np.diff(ends) * dram_config.clock_ns
     return latency
 
 
@@ -85,12 +90,12 @@ def run_mode(
 ) -> dict:
     """Trace one mode, simulate it, and summarize what the report needs."""
     trace = gen_trace(assignment, directory, mode, guard)
-    result = run_trace(dram_config, trace)
-    energy_by_kind = energy_breakdown(result, trace.tag, trace.labels)
+    table, result = run_trace(dram_config, trace)
+    energy_by_kind = energy_breakdown(result, table, trace)
     byte_split = bytes_by_kind(trace)
     # A fully deduplicated chunk advanced the clock by nothing; it still
     # counts, it is simply a zero-cost load.
-    latency = chunk_latency_deltas(trace, result, dram_config.clock_ns, len(directory))
+    latency = chunk_latency_deltas(trace, table, dram_config, len(directory))
     loaded = assignment.loaded
     kinds = {}
     for code, kind in enumerate(KIND_LABELS):

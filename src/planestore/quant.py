@@ -20,6 +20,7 @@ those planes must carry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 FP16_EXP_BITS = 5
 FP16_MAN_BITS = 10
@@ -64,6 +65,21 @@ class FpFormat:
     @property
     def total_bits(self) -> int:
         return self.sign_bits + self.exp_bits + self.man_bits
+
+
+def check_ladder(ladder: Sequence[FpFormat]) -> None:
+    """Raise unless ladder is a usable format ladder: a top format and
+    at least the skip level, ending in the skip level, and strictly
+    decreasing in width, so no rung repeats."""
+    if len(ladder) < 2:
+        raise ValueError("ladder needs a top format and a skip level")
+    if not ladder[-1].is_skip:
+        # Scores below the last cut get the last rung, which the solver
+        # counts as 0 bits.
+        raise ValueError(f"ladder must end in a skip level (0 bits), not {ladder[-1].name}")
+    widths = [fmt.total_bits for fmt in ladder]
+    if any(hi <= lo for hi, lo in zip(widths, widths[1:])):
+        raise ValueError("ladder must be strictly decreasing in width")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .bitplane import (
     PlaneLayout,
     plane_stride_for,
 )
-from .quant import FpFormat, GuardConfig
+from .quant import FpFormat, GuardConfig, check_ladder
 
 TRACE_MODES = ("bitplane", "traditional")
 
@@ -201,14 +201,7 @@ class ThresholdSet:
     ladder: tuple
 
     def __post_init__(self) -> None:
-        if len(self.ladder) < 2:
-            raise ValueError("ladder needs a top format and a skip level")
-        if not self.ladder[-1].is_skip:
-            # Scores below the last cut get the last rung, which the
-            # solver counts as 0 bits.
-            raise ValueError(
-                f"ladder must end in a skip level (0 bits), not {self.ladder[-1].name}"
-            )
+        check_ladder(self.ladder)
         if len(self.values) != len(self.ladder) - 1:
             raise ValueError(
                 f"{len(self.ladder)}-format ladder needs {len(self.ladder) - 1} "
@@ -220,9 +213,6 @@ class ThresholdSet:
         for hi, lo in zip(self.values, self.values[1:]):
             if not hi > lo:
                 raise ValueError("thresholds must be strictly decreasing")
-        widths = [f.total_bits for f in self.ladder]
-        if sorted(widths, reverse=True) != widths or len(set(widths)) != len(widths):
-            raise ValueError("ladder must be strictly decreasing in width")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,10 @@ get large.
 reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.  The
 package's vectorized replay must accept and reject exactly the streams
-it does, with the same message, and account for them identically.
+it does, with the same message, and total them identically.  Beside
+the totals it returns each request's completion, reads and ACTs
+(`PerRequest`), which the package reads off the run table and the
+trace instead.
 
 reference_trace is the trace generator the package started from: one
 request object per plane span, or per 64-byte block in traditional
@@ -578,9 +581,18 @@ def ref_encode_fp16(value: float) -> int:
     return (sign << 15) | code
 
 
+class PerRequest(NamedTuple):
+    """Per-request columns, indexed by request_index up to the largest
+    one a command names: the last data beat, the RD and the ACT count."""
+
+    completion: tuple
+    reads: tuple
+    acts: tuple
+
+
 def reference_simulate(
     config: DramConfig, commands: Iterable[DramCommand]
-) -> SimResult:
+) -> tuple[SimResult, PerRequest]:
     """Replay a command stream, checking legality, and account for it.
 
     The stream must respect the bank state machine and the configured
@@ -668,16 +680,18 @@ def reference_simulate(
         "background": e_bg,
         "total": e_act + e_rd + e_bg,
     }
-    return SimResult(
+    totals = SimResult(
         total_cycles=total_cycles,
         total_ns=total_ns,
         energy_pj=energy,
-        completion_cycles=tuple(completion.get(i, 0) for i in range(n_requests)),
-        request_reads=tuple(reads.get(i, 0) for i in range(n_requests)),
-        request_acts=tuple(acts.get(i, 0) for i in range(n_requests)),
         bytes_transferred=config.burst_bytes * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
+    )
+    return totals, PerRequest(
+        completion=tuple(completion.get(i, 0) for i in range(n_requests)),
+        reads=tuple(reads.get(i, 0) for i in range(n_requests)),
+        acts=tuple(acts.get(i, 0) for i in range(n_requests)),
     )
 
 

@@ -20,7 +20,7 @@ from planestore.cli import (
     render_trace,
 )
 from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, default_config, load_config
-from planestore.dram import run_trace
+from planestore.dram import run_trace, schedule
 from planestore.experiment import (
     chunk_latency_deltas,
     compare_assignment,
@@ -38,6 +38,7 @@ from reference import (
     dram,
     format_for,
     reference_gen_scores,
+    reference_simulate,
     reference_trace,
 )
 
@@ -159,7 +160,8 @@ def test_config_ladder_is_constructed(tmp_path):
         tmp_path,
         "ladder:\n"
         "  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
-        "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
+        "  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
+        "solver: {gains: [0.1], exponents: [1.0]}\n",
     )
     cfg = load_config(path, env={})
     assert [f.total_bits for f in cfg.ladder] == [16, 0]
@@ -229,11 +231,53 @@ def one_line_error(capsys) -> str:
         # Nothing to load: the predictor fraction would divide by zero.
         ("geometry: {heads_per_layer: 0, neurons_per_layer: 0, predictor_weights_per_layer: 0}\n",
          "geometry holds no weights"),
+        # YAML's .nan and .inf are floats; no report field may carry them.
+        ("dram:\n  clock_ns: .nan\n", "config key 'dram.clock_ns' must be finite, got nan"),
+        ("dram:\n  e_rd_pj: .inf\n", "config key 'dram.e_rd_pj' must be finite, got inf"),
+        ("solver: {gains: [.nan, 0.0569, 0.0549, 0.0068, 0.0031]}\n",
+         "config key 'solver.gains[0]' must be finite, got nan"),
+        ("importance:\n  default: {family: beta, a: .nan, b: 2.0}\n",
+         "config key 'importance.default.a' must be finite, got nan"),
     ],
 )
 def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
     assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert message in one_line_error(capsys)
+
+
+FP16_RUNG = "  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+FP8_RUNG = "  - {name: FP8, exp_bits: 5, man_bits: 2}\n"
+SKIP_RUNG = "  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
+TWO_TERMS = "solver: {gains: [0.1, 0.1], exponents: [1.0, 1.0]}\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["regions"], ["pack", "--count", "64"], ["compare"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ladder:\n" + FP8_RUNG + FP16_RUNG + SKIP_RUNG + TWO_TERMS,
+         "ladder must be strictly decreasing in width"),
+        ("ladder:\n" + FP16_RUNG + FP16_RUNG + SKIP_RUNG + TWO_TERMS,
+         "ladder must be strictly decreasing in width"),
+        ("ladder:\n" + FP16_RUNG + FP8_RUNG + "solver: {gains: [0.1], exponents: [1.0]}\n",
+         "ladder must end in a skip level (0 bits), not FP8"),
+        ("ladder:\n" + SKIP_RUNG + "solver: {gains: [0.1], exponents: [1.0]}\n",
+         "ladder needs a top format and a skip level"),
+        ("solver: {gains: [0.1], exponents: [1.0]}\n",
+         "solver needs 5 gains and exponents for a 6-rung ladder, got 1"),
+        ("ladder:\n" + FP16_RUNG + SKIP_RUNG,
+         "solver needs 1 gains and exponents for a 2-rung ladder, got 5"),
+    ],
+    ids=["widening", "repeated", "no-skip", "skip-only", "short-profile", "long-profile"],
+)
+def test_every_command_checks_the_ladder_and_profile(tmp_path, capsys, command, text, message):
+    # The ladder and the solver profile are checked where the config is
+    # built, so commands that never solve reject them too.
+    path = write_config(tmp_path, text)
+    assert main([*command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in one_line_error(capsys)
 
 
@@ -319,7 +363,8 @@ def test_unencodable_ladder_leaves_the_old_image_alone(tmp_path, capsys):
         tmp_path,
         "ladder:\n"
         "  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
-        f"  - {{name: {'F' * 300}, exp_bits: 0, man_bits: 0}}\n",
+        f"  - {{name: {'F' * 300}, exp_bits: 0, man_bits: 0}}\n"
+        "solver: {gains: [0.1], exponents: [1.0]}\n",
     )
     image = tmp_path / "x.sqbp"
     assert main(["pack", "--count", "1024", "--image", str(image)]) == 0
@@ -393,10 +438,15 @@ def _relabel(whole: bytes, num_weights=None, stride=None) -> bytes:
         # The stored bias must restate the one the widths give.
         (lambda b: _set_rung(b, b"FP16", bias=14), "FP16: bias 14 differs from the derived 15"),
         (lambda b: _set_rung(b, b"FP0", bias=5), "FP0: bias 5 differs from the derived 0"),
+        # The ladder rules a config's ladder must follow hold for an image's.
+        (lambda b: _set_rung(b, b"FP8", exp_man=(5, 10)), "ladder must be strictly decreasing"),
+        (lambda b: _set_rung(_set_rung(b, b"FP0", exp_man=(1, 0)), b"FP0", bias=0),
+         "ladder must end in a skip level (0 bits), not FP0"),
     ],
     ids=[
         "huge-count", "huge-count-small-stride", "huge-stride", "no-weights", "trailing",
-        "short", "bad-format", "no-exponent", "bad-bias", "bad-skip-bias",
+        "short", "bad-format", "no-exponent", "bad-bias", "bad-skip-bias", "widening-rung",
+        "no-skip-rung",
     ],
 )
 def test_repack_of_lying_header_is_one_line_error(small_config, tmp_path, capsys, edit, message):
@@ -728,14 +778,20 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     # Chunk 0 reads four blocks on channel 0, then one on channel 1; that
     # last read finishes at cycle 76, before channel 0's fourth at 112.
     # Chunk 1's read queues behind them on channel 0 and finishes at 124.
+    config = dram(clock_ns=1.0)
     trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
-    result = run_trace(dram(), trace)
-    assert result.completion_cycles.tolist() == [76, 88, 100, 112, 76, 124]
+    table, _ = run_trace(config, trace)
+    _, per_request = reference_simulate(config, schedule(config, trace))
+    assert per_request.completion == (76, 88, 100, 112, 76, 124)
     # One entry per directory chunk; chunk 2 has no rows.
-    assert chunk_latency_deltas(trace, result, 1.0, 3).tolist() == [112.0, 12.0, 0.0]
+    assert chunk_latency_deltas(trace, table, config, 3).tolist() == [112.0, 12.0, 0.0]
     untagged = Trace([0], [64])
     with pytest.raises(ValueError, match="trace row 0 loads no chunk"):
-        chunk_latency_deltas(untagged, run_trace(dram(), untagged), 1.0, 1)
+        chunk_latency_deltas(untagged, run_trace(config, untagged)[0], config, 1)
+    # A table planned from another trace names a request this one lacks.
+    short = Trace([0, 256], [64] * 2, chunk=[0, 0])
+    with pytest.raises(ValueError, match="row 3 names request 2, but the trace has 2 requests"):
+        chunk_latency_deltas(short, table, config, 3)
 
 
 def test_sim_of_trace_files_equals_the_compare_entry(tmp_path, capsys):

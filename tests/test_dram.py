@@ -2,6 +2,9 @@
 
 import itertools
 import math
+from dataclasses import fields
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from planestore.dram import (
     DramCommand,
     energy_breakdown,
     map_address,
+    read_completions,
     run_trace,
     schedule,
     simulate,
@@ -29,9 +33,13 @@ def req(addr, length=64):
     return addr, length
 
 
-def trace_of(requests):
-    """A Trace from req() pairs."""
-    return Trace([a for a, _ in requests], [n for _, n in requests])
+def trace_of(requests, tags=None, labels=()):
+    """A Trace from req() pairs, with tag codes into labels."""
+    return Trace([a for a, _ in requests], [n for _, n in requests], tags, labels)
+
+
+def totals(config, trace):
+    return run_trace(config, trace)[1]
 
 
 def kinds(commands):
@@ -162,40 +170,42 @@ def test_schedule_is_lazy():
 # --- simulation -------------------------------------------------------------
 
 def test_single_burst_completion():
-    result = run_trace(CFG, trace_of([req(0)]))
+    table, result = run_trace(CFG, trace_of([req(0)]))
     assert result.total_cycles == 76
     assert math.isclose(result.total_ns, 76 * CFG.clock_ns)
     assert result.total_ns == pytest.approx(31.7, abs=0.05)
     assert result.bytes_transferred == 64
-    assert result.completion_cycles.tolist() == [76]
+    rd, done = read_completions(CFG, table)
+    assert (rd.tolist(), done.tolist()) == ([1], [76])
 
 
 def test_empty_trace():
-    result = run_trace(CFG, trace_of([]))
+    table, result = run_trace(CFG, trace_of([]))
     assert result.total_cycles == 0
     assert result.energy_pj["total"] == 0.0
-    assert result.completion_cycles.tolist() == []
+    assert len(table) == 0
+    assert read_completions(CFG, table)[1].tolist() == []
     assert result.bytes_transferred == 0
 
 
 @pytest.mark.parametrize("n", [1, 10, 100])
 def test_back_to_back_row_hits_closed_form(n):
     requests = [req(256 * i) for i in range(n)]
-    result = run_trace(CFG, trace_of(requests))
+    result = totals(CFG, trace_of(requests))
     expected = CFG.t_rcd + CFG.t_cl + (n - 1) * CFG.t_ccd_l + CFG.burst_cycles
     assert result.total_cycles == expected
 
 
 def test_energy_is_exact_with_no_background():
     requests = [req(0, 256), req(4096, 128), req(1 << 20)]
-    result = run_trace(NO_BG, trace_of(requests))
+    result = totals(NO_BG, trace_of(requests))
     expected = NO_BG.e_act_pj * result.num_acts + NO_BG.e_rd_pj * result.num_reads
     assert result.energy_pj["total"] == expected
     assert result.energy_pj["background"] == 0.0
 
 
 def test_energy_components_sum_to_total():
-    result = run_trace(CFG, trace_of([req(0, 512), req(1 << 16, 192)]))
+    result = totals(CFG, trace_of([req(0, 512), req(1 << 16, 192)]))
     e = result.energy_pj
     assert math.isclose(e["total"], e["activation"] + e["read"] + e["background"])
     assert e["background"] > 0
@@ -203,15 +213,26 @@ def test_energy_components_sum_to_total():
 
 def test_determinism():
     requests = [req(64 * i, 64) for i in range(0, 40, 3)]
-    assert run_trace(CFG, trace_of(requests)) == run_trace(CFG, trace_of(requests))
+    (a, first), (b, second) = (run_trace(CFG, trace_of(requests)) for _ in range(2))
+    assert first == second
+    assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 def test_per_request_accounting():
-    result = run_trace(CFG, trace_of([req(0, 256), req(1024, 64)]))
-    assert result.request_reads.tolist() == [4, 1]
-    assert sum(result.request_reads) == result.num_reads
-    assert sum(result.request_acts) == result.num_acts
-    assert result.completion_cycles[1] >= result.completion_cycles[0] - 76
+    # Request 0 reads one block on each channel, request 1 one more on
+    # channel 0, a row hit after request 0's read there.
+    trace = trace_of([req(0, 256), req(1024, 64)])
+    table, result = run_trace(CFG, trace)
+    assert (trace.size // 64).tolist() == [4, 1]
+    assert sum(trace.size // 64) == result.num_reads
+    acts = table.request_index[table.kind == CommandKind.ACT]
+    assert np.bincount(acts, minlength=2).tolist() == [4, 0]
+    assert acts.size == result.num_acts
+    rd, done = read_completions(CFG, table)
+    assert table.request_index[rd].tolist() == [0, 1, 0, 0, 0]
+    # Request 1's read follows request 0's on channel 0 by t_ccd_l.
+    assert done[1] == done[0] + CFG.t_ccd_l
+    assert max(done.tolist()) == result.total_cycles
 
 
 # --- command stream legality ------------------------------------------------
@@ -289,7 +310,7 @@ def test_legal_hand_stream_accepted():
     result = simulate(CFG, CommandTable.from_commands(stream))
     assert result.num_acts == 2
     assert result.num_reads == 1
-    assert result == reference_simulate(CFG, stream)
+    assert result == reference_simulate(CFG, stream)[0]
 
 
 def test_out_of_config_and_unknown_kinds_rejected():
@@ -305,14 +326,14 @@ def test_out_of_config_and_unknown_kinds_rejected():
 
 def test_byte_conservation():
     requests = [req(0, 320), req(8192, 64), req(1 << 19, 1024)]
-    result = run_trace(CFG, trace_of(requests))
+    result = totals(CFG, trace_of(requests))
     assert result.bytes_transferred == sum(n for _, n in requests)
 
 
 def test_adding_a_request_never_helps():
     base = [req(256 * i) for i in range(6)]
     longer = base + [req(1 << 21, 128)]
-    a, b = run_trace(CFG, trace_of(base)), run_trace(CFG, trace_of(longer))
+    a, b = totals(CFG, trace_of(base)), totals(CFG, trace_of(longer))
     assert b.total_cycles >= a.total_cycles
     assert b.energy_pj["total"] >= a.energy_pj["total"]
 
@@ -345,41 +366,47 @@ def test_sorted_stream_minimizes_activates():
 )
 def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
-    result = run_trace(CFG, trace_of(requests))
+    table, result = run_trace(CFG, trace_of(requests))
     assert result.bytes_transferred == sum(n for _, n in requests)
     assert result == simulate(CFG, CommandTable.from_commands(schedule(CFG, trace_of(requests))))
-    assert len(result.completion_cycles) == len(requests)
+    # Every request has reads, so its first names a row.
+    assert sorted(set(table.request_index.tolist())) == list(range(len(requests)))
 
 
 # --- energy attribution -----------------------------------------------------
 
 def test_breakdown_single_category():
-    result = run_trace(CFG, trace_of([req(0, 256), req(4096, 64)]))
-    split = energy_breakdown(result, [0, 0], ["predictor"])
+    trace = trace_of([req(0, 256), req(4096, 64)], [0, 0], ["predictor"])
+    table, result = run_trace(CFG, trace)
+    split = energy_breakdown(result, table, trace)
     assert split == {"predictor": pytest.approx(result.energy_pj["total"])}
 
 
 def test_breakdown_symmetric_categories():
-    requests = [req(64 * i) for i in range(8)]
-    result = run_trace(CFG, trace_of(requests))
-    split = energy_breakdown(result, [0, 1] * 4, ("a", "b"))
+    trace = trace_of([req(64 * i) for i in range(8)], [0, 1] * 4, ("a", "b"))
+    table, result = run_trace(CFG, trace)
+    split = energy_breakdown(result, table, trace)
     assert split["a"] == pytest.approx(split["b"], rel=0.01)
     assert split["a"] + split["b"] == pytest.approx(result.energy_pj["total"])
 
 
 def test_breakdown_follows_byte_share():
-    result = run_trace(NO_BG, trace_of([req(0, 960), req(4096, 320)]))
-    split = energy_breakdown(result, [0, 1], ["big", "small"])
-    reads = result.request_reads
+    # Request 1 reads 5 blocks, all row hits after request 0's ACTs.
+    trace = trace_of([req(0, 960), req(4096, 320)], [0, 1], ["big", "small"])
+    table, result = run_trace(NO_BG, trace)
+    split = energy_breakdown(result, table, trace)
+    acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=2)
+    assert acts.tolist() == [4, 0]
     assert split["big"] >= split["small"]
-    assert split["small"] == pytest.approx(
-        NO_BG.e_rd_pj * reads[1] + NO_BG.e_act_pj * result.request_acts[1]
-    )
+    assert split["small"] == pytest.approx(NO_BG.e_rd_pj * 5 + NO_BG.e_act_pj * acts[1])
 
 
 def test_breakdown_requires_tags():
-    result = run_trace(CFG, trace_of([req(0), req(256)]))
+    trace = trace_of([req(0), req(256)], [0, -1], ["a"])
+    table, result = run_trace(CFG, trace)
     with pytest.raises(ValueError, match="untagged"):
-        energy_breakdown(result, [0, -1], ["a"])
-    with pytest.raises(ValueError, match="2 requests"):
-        energy_breakdown(result, [0], ["a"])
+        energy_breakdown(result, table, trace)
+    # A table planned from a longer trace names a request this one lacks.
+    short = trace_of([req(0)], [0], ["a"])
+    with pytest.raises(ValueError, match="row 2 names request 1, but the trace has 1 requests"):
+        energy_breakdown(result, table, short)

@@ -1,13 +1,16 @@
 """The run-level DRAM engine against the per-burst reference.
 
 `plan`'s run table, expanded to commands, must be exactly the stream
-`schedule` yields on every channel, and `simulate` must accept, reject
-and account for run tables and command streams exactly as the
-command-by-command replay in reference.py does.  Checked on hand
-traces, on every trace of the default sweep, on random and interleaved
-traces and configs, on runs of contiguous equal-size requests (the
-extents `plan` merges), and on perturbed command streams and run
-tables.
+`schedule` yields on every channel, each row naming the request of its
+first command and each RD row reading for one chunk.  `simulate` must
+accept, reject and total run tables and command streams exactly as the
+command-by-command replay in reference.py does, and the per-request
+ACTs and reads and the per-chunk completions read off the table and
+the trace must be the replay's.  Checked on hand traces, on every
+trace of the default sweep, on random and interleaved traces and
+configs, on runs of contiguous equal-size requests (the extents `plan`
+merges), on random chunk columns, and on perturbed command streams and
+run tables.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ from planestore.dram import (
     CommandTable,
     DramCommand,
     plan,
+    read_completions,
     schedule,
     simulate,
 )
@@ -38,34 +42,33 @@ DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yam
 KINDS = list(CommandKind)
 
 
-def trace_of(requests):
-    """A Trace from (byte_addr, len_bytes) pairs."""
-    return Trace([a for a, _ in requests], [n for _, n in requests])
+def trace_of(requests, chunks=None):
+    """A Trace from (byte_addr, len_bytes) pairs, and a chunk per pair."""
+    return Trace([a for a, _ in requests], [n for _, n in requests], chunk=chunks)
 
 
 def commands_of(config, table):
     """A CommandTable as the DramCommand list it encodes, each run's
-    reads expanded: the k-th at issue + k * t_ccd_l, column + k, for
-    request request_index + (burst_in_request + k * channels) //
-    request_bursts."""
+    reads expanded: the k-th at issue + k * t_ccd_l, column + k.  Every
+    command carries its row's request_index."""
     commands = []
     columns = (
         table.kind, table.channel, table.bank, table.row, table.column,
         table.issue_cycle, table.request_index, table.count,
-        table.burst_in_request, table.request_bursts,
     )
-    for kind, channel, bank, row, column, issue, request, count, into, per in zip(
+    for kind, channel, bank, row, column, issue, request, count in zip(
         *(c.tolist() for c in columns)
     ):
-        if KINDS[kind] is not CommandKind.RD:
-            commands.append(DramCommand(KINDS[kind], channel, bank, row, column, issue, request))
-            continue
         for k in range(count):
             commands.append(DramCommand(
-                CommandKind.RD, channel, bank, row, column + k,
-                issue + k * config.t_ccd_l, request + (into + k * config.channels) // per,
+                KINDS[kind], channel, bank, row, column + k, issue + k * config.t_ccd_l, request,
             ))
     return commands
+
+
+def unnamed(stream):
+    """A command stream without its request indices."""
+    return [cmd._replace(request_index=0) for cmd in stream]
 
 
 def by_channel(stream):
@@ -81,10 +84,36 @@ def assert_engine_matches_reference(config, trace):
     table = plan(config, trace)
     expected = list(schedule(config, trace))
     commands = commands_of(config, table)
-    assert by_channel(commands) == by_channel(expected)
+    # The expanded table is schedule's stream.  A row names the request
+    # of its first command, and each read of an RD row loads the chunk
+    # of the request that row names.
+    heads = np.zeros(len(commands), bool)
+    heads[np.cumsum(table.count) - table.count] = True
+    order = np.argsort([cmd.channel for cmd in commands], kind="stable")
+    got, want = [commands[i] for i in order], by_channel(expected)
+    assert unnamed(got) == unnamed(want)
+    got_request = np.array([cmd.request_index for cmd in got], np.int64)
+    want_request = np.array([cmd.request_index for cmd in want], np.int64)
+    assert got_request[heads[order]].tolist() == want_request[heads[order]].tolist()
+    assert trace.chunk[got_request].tolist() == trace.chunk[want_request].tolist()
+
     result = simulate(config, table)
-    assert result == reference_simulate(config, expected)
-    assert result == reference_simulate(config, commands)
+    totals, per_request = reference_simulate(config, expected)
+    assert result == totals
+    assert result == reference_simulate(config, commands)[0]
+    # What energy_breakdown reads: each request's ACTs from the table's
+    # ACT rows, its reads from its size.
+    acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=len(trace))
+    assert acts.tolist() == list(per_request.acts)
+    assert (trace.size // 64).tolist() == list(per_request.reads)
+    # What chunk_latency_deltas reads: a chunk's latest RD row completion
+    # is its latest request completion.
+    ids, chunk_of = np.unique(trace.chunk, return_inverse=True)
+    rd, done = read_completions(config, table)
+    got_done, want_done = np.zeros(ids.size, np.int64), np.zeros(ids.size, np.int64)
+    np.maximum.at(got_done, chunk_of[table.request_index[rd]], done)
+    np.maximum.at(want_done, chunk_of, np.array(per_request.completion, np.int64))
+    assert got_done.tolist() == want_done.tolist()
     return table, commands, result
 
 
@@ -123,8 +152,11 @@ def extent_runs(blocks):
     ],
 )
 def test_hand_traces_match_reference(requests):
+    # Once in one chunk, once with every third request starting a new
+    # chunk, often inside an extent and inside a run.
     config = dram(p_bg_mw=0.0)
-    assert_engine_matches_reference(config, trace_of(requests))
+    for chunks in (None, [i // 3 for i in range(len(requests))]):
+        assert_engine_matches_reference(config, trace_of(requests, chunks))
 
 
 def run_table(table):
@@ -164,15 +196,10 @@ def test_malformed_run_table_rejected():
     act, rd = 0, 1
     assert run_table(table)[:2] == [("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 2)]
     # One request of eight bursts: channel 0 reads its bursts 0 and 4.
-    assert (table.request_bursts[rd], table.burst_in_request[rd]) == (8, 0)
-    attribution = "burst_in_request must lie in \\[0, request_bursts\\)"
+    assert table.request_index[:2].tolist() == [0, 0]
     for name, row, value, match in (
         ("count", rd, 0, "count of at least 1"),
         ("count", act, 2, "any other row 1"),
-        ("burst_in_request", rd, 8, attribution),
-        ("burst_in_request", rd, -1, attribution),
-        ("request_bursts", rd, 0, attribution),
-        ("request_bursts", act, 0, attribution),
         ("request_index", rd, -1, "request_index must not be negative"),
         ("kind", act, -1, "command kind codes must lie in \\[0, 3\\)"),
         ("kind", act, 3, "command kind codes must lie in \\[0, 3\\)"),
@@ -220,9 +247,10 @@ def test_default_sweep_traces_match_reference(sweep_traces):
     assert counts[1.6, "bitplane"][2] == 1_931
     assert counts[1.6, "traditional"][2] == 728
     # One table row per run and per PRE/ACT, not per burst, and one
-    # step of the bank state machine per opening (per ACT).
+    # step of the bank state machine per opening (per ACT).  Cutting
+    # extents where the chunk changes adds 4,972 rows (144,126 without).
     assert sum(c[1] for c in counts.values()) == 1_020_159
-    assert rows == 144_126
+    assert rows == 149_098
     assert sum(c[2] for c in counts.values()) == 17_482
 
 
@@ -244,9 +272,13 @@ configs = st.builds(
 
 # A few hundred blocks over a handful of rows: with small rows and few
 # banks, random requests keep reopening rows that another request closed.
+# A request may start a new chunk.
 traces = st.lists(
-    st.tuples(st.integers(0, 400), st.integers(1, 12)), max_size=25
-).map(lambda reqs: trace_of([(64 * slot, 64 * n) for slot, n in reqs]))
+    st.tuples(st.integers(0, 400), st.integers(1, 12), st.booleans()), max_size=25
+).map(lambda reqs: trace_of(
+    [(64 * slot, 64 * n) for slot, n, _ in reqs],
+    np.cumsum([new for _, _, new in reqs], dtype=np.int64),
+))
 
 
 @settings(deadline=None, max_examples=150)
@@ -262,7 +294,8 @@ def test_random_traces_match_reference(config, trace):
 def interleaved_traces(draw):
     """k sequential streams a stride apart, read round-robin in pieces of
     1-8 blocks, as a bit-plane trace reads its planes: short runs that
-    alternate banks and, when streams share a bank, conflict."""
+    alternate banks and, when streams share a bank, conflict.  Each
+    round over the k streams loads one chunk."""
     k = draw(st.integers(1, 6))
     stride = draw(st.one_of(st.integers(1, 300), st.sampled_from([256, 1024, 4096, 16384])))
     pieces, rng = draw(st.integers(1, 600)), draw(st.randoms(use_true_random=False))
@@ -272,7 +305,7 @@ def interleaved_traces(draw):
         blocks = rng.randint(1, 8)
         requests.append((64 * heads[j % k], 64 * blocks))
         heads[j % k] += blocks
-    return trace_of(requests)
+    return trace_of(requests, [j // k for j in range(pieces)])
 
 
 @settings(deadline=None, max_examples=100)
@@ -287,7 +320,9 @@ def extent_traces(draw):
     traditional trace streams a chunk.  Counts of 1, below, at and above
     the channel count of every config here; between runs the address
     jumps (often to just before a row boundary) or carries on, and the
-    count may change, so extents cross rows and adjoin each other."""
+    count may change, so extents cross rows and adjoin each other.  A
+    new chunk starts at a request with probability 0, 0.1 or 0.5, so
+    chunk changes fall inside extents too."""
     requests, head = [], draw(st.integers(0, 2 * ROW_SPAN))
     for _ in range(draw(st.integers(1, 5))):
         jump = draw(st.sampled_from(["none", "boundary", "anywhere"]))
@@ -299,13 +334,34 @@ def extent_traces(draw):
         for _ in range(draw(st.integers(1, max(2, 120 // blocks)))):
             requests.append((64 * head, 64 * blocks))
             head += blocks
-    return trace_of(requests)
+    p, rng = draw(st.sampled_from([0.0, 0.1, 0.5])), draw(st.randoms(use_true_random=False))
+    return trace_of(requests, np.cumsum([rng.random() < p for _ in requests], dtype=np.int64))
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.one_of(configs, st.just(dram())), extent_traces())
 def test_extent_runs_match_reference(config, trace):
     assert_engine_matches_reference(config, trace)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(configs, st.just(dram())),
+    st.one_of(extent_traces(), interleaved_traces()),
+    st.randoms(use_true_random=False),
+)
+def test_chunk_changes_cut_rd_rows(config, trace, rng):
+    # Any chunk column, chunks revisited included: no RD row reads for two
+    # chunks (assert_engine_matches_reference), and the cuts leave the
+    # commands as they are without chunks.
+    chunk = [rng.randint(0, 3) for _ in range(len(trace))]
+    table, commands, result = assert_engine_matches_reference(
+        config, Trace(trace.addr, trace.size, chunk=chunk)
+    )
+    plain = plan(config, Trace(trace.addr, trace.size))
+    assert unnamed(by_channel(commands)) == unnamed(by_channel(commands_of(config, plain)))
+    assert result == simulate(config, plain)
+    assert len(table) >= len(plain)
 
 
 def same_verdict(config, stream, table=None):
@@ -318,7 +374,7 @@ def same_verdict(config, stream, table=None):
         return simulate(config, CommandTable.from_commands(stream) if table is None else table)
 
     try:
-        want = reference_simulate(config, stream)
+        want, _ = reference_simulate(config, stream)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
             replay()

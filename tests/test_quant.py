@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planestore.quant import FpFormat, GuardConfig, plane_set
+from planestore.quant import FpFormat, GuardConfig, check_ladder, plane_set
 from reference import (
     FP0,
     FP4,
@@ -57,6 +57,23 @@ def test_format_validation():
     # Sign and bias follow from the widths.
     assert (E4M3.sign_bits, E4M3.bias, E4M3.total_bits) == (1, 7, 8)
     assert (FP0.sign_bits, FP0.bias, FP0.total_bits) == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "ladder, match",
+    [
+        ((), "needs a top format and a skip level"),
+        ((FP0,), "needs a top format and a skip level"),
+        ((FP16, FP8), "must end in a skip level \\(0 bits\\), not FP8"),
+        ((FP8, FP16, FP0), "strictly decreasing in width"),
+        ((FP16, FP8, FP8, FP0), "strictly decreasing in width"),
+        # Equal widths are a repeated rung even under another name.
+        ((FP16, FP8, FpFormat("E4M3", 4, 3), FP0), "strictly decreasing in width"),
+    ],
+)
+def test_ladder_rules(ladder, match):
+    with pytest.raises(ValueError, match=match):
+        check_ladder(ladder)
 
 
 def test_plane_set_examples():

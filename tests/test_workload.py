@@ -181,6 +181,11 @@ def test_threshold_validation():
         ThresholdSet((1.2, 0.8, 0.6, 0.4, 0.2), LADDER)
     with pytest.raises(ValueError, match="thresholds"):
         ThresholdSet((0.5, 0.4), LADDER)
+    # The ladder rules of quant.check_ladder.
+    with pytest.raises(ValueError, match="strictly decreasing in width"):
+        ThresholdSet((0.5, 0.4), (LADDER[0], LADDER[0], LADDER[-1]))
+    with pytest.raises(ValueError, match="must end in a skip level"):
+        ThresholdSet((0.5,), LADDER[:2])
 
 
 def test_bucket_rule_endpoints():
