@@ -64,10 +64,15 @@ def first_invalid(addr: np.ndarray, size: np.ndarray):
     whole BLOCK-aligned blocks at a non-negative address, or None when
     every row is one."""
     # BLOCK is a power of two: a multiple of it has no low bits set.
-    bad = np.flatnonzero((addr < 0) | ((addr | size) & (BLOCK - 1) != 0) | (size <= 0))
-    if not bad.size:
+    # Reductions decide the common all-valid case without a per-row mask.
+    if not addr.size or (
+        addr.min() >= 0
+        and size.min() > 0
+        and not (np.bitwise_or.reduce(addr) | np.bitwise_or.reduce(size)) & (BLOCK - 1)
+    ):
         return None
-    row = int(bad[0])
+    bad = (addr < 0) | ((addr | size) & (BLOCK - 1) != 0) | (size <= 0)
+    row = int(np.argmax(bad))
     request = f"request [{addr[row]}, +{size[row]})"
     if addr[row] < 0:
         return row, f"{request} starts at a negative address"
@@ -116,6 +121,11 @@ class Trace:
 
     def __len__(self) -> int:
         return self.addr.size
+
+    def check_tagged(self) -> None:
+        """Raise unless every row carries a tag."""
+        if len(self) and self.tag.min() < 0:
+            raise ValueError(f"request {int(np.argmax(self.tag < 0))} is untagged")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):

@@ -265,6 +265,21 @@ def _yaml_error(exc: yaml.YAMLError, text: str) -> str:
     return f"line {mark.line + 1} ({source!r}): {problem}"
 
 
+def _parse_yaml(text: str):
+    """safe_load's data, parsed by libyaml when PyYAML was built with it.
+
+    libyaml words its errors differently, so a document it rejects is
+    parsed again by the pure-Python loader, whose data or error stands.
+    """
+    loader = getattr(yaml, "CSafeLoader", None)
+    if loader is not None:
+        try:
+            return yaml.load(text, Loader=loader)
+        except yaml.YAMLError:
+            pass
+    return yaml.safe_load(text)
+
+
 def load_config(
     path: str | None = None,
     seed: int | None = None,
@@ -278,7 +293,7 @@ def load_config(
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         try:
-            loaded = yaml.safe_load(text)
+            loaded = _parse_yaml(text)
         except yaml.YAMLError as exc:
             raise ValueError(f"config file {path}: {_yaml_error(exc, text)}") from None
         if loaded is None:

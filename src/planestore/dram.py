@@ -23,12 +23,12 @@ row, stepping the bank state machine once per row opening; it builds no
 array as long as the burst count.  Its rows are grouped by channel, and
 each names the request of its first command; all of an RD row's reads
 load that request's chunk.  `simulate` replays a table with every
-legality check vectorized per channel and returns totals only; the
-per-request and per-chunk figures are read off the table and the trace
-(`energy_breakdown`, `read_completions`).  docs/dram-model.md shows why
-the run-level recurrence is exact.  Both `schedule` and `plan` take the
-request stream as an `address.Trace` and read its addr and size
-columns, `plan` its chunk column too.  `plan` relies on the rows being
+legality check vectorized over all channels at once and returns totals
+only; the per-request and per-chunk figures are read off the table and
+the trace (`energy_breakdown`, `read_completions`).  docs/dram-model.md
+shows why the run-level recurrence is exact.  Both `schedule` and
+`plan` take the request stream as an `address.Trace` and read its addr
+and size columns, `plan` its chunk column too.  `plan` relies on the rows being
 valid, which the Trace constructor checks; `schedule`, the reference,
 maps every burst through `map_address` and so still raises its
 per-burst errors on bare columns.
@@ -272,9 +272,8 @@ class CommandTable:
 
     def check_requests(self, n_requests: int) -> None:
         """Raise unless every row names one of a trace's n_requests."""
-        past = np.flatnonzero(self.request_index >= n_requests)
-        if past.size:
-            row = int(past[0])
+        if self.request_index.size and self.request_index.max() >= n_requests:
+            row = int(np.argmax(self.request_index >= n_requests))
             raise ValueError(
                 f"command table row {row} names request {int(self.request_index[row])},"
                 f" but the trace has {n_requests} requests"
@@ -364,24 +363,23 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block (DramConfig insists), so a request's bursts
-    # are its size over the burst.
-    start, size = trace.addr, trace.size
+    # are its size over the burst.  A request extends an extent when it
+    # starts where the previous one ends, with the same size and chunk;
+    # that is found on the byte columns, and only the extent heads are
+    # divided into bursts.
+    addr, size, chunk = trace.addr, trace.size, trace.chunk
     step = config.burst_bytes
-    bursts = size // step
-    burst = start // step
+    starts = np.empty(addr.size, bool)
+    starts[:1] = True
+    np.not_equal(addr[1:], addr[:-1] + size[:-1], out=starts[1:])
+    starts[1:] |= size[1:] != size[:-1]
+    starts[1:] |= chunk[1:] != chunk[:-1]
     # Each extent's first request, its requests' burst count and its
     # first global burst index.
-    chunk = trace.chunk
-    starts = np.ones(start.size, bool)
-    starts[1:] = (
-        (burst[1:] != burst[:-1] + bursts[:-1])
-        | (bursts[1:] != bursts[:-1])
-        | (chunk[1:] != chunk[:-1])
-    )
     head = np.flatnonzero(starts)
-    ext_bursts, ext_first = bursts[head], burst[head]
-    ext_total = np.diff(np.r_[head, start.size]) * ext_bursts
-    del start, size, bursts, burst, chunk, starts
+    ext_bursts, ext_first = size[head] // step, addr[head] // step
+    ext_total = np.diff(np.r_[head, addr.size]) * ext_bursts
+    del addr, size, chunk, starts
 
     # On channel c an extent reads the global bursts ext_first + skip,
     # + skip + channels, ..., skip = (c - ext_first) mod channels: span
@@ -510,47 +508,65 @@ def _previous(flags: np.ndarray) -> np.ndarray:
     return np.r_[-1, np.maximum.accumulate(marks)[:-1]]
 
 
-def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
-    """(table position, message) of one channel's first illegal row.
+def _first_violation(config: DramConfig, table: CommandTable):
+    """The message for the table's first illegal row, or None when all
+    are legal.
 
-    sel lists the channel's rows in stream order.  Each row's first
-    command is checked against the state the rows before it leave: the
-    last cycle of the previous row on the channel, the last read of the
-    previous RD row, and the bank's newest ACT or PRE (open if it was an
-    ACT).  Up to the first illegal row that is exactly the state a
-    command-by-command replay holds.  The later reads of an RD row need
-    no check of their own: nothing else issues on the channel between
-    them, they stay on the open row, and they are t_ccd_l >= 1 apart,
-    which satisfies the bus, tCCD and tRCD rules once the first read
-    does.  Returns None when all are legal.
+    The rows are checked in one pass, grouped by channel, each channel's
+    in stream order.  Each row's first command is checked against the
+    state the rows before it on its channel leave: the last cycle of the
+    previous row, the last read of the previous RD row, and the bank's
+    newest ACT or PRE (open if it was an ACT).  Up to a channel's first
+    illegal row that is exactly the state a command-by-command replay
+    holds, and channels share no state, so the replay stops at the
+    earliest of the channels' first illegal rows in table order.  The
+    later reads of an RD row need no check of their own: nothing else
+    issues on the channel between them, they stay on the open row, and
+    they are t_ccd_l >= 1 apart, which satisfies the bus, tCCD and tRCD
+    rules once the first read does.
     """
-    ch = int(table.channel[sel[0]])
-    kind, bank, row = table.kind[sel], table.bank[sel], table.row[sel]
-    cycle = table.issue_cycle[sel].astype(np.int64)
-    last = cycle + (table.count[sel] - 1) * config.t_ccd_l
+    channel = table.channel
+    n, banks = channel.size, config.banks_per_channel
+    # plan's tables are grouped already; only other tables are gathered.
+    order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
+    columns = (channel, table.kind, table.bank, table.row, table.issue_cycle, table.count)
+    if order is not None:
+        columns = tuple(c[order] for c in columns)
+    ch, kind, bank, row, cycle, count = columns
+    cycle = np.asarray(cycle, np.int64)
+    last = cycle + (count - 1) * config.t_ccd_l
     is_act, is_rd, is_pre = kind == _ACT, kind == _RD, kind == _PRE
+    position = np.arange(n)
+    channel_start = np.r_[True, ch[1:] != ch[:-1]]
+    first_of_channel = np.maximum.accumulate(np.where(channel_start, position, 0))
 
-    by_bank = _stable_order(bank)
-    sorted_bank = bank[by_bank]
-    run_start = np.r_[True, sorted_bank[1:] != sorted_bank[:-1]]
-    first_of_bank = np.maximum.accumulate(np.where(run_start, np.arange(sel.size), 0))
+    # Bank state, grouped by (channel, bank).  Banks outside the config
+    # share one key below and one above per channel: their rows fail the
+    # first check, and no other row reads their state.
+    key = (np.cumsum(channel_start) - 1) * (banks + 2) + np.clip(bank, -1, banks) + 1
+    by_bank = _stable_order(key)
+    sorted_key = key[by_bank]
+    run_start = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
+    first_of_bank = np.maximum.accumulate(np.where(run_start, position, 0))
     prev = _previous((is_act | is_pre)[by_bank])
-    state = np.empty(sel.size, np.int64)
+    state = np.empty(n, np.int64)
     state[by_bank] = np.where(prev >= first_of_bank, by_bank[prev], -1)
     has_state = state >= 0
     state = np.where(has_state, state, 0)
-    is_open = has_state & (kind[state] == _ACT)
+    is_open = has_state & is_act[state]
     open_row, state_cycle = row[state], cycle[state]
 
     last_rd = _previous(is_rd)
-    early_rd = is_rd & (last_rd >= 0)
+    early_rd = is_rd & (last_rd >= first_of_channel)
     last_rd = np.where(early_rd, last_rd, 0)
     same_bank = bank[last_rd] == bank
     early_rd &= cycle < last[last_rd] + np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
+    previous_last = np.r_[-1, last[:-1]]
+    previous_last[channel_start] = -1
 
     checks = [
-        (bank < 0) | (bank >= config.banks_per_channel) | (ch < 0) | (ch >= config.channels),
-        cycle <= np.r_[-1, last[:-1]],
+        (bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels),
+        cycle <= previous_last,
         is_act & is_open,
         is_act & has_state & ~is_open & (cycle < state_cycle + config.t_rp),
         is_pre & ~is_open,
@@ -561,19 +577,24 @@ def _first_violation(config: DramConfig, table: CommandTable, sel: np.ndarray):
         early_rd & same_bank,
         early_rd,
     ]
-    code = np.select(checks, np.arange(1, len(checks) + 1), 0)
-    bad = np.flatnonzero(code)
+    bad = checks[0].copy()
+    for check in checks[1:]:
+        bad |= check
+    bad = np.flatnonzero(bad)
     if not bad.size:
         return None
-    j = int(bad[0])
-    message = _VIOLATIONS[code[j] - 1].format(
-        ch=ch,
+    # Each channel's first illegal row, then the earliest in table order.
+    bad_ch = ch[bad]
+    firsts = bad[np.r_[True, bad_ch[1:] != bad_ch[:-1]]]
+    j = int(firsts[np.argmin(firsts if order is None else order[firsts])])
+    k = next(k for k, check in enumerate(checks) if check[j])
+    return _VIOLATIONS[k].format(
+        ch=int(ch[j]),
         bank=int(bank[j]),
         row=int(row[j]),
         cycle=int(cycle[j]),
         open_row=int(open_row[j]),
     )
-    return int(sel[j]), message
 
 
 def read_completions(config: DramConfig, table: CommandTable):
@@ -597,17 +618,9 @@ def simulate(config: DramConfig, table: CommandTable) -> SimResult:
     span, busy or not: standby power does not care who is reading.
     """
     if len(table):
-        # Each channel's rows as one block, in table order.
-        order = _stable_order(table.channel)
-        grouped = table.channel[order]
-        bounds = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1], True]).tolist()
-        violations = [
-            _first_violation(config, table, order[lo:hi])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        violations = [v for v in violations if v is not None]
-        if violations:
-            raise ValueError(min(violations)[1])
+        violation = _first_violation(config, table)
+        if violation is not None:
+            raise ValueError(violation)
 
     rd, done = read_completions(config, table)
     count_rd = int(table.count[rd].sum())
@@ -655,21 +668,26 @@ def energy_breakdown(result: SimResult, table: CommandTable, trace: Trace) -> di
     """
     n = len(trace)
     table.check_requests(n)
-    untagged = np.flatnonzero(trace.tag < 0)
-    if untagged.size:
-        raise ValueError(f"request {untagged[0]} is untagged")
+    trace.check_tagged()
     # Each request's share is summed in the same order, with the same
-    # float operations, as a request-by-request loop, and bincount adds
-    # the shares up in request order: the totals are bit-identical to it.
+    # float operations, as a request-by-request loop (activation, then
+    # read, then background), and bincount adds the shares up in request
+    # order: the totals are bit-identical to it.  Adding a request's
+    # activation share before its read share or after gives the same
+    # float, so only the requests the ACT rows name get one.
     e = result.energy_pj
-    share = np.zeros(n)
-    if result.num_acts:
-        acts = np.bincount(table.request_index[table.kind == _ACT], minlength=n)
-        share += e["activation"] * acts / result.num_acts
     if result.num_reads:
         # Bursts are uniform, so the read-count ratio is the byte ratio.
-        reads = trace.size // BLOCK
-        share += e["read"] * reads / result.num_reads
-        share += e["background"] * reads / result.num_reads
+        background = np.floor_divide(trace.size, BLOCK, out=np.empty(n))
+        share = background * e["read"]
+        share /= result.num_reads
+        background *= e["background"]
+        background /= result.num_reads
+    else:
+        share, background = np.zeros(n), 0.0
+    if result.num_acts:
+        named, acts = np.unique(table.request_index[table.kind == _ACT], return_counts=True)
+        share[named] = e["activation"] * acts / result.num_acts + share[named]
+    share += background
     totals = np.bincount(trace.tag, weights=share, minlength=len(trace.labels))
     return {label: float(total) for label, total in zip(trace.labels, totals)}

@@ -16,6 +16,9 @@ row.  Apart from the score draws, nothing here loops over chunks.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -346,24 +349,26 @@ def solve_thresholds(
         n = len(ladder) - 1
         return ThresholdSet(tuple((n - k) / (n + 1) for k in range(n)), ladder)
 
+    # The bisection's steps work on a handful of values, so they use
+    # plain floats: the same operations np.cumsum, np.clip and
+    # np.searchsorted would do, without their per-call cost.
     order = np.argsort(-scores, kind="stable")
-    s_desc = scores[order]
-    cum = np.cumsum(lens[order])
-    mass = float(cum[-1])
+    s_desc = scores[order].tolist()
+    cum = np.cumsum(lens[order]).tolist()
+    mass = cum[-1]
 
     def quantile(fraction: float) -> float:
         want = fraction * mass
         if want <= 0.0:
-            return min(1.0, float(np.nextafter(s_desc[0], 2.0)))
+            return min(1.0, math.nextafter(s_desc[0], 2.0))
         if want >= mass:
-            return float(s_desc[-1])
-        idx = int(np.searchsorted(cum, want, side="left"))
-        return float(s_desc[idx])
+            return s_desc[-1]
+        return s_desc[bisect.bisect_left(cum, want)]
 
     def thresholds_at(theta: float) -> tuple:
         terms = [g * theta**p for g, p in zip(profile.gains, profile.exponents)]
-        fractions = np.clip(np.cumsum(terms), 0.0, 1.0)
-        return tuple(_force_decreasing([quantile(float(f)) for f in fractions]))
+        fractions = [min(max(f, 0.0), 1.0) for f in itertools.accumulate(terms)]
+        return tuple(_force_decreasing([quantile(f) for f in fractions]))
 
     # Cuts are score quantiles, so most bisection steps repeat a set.
     # A score's bits follow assign_formats' rule (a left-sided search on
@@ -444,28 +449,31 @@ def gen_trace(
     start, length = directory.start[loaded], directory.length[loaded]
     resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
 
-    # Map each request row to its loaded chunk.
+    kind = directory.kind[loaded].astype(np.int32)
+    chunk = np.flatnonzero(loaded).astype(np.int32)
     if mode == "traditional":
-        # One extent per chunk, issued one block at a time.
+        # One extent per chunk, issued one block at a time: each row steps
+        # one block past the previous one, except a chunk's first row,
+        # which jumps from the previous extent's last block to its own
+        # extent's start.  The per-row columns are each built in one go.
         extent_lo, extent_size = translate_traditional(resolved, layout)
         blocks = extent_size // BLOCK
-        row_chunk = np.repeat(np.arange(blocks.size), blocks)
-        # Row r of a chunk whose rows start at row f reads its extent's
-        # block r - f.
-        first_row = np.cumsum(blocks) - blocks
-        addr = (extent_lo - first_row * BLOCK)[row_chunk] + np.arange(row_chunk.size) * BLOCK
-        size = np.full(addr.size, BLOCK, np.int64)
-    else:
-        read, planes, lo, size = translate(resolved, guard, layout)
-        keep, addr, size = _trim_seams(planes, lo, size)
-        row_chunk = read[keep]
-    return Trace(
-        addr,
-        size,
-        directory.kind[loaded].astype(np.int32)[row_chunk],
-        KIND_LABELS,
-        np.flatnonzero(loaded).astype(np.int32)[row_chunk],
-    )
+        addr = np.full(int(blocks.sum()), BLOCK, np.int64)
+        last_block = np.r_[0, (extent_lo + extent_size - BLOCK)[:-1]]
+        addr[np.cumsum(blocks) - blocks] = extent_lo - last_block
+        np.cumsum(addr, out=addr)
+        return Trace(
+            addr,
+            np.full(addr.size, BLOCK, np.int64),
+            np.repeat(kind, blocks),
+            KIND_LABELS,
+            np.repeat(chunk, blocks),
+        )
+    # Map each plane span to its loaded chunk.
+    read, planes, lo, size = translate(resolved, guard, layout)
+    keep, addr, size = _trim_seams(planes, lo, size)
+    row_chunk = read[keep]
+    return Trace(addr, size, kind[row_chunk], KIND_LABELS, chunk[row_chunk])
 
 
 def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
@@ -496,9 +504,15 @@ def trace_bytes(trace: Trace) -> int:
 
 
 def bytes_by_kind(trace: Trace) -> dict:
-    """Total trace bytes per tag label (the fetched-bits breakdown)."""
-    # Byte counts stay far below 2**53, so the float sums are exact.
-    totals = np.bincount(trace.tag, weights=trace.size, minlength=len(trace.labels))
+    """Total trace bytes per tag label (the fetched-bits breakdown).
+    Every request must carry a tag."""
+    trace.check_tagged()
+    totals = np.zeros(len(trace.labels), np.int64)
+    if len(trace):
+        # A trace holds few runs of one tag: sum each run, then each tag.
+        tag = trace.tag
+        heads = np.flatnonzero(np.r_[True, tag[1:] != tag[:-1]])
+        np.add.at(totals, tag[heads], np.add.reduceat(trace.size, heads))
     return {label: int(total) for label, total in zip(trace.labels, totals)}
 
 

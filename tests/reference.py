@@ -23,6 +23,12 @@ the totals it returns each request's completion, reads and ACTs
 (`PerRequest`), which the package reads off the run table and the
 trace instead.
 
+reference_energy_breakdown is `energy_breakdown` as a request-by-request
+loop, which the package's split must equal exactly.  reference_first_invalid
+is the row check `address.first_invalid` started from: one mask per
+condition over every row, where the package decides the all-valid case
+by reductions first.
+
 reference_trace is the trace generator the package started from: one
 request object per plane span, or per 64-byte block in traditional
 mode, trimmed against a per-plane high-water dictionary.  The columnar
@@ -693,6 +699,45 @@ def reference_simulate(
         reads=tuple(reads.get(i, 0) for i in range(n_requests)),
         acts=tuple(acts.get(i, 0) for i in range(n_requests)),
     )
+
+
+def reference_energy_breakdown(result: SimResult, table, trace) -> dict:
+    """A result's energy split across a trace's tags, one request at a
+    time: a request's share is its ACTs' part of the activation energy,
+    then its reads' part of the read energy, then of the background
+    energy, added in that order, and each tag's shares add up in request
+    order."""
+    acts = [0] * len(trace)
+    for kind, request in zip(table.kind.tolist(), table.request_index.tolist()):
+        if kind == CommandKind.ACT:
+            acts[request] += 1
+    e = result.energy_pj
+    totals = [0.0] * len(trace.labels)
+    for index, (tag, size) in enumerate(zip(trace.tag.tolist(), trace.size.tolist())):
+        if tag < 0:
+            raise ValueError(f"request {index} is untagged")
+        share = 0.0
+        if result.num_acts:
+            share += e["activation"] * acts[index] / result.num_acts
+        if result.num_reads:
+            reads = size // BLOCK
+            share += e["read"] * reads / result.num_reads
+            share += e["background"] * reads / result.num_reads
+        totals[tag] += share
+    return dict(zip(trace.labels, totals))
+
+
+def reference_first_invalid(addr: np.ndarray, size: np.ndarray):
+    """(row, message) of the first row that is not a non-empty read of
+    whole BLOCK-aligned blocks at a non-negative address, or None."""
+    bad = np.flatnonzero((addr < 0) | ((addr | size) & (BLOCK - 1) != 0) | (size <= 0))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    request = f"request [{addr[row]}, +{size[row]})"
+    if addr[row] < 0:
+        return row, f"{request} starts at a negative address"
+    return row, f"{request} not {BLOCK}B-granular"
 
 
 @dataclass(frozen=True)

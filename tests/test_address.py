@@ -12,6 +12,7 @@ from planestore.address import (
     Trace,
     TraditionalLayout,
     build_regions,
+    first_invalid,
     plane_span,
     region_report,
     resolve,
@@ -36,6 +37,7 @@ from reference import (
     LADDER,
     NO_GUARD,
     LogicalRead,
+    reference_first_invalid,
     scalar_resolve,
     scalar_translate,
     scalar_translate_traditional,
@@ -422,3 +424,40 @@ def test_translate_traditional_matches_scalar(case):
     extents = assert_batch_matches(expected, lambda: translate_traditional(batch_of(reads), layout))
     if extents is not None:
         assert list(zip(*(c.tolist() for c in extents))) == expected
+
+
+# --- request rows ------------------------------------------------------------
+
+# Mostly valid rows, with negative, misaligned, zero and negative sizes
+# and negative or misaligned addresses mixed in.
+row_values = st.one_of(
+    st.integers(0, 64).map(lambda k: 64 * k),
+    st.integers(-200, 200),
+    st.sampled_from([0, -64, 1, 63, 65]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(row_values, row_values), max_size=20))
+def test_first_invalid_matches_the_mask_oracle(rows):
+    addr = np.array([a for a, _ in rows], np.int64)
+    size = np.array([n for _, n in rows], np.int64)
+    assert first_invalid(addr, size) == reference_first_invalid(addr, size)
+
+
+@pytest.mark.parametrize(
+    "addr, size",
+    [
+        ([], []),
+        ([0, 64, 128], [64, 64, 128]),
+        ([0, -64], [64, 64]),
+        ([0, 64], [64, 0]),
+        ([0, 64], [64, -64]),
+        ([0, 32], [64, 64]),
+        ([0, 64], [64, 96]),
+        ([-1, 1], [0, 63]),
+    ],
+)
+def test_first_invalid_examples_match_the_mask_oracle(addr, size):
+    addr, size = np.array(addr, np.int64), np.array(size, np.int64)
+    assert first_invalid(addr, size) == reference_first_invalid(addr, size)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from planestore.address import Trace
 from planestore.bitplane import ChunkKind, load_image, plane_stride_for, unpack_full
@@ -191,59 +192,82 @@ def one_line_error(capsys) -> str:
     return err
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ('dram:\n  channels: "4"\n', "'dram.channels' must be an integer, got '4'"),
-        ("geometry:\n  layers: 1.5\n", "'geometry.layers' must be an integer, got 1.5"),
-        ("dram:\n  clock_ns: fast\n", "'dram.clock_ns' must be a number"),
-        ("targets: [1.6, eight]\n", "'targets[1]' must be a number"),
-        ("importance:\n  default: {family: beta, a: two}\n",
-         "'importance.default.a' must be a number"),
-        # Representable in YAML, not in the memory model.
-        ("dram:\n  burst_bytes: 128\n  interleave_bytes: 128\n", "burst_bytes must be 64"),
-        ("dram:\n  t_ccd_s: 4\n", "t_ccd_s must be at least the 8-cycle burst"),
-        # Syntax errors name the line they start on.
-        ("seed: [1\n", "line 1 ('seed: [1'): expected ',' or ']'"),
-        ("ladder:\n  - {name: FP16, exp_bits: 5}\n  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
-         "ladder[0] needs 'man_bits'"),
-        ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10, extra: 1}\n"
-         "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
-         "unknown keys ['extra'] in ladder[0]"),
-        ("solver: {gains: [], exponents: []}\n", "config key 'solver.gains' must not be empty"),
-        # Only the skip rung has no exponent.
-        ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
-         "  - {name: M3, exp_bits: 0, man_bits: 3}\n  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
-         "solver: {gains: [0.1, 0.1], exponents: [1.0, 1.0]}\n",
-         "M3: exp_bits must be in 1..5"),
-        # Without a skip rung, chunks below the last cut would get FP8
-        # while the solver counted them as 0 bits.
-        ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
-         "  - {name: FP8, exp_bits: 5, man_bits: 2}\n"
-         "solver: {gains: [0.1], exponents: [1.0]}\ntargets: [4.0]\n",
-         "ladder must end in a skip level (0 bits), not FP8"),
-        # Every parameter a family reads must be in the config it embeds.
-        ("importance:\n  default: {family: beta}\n", "importance.default needs 'a', 'b'"),
-        ("importance:\n  default: {family: beta, a: 2.0}\n", "importance.default needs 'b'"),
-        ("importance:\n  default: {family: two_point}\n", "importance.default needs 'mix'"),
-        ("importance:\n  default: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
-         "importance.default needs 'b_lo'"),
-        # Nothing to load: the predictor fraction would divide by zero.
-        ("geometry: {heads_per_layer: 0, neurons_per_layer: 0, predictor_weights_per_layer: 0}\n",
-         "geometry holds no weights"),
-        # YAML's .nan and .inf are floats; no report field may carry them.
-        ("dram:\n  clock_ns: .nan\n", "config key 'dram.clock_ns' must be finite, got nan"),
-        ("dram:\n  e_rd_pj: .inf\n", "config key 'dram.e_rd_pj' must be finite, got inf"),
-        ("solver: {gains: [.nan, 0.0569, 0.0549, 0.0068, 0.0031]}\n",
-         "config key 'solver.gains[0]' must be finite, got nan"),
-        ("importance:\n  default: {family: beta, a: .nan, b: 2.0}\n",
-         "config key 'importance.default.a' must be finite, got nan"),
-    ],
-)
+# (config text, part of its one-line error)
+BAD_CONFIGS = [
+    ('dram:\n  channels: "4"\n', "'dram.channels' must be an integer, got '4'"),
+    ("geometry:\n  layers: 1.5\n", "'geometry.layers' must be an integer, got 1.5"),
+    ("dram:\n  clock_ns: fast\n", "'dram.clock_ns' must be a number"),
+    ("targets: [1.6, eight]\n", "'targets[1]' must be a number"),
+    ("importance:\n  default: {family: beta, a: two}\n",
+     "'importance.default.a' must be a number"),
+    # Representable in YAML, not in the memory model.
+    ("dram:\n  burst_bytes: 128\n  interleave_bytes: 128\n", "burst_bytes must be 64"),
+    ("dram:\n  t_ccd_s: 4\n", "t_ccd_s must be at least the 8-cycle burst"),
+    # Syntax errors name the line they start on, in the words of
+    # PyYAML's pure-Python parser whether or not libyaml is present.
+    ("seed: [1\n", "line 1 ('seed: [1'): expected ',' or ']'"),
+    ("seed: 1: 2\n", "line 1 ('seed: 1: 2'): mapping values are not allowed here"),
+    ("targets:\n\t- 1.6\n", "line 2 ('- 1.6'): found character '\\t' that cannot start"),
+    ("ladder:\n  - {name: FP16, exp_bits: 5}\n  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
+     "ladder[0] needs 'man_bits'"),
+    ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10, extra: 1}\n"
+     "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
+     "unknown keys ['extra'] in ladder[0]"),
+    ("solver: {gains: [], exponents: []}\n", "config key 'solver.gains' must not be empty"),
+    # Only the skip rung has no exponent.
+    ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+     "  - {name: M3, exp_bits: 0, man_bits: 3}\n  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
+     "solver: {gains: [0.1, 0.1], exponents: [1.0, 1.0]}\n",
+     "M3: exp_bits must be in 1..5"),
+    # Without a skip rung, chunks below the last cut would get FP8
+    # while the solver counted them as 0 bits.
+    ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+     "  - {name: FP8, exp_bits: 5, man_bits: 2}\n"
+     "solver: {gains: [0.1], exponents: [1.0]}\ntargets: [4.0]\n",
+     "ladder must end in a skip level (0 bits), not FP8"),
+    # Every parameter a family reads must be in the config it embeds.
+    ("importance:\n  default: {family: beta}\n", "importance.default needs 'a', 'b'"),
+    ("importance:\n  default: {family: beta, a: 2.0}\n", "importance.default needs 'b'"),
+    ("importance:\n  default: {family: two_point}\n", "importance.default needs 'mix'"),
+    ("importance:\n  default: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
+     "importance.default needs 'b_lo'"),
+    # Nothing to load: the predictor fraction would divide by zero.
+    ("geometry: {heads_per_layer: 0, neurons_per_layer: 0, predictor_weights_per_layer: 0}\n",
+     "geometry holds no weights"),
+    # YAML's .nan and .inf are floats; no report field may carry them.
+    ("dram:\n  clock_ns: .nan\n", "config key 'dram.clock_ns' must be finite, got nan"),
+    ("dram:\n  e_rd_pj: .inf\n", "config key 'dram.e_rd_pj' must be finite, got inf"),
+    ("solver: {gains: [.nan, 0.0569, 0.0549, 0.0068, 0.0031]}\n",
+     "config key 'solver.gains[0]' must be finite, got nan"),
+    ("importance:\n  default: {family: beta, a: .nan, b: 2.0}\n",
+     "config key 'importance.default.a' must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_CONFIGS)
 def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
     assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in BAD_CONFIGS])
+def test_config_errors_do_not_depend_on_libyaml(tmp_path, capsys, monkeypatch, text):
+    # libyaml parses when PyYAML has it; the messages stay the pure
+    # parser's either way.
+    path = write_config(tmp_path, text)
+    argv = ["compare", "--config", path, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    with_libyaml = one_line_error(capsys)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert main(argv) == 1
+    assert one_line_error(capsys) == with_libyaml
+
+
+def test_config_data_do_not_depend_on_libyaml(monkeypatch):
+    with_libyaml = load_config(str(DEFAULT_YAML), env={}).resolved
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert load_config(str(DEFAULT_YAML), env={}).resolved == with_libyaml
 
 
 FP16_RUNG = "  - {name: FP16, exp_bits: 5, man_bits: 10}\n"

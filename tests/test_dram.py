@@ -1,5 +1,6 @@
 """Tests for the DDR5 timing and energy model."""
 
+import dataclasses
 import itertools
 import math
 from dataclasses import fields
@@ -7,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planestore.address import Trace
@@ -23,7 +24,7 @@ from planestore.dram import (
     simulate,
 )
 
-from reference import dram, reference_simulate
+from reference import dram, reference_energy_breakdown, reference_simulate
 
 CFG = dram()
 NO_BG = dram(p_bg_mw=0.0)
@@ -399,6 +400,42 @@ def test_breakdown_follows_byte_share():
     assert acts.tolist() == [4, 0]
     assert split["big"] >= split["small"]
     assert split["small"] == pytest.approx(NO_BG.e_rd_pj * 5 + NO_BG.e_act_pj * acts[1])
+
+
+# Small rows over few banks: a long request opens several rows, and a
+# request inside a row an earlier one opened opens none.
+SMALL_ROWS = dram(row_bytes=256, banks_per_channel=2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 200), st.integers(1, 12), st.integers(0, 2)),
+        min_size=1,
+        max_size=25,
+    ),
+    st.booleans(),
+)
+@example([(0, 12, 0), (2, 1, 1), (3, 1, 0)], False)
+@example([(0, 12, 0), (2, 1, 1), (3, 1, 0)], True)
+def test_breakdown_equals_request_by_request_loop(reqs, drop_acts):
+    trace = trace_of([req(64 * slot, 64 * n) for slot, n, _ in reqs], [t for *_, t in reqs],
+                     ("a", "b", "c", "unused"))
+    table, result = run_trace(SMALL_ROWS, trace)
+    if drop_acts:
+        # A result with no ACTs gives no request an activation share.
+        result = dataclasses.replace(result, num_acts=0)
+    assert energy_breakdown(result, table, trace) == reference_energy_breakdown(
+        result, table, trace
+    )
+
+
+def test_breakdown_example_has_every_act_pattern():
+    # The example above: request 0 opens several rows, 1 and 2 none.
+    trace = trace_of([req(0, 768), req(128), req(192)], [0, 1, 0], ("a", "b"))
+    table, _ = run_trace(SMALL_ROWS, trace)
+    acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=3)
+    assert acts[0] > 1 and acts[1:].tolist() == [0, 0]
 
 
 def test_breakdown_requires_tags():

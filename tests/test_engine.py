@@ -9,8 +9,9 @@ ACTs and reads and the per-chunk completions read off the table and
 the trace must be the replay's.  Checked on hand traces, on every
 trace of the default sweep, on random and interleaved traces and
 configs, on runs of contiguous equal-size requests (the extents `plan`
-merges), on random chunk columns, and on perturbed command streams and
-run tables.
+merges), on random chunk columns, on perturbed command streams and run
+tables, and on hand tables whose rules break on several channels, out
+of channel order or outside the config.
 """
 
 import dataclasses
@@ -381,6 +382,42 @@ def same_verdict(config, stream, table=None):
         assert str(got.value) == str(exc)
     else:
         assert replay() == want
+
+
+def cmd(kind, ch, bank, row, cycle):
+    return DramCommand(CommandKind[kind], ch, bank, row, 0, cycle)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        # Both channels break a rule, and channel 1's broken read comes
+        # first in table order, though its rows replay after channel 0's.
+        [cmd("ACT", 0, 0, 0, 0), cmd("RD", 1, 0, 0, 5), cmd("RD", 0, 0, 0, 1)],
+        # As above with the channels' roles swapped.
+        [cmd("ACT", 1, 0, 0, 0), cmd("RD", 0, 0, 0, 5), cmd("RD", 1, 0, 0, 1)],
+        # Rows already grouped by channel, as plan writes them.
+        [cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 0, 1), cmd("RD", 1, 0, 0, 5)],
+        # Bank -1 on channel 1 beside bank 31 on channel 0: one bank
+        # index apart in a channel-major numbering, they share no state.
+        [cmd("ACT", 0, 31, 0, 0), cmd("ACT", 1, -1, 5, 0), cmd("RD", 0, 31, 0, 40)],
+        [cmd("ACT", 1, -1, 5, 0), cmd("ACT", 0, 31, 0, 0), cmd("RD", 0, 31, 0, 40)],
+        # Bank 32 on channel 0, past the config, read after a legal
+        # stream on channel 1 bank 0, which it must not seem to open.
+        [cmd("ACT", 1, 0, 0, 0), cmd("RD", 1, 0, 0, 40), cmd("ACT", 0, 32, 3, 0)],
+        # Channels past either end of the config, among legal rows.
+        [cmd("ACT", 0, 0, 0, 0), cmd("ACT", 4, 0, 0, 0), cmd("RD", 0, 0, 0, 40)],
+        [cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 0, 40), cmd("RD", -1, 0, 0, 50)],
+        [cmd("ACT", 7, 1, 0, 3), cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 0, 40)],
+    ],
+    ids=[
+        "later-channel-first", "earlier-channel-first", "grouped-table",
+        "bank-minus-1-beside-31", "bank-minus-1-first", "bank-past-config",
+        "channel-past-config", "negative-channel", "channel-past-config-first",
+    ],
+)
+def test_hand_tables_get_the_reference_verdict(stream):
+    same_verdict(dram(), stream)
 
 
 # Channel and bank -1 and 2 lie outside the 2 x 2 config the streams run on.

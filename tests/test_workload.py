@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planestore.address import Trace
 from planestore.bitplane import ChunkKind, plane_stride_for
 from planestore.quant import GuardConfig
 from planestore.workload import (
@@ -475,6 +476,24 @@ def test_trace_tags_kinds():
             ChunkKind.PREDICTOR,
         }
         assert trace_bytes(trace) == sum(by_kind.values())
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.integers(1, 40), st.integers(0, 2)), max_size=30))
+def test_bytes_by_kind_equals_bincount(rows):
+    # Interleaved tags, and a label no row carries.
+    labels = ("a", "b", "c", "d")
+    trace = Trace(
+        [64 * i for i in range(len(rows))], [64 * n for n, _ in rows], [t for _, t in rows], labels
+    )
+    want = np.bincount(trace.tag, weights=trace.size, minlength=len(labels)).astype(np.int64)
+    assert bytes_by_kind(trace) == dict(zip(labels, want.tolist()))
+
+
+def test_bytes_by_kind_requires_tags():
+    trace = Trace([0, 64, 128], [64, 64, 64], [0, -1, 0], ("a",))
+    with pytest.raises(ValueError, match=r"^request 1 is untagged$"):
+        bytes_by_kind(trace)
 
 
 # --- predictor share --------------------------------------------------------
