@@ -6,16 +6,18 @@ backed by the same physical plane image; a read's region selects the
 format, its offset selects the weight range, and translation fans the
 range out into one block-aligned span per needed plane.
 
-The traditional baseline layout stores weights contiguously at full
-precision, one 64-byte-aligned extent per chunk in directory order.
+The traditional baseline is a plain weight-contiguous FP16 store with
+no logical space of its own: one 64-byte-aligned extent per chunk in
+directory order, which `translate_traditional` reads off the chunk
+directory directly.
 
-The address functions work on columns, one row per read: `resolve`
-maps a whole array of logical reads, `translate` fans every resolved
-read out into its plane spans, and `translate_traditional` finds every
-read's extent.  `workload.gen_trace` feeds them the chunk directory's
-`start` and `length` columns, so a trace costs one call of each, not
-one per chunk.  The skip format has no region, so a `Resolved` read
-never carries it, and neither translation has a case for it.
+The bit-plane functions work on columns, one row per read: `resolve`
+maps a whole array of logical reads and `translate` fans every
+resolved read out into its plane spans.  `workload.gen_trace` calls
+them for bit-plane mode only, on the chunk directory's `start` and
+`length` columns, so a trace costs one call of each, not one per
+chunk.  The skip format has no region, so a `Resolved` read never
+carries it, and `translate` has no case for it.
 
 A request stream is a `Trace`: read-only numpy columns with one row per
 block-granular read, in issue order.  Its constructor rejects any other
@@ -33,7 +35,6 @@ from .bitplane import ChunkDirectory, PlaneLayout
 from .quant import FpFormat, GuardConfig, plane_set
 
 BLOCK = 64  # bytes; cacheline transaction granularity on both sides
-BLOCK_BITS = BLOCK * 8
 
 FP16_BYTES = 2  # traditional layout stores every weight full-precision
 
@@ -239,20 +240,17 @@ def plane_span(layout: PlaneLayout, plane, start, count):
     return lo, hi - lo
 
 
-def _check_ranges(resolved: Resolved, num_weights: int, what: str, *more) -> None:
+def _check_ranges(resolved: Resolved, num_weights: int) -> None:
     """Raise for the first read whose weight range lies outside the
-    image or layout (what), is empty, or fails one of the further
-    (mask, reason) checks, checked in that order."""
+    image or is empty, checked in that order."""
     start, count = resolved.start, resolved.count
-    checks = (
-        ((start < 0) | (count < 0) | (start + count > num_weights), f"outside the {what}"),
-        (count == 0, "is empty"),
-        *more,
+    failure = _first_failure(
+        (start < 0) | (count < 0) | (start + count > num_weights), count == 0
     )
-    failure = _first_failure(*(mask for mask, _ in checks))
     if failure is not None:
         row, k = failure
-        raise ValueError(f"weight range [{start[row]}, +{count[row]}) {checks[k][1]}")
+        reason = ("outside the image", "is empty")[k]
+        raise ValueError(f"weight range [{start[row]}, +{count[row]}) {reason}")
 
 
 def translate(
@@ -265,7 +263,7 @@ def translate(
     sit at increasing bases, so that is also plane order).
     """
     code = resolved.code
-    _check_ranges(resolved, layout.num_weights, "image")
+    _check_ranges(resolved, layout.num_weights)
     # One plane set per format, expanded to every read of that format.
     sets = [plane_set(fmt, guard) for fmt in resolved.formats]
     by_format = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
@@ -279,44 +277,18 @@ def translate(
     return read, plane, lo, size
 
 
-@dataclass(frozen=True, eq=False)
-class TraditionalLayout:
-    """Weight-contiguous FP16 placement: chunk extents in directory order,
-    each base aligned to the block granule."""
-
-    chunk_starts: np.ndarray  # weight index of each chunk
-    chunk_bases: np.ndarray  # physical byte base of each chunk
-    num_weights: int
-
-    @classmethod
-    def from_directory(cls, directory: ChunkDirectory) -> "TraditionalLayout":
-        extents = -(-directory.length * FP16_BYTES // BLOCK) * BLOCK
-        return cls(directory.start, np.cumsum(extents) - extents, directory.num_weights)
-
-
 def translate_traditional(
-    resolved: Resolved, layout: TraditionalLayout
+    directory: ChunkDirectory, loaded: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-precision fetch of every resolved read's weight range: its
-    aligned (lo, size) extent as int64 columns.
+    """FP16 extent of every loaded chunk: (lo, size) int64 columns in
+    directory order, loaded being a mask over the directory's chunks.
 
-    The target format is irrelevant by construction.  A range must lie
-    in one chunk: chunk extents are padded apart.
+    Every chunk, loaded or not, is stored at full precision in an extent
+    padded to whole blocks, the extents back to back in directory order.
     """
-    start, count = resolved.start, resolved.count
-    idx = np.searchsorted(layout.chunk_starts, start, side="right") - 1
-    chunk_ends = np.r_[layout.chunk_starts[1:], layout.num_weights]
-    _check_ranges(
-        resolved, layout.num_weights, "layout",
-        (start + count > chunk_ends[idx], "crosses a chunk boundary"),
-    )
-    chunk_base = layout.chunk_bases[idx]
-    chunk_start = layout.chunk_starts[idx]
-    first = chunk_base + (start - chunk_start) * FP16_BYTES
-    last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
-    lo = first // BLOCK * BLOCK
-    hi = (last // BLOCK + 1) * BLOCK
-    return lo, hi - lo
+    size = -(-directory.length * FP16_BYTES // BLOCK) * BLOCK
+    lo = np.cumsum(size) - size
+    return lo[loaded], size[loaded]
 
 
 def region_report(table: RegionTable) -> list[dict]:

@@ -310,6 +310,3 @@ def load_config(
         resolved["seed"] = int(seed)
     return build_config(resolved)
 
-
-def default_config() -> ExperimentConfig:
-    return load_config(env={})

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -278,18 +278,6 @@ class CommandTable:
                 f"command table row {row} names request {int(self.request_index[row])},"
                 f" but the trace has {n_requests} requests"
             )
-
-    @classmethod
-    def from_commands(cls, commands: Iterable[DramCommand]) -> "CommandTable":
-        """One count-1 row per command, in stream order."""
-        rows = []
-        for cmd in commands:
-            if not isinstance(cmd.kind, CommandKind):
-                raise ValueError(f"unknown command kind {cmd.kind!r}")
-            rows.append(cmd)
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
-        kind = cols[0].astype(np.int8)
-        return cls(kind, *cols[1:], count=np.ones(kind.size, np.int64))
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:

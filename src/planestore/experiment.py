@@ -62,10 +62,12 @@ def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int)
     chunk's requests complete.  table is the trace's run table, whose RD
     rows each read for one chunk, the chunk of the request they name.
     A chunk is loaded when the latest of its rows completes, which on a
-    multi-channel trace need not be its last one.  A chunk's rows are
-    one contiguous segment of the trace's chunk column, and prefix-max
-    in segment order keeps the deltas non-negative when channels finish
-    slightly out of order."""
+    multi-channel trace need not be its last one.  Chunks are taken in
+    the order the trace first names them, however many segments of the
+    chunk column their rows form, and a chunk's delta is how far its
+    completion moves the running maximum of the completions before it.
+    The maximum keeps the deltas non-negative when channels finish out
+    of order, and the deltas add up to the latest completion."""
     latency = np.zeros(num_chunks)
     chunk = trace.chunk
     if chunk.size:
@@ -75,7 +77,9 @@ def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int)
         rd, done = read_completions(dram_config, table)
         loaded = np.zeros(num_chunks, np.int64)
         np.maximum.at(loaded, chunk[table.request_index[rd]], done)
-        order = chunk[np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]]
+        segments = chunk[np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]]
+        ids, first = np.unique(segments, return_index=True)
+        order = ids[np.argsort(first)]
         ends = np.maximum.accumulate(np.r_[0, loaded[order]])
         latency[order] = np.diff(ends) * dram_config.clock_ns
     return latency

@@ -27,7 +27,6 @@ import numpy as np
 from .address import (
     BLOCK,
     Trace,
-    TraditionalLayout,
     build_regions,
     resolve,
     translate,
@@ -421,34 +420,19 @@ def gen_trace(
     its format needs, one request per plane span, trimmed against a
     per-plane high-water mark so a block straddling two chunks is never
     fetched twice.  traditional mode streams each chunk's full-width
-    words from its packed extent, one request per block.  Both layouts
-    are the canonical placement for the directory.
+    words from its packed extent, one request per block; it has no
+    logical space, so it never resolves.  Both layouts are the
+    canonical placement for the directory.
 
     The work runs on the directory's and the assignment's columns: one
-    resolve call for all loaded chunks, then one translate (or
-    translate_traditional) call.
+    translate_traditional call, or one resolve call for all loaded
+    chunks and then one translate call.
     """
     if mode not in TRACE_MODES:
         raise ValueError(f"mode must be one of {TRACE_MODES}, got {mode!r}")
     if assignment.codes.size != len(directory):
         raise ValueError("assignment does not match the directory")
-    table = build_regions(directory.num_weights, assignment.ladder)
-    if mode == "bitplane":
-        layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
-    else:
-        layout = TraditionalLayout.from_directory(directory)
-
-    # Each loaded chunk becomes one read of its format's region (the
-    # skip format has none, and no chunk at it is read).
-    bases = {region.fmt: region.base_bit for region in table.regions}
-    ladder = assignment.ladder
-    rung_base = np.array([bases.get(fmt, 0) for fmt in ladder], np.int64)
-    rung_bits = np.array([fmt.total_bits for fmt in ladder], np.int64)
     loaded = assignment.loaded
-    code = assignment.codes[loaded]
-    start, length = directory.start[loaded], directory.length[loaded]
-    resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
-
     kind = directory.kind[loaded].astype(np.int32)
     chunk = np.flatnonzero(loaded).astype(np.int32)
     if mode == "traditional":
@@ -456,7 +440,7 @@ def gen_trace(
         # one block past the previous one, except a chunk's first row,
         # which jumps from the previous extent's last block to its own
         # extent's start.  The per-row columns are each built in one go.
-        extent_lo, extent_size = translate_traditional(resolved, layout)
+        extent_lo, extent_size = translate_traditional(directory, loaded)
         blocks = extent_size // BLOCK
         addr = np.full(int(blocks.sum()), BLOCK, np.int64)
         last_block = np.r_[0, (extent_lo + extent_size - BLOCK)[:-1]]
@@ -469,6 +453,18 @@ def gen_trace(
             KIND_LABELS,
             np.repeat(chunk, blocks),
         )
+
+    # Each loaded chunk becomes one read of its format's region (the
+    # skip format has none, and no chunk at it is read).
+    table = build_regions(directory.num_weights, assignment.ladder)
+    bases = {region.fmt: region.base_bit for region in table.regions}
+    ladder = assignment.ladder
+    rung_base = np.array([bases.get(fmt, 0) for fmt in ladder], np.int64)
+    rung_bits = np.array([fmt.total_bits for fmt in ladder], np.int64)
+    code = assignment.codes[loaded]
+    start, length = directory.start[loaded], directory.length[loaded]
+    resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
+    layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
     # Map each plane span to its loaded chunk.
     read, planes, lo, size = translate(resolved, guard, layout)
     keep, addr, size = _trim_seams(planes, lo, size)

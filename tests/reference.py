@@ -1,8 +1,8 @@
 """Reference implementations used as test oracles, and the typed defaults.
 
 The typed defaults (the format ladder, the band profile, the DRAM
-constants) come from `config.default_config()`, so that the tests and
-the package read one set of built-in values.
+constants) come from `config.load_config(env={})`, so that the tests
+and the package read one set of built-in values.
 
 `convert_words`, `dequantize` and `encode_fp16` are the bit-twiddling
 conversion the store's planes serve: nothing in the package converts
@@ -14,6 +14,10 @@ The conversion oracles work in Fraction arithmetic over explicitly
 enumerated code tables, deliberately avoiding the bit-twiddling style of
 `convert`. Slow but exact; call sites memoize where sweeps
 get large.
+
+`from_commands` turns any `DramCommand` stream into a `CommandTable`
+of count-1 rows, so that `simulate` can replay hand-written and
+`schedule` streams.
 
 reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.  The
@@ -34,12 +38,13 @@ request object per plane span, or per 64-byte block in traditional
 mode, trimmed against a per-plane high-water dictionary.  The columnar
 `gen_trace` must produce the same rows.
 
-`scalar_resolve`, `scalar_translate` and `scalar_translate_traditional`
-are the package's address functions as they were when `gen_trace`
-called them once per chunk, taking one `LogicalRead` or one resolved
-`(format, start, count)`.  reference_trace resolves and translates
-with them, and the package's array-valued versions must agree with them
-read by read, errors included.
+`scalar_resolve` and `scalar_translate` are the package's bit-plane
+address functions as they were when `gen_trace` called them once per
+chunk, taking one `LogicalRead` or one resolved `(format, start,
+count)`; the package's array-valued versions must agree with them read
+by read, errors included.  `scalar_translate_traditional` places one
+chunk's FP16 extent by a running sum over the directory's lengths.
+reference_trace builds its rows with all three.
 
 The package holds the chunk directory and the format assignment as
 columns.  `chunks` and `formats_of` read them back one chunk at a time,
@@ -65,14 +70,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from planestore.address import (
-    BLOCK,
-    FP16_BYTES,
-    RegionTable,
-    TraditionalLayout,
-    build_regions,
-    plane_span,
-)
+from planestore.address import BLOCK, FP16_BYTES, RegionTable, build_regions, plane_span
 from planestore.bitplane import (
     KIND_LABELS,
     ChunkDirectory,
@@ -80,8 +78,8 @@ from planestore.bitplane import (
     PlaneLayout,
     plane_stride_for,
 )
-from planestore.config import default_config
-from planestore.dram import CommandKind, DramCommand, DramConfig, SimResult
+from planestore.config import load_config
+from planestore.dram import CommandKind, CommandTable, DramCommand, DramConfig, SimResult
 from planestore.quant import (
     FP16_BIAS,
     FP16_EXP_BITS,
@@ -100,7 +98,7 @@ from planestore.workload import (
     _PREDICTOR,
 )
 
-DEFAULT = default_config()
+DEFAULT = load_config(env={})
 LADDER = DEFAULT.ladder
 FP16, FP12, FP8, FP6, FP4, FP0 = LADDER
 BAND_PROFILE = DEFAULT.band_profile
@@ -587,6 +585,19 @@ def ref_encode_fp16(value: float) -> int:
     return (sign << 15) | code
 
 
+def from_commands(commands: Iterable[DramCommand]) -> CommandTable:
+    """One count-1 row per command, in stream order.  A command whose
+    kind is not a CommandKind member is rejected before any replay."""
+    rows = []
+    for cmd in commands:
+        if not isinstance(cmd.kind, CommandKind):
+            raise ValueError(f"unknown command kind {cmd.kind!r}")
+        rows.append(cmd)
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 7).T
+    kind = cols[0].astype(np.int8)
+    return CommandTable(kind, *cols[1:], count=np.ones(kind.size, np.int64))
+
+
 class PerRequest(NamedTuple):
     """Per-request columns, indexed by request_index up to the largest
     one a command names: the last data beat, the RD and the ACT count."""
@@ -784,30 +795,19 @@ def scalar_translate(
     return planes, lo, size
 
 
-def scalar_translate_traditional(
-    resolved: tuple[FpFormat, int, int], layout: TraditionalLayout
-) -> tuple[int, int]:
-    """Full-precision fetch of the weight range, which must lie within
-    one chunk: its aligned (lo, size) extent.
+def scalar_translate_traditional(directory: ChunkDirectory, chunk_id: int) -> tuple[int, int]:
+    """One chunk's FP16 extent (lo, size) in the weight-contiguous
+    layout: its bytes rounded up to whole blocks, after the extents of
+    every chunk before it, loaded or not."""
+    lengths = directory.length.tolist()
 
-    The target format is irrelevant by construction.
-    """
-    fmt, start, count = resolved
-    if not 0 <= start <= start + count <= layout.num_weights:
-        raise ValueError(f"weight range [{start}, +{count}) outside the layout")
-    if count == 0:
-        raise ValueError(f"weight range [{start}, +{count}) is empty")
-    idx = bisect_right(layout.chunk_starts, start) - 1
-    chunk_ends = layout.chunk_starts.tolist()[1:] + [layout.num_weights]
-    if start + count > chunk_ends[idx]:
-        raise ValueError(f"weight range [{start}, +{count}) crosses a chunk boundary")
-    chunk_base = layout.chunk_bases[idx]
-    chunk_start = layout.chunk_starts[idx]
-    first = chunk_base + (start - chunk_start) * FP16_BYTES
-    last = chunk_base + (start + count - chunk_start) * FP16_BYTES - 1
-    lo = first // BLOCK * BLOCK
-    hi = (last // BLOCK + 1) * BLOCK
-    return lo, hi - lo
+    def extent(length: int) -> int:
+        return (length * FP16_BYTES + BLOCK - 1) // BLOCK * BLOCK
+
+    lo = 0
+    for length in lengths[:chunk_id]:
+        lo += extent(length)
+    return lo, extent(lengths[chunk_id])
 
 
 class TraceRow(NamedTuple):
@@ -827,24 +827,21 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
     """
     table = build_regions(directory.num_weights, assignment.ladder)
     bases = {region.fmt: region.base_bit for region in table.regions}
-    if mode == "bitplane":
-        layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
-    else:
-        layout = TraditionalLayout.from_directory(directory)
+    layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
     rows = []
     high_water: dict = {}  # plane index -> last fetched block
     for chunk, fmt in zip(chunks(directory), formats_of(assignment)):
         if fmt.is_skip:
             continue
+        if mode == "traditional":
+            lo, size = scalar_translate_traditional(directory, chunk.chunk_id)
+            for addr in range(lo, lo + size, BLOCK):
+                rows.append(TraceRow(addr, BLOCK, chunk.kind, chunk.chunk_id))
+            continue
         read = LogicalRead(
             bases[fmt] + chunk.start * fmt.total_bits, chunk.length * fmt.total_bits
         )
         resolved = scalar_resolve(table, read)
-        if mode == "traditional":
-            lo, size = scalar_translate_traditional(resolved, layout)
-            for addr in range(lo, lo + size, BLOCK):
-                rows.append(TraceRow(addr, BLOCK, chunk.kind, chunk.chunk_id))
-            continue
         spans = scalar_translate(resolved, guard, layout)
         for plane, addr, size in zip(*(c.tolist() for c in spans)):
             first = addr // BLOCK

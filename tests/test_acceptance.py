@@ -21,8 +21,8 @@ from planestore.address import (
 )
 from planestore.bitplane import ChunkKind, pack, unpack_full
 from planestore.cli import main
-from planestore.config import default_config
-from planestore.dram import CommandTable, schedule, simulate
+from planestore.config import load_config
+from planestore.dram import schedule, simulate
 from planestore.experiment import compare_assignment, run_sweep
 from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
@@ -51,12 +51,13 @@ from reference import (
     convert,
     convert_words,
     dram,
+    from_commands,
 )
 
 
 @pytest.fixture(scope="module")
 def cfg():
-    return default_config()
+    return load_config(env={})
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +202,7 @@ def test_06_memory_model_matches_hand_traces():
             for c in commands
         ]
         assert got == expected
-        result = simulate(cfg, CommandTable.from_commands(commands))
+        result = simulate(cfg, from_commands(commands))
         assert result.total_cycles == cycles
         assert result.energy_pj["total"] == act * n_act + rd * n_rd
 

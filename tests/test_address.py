@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from planestore.address import (
     Resolved,
     Trace,
-    TraditionalLayout,
     build_regions,
     first_invalid,
     plane_span,
@@ -27,6 +26,7 @@ from planestore.bitplane import (
     plane_stride_for,
 )
 from planestore.quant import FpFormat, GuardConfig, plane_set
+from planestore.workload import gen_trace
 from reference import (
     FP0,
     FP4,
@@ -39,6 +39,7 @@ from reference import (
     LogicalRead,
     reference_first_invalid,
     scalar_resolve,
+    assignment_of,
     scalar_translate,
     scalar_translate_traditional,
 )
@@ -64,12 +65,6 @@ def resolve_one(table, addr_bit: int, len_bits: int) -> tuple:
 def one(fmt, start: int, count: int) -> Resolved:
     """A single resolved read."""
     return Resolved((fmt,), [0], [start], [count])
-
-
-def extent(resolved_read: Resolved, layout: TraditionalLayout) -> tuple:
-    """The traditional (lo, size) extent of a single resolved read."""
-    lo, size = translate_traditional(resolved_read, layout)
-    return int(lo[0]), int(size[0])
 
 
 def test_build_regions_sizes():
@@ -187,48 +182,65 @@ def make_directory(lengths):
     return ChunkDirectory(lengths, [KIND_LABELS.index(ChunkKind.MLP_NEURON)] * len(lengths))
 
 
+def extents(lengths, loaded=None) -> list:
+    """The traditional (lo, size) extents of a directory of the given
+    lengths, for the loaded chunks (all by default)."""
+    loaded = np.ones(len(lengths), bool) if loaded is None else np.array(loaded, bool)
+    return list(zip(*(c.tolist() for c in translate_traditional(make_directory(lengths), loaded))))
+
+
 def test_translate_traditional_block_requests():
-    directory = make_directory([512, 512])
-    layout = TraditionalLayout.from_directory(directory)
-    full = extent(one(FP16, 0, 512), layout)
-    assert full == (0, 16 * 64)  # gen_trace issues it as 16 block requests
-    # Format-independence: FP8 fetches the same bytes.
-    assert extent(one(FP8, 0, 512), layout) == full
+    # 512 FP16 weights are 16 blocks, which gen_trace issues one by one.
+    assert extents([512, 512]) == [(0, 16 * 64), (16 * 64, 16 * 64)]
+
+
+def test_traditional_trace_ignores_the_format():
+    # Loading the same chunks at other formats fetches the same bytes.
+    directory = make_directory([512, 100, 300])
+    traces = [
+        gen_trace(assignment_of(formats, LADDER), directory, "traditional", NO_GUARD)
+        for formats in ([FP16, FP0, FP16], [FP8, FP0, FP4], [FP4, FP0, FP12])
+    ]
+    assert traces[0] == traces[1] == traces[2]
+    assert traces[0].addr.tolist() == list(range(0, 1024, 64)) + list(range(1280, 1920, 64))
 
 
 def test_traditional_chunk_bases_aligned():
-    directory = make_directory([100, 100, 100])
-    layout = TraditionalLayout.from_directory(directory)
-    assert layout.chunk_bases.tolist() == [0, 256, 512]  # 200B extents padded to 64B
-    assert extent(one(FP16, 100, 100), layout) == (256, 256)
-
-
-def test_traditional_read_across_chunks_rejected():
-    # Weights 50-149 span chunks 0 and 1, whose extents are padded apart:
-    # no one extent holds them.
-    layout = TraditionalLayout.from_directory(make_directory([100, 100, 100]))
-    message = r"^weight range \[50, \+100\) crosses a chunk boundary$"
-    with pytest.raises(ValueError, match=message):
-        extent(one(FP16, 50, 100), layout)
-    with pytest.raises(ValueError, match=message):
-        scalar_translate_traditional((FP16, 50, 100), layout)
-    # A read that ends on the boundary stays inside its chunk.
-    assert extent(one(FP16, 50, 50), layout) == (64, 192)
+    # 200B extents are padded to 256B; a skipped chunk keeps its place.
+    assert extents([100, 100, 100]) == [(0, 256), (256, 256), (512, 256)]
+    assert extents([100, 100, 100], [False, True, False]) == [(256, 256)]
 
 
 def test_empty_read_rejected():
     image = layout_for(512)
-    traditional = TraditionalLayout.from_directory(make_directory([512]))
     for start in (0, 100):
         message = rf"^weight range \[{start}, \+0\) is empty$"
         with pytest.raises(ValueError, match=message):
             translate(one(FP8, start, 0), NO_GUARD, image)
         with pytest.raises(ValueError, match=message):
             scalar_translate((FP8, start, 0), NO_GUARD, image)
-        with pytest.raises(ValueError, match=message):
-            extent(one(FP8, start, 0), traditional)
-        with pytest.raises(ValueError, match=message):
-            scalar_translate_traditional((FP8, start, 0), traditional)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 300), st.booleans()), min_size=1, max_size=12)
+)
+def test_traditional_extents_tile_the_directory_in_order(chunks):
+    lengths = [length for length, _ in chunks]
+    loaded = [keep for _, keep in chunks]
+    directory = make_directory(lengths)
+    got = extents(lengths, loaded)
+    wanted = [chunk_id for chunk_id, keep in enumerate(loaded) if keep]
+    # Skipped chunks are absent; every loaded chunk has its oracle extent.
+    assert got == [scalar_translate_traditional(directory, chunk_id) for chunk_id in wanted]
+    end = 0
+    for chunk_id, (lo, size) in zip(wanted, got):
+        # Block-aligned, in directory order and disjoint, holding the
+        # chunk's FP16 bytes with less than a block of padding.
+        assert lo % 64 == 0 and size % 64 == 0
+        assert lo >= end
+        end = lo + size
+        assert 2 * lengths[chunk_id] <= size < 2 * lengths[chunk_id] + 64
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,10 +252,9 @@ def test_empty_read_rejected():
 def test_proportionality_amortizes(fmt, count, start):
     num = start + count
     layout = PlaneLayout(num, plane_stride_for(num))
-    directory = make_directory([num])
-    trad_layout = TraditionalLayout.from_directory(directory)
     smart = translate(one(fmt, start, count), GuardConfig(0, 0), layout)[3].sum()
-    trad = extent(one(FP16, start, count), trad_layout)[1]
+    # The traditional side fetches a count-weight chunk whole.
+    [(_, trad)] = extents([count])
     planes = len(plane_set(fmt, NO_GUARD))
     # Per plane the aligned span exceeds the payload by under two blocks.
     tol = (planes * 2 * 64 + 64) / (2 * count)
@@ -353,17 +364,6 @@ def resolved_reads(draw, num_weights):
     return draw(st.sampled_from(LADDER5)), (start, count)
 
 
-@st.composite
-def chunk_reads(draw, lengths):
-    """(format, (start, count)) reads inside one chunk of the given
-    lengths, some of them ending on its last weight."""
-    chunk = draw(st.integers(0, len(lengths) - 1))
-    offset = draw(st.integers(0, lengths[chunk] - 1))
-    rest = lengths[chunk] - offset
-    count = draw(st.one_of(st.integers(1, rest), st.just(rest)))
-    return draw(st.sampled_from(LADDER5)), (sum(lengths[:chunk]) + offset, count)
-
-
 def batch_of(reads) -> Resolved:
     """The reads as one Resolved, each distinct format listed once."""
     formats = tuple(dict.fromkeys(fmt for fmt, _ in reads))
@@ -398,32 +398,6 @@ def test_translate_matches_scalar_translate(case, guard):
         for i, want in enumerate(expected):
             rows = [k for k, r in enumerate(read) if r == i]
             assert tuple([column[k] for k in rows] for column in columns) == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(1, 300), min_size=1, max_size=6).flatmap(
-        lambda lengths: st.tuples(
-            st.just(lengths),
-            st.lists(
-                st.one_of(resolved_reads(sum(lengths)), chunk_reads(lengths)),
-                min_size=1, max_size=8,
-            ),
-        )
-    )
-)
-def test_translate_traditional_matches_scalar(case):
-    lengths, reads = case
-    layout = TraditionalLayout.from_directory(make_directory(lengths))
-    expected = [
-        outcome(scalar_translate_traditional, (fmt, start, count), layout)
-        for fmt, (start, count) in reads
-    ]
-    for (fmt, (start, count)), want in zip(reads, expected):
-        assert outcome(extent, one(fmt, start, count), layout) == want
-    extents = assert_batch_matches(expected, lambda: translate_traditional(batch_of(reads), layout))
-    if extents is not None:
-        assert list(zip(*(c.tolist() for c in extents))) == expected
 
 
 # --- request rows ------------------------------------------------------------

@@ -20,7 +20,7 @@ from planestore.cli import (
     parse_trace,
     render_trace,
 )
-from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, default_config, load_config
+from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, load_config
 from planestore.dram import run_trace, schedule
 from planestore.experiment import (
     chunk_latency_deltas,
@@ -79,7 +79,7 @@ def write_config(tmp_path, text, name="cfg.yaml"):
 
 
 def test_default_config_resolves():
-    cfg = default_config()
+    cfg = load_config(env={})
     assert cfg.seed == 1234
     assert cfg.targets == (1.6, 3.2, 4.8, 6.4, 8.0)
     assert [f.name for f in cfg.ladder] == ["FP16", "FP12", "FP8", "FP6", "FP4", "FP0"]
@@ -780,7 +780,7 @@ def test_solver_target_counts_predictors_at_the_top_rung(tmp_path, capsys):
 def test_chunk_latency_deltas_telescope_to_total():
     geometry = ModelGeometry(1, 4, 8192, 8, 4096, 4096)
     directory = enumerate_chunks(geometry)
-    cfg = default_config()
+    cfg = load_config(env={})
     scores = gen_scores(directory, cfg.importance)
     _, _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
     for mode in ("bitplane", "traditional"):
@@ -818,6 +818,23 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
         chunk_latency_deltas(short, table, config, 3)
 
 
+@pytest.mark.parametrize("first, then", [(0, 1), (1, 0)])
+def test_chunk_latency_charges_a_revisited_chunk_once(first, then):
+    # The first chunk's rows come in two segments around the other's:
+    # its reads on channels 0 and 1 both finish at cycle 76, and the
+    # other's read opens another row of channel 0's bank 0 and finishes
+    # at 187.  Chunks are charged in the order the trace first names
+    # them, whatever their ids.
+    config = dram(clock_ns=1.0)
+    trace = Trace([0, 1 << 20, 64], [64] * 3, chunk=[first, then, first])
+    table, result = run_trace(config, trace)
+    _, per_request = reference_simulate(config, schedule(config, trace))
+    assert per_request.completion == (76, 187, 76)
+    deltas = chunk_latency_deltas(trace, table, config, 2)
+    assert deltas[[first, then]].tolist() == [76.0, 111.0]
+    assert deltas.sum() == result.total_ns
+
+
 def test_sim_of_trace_files_equals_the_compare_entry(tmp_path, capsys):
     # `trace` and `compare` solve the same target in one shared step, so
     # simulating the trace files gives compare's numbers exactly.
@@ -847,7 +864,7 @@ def test_all_fp8_assignment_halves_bytes():
     geometry = ModelGeometry(1, 8, 8192, 0, 4096, 0)
     directory = enumerate_chunks(geometry)
     assignment = assignment_of((FP8,) * len(directory), (FP8,))
-    cfg = default_config()
+    cfg = load_config(env={})
     result = compare_assignment(directory, assignment, NO_GUARD, cfg.dram)
     assert result["reductions"]["bytes_pct"] == 50.0
     assert 45.0 <= result["reductions"]["total_energy_pct"] <= 55.0

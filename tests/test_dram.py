@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from planestore.address import Trace
 from planestore.dram import (
     CommandKind,
-    CommandTable,
     DramCommand,
     energy_breakdown,
     map_address,
@@ -24,7 +23,7 @@ from planestore.dram import (
     simulate,
 )
 
-from reference import dram, reference_energy_breakdown, reference_simulate
+from reference import dram, from_commands, reference_energy_breakdown, reference_simulate
 
 CFG = dram()
 NO_BG = dram(p_bg_mw=0.0)
@@ -253,7 +252,7 @@ def pre(ch, bank, row, cycle, index=0):
 def rejects(stream, match):
     """The replay rejects stream with the reference replay's message."""
     with pytest.raises(ValueError, match=match) as got:
-        simulate(CFG, CommandTable.from_commands(stream))
+        simulate(CFG, from_commands(stream))
     with pytest.raises(ValueError) as want:
         reference_simulate(CFG, stream)
     assert str(got.value) == str(want.value)
@@ -308,7 +307,7 @@ def test_command_bus_conflict_rejected():
 
 def test_legal_hand_stream_accepted():
     stream = [act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), pre(0, 0, 0, 77), act(0, 0, 1, 111)]
-    result = simulate(CFG, CommandTable.from_commands(stream))
+    result = simulate(CFG, from_commands(stream))
     assert result.num_acts == 2
     assert result.num_reads == 1
     assert result == reference_simulate(CFG, stream)[0]
@@ -369,7 +368,7 @@ def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
     table, result = run_trace(CFG, trace_of(requests))
     assert result.bytes_transferred == sum(n for _, n in requests)
-    assert result == simulate(CFG, CommandTable.from_commands(schedule(CFG, trace_of(requests))))
+    assert result == simulate(CFG, from_commands(schedule(CFG, trace_of(requests))))
     # Every request has reads, so its first names a row.
     assert sorted(set(table.request_index.tolist())) == list(range(len(requests)))
 

@@ -27,7 +27,6 @@ from planestore.address import Trace
 from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
-    CommandTable,
     DramCommand,
     plan,
     read_completions,
@@ -37,7 +36,7 @@ from planestore.dram import (
 from planestore.experiment import solve_assignment
 from planestore.workload import enumerate_chunks, gen_scores, gen_trace
 
-from reference import dram, reference_simulate
+from reference import dram, from_commands, reference_simulate
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 KINDS = list(CommandKind)
@@ -372,7 +371,7 @@ def same_verdict(config, stream, table=None):
     encode stream, or when table is None stream's `from_commands` table."""
 
     def replay():
-        return simulate(config, CommandTable.from_commands(stream) if table is None else table)
+        return simulate(config, from_commands(stream) if table is None else table)
 
     try:
         want, _ = reference_simulate(config, stream)
