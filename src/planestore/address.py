@@ -31,10 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitplane import ChunkDirectory, PlaneLayout
+from .bitplane import BLOCK, ChunkDirectory, plane_stride_for
 from .quant import FpFormat, GuardConfig, plane_set
-
-BLOCK = 64  # bytes; cacheline transaction granularity on both sides
 
 FP16_BYTES = 2  # traditional layout stores every weight full-precision
 
@@ -230,10 +228,11 @@ def resolve(table: RegionTable, addr_bit, len_bits) -> Resolved:
     return Resolved(tuple(r.fmt for r in table.regions), region, offset // width, length // width)
 
 
-def plane_span(layout: PlaneLayout, plane, start, count):
+def plane_span(stride: int, plane, start, count):
     """Aligned physical byte range covering bits [start, start+count) of a
-    plane: (lo, size).  Each argument may be an int or an array."""
-    plane_base = plane * layout.plane_stride
+    plane, planes being stride bytes apart: (lo, size).  Each argument
+    but stride may be an int or an array."""
+    plane_base = plane * stride
     lo = (plane_base + start // 8) // BLOCK * BLOCK
     last = plane_base + (start + count - 1) // 8
     hi = (last // BLOCK + 1) * BLOCK
@@ -254,16 +253,17 @@ def _check_ranges(resolved: Resolved, num_weights: int) -> None:
 
 
 def translate(
-    resolved: Resolved, guard: GuardConfig, layout: PlaneLayout
+    resolved: Resolved, guard: GuardConfig, num_weights: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One aligned span per needed plane of every resolved read.
+    """One aligned span per needed plane of every resolved read, in the
+    image of num_weights weights.
 
     Returns (read, plane, lo, size) int64 columns: the reads in their
     given order, each read's spans in ascending address order (planes
     sit at increasing bases, so that is also plane order).
     """
     code = resolved.code
-    _check_ranges(resolved, layout.num_weights)
+    _check_ranges(resolved, num_weights)
     # One plane set per format, expanded to every read of that format.
     sets = [plane_set(fmt, guard) for fmt in resolved.formats]
     by_format = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
@@ -273,7 +273,9 @@ def translate(
     read = np.repeat(np.arange(code.size), counts)
     slot = np.arange(read.size) - np.repeat(np.cumsum(counts) - counts, counts)
     plane = by_format[code[read], slot]
-    lo, size = plane_span(layout, plane, resolved.start[read], resolved.count[read])
+    lo, size = plane_span(
+        plane_stride_for(num_weights), plane, resolved.start[read], resolved.count[read]
+    )
     return read, plane, lo, size
 
 

@@ -25,7 +25,7 @@ from .files import write_file
 from .quant import FpFormat, check_ladder
 
 NUM_PLANES = 16
-STRIDE_GRANULE = 64  # bytes; plane arrays padded to the interleave granule
+BLOCK = 64  # bytes: a trace request's granule, a DRAM burst, a plane's pad
 
 IMAGE_MAGIC = b"SQBP"
 IMAGE_VERSION = 1
@@ -75,26 +75,12 @@ class ChunkDirectory:
         return self.length.size
 
 
-@dataclass(frozen=True)
-class PlaneLayout:
-    """Addressing metadata of a packed image (no payload)."""
-
-    num_weights: int
-    plane_stride: int
-
-    def __post_init__(self) -> None:
-        if self.plane_stride != plane_stride_for(self.num_weights):
-            raise ValueError(
-                f"plane_stride {self.plane_stride} inconsistent with {self.num_weights} weights"
-            )
-
-
 def plane_stride_for(num_weights: int) -> int:
-    """Bytes per plane: bit count rounded to whole bytes, then to the granule."""
+    """Bytes per plane: bit count rounded to whole bytes, then to a block."""
     if num_weights <= 0:
         raise ValueError("image must hold at least one weight")
     raw = (num_weights + 7) // 8
-    return -(-raw // STRIDE_GRANULE) * STRIDE_GRANULE
+    return -(-raw // BLOCK) * BLOCK
 
 
 class BitPlaneImage:

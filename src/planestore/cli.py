@@ -17,6 +17,7 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -137,10 +138,10 @@ def render_summary(report: dict) -> str:
 def check_report(report: dict) -> None:
     """Reduction fields must be recomputable from the raw fields.
 
-    Every field the summary and the CSV print must be a number.  A
-    missing field raises KeyError and a value of the wrong type
-    TypeError naming it; `cmd_report` turns both into a corrupted-report
-    error.
+    Every field the summary and the CSV print must be a finite number.
+    A missing field raises KeyError, and a value of the wrong type or a
+    NaN or infinity (JSON's parser reads both) TypeError naming it;
+    `cmd_report` turns both into a corrupted-report error.
     """
     if report.get("schema_version") != REPORT_SCHEMA_VERSION:
         raise ValueError(
@@ -167,6 +168,8 @@ def check_report(report: dict) -> None:
             if numeric:
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise TypeError(f"{name} is not a number")
+                if not math.isfinite(value):
+                    raise TypeError(f"{name} is not finite, got {value}")
             elif not isinstance(value, dict):
                 raise TypeError(f"{name} is not an object")
             return value
@@ -235,11 +238,6 @@ def cmd_pack(args) -> int:
                 f"whole number of FP16 words"
             )
         words = np.frombuffer(raw, dtype="<u2")
-        if args.count is not None and args.count != words.size:
-            raise ValueError(
-                f"size mismatch: {args.weights} holds {words.size} words, "
-                f"expected {args.count}"
-            )
     else:
         count = args.count if args.count is not None else config.geometry.total_weights
         if count <= 0:
@@ -248,6 +246,12 @@ def cmd_pack(args) -> int:
         # Standard normals never leave FP16's finite range, so the seeded
         # source cannot manufacture specials.
         words = rng.standard_normal(count).astype(np.float16).view(np.uint16)
+    # A weight file or image must hold --count words, when it is given.
+    if args.count is not None and args.count != words.size:
+        raise ValueError(
+            f"size mismatch: {args.repack or args.weights} holds {words.size} words, "
+            f"expected {args.count}"
+        )
 
     image = pack(words)
     path = args.image or os.path.join(_out_dir(config), "model.sqbp")
@@ -463,7 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--weights", help="raw little-endian FP16 word file")
     src.add_argument("--repack", help="existing image to unpack and repack")
-    p.add_argument("--count", type=int, help="seeded-generator weight count")
+    p.add_argument(
+        "--count", type=int, help="seeded-generator weight count, or the count a source must hold"
+    )
     p.add_argument("--image", help="output image path (default <out>/model.sqbp)")
     p.set_defaults(func=cmd_pack)
 

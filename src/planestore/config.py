@@ -81,8 +81,6 @@ DEFAULTS: dict = {
         "channels": 4,
         "banks_per_channel": 32,
         "row_bytes": 8192,
-        "burst_bytes": 64,
-        "interleave_bytes": 64,
         "clock_ns": 0.4167,
         "t_rcd": 34,
         "t_cl": 34,

@@ -50,7 +50,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .address import BLOCK, Trace
+from .address import Trace
+from .bitplane import BLOCK
 
 
 class CommandKind(enum.IntEnum):
@@ -76,15 +77,14 @@ class DramConfig:
     Timings are in command-clock cycles (2,400 MHz for DDR5-4800, so
     0.4167 ns per cycle).  The channel data path is modeled as 32 data
     bits: ten x4 devices per channel, of which the two ECC devices carry
-    no modeled payload.  A 64-byte burst therefore occupies the data bus
-    for burst_bytes / 8 = 8 command cycles (BL16, double data rate).
+    no modeled payload.  A burst is one BLOCK, the 64 bytes traces are
+    cut into; it is fixed, not configured, and occupies the data bus for
+    BLOCK / 8 = 8 command cycles (BL16, double data rate).
     """
 
     channels: int
     banks_per_channel: int
     row_bytes: int
-    burst_bytes: int
-    interleave_bytes: int
     clock_ns: float
     t_rcd: int
     t_cl: int
@@ -101,8 +101,6 @@ class DramConfig:
             "channels": self.channels,
             "banks_per_channel": self.banks_per_channel,
             "row_bytes": self.row_bytes,
-            "burst_bytes": self.burst_bytes,
-            "interleave_bytes": self.interleave_bytes,
             "t_rcd": self.t_rcd,
             "t_cl": self.t_cl,
             "t_rp": self.t_rp,
@@ -117,15 +115,10 @@ class DramConfig:
             raise ValueError("clock_ns must be positive")
         if self.e_act_pj < 0 or self.e_rd_pj < 0 or self.p_bg_mw < 0:
             raise ValueError("energy constants must be non-negative")
-        # Traces are cut into BLOCK-byte requests at BLOCK-aligned addresses.
-        for name in ("burst_bytes", "interleave_bytes"):
-            if counts[name] != BLOCK:
-                raise ValueError(
-                    f"{name} must be {BLOCK}, the block size traces are cut into,"
-                    f" got {counts[name]}"
-                )
-        if self.row_bytes % self.burst_bytes:
-            raise ValueError("burst_bytes must divide row_bytes")
+        if self.row_bytes % BLOCK:
+            raise ValueError(
+                f"the {BLOCK}-byte burst must divide row_bytes, got {self.row_bytes}"
+            )
         if self.t_ras < self.t_rcd:
             raise ValueError("t_ras must be at least t_rcd")
         for name in ("t_ccd_s", "t_ccd_l"):
@@ -138,19 +131,17 @@ class DramConfig:
     @property
     def burst_cycles(self) -> int:
         # 32-bit data path at double data rate: 8 bytes move per cycle.
-        return self.burst_bytes // 8
+        return BLOCK // 8
 
     @property
     def columns_per_row(self) -> int:
-        return self.row_bytes // self.burst_bytes
+        return self.row_bytes // BLOCK
 
 
 def _split(config: DramConfig, byte_addr):
     """(channel, bank, row, column) of aligned addresses: ints or arrays."""
-    granule = config.interleave_bytes
-    channel = (byte_addr // granule) % config.channels
-    chan_byte = (byte_addr // (granule * config.channels)) * granule + byte_addr % granule
-    burst = chan_byte // config.burst_bytes
+    channel = byte_addr // BLOCK % config.channels
+    burst = byte_addr // BLOCK // config.channels
     column = burst % config.columns_per_row
     bank = (burst // config.columns_per_row) % config.banks_per_channel
     row = burst // (config.columns_per_row * config.banks_per_channel)
@@ -158,18 +149,17 @@ def _split(config: DramConfig, byte_addr):
 
 
 def map_address(config: DramConfig, byte_addr: int) -> tuple[int, int, int, int]:
-    """Map a burst-aligned byte address to (channel, bank, row, column).
+    """Map a BLOCK-aligned byte address to (channel, bank, row, column).
 
-    Channels interleave round-robin on interleave_bytes granules; within
-    a channel the burst index splits column-first, then bank, then row,
-    so a sequential stream walks the columns of one row before moving on.
+    Channels interleave round-robin on bursts, one fixed 64-byte BLOCK
+    each; within a channel the burst index splits column-first, then
+    bank, then row, so a sequential stream walks the columns of one row
+    before moving on.
     """
     if byte_addr < 0:
         raise ValueError(f"negative address {byte_addr}")
-    if byte_addr % config.burst_bytes:
-        raise ValueError(
-            f"address {byte_addr} is not {config.burst_bytes}-byte aligned"
-        )
+    if byte_addr % BLOCK:
+        raise ValueError(f"address {byte_addr} is not {BLOCK}-byte aligned")
     return _split(config, byte_addr)
 
 
@@ -203,7 +193,7 @@ def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
     """
     channels = [_ChannelState(config) for _ in range(config.channels)]
     for index, (addr, size) in enumerate(zip(trace.addr.tolist(), trace.size.tolist())):
-        for offset in range(0, size, config.burst_bytes):
+        for offset in range(0, size, BLOCK):
             ch, bank, row, column = map_address(config, addr + offset)
             st = channels[ch]
             if st.open_row[bank] != row:
@@ -337,26 +327,25 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
     Consecutive requests that are contiguous, have the same burst count
-    and load the same chunk merge into an extent.  Because
-    interleave_bytes equals burst_bytes, an extent covers one contiguous
-    range of burst indices within each channel, found in closed form.  Cut at row boundaries,
-    each piece is a run: reads to consecutive columns of one (bank, row),
-    issued t_ccd_l apart.  A run becomes one RD row, preceded by the PRE
-    and ACT rows that open its row if it is not a hit.  Between two
-    openings on a channel the reads are a cumulative sum, so the bank
-    state machine steps once per opening (`_open_rows`).  Rows are
-    grouped by channel, each channel's in stream order.  No array is as
-    long as the burst count.  A run never crosses an extent, so all of
-    an RD row's reads load the chunk of its first read's request.
+    and load the same chunk merge into an extent.  Channels interleave on
+    the burst itself, one fixed 64-byte BLOCK, so an extent covers one
+    contiguous range of burst indices within each channel, found in
+    closed form.  Cut at row boundaries, each piece is a run: reads to
+    consecutive columns of one (bank, row), issued t_ccd_l apart.  A run
+    becomes one RD row, preceded by the PRE and ACT rows that open its
+    row if it is not a hit.  Between two openings on a channel the reads
+    are a cumulative sum, so the bank state machine steps once per
+    opening (`_open_rows`).  Rows are grouped by channel, each channel's
+    in stream order.  No array is as long as the burst count.  A run
+    never crosses an extent, so all of an RD row's reads load the chunk
+    of its first read's request.
     """
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
-    # a burst is one block (DramConfig insists), so a request's bursts
-    # are its size over the burst.  A request extends an extent when it
-    # starts where the previous one ends, with the same size and chunk;
-    # that is found on the byte columns, and only the extent heads are
-    # divided into bursts.
+    # a burst is one block, so a request's bursts are its size over the
+    # block.  A request extends an extent when it starts where the
+    # previous one ends, with the same size and chunk; that is found on
+    # the byte columns, and only the extent heads are divided into bursts.
     addr, size, chunk = trace.addr, trace.size, trace.chunk
-    step = config.burst_bytes
     starts = np.empty(addr.size, bool)
     starts[:1] = True
     np.not_equal(addr[1:], addr[:-1] + size[:-1], out=starts[1:])
@@ -365,7 +354,7 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     # Each extent's first request, its requests' burst count and its
     # first global burst index.
     head = np.flatnonzero(starts)
-    ext_bursts, ext_first = size[head] // step, addr[head] // step
+    ext_bursts, ext_first = size[head] // BLOCK, addr[head] // BLOCK
     ext_total = np.diff(np.r_[head, addr.size]) * ext_bursts
     del addr, size, chunk, starts
 
@@ -631,7 +620,7 @@ def simulate(config: DramConfig, table: CommandTable) -> SimResult:
         total_cycles=total_cycles,
         total_ns=total_ns,
         energy_pj=energy,
-        bytes_transferred=config.burst_bytes * count_rd,
+        bytes_transferred=BLOCK * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
     )

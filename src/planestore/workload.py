@@ -24,21 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .address import (
-    BLOCK,
-    Trace,
-    build_regions,
-    resolve,
-    translate,
-    translate_traditional,
-)
-from .bitplane import (
-    KIND_LABELS,
-    ChunkDirectory,
-    ChunkKind,
-    PlaneLayout,
-    plane_stride_for,
-)
+from .address import Trace, build_regions, resolve, translate, translate_traditional
+from .bitplane import BLOCK, KIND_LABELS, ChunkDirectory, ChunkKind
 from .quant import FpFormat, GuardConfig, check_ladder
 
 TRACE_MODES = ("bitplane", "traditional")
@@ -464,9 +451,8 @@ def gen_trace(
     code = assignment.codes[loaded]
     start, length = directory.start[loaded], directory.length[loaded]
     resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
-    layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
     # Map each plane span to its loaded chunk.
-    read, planes, lo, size = translate(resolved, guard, layout)
+    read, planes, lo, size = translate(resolved, guard, directory.num_weights)
     keep, addr, size = _trim_seams(planes, lo, size)
     row_chunk = read[keep]
     return Trace(addr, size, kind[row_chunk], KIND_LABELS, chunk[row_chunk])

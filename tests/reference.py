@@ -70,14 +70,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from planestore.address import BLOCK, FP16_BYTES, RegionTable, build_regions, plane_span
-from planestore.bitplane import (
-    KIND_LABELS,
-    ChunkDirectory,
-    ChunkKind,
-    PlaneLayout,
-    plane_stride_for,
-)
+from planestore.address import FP16_BYTES, RegionTable, build_regions, plane_span
+from planestore.bitplane import BLOCK, KIND_LABELS, ChunkDirectory, ChunkKind, plane_stride_for
 from planestore.config import load_config
 from planestore.dram import CommandKind, CommandTable, DramCommand, DramConfig, SimResult
 from planestore.quant import (
@@ -701,7 +695,7 @@ def reference_simulate(
         total_cycles=total_cycles,
         total_ns=total_ns,
         energy_pj=energy,
-        bytes_transferred=config.burst_bytes * count_rd,
+        bytes_transferred=BLOCK * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
     )
@@ -778,20 +772,21 @@ def scalar_resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int
 
 
 def scalar_translate(
-    resolved: tuple[FpFormat, int, int], guard: GuardConfig, layout: PlaneLayout
+    resolved: tuple[FpFormat, int, int], guard: GuardConfig, num_weights: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One aligned span per needed plane covering the weight range.
+    """One aligned span per needed plane covering the weight range, in
+    the image of num_weights weights.
 
     Returns (plane, lo, size) int64 arrays in ascending address order
     (planes sit at increasing bases, so that is also plane order).
     """
     fmt, start, count = resolved
-    if not 0 <= start <= start + count <= layout.num_weights:
+    if not 0 <= start <= start + count <= num_weights:
         raise ValueError(f"weight range [{start}, +{count}) outside the image")
     if count == 0:
         raise ValueError(f"weight range [{start}, +{count}) is empty")
     planes = np.array(plane_set(fmt, guard), np.int64)
-    lo, size = plane_span(layout, planes, start, count)
+    lo, size = plane_span(plane_stride_for(num_weights), planes, start, count)
     return planes, lo, size
 
 
@@ -827,7 +822,6 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
     """
     table = build_regions(directory.num_weights, assignment.ladder)
     bases = {region.fmt: region.base_bit for region in table.regions}
-    layout = PlaneLayout(directory.num_weights, plane_stride_for(directory.num_weights))
     rows = []
     high_water: dict = {}  # plane index -> last fetched block
     for chunk, fmt in zip(chunks(directory), formats_of(assignment)):
@@ -842,7 +836,7 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
             bases[fmt] + chunk.start * fmt.total_bits, chunk.length * fmt.total_bits
         )
         resolved = scalar_resolve(table, read)
-        spans = scalar_translate(resolved, guard, layout)
+        spans = scalar_translate(resolved, guard, directory.num_weights)
         for plane, addr, size in zip(*(c.tolist() for c in spans)):
             first = addr // BLOCK
             last = (addr + size - 1) // BLOCK

@@ -18,13 +18,7 @@ from planestore.address import (
     translate,
     translate_traditional,
 )
-from planestore.bitplane import (
-    KIND_LABELS,
-    ChunkDirectory,
-    ChunkKind,
-    PlaneLayout,
-    plane_stride_for,
-)
+from planestore.bitplane import KIND_LABELS, ChunkDirectory, ChunkKind, plane_stride_for
 from planestore.quant import FpFormat, GuardConfig, plane_set
 from planestore.workload import gen_trace
 from reference import (
@@ -45,10 +39,6 @@ from reference import (
 )
 
 LADDER5 = [FP16, FP12, FP8, FP6, FP4]
-
-
-def layout_for(num_weights: int) -> PlaneLayout:
-    return PlaneLayout(num_weights, plane_stride_for(num_weights))
 
 
 def rows_of(resolved: Resolved) -> list:
@@ -133,23 +123,20 @@ def test_resolve_roundtrip():
 
 
 def test_translate_whole_planes():
-    layout = PlaneLayout(32768, 4096)
-    _, planes, lo, size = translate(one(FP16, 0, 32768), GuardConfig(0, 0), layout)
+    _, planes, lo, size = translate(one(FP16, 0, 32768), GuardConfig(0, 0), 32768)
     assert len(lo) == 16
     assert (size == 4096).all()
     assert lo.tolist() == [p * 4096 for p in range(16)]
 
 
 def test_translate_single_burst_per_plane():
-    layout = layout_for(512)
-    _, planes, lo, size = translate(one(FP8, 0, 512), GuardConfig(0, 0), layout)
+    _, planes, lo, size = translate(one(FP8, 0, 512), GuardConfig(0, 0), 512)
     assert len(lo) == 8
     assert (size == 64).all()
 
 
 def test_translate_neuron_chunk():
-    layout = layout_for(7200)
-    _, planes, lo, size = translate(one(FP6, 0, 7200), GuardConfig(0, 0), layout)
+    _, planes, lo, size = translate(one(FP6, 0, 7200), GuardConfig(0, 0), 7200)
     assert len(lo) == 6
     assert (size == 960).all()
     assert set(planes.tolist()) == set(plane_set(FP6, NO_GUARD))
@@ -165,11 +152,11 @@ def test_translate_rejects_fp0():
 
 def test_plane_span_brute_force():
     # Aligned span must cover exactly the bytes the bit range touches.
-    layout = PlaneLayout(10_000, plane_stride_for(10_000))
+    stride = plane_stride_for(10_000)
     for plane in (0, 3, 15):
-        base = plane * layout.plane_stride
+        base = plane * stride
         for start, count in [(0, 1), (7, 9), (511, 2), (512, 512), (4095, 4097)]:
-            lo, size = plane_span(layout, plane, start, count)
+            lo, size = plane_span(stride, plane, start, count)
             first_byte = base + start // 8
             last_byte = base + (start + count - 1) // 8
             assert lo % 64 == 0 and size % 64 == 0
@@ -212,13 +199,12 @@ def test_traditional_chunk_bases_aligned():
 
 
 def test_empty_read_rejected():
-    image = layout_for(512)
     for start in (0, 100):
         message = rf"^weight range \[{start}, \+0\) is empty$"
         with pytest.raises(ValueError, match=message):
-            translate(one(FP8, start, 0), NO_GUARD, image)
+            translate(one(FP8, start, 0), NO_GUARD, 512)
         with pytest.raises(ValueError, match=message):
-            scalar_translate((FP8, start, 0), NO_GUARD, image)
+            scalar_translate((FP8, start, 0), NO_GUARD, 512)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,8 +237,7 @@ def test_traditional_extents_tile_the_directory_in_order(chunks):
 )
 def test_proportionality_amortizes(fmt, count, start):
     num = start + count
-    layout = PlaneLayout(num, plane_stride_for(num))
-    smart = translate(one(fmt, start, count), GuardConfig(0, 0), layout)[3].sum()
+    smart = translate(one(fmt, start, count), GuardConfig(0, 0), num)[3].sum()
     # The traditional side fetches a count-weight chunk whole.
     [(_, trad)] = extents([count])
     planes = len(plane_set(fmt, NO_GUARD))
@@ -262,9 +247,8 @@ def test_proportionality_amortizes(fmt, count, start):
 
 
 def test_determinism():
-    layout = layout_for(9999)
-    a = translate(one(FP6, 123, 4567), GuardConfig(1, 1), layout)
-    b = translate(one(FP6, 123, 4567), GuardConfig(1, 1), layout)
+    a = translate(one(FP6, 123, 4567), GuardConfig(1, 1), 9999)
+    b = translate(one(FP6, 123, 4567), GuardConfig(1, 1), 9999)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert a[2].tolist() == sorted(a[2].tolist())
 
@@ -384,15 +368,14 @@ def batch_of(reads) -> Resolved:
 )
 def test_translate_matches_scalar_translate(case, guard):
     num_weights, reads = case
-    layout = layout_for(num_weights)
     expected = [
-        outcome(scalar_translate, (fmt, start, count), guard, layout)
+        outcome(scalar_translate, (fmt, start, count), guard, num_weights)
         for fmt, (start, count) in reads
     ]
     for (fmt, (start, count)), want in zip(reads, expected):
-        got = outcome(translate, one(fmt, start, count), guard, layout)
+        got = outcome(translate, one(fmt, start, count), guard, num_weights)
         assert got == want if want[0] == "error" else got[1:] == want
-    spans = assert_batch_matches(expected, lambda: translate(batch_of(reads), guard, layout))
+    spans = assert_batch_matches(expected, lambda: translate(batch_of(reads), guard, num_weights))
     if spans is not None:
         read, *columns = (c.tolist() for c in spans)
         for i, want in enumerate(expected):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -200,8 +201,9 @@ BAD_CONFIGS = [
     ("targets: [1.6, eight]\n", "'targets[1]' must be a number"),
     ("importance:\n  default: {family: beta, a: two}\n",
      "'importance.default.a' must be a number"),
+    # The burst is a fixed 64-byte block, not a key.
+    ("dram:\n  burst_bytes: 64\n", "unknown config key 'dram.burst_bytes'"),
     # Representable in YAML, not in the memory model.
-    ("dram:\n  burst_bytes: 128\n  interleave_bytes: 128\n", "burst_bytes must be 64"),
     ("dram:\n  t_ccd_s: 4\n", "t_ccd_s must be at least the 8-cycle burst"),
     # Syntax errors name the line they start on, in the words of
     # PyYAML's pure-Python parser whether or not libyaml is present.
@@ -378,6 +380,19 @@ def test_pack_error_paths(small_config, tmp_path, capsys):
 
     assert main(["pack", "--config", small_config, "--weights", "no/such.f16"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_repack_checks_the_count(small_config, tmp_path, capsys):
+    # --count is the word count the image must hold, as for --weights.
+    image, out = tmp_path / "a.sqbp", tmp_path / "b.sqbp"
+    assert main(["pack", "--config", small_config, "--count", "4096", "--image", str(image)]) == 0
+    capsys.readouterr()
+    repack = ["pack", "--config", small_config, "--repack", str(image), "--image", str(out)]
+    assert main([*repack, "--count", "5"]) == 1
+    assert one_line_error(capsys) == f"error: size mismatch: {image} holds 4096 words, expected 5\n"
+    assert not out.exists()
+    assert main([*repack, "--count", "4096"]) == 0
+    assert out.read_bytes() == image.read_bytes()
 
 
 def test_unencodable_ladder_leaves_the_old_image_alone(tmp_path, capsys):
@@ -684,7 +699,7 @@ def run_compare(config, out, capsys):
 # sha256 of the report `planestore compare --out out` writes on the
 # built-in defaults.  A change that only makes the program faster must
 # leave these bytes alone.
-DEFAULT_REPORT_SHA256 = "4827805b27fba96a24ecc72a04acb2c2b5ceb21c7765c6e648e7f5f0618d15dd"
+DEFAULT_REPORT_SHA256 = "0995b12b5a5c358bb9855c23d6579b49bd4ff98e27ab64a3669731cc09f8fedb"
 
 
 def test_default_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
@@ -925,6 +940,18 @@ def test_report_rejects_malformed_entries(tmp_path, capsys, targets, message):
         ),
         (("reductions", "per_kind"), 5, "targets[0].reductions.per_kind is not an object"),
         (("modes", "traditional"), [], "targets[0].modes.traditional is not an object"),
+        # JSON's parser reads NaN and Infinity; no report field may hold them.
+        (
+            ("reductions", "bytes_pct"),
+            math.nan,
+            "targets[0].reductions.bytes_pct is not finite, got nan",
+        ),
+        (
+            ("modes", "bitplane", "bytes"),
+            math.nan,
+            "targets[0].modes.bitplane.bytes is not finite, got nan",
+        ),
+        (("achieved_avg_bits",), math.inf, "targets[0].achieved_avg_bits is not finite, got inf"),
     ],
 )
 def test_report_names_a_field_of_the_wrong_type(small_config, tmp_path, capsys, path, value, message):

@@ -63,22 +63,17 @@ def test_config_validation():
         dram(channels=0)
     with pytest.raises(ValueError, match="clock_ns"):
         dram(clock_ns=0.0)
-    with pytest.raises(ValueError, match="interleave"):
-        dram(interleave_bytes=96)
 
 
 @pytest.mark.parametrize(
     "fields, match",
     [
-        ({"burst_bytes": 128, "interleave_bytes": 128}, "burst_bytes must be 64"),
-        ({"interleave_bytes": 128}, "interleave_bytes must be 64"),
         ({"t_ccd_s": 4}, "t_ccd_s must be at least the 8-cycle burst"),
         ({"t_ccd_l": 7}, "t_ccd_l must be at least the 8-cycle burst"),
     ],
 )
 def test_config_rejects_what_the_model_cannot_represent(fields, match):
-    # Other block sizes crash mid-trace on misaligned addresses; a tCCD
-    # below the burst length lets data bursts overlap on the bus.
+    # A tCCD below the burst length lets data bursts overlap on the bus.
     with pytest.raises(ValueError, match=match):
         dram(**fields)
     dram(t_ccd_s=8, t_ccd_l=8)
