@@ -126,6 +126,17 @@ class Trace:
         if len(self) and self.tag.min() < 0:
             raise ValueError(f"request {int(np.argmax(self.tag < 0))} is untagged")
 
+    def bytes_by_tag(self) -> np.ndarray:
+        """Total bytes per label, in labels order (int64).  Every row must
+        carry a tag."""
+        self.check_tagged()
+        totals = np.zeros(len(self.labels), np.int64)
+        if len(self):
+            # A trace holds few runs of one tag: sum each run, then each tag.
+            heads = np.flatnonzero(np.r_[True, self.tag[1:] != self.tag[:-1]])
+            np.add.at(totals, self.tag[heads], np.add.reduceat(self.size, heads))
+        return totals
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented

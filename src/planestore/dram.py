@@ -24,8 +24,10 @@ array as long as the burst count.  Its rows are grouped by channel, and
 each names the request of its first command; all of an RD row's reads
 load that request's chunk.  `simulate` replays a table with every
 legality check vectorized over all channels at once and returns totals
-only; the per-request and per-chunk figures are read off the table and
-the trace (`energy_breakdown`, `read_completions`).  docs/dram-model.md
+only; the per-tag and per-chunk figures are read off the table and the
+trace.  `energy_breakdown` splits each energy category by integer
+per-tag counts (ACTs, reads), `read_completions` gives each RD row's
+completion.  docs/dram-model.md
 shows why the run-level recurrence is exact.  Both `schedule` and
 `plan` take the request stream as an `address.Trace` and read its addr
 and size columns, `plan` its chunk column too.  `plan` relies on the rows being
@@ -637,34 +639,21 @@ def energy_breakdown(result: SimResult, table: CommandTable, trace: Trace) -> di
     """Split a result's energy across the trace's tags.
 
     table is the run table result replayed, and trace the request
-    stream it was planned from.  Activation energy follows each
-    request's ACTs, the ACT rows that name it; read and background
-    energy follow its reads, one per block.  The split is keyed by the
-    trace's labels, and the category totals sum back to the result's
-    total.  Every request must carry a tag.
+    stream it was planned from.  A tag's ACTs are the ACT rows that name
+    its requests, and its reads its bytes over the block; activation
+    energy is split by ACT count, read and background energy by read
+    count.  The split is keyed by the trace's labels, and the category
+    totals sum back to the result's total.  Every request must carry a
+    tag.
     """
-    n = len(trace)
-    table.check_requests(n)
-    trace.check_tagged()
-    # Each request's share is summed in the same order, with the same
-    # float operations, as a request-by-request loop (activation, then
-    # read, then background), and bincount adds the shares up in request
-    # order: the totals are bit-identical to it.  Adding a request's
-    # activation share before its read share or after gives the same
-    # float, so only the requests the ACT rows name get one.
+    table.check_requests(len(trace))
+    reads = trace.bytes_by_tag() // BLOCK
+    acts = np.bincount(trace.tag[table.request_index[table.kind == _ACT]], minlength=reads.size)
     e = result.energy_pj
-    if result.num_reads:
-        # Bursts are uniform, so the read-count ratio is the byte ratio.
-        background = np.floor_divide(trace.size, BLOCK, out=np.empty(n))
-        share = background * e["read"]
-        share /= result.num_reads
-        background *= e["background"]
-        background /= result.num_reads
-    else:
-        share, background = np.zeros(n), 0.0
+    split = np.zeros(reads.size)
     if result.num_acts:
-        named, acts = np.unique(table.request_index[table.kind == _ACT], return_counts=True)
-        share[named] = e["activation"] * acts / result.num_acts + share[named]
-    share += background
-    totals = np.bincount(trace.tag, weights=share, minlength=len(trace.labels))
-    return {label: float(total) for label, total in zip(trace.labels, totals)}
+        split += e["activation"] * acts / result.num_acts
+    if result.num_reads:
+        split += e["read"] * reads / result.num_reads
+        split += e["background"] * reads / result.num_reads
+    return dict(zip(trace.labels, split.tolist()))

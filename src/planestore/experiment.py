@@ -33,6 +33,7 @@ from .workload import (
     solve_thresholds,
     trace_bytes,
     BandProfile,
+    UnreachableTarget,
 )
 
 
@@ -50,9 +51,18 @@ def solver_target(directory: ChunkDirectory, ladder, non_predictor_bits: float) 
 
 def solve_assignment(directory, scores, target_bits: float, ladder, profile: BandProfile):
     """(solver target, thresholds, assignment) for a non-predictor sweep
-    value: the one solve step `compare` and `trace` share."""
+    value: the one solve step `compare` and `trace` share.  An
+    unreachable value is quoted with the range in non-predictor bits."""
     inclusive = solver_target(directory, ladder, target_bits)
-    thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
+    try:
+        thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
+    except UnreachableTarget as err:
+        # solver_target inverted.  With no scored chunks (a predictor
+        # fraction of 1) every value maps onto the one reachable average,
+        # so the fraction is below 1 here.
+        frac = predictor_fraction(directory)
+        lo, hi = ((bits - ladder[0].total_bits * frac) / (1.0 - frac) for bits in (err.lo, err.hi))
+        raise UnreachableTarget(target_bits, lo, hi) from None
     return inclusive, thresholds, assign_formats(directory, scores, thresholds)
 
 

@@ -228,24 +228,28 @@ class FormatAssignment:
         return ~np.array([fmt.is_skip for fmt in self.ladder], bool)[self.codes]
 
 
-def assign_formats(
-    directory: ChunkDirectory, scores: Sequence[float], thresholds: ThresholdSet
-) -> FormatAssignment:
-    """Bucket every chunk by its score; predictors are pinned full width.
+def _bucket(scores: np.ndarray, cuts) -> np.ndarray:
+    """Each score's ladder position under strictly decreasing cuts.
 
-    A score gets the rung of the first cut it reaches (values[k] itself
-    gets ladder[k]), so its code counts the cuts above it.  On the
+    A score gets the rung of the first cut it reaches (cuts[k] itself
+    gets rung k), so its position counts the cuts above it.  On the
     negated cuts, which ascend, that count is a left-sided search; a NaN
     score reaches no cut and gets the last rung.
     """
+    return np.searchsorted(-np.asarray(cuts, np.float64), -scores, side="left")
+
+
+def assign_formats(
+    directory: ChunkDirectory, scores: Sequence[float], thresholds: ThresholdSet
+) -> FormatAssignment:
+    """Bucket every chunk by its score; predictors are pinned full width."""
     scores = np.asarray(scores, dtype=np.float64)
     scored = directory.kind != _PREDICTOR
     wanted = int(scored.sum())
     if scores.size != wanted:
         raise ValueError(f"got {scores.size} scores for {wanted} scored chunks")
     codes = np.zeros(len(directory), np.int64)
-    cuts = -np.asarray(thresholds.values, np.float64)
-    codes[scored] = np.searchsorted(cuts, -scores, side="left")
+    codes[scored] = _bucket(scores, thresholds.values)
     return FormatAssignment(codes, thresholds.ladder)
 
 
@@ -296,6 +300,17 @@ def _force_decreasing(raw: list) -> list:
     return out
 
 
+class UnreachableTarget(ValueError):
+    """A target bits/weight outside the range [lo, hi] of averages a
+    solve can reach."""
+
+    def __init__(self, target: float, lo: float, hi: float):
+        super().__init__(
+            f"target {target} bits/weight is outside the achievable range [{lo:.3f}, {hi:.3f}]"
+        )
+        self.lo, self.hi = lo, hi
+
+
 def solve_thresholds(
     directory: ChunkDirectory,
     scores: Sequence[float],
@@ -328,10 +343,7 @@ def solve_thresholds(
     if scores.size == 0:
         fixed = pinned_bits / total_weights
         if abs(fixed - target_avg_bits) > 0.05:
-            raise ValueError(
-                f"target {target_avg_bits} bits/weight is outside the achievable "
-                f"range [{fixed:.3f}, {fixed:.3f}]"
-            )
+            raise UnreachableTarget(target_avg_bits, fixed, fixed)
         n = len(ladder) - 1
         return ThresholdSet(tuple((n - k) / (n + 1) for k in range(n)), ladder)
 
@@ -357,24 +369,20 @@ def solve_thresholds(
         return tuple(_force_decreasing([quantile(f) for f in fractions]))
 
     # Cuts are score quantiles, so most bisection steps repeat a set.
-    # A score's bits follow assign_formats' rule (a left-sided search on
-    # the negated cuts); the skip rung counts 0 bits.
+    # Scores bucket as in assign_formats; the skip rung counts 0 bits.
     bits_of = np.append(widths, 0.0)
     averages: dict = {}
 
     def measured(values: tuple) -> float:
         if values not in averages:
-            codes = np.searchsorted(-np.asarray(values), -scores, side="left")
+            codes = _bucket(scores, values)
             averages[values] = (pinned_bits + float(np.dot(lens, bits_of[codes]))) / total_weights
         return averages[values]
 
     lo_set, hi_set = thresholds_at(0.0), thresholds_at(THETA_MAX)
     lo_avg, hi_avg = measured(lo_set), measured(hi_set)
     if not lo_avg - 0.05 <= target_avg_bits <= hi_avg + 0.05:
-        raise ValueError(
-            f"target {target_avg_bits} bits/weight is outside the achievable "
-            f"range [{lo_avg:.3f}, {hi_avg:.3f}]"
-        )
+        raise UnreachableTarget(target_avg_bits, lo_avg, hi_avg)
 
     best_set, best_err = lo_set, abs(lo_avg - target_avg_bits)
     if abs(hi_avg - target_avg_bits) < best_err:
@@ -488,14 +496,7 @@ def trace_bytes(trace: Trace) -> int:
 def bytes_by_kind(trace: Trace) -> dict:
     """Total trace bytes per tag label (the fetched-bits breakdown).
     Every request must carry a tag."""
-    trace.check_tagged()
-    totals = np.zeros(len(trace.labels), np.int64)
-    if len(trace):
-        # A trace holds few runs of one tag: sum each run, then each tag.
-        tag = trace.tag
-        heads = np.flatnonzero(np.r_[True, tag[1:] != tag[:-1]])
-        np.add.at(totals, tag[heads], np.add.reduceat(trace.size, heads))
-    return {label: int(total) for label, total in zip(trace.labels, totals)}
+    return dict(zip(trace.labels, trace.bytes_by_tag().tolist()))
 
 
 def predictor_share(breakdown: Mapping) -> float:

@@ -27,8 +27,11 @@ the totals it returns each request's completion, reads and ACTs
 (`PerRequest`), which the package reads off the run table and the
 trace instead.
 
-reference_energy_breakdown is `energy_breakdown` as a request-by-request
-loop, which the package's split must equal exactly.  reference_first_invalid
+reference_energy_breakdown is `energy_breakdown` in exact arithmetic:
+it sums the replay's per-request ACTs and reads per tag and splits the
+result's energy categories by those counts as Fractions.  The package
+must count the same and come within a few roundings of the exact
+split, which `assert_breakdown_exact` checks.  reference_first_invalid
 is the row check `address.first_invalid` started from: one mask per
 condition over every row, where the package decides the all-valid case
 by reductions first.
@@ -73,7 +76,14 @@ import numpy as np
 from planestore.address import FP16_BYTES, RegionTable, build_regions, plane_span
 from planestore.bitplane import BLOCK, KIND_LABELS, ChunkDirectory, ChunkKind, plane_stride_for
 from planestore.config import load_config
-from planestore.dram import CommandKind, CommandTable, DramCommand, DramConfig, SimResult
+from planestore.dram import (
+    CommandKind,
+    CommandTable,
+    DramCommand,
+    DramConfig,
+    SimResult,
+    energy_breakdown,
+)
 from planestore.quant import (
     FP16_BIAS,
     FP16_EXP_BITS,
@@ -706,30 +716,46 @@ def reference_simulate(
     )
 
 
-def reference_energy_breakdown(result: SimResult, table, trace) -> dict:
-    """A result's energy split across a trace's tags, one request at a
-    time: a request's share is its ACTs' part of the activation energy,
-    then its reads' part of the read energy, then of the background
-    energy, added in that order, and each tag's shares add up in request
-    order."""
-    acts = [0] * len(trace)
-    for kind, request in zip(table.kind.tolist(), table.request_index.tolist()):
-        if kind == CommandKind.ACT:
-            acts[request] += 1
-    e = result.energy_pj
-    totals = [0.0] * len(trace.labels)
-    for index, (tag, size) in enumerate(zip(trace.tag.tolist(), trace.size.tolist())):
+def reference_energy_breakdown(result: SimResult, per_request: PerRequest, trace) -> tuple:
+    """A result's energy split across a trace's tags, exactly, from each
+    request's ACTs and reads (as `reference_simulate` counts them).
+
+    Returns (counts, energy): per label, its (ACTs, reads) and its
+    energy as a Fraction.  A tag's share of the activation energy is its
+    part of the ACTs, of the read and background energy its part of the
+    reads; a result with no ACTs or no reads gives no share of that
+    energy."""
+    counts = {label: (0, 0) for label in trace.labels}
+    rows = zip(trace.tag.tolist(), per_request.acts, per_request.reads, strict=True)
+    for index, (tag, acts, reads) in enumerate(rows):
         if tag < 0:
             raise ValueError(f"request {index} is untagged")
-        share = 0.0
+        label = trace.labels[tag]
+        counts[label] = (counts[label][0] + acts, counts[label][1] + reads)
+    e = {category: Fraction(value) for category, value in result.energy_pj.items()}
+    energy = {}
+    for label, (acts, reads) in counts.items():
+        energy[label] = Fraction(0)
         if result.num_acts:
-            share += e["activation"] * acts[index] / result.num_acts
+            energy[label] += e["activation"] * acts / result.num_acts
         if result.num_reads:
-            reads = size // BLOCK
-            share += e["read"] * reads / result.num_reads
-            share += e["background"] * reads / result.num_reads
-        totals[tag] += share
-    return dict(zip(trace.labels, totals))
+            energy[label] += (e["read"] + e["background"]) * reads / result.num_reads
+    return counts, energy
+
+
+def assert_breakdown_exact(result: SimResult, table, trace, per_request: PerRequest) -> None:
+    """`energy_breakdown` of a replayed table counts each tag's ACTs and
+    reads as the replay does, and each tag's energy is within 1e-15
+    relative of the exact split."""
+    counts, exact = reference_energy_breakdown(result, per_request, trace)
+    named = table.request_index[table.kind == CommandKind.ACT]
+    acts = np.bincount(trace.tag[named], minlength=len(trace.labels))
+    reads = trace.bytes_by_tag() // BLOCK
+    assert list(counts.values()) == list(zip(acts.tolist(), reads.tolist()))
+    split = energy_breakdown(result, table, trace)
+    assert split.keys() == exact.keys()
+    for label, want in exact.items():
+        assert abs(Fraction(split[label]) - want) <= want * Fraction(1e-15), label
 
 
 def reference_first_invalid(addr: np.ndarray, size: np.ndarray):

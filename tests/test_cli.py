@@ -699,7 +699,7 @@ def run_compare(config, out, capsys):
 # sha256 of the report `planestore compare --out out` writes on the
 # built-in defaults.  A change that only makes the program faster must
 # leave these bytes alone.
-DEFAULT_REPORT_SHA256 = "0995b12b5a5c358bb9855c23d6579b49bd4ff98e27ab64a3669731cc09f8fedb"
+DEFAULT_REPORT_SHA256 = "aa38d7c6481c5add717d6404a335a31d7469c2e51fb4da66ec009461894f67b0"
 
 
 def test_default_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
@@ -759,11 +759,27 @@ def test_compare_full_precision_target_is_parity(tmp_path, capsys):
 
 
 def test_compare_infeasible_target_fails(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path, SMALL_YAML.replace("targets: [4.8, 8.0]", "targets: [20.0]")
-    )
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "achievable range" in capsys.readouterr().err
+    # compare and trace quote the value given and the range over the
+    # non-predictor weights, not the solver's predictor-inclusive average.
+    cfg = write_config(tmp_path, SMALL_YAML.replace("targets: [4.8, 8.0]", "targets: [99]"))
+    for command in (["compare"], ["trace", "--target", "99"]):
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: target 99.0 bits/weight is outside the achievable range [")
+        assert err.endswith(", 16.000]\n")
+
+
+def test_predictor_only_geometry_takes_any_target(tmp_path, capsys):
+    # With no scored chunks every target maps onto the one reachable
+    # average, all FP16.
+    cfg = write_config(tmp_path, (
+        "geometry: {layers: 1, heads_per_layer: 0, neurons_per_layer: 0,\n"
+        "           predictor_weights_per_layer: 4096}\n"
+    ))
+    assert main(["trace", "--config", cfg, "--target", "99", "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "assignment_99.csv").read_text().splitlines()[1:] == [
+        "0,predictor,,FP16"
+    ]
 
 
 def test_solver_target_counts_predictors_at_the_top_rung(tmp_path, capsys):

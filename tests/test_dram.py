@@ -23,7 +23,7 @@ from planestore.dram import (
     simulate,
 )
 
-from reference import dram, from_commands, reference_energy_breakdown, reference_simulate
+from reference import assert_breakdown_exact, dram, from_commands, reference_simulate
 
 CFG = dram()
 NO_BG = dram(p_bg_mw=0.0)
@@ -359,13 +359,21 @@ def test_sorted_stream_minimizes_activates():
         max_size=12,
     )
 )
+@example([(0, 256), (4, 256)])
 def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
     table, result = run_trace(CFG, trace_of(requests))
+    stream = list(schedule(CFG, trace_of(requests)))
     assert result.bytes_transferred == sum(n for _, n in requests)
-    assert result == simulate(CFG, from_commands(schedule(CFG, trace_of(requests))))
-    # Every request has reads, so its first names a row.
-    assert sorted(set(table.request_index.tolist())) == list(range(len(requests)))
+    assert result == simulate(CFG, from_commands(stream))
+    # Each row names the request of its first command.  plan merges
+    # contiguous requests of one size and chunk, so a request whose
+    # reads all continue another's rows (the example) is named by none.
+    order = np.argsort(table.channel, kind="stable")
+    counts = table.count[order]
+    heads = np.cumsum(counts) - counts
+    want = sorted(stream, key=lambda cmd: cmd.channel)
+    assert table.request_index[order].tolist() == [want[i].request_index for i in heads]
 
 
 # --- energy attribution -----------------------------------------------------
@@ -416,12 +424,12 @@ def test_breakdown_equals_request_by_request_loop(reqs, drop_acts):
     trace = trace_of([req(64 * slot, 64 * n) for slot, n, _ in reqs], [t for *_, t in reqs],
                      ("a", "b", "c", "unused"))
     table, result = run_trace(SMALL_ROWS, trace)
+    totals, per_request = reference_simulate(SMALL_ROWS, schedule(SMALL_ROWS, trace))
+    assert result == totals
     if drop_acts:
-        # A result with no ACTs gives no request an activation share.
+        # A result with no ACTs gives no tag an activation share.
         result = dataclasses.replace(result, num_acts=0)
-    assert energy_breakdown(result, table, trace) == reference_energy_breakdown(
-        result, table, trace
-    )
+    assert_breakdown_exact(result, table, trace, per_request)
 
 
 def test_breakdown_example_has_every_act_pattern():

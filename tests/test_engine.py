@@ -6,12 +6,13 @@ first command and each RD row reading for one chunk.  `simulate` must
 accept, reject and total run tables and command streams exactly as the
 command-by-command replay in reference.py does, and the per-request
 ACTs and reads and the per-chunk completions read off the table and
-the trace must be the replay's.  Checked on hand traces, on every
-trace of the default sweep, on random and interleaved traces and
-configs, on runs of contiguous equal-size requests (the extents `plan`
-merges), on random chunk columns, on perturbed command streams and run
-tables, and on hand tables whose rules break on several channels, out
-of channel order or outside the config.
+the trace must be the replay's, and a tagged trace's energy split must
+come within 1e-15 of the exact split by those counts.  Checked on hand
+traces, on every trace of the default sweep, on random and interleaved
+traces and configs, on runs of contiguous equal-size requests (the
+extents `plan` merges), on random chunk columns, on perturbed command
+streams and run tables, and on hand tables whose rules break on several
+channels, out of channel order or outside the config.
 """
 
 import dataclasses
@@ -36,7 +37,7 @@ from planestore.dram import (
 from planestore.experiment import solve_assignment
 from planestore.workload import enumerate_chunks, gen_scores, gen_trace
 
-from reference import dram, from_commands, reference_simulate
+from reference import assert_breakdown_exact, dram, from_commands, reference_simulate
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 KINDS = list(CommandKind)
@@ -106,6 +107,8 @@ def assert_engine_matches_reference(config, trace):
     acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=len(trace))
     assert acts.tolist() == list(per_request.acts)
     assert (trace.size // 64).tolist() == list(per_request.reads)
+    if len(trace) and trace.tag.min() >= 0:
+        assert_breakdown_exact(result, table, trace, per_request)
     # What chunk_latency_deltas reads: a chunk's latest RD row completion
     # is its latest request completion.
     ids, chunk_of = np.unique(trace.chunk, return_inverse=True)
@@ -235,6 +238,7 @@ def sweep_traces():
 
 
 def test_default_sweep_traces_match_reference(sweep_traces):
+    # Each trace is tagged by kind, so its energy split is checked too.
     cfg, traces = sweep_traces
     assert len(traces) == 10
     counts, rows = {}, 0
