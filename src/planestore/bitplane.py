@@ -17,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .quant import FpFormat, check_ladder
 
 NUM_PLANES = 16
 BLOCK = 64  # bytes: a trace request's granule, a DRAM burst, a plane's pad
+# Weights that pack and unpack_full transpose per step: bounds their
+# working memory, and a multiple of 8 so that no byte group straddles two.
+CODEC_BLOCK = 1 << 16
 
 IMAGE_MAGIC = b"SQBP"
 IMAGE_VERSION = 1
@@ -103,38 +106,89 @@ class BitPlaneImage:
         return self._planes[plane]
 
 
-def pack(words: np.ndarray) -> BitPlaneImage:
-    """Disaggregate an array of FP16 words into 16 plane arrays."""
-    arr = words.astype(np.uint16, casting="safe", copy=False)
-    if arr.size == 0:
+# The three delta swaps of _transpose8: (shift, mask of the bits that
+# move up by shift).
+_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((9, 0x0055005500550055), (18, 0x0000333300003333), (36, 0x0F0F0F0F))
+)
+
+# (first plane, byte of a little-endian word): a word's high byte holds
+# its bits for planes 0-7, its low byte those for planes 8-15.
+_HALVES = ((0, 1), (8, 0))
+
+
+def _transpose8(x: np.ndarray) -> np.ndarray:
+    """Transpose each uint64 of x in place, as an 8×8 bit matrix, across
+    its anti-diagonal, and return x.
+
+    Row r of a matrix is its byte r (least significant first), column c
+    is bit c of that byte; bit (r, c) moves to (7 - c, 7 - r).  Three
+    delta swaps exchange the off-diagonal 1×1, 2×2 and 4×4 blocks
+    (Warren, Hacker's Delight, 7-3).  The transpose is its own inverse.
+    """
+    t = np.empty_like(x)
+    for shift, mask in _SWAPS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    return x
+
+
+def pack(count: int, read: Callable[[int, int], np.ndarray]) -> BitPlaneImage:
+    """Disaggregate ``count`` FP16 words into 16 plane arrays.
+
+    The words come from ``read(lo, hi)``, which returns words [lo, hi)
+    as unsigned 16-bit integers; it is called once per block of
+    CODEC_BLOCK weights, in order, so only one block of words is held at
+    a time.  Each group of 8 words has its high and low bytes gathered
+    into one little-endian uint64 each; the anti-diagonal transpose of
+    that 8×8 bit matrix holds byte g of planes 0-7 (or 8-15) in its
+    bytes 0-7.
+    """
+    if count <= 0:
         raise ValueError("cannot pack an empty weight sequence")
-    stride = plane_stride_for(arr.size)
-    planes = np.zeros((NUM_PLANES, stride), dtype=np.uint8)
-    bits = np.empty(arr.size, dtype=np.uint8)
-    used = (arr.size + 7) >> 3
-    for p in range(NUM_PLANES):
-        np.bitwise_and(arr >> (15 - p), 1, out=bits, casting="unsafe")
-        planes[p, :used] = np.packbits(bits, bitorder="big")
-    return BitPlaneImage(arr.size, planes)
+    planes = np.zeros((NUM_PLANES, plane_stride_for(count)), dtype=np.uint8)
+    buf = np.empty((CODEC_BLOCK // 8, 8), dtype="<u2")
+    for lo in range(0, count, CODEC_BLOCK):
+        hi = min(lo + CODEC_BLOCK, count)
+        groups = -(-(hi - lo) // 8)
+        words = buf[:groups].reshape(-1)
+        np.copyto(words[: hi - lo], read(lo, hi), casting="safe")
+        words[hi - lo :] = 0
+        pairs = buf[:groups].view(np.uint8).reshape(groups, 8, 2)
+        for first, byte in _HALVES:
+            rows = _transpose8(np.ascontiguousarray(pairs[:, :, byte]).view("<u8"))
+            planes[first : first + 8, lo // 8 : lo // 8 + groups] = rows.view(np.uint8).T
+    return BitPlaneImage(count, planes)
 
 
 def unpack_full(image: BitPlaneImage, start: int = 0, stop: int | None = None) -> np.ndarray:
     """Bit-exact inverse of pack over [start, stop), as a fresh uint16 array.
 
-    Each plane unpacks only the bytes that cover the range.
+    The byte groups that cover the range are decoded CODEC_BLOCK weights
+    at a time: each group's 8 bytes of planes 0-7, and of planes 8-15,
+    transpose back into the high and low bytes of its 8 words.
     """
     if stop is None:
         stop = image.num_weights
     if not 0 <= start <= stop <= image.num_weights:
         raise ValueError(f"weight range [{start}, {stop}) outside [0, {image.num_weights})")
-    lo, hi = start >> 3, (stop + 7) >> 3
-    first, last = start - 8 * lo, stop - 8 * lo
-    words = np.zeros(stop - start, dtype=np.uint16)
-    shifted = np.empty_like(words)
-    for p in range(NUM_PLANES):
-        bits = np.unpackbits(image.plane_bytes(p)[lo:hi], bitorder="big")[first:last]
-        np.left_shift(bits, 15 - p, out=shifted, dtype=np.uint16)
-        words |= shifted
+    words = np.empty(stop - start, dtype=np.uint16)
+    pairs = np.empty((CODEC_BLOCK // 8, 8, 2), dtype=np.uint8)
+    end = (stop + 7) >> 3
+    for lo in range(start >> 3, end, CODEC_BLOCK // 8):
+        hi = min(lo + CODEC_BLOCK // 8, end)
+        block = pairs[: hi - lo]
+        for first, byte in _HALVES:
+            rows = np.ascontiguousarray(image._planes[first : first + 8, lo:hi].T).view("<u8")
+            block[:, :, byte] = _transpose8(rows).view(np.uint8)
+        got = block.view("<u2").reshape(-1)
+        a, b = max(start, 8 * lo), min(stop, 8 * hi)
+        words[a - start : b - start] = got[a - 8 * lo : b - 8 * lo]
     return words
 
 

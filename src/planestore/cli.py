@@ -222,8 +222,9 @@ def cmd_pack(args) -> int:
     config = load_config(args.config, args.seed, args.out)
     ladder = config.ladder
     if args.repack is not None:
-        image, ladder = load_image(args.repack)
-        words = unpack_full(image)
+        old, ladder = load_image(args.repack)
+        count = old.num_weights
+        read = lambda lo, hi: unpack_full(old, lo, hi)
     elif args.weights is not None:
         try:
             with open(args.weights, "rb") as fh:
@@ -238,22 +239,26 @@ def cmd_pack(args) -> int:
                 f"whole number of FP16 words"
             )
         words = np.frombuffer(raw, dtype="<u2")
+        count = words.size
+        read = lambda lo, hi: words[lo:hi]
     else:
         count = args.count if args.count is not None else config.geometry.total_weights
         if count <= 0:
             raise ValueError("weight count must be positive")
         rng = np.random.default_rng(config.seed)
         # Standard normals never leave FP16's finite range, so the seeded
-        # source cannot manufacture specials.
-        words = rng.standard_normal(count).astype(np.float16).view(np.uint16)
+        # source cannot manufacture specials.  pack reads its blocks in
+        # order, and drawing them one after another gives the same words
+        # as one draw of count.
+        read = lambda lo, hi: rng.standard_normal(hi - lo).astype(np.float16).view(np.uint16)
     # A weight file or image must hold --count words, when it is given.
-    if args.count is not None and args.count != words.size:
+    if args.count is not None and args.count != count:
         raise ValueError(
-            f"size mismatch: {args.repack or args.weights} holds {words.size} words, "
+            f"size mismatch: {args.repack or args.weights} holds {count} words, "
             f"expected {args.count}"
         )
 
-    image = pack(words)
+    image = pack(count, read)
     path = args.image or os.path.join(_out_dir(config), "model.sqbp")
     save_image(image, ladder, path)
     print(f"weights: {image.num_weights}")
@@ -511,6 +516,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -15,6 +15,13 @@ enumerated code tables, deliberately avoiding the bit-twiddling style of
 `convert`. Slow but exact; call sites memoize where sweeps
 get large.
 
+`reference_pack` and `reference_unpack_full` are the store-image codec
+the package started from: one full-length bit array per plane, packed
+and unpacked with `np.packbits`/`np.unpackbits`.  The package's block
+transpose must write and read the same bytes, which
+`assert_same_planes` checks.  `pack_array` packs a whole in-memory word
+array through the package's streaming `pack`.
+
 `from_commands` turns any `DramCommand` stream into a `CommandTable`
 of count-1 rows, so that `simulate` can replay hand-written and
 `schedule` streams.
@@ -74,7 +81,16 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from planestore.address import FP16_BYTES, RegionTable, build_regions, plane_span
-from planestore.bitplane import BLOCK, KIND_LABELS, ChunkDirectory, ChunkKind, plane_stride_for
+from planestore.bitplane import (
+    BLOCK,
+    KIND_LABELS,
+    NUM_PLANES,
+    BitPlaneImage,
+    ChunkDirectory,
+    ChunkKind,
+    pack,
+    plane_stride_for,
+)
 from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
@@ -112,6 +128,51 @@ NO_GUARD = GuardConfig(0, 0)
 def dram(**overrides) -> DramConfig:
     """The default DRAM constants with the given fields replaced."""
     return dataclasses.replace(DEFAULT.dram, **overrides)
+
+
+def pack_array(words: np.ndarray) -> BitPlaneImage:
+    """`pack` of an in-memory word array."""
+    return pack(len(words), lambda lo, hi: words[lo:hi])
+
+
+def reference_pack(words: np.ndarray) -> BitPlaneImage:
+    """Disaggregate an array of FP16 words into 16 plane arrays, one
+    full-length bit array per plane."""
+    arr = words.astype(np.uint16, casting="safe", copy=False)
+    if arr.size == 0:
+        raise ValueError("cannot pack an empty weight sequence")
+    stride = plane_stride_for(arr.size)
+    planes = np.zeros((NUM_PLANES, stride), dtype=np.uint8)
+    bits = np.empty(arr.size, dtype=np.uint8)
+    used = (arr.size + 7) >> 3
+    for p in range(NUM_PLANES):
+        np.bitwise_and(arr >> (15 - p), 1, out=bits, casting="unsafe")
+        planes[p, :used] = np.packbits(bits, bitorder="big")
+    return BitPlaneImage(arr.size, planes)
+
+
+def assert_same_planes(got: BitPlaneImage, want: BitPlaneImage) -> None:
+    assert got.num_weights == want.num_weights
+    for p in range(NUM_PLANES):
+        assert np.array_equal(got.plane_bytes(p), want.plane_bytes(p)), p
+
+
+def reference_unpack_full(image: BitPlaneImage, start: int = 0, stop: int | None = None):
+    """Words [start, stop) of an image; each plane unpacks only the bytes
+    that cover the range."""
+    if stop is None:
+        stop = image.num_weights
+    if not 0 <= start <= stop <= image.num_weights:
+        raise ValueError(f"weight range [{start}, {stop}) outside [0, {image.num_weights})")
+    lo, hi = start >> 3, (stop + 7) >> 3
+    first, last = start - 8 * lo, stop - 8 * lo
+    words = np.zeros(stop - start, dtype=np.uint16)
+    shifted = np.empty_like(words)
+    for p in range(NUM_PLANES):
+        bits = np.unpackbits(image.plane_bytes(p)[lo:hi], bitorder="big")[first:last]
+        np.left_shift(bits, 15 - p, out=shifted, dtype=np.uint16)
+        words |= shifted
+    return words
 
 
 class ChunkRow(NamedTuple):

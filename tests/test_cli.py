@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from planestore.address import Trace
-from planestore.bitplane import ChunkKind, load_image, plane_stride_for, unpack_full
+from planestore.bitplane import CODEC_BLOCK, ChunkKind, load_image, plane_stride_for, unpack_full
 from planestore.cli import (
     CSV_COLUMNS,
     REPORT_SCHEMA_VERSION,
@@ -35,11 +35,13 @@ from planestore.workload import ModelGeometry, avg_bits, enumerate_chunks, gen_s
 from reference import (
     FP8,
     NO_GUARD,
+    assert_same_planes,
     assignment_of,
     chunks,
     dram,
     format_for,
     reference_gen_scores,
+    reference_pack,
     reference_simulate,
     reference_trace,
 )
@@ -341,6 +343,36 @@ def test_pack_seeded_prints_footprint(small_config, tmp_path, capsys):
     image, ladder = load_image(str(out / "model.sqbp"))
     assert image.num_weights == 1024
     assert [f.name for f in ladder][0] == "FP16"
+
+
+@pytest.mark.parametrize("count", [CODEC_BLOCK - 1, CODEC_BLOCK, CODEC_BLOCK + 1])
+def test_pack_seeded_in_blocks_equals_one_draw(small_config, tmp_path, count):
+    # pack draws the seeded words one block at a time; the image must
+    # hold the words one draw of all of them gives.
+    path = tmp_path / "model.sqbp"
+    assert main(["pack", "--config", small_config, "--count", str(count), "--image", str(path)]) == 0
+    seed = load_config(small_config).seed
+    words = np.random.default_rng(seed).standard_normal(count).astype(np.float16).view(np.uint16)
+    assert_same_planes(load_image(str(path))[0], reference_pack(words))
+
+
+def test_pack_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # The plane allocation for 10**12 weights fails the way numpy reports
+    # one it cannot make; nothing that large is really requested.
+    real_zeros = np.zeros
+
+    def zeros(shape, dtype=float, **kwargs):
+        if np.prod(shape, dtype=float) * np.dtype(dtype).itemsize > 2.0**40:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real_zeros(shape, dtype, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    image = tmp_path / "x.sqbp"
+    assert main(["pack", "--count", "1000000000000", "--image", str(image)]) == 1
+    assert one_line_error(capsys) == (
+        "error: out of memory: Unable to allocate an array with shape (16, 125000000000)\n"
+    )
+    assert not image.exists()
 
 
 def test_pack_from_raw_file_and_repack_identical(small_config, tmp_path):

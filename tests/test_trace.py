@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.address import Trace
-from planestore.bitplane import NUM_PLANES, BitPlaneImage, ChunkKind, pack
+from planestore.bitplane import NUM_PLANES, BitPlaneImage, ChunkKind
 from planestore.config import load_config
 from planestore.experiment import predictor_fraction, solve_assignment
 from planestore.quant import GuardConfig, plane_set
@@ -45,6 +45,7 @@ from reference import (
     chunks,
     convert_words,
     formats_of,
+    pack_array,
     reference_enumerate_chunks,
     reference_gen_scores,
     reference_solve_thresholds,
@@ -226,7 +227,7 @@ def test_fetched_bytes_suffice_to_serve_every_loaded_chunk(case, seed):
     words = np.random.default_rng(seed).integers(
         0, 1 << 16, directory.num_weights, dtype=np.uint16
     )
-    image = pack(words)
+    image = pack_array(words)
     trace = gen_trace(assignment, directory, "bitplane", guard)
     assert (trace.addr + trace.size <= image.footprint_bytes).all()
     fetched = np.zeros(image.footprint_bytes, bool)
