@@ -13,12 +13,14 @@ re-renders a stored report without resimulating.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 
@@ -33,7 +35,7 @@ from .experiment import reduction, run_sweep, solve_assignment
 from .files import write_file
 from .workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # Stable column schema for the plot-ready CSV (documented in README.md;
 # bump REPORT_SCHEMA_VERSION when touching either).
@@ -221,44 +223,59 @@ def _load_report(path: str) -> dict:
 def cmd_pack(args) -> int:
     config = load_config(args.config, args.seed, args.out)
     ladder = config.ladder
-    if args.repack is not None:
-        old, ladder = load_image(args.repack)
-        count = old.num_weights
-        read = lambda lo, hi: unpack_full(old, lo, hi)
-    elif args.weights is not None:
-        try:
-            with open(args.weights, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise ValueError(f"cannot read weight file: {exc}")
-        if not raw:
-            raise ValueError(f"weight file {args.weights} is empty")
-        if len(raw) % 2:
-            raise ValueError(
-                f"weight file {args.weights}: {len(raw)} bytes is not a "
-                f"whole number of FP16 words"
-            )
-        words = np.frombuffer(raw, dtype="<u2")
-        count = words.size
-        read = lambda lo, hi: words[lo:hi]
-    else:
-        count = args.count if args.count is not None else config.geometry.total_weights
-        if count <= 0:
-            raise ValueError("weight count must be positive")
-        rng = np.random.default_rng(config.seed)
-        # Standard normals never leave FP16's finite range, so the seeded
-        # source cannot manufacture specials.  pack reads its blocks in
-        # order, and drawing them one after another gives the same words
-        # as one draw of count.
-        read = lambda lo, hi: rng.standard_normal(hi - lo).astype(np.float16).view(np.uint16)
-    # A weight file or image must hold --count words, when it is given.
-    if args.count is not None and args.count != count:
-        raise ValueError(
-            f"size mismatch: {args.repack or args.weights} holds {count} words, "
-            f"expected {args.count}"
-        )
+    with contextlib.ExitStack() as stack:
+        if args.repack is not None:
+            old, ladder = load_image(args.repack)
+            count = old.num_weights
+            read = lambda lo, hi: unpack_full(old, lo, hi)
+        elif args.weights is not None:
+            try:
+                fh = stack.enter_context(open(args.weights, "rb"))
+            except OSError as exc:
+                raise ValueError(f"cannot read weight file: {exc}")
+            info = os.fstat(fh.fileno())
+            # The file's size gives the word count before any block is read.
+            if not stat.S_ISREG(info.st_mode):
+                raise ValueError(f"weight file {args.weights} is not a regular file")
+            size = info.st_size
+            if not size:
+                raise ValueError(f"weight file {args.weights} is empty")
+            if size % 2:
+                raise ValueError(
+                    f"weight file {args.weights}: {size} bytes is not a "
+                    f"whole number of FP16 words"
+                )
+            count = size // 2
 
-    image = pack(count, read)
+            def read(lo, hi):
+                # pack asks for its blocks in order, so each read picks up
+                # where the last one ended.
+                words = np.fromfile(fh, "<u2", count=hi - lo)
+                if words.size != hi - lo:
+                    raise ValueError(
+                        f"weight file {args.weights}: ended at word {lo + words.size} "
+                        f"of {count}"
+                    )
+                return words
+
+        else:
+            count = args.count if args.count is not None else config.geometry.total_weights
+            if count <= 0:
+                raise ValueError("weight count must be positive")
+            rng = np.random.default_rng(config.seed)
+            # Standard normals never leave FP16's finite range, so the seeded
+            # source cannot manufacture specials.  pack reads its blocks in
+            # order, and drawing them one after another gives the same words
+            # as one draw of count.
+            read = lambda lo, hi: rng.standard_normal(hi - lo).astype(np.float16).view(np.uint16)
+        # A weight file or image must hold --count words, when it is given.
+        if args.count is not None and args.count != count:
+            raise ValueError(
+                f"size mismatch: {args.repack or args.weights} holds {count} words, "
+                f"expected {args.count}"
+            )
+        image = pack(count, read)
+
     path = args.image or os.path.join(_out_dir(config), "model.sqbp")
     save_image(image, ladder, path)
     print(f"weights: {image.num_weights}")
@@ -287,9 +304,7 @@ def cmd_trace(args) -> int:
     directory = enumerate_chunks(config.geometry)
     target = args.target if args.target is not None else config.targets[0]
     scores = gen_scores(directory, config.importance)
-    _, _, assignment = solve_assignment(
-        directory, scores, target, config.ladder, config.band_profile
-    )
+    _, assignment = solve_assignment(directory, scores, target, config.ladder, config.band_profile)
     out = _out_dir(config)
     tag = f"{target:g}"
 

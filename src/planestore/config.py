@@ -212,6 +212,11 @@ def build_config(resolved: dict) -> ExperimentConfig:
     check_ladder(ladder)
     guard = GuardConfig(resolved["guard"]["exp_bits"], resolved["guard"]["man_bits"])
     geometry = ModelGeometry(**resolved["geometry"])
+    if ChunkKind.PREDICTOR.value in resolved["importance"]:
+        raise ValueError(
+            "config key 'importance.predictor': predictor chunks ride the top rung"
+            " and draw no score"
+        )
     dists = {
         ChunkKind(kind): _build_distribution(params, f"importance.{kind}")
         for kind, params in resolved["importance"].items()

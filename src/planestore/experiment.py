@@ -7,18 +7,15 @@ DRAM model, and reduces the results to the quantities the comparison is
 about: total energy and latency, per-kind per-weight energy, per-kind
 mean chunk load latency, byte totals and the predictor's share.
 
-Sweep targets are quoted as the average over non-predictor weights (the
-natural knob: predictors are pinned full width and would otherwise drag
-the floor up).  The threshold solver works on the inclusive average, so
-each sweep point converts via w p + x (1 - p), with p the predictor
-weight fraction and w the width of the top rung, which predictors ride.
+Sweep targets, the solver and the reported average all count bits per
+non-predictor weight: predictors ride the top rung whatever the target.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitplane import KIND_LABELS, ChunkDirectory, ChunkKind
+from .bitplane import KIND_LABELS, ChunkDirectory
 from .dram import DramConfig, energy_breakdown, read_completions, run_trace
 from .quant import GuardConfig
 from .workload import (
@@ -33,37 +30,14 @@ from .workload import (
     solve_thresholds,
     trace_bytes,
     BandProfile,
-    UnreachableTarget,
 )
 
 
-def predictor_fraction(directory: ChunkDirectory) -> float:
-    predictor = directory.kind == KIND_LABELS.index(ChunkKind.PREDICTOR)
-    return int(directory.length[predictor].sum()) / directory.num_weights
-
-
-def solver_target(directory: ChunkDirectory, ladder, non_predictor_bits: float) -> float:
-    """Inclusive average implied by a non-predictor sweep value, with the
-    predictors at the ladder's top rung."""
-    frac = predictor_fraction(directory)
-    return ladder[0].total_bits * frac + non_predictor_bits * (1.0 - frac)
-
-
 def solve_assignment(directory, scores, target_bits: float, ladder, profile: BandProfile):
-    """(solver target, thresholds, assignment) for a non-predictor sweep
-    value: the one solve step `compare` and `trace` share.  An
-    unreachable value is quoted with the range in non-predictor bits."""
-    inclusive = solver_target(directory, ladder, target_bits)
-    try:
-        thresholds = solve_thresholds(directory, scores, inclusive, ladder, profile)
-    except UnreachableTarget as err:
-        # solver_target inverted.  With no scored chunks (a predictor
-        # fraction of 1) every value maps onto the one reachable average,
-        # so the fraction is below 1 here.
-        frac = predictor_fraction(directory)
-        lo, hi = ((bits - ladder[0].total_bits * frac) / (1.0 - frac) for bits in (err.lo, err.hi))
-        raise UnreachableTarget(target_bits, lo, hi) from None
-    return inclusive, thresholds, assign_formats(directory, scores, thresholds)
+    """(thresholds, assignment) for one sweep value: the one solve step
+    `compare` and `trace` share."""
+    thresholds = solve_thresholds(directory, scores, target_bits, ladder, profile)
+    return thresholds, assign_formats(directory, scores, thresholds)
 
 
 def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int) -> np.ndarray:
@@ -202,12 +176,9 @@ def compare_target(
     profile: BandProfile,
 ) -> dict:
     """One sweep point: solve, assign, trace and simulate both modes."""
-    inclusive, thresholds, assignment = solve_assignment(
-        directory, scores, target_bits, ladder, profile
-    )
+    thresholds, assignment = solve_assignment(directory, scores, target_bits, ladder, profile)
     out = {
         "target_bits": target_bits,
-        "solver_target_bits": inclusive,
         "achieved_avg_bits": avg_bits(assignment, directory),
         "thresholds": list(thresholds.values),
         "formats": dict(

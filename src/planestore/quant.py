@@ -69,8 +69,9 @@ class FpFormat:
 
 def check_ladder(ladder: Sequence[FpFormat]) -> None:
     """Raise unless ladder is a usable format ladder: a top format and
-    at least the skip level, ending in the skip level, and strictly
-    decreasing in width, so no rung repeats."""
+    at least the skip level, ending in the skip level, strictly
+    decreasing in width, and naming each rung once (reports, assignment
+    CSVs and region maps key rungs by name)."""
     if len(ladder) < 2:
         raise ValueError("ladder needs a top format and a skip level")
     if not ladder[-1].is_skip:
@@ -80,6 +81,10 @@ def check_ladder(ladder: Sequence[FpFormat]) -> None:
     widths = [fmt.total_bits for fmt in ladder]
     if any(hi <= lo for hi, lo in zip(widths, widths[1:])):
         raise ValueError("ladder must be strictly decreasing in width")
+    names = [fmt.name for fmt in ladder]
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise ValueError(f"ladder names {name!r} twice")
 
 
 @dataclass(frozen=True)

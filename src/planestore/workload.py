@@ -254,12 +254,18 @@ def assign_formats(
 
 
 def avg_bits(assignment: FormatAssignment, directory: ChunkDirectory) -> float:
-    """Weight-weighted stored bits per weight, skipped chunks counting 0."""
+    """Stored bits per non-predictor weight, skipped chunks counting 0:
+    the average a sweep target names.  Predictors ride the top rung
+    whatever the target and are left out; with no non-predictor weights
+    the average is 0.0."""
     if assignment.codes.size != len(directory):
         raise ValueError("assignment does not match the directory")
+    scored = directory.kind != _PREDICTOR
+    weights = int(directory.length[scored].sum())
+    if not weights:
+        return 0.0
     widths = np.array([fmt.total_bits for fmt in assignment.ladder], np.int64)
-    total = int(np.dot(directory.length, widths[assignment.codes]))
-    return total / directory.num_weights
+    return int(np.dot(directory.length[scored], widths[assignment.codes[scored]])) / weights
 
 
 @dataclass(frozen=True)
@@ -300,17 +306,6 @@ def _force_decreasing(raw: list) -> list:
     return out
 
 
-class UnreachableTarget(ValueError):
-    """A target bits/weight outside the range [lo, hi] of averages a
-    solve can reach."""
-
-    def __init__(self, target: float, lo: float, hi: float):
-        super().__init__(
-            f"target {target} bits/weight is outside the achievable range [{lo:.3f}, {hi:.3f}]"
-        )
-        self.lo, self.hi = lo, hi
-
-
 def solve_thresholds(
     directory: ChunkDirectory,
     scores: Sequence[float],
@@ -318,32 +313,27 @@ def solve_thresholds(
     ladder: Sequence[FpFormat],
     profile: BandProfile,
 ) -> ThresholdSet:
-    """Find thresholds whose assignment averages target_avg_bits per weight.
+    """Find thresholds whose assignment averages target_avg_bits per
+    non-predictor weight, the average `avg_bits` measures.
 
     Monotone bisection over a single knob: the knob position fixes a
     cumulative weight fraction per band via the profile, each fraction
     becomes a weighted score quantile, and the resulting average rises
-    monotonically with the knob.  The average counts predictors at full
-    width; tolerance is +/-0.05 bits.  An unreachable target raises with
-    the achievable range.
+    monotonically with the knob.  Tolerance is +/-0.05 bits.  An
+    unreachable target raises with the achievable range.  With no
+    scored chunks the cuts decide nothing, and any target gets the same
+    staircase.
     """
     ladder = tuple(ladder)
     if len(profile.gains) != len(ladder) - 1:
         raise ValueError("band profile does not match the ladder")
     scores = np.asarray(scores, dtype=np.float64)
-    predictor = directory.kind == _PREDICTOR
-    lens = directory.length[~predictor].astype(np.float64)
+    lens = directory.length[directory.kind != _PREDICTOR].astype(np.float64)
     if scores.shape != lens.shape:
         raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
-    pinned = int(directory.length[predictor].sum())
-    pinned_bits = pinned * ladder[0].total_bits
-    total_weights = directory.num_weights
     widths = np.asarray([f.total_bits for f in ladder[:-1]], dtype=np.float64)
 
     if scores.size == 0:
-        fixed = pinned_bits / total_weights
-        if abs(fixed - target_avg_bits) > 0.05:
-            raise UnreachableTarget(target_avg_bits, fixed, fixed)
         n = len(ladder) - 1
         return ThresholdSet(tuple((n - k) / (n + 1) for k in range(n)), ladder)
 
@@ -376,13 +366,16 @@ def solve_thresholds(
     def measured(values: tuple) -> float:
         if values not in averages:
             codes = _bucket(scores, values)
-            averages[values] = (pinned_bits + float(np.dot(lens, bits_of[codes]))) / total_weights
+            averages[values] = float(np.dot(lens, bits_of[codes])) / mass
         return averages[values]
 
     lo_set, hi_set = thresholds_at(0.0), thresholds_at(THETA_MAX)
     lo_avg, hi_avg = measured(lo_set), measured(hi_set)
     if not lo_avg - 0.05 <= target_avg_bits <= hi_avg + 0.05:
-        raise UnreachableTarget(target_avg_bits, lo_avg, hi_avg)
+        raise ValueError(
+            f"target {target_avg_bits} bits/weight is outside the achievable range"
+            f" [{lo_avg:.3f}, {hi_avg:.3f}]"
+        )
 
     best_set, best_err = lo_set, abs(lo_avg - target_avg_bits)
     if abs(hi_avg - target_avg_bits) < best_err:

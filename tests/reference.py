@@ -264,14 +264,15 @@ def reference_solve_thresholds(
     ladder: Sequence[FpFormat],
     profile: BandProfile,
 ) -> ThresholdSet:
-    """Find thresholds whose assignment averages target_avg_bits per weight.
+    """Find thresholds whose assignment averages target_avg_bits per
+    non-predictor weight.
 
     Monotone bisection over a single knob: the knob position fixes a
     cumulative weight fraction per band via the profile, each fraction
     becomes a weighted score quantile, and the resulting average rises
-    monotonically with the knob.  The average counts predictors at full
-    width; tolerance is +/-0.05 bits.  An unreachable target raises with
-    the achievable range.
+    monotonically with the knob.  Tolerance is +/-0.05 bits.  An
+    unreachable target raises with the achievable range; with no scored
+    chunks any target gets the same staircase.
     """
     ladder = tuple(ladder)
     if len(profile.gains) != len(ladder) - 1:
@@ -281,18 +282,9 @@ def reference_solve_thresholds(
     lens = directory.length[~predictor].astype(np.float64)
     if scores.shape != lens.shape:
         raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
-    pinned = int(directory.length[predictor].sum())
-    pinned_bits = pinned * ladder[0].total_bits
-    total_weights = directory.num_weights
     widths = np.asarray([f.total_bits for f in ladder[:-1]], dtype=np.float64)
 
     if scores.size == 0:
-        fixed = pinned_bits / total_weights
-        if abs(fixed - target_avg_bits) > 0.05:
-            raise ValueError(
-                f"target {target_avg_bits} bits/weight is outside the achievable "
-                f"range [{fixed:.3f}, {fixed:.3f}]"
-            )
         n = len(ladder) - 1
         return ThresholdSet(tuple((n - k) / (n + 1) for k in range(n)), ladder)
 
@@ -320,7 +312,7 @@ def reference_solve_thresholds(
         bits = np.zeros_like(scores)
         for k in range(len(ts.values) - 1, -1, -1):
             bits[scores >= ts.values[k]] = widths[k]
-        return (pinned_bits + float(np.dot(lens, bits))) / total_weights
+        return float(np.dot(lens, bits)) / mass
 
     lo_set, hi_set = thresholds_at(0.0), thresholds_at(THETA_MAX)
     lo_avg, hi_avg = measured(lo_set), measured(hi_set)

@@ -243,6 +243,7 @@ def test_09_predictor_byte_share_endpoints(sweep):
 
 
 def test_10_threshold_solver_hits_targets_and_is_monotone(cfg, directory):
+    # Targets and averages are both bits per non-predictor weight.
     rng = np.random.default_rng(1234)
     scored = sum(1 for c in chunks(directory) if c.kind is not ChunkKind.PREDICTOR)
     for scores in (rng.random(scored), rng.beta(2.0, 5.0, scored)):

@@ -1,18 +1,29 @@
 """Config loading and the command-line harness."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from planestore import cli
 from planestore.address import Trace
-from planestore.bitplane import CODEC_BLOCK, ChunkKind, load_image, plane_stride_for, unpack_full
+from planestore.bitplane import (
+    CODEC_BLOCK,
+    KIND_LABELS,
+    ChunkKind,
+    load_image,
+    plane_stride_for,
+    unpack_full,
+)
 from planestore.cli import (
     CSV_COLUMNS,
     REPORT_SCHEMA_VERSION,
@@ -26,7 +37,6 @@ from planestore.dram import run_trace, schedule
 from planestore.experiment import (
     chunk_latency_deltas,
     compare_assignment,
-    predictor_fraction,
     run_mode,
     solve_assignment,
 )
@@ -245,6 +255,15 @@ BAD_CONFIGS = [
      "config key 'solver.gains[0]' must be finite, got nan"),
     ("importance:\n  default: {family: beta, a: .nan, b: 2.0}\n",
      "config key 'importance.default.a' must be finite, got nan"),
+    # Two rungs of one name would merge in the report's format counts.
+    ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
+     "  - {name: X, exp_bits: 5, man_bits: 6}\n  - {name: X, exp_bits: 5, man_bits: 2}\n"
+     "  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
+     "solver: {gains: [0.1, 0.1, 0.1], exponents: [1.0, 1.0, 1.0]}\n",
+     "ladder names 'X' twice"),
+    # Predictors ride the top rung, so a score model for them decides nothing.
+    ("importance:\n  predictor: {family: uniform}\n  attention_head: {family: uniform}\n",
+     "config key 'importance.predictor': predictor chunks ride the top rung and draw no score"),
 ]
 
 
@@ -413,6 +432,50 @@ def test_pack_error_paths(small_config, tmp_path, capsys):
     assert main(["pack", "--config", small_config, "--weights", "no/such.f16"]) == 1
     assert "cannot read" in capsys.readouterr().err
 
+    # The word count comes from the file's size, which a device or a pipe
+    # does not give.
+    assert main(["pack", "--config", small_config, "--weights", os.devnull]) == 1
+    assert one_line_error(capsys) == f"error: weight file {os.devnull} is not a regular file\n"
+
+
+def test_pack_reads_a_weight_file_one_block_at_a_time(tmp_path, capsys):
+    # 4M words: the file's 8 MB is never held beside the 8 MB of planes,
+    # only one block of it at a time.
+    count = 4 * 1024 * 1024
+    raw = tmp_path / "w.f16"
+    np.random.default_rng(5).integers(0, 1 << 16, count, dtype=np.uint16).tofile(raw)
+    image = tmp_path / "w.sqbp"
+    tracemalloc.start()
+    try:
+        assert main(["pack", "--weights", str(raw), "--image", str(image)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    planes = 16 * plane_stride_for(count)
+    assert peak < planes + raw.stat().st_size // 2
+    assert np.array_equal(unpack_full(load_image(str(image))[0]), np.fromfile(raw, "<u2"))
+
+
+def test_pack_of_a_weight_file_cut_short_is_one_line_error(tmp_path, capsys, monkeypatch):
+    # The file loses its last word after its size was taken.
+    raw = tmp_path / "w.f16"
+    raw.write_bytes(bytes(2 * CODEC_BLOCK + 2))
+    real_pack = cli.pack
+
+    def pack_after_truncation(count, read):
+        os.truncate(raw, 2 * count - 2)
+        return real_pack(count, read)
+
+    monkeypatch.setattr(cli, "pack", pack_after_truncation)
+    image = tmp_path / "w.sqbp"
+    assert main(["pack", "--weights", str(raw), "--image", str(image)]) == 1
+    count = CODEC_BLOCK + 1
+    assert one_line_error(capsys) == (
+        f"error: weight file {raw}: ended at word {count - 1} of {count}\n"
+    )
+    assert not image.exists()
+
 
 def test_repack_checks_the_count(small_config, tmp_path, capsys):
     # --count is the word count the image must hold, as for --weights.
@@ -513,11 +576,13 @@ def _relabel(whole: bytes, num_weights=None, stride=None) -> bytes:
         (lambda b: _set_rung(b, b"FP8", exp_man=(5, 10)), "ladder must be strictly decreasing"),
         (lambda b: _set_rung(_set_rung(b, b"FP0", exp_man=(1, 0)), b"FP0", bias=0),
          "ladder must end in a skip level (0 bits), not FP0"),
+        # FP12 renamed FP16: a ladder naming one rung twice.
+        (lambda b: b.replace(b"\x04FP12", b"\x04FP16", 1), "ladder names 'FP16' twice"),
     ],
     ids=[
         "huge-count", "huge-count-small-stride", "huge-stride", "no-weights", "trailing",
         "short", "bad-format", "no-exponent", "bad-bias", "bad-skip-bias", "widening-rung",
-        "no-skip-rung",
+        "no-skip-rung", "repeated-name",
     ],
 )
 def test_repack_of_lying_header_is_one_line_error(small_config, tmp_path, capsys, edit, message):
@@ -606,7 +671,7 @@ def test_trace_assignment_csv_matches_per_chunk_rows(tmp_path, capsys):
     directory = enumerate_chunks(cfg.geometry)
     rows = chunks(directory)
     scores = reference_gen_scores(rows, cfg.importance)
-    _, thresholds, _ = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
+    thresholds, _ = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
     lines = ["chunk_id,kind,score,format"]
     scored = iter(scores.tolist())
     for chunk in rows:
@@ -646,7 +711,7 @@ def test_trace_files_match_the_reference_generator(tmp_path, capsys):
     cfg = load_config(config, env={})
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
-    _, _, assignment = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
+    _, assignment = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
     for mode in ("bitplane", "traditional"):
         rows = reference_trace(assignment, directory, mode, cfg.guard)
         expected = "".join(f"{r.byte_addr} {r.len_bytes} {r.kind.value}\n" for r in rows)
@@ -731,15 +796,32 @@ def run_compare(config, out, capsys):
 # sha256 of the report `planestore compare --out out` writes on the
 # built-in defaults.  A change that only makes the program faster must
 # leave these bytes alone.
-DEFAULT_REPORT_SHA256 = "aa38d7c6481c5add717d6404a335a31d7469c2e51fb4da66ec009461894f67b0"
+DEFAULT_REPORT_SHA256 = "da9fd487746966b0c27f61824182c58114571d2fb09d3664fde45fc31ff543d5"
 
 
-def test_default_report_bytes_are_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
-    assert main(["compare", "--out", "out"]) == 0
-    report = (tmp_path / "out" / "comparison.json").read_bytes()
-    assert hashlib.sha256(report).hexdigest() == DEFAULT_REPORT_SHA256
+@pytest.fixture(scope="module")
+def default_report(tmp_path_factory):
+    """The bytes `planestore compare --out out` writes on the built-in
+    defaults, run from an empty directory."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path_factory.mktemp("default"))
+        patch.delenv(OUTPUT_DIR_ENV, raising=False)
+        assert main(["compare", "--out", "out"]) == 0
+        return Path("out", "comparison.json").read_bytes()
+
+
+def test_default_report_bytes_are_pinned(default_report):
+    assert hashlib.sha256(default_report).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_default_report_averages_land_on_their_targets(default_report):
+    # The target and the achieved average are one unit: bits per
+    # non-predictor weight, so the solver's tolerance holds in the report.
+    entries = json.loads(default_report)["targets"]
+    assert [entry["target_bits"] for entry in entries] == DEFAULTS["targets"]
+    for entry in entries:
+        assert "solver_target_bits" not in entry
+        assert abs(entry["achieved_avg_bits"] - entry["target_bits"]) <= 0.05
 
 
 def test_compare_outputs(small_config, tmp_path, capsys):
@@ -792,7 +874,7 @@ def test_compare_full_precision_target_is_parity(tmp_path, capsys):
 
 def test_compare_infeasible_target_fails(tmp_path, capsys):
     # compare and trace quote the value given and the range over the
-    # non-predictor weights, not the solver's predictor-inclusive average.
+    # non-predictor weights.
     cfg = write_config(tmp_path, SMALL_YAML.replace("targets: [4.8, 8.0]", "targets: [99]"))
     for command in (["compare"], ["trace", "--target", "99"]):
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -802,8 +884,8 @@ def test_compare_infeasible_target_fails(tmp_path, capsys):
 
 
 def test_predictor_only_geometry_takes_any_target(tmp_path, capsys):
-    # With no scored chunks every target maps onto the one reachable
-    # average, all FP16.
+    # With no scored chunks the cuts decide nothing: every target gives
+    # the same assignment, all FP16.
     cfg = write_config(tmp_path, (
         "geometry: {layers: 1, heads_per_layer: 0, neurons_per_layer: 0,\n"
         "           predictor_weights_per_layer: 4096}\n"
@@ -814,8 +896,9 @@ def test_predictor_only_geometry_takes_any_target(tmp_path, capsys):
     ]
 
 
-def test_solver_target_counts_predictors_at_the_top_rung(tmp_path, capsys):
-    # Predictors ride the top rung, here 12 bits wide, not 16.
+def test_achieved_average_leaves_the_predictors_out(tmp_path, capsys):
+    # Predictors ride the top rung, here 12 bits wide, and the report's
+    # average counts only the other weights.
     text = (
         "ladder:\n"
         "  - {name: FP12, exp_bits: 5, man_bits: 6}\n"
@@ -828,16 +911,52 @@ def test_solver_target_counts_predictors_at_the_top_rung(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["compare", "--config", path, "--out", str(out)]) == 0
     [entry] = json.loads((out / "comparison.json").read_text())["targets"]
+    assert abs(entry["achieved_avg_bits"] - 6.0) <= 0.05
     cfg = load_config(path, env={})
     directory = enumerate_chunks(cfg.geometry)
-    p = predictor_fraction(directory)
-    assert entry["solver_target_bits"] == pytest.approx(12 * p + 6.0 * (1 - p))
-    non_predictor = (entry["achieved_avg_bits"] - 12 * p) / (1 - p)
-    assert abs(non_predictor - 6.0) <= 0.05
     # `trace` solves through the same step.
     scores = gen_scores(directory, cfg.importance)
-    _, _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
+    _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
     assert avg_bits(assignment, directory) == entry["achieved_avg_bits"]
+    scored = directory.kind != KIND_LABELS.index(ChunkKind.PREDICTOR)
+    widths = np.array([fmt.total_bits for fmt in cfg.ladder])
+    bits = int(directory.length[scored] @ widths[assignment.codes[scored]])
+    assert bits / int(directory.length[scored].sum()) == entry["achieved_avg_bits"]
+
+
+# The default geometry with 40M predictor weights a layer: 91 % of all.
+PREDICTOR_HEAVY = ModelGeometry(2, 8, 36864, 512, 7200, 40_000_000)
+
+
+def test_target_above_the_top_rung_is_unreachable_at_any_predictor_share():
+    cfg = load_config(env={})
+    directory = enumerate_chunks(PREDICTOR_HEAVY)
+    scores = gen_scores(directory, cfg.importance)
+    message = r"^target 16\.4 bits/weight is outside the achievable range \[0\.011, 16\.000\]$"
+    with pytest.raises(ValueError, match=message):
+        solve_assignment(directory, scores, 16.4, cfg.ladder, cfg.band_profile)
+
+
+@pytest.mark.parametrize("predictor", [0, 4_000_000, 40_000_000])
+def test_solver_tolerance_is_a_twentieth_of_a_bit_per_non_predictor_weight(predictor):
+    # The achievable averages run from what the lowest cuts keep to 16
+    # (every scored chunk FP16), whatever share of the weights
+    # predictors hold.
+    cfg = load_config(env={})
+    geometry = dataclasses.replace(PREDICTOR_HEAVY, predictor_weights_per_layer=predictor)
+    directory = enumerate_chunks(geometry)
+    scores = gen_scores(directory, cfg.importance)
+
+    def solve(target):
+        _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
+        return avg_bits(assignment, directory)
+
+    lo = solve(0.0)
+    assert 0.0 < lo < 0.05
+    assert solve(lo - 0.04) == lo and solve(16.04) == 16.0
+    for target in (lo - 0.06, 16.06):
+        with pytest.raises(ValueError, match="achievable range"):
+            solve(target)
 
 
 def test_chunk_latency_deltas_telescope_to_total():
@@ -845,7 +964,7 @@ def test_chunk_latency_deltas_telescope_to_total():
     directory = enumerate_chunks(geometry)
     cfg = load_config(env={})
     scores = gen_scores(directory, cfg.importance)
-    _, _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
+    _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
     for mode in ("bitplane", "traditional"):
         summary = run_mode(directory, assignment, mode, NO_GUARD, cfg.dram)
         per_kind = summary["per_kind"]

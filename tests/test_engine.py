@@ -231,7 +231,7 @@ def sweep_traces():
     scores = gen_scores(directory, cfg.importance)
     traces = {}
     for target in cfg.targets:
-        _, _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
+        _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
         for mode in ("bitplane", "traditional"):
             traces[target, mode] = gen_trace(assignment, directory, mode, cfg.guard)
     return cfg, traces

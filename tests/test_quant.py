@@ -69,6 +69,8 @@ def test_format_validation():
         ((FP16, FP8, FP8, FP0), "strictly decreasing in width"),
         # Equal widths are a repeated rung even under another name.
         ((FP16, FP8, FpFormat("E4M3", 4, 3), FP0), "strictly decreasing in width"),
+        # Reports and assignment CSVs key rungs by name.
+        ((FP16, FpFormat("X", 5, 6), FpFormat("X", 5, 2), FP0), "ladder names 'X' twice"),
     ],
 )
 def test_ladder_rules(ladder, match):

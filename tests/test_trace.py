@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from planestore.address import Trace
 from planestore.bitplane import NUM_PLANES, BitPlaneImage, ChunkKind
 from planestore.config import load_config
-from planestore.experiment import predictor_fraction, solve_assignment
+from planestore.experiment import solve_assignment
 from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
     FAMILY_PARAMETERS,
@@ -76,7 +76,7 @@ def test_default_sweep_traces_match_reference():
     scores = gen_scores(directory, cfg.importance)
     requests = {}
     for target in cfg.targets:
-        _, _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
+        _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
         for mode in ("bitplane", "traditional"):
             requests[target, mode] = len(
                 assert_matches_reference(assignment, directory, mode, cfg.guard)
@@ -133,9 +133,9 @@ def test_directory_and_scores_match_the_per_chunk_loops(family, geometry, seed, 
     data=st.data(),
 )
 def test_thresholds_match_the_per_step_solver(family, geometry, seed, spots, data):
-    # Each spot places a target between the predictors' own average (0)
-    # and full width (1); a few land past either end of the achievable
-    # range, where both solvers must raise the same error.
+    # Each spot places a target between no bits (0) and full width (1)
+    # per non-predictor weight; a few land past either end of the
+    # achievable range, where both solvers must raise the same error.
     params = {
         name: data.draw(st.floats(0.0, 1.0) if name == "mix" else st.floats(0.05, 20.0))
         for name in FAMILY_PARAMETERS[family]
@@ -146,9 +146,8 @@ def test_thresholds_match_the_per_step_solver(family, geometry, seed, spots, dat
     })
     directory = enumerate_chunks(geometry)
     scores = gen_scores(directory, model)
-    floor = FP16.total_bits * predictor_fraction(directory)
     for spot in spots:
-        target = floor + spot * (FP16.total_bits - floor)
+        target = spot * FP16.total_bits
         try:
             want = reference_solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
         except ValueError as exc:

@@ -274,6 +274,12 @@ def test_avg_bits_examples():
     assert avg_bits(all16, directory) == 16.0
     ladder_mix = assignment_of((FP16, FP12, FP8, FP6, LADDER[4]), LADDER)
     assert avg_bits(ladder_mix, directory) == pytest.approx(9.2)
+    # The predictor chunk rides FP16 and is left out of the average.
+    directory = enumerate_chunks(flat_geometry(2, 100, predictor=300))
+    assert avg_bits(assignment_of((FP8, FP0, FP16), LADDER), directory) == 4.0
+    # With no non-predictor weights there is nothing to average.
+    directory = enumerate_chunks(flat_geometry(0, predictor=300))
+    assert avg_bits(assignment_of((FP16,), LADDER), directory) == 0.0
 
 
 def test_solver_reaches_full_precision():
@@ -285,13 +291,14 @@ def test_solver_reaches_full_precision():
 
 
 def test_solver_floor_with_all_zero_scores():
+    # Every scored chunk skipped: only the predictor loads, and the
+    # average over the other weights is 0.
     directory = enumerate_chunks(flat_geometry(100, 64, predictor=64))
     scores = np.zeros(100)
-    floor = 16.0 * 64 / directory.num_weights
-    ts = solve_thresholds(directory, scores, floor, LADDER, BAND_PROFILE)
+    ts = solve_thresholds(directory, scores, 0.0, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
     assert [f for f in formats_of(assignment) if not f.is_skip] == [FP16]
-    assert avg_bits(assignment, directory) == pytest.approx(floor)
+    assert avg_bits(assignment, directory) == 0.0
 
 
 @pytest.mark.parametrize("target", [4.8, 8.0, 12.0])
@@ -306,10 +313,9 @@ def test_solver_hits_target(target):
 def test_solver_rejects_unreachable_targets():
     directory = enumerate_chunks(flat_geometry(100, 64, predictor=64))
     scores = gen_scores(directory, ImportanceModel(8, UNIFORM))
-    with pytest.raises(ValueError, match="achievable range"):
-        solve_thresholds(directory, scores, 0.01, LADDER, BAND_PROFILE)
-    with pytest.raises(ValueError, match="achievable range"):
-        solve_thresholds(directory, scores, 17.0, LADDER, BAND_PROFILE)
+    for target in (-0.1, 16.06):
+        with pytest.raises(ValueError, match=r"achievable range \[0\.120, 16\.000\]"):
+            solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
 
 
 def test_solver_deterministic():
