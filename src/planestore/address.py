@@ -88,7 +88,9 @@ class Trace:
     address, which the constructor checks, so consumers need not.  tag
     holds each row's index into labels (int32, -1 for untagged); chunk
     holds the id of the directory chunk the row loads (int32, -1 for
-    none).  tag and chunk default to all -1.
+    none).  tag and chunk default to all -1.  A column given in its
+    type is kept as it is: a read-only `np.broadcast_to` view, such as
+    the traditional trace's size column, holds no memory per row.
     """
 
     addr: np.ndarray

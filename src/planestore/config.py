@@ -217,6 +217,13 @@ def build_config(resolved: dict) -> ExperimentConfig:
             "config key 'importance.predictor': predictor chunks ride the top rung"
             " and draw no score"
         )
+    scored = [kind.value for kind in ChunkKind if kind is not ChunkKind.PREDICTOR]
+    for kind in resolved["importance"]:
+        if kind != "default" and kind not in scored:
+            raise ValueError(
+                f"config key 'importance.{kind}' names no chunk kind: importance takes"
+                f" 'default' or {', '.join(map(repr, scored))}"
+            )
     dists = {
         ChunkKind(kind): _build_distribution(params, f"importance.{kind}")
         for kind, params in resolved["importance"].items()

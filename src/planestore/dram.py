@@ -56,6 +56,13 @@ from .address import Trace
 from .bitplane import BLOCK
 
 
+# Run-table limits: channel and bank ids lie below ID_LIMIT (int16
+# columns); requests, rows, columns and read counts below INDEX_LIMIT
+# (int32 columns).
+ID_LIMIT = 1 << 15
+INDEX_LIMIT = 1 << 31
+
+
 class CommandKind(enum.IntEnum):
     ACT = 0
     RD = 1
@@ -113,6 +120,15 @@ class DramConfig:
         for name, value in counts.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        # The run table holds channel and bank ids as int16, columns and
+        # read counts as int32.
+        for name, limit in (
+            ("channels", ID_LIMIT),
+            ("banks_per_channel", ID_LIMIT),
+            ("row_bytes", BLOCK * INDEX_LIMIT),
+        ):
+            if counts[name] >= limit:
+                raise ValueError(f"{name} must be below {limit}, got {counts[name]}")
         if self.clock_ns <= 0:
             raise ValueError("clock_ns must be positive")
         if self.e_act_pj < 0 or self.e_rd_pj < 0 or self.p_bg_mw < 0:
@@ -234,7 +250,9 @@ class CommandTable:
 
     kind holds the row's CommandKind value; the other per-row columns
     mirror DramCommand's fields for the row's first command, so
-    request_index is the request of that command.  An RD row stands for
+    request_index is the request of that command.  `plan` builds the
+    columns in the types of `_COLUMN_TYPES` (kind int8), 29 bytes a row;
+    wider integer columns are taken too.  An RD row stands for
     count reads to consecutive columns of its (bank, row), the k-th at
     issue_cycle + k * t_ccd_l, column + k; every other row has count 1.
     A channel's rows are in its stream order; rows of different
@@ -270,6 +288,20 @@ class CommandTable:
                 f"command table row {row} names request {int(self.request_index[row])},"
                 f" but the trace has {n_requests} requests"
             )
+
+
+# The column types `plan` builds: with kind's int8, 29 bytes a row.
+_COLUMN_TYPES = {
+    "channel": np.int16,
+    "bank": np.int16,
+    "row": np.int32,
+    "column": np.int32,
+    "issue_cycle": np.int64,
+    "request_index": np.int32,
+    "count": np.int32,
+}
+# Requests per slice of `plan`'s extent scan.
+_SCAN_SLICE = 1 << 14
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -325,6 +357,22 @@ def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: li
     return act_cycles, rd_cycles
 
 
+def _extent_heads(addr: np.ndarray, size: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Row of each extent's first request.  A request extends the extent
+    before it when it starts where the previous request ends, with the
+    same size and chunk.  The rows are compared a fixed slice at a time,
+    so no temporary is as long as the trace."""
+    heads = [np.zeros(min(addr.size, 1), np.int64)]
+    for lo in range(1, addr.size, _SCAN_SLICE):
+        hi = min(lo + _SCAN_SLICE, addr.size)
+        prev = slice(lo - 1, hi - 1)
+        starts = addr[lo:hi] != addr[prev] + size[prev]
+        starts |= size[lo:hi] != size[prev]
+        starts |= chunk[lo:hi] != chunk[prev]
+        heads.append(np.flatnonzero(starts) + lo)
+    return np.concatenate(heads)
+
+
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
@@ -338,118 +386,172 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     row if it is not a hit.  Between two openings on a channel the reads
     are a cumulative sum, so the bank state machine steps once per
     opening (`_open_rows`).  Rows are grouped by channel, each channel's
-    in stream order.  No array is as long as the burst count.  A run
-    never crosses an extent, so all of an RD row's reads load the chunk
-    of its first read's request.
+    in stream order.  No array is as long as the burst count, and each
+    temporary is freed after its last use.  A run never crosses an
+    extent, so all of an RD row's reads load the chunk of its first
+    read's request.  A trace of INDEX_LIMIT requests or more, or one
+    that reaches DRAM row INDEX_LIMIT, does not fit the table and raises.
     """
+    if len(trace) >= INDEX_LIMIT:
+        raise ValueError(
+            f"a trace of {len(trace)} requests does not fit the run table,"
+            f" which numbers requests below {INDEX_LIMIT}"
+        )
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block, so a request's bursts are its size over the
-    # block.  A request extends an extent when it starts where the
-    # previous one ends, with the same size and chunk; that is found on
-    # the byte columns, and only the extent heads are divided into bursts.
-    addr, size, chunk = trace.addr, trace.size, trace.chunk
-    starts = np.empty(addr.size, bool)
-    starts[:1] = True
-    np.not_equal(addr[1:], addr[:-1] + size[:-1], out=starts[1:])
-    starts[1:] |= size[1:] != size[:-1]
-    starts[1:] |= chunk[1:] != chunk[:-1]
-    # Each extent's first request, its requests' burst count and its
-    # first global burst index.
-    head = np.flatnonzero(starts)
-    ext_bursts, ext_first = size[head] // BLOCK, addr[head] // BLOCK
-    ext_total = np.diff(np.r_[head, addr.size]) * ext_bursts
-    del addr, size, chunk, starts
+    # block.  Extents are found on the byte columns, and only the extent
+    # heads are divided into bursts: each extent's first request, its
+    # requests' burst count and its first global burst index.
+    head = _extent_heads(trace.addr, trace.size, trace.chunk)
+    ext_bursts, ext_first = trace.size[head] // BLOCK, trace.addr[head] // BLOCK
+    ext_total = np.diff(np.r_[head, len(trace)]) * ext_bursts
 
     # On channel c an extent reads the global bursts ext_first + skip,
     # + skip + channels, ..., skip = (c - ext_first) mod channels: span
-    # consecutive burst indices within the channel from lo on.  Ranges
-    # are listed channel after channel, each channel's in stream order.
-    channels, cpr = config.channels, config.columns_per_row
+    # consecutive burst indices within the channel from lo on, up to end.
+    # Ranges are listed channel after channel, each channel's in stream
+    # order.
+    channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
     skip = (np.arange(channels)[:, None] - ext_first) % channels
     span = np.maximum(-(-(ext_total - skip) // channels), 0).ravel()
+    del ext_total
     live = np.flatnonzero(span)
     if not live.size:
-        return CommandTable(np.zeros(0, np.int8), *[np.zeros(0, np.int64)] * 7)
-    span = span[live]
+        return CommandTable(
+            np.zeros(0, np.int8), **{name: np.zeros(0, t) for name, t in _COLUMN_TYPES.items()}
+        )
     ch, extent = np.divmod(live, head.size)
+    ch = ch.astype(np.int16)
     lo = (ext_first[extent] + skip.ravel()[live]) // channels
-    del skip, live
+    end = lo + span[live]
+    del skip, span, live
+    last_row = int(end.max() - 1) // (cpr * banks)
+    if last_row >= INDEX_LIMIT:
+        raise ValueError(
+            f"the trace reaches DRAM row {last_row}; the run table holds rows below {INDEX_LIMIT}"
+        )
 
-    # Cut each range at row boundaries: one run per row it touches.
+    # Cut each range at row boundaries: one run per page (a bank's row)
+    # it touches.  A run reads bursts local .. local + length - 1.
     first_page = lo // cpr
-    pieces = (lo + span - 1) // cpr - first_page + 1
-    piece_of, page = _spread(pieces)
+    piece_of, page = _spread((end - 1) // cpr - first_page + 1)
     page += first_page[piece_of]
-    local = np.maximum(lo[piece_of], page * cpr)
-    length = np.minimum(page * cpr + cpr, (lo + span)[piece_of]) - local
+    del first_page
+    page_start = page * cpr
+    local = np.maximum(lo[piece_of], page_start)
+    del lo
+    length = np.minimum(end[piece_of], page_start + cpr)
+    del end
+    length -= local
+    length = length.astype(np.int32)
     ch, extent = ch[piece_of], extent[piece_of]
-    column = local - page * cpr
-    bank, row = page % config.banks_per_channel, page // config.banks_per_channel
+    del piece_of
     # A run's first read is global burst local * channels + ch.
-    request = (local * channels + ch - ext_first[extent]) // ext_bursts[extent] + head[extent]
-    del lo, span, first_page, pieces, piece_of, page, local, extent
+    request = local * channels
+    request += ch
+    request -= ext_first[extent]
+    request //= ext_bursts[extent]
+    request += head[extent]
+    request = request.astype(np.int32)
+    del extent, head, ext_first, ext_bursts
+    local -= page_start
+    column = local.astype(np.int32)
+    del local, page_start
+    bank = (page % banks).astype(np.int16)
+    page //= banks
+    row = page.astype(np.int32)
+    del page
 
     t_l, t_s = config.t_ccd_l, config.t_ccd_s
     # A run opens its row unless the previous run on its bank had the
     # same row; it precharges first if its bank had a run at all.
     n_runs = length.size
-    same_channel = np.r_[False, ch[1:] == ch[:-1]]
-    key = ch * config.banks_per_channel + bank
+    key = ch.astype(np.int32) * banks + bank
     by_bank = _stable_order(key)
-    follows = np.r_[False, key[by_bank][1:] == key[by_bank][:-1]]
-    closed = np.full(n_runs, -1, np.int64)
-    closed[by_bank[follows]] = row[by_bank[np.flatnonzero(follows) - 1]]
+    key = key[by_bank]
+    # The row each run's bank had open: its previous run's, -1 for none.
+    previous = np.empty(n_runs, np.int32)
+    previous[0] = -1
+    previous[1:] = row[by_bank[:-1]]
+    previous[1:][key[1:] != key[:-1]] = -1
+    del key
+    closed = np.empty(n_runs, np.int32)
+    closed[by_bank] = previous
+    del by_bank, previous
     opening = closed != row
     has_pre = opening & (closed >= 0)
+    pre_row = closed[has_pre]
+    del closed
+    opens = np.flatnonzero(opening)
 
     # Every hit run reads right after the channel's previous run: its
     # last read is the previous run's plus its gap plus its tail.
-    gap = np.where(same_channel & (bank == np.r_[-1, bank[:-1]]), t_l, t_s)
-    gap[~same_channel] = 1  # no earlier read: with last = -1 the gap binds nothing
-    tail = (length - 1) * t_l
-    moved = np.cumsum(np.where(opening, 0, gap + tail))
-    opens = np.flatnonzero(opening)
+    same_channel = np.zeros(n_runs, bool)
+    np.equal(ch[1:], ch[:-1], out=same_channel[1:])
+    moved = np.where(same_channel & np.r_[False, bank[1:] == bank[:-1]], t_l, t_s)
+    moved[~same_channel] = 1  # no earlier read: with last = -1 the gap binds nothing
+    gap = moved[opens]
+    tail = np.multiply(length - 1, t_l, dtype=np.int64)
+    moved += tail
+    moved[opening] = 0
+    np.cumsum(moved, out=moved)
     hits = np.diff(np.r_[0, moved[opens]])
     hits[~same_channel[opens]] = 0
-    steps = [a.tolist() for a in (bank[opens], has_pre[opens], hits, gap[opens], tail[opens])]
+    del same_channel
+    steps = (bank[opens], has_pre[opens], hits, gap, tail[opens])
     chan_of = ch[opens]
     bounds = np.flatnonzero(np.r_[True, chan_of[1:] != chan_of[:-1], True]).tolist()
-    act_at, first_rd = [], []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        act, rd = _open_rows(config, *(a[lo:hi] for a in steps))
-        act_at += act
-        first_rd += rd
-    # Each run's last read: its segment's opening's, moved by the hits since.
-    last_rd = np.array(first_rd, np.int64) + tail[opens] - moved[opens]
-    rd_cycle = last_rd[np.cumsum(opening) - 1] + moved - tail
-    act_cycle = np.full(n_runs, -1, np.int64)
-    act_cycle[opens] = act_at
+    act_at, first_rd = np.empty(opens.size, np.int64), np.empty(opens.size, np.int64)
+    for first, stop in zip(bounds[:-1], bounds[1:]):
+        act_at[first:stop], first_rd[first:stop] = _open_rows(
+            config, *(a[first:stop].tolist() for a in steps)
+        )
+    del steps, hits, gap, chan_of
+    # Each run's last read: its segment's opening's, moved by the hits
+    # since; its first read is that less its tail.
+    first_rd += tail[opens]
+    first_rd -= moved[opens]
+    rd_cycle = moved
+    rd_cycle -= tail
+    del moved, tail
+    segment = np.cumsum(opening)
+    segment -= 1
+    rd_cycle += first_rd[segment]
+    del segment, first_rd
 
     # Table order: runs as listed (channel after channel, each in stream
-    # order), each preceded by its PRE and ACT rows.
-    rows_of = 1 + opening.astype(np.int64) + has_pre
-    rd_pos = np.cumsum(rows_of) - 1
+    # order), each preceded by its PRE and ACT rows.  Each per-run column
+    # is freed once its table column is built.
+    rows_of = np.add(opening, has_pre, dtype=np.intp)
+    rows_of += 1
+    rd_pos = np.cumsum(rows_of)
+    rd_pos -= 1
     act_pos, pre_pos = rd_pos[opening] - 1, rd_pos[has_pre] - 2
-
-    def column_of(values, act=None, pre=None):
-        """A per-run column as a table column, patched at ACT and PRE rows."""
-        out = np.repeat(values, rows_of)
+    kind = np.full(int(rd_pos[-1]) + 1, _RD, np.int8)
+    del rd_pos
+    kind[act_pos], kind[pre_pos] = _ACT, _PRE
+    runs = {
+        "channel": ch, "bank": bank, "row": row, "column": column,
+        "issue_cycle": rd_cycle, "request_index": request, "count": length,
+    }
+    # (ACT rows, PRE rows) of the columns where those differ from the run.
+    patches = {
+        "row": (None, pre_row),
+        "column": (None, 0),
+        "issue_cycle": (act_at, act_at[has_pre[opens]] - config.t_rp),
+        "count": (1, 1),
+    }
+    del ch, bank, row, column, rd_cycle, request, length, pre_row, act_at
+    columns = {"kind": kind}
+    for name in _COLUMN_TYPES:
+        out = np.repeat(runs.pop(name), rows_of)
+        act, pre = patches.get(name, (None, None))
         if act is not None:
             out[act_pos] = act
         if pre is not None:
             out[pre_pos] = pre
-        return out
-
-    return CommandTable(
-        kind=column_of(np.full(n_runs, _RD, np.int8), _ACT, _PRE),
-        channel=column_of(ch),
-        bank=column_of(bank),
-        row=column_of(row, pre=closed[has_pre]),
-        column=column_of(column, pre=0),
-        issue_cycle=column_of(rd_cycle, act_cycle[opening], act_cycle[has_pre] - config.t_rp),
-        request_index=column_of(request),
-        count=column_of(length, 1, 1),
-    )
+        columns[name] = out
+    return CommandTable(**columns)
 
 
 @dataclass(frozen=True)
@@ -483,8 +585,17 @@ _VIOLATIONS = (
 
 def _previous(flags: np.ndarray) -> np.ndarray:
     """Index of the nearest earlier True in flags, or -1."""
-    marks = np.where(flags, np.arange(flags.size), -1)
-    return np.r_[-1, np.maximum.accumulate(marks)[:-1]]
+    out = np.arange(-1, flags.size - 1)  # the row just before, if flagged
+    out[1:][~flags[:-1]] = -1
+    return np.maximum.accumulate(out, out=out)
+
+
+def _group_starts(starts: np.ndarray) -> np.ndarray:
+    """Index of each row's group's first row, the groups being runs of
+    rows that each begin where starts is True (starts[0] must be)."""
+    out = np.arange(starts.size)
+    out[~starts] = 0
+    return np.maximum.accumulate(out, out=out)
 
 
 def _first_violation(config: DramConfig, table: CommandTable):
@@ -503,6 +614,10 @@ def _first_violation(config: DramConfig, table: CommandTable):
     issues on the channel between them, they stay on the open row, and
     they are t_ccd_l >= 1 apart, which satisfies the bus, tCCD and tRCD
     rules once the first read does.
+
+    Each check is OR'ed into one mask as soon as it is computed, and its
+    inputs are freed; only at the earliest illegal row are the checks
+    rebuilt in order (`_violation_at`) to name the one it fails first.
     """
     channel = table.channel
     n, banks = channel.size, config.banks_per_channel
@@ -513,52 +628,61 @@ def _first_violation(config: DramConfig, table: CommandTable):
         columns = tuple(c[order] for c in columns)
     ch, kind, bank, row, cycle, count = columns
     cycle = np.asarray(cycle, np.int64)
-    last = cycle + (count - 1) * config.t_ccd_l
-    is_act, is_rd, is_pre = kind == _ACT, kind == _RD, kind == _PRE
-    position = np.arange(n)
     channel_start = np.r_[True, ch[1:] != ch[:-1]]
-    first_of_channel = np.maximum.accumulate(np.where(channel_start, position, 0))
+    bad = (bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels)
 
     # Bank state, grouped by (channel, bank).  Banks outside the config
     # share one key below and one above per channel: their rows fail the
     # first check, and no other row reads their state.
-    key = (np.cumsum(channel_start) - 1) * (banks + 2) + np.clip(bank, -1, banks) + 1
+    key = np.cumsum(channel_start) - 1
+    key *= banks + 2
+    key += np.clip(bank, -1, banks)
+    key += 1
     by_bank = _stable_order(key)
-    sorted_key = key[by_bank]
-    run_start = np.r_[True, sorted_key[1:] != sorted_key[:-1]]
-    first_of_bank = np.maximum.accumulate(np.where(run_start, position, 0))
-    prev = _previous((is_act | is_pre)[by_bank])
+    key = key[by_bank]
+    prev = _previous((kind != _RD)[by_bank])  # the newest ACT or PRE before
+    prev[prev < _group_starts(np.r_[True, key[1:] != key[:-1]])] = -1
+    del key
     state = np.empty(n, np.int64)
-    state[by_bank] = np.where(prev >= first_of_bank, by_bank[prev], -1)
+    state[by_bank] = np.where(prev >= 0, by_bank[prev], -1)
+    del by_bank, prev
     has_state = state >= 0
-    state = np.where(has_state, state, 0)
-    is_open = has_state & is_act[state]
-    open_row, state_cycle = row[state], cycle[state]
+    state[~has_state] = 0
+    is_open = has_state & (kind[state] == _ACT)
+    since = cycle - cycle[state]  # cycles since the bank's newest ACT or PRE
+    is_act, is_pre, is_rd = kind == _ACT, kind == _PRE, kind == _RD
+    bad |= is_act & is_open
+    bad |= is_act & has_state & ~is_open & (since < config.t_rp)
+    del has_state
+    bad |= is_pre & ~is_open
+    bad |= is_pre & (since < config.t_ras)
+    del is_act, is_pre
+    bad |= is_rd & ~is_open
+    bad |= is_rd & (row[state] != row)
+    bad |= is_rd & (since < config.t_rcd)
+    del state, is_open, since
 
-    last_rd = _previous(is_rd)
-    early_rd = is_rd & (last_rd >= first_of_channel)
-    last_rd = np.where(early_rd, last_rd, 0)
-    same_bank = bank[last_rd] == bank
-    early_rd &= cycle < last[last_rd] + np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
-    previous_last = np.r_[-1, last[:-1]]
+    # Bus and read spacing: the last cycle of each row and of each RD
+    # row's last read.
+    last = np.multiply(count - 1, config.t_ccd_l, dtype=np.int64)
+    last += cycle
+    previous_last = np.empty(n, np.int64)
+    previous_last[1:] = last[:-1]
     previous_last[channel_start] = -1
+    bad |= cycle <= previous_last
+    del previous_last
+    last_rd = _previous(is_rd)
+    early = is_rd & (last_rd >= _group_starts(channel_start))
+    del is_rd, channel_start
+    last_rd[~early] = 0
+    spacing = last[last_rd]
+    del last
+    spacing += np.where(bank[last_rd] == bank, config.t_ccd_l, config.t_ccd_s)
+    del last_rd
+    early &= cycle < spacing
+    bad |= early
+    del spacing, early
 
-    checks = [
-        (bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels),
-        cycle <= previous_last,
-        is_act & is_open,
-        is_act & has_state & ~is_open & (cycle < state_cycle + config.t_rp),
-        is_pre & ~is_open,
-        is_pre & (cycle < state_cycle + config.t_ras),
-        is_rd & ~is_open,
-        is_rd & (open_row != row),
-        is_rd & (cycle < state_cycle + config.t_rcd),
-        early_rd & same_bank,
-        early_rd,
-    ]
-    bad = checks[0].copy()
-    for check in checks[1:]:
-        bad |= check
     bad = np.flatnonzero(bad)
     if not bad.size:
         return None
@@ -566,13 +690,48 @@ def _first_violation(config: DramConfig, table: CommandTable):
     bad_ch = ch[bad]
     firsts = bad[np.r_[True, bad_ch[1:] != bad_ch[:-1]]]
     j = int(firsts[np.argmin(firsts if order is None else order[firsts])])
-    k = next(k for k, check in enumerate(checks) if check[j])
-    return _VIOLATIONS[k].format(
+    return _violation_at(config, j, ch, kind, bank, row, cycle, count)
+
+
+def _violation_at(config: DramConfig, j: int, ch, kind, bank, row, cycle, count) -> str:
+    """The message of the first check row j fails, the checks rebuilt
+    from the rows before it on its channel.  The columns are grouped by
+    channel in ascending order, as `_first_violation` holds them."""
+    lo = int(np.searchsorted(ch, ch[j]))
+    t_l = config.t_ccd_l
+
+    def last(i: int) -> int:
+        return int(cycle[i]) + (int(count[i]) - 1) * t_l
+
+    # The bank's newest ACT or PRE before row j, and the newest read.
+    states = np.flatnonzero((bank[lo:j] == bank[j]) & (kind[lo:j] != _RD))
+    reads = np.flatnonzero(kind[lo:j] == _RD)
+    state = lo + int(states[-1]) if states.size else 0
+    read = lo + int(reads[-1]) if reads.size else 0
+    has_state, is_open = states.size > 0, states.size > 0 and kind[state] == _ACT
+    is_act, is_pre, is_rd = (kind[j] == code for code in (_ACT, _PRE, _RD))
+    c, since = int(cycle[j]), int(cycle[j]) - int(cycle[state])
+    same_bank = bank[read] == bank[j]
+    early = is_rd and reads.size > 0 and c < last(read) + (t_l if same_bank else config.t_ccd_s)
+    checks = (
+        not (0 <= bank[j] < config.banks_per_channel and 0 <= ch[j] < config.channels),
+        c <= (last(j - 1) if j > lo else -1),
+        is_act and is_open,
+        is_act and has_state and not is_open and since < config.t_rp,
+        is_pre and not is_open,
+        is_pre and since < config.t_ras,
+        is_rd and not is_open,
+        is_rd and row[state] != row[j],
+        is_rd and since < config.t_rcd,
+        early and same_bank,
+        early,
+    )
+    return _VIOLATIONS[checks.index(True)].format(
         ch=int(ch[j]),
         bank=int(bank[j]),
         row=int(row[j]),
-        cycle=int(cycle[j]),
-        open_row=int(open_row[j]),
+        cycle=c,
+        open_row=int(row[state]),
     )
 
 
@@ -581,7 +740,8 @@ def read_completions(config: DramConfig, table: CommandTable):
     issues (count - 1) * t_ccd_l after its first, and its data has
     arrived CAS latency plus one burst after that."""
     rd = np.flatnonzero(table.kind == _RD)
-    done = table.issue_cycle[rd] + (table.count[rd] - 1) * config.t_ccd_l
+    done = np.multiply(table.count[rd] - 1, config.t_ccd_l, dtype=np.int64)
+    done += table.issue_cycle[rd]
     done += config.t_cl + config.burst_cycles
     return rd, done
 

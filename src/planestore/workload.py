@@ -289,10 +289,20 @@ class BandProfile:
 
 
 def _force_decreasing(raw: list) -> list:
-    """Nudge raw quantiles into a strictly decreasing chain inside (0, 1]."""
+    """Nudge raw quantiles into a strictly decreasing chain inside (0, 1].
+
+    A band that holds no weight has the raw cut inf.  Such cuts come
+    first (the bands are nested) and become the floats just below 1.0,
+    one apart: above every score but one within that many floats of 1.0,
+    so at the knob's zero every scored chunk is skipped.
+    """
     eps = 1e-12
     out = list(raw)
-    for k in range(1, len(out)):
+    empty, cut = 0, 1.0
+    while empty < len(out) and out[empty] == math.inf:
+        out[empty], cut = cut, math.nextafter(cut, 0.0)
+        empty += 1
+    for k in range(max(empty, 1), len(out)):
         out[k] = min(out[k], out[k - 1] - eps)
     if out[-1] <= 0.0:
         # Collapsed at the bottom (everything already retained): park the
@@ -348,7 +358,7 @@ def solve_thresholds(
     def quantile(fraction: float) -> float:
         want = fraction * mass
         if want <= 0.0:
-            return min(1.0, math.nextafter(s_desc[0], 2.0))
+            return math.inf
         if want >= mass:
             return s_desc[-1]
         return s_desc[bisect.bisect_left(cum, want)]
@@ -427,7 +437,8 @@ def gen_trace(
         # One extent per chunk, issued one block at a time: each row steps
         # one block past the previous one, except a chunk's first row,
         # which jumps from the previous extent's last block to its own
-        # extent's start.  The per-row columns are each built in one go.
+        # extent's start.  The per-row columns are each built in one go;
+        # size, BLOCK on every row, is a read-only view that holds no rows.
         extent_lo, extent_size = translate_traditional(directory, loaded)
         blocks = extent_size // BLOCK
         addr = np.full(int(blocks.sum()), BLOCK, np.int64)
@@ -436,7 +447,7 @@ def gen_trace(
         np.cumsum(addr, out=addr)
         return Trace(
             addr,
-            np.full(addr.size, BLOCK, np.int64),
+            np.broadcast_to(np.int64(BLOCK), addr.size),
             np.repeat(kind, blocks),
             KIND_LABELS,
             np.repeat(chunk, blocks),

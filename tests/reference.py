@@ -296,7 +296,7 @@ def reference_solve_thresholds(
     def quantile(fraction: float) -> float:
         want = fraction * mass
         if want <= 0.0:
-            return min(1.0, float(np.nextafter(s_desc[0], 2.0)))
+            return math.inf
         if want >= mass:
             return float(s_desc[-1])
         idx = int(np.searchsorted(cum, want, side="left"))

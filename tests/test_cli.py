@@ -264,6 +264,14 @@ BAD_CONFIGS = [
     # Predictors ride the top rung, so a score model for them decides nothing.
     ("importance:\n  predictor: {family: uniform}\n  attention_head: {family: uniform}\n",
      "config key 'importance.predictor': predictor chunks ride the top rung and draw no score"),
+    ("importance:\n  foo: {family: uniform}\n",
+     "config key 'importance.foo' names no chunk kind: importance takes 'default' or"
+     " 'attention_head', 'mlp_neuron'"),
+    # The run table holds channel and bank ids as int16, columns as int32.
+    ("dram:\n  banks_per_channel: 40000\n", "banks_per_channel must be below 32768, got 40000"),
+    ("dram:\n  channels: 32768\n", "channels must be below 32768, got 32768"),
+    ("dram:\n  row_bytes: 137438953472\n",
+     "row_bytes must be below 137438953472, got 137438953472"),
 ]
 
 
@@ -932,15 +940,15 @@ def test_target_above_the_top_rung_is_unreachable_at_any_predictor_share():
     cfg = load_config(env={})
     directory = enumerate_chunks(PREDICTOR_HEAVY)
     scores = gen_scores(directory, cfg.importance)
-    message = r"^target 16\.4 bits/weight is outside the achievable range \[0\.011, 16\.000\]$"
+    message = r"^target 16\.4 bits/weight is outside the achievable range \[0\.000, 16\.000\]$"
     with pytest.raises(ValueError, match=message):
         solve_assignment(directory, scores, 16.4, cfg.ladder, cfg.band_profile)
 
 
 @pytest.mark.parametrize("predictor", [0, 4_000_000, 40_000_000])
 def test_solver_tolerance_is_a_twentieth_of_a_bit_per_non_predictor_weight(predictor):
-    # The achievable averages run from what the lowest cuts keep to 16
-    # (every scored chunk FP16), whatever share of the weights
+    # The achievable averages run from 0 (every scored chunk skipped)
+    # to 16 (every scored chunk FP16), whatever share of the weights
     # predictors hold.
     cfg = load_config(env={})
     geometry = dataclasses.replace(PREDICTOR_HEAVY, predictor_weights_per_layer=predictor)
@@ -951,10 +959,9 @@ def test_solver_tolerance_is_a_twentieth_of_a_bit_per_non_predictor_weight(predi
         _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
         return avg_bits(assignment, directory)
 
-    lo = solve(0.0)
-    assert 0.0 < lo < 0.05
-    assert solve(lo - 0.04) == lo and solve(16.04) == 16.0
-    for target in (lo - 0.06, 16.06):
+    assert solve(0.0) == 0.0
+    assert solve(-0.04) == 0.0 and solve(16.04) == 16.0
+    for target in (-0.06, 16.06):
         with pytest.raises(ValueError, match="achievable range"):
             solve(target)
 

@@ -16,6 +16,7 @@ channels, out of channel order or outside the config.
 """
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -221,6 +222,66 @@ def test_bad_address_raises_the_scalar_error():
         raw = SimpleNamespace(addr=np.array([0, bad]), size=np.array([64, 64]))
         with pytest.raises(ValueError, match=match):
             list(schedule(config, raw))
+
+
+class LongTrace:
+    """A stand-in for a trace of n requests that holds no columns."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+
+def test_plan_refuses_traces_beyond_the_int32_columns():
+    # The run table numbers requests and DRAM rows in int32.  A trace
+    # too long is refused before plan reads a column, so the stand-in
+    # allocates nothing; one request shorter gets past the check.
+    config = dram()
+    with pytest.raises(ValueError, match="a trace of 2147483648 requests does not fit"):
+        plan(config, LongTrace(1 << 31))
+    with pytest.raises(AttributeError):
+        plan(config, LongTrace((1 << 31) - 1))
+    # Row r of channel 0 starts at byte r * 2**20 on the default config.
+    table = plan(config, trace_of([((1 << 51) - 64, 64)]))
+    assert table.row.max() == (1 << 31) - 1
+    with pytest.raises(ValueError, match="reaches DRAM row 2147483648; the run table holds rows"):
+        plan(config, trace_of([(1 << 51, 64)]))
+
+
+def traced(fn, *args):
+    """fn(*args), and the bytes its allocations kept and peaked at."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, kept, peak
+
+
+def test_engine_working_set_at_8_bits():
+    # The default config at 8.0 bits.  The run table is 29 bytes a row,
+    # and neither plan nor the replay holds more than a few row-long
+    # temporaries at once; the traditional trace's size column is a
+    # view that holds no rows.
+    cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
+    directory = enumerate_chunks(cfg.geometry)
+    scores = gen_scores(directory, cfg.importance)
+    _, assignment = solve_assignment(directory, scores, 8.0, cfg.ladder, cfg.band_profile)
+    trace, kept, _ = traced(gen_trace, assignment, directory, "traditional", cfg.guard)
+    assert kept <= 17 * len(trace)
+    trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
+    table, _, peak = traced(plan, cfg.dram, trace)
+    assert {name: str(column.dtype) for name, column in vars(table).items()} == {
+        "kind": "int8", "channel": "int16", "bank": "int16", "row": "int32",
+        "column": "int32", "issue_cycle": "int64", "request_index": "int32", "count": "int32",
+    }
+    assert sum(column.nbytes for column in vars(table).values()) <= 30 * len(table)
+    assert peak <= 100 * len(table)
+    _, _, peak = traced(simulate, cfg.dram, table)
+    assert peak <= 80 * len(table)
 
 
 @pytest.fixture(scope="module")

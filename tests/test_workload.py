@@ -314,8 +314,23 @@ def test_solver_rejects_unreachable_targets():
     directory = enumerate_chunks(flat_geometry(100, 64, predictor=64))
     scores = gen_scores(directory, ImportanceModel(8, UNIFORM))
     for target in (-0.1, 16.06):
-        with pytest.raises(ValueError, match=r"achievable range \[0\.120, 16\.000\]"):
+        with pytest.raises(ValueError, match=r"achievable range \[0\.000, 16\.000\]"):
             solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_solver_reaches_the_all_skipped_assignment(seed):
+    # At the knob's zero every band is empty, so every cut lies above
+    # the top score and target 0 skips every scored chunk.
+    geometry = ModelGeometry(2, 8, 36864, 512, 7200, 75456)
+    directory = enumerate_chunks(geometry)
+    scores = gen_scores(directory, ImportanceModel(seed, ScoreDistribution("beta", 5.0, 1.5)))
+    ts = solve_thresholds(directory, scores, 0.0, LADDER, BAND_PROFILE)
+    assert min(ts.values) > scores.max()
+    assignment = assign_formats(directory, scores, ts)
+    assert avg_bits(assignment, directory) == 0.0
+    # Only the two layers' predictors load.
+    assert [f for f in formats_of(assignment) if not f.is_skip] == [FP16, FP16]
 
 
 def test_solver_deterministic():
