@@ -15,25 +15,18 @@ issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
 `schedule` states that policy one burst at a time and is the readable
-reference.  `plan` produces the same command stream as a run table.  It
-merges contiguous requests of one size and one chunk into extents,
-finds each extent's burst range on every channel in closed form, and
-emits one RD row per run of reads to consecutive columns of an open
-row, stepping the bank state machine once per row opening; it builds no
-array as long as the burst count.  Its rows are grouped by channel, and
-each names the request of its first command; all of an RD row's reads
-load that request's chunk.  `simulate` replays a table with every
-legality check vectorized over all channels at once and returns totals
-only; the per-tag and per-chunk figures are read off the table and the
-trace.  `energy_breakdown` splits each energy category by integer
-per-tag counts (ACTs, reads), `read_completions` gives each RD row's
-completion.  docs/dram-model.md
-shows why the run-level recurrence is exact.  Both `schedule` and
-`plan` take the request stream as an `address.Trace` and read its addr
-and size columns, `plan` its chunk column too.  `plan` relies on the rows being
-valid, which the Trace constructor checks; `schedule`, the reference,
-maps every burst through `map_address` and so still raises its
-per-burst errors on bare columns.
+reference.  `plan` computes the same command stream as a run table, one
+RD row per run of reads to consecutive columns of an open row, timed in
+closed form up to a channel's first row opening where tRAS binds and
+stepped once per opening from there.  `simulate` replays a table with
+every legality check vectorized over all channels at once and returns
+totals only; `energy_breakdown` (per-tag integer counts) and
+`read_completions` read the other figures off the table and the trace.
+Both `schedule` and `plan` take the request stream as an
+`address.Trace`.  `plan` relies on its rows being valid, which the Trace
+constructor checks; `schedule`, the reference, maps every burst through
+`map_address` and so still raises its per-burst errors on bare columns.
+docs/dram-model.md shows why the run-level recurrences are exact.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
 included), e_rd per 64-byte burst, and a background term p_bg * wall
@@ -318,28 +311,25 @@ def _spread(lengths: np.ndarray):
     holds lengths[i] items: owner is the item's group, rank its position
     in the group."""
     owner = np.repeat(np.arange(lengths.size), lengths)
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rank = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
     return owner, rank
 
 
-def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: list, tails: list):
-    """Bank state machine of one channel, one step per row-opening run.
+def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, leads):
+    """Bank state machine of one channel, one step per row opening, from
+    its first opening where tRAS binds to its end.
 
-    Per opening, in stream order: its bank, whether a PRE closes another
-    row first, hits (how far the hit runs since the previous opening
-    moved the channel's last read), gaps (the tCCD from the channel's
-    previous run, 1 for its first) and tails ((length - 1) * t_ccd_l).
-    Returns the ACT cycle and the first RD cycle of each opening; its
-    PRE, if any, is tRP before the ACT.
-    """
+    act_at holds each bank's newest ACT, rd the previous opening's first
+    read.  Per opening: its bank, whether a PRE closes another row first,
+    how far the reads since the previous opening's first read move the
+    channel's last read, and its closed-form lead.  Returns the ACT and
+    first RD cycles; a PRE is tRP before its ACT."""
     t_rcd, t_rp, t_ras = config.t_rcd, config.t_rp, config.t_ras
-    act_at = [0] * config.banks_per_channel
-    last = -1  # the channel's last read, which is also its last command
     act_cycles, rd_cycles = [], []
     # Comparisons rather than max(): this loop is the engine's one
     # Python step per opening, and the calls would double its cost.
-    for bank, pre, hit, gap, tail in zip(banks, pres, hits, gaps, tails):
-        last += hit
+    for bank, pre, move, lead in zip(banks, pres, moves, leads):
+        last = rd + move  # the channel's last read, which is also its last command
         if pre:  # PRE = max(last + 1, act_at[bank] + t_ras), then ACT tRP later
             act = act_at[bank] + t_ras
             if act <= last:
@@ -349,11 +339,12 @@ def _open_rows(config: DramConfig, banks: list, pres: list, hits: list, gaps: li
             act = last + 1
         act_at[bank] = act
         rd = act + t_rcd
-        if rd < last + gap:
-            rd = last + gap
+        # lead is the tCCD or 1 + tRP (if it precharges) + tRCD, the
+        # latter never later than act + t_rcd.
+        if rd < last + lead:
+            rd = last + lead
         act_cycles.append(act)
         rd_cycles.append(rd)
-        last = rd + tail
     return act_cycles, rd_cycles
 
 
@@ -383,13 +374,14 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     closed form.  Cut at row boundaries, each piece is a run: reads to
     consecutive columns of one (bank, row), issued t_ccd_l apart.  A run
     becomes one RD row, preceded by the PRE and ACT rows that open its
-    row if it is not a hit.  Between two openings on a channel the reads
-    are a cumulative sum, so the bank state machine steps once per
-    opening (`_open_rows`).  Rows are grouped by channel, each channel's
-    in stream order.  No array is as long as the burst count, and each
-    temporary is freed after its last use.  A run never crosses an
-    extent, so all of an RD row's reads load the chunk of its first
-    read's request.  A trace of INDEX_LIMIT requests or more, or one
+    row if it is not a hit.  Each run's first read is the channel's last
+    read plus a lead fixed by the run alone, a cumulative sum, until a
+    PRE must wait for tRAS; from that opening on the bank state machine
+    steps once per opening (`_open_rows`).  Rows are grouped by channel,
+    each channel's in stream order.  No array is as long as the burst
+    count, and each temporary is freed after its last use.  A run never
+    crosses an extent, so all of an RD row's reads load the chunk of its
+    first read's request.  A trace of INDEX_LIMIT requests or more, or one
     that reaches DRAM row INDEX_LIMIT, does not fit the table and raises.
     """
     if len(trace) >= INDEX_LIMIT:
@@ -406,25 +398,23 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     ext_bursts, ext_first = trace.size[head] // BLOCK, trace.addr[head] // BLOCK
     ext_total = np.diff(np.r_[head, len(trace)]) * ext_bursts
 
-    # On channel c an extent reads the global bursts ext_first + skip,
-    # + skip + channels, ..., skip = (c - ext_first) mod channels: span
-    # consecutive burst indices within the channel from lo on, up to end.
-    # Ranges are listed channel after channel, each channel's in stream
-    # order.
+    # An extent of T bursts from global burst G reads on min(T, channels)
+    # channels: the channel of G + skip reads G + skip, G + skip +
+    # channels, ..., ceil((T - skip) / channels) consecutive burst indices
+    # within the channel from lo on, up to end.  Ranges are listed
+    # channel after channel, each channel's in stream order.
     channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
-    skip = (np.arange(channels)[:, None] - ext_first) % channels
-    span = np.maximum(-(-(ext_total - skip) // channels), 0).ravel()
-    del ext_total
-    live = np.flatnonzero(span)
-    if not live.size:
+    extent, skip = _spread(np.minimum(ext_total, channels))
+    if not extent.size:
         return CommandTable(
             np.zeros(0, np.int8), **{name: np.zeros(0, t) for name, t in _COLUMN_TYPES.items()}
         )
-    ch, extent = np.divmod(live, head.size)
-    ch = ch.astype(np.int16)
-    lo = (ext_first[extent] + skip.ravel()[live]) // channels
-    end = lo + span[live]
-    del skip, span, live
+    lo, ch = np.divmod(ext_first[extent] + skip, channels)
+    end = lo - (skip - ext_total[extent]) // channels
+    del ext_total, skip
+    by_channel = _stable_order(ch)
+    ch, extent, lo, end = (a[by_channel] for a in (ch.astype(np.int16), extent, lo, end))
+    del by_channel
     last_row = int(end.max() - 1) // (cpr * banks)
     if last_row >= INDEX_LIMIT:
         raise ValueError(
@@ -484,40 +474,56 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     del closed
     opens = np.flatnonzero(opening)
 
-    # Every hit run reads right after the channel's previous run: its
-    # last read is the previous run's plus its gap plus its tail.
-    same_channel = np.zeros(n_runs, bool)
-    np.equal(ch[1:], ch[:-1], out=same_channel[1:])
-    moved = np.where(same_channel & np.r_[False, bank[1:] == bank[:-1]], t_l, t_s)
-    moved[~same_channel] = 1  # no earlier read: with last = -1 the gap binds nothing
-    gap = moved[opens]
+    # The closed form (docs/dram-model.md, "Openings"): a run's first read
+    # is the channel's last read E_prev plus its lead, the tCCD after the
+    # channel's previous run (1 for its first run), and for an opening at
+    # least 1 + tRP (if it precharges) + tRCD.  So E, a run's last read,
+    # is a cumulative sum over its channel from -1.
+    starts = np.flatnonzero(np.r_[True, ch[1:] != ch[:-1]])  # each channel's first run
+    lead = np.where(np.r_[False, bank[1:] == bank[:-1]], t_l, t_s)
+    lead[starts] = 1
+    pres = has_pre[opens]
+    act = np.where(pres, 1 + config.t_rp, 1)
+    leads = np.maximum(lead[opens], act + config.t_rcd)
+    lead[opens] = leads
     tail = np.multiply(length - 1, t_l, dtype=np.int64)
-    moved += tail
-    moved[opening] = 0
-    np.cumsum(moved, out=moved)
-    hits = np.diff(np.r_[0, moved[opens]])
-    hits[~same_channel[opens]] = 0
-    del same_channel
-    steps = (bank[opens], has_pre[opens], hits, gap, tail[opens])
-    chan_of = ch[opens]
-    bounds = np.flatnonzero(np.r_[True, chan_of[1:] != chan_of[:-1], True]).tolist()
-    act_at, first_rd = np.empty(opens.size, np.int64), np.empty(opens.size, np.int64)
-    for first, stop in zip(bounds[:-1], bounds[1:]):
-        act_at[first:stop], first_rd[first:stop] = _open_rows(
-            config, *(a[first:stop].tolist() for a in steps)
-        )
-    del steps, hits, gap, chan_of
-    # Each run's last read: its segment's opening's, moved by the hits
-    # since; its first read is that less its tail.
-    first_rd += tail[opens]
-    first_rd -= moved[opens]
-    rd_cycle = moved
+    rd_cycle = tail + lead
+    del lead
+    ends = np.add.reduceat(rd_cycle, starts)  # rebase each channel at -1
+    rd_cycle[starts[1:]] -= ends[:-1]
+    rd_cycle[0] -= 1
+    np.cumsum(rd_cycle, out=rd_cycle)
     rd_cycle -= tail
-    del moved, tail
-    segment = np.cumsum(opening)
-    segment -= 1
-    rd_cycle += first_rd[segment]
-    del segment, first_rd
+    del tail, starts, ends
+    firsts = rd_cycle[opens]
+    act += firsts - leads
+
+    # It is exact up to a channel's first PRE that comes less than tRAS
+    # after the ACT of the previous opening on its bank.  From there on
+    # _open_rows steps the channel's openings, and each shifts its runs.
+    chan_of, open_bank = ch[opens], bank[opens]
+    by_bank = _stable_order(chan_of.astype(np.int32) * banks + open_bank)
+    binds = np.zeros(opens.size, bool)
+    binds[by_bank[1:]] = act[by_bank[1:]] - config.t_rp < act[by_bank[:-1]] + config.t_ras
+    binds = np.flatnonzero(binds & pres)
+    del by_bank
+    if binds.size:
+        moves = firsts - leads  # each opening's E_prev, less the previous one's first read
+        moves[1:] -= firsts[:-1]
+        first_rd = firsts.copy()
+        for first in binds[np.r_[True, chan_of[binds[1:]] != chan_of[binds[:-1]]]].tolist():
+            c = int(chan_of[first])
+            lo, stop = np.searchsorted(chan_of, [c, c + 1])
+            act_at = np.zeros(banks, np.int64)
+            np.maximum.at(act_at, open_bank[lo:first], act[lo:first])
+            act[first:stop], first_rd[first:stop] = _open_rows(
+                config, act_at.tolist(), int(firsts[first - 1]),
+                *(a[first:stop].tolist() for a in (open_bank, pres, moves, leads)),
+            )
+        first_rd -= firsts  # how late each opening's runs issue
+        rd_cycle += np.repeat(first_rd, np.diff(np.r_[opens, n_runs]))
+        del moves, first_rd
+    del firsts, leads, chan_of, open_bank
 
     # Table order: runs as listed (channel after channel, each in stream
     # order), each preceded by its PRE and ACT rows.  Each per-run column
@@ -528,8 +534,9 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     rd_pos -= 1
     act_pos, pre_pos = rd_pos[opening] - 1, rd_pos[has_pre] - 2
     kind = np.full(int(rd_pos[-1]) + 1, _RD, np.int8)
-    del rd_pos
     kind[act_pos], kind[pre_pos] = _ACT, _PRE
+    run_of = np.repeat(np.arange(n_runs), rows_of)  # each table row's run
+    del rd_pos, rows_of
     runs = {
         "channel": ch, "bank": bank, "row": row, "column": column,
         "issue_cycle": rd_cycle, "request_index": request, "count": length,
@@ -538,13 +545,13 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     patches = {
         "row": (None, pre_row),
         "column": (None, 0),
-        "issue_cycle": (act_at, act_at[has_pre[opens]] - config.t_rp),
+        "issue_cycle": (act, act[pres] - config.t_rp),
         "count": (1, 1),
     }
-    del ch, bank, row, column, rd_cycle, request, length, pre_row, act_at
+    del ch, bank, row, column, rd_cycle, request, length, pre_row, act, pres
     columns = {"kind": kind}
     for name in _COLUMN_TYPES:
-        out = np.repeat(runs.pop(name), rows_of)
+        out = runs.pop(name)[run_of]
         act, pre = patches.get(name, (None, None))
         if act is not None:
             out[act_pos] = act
@@ -583,19 +590,11 @@ _VIOLATIONS = (
 )
 
 
-def _previous(flags: np.ndarray) -> np.ndarray:
-    """Index of the nearest earlier True in flags, or -1."""
-    out = np.arange(-1, flags.size - 1)  # the row just before, if flagged
-    out[1:][~flags[:-1]] = -1
-    return np.maximum.accumulate(out, out=out)
-
-
-def _group_starts(starts: np.ndarray) -> np.ndarray:
-    """Index of each row's group's first row, the groups being runs of
-    rows that each begin where starts is True (starts[0] must be)."""
-    out = np.arange(starts.size)
-    out[~starts] = 0
-    return np.maximum.accumulate(out, out=out)
+def _latest(flags: np.ndarray, after: int) -> np.ndarray:
+    """Index of the nearest True in flags at or before each row (after 0)
+    or strictly before it (after 1), or -1 for none."""
+    at = np.flatnonzero(flags)
+    return np.repeat(np.r_[-1, at], np.diff(np.r_[0, at + after, flags.size]))
 
 
 def _first_violation(config: DramConfig, table: CommandTable):
@@ -631,17 +630,15 @@ def _first_violation(config: DramConfig, table: CommandTable):
     channel_start = np.r_[True, ch[1:] != ch[:-1]]
     bad = (bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels)
 
-    # Bank state, grouped by (channel, bank).  Banks outside the config
-    # share one key below and one above per channel: their rows fail the
+    # Bank state, grouped by (channel, bank).  Channels and banks outside
+    # the config share one key below and one above: their rows fail the
     # first check, and no other row reads their state.
-    key = np.cumsum(channel_start) - 1
-    key *= banks + 2
+    key = (np.clip(ch, -1, config.channels).astype(np.int64) + 1) * (banks + 2)
     key += np.clip(bank, -1, banks)
-    key += 1
     by_bank = _stable_order(key)
     key = key[by_bank]
-    prev = _previous((kind != _RD)[by_bank])  # the newest ACT or PRE before
-    prev[prev < _group_starts(np.r_[True, key[1:] != key[:-1]])] = -1
+    prev = _latest((kind != _RD)[by_bank], 1)  # the newest ACT or PRE before
+    prev[prev < _latest(np.r_[True, key[1:] != key[:-1]], 0)] = -1
     del key
     state = np.empty(n, np.int64)
     state[by_bank] = np.where(prev >= 0, by_bank[prev], -1)
@@ -670,18 +667,19 @@ def _first_violation(config: DramConfig, table: CommandTable):
     previous_last[1:] = last[:-1]
     previous_last[channel_start] = -1
     bad |= cycle <= previous_last
-    del previous_last
-    last_rd = _previous(is_rd)
-    early = is_rd & (last_rd >= _group_starts(channel_start))
-    del is_rd, channel_start
-    last_rd[~early] = 0
-    spacing = last[last_rd]
+    del previous_last, channel_start
+    # Each RD row after the first of its channel against the RD row
+    # before it, the channel's previous read.
+    rd = np.flatnonzero(is_rd)
+    del is_rd
+    before, rd = rd[:-1], rd[1:]
+    spacing = last[before]
     del last
-    spacing += np.where(bank[last_rd] == bank, config.t_ccd_l, config.t_ccd_s)
-    del last_rd
-    early &= cycle < spacing
-    bad |= early
-    del spacing, early
+    spacing += np.where(bank[before] == bank[rd], config.t_ccd_l, config.t_ccd_s)
+    early = ch[before] == ch[rd]
+    early &= cycle[rd] < spacing
+    bad[rd[early]] = True
+    del rd, before, spacing, early
 
     bad = np.flatnonzero(bad)
     if not bad.size:

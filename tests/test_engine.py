@@ -10,11 +10,13 @@ the trace must be the replay's, and a tagged trace's energy split must
 come within 1e-15 of the exact split by those counts.  Checked on hand
 traces, on every trace of the default sweep, on random and interleaved
 traces and configs, on runs of contiguous equal-size requests (the
-extents `plan` merges), on random chunk columns, on perturbed command
-streams and run tables, and on hand tables whose rules break on several
-channels, out of channel order or outside the config.
+extents `plan` merges), on random chunk columns, on traces where tRAS
+first binds mid-channel, on perturbed command streams and run tables,
+and on hand tables whose rules break on several channels, out of
+channel order or outside the config.
 """
 
+import contextlib
 import dataclasses
 import tracemalloc
 from pathlib import Path
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planestore import dram as engine
 from planestore.address import Trace
 from planestore.config import load_config
 from planestore.dram import (
@@ -282,6 +285,11 @@ def test_engine_working_set_at_8_bits():
     assert peak <= 100 * len(table)
     _, _, peak = traced(simulate, cfg.dram, table)
     assert peak <= 80 * len(table)
+    # An extent reads on at most as many channels as it has bursts, so
+    # plan's working set follows the table, not the channel count.
+    for channels in (64, 1024):
+        wide, _, peak = traced(plan, dataclasses.replace(cfg.dram, channels=channels), trace)
+        assert peak <= 100 * len(wide)
 
 
 @pytest.fixture(scope="module")
@@ -298,25 +306,43 @@ def sweep_traces():
     return cfg, traces
 
 
+@contextlib.contextmanager
+def counted_steps():
+    """Count the row openings plan steps through the bank state machine."""
+    steps, step = [0], engine._open_rows
+
+    def counting(*args):
+        acts, rds = step(*args)
+        steps[0] += len(acts)
+        return acts, rds
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_open_rows", counting)
+        yield steps
+
+
 def test_default_sweep_traces_match_reference(sweep_traces):
     # Each trace is tagged by kind, so its energy split is checked too.
     cfg, traces = sweep_traces
     assert len(traces) == 10
     counts, rows = {}, 0
-    for key, trace in traces.items():
-        table, commands, result = assert_engine_matches_reference(cfg.dram, trace)
-        counts[key] = (len(trace), len(commands), result.num_acts)
-        rows += len(table)
+    with counted_steps() as steps:
+        for key, trace in traces.items():
+            table, commands, result = assert_engine_matches_reference(cfg.dram, trace)
+            counts[key] = (len(trace), len(commands), result.num_acts)
+            rows += len(table)
     # The baseline counts the benchmark pins for this config and seed.
     assert counts[8.0, "traditional"][:2] == (198_396, 202_180)
     assert counts[1.6, "bitplane"][2] == 1_931
     assert counts[1.6, "traditional"][2] == 728
-    # One table row per run and per PRE/ACT, not per burst, and one
-    # step of the bank state machine per opening (per ACT).  Cutting
+    # One table row per run and per PRE/ACT, not per burst.  Cutting
     # extents where the chunk changes adds 4,972 rows (144,126 without).
+    # No PRE waits for tRAS, so all 17,482 openings (ACTs) are timed in
+    # closed form and none steps the bank state machine.
     assert sum(c[1] for c in counts.values()) == 1_020_159
     assert rows == 149_098
     assert sum(c[2] for c in counts.values()) == 17_482
+    assert steps[0] == 0
 
 
 # --- random configs, traces and streams -------------------------------------
@@ -407,6 +433,59 @@ def extent_traces(draw):
 @given(st.one_of(configs, st.just(dram())), extent_traces())
 def test_extent_runs_match_reference(config, trace):
     assert_engine_matches_reference(config, trace)
+
+
+@st.composite
+def handoff_cases(draw):
+    """A config and a trace: a sequential stream that opens each bank's
+    row 0 at most once, so no PRE waits for tRAS, then 1-2 banks of one
+    channel each opened twice running, to rows 1 and 2, so that tRAS
+    binds, then the stream again, which may reopen rows."""
+    config = draw(st.builds(
+        dram,
+        channels=st.integers(1, 3),
+        banks_per_channel=st.integers(2, 8),
+        row_bytes=st.sampled_from([128, 256, 512]),
+        # Short t_rcd and t_rp let tCCD bind the first read after an ACT.
+        t_rcd=st.one_of(st.integers(1, 4), st.integers(1, 34)),
+        t_rp=st.one_of(st.integers(1, 4), st.integers(1, 40)),
+        t_ras=st.integers(40, 300),
+    ))
+    channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
+    rng = draw(st.randoms(use_true_random=False))
+
+    def stream(lo, hi):
+        requests = []
+        while lo < hi:
+            blocks = min(rng.randint(1, 8), hi - lo)
+            requests.append((64 * lo, 64 * blocks))
+            lo += blocks
+        return requests
+
+    head = draw(st.integers(channels * cpr, channels * cpr * banks))
+    requests = stream(0, head)
+    channel = draw(st.integers(0, channels - 1))
+    thrashed = draw(st.lists(st.integers(0, banks - 1), min_size=1, max_size=2, unique=True))
+    for _ in range(draw(st.integers(1, 3))):
+        for bank in thrashed:
+            for row in (1, 2):
+                requests.append((64 * (((row * banks + bank) * cpr) * channels + channel), 64))
+    requests += stream(head, head + draw(st.integers(0, channels * cpr * banks)))
+    return config, trace_of(requests)
+
+
+@settings(deadline=None, max_examples=100)
+@given(handoff_cases())
+def test_state_machine_takes_over_where_t_ras_binds(case):
+    # A bank's second opening in a row would issue its PRE one cycle
+    # after the first opening's read, at most 35 cycles after that ACT
+    # (tRCD <= 34, tCCD <= 12 here), short of tRAS >= 40.  From there the
+    # channel's openings step through _open_rows, starting from the
+    # closed form's state; the stream's openings before the thrash do not.
+    config, trace = case
+    with counted_steps() as steps:
+        _, _, result = assert_engine_matches_reference(config, trace)
+    assert 0 < steps[0] < result.num_acts
 
 
 @settings(deadline=None, max_examples=150)
