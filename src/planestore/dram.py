@@ -18,9 +18,10 @@ per channel per cycle.
 reference.  `plan` computes the same command stream as a run table, one
 RD row per run of reads to consecutive columns of an open row, timed in
 closed form up to a channel's first row opening where tRAS binds and
-stepped once per opening from there.  `simulate` replays a table with
-every legality check vectorized over all channels at once and returns
-totals only; `energy_breakdown` (per-tag integer counts) and
+stepped once per opening from there.  `simulate` replays a table,
+recording every row's first broken legality rule vectorized over all
+channels at once, and returns totals only, which must be finite;
+`energy_breakdown` (per-tag integer counts) and
 `read_completions` read the other figures off the table and the trace.
 Both `schedule` and `plan` take the request stream as an
 `address.Trace`.  `plan` relies on its rows being valid, which the Trace
@@ -40,6 +41,7 @@ calibration inputs, not ground truth.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -51,9 +53,12 @@ from .bitplane import BLOCK
 
 # Run-table limits: channel and bank ids lie below ID_LIMIT (int16
 # columns); requests, rows, columns and read counts below INDEX_LIMIT
-# (int32 columns).
+# (int32 columns).  Timings lie below TIMING_LIMIT, so one read moves
+# its channel's clock by less than 2**33 cycles and issue cycles fit
+# int64 (docs/dram-model.md).
 ID_LIMIT = 1 << 15
 INDEX_LIMIT = 1 << 31
+TIMING_LIMIT = 1 << 31
 
 
 class CommandKind(enum.IntEnum):
@@ -114,14 +119,14 @@ class DramConfig:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         # The run table holds channel and bank ids as int16, columns and
-        # read counts as int32.
-        for name, limit in (
-            ("channels", ID_LIMIT),
-            ("banks_per_channel", ID_LIMIT),
-            ("row_bytes", BLOCK * INDEX_LIMIT),
-        ):
-            if counts[name] >= limit:
-                raise ValueError(f"{name} must be below {limit}, got {counts[name]}")
+        # read counts as int32; every other count is a timing.
+        limits = {
+            "channels": ID_LIMIT, "banks_per_channel": ID_LIMIT, "row_bytes": BLOCK * INDEX_LIMIT,
+        }
+        for name, value in counts.items():
+            limit = limits.get(name, TIMING_LIMIT)
+            if value >= limit:
+                raise ValueError(f"{name} must be below {limit}, got {value}")
         if self.clock_ns <= 0:
             raise ValueError("clock_ns must be positive")
         if self.e_act_pj < 0 or self.e_rd_pj < 0 or self.p_bg_mw < 0:
@@ -561,6 +566,9 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     return CommandTable(**columns)
 
 
+_TOO_LARGE = "clock_ns or an energy constant is too large"
+
+
 @dataclass(frozen=True)
 class SimResult:
     """Totals of one simulated trace."""
@@ -614,9 +622,11 @@ def _first_violation(config: DramConfig, table: CommandTable):
     they are t_ccd_l >= 1 apart, which satisfies the bus, tCCD and tRCD
     rules once the first read does.
 
-    Each check is OR'ed into one mask as soon as it is computed, and its
-    inputs are freed; only at the earliest illegal row are the checks
-    rebuilt in order (`_violation_at`) to name the one it fails first.
+    `fail` holds each row's first broken rule as an index into
+    `_VIOLATIONS`, len(_VIOLATIONS) for a legal row.  The rules are
+    recorded from last to first, so an earlier rule overwrites a later
+    one.  Each rule's inputs are freed once it is recorded, but the bus
+    mask, computed with the read spacing, waits for its turn.
     """
     channel = table.channel
     n, banks = channel.size, config.banks_per_channel
@@ -627,12 +637,34 @@ def _first_violation(config: DramConfig, table: CommandTable):
         columns = tuple(c[order] for c in columns)
     ch, kind, bank, row, cycle, count = columns
     cycle = np.asarray(cycle, np.int64)
-    channel_start = np.r_[True, ch[1:] != ch[:-1]]
-    bad = (bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels)
+    fail = np.full(n, len(_VIOLATIONS), np.int8)
+
+    # Bus and read spacing: the last cycle of each row and of each RD
+    # row's last read.
+    last = np.multiply(count - 1, config.t_ccd_l, dtype=np.int64)
+    last += cycle
+    previous_last = np.empty(n, np.int64)
+    previous_last[1:] = last[:-1]
+    previous_last[np.r_[True, ch[1:] != ch[:-1]]] = -1
+    bus = cycle <= previous_last
+    del previous_last
+    # Each RD row after the first of its channel against the RD row
+    # before it, the channel's previous read: t_ccd_l on the same bank,
+    # t_ccd_s across banks.
+    rd = np.flatnonzero(kind == _RD)
+    before, rd = rd[:-1], rd[1:]
+    same_bank = bank[before] == bank[rd]
+    spacing = last[before]
+    del last
+    spacing += np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
+    early = ch[before] == ch[rd]
+    early &= cycle[rd] < spacing
+    fail[rd[early]] = np.where(same_bank[early], 9, 10)
+    del rd, before, same_bank, spacing, early
 
     # Bank state, grouped by (channel, bank).  Channels and banks outside
     # the config share one key below and one above: their rows fail the
-    # first check, and no other row reads their state.
+    # first rule, and no other row reads their state.
     key = (np.clip(ch, -1, config.channels).astype(np.int64) + 1) * (banks + 2)
     key += np.clip(bank, -1, banks)
     by_bank = _stable_order(key)
@@ -648,88 +680,27 @@ def _first_violation(config: DramConfig, table: CommandTable):
     is_open = has_state & (kind[state] == _ACT)
     since = cycle - cycle[state]  # cycles since the bank's newest ACT or PRE
     is_act, is_pre, is_rd = kind == _ACT, kind == _PRE, kind == _RD
-    bad |= is_act & is_open
-    bad |= is_act & has_state & ~is_open & (since < config.t_rp)
-    del has_state
-    bad |= is_pre & ~is_open
-    bad |= is_pre & (since < config.t_ras)
-    del is_act, is_pre
-    bad |= is_rd & ~is_open
-    bad |= is_rd & (row[state] != row)
-    bad |= is_rd & (since < config.t_rcd)
-    del state, is_open, since
+    fail[is_rd & (since < config.t_rcd)] = 8
+    fail[is_rd & (row[state] != row)] = 7
+    fail[is_rd & ~is_open] = 6
+    fail[is_pre & (since < config.t_ras)] = 5
+    fail[is_pre & ~is_open] = 4
+    fail[is_act & has_state & ~is_open & (since < config.t_rp)] = 3
+    fail[is_act & is_open] = 2
+    del has_state, is_open, since, is_act, is_pre, is_rd
+    fail[bus] = 1
+    fail[(bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels)] = 0
 
-    # Bus and read spacing: the last cycle of each row and of each RD
-    # row's last read.
-    last = np.multiply(count - 1, config.t_ccd_l, dtype=np.int64)
-    last += cycle
-    previous_last = np.empty(n, np.int64)
-    previous_last[1:] = last[:-1]
-    previous_last[channel_start] = -1
-    bad |= cycle <= previous_last
-    del previous_last, channel_start
-    # Each RD row after the first of its channel against the RD row
-    # before it, the channel's previous read.
-    rd = np.flatnonzero(is_rd)
-    del is_rd
-    before, rd = rd[:-1], rd[1:]
-    spacing = last[before]
-    del last
-    spacing += np.where(bank[before] == bank[rd], config.t_ccd_l, config.t_ccd_s)
-    early = ch[before] == ch[rd]
-    early &= cycle[rd] < spacing
-    bad[rd[early]] = True
-    del rd, before, spacing, early
-
-    bad = np.flatnonzero(bad)
+    bad = np.flatnonzero(fail < len(_VIOLATIONS))
     if not bad.size:
         return None
     # Each channel's first illegal row, then the earliest in table order.
     bad_ch = ch[bad]
     firsts = bad[np.r_[True, bad_ch[1:] != bad_ch[:-1]]]
     j = int(firsts[np.argmin(firsts if order is None else order[firsts])])
-    return _violation_at(config, j, ch, kind, bank, row, cycle, count)
-
-
-def _violation_at(config: DramConfig, j: int, ch, kind, bank, row, cycle, count) -> str:
-    """The message of the first check row j fails, the checks rebuilt
-    from the rows before it on its channel.  The columns are grouped by
-    channel in ascending order, as `_first_violation` holds them."""
-    lo = int(np.searchsorted(ch, ch[j]))
-    t_l = config.t_ccd_l
-
-    def last(i: int) -> int:
-        return int(cycle[i]) + (int(count[i]) - 1) * t_l
-
-    # The bank's newest ACT or PRE before row j, and the newest read.
-    states = np.flatnonzero((bank[lo:j] == bank[j]) & (kind[lo:j] != _RD))
-    reads = np.flatnonzero(kind[lo:j] == _RD)
-    state = lo + int(states[-1]) if states.size else 0
-    read = lo + int(reads[-1]) if reads.size else 0
-    has_state, is_open = states.size > 0, states.size > 0 and kind[state] == _ACT
-    is_act, is_pre, is_rd = (kind[j] == code for code in (_ACT, _PRE, _RD))
-    c, since = int(cycle[j]), int(cycle[j]) - int(cycle[state])
-    same_bank = bank[read] == bank[j]
-    early = is_rd and reads.size > 0 and c < last(read) + (t_l if same_bank else config.t_ccd_s)
-    checks = (
-        not (0 <= bank[j] < config.banks_per_channel and 0 <= ch[j] < config.channels),
-        c <= (last(j - 1) if j > lo else -1),
-        is_act and is_open,
-        is_act and has_state and not is_open and since < config.t_rp,
-        is_pre and not is_open,
-        is_pre and since < config.t_ras,
-        is_rd and not is_open,
-        is_rd and row[state] != row[j],
-        is_rd and since < config.t_rcd,
-        early and same_bank,
-        early,
-    )
-    return _VIOLATIONS[checks.index(True)].format(
-        ch=int(ch[j]),
-        bank=int(bank[j]),
-        row=int(row[j]),
-        cycle=c,
-        open_row=int(row[state]),
+    return _VIOLATIONS[fail[j]].format(
+        ch=int(ch[j]), bank=int(bank[j]), row=int(row[j]), cycle=int(cycle[j]),
+        open_row=int(row[state[j]]),
     )
 
 
@@ -776,6 +747,9 @@ def simulate(config: DramConfig, table: CommandTable) -> SimResult:
         "background": e_bg,
         "total": e_act + e_rd + e_bg,
     }
+    for name, value in {"time": total_ns, **{f"{k} energy": v for k, v in energy.items()}}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"the simulated {name} is {value}: {_TOO_LARGE}")
     return SimResult(
         total_cycles=total_cycles,
         total_ns=total_ns,
@@ -809,9 +783,12 @@ def energy_breakdown(result: SimResult, table: CommandTable, trace: Trace) -> di
     acts = np.bincount(trace.tag[table.request_index[table.kind == _ACT]], minlength=reads.size)
     e = result.energy_pj
     split = np.zeros(reads.size)
-    if result.num_acts:
-        split += e["activation"] * acts / result.num_acts
-    if result.num_reads:
-        split += e["read"] * reads / result.num_reads
-        split += e["background"] * reads / result.num_reads
+    with np.errstate(over="ignore"):  # an overflow raises below, as one error
+        if result.num_acts:
+            split += e["activation"] * acts / result.num_acts
+        if result.num_reads:
+            split += e["read"] * reads / result.num_reads
+            split += e["background"] * reads / result.num_reads
+    if not np.isfinite(split).all():
+        raise ValueError(f"a tag's simulated energy is not finite: {_TOO_LARGE}")
     return dict(zip(trace.labels, split.tolist()))

@@ -272,6 +272,17 @@ BAD_CONFIGS = [
     ("dram:\n  channels: 32768\n", "channels must be below 32768, got 32768"),
     ("dram:\n  row_bytes: 137438953472\n",
      "row_bytes must be below 137438953472, got 137438953472"),
+    # Timings below 2**31 keep issue cycles within int64.
+    ("dram: {t_rp: 4000000000000000000}\n",
+     "t_rp must be below 2147483648, got 4000000000000000000"),
+    ("dram: {t_rcd: 100000000000000000, t_ras: 100000000000000000,"
+     " t_cl: 100000000000000000}\n",
+     "t_rcd must be below 2147483648, got 100000000000000000"),
+    # Finite constants whose products overflow: no report field may be inf.
+    ("dram: {clock_ns: 1.0e+300}\n", "the simulated background energy is inf"),
+    ("dram: {p_bg_mw: 1.0e+308}\n", "the simulated background energy is inf"),
+    ("dram: {e_act_pj: 1.0e+308}\n", "the simulated activation energy is inf"),
+    ("dram: {e_act_pj: 1.0e+303}\n", "a tag's simulated energy is not finite"),
 ]
 
 
@@ -791,6 +802,14 @@ def test_sim_rejects_bad_lines(small_config, tmp_path, capsys):
 
     assert main(["sim", "--config", small_config, "no/such.trace"]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_sim_rejects_non_finite_results(tmp_path, capsys):
+    trace = tmp_path / "t.txt"
+    trace.write_text("0 64 a\n")
+    config = write_config(tmp_path, "dram: {clock_ns: 1.0e+305}\n")
+    assert main(["sim", "--config", config, str(trace)]) == 1
+    assert "the simulated background energy is inf" in one_line_error(capsys)
 
 
 # --------------------------------------------------------------- compare

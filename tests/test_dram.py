@@ -70,6 +70,8 @@ def test_config_validation():
     [
         ({"t_ccd_s": 4}, "t_ccd_s must be at least the 8-cycle burst"),
         ({"t_ccd_l": 7}, "t_ccd_l must be at least the 8-cycle burst"),
+        ({"t_rp": 1 << 31}, "t_rp must be below 2147483648, got 2147483648"),
+        ({"t_cl": 1 << 62}, "t_cl must be below 2147483648"),
     ],
 )
 def test_config_rejects_what_the_model_cannot_represent(fields, match):
@@ -204,6 +206,30 @@ def test_energy_components_sum_to_total():
     e = result.energy_pj
     assert math.isclose(e["total"], e["activation"] + e["read"] + e["background"])
     assert e["background"] > 0
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"clock_ns": 1e304}, "the simulated background energy is inf"),
+        ({"clock_ns": 1e307}, "the simulated time is inf"),
+        ({"e_rd_pj": 1e308}, "the simulated read energy is inf"),
+        ({"e_act_pj": 1e308, "e_rd_pj": 1e308}, "the simulated activation energy is inf"),
+    ],
+)
+def test_non_finite_results_are_rejected(fields, match):
+    with pytest.raises(ValueError, match=match):
+        totals(dram(**fields), trace_of([req(0, 512)]))
+
+
+def test_breakdown_rejects_an_overflowing_share():
+    # Finite totals, but an energy times a tag's count overflows.
+    config = dram(e_act_pj=1e308 / 2)
+    trace = trace_of([req(0), req(8192 * 4), req(8192 * 8)], [0, 0, 1], ["a", "b"])
+    table, result = run_trace(config, trace)
+    assert result.num_acts == 3 and math.isfinite(result.energy_pj["total"])
+    with pytest.raises(ValueError, match="a tag's simulated energy is not finite"):
+        energy_breakdown(result, table, trace)
 
 
 def test_determinism():

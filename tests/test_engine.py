@@ -552,11 +552,25 @@ def cmd(kind, ch, bank, row, cycle):
         [cmd("ACT", 0, 0, 0, 0), cmd("ACT", 4, 0, 0, 0), cmd("RD", 0, 0, 0, 40)],
         [cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 0, 40), cmd("RD", -1, 0, 0, 50)],
         [cmd("ACT", 7, 1, 0, 3), cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 0, 40)],
+        # One row breaking two rules is named by the earlier rule in
+        # _VIOLATIONS: outside the config over a bus conflict, a bus
+        # conflict over a row already open, a precharge or read with no
+        # open row over tRAS or tRCD, a read to the wrong row over tRCD,
+        # and tRCD over tCCD_S.
+        [cmd("ACT", 0, 0, 0, 0), cmd("ACT", 0, 32, 0, 0)],
+        [cmd("ACT", 0, 0, 0, 0), cmd("ACT", 0, 0, 1, 0)],
+        [cmd("ACT", 0, 0, 0, 0), cmd("PRE", 0, 0, 0, 80), cmd("PRE", 0, 0, 0, 90)],
+        [cmd("ACT", 0, 0, 0, 0), cmd("PRE", 0, 0, 0, 80), cmd("RD", 0, 0, 0, 90)],
+        [cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 5, 10)],
+        [cmd("ACT", 0, 0, 0, 0), cmd("RD", 0, 0, 0, 34), cmd("ACT", 0, 1, 0, 35),
+         cmd("RD", 0, 1, 0, 40)],
     ],
     ids=[
         "later-channel-first", "earlier-channel-first", "grouped-table",
         "bank-minus-1-beside-31", "bank-minus-1-first", "bank-past-config",
         "channel-past-config", "negative-channel", "channel-past-config-first",
+        "config-over-bus", "bus-over-row-open", "no-open-row-over-t-ras",
+        "read-no-open-row-over-t-rcd", "wrong-row-over-t-rcd", "t-rcd-over-t-ccd-s",
     ],
 )
 def test_hand_tables_get_the_reference_verdict(stream):
