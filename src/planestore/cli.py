@@ -331,8 +331,9 @@ def cmd_trace(args) -> int:
 
 
 def render_trace(trace: Trace) -> str:
-    """Trace file text: one 'byte_addr len_bytes tag' line per row, the
-    tag left out for an untagged row."""
+    """Trace file text: one 'byte_addr len_bytes tag' line per request,
+    the tag left out for an untagged one."""
+    trace = trace.per_request()
     # Tag code -1 picks the trailing "".
     tags = [f" {getattr(label, 'value', label)}" for label in trace.labels] + [""]
     return "".join(

@@ -204,12 +204,15 @@ def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
     Requests are served strictly in arrival order per channel (FCFS) with
     an open-page policy: a row hit costs just the RD; a miss precharges
     the stale row (if any) and activates the new one first.  Yields
-    commands lazily, one burst at a time.  This is the reference
-    statement of the policy; `plan` computes the same stream faster.
+    commands lazily, one burst at a time.  Trace row i is read as its
+    size * count bytes from addr on, each command naming i.  This is the
+    reference statement of the policy; `plan` computes the same stream
+    faster.
     """
     channels = [_ChannelState(config) for _ in range(config.channels)]
-    for index, (addr, size) in enumerate(zip(trace.addr.tolist(), trace.size.tolist())):
-        for offset in range(0, size, BLOCK):
+    rows = zip(trace.addr.tolist(), trace.size.tolist(), trace.count.tolist())
+    for index, (addr, size, count) in enumerate(rows):
+        for offset in range(0, size * count, BLOCK):
             ch, bank, row, column = map_address(config, addr + offset)
             st = channels[ch]
             if st.open_row[bank] != row:
@@ -248,7 +251,8 @@ class CommandTable:
 
     kind holds the row's CommandKind value; the other per-row columns
     mirror DramCommand's fields for the row's first command, so
-    request_index is the request of that command.  `plan` builds the
+    request_index is the trace row of that command, which is its
+    request when every trace row has count 1.  `plan` builds the
     columns in the types of `_COLUMN_TYPES` (kind int8), 29 bytes a row;
     wider integer columns are taken too.  An RD row stands for
     count reads to consecutive columns of its (bank, row), the k-th at
@@ -279,7 +283,8 @@ class CommandTable:
         return self.kind.size
 
     def check_requests(self, n_requests: int) -> None:
-        """Raise unless every row names one of a trace's n_requests."""
+        """Raise unless every row names one of a trace's n_requests rows
+        (its requests when every count is 1)."""
         if self.request_index.size and self.request_index.max() >= n_requests:
             row = int(np.argmax(self.request_index >= n_requests))
             raise ValueError(
@@ -298,7 +303,7 @@ _COLUMN_TYPES = {
     "request_index": np.int32,
     "count": np.int32,
 }
-# Requests per slice of `plan`'s extent scan.
+# Trace rows per slice of `plan`'s extent scan.
 _SCAN_SLICE = 1 << 14
 
 
@@ -353,11 +358,14 @@ def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, le
     return act_cycles, rd_cycles
 
 
-def _extent_heads(addr: np.ndarray, size: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """Row of each extent's first request.  A request extends the extent
-    before it when it starts where the previous request ends, with the
-    same size and chunk.  The rows are compared a fixed slice at a time,
-    so no temporary is as long as the trace."""
+def _extent_heads(trace: Trace) -> np.ndarray:
+    """First trace row of each extent.  A row whose count is above 1 is
+    an extent of its own.  A count-1 row extends the extent before it
+    when that extent is of count-1 rows and the row starts where the
+    previous one ends, with the same size and chunk.  The rows are
+    compared a fixed slice at a time, so no temporary is as long as the
+    trace."""
+    addr, size, chunk, count = trace.addr, trace.size, trace.chunk, trace.count
     heads = [np.zeros(min(addr.size, 1), np.int64)]
     for lo in range(1, addr.size, _SCAN_SLICE):
         hi = min(lo + _SCAN_SLICE, addr.size)
@@ -365,6 +373,8 @@ def _extent_heads(addr: np.ndarray, size: np.ndarray, chunk: np.ndarray) -> np.n
         starts = addr[lo:hi] != addr[prev] + size[prev]
         starts |= size[lo:hi] != size[prev]
         starts |= chunk[lo:hi] != chunk[prev]
+        starts |= count[lo:hi] > 1
+        starts |= count[prev] > 1
         heads.append(np.flatnonzero(starts) + lo)
     return np.concatenate(heads)
 
@@ -372,11 +382,13 @@ def _extent_heads(addr: np.ndarray, size: np.ndarray, chunk: np.ndarray) -> np.n
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
-    Consecutive requests that are contiguous, have the same burst count
-    and load the same chunk merge into an extent.  Channels interleave on
-    the burst itself, one fixed 64-byte BLOCK, so an extent covers one
-    contiguous range of burst indices within each channel, found in
-    closed form.  Cut at row boundaries, each piece is a run: reads to
+    Consecutive count-1 trace rows that are contiguous, have the same
+    burst count and load the same chunk merge into an extent; a row of
+    count above 1 is an extent of its own, its requests back to back.
+    Channels interleave on the burst itself, one fixed 64-byte BLOCK,
+    so an extent covers one contiguous range of burst indices within
+    each channel, found in closed form.  Cut at row boundaries, each
+    piece is a run: reads to
     consecutive columns of one (bank, row), issued t_ccd_l apart.  A run
     becomes one RD row, preceded by the PRE and ACT rows that open its
     row if it is not a hit.  Each run's first read is the channel's last
@@ -385,9 +397,10 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     steps once per opening (`_open_rows`).  Rows are grouped by channel,
     each channel's in stream order.  No array is as long as the burst
     count, and each temporary is freed after its last use.  A run never
-    crosses an extent, so all of an RD row's reads load the chunk of its
-    first read's request.  A trace of INDEX_LIMIT requests or more, or one
-    that reaches DRAM row INDEX_LIMIT, does not fit the table and raises.
+    crosses an extent, so all of an RD row's reads load the chunk of the
+    trace row of its first read, the row its request_index names.  A
+    trace of INDEX_LIMIT requests or more, or one that reaches DRAM row
+    INDEX_LIMIT, does not fit the table and raises.
     """
     if len(trace) >= INDEX_LIMIT:
         raise ValueError(
@@ -397,11 +410,16 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block, so a request's bursts are its size over the
     # block.  Extents are found on the byte columns, and only the extent
-    # heads are divided into bursts: each extent's first request, its
-    # requests' burst count and its first global burst index.
-    head = _extent_heads(trace.addr, trace.size, trace.chunk)
-    ext_bursts, ext_first = trace.size[head] // BLOCK, trace.addr[head] // BLOCK
-    ext_total = np.diff(np.r_[head, len(trace)]) * ext_bursts
+    # heads are divided into bursts: each extent's first row, its first
+    # global burst index, its bursts in all and per row.  An extent of
+    # several rows has count 1 on each.
+    head = _extent_heads(trace)
+    ext_first = trace.addr[head] // BLOCK
+    ext_rows = np.diff(np.r_[head, trace.addr.size])
+    ext_total = np.where(ext_rows == 1, trace.count[head], ext_rows)
+    ext_total *= trace.size[head] // BLOCK
+    ext_bursts = ext_total // ext_rows
+    del ext_rows
 
     # An extent of T bursts from global burst G reads on min(T, channels)
     # channels: the channel of G + skip reads G + skip, G + skip +
@@ -441,7 +459,8 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     length = length.astype(np.int32)
     ch, extent = ch[piece_of], extent[piece_of]
     del piece_of
-    # A run's first read is global burst local * channels + ch.
+    # A run's first read is global burst local * channels + ch, in the
+    # extent's row that many bursts past its first.
     request = local * channels
     request += ch
     request -= ext_first[extent]
@@ -772,13 +791,12 @@ def energy_breakdown(result: SimResult, table: CommandTable, trace: Trace) -> di
 
     table is the run table result replayed, and trace the request
     stream it was planned from.  A tag's ACTs are the ACT rows that name
-    its requests, and its reads its bytes over the block; activation
+    its trace rows, and its reads its bytes over the block; activation
     energy is split by ACT count, read and background energy by read
     count.  The split is keyed by the trace's labels, and the category
-    totals sum back to the result's total.  Every request must carry a
-    tag.
+    totals sum back to the result's total.  Every row must carry a tag.
     """
-    table.check_requests(len(trace))
+    table.check_requests(trace.addr.size)
     reads = trace.bytes_by_tag() // BLOCK
     acts = np.bincount(trace.tag[table.request_index[table.kind == _ACT]], minlength=reads.size)
     e = result.energy_pj

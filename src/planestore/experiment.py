@@ -44,7 +44,7 @@ def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int)
     """Marginal load time of each of num_chunks directory chunks, 0 for a
     chunk with no rows: how far the trace clock advances while that
     chunk's requests complete.  table is the trace's run table, whose RD
-    rows each read for one chunk, the chunk of the request they name.
+    rows each read for one chunk, the chunk of the trace row they name.
     A chunk is loaded when the latest of its rows completes, which on a
     multi-channel trace need not be its last one.  Chunks are taken in
     the order the trace first names them, however many segments of the

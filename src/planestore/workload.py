@@ -418,9 +418,10 @@ def gen_trace(
     its format needs, one request per plane span, trimmed against a
     per-plane high-water mark so a block straddling two chunks is never
     fetched twice.  traditional mode streams each chunk's full-width
-    words from its packed extent, one request per block; it has no
-    logical space, so it never resolves.  Both layouts are the
-    canonical placement for the directory.
+    words from its packed extent, one request per block, as one row
+    whose count is the extent's blocks; it has no logical space, so it
+    never resolves.  Both layouts are the canonical placement for the
+    directory.
 
     The work runs on the directory's and the assignment's columns: one
     translate_traditional call, or one resolve call for all loaded
@@ -434,23 +435,16 @@ def gen_trace(
     kind = directory.kind[loaded].astype(np.int32)
     chunk = np.flatnonzero(loaded).astype(np.int32)
     if mode == "traditional":
-        # One extent per chunk, issued one block at a time: each row steps
-        # one block past the previous one, except a chunk's first row,
-        # which jumps from the previous extent's last block to its own
-        # extent's start.  The per-row columns are each built in one go;
+        # One row per loaded chunk: its extent, read one block at a time.
         # size, BLOCK on every row, is a read-only view that holds no rows.
         extent_lo, extent_size = translate_traditional(directory, loaded)
-        blocks = extent_size // BLOCK
-        addr = np.full(int(blocks.sum()), BLOCK, np.int64)
-        last_block = np.r_[0, (extent_lo + extent_size - BLOCK)[:-1]]
-        addr[np.cumsum(blocks) - blocks] = extent_lo - last_block
-        np.cumsum(addr, out=addr)
         return Trace(
-            addr,
-            np.broadcast_to(np.int64(BLOCK), addr.size),
-            np.repeat(kind, blocks),
+            extent_lo,
+            np.broadcast_to(np.int64(BLOCK), extent_lo.size),
+            kind,
             KIND_LABELS,
-            np.repeat(chunk, blocks),
+            chunk,
+            extent_size // BLOCK,
         )
 
     # Each loaded chunk becomes one read of its format's region (the
@@ -494,7 +488,7 @@ def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
 
 
 def trace_bytes(trace: Trace) -> int:
-    return int(trace.size.sum())
+    return int(np.dot(trace.size, trace.count))
 
 
 def bytes_by_kind(trace: Trace) -> dict:

@@ -1,7 +1,7 @@
 """The run-level DRAM engine against the per-burst reference.
 
 `plan`'s run table, expanded to commands, must be exactly the stream
-`schedule` yields on every channel, each row naming the request of its
+`schedule` yields on every channel, each row naming the trace row of its
 first command and each RD row reading for one chunk.  `simulate` must
 accept, reject and total run tables and command streams exactly as the
 command-by-command replay in reference.py does, and the per-request
@@ -10,7 +10,8 @@ the trace must be the replay's, and a tagged trace's energy split must
 come within 1e-15 of the exact split by those counts.  Checked on hand
 traces, on every trace of the default sweep, on random and interleaved
 traces and configs, on runs of contiguous equal-size requests (the
-extents `plan` merges), on random chunk columns, on traces where tRAS
+extents `plan` merges), on those requests regrouped into counted rows,
+on random chunk columns, on traces where tRAS
 first binds mid-channel, on perturbed command streams and run tables,
 and on hand tables whose rules break on several channels, out of
 channel order or outside the config.
@@ -18,6 +19,7 @@ channel order or outside the config.
 
 import contextlib
 import dataclasses
+import random
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,13 +35,15 @@ from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
     DramCommand,
+    energy_breakdown,
     plan,
     read_completions,
+    run_trace,
     schedule,
     simulate,
 )
-from planestore.experiment import solve_assignment
-from planestore.workload import enumerate_chunks, gen_scores, gen_trace
+from planestore.experiment import chunk_latency_deltas, solve_assignment
+from planestore.workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
 from reference import assert_breakdown_exact, dram, from_commands, reference_simulate
 
@@ -89,9 +93,9 @@ def assert_engine_matches_reference(config, trace):
     table = plan(config, trace)
     expected = list(schedule(config, trace))
     commands = commands_of(config, table)
-    # The expanded table is schedule's stream.  A row names the request
+    # The expanded table is schedule's stream.  A row names the trace row
     # of its first command, and each read of an RD row loads the chunk
-    # of the request that row names.
+    # of the trace row that row names.
     heads = np.zeros(len(commands), bool)
     heads[np.cumsum(table.count) - table.count] = True
     order = np.argsort([cmd.channel for cmd in commands], kind="stable")
@@ -106,11 +110,14 @@ def assert_engine_matches_reference(config, trace):
     totals, per_request = reference_simulate(config, expected)
     assert result == totals
     assert result == reference_simulate(config, commands)[0]
-    # What energy_breakdown reads: each request's ACTs from the table's
-    # ACT rows, its reads from its size.
-    acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=len(trace))
+    # What energy_breakdown reads: each trace row's ACTs from the table's
+    # ACT rows, its reads from its size and count.  schedule names rows
+    # too, so the replay's per-request columns are per row.
+    acts = np.bincount(
+        table.request_index[table.kind == CommandKind.ACT], minlength=trace.addr.size
+    )
     assert acts.tolist() == list(per_request.acts)
-    assert (trace.size // 64).tolist() == list(per_request.reads)
+    assert (trace.size * trace.count // 64).tolist() == list(per_request.reads)
     if len(trace) and trace.tag.min() >= 0:
         assert_breakdown_exact(result, table, trace, per_request)
     # What chunk_latency_deltas reads: a chunk's latest RD row completion
@@ -222,7 +229,9 @@ def test_bad_address_raises_the_scalar_error():
     # columns still reach the reference scheduler's per-burst checks.
     config = dram()
     for bad, match in ((96, "not 64-byte aligned"), (-64, "negative")):
-        raw = SimpleNamespace(addr=np.array([0, bad]), size=np.array([64, 64]))
+        raw = SimpleNamespace(
+            addr=np.array([0, bad]), size=np.array([64, 64]), count=np.array([1, 1])
+        )
         with pytest.raises(ValueError, match=match):
             list(schedule(config, raw))
 
@@ -267,14 +276,15 @@ def traced(fn, *args):
 def test_engine_working_set_at_8_bits():
     # The default config at 8.0 bits.  The run table is 29 bytes a row,
     # and neither plan nor the replay holds more than a few row-long
-    # temporaries at once; the traditional trace's size column is a
-    # view that holds no rows.
+    # temporaries at once.  The traditional trace is one row per loaded
+    # chunk, and its size column is a view that holds no rows.
     cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
     _, assignment = solve_assignment(directory, scores, 8.0, cfg.ladder, cfg.band_profile)
     trace, kept, _ = traced(gen_trace, assignment, directory, "traditional", cfg.guard)
-    assert kept <= 17 * len(trace)
+    assert (len(trace), trace.addr.size) == (198_396, 801)
+    assert kept <= 32 * trace.addr.size
     trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
     table, _, peak = traced(plan, cfg.dram, trace)
     assert {name: str(column.dtype) for name, column in vars(table).items()} == {
@@ -506,6 +516,84 @@ def test_chunk_changes_cut_rd_rows(config, trace, rng):
     assert unnamed(by_channel(commands)) == unnamed(by_channel(commands_of(config, plain)))
     assert result == simulate(config, plain)
     assert len(table) >= len(plain)
+
+
+def regroup(trace, rng):
+    """A trace of count-1 rows with random runs of back-to-back requests
+    of one size, chunk and tag joined into counted rows.  The requests
+    stay as they are, in order."""
+    addr, size, tag, chunk = (c.tolist() for c in (trace.addr, trace.size, trace.tag, trace.chunk))
+    rows = []
+    for i in range(len(addr)):
+        if rows and rng.random() < 0.7:
+            head, count = rows[-1]
+            if (
+                addr[i] == addr[head] + size[head] * count
+                and (size[i], chunk[i], tag[i]) == (size[head], chunk[head], tag[head])
+            ):
+                rows[-1] = head, count + 1
+                continue
+        rows.append((i, 1))
+    heads = [head for head, _ in rows]
+    return Trace(
+        trace.addr[heads], trace.size[heads], trace.tag[heads], trace.labels,
+        trace.chunk[heads], [count for _, count in rows],
+    )
+
+
+def assert_same_stream(config, counted, plain):
+    """counted and plain hold one request stream in different rows: every
+    figure read off either is the same."""
+    assert counted.per_request() == plain
+    assert len(counted) == len(plain)
+    assert trace_bytes(counted) == trace_bytes(plain)
+    assert counted.bytes_by_tag().tolist() == plain.bytes_by_tag().tolist()
+    (table, result), (plain_table, plain_result) = (
+        run_trace(config, trace) for trace in (counted, plain)
+    )
+    assert result == plain_result
+    assert energy_breakdown(result, table, counted) == energy_breakdown(
+        plain_result, plain_table, plain
+    )
+    chunks = int(plain.chunk.max()) + 1 if len(plain) else 0
+    assert np.array_equal(
+        chunk_latency_deltas(counted, table, config, chunks),
+        chunk_latency_deltas(plain, plain_table, config, chunks),
+    )
+    return result
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(configs, st.just(dram())),
+    st.one_of(extent_traces(), interleaved_traces()),
+    st.randoms(use_true_random=False),
+)
+def test_counted_rows_are_their_requests(config, trace, rng):
+    # A tag per chunk, so the energy split is checked too.  On the
+    # counted rows plan matches schedule, which reads a row's requests
+    # back to back, and both give the per-request stream's commands.
+    plain = Trace(trace.addr, trace.size, trace.chunk % 3, ("a", "b", "c"), trace.chunk)
+    counted = regroup(plain, rng)
+    result = assert_same_stream(config, counted, plain)
+    _, commands, _ = assert_engine_matches_reference(config, counted)
+    expected = list(schedule(config, plain))
+    assert unnamed(list(schedule(config, counted))) == unnamed(expected)
+    assert unnamed(by_channel(commands)) == unnamed(by_channel(expected))
+    assert reference_simulate(config, expected)[0] == result
+
+
+@pytest.mark.parametrize("target", [1.6, 8.0])
+def test_default_traditional_traces_regroup_exactly(sweep_traces, target):
+    # The traditional trace's one row per chunk, its one row per request,
+    # and random groupings in between all give the same figures.
+    cfg, traces = sweep_traces
+    trace = traces[target, "traditional"]
+    plain = trace.per_request()
+    assert assert_same_stream(cfg.dram, trace, plain) == run_trace(cfg.dram, plain)[1]
+    rng = random.Random(target)
+    for _ in range(2):
+        assert_same_stream(cfg.dram, regroup(plain, rng), plain)
 
 
 def same_verdict(config, stream, table=None):

@@ -1,9 +1,9 @@
 """The columnar trace generator against the per-object reference.
 
-`gen_trace` must emit, row for row, the address, size, kind and chunk
-that reference.py's `reference_trace` emits: on every trace of the
-default sweep and on random geometries, assignments, ladders and
-guards.  Also checked: the Trace type's own validation, how many
+`gen_trace` must emit, request for request (`Trace.per_request`), the
+address, size, kind and chunk that reference.py's `reference_trace`
+emits: on every trace of the default sweep and on random geometries,
+assignments, ladders and guards.  Also checked: the Trace type's own validation, how many
 bytes the bitplane layout can fetch beyond the traditional one, and
 that the bytes a bitplane trace fetches are enough to serve every
 chunk it loads.
@@ -57,7 +57,8 @@ DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yam
 
 
 def rows_of(trace):
-    """A Trace as (addr, size, kind, chunk_id) tuples."""
+    """A Trace's requests as (addr, size, kind, chunk_id) tuples."""
+    trace = trace.per_request()
     assert trace.labels == KIND_LABELS
     kinds = [trace.labels[code] for code in trace.tag.tolist()]
     return list(zip(trace.addr.tolist(), trace.size.tolist(), kinds, trace.chunk.tolist()))
@@ -180,7 +181,7 @@ def test_random_traces_match_reference(case):
 
 
 def chunk_bytes(trace, directory):
-    return np.bincount(trace.chunk, weights=trace.size, minlength=len(directory))
+    return np.bincount(trace.chunk, weights=trace.size * trace.count, minlength=len(directory))
 
 
 @settings(deadline=None, max_examples=150)

@@ -379,11 +379,14 @@ def kinds_of(trace):
 def test_traditional_trace_single_extent():
     directory, assignment = two_head_setup()
     trace = gen_trace(assignment, directory, "traditional", NO_GUARD)
+    # One row for the one loaded chunk, standing for its 32 blocks.
     assert len(trace) == 32
-    assert trace.addr.tolist() == list(range(0, 2048, 64))
-    assert (trace.size == 64).all()
-    assert all(kind is ChunkKind.ATTENTION_HEAD for kind in kinds_of(trace))
-    assert (trace.chunk == 0).all()
+    assert trace.addr.tolist() == [0] and trace.count.tolist() == [32]
+    stream = trace.per_request()
+    assert stream.addr.tolist() == list(range(0, 2048, 64))
+    assert (stream.size == 64).all()
+    assert all(kind is ChunkKind.ATTENTION_HEAD for kind in kinds_of(stream))
+    assert (stream.chunk == 0).all()
 
 
 def test_bitplane_trace_one_request_per_plane():
