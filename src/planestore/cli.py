@@ -344,7 +344,9 @@ def render_trace(trace: Trace) -> str:
 
 def parse_trace(path: str) -> Trace:
     """Read a trace file into columns; tags become codes into the labels
-    in order of first appearance, a missing tag code -1."""
+    in order of first appearance, a missing tag code -1.  Back-to-back
+    lines of one size and tag, each starting where the one before ends,
+    become one counted row, so `render_trace` gives the file back."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -372,12 +374,17 @@ def parse_trace(path: str) -> Trace:
         size.append(values[1])
         tag.append(codes.setdefault(fields[2], len(codes)) if len(fields) == 3 else -1)
         line_of.append(lineno)
-    addr, size = np.array(addr, np.int64), np.array(size, np.int64)
+    addr, size, tag = (np.array(c, np.int64) for c in (addr, size, tag))
     bad = first_invalid(addr, size)
     if bad is not None:
         row, message = bad
         raise ValueError(f"{path}:{line_of[row]}: {message}")
-    return Trace(addr, size, tag, tuple(codes))
+    starts = np.ones(addr.size, bool)
+    starts[1:] = (addr[1:] != addr[:-1] + size[:-1]) | (size[1:] != size[:-1])
+    starts[1:] |= tag[1:] != tag[:-1]
+    heads = np.flatnonzero(starts)
+    count = np.diff(np.r_[heads, addr.size])
+    return Trace(addr[heads], size[heads], tag[heads], tuple(codes), count=count)
 
 
 def cmd_sim(args) -> int:

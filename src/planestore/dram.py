@@ -16,12 +16,12 @@ per channel per cycle.
 
 `schedule` states that policy one burst at a time and is the readable
 reference.  `plan` computes the same command stream as a run table, one
-RD row per run of reads to consecutive columns of an open row, timed in
-closed form up to a channel's first row opening where tRAS binds and
-stepped once per opening from there.  `simulate` replays a table,
-recording every row's first broken legality rule vectorized over all
-channels at once, and returns totals only, which must be finite;
-`energy_breakdown` (per-tag integer counts) and
+RD row per run of reads to consecutive columns of an open row within
+one trace row, timed in closed form up to a channel's first row opening
+where tRAS binds and stepped once per opening from there.  `simulate`
+replays a table, recording every row's first broken legality rule
+vectorized over all channels at once, and returns totals only, which
+must be finite; `energy_breakdown` (per-tag integer counts) and
 `read_completions` read the other figures off the table and the trace.
 Both `schedule` and `plan` take the request stream as an
 `address.Trace`.  `plan` relies on its rows being valid, which the Trace
@@ -251,12 +251,12 @@ class CommandTable:
 
     kind holds the row's CommandKind value; the other per-row columns
     mirror DramCommand's fields for the row's first command, so
-    request_index is the trace row of that command, which is its
-    request when every trace row has count 1.  `plan` builds the
-    columns in the types of `_COLUMN_TYPES` (kind int8), 29 bytes a row;
-    wider integer columns are taken too.  An RD row stands for
-    count reads to consecutive columns of its (bank, row), the k-th at
-    issue_cycle + k * t_ccd_l, column + k; every other row has count 1.
+    request_index is the trace row of that command; in a table `plan`
+    builds, every read of an RD row is for that trace row.  `plan`
+    builds the columns in the types of `_COLUMN_TYPES` (kind int8), 29
+    bytes a row; wider integer columns are taken too.  An RD row stands
+    for count reads to consecutive columns of its (bank, row), the k-th
+    at issue_cycle + k * t_ccd_l, column + k; every other row has count 1.
     A channel's rows are in its stream order; rows of different
     channels may interleave in any order.
     """
@@ -282,14 +282,13 @@ class CommandTable:
     def __len__(self) -> int:
         return self.kind.size
 
-    def check_requests(self, n_requests: int) -> None:
-        """Raise unless every row names one of a trace's n_requests rows
-        (its requests when every count is 1)."""
-        if self.request_index.size and self.request_index.max() >= n_requests:
-            row = int(np.argmax(self.request_index >= n_requests))
+    def check_requests(self, n_rows: int) -> None:
+        """Raise unless every row names one of a trace's n_rows rows."""
+        if self.request_index.size and self.request_index.max() >= n_rows:
+            row = int(np.argmax(self.request_index >= n_rows))
             raise ValueError(
-                f"command table row {row} names request {int(self.request_index[row])},"
-                f" but the trace has {n_requests} requests"
+                f"command table row {row} names trace row {int(self.request_index[row])},"
+                f" but the trace has {n_rows} rows"
             )
 
 
@@ -303,8 +302,6 @@ _COLUMN_TYPES = {
     "request_index": np.int32,
     "count": np.int32,
 }
-# Trace rows per slice of `plan`'s extent scan.
-_SCAN_SLICE = 1 << 14
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -358,48 +355,24 @@ def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, le
     return act_cycles, rd_cycles
 
 
-def _extent_heads(trace: Trace) -> np.ndarray:
-    """First trace row of each extent.  A row whose count is above 1 is
-    an extent of its own.  A count-1 row extends the extent before it
-    when that extent is of count-1 rows and the row starts where the
-    previous one ends, with the same size and chunk.  The rows are
-    compared a fixed slice at a time, so no temporary is as long as the
-    trace."""
-    addr, size, chunk, count = trace.addr, trace.size, trace.chunk, trace.count
-    heads = [np.zeros(min(addr.size, 1), np.int64)]
-    for lo in range(1, addr.size, _SCAN_SLICE):
-        hi = min(lo + _SCAN_SLICE, addr.size)
-        prev = slice(lo - 1, hi - 1)
-        starts = addr[lo:hi] != addr[prev] + size[prev]
-        starts |= size[lo:hi] != size[prev]
-        starts |= chunk[lo:hi] != chunk[prev]
-        starts |= count[lo:hi] > 1
-        starts |= count[prev] > 1
-        heads.append(np.flatnonzero(starts) + lo)
-    return np.concatenate(heads)
-
-
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
-    Consecutive count-1 trace rows that are contiguous, have the same
-    burst count and load the same chunk merge into an extent; a row of
-    count above 1 is an extent of its own, its requests back to back.
-    Channels interleave on the burst itself, one fixed 64-byte BLOCK,
-    so an extent covers one contiguous range of burst indices within
-    each channel, found in closed form.  Cut at row boundaries, each
-    piece is a run: reads to
-    consecutive columns of one (bank, row), issued t_ccd_l apart.  A run
-    becomes one RD row, preceded by the PRE and ACT rows that open its
-    row if it is not a hit.  Each run's first read is the channel's last
-    read plus a lead fixed by the run alone, a cumulative sum, until a
-    PRE must wait for tRAS; from that opening on the bank state machine
+    Trace row i is one extent: count[i] * size[i] / BLOCK bursts from
+    global burst addr[i] / BLOCK on.  Channels interleave on the burst
+    itself, one fixed 64-byte BLOCK, so an extent covers one contiguous
+    range of burst indices within each channel, found in closed form.
+    Cut at row boundaries, each piece is a run: reads to consecutive
+    columns of one (bank, row), issued t_ccd_l apart.  A run becomes one
+    RD row, preceded by the PRE and ACT rows that open its row if it is
+    not a hit, and each of those rows names the run's trace row in
+    request_index.  Each run's first read is the channel's last read
+    plus a lead fixed by the run alone, a cumulative sum, until a PRE
+    must wait for tRAS; from that opening on the bank state machine
     steps once per opening (`_open_rows`).  Rows are grouped by channel,
     each channel's in stream order.  No array is as long as the burst
-    count, and each temporary is freed after its last use.  A run never
-    crosses an extent, so all of an RD row's reads load the chunk of the
-    trace row of its first read, the row its request_index names.  A
-    trace of INDEX_LIMIT requests or more, or one that reaches DRAM row
+    count, and each temporary is freed after its last use.  A trace of
+    INDEX_LIMIT requests or more, or one that reaches DRAM row
     INDEX_LIMIT, does not fit the table and raises.
     """
     if len(trace) >= INDEX_LIMIT:
@@ -408,18 +381,10 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
             f" which numbers requests below {INDEX_LIMIT}"
         )
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
-    # a burst is one block, so a request's bursts are its size over the
-    # block.  Extents are found on the byte columns, and only the extent
-    # heads are divided into bursts: each extent's first row, its first
-    # global burst index, its bursts in all and per row.  An extent of
-    # several rows has count 1 on each.
-    head = _extent_heads(trace)
-    ext_first = trace.addr[head] // BLOCK
-    ext_rows = np.diff(np.r_[head, trace.addr.size])
-    ext_total = np.where(ext_rows == 1, trace.count[head], ext_rows)
-    ext_total *= trace.size[head] // BLOCK
-    ext_bursts = ext_total // ext_rows
-    del ext_rows
+    # a burst is one block.
+    first = trace.addr // BLOCK
+    total = trace.size // BLOCK
+    total *= trace.count
 
     # An extent of T bursts from global burst G reads on min(T, channels)
     # channels: the channel of G + skip reads G + skip, G + skip +
@@ -427,16 +392,16 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     # within the channel from lo on, up to end.  Ranges are listed
     # channel after channel, each channel's in stream order.
     channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
-    extent, skip = _spread(np.minimum(ext_total, channels))
-    if not extent.size:
+    trace_row, skip = _spread(np.minimum(total, channels))
+    if not trace_row.size:
         return CommandTable(
             np.zeros(0, np.int8), **{name: np.zeros(0, t) for name, t in _COLUMN_TYPES.items()}
         )
-    lo, ch = np.divmod(ext_first[extent] + skip, channels)
-    end = lo - (skip - ext_total[extent]) // channels
-    del ext_total, skip
+    lo, ch = np.divmod(first[trace_row] + skip, channels)
+    end = lo - (skip - total[trace_row]) // channels
+    del first, total, skip
     by_channel = _stable_order(ch)
-    ch, extent, lo, end = (a[by_channel] for a in (ch.astype(np.int16), extent, lo, end))
+    ch, trace_row, lo, end = (a[by_channel] for a in (ch.astype(np.int16), trace_row, lo, end))
     del by_channel
     last_row = int(end.max() - 1) // (cpr * banks)
     if last_row >= INDEX_LIMIT:
@@ -457,17 +422,9 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     del end
     length -= local
     length = length.astype(np.int32)
-    ch, extent = ch[piece_of], extent[piece_of]
-    del piece_of
-    # A run's first read is global burst local * channels + ch, in the
-    # extent's row that many bursts past its first.
-    request = local * channels
-    request += ch
-    request -= ext_first[extent]
-    request //= ext_bursts[extent]
-    request += head[extent]
-    request = request.astype(np.int32)
-    del extent, head, ext_first, ext_bursts
+    ch = ch[piece_of]
+    request = trace_row[piece_of].astype(np.int32)
+    del trace_row, piece_of
     local -= page_start
     column = local.astype(np.int32)
     del local, page_start

@@ -747,6 +747,64 @@ def test_trace_text_round_trips_through_columns(tmp_path):
     assert render_trace(trace) == text
 
 
+# A gap, a size change, a tag change and an untagged line, each starting
+# a row, between two pairs of back-to-back lines.
+HAND_TRACE = "0 64 a\n64 64 a\n128 64 b\n256 128 b\n384 64\n1048576 64 a\n1048640 64 a\n"
+
+
+def test_the_reader_groups_back_to_back_lines(tmp_path, capsys):
+    path = tmp_path / "hand.txt"
+    path.write_text(HAND_TRACE)
+    trace = parse_trace(str(path))
+    assert trace.count.tolist() == [2, 1, 1, 1, 2]
+    assert len(trace) == 7
+    lines = [line.split() for line in HAND_TRACE.splitlines()]
+    plain = Trace(
+        [int(f[0]) for f in lines],
+        [int(f[1]) for f in lines],
+        [("a", "b").index(f[2]) if len(f) == 3 else -1 for f in lines],
+        ("a", "b"),
+    )
+    assert trace.per_request() == plain
+    assert render_trace(trace) == HAND_TRACE
+    config = dram()
+    assert run_trace(config, trace)[1] == run_trace(config, plain)[1]
+    assert main(["sim", str(path)]) == 0
+    sim = json.loads(capsys.readouterr().out)
+    assert {k: sim[k] for k in ("requests", "num_reads", "num_acts", "bytes_transferred")} == {
+        "requests": 7, "num_reads": 8, "num_acts": 5, "bytes_transferred": 512,
+    }
+    assert sim["total_cycles"] == 187
+
+
+@pytest.fixture(scope="module")
+def default_trace_files(tmp_path_factory):
+    """The directory `planestore trace --target 8` writes on the built-in
+    defaults."""
+    out = tmp_path_factory.mktemp("traces")
+    assert main(["trace", "--out", str(out), "--target", "8"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("mode", ["bitplane", "traditional"])
+def test_default_trace_files_round_trip_through_rows(default_trace_files, mode):
+    path = default_trace_files / f"trace_{mode}_8.txt"
+    assert render_trace(parse_trace(str(path))) == path.read_text()
+
+
+def test_the_traditional_file_parses_to_one_row_per_extent(default_trace_files):
+    # 198,396 one-block lines, one stream per loaded chunk, and chunks of
+    # one kind back to back: a row per request would plan 202,180 table
+    # rows.
+    path = default_trace_files / "trace_traditional_8.txt"
+    trace = parse_trace(str(path))
+    assert len(trace) == path.read_text().count("\n") == 198_396
+    assert trace.addr.size == 189
+    table, result = run_trace(load_config(env={}).dram, trace)
+    assert len(table) == 6_041
+    assert result.num_reads == 198_396
+
+
 def test_sim_round_trip(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     main(["trace", "--config", small_config, "--out", str(out), "--target", "4.8"])
@@ -1020,9 +1078,9 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     untagged = Trace([0], [64])
     with pytest.raises(ValueError, match="trace row 0 loads no chunk"):
         chunk_latency_deltas(untagged, run_trace(config, untagged)[0], config, 1)
-    # A table planned from another trace names a request this one lacks.
+    # A table planned from another trace names a trace row this one lacks.
     short = Trace([0, 256], [64] * 2, chunk=[0, 0])
-    with pytest.raises(ValueError, match="row 3 names request 2, but the trace has 2 requests"):
+    with pytest.raises(ValueError, match="row 3 names trace row 2, but the trace has 2 rows"):
         chunk_latency_deltas(short, table, config, 3)
 
 

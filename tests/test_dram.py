@@ -392,9 +392,9 @@ def test_random_traces_conserve_bytes_and_replay(reqs):
     stream = list(schedule(CFG, trace_of(requests)))
     assert result.bytes_transferred == sum(n for _, n in requests)
     assert result == simulate(CFG, from_commands(stream))
-    # Each row names the request of its first command.  plan merges
-    # contiguous requests of one size and chunk, so a request whose
-    # reads all continue another's rows (the example) is named by none.
+    # Each row names the request of its first command.  A run never
+    # crosses a trace row, so a request whose reads all continue another's
+    # DRAM rows (the example) still names rows of its own.
     order = np.argsort(table.channel, kind="stable")
     counts = table.count[order]
     heads = np.cumsum(counts) - counts
@@ -471,7 +471,7 @@ def test_breakdown_requires_tags():
     table, result = run_trace(CFG, trace)
     with pytest.raises(ValueError, match="untagged"):
         energy_breakdown(result, table, trace)
-    # A table planned from a longer trace names a request this one lacks.
+    # A table planned from a longer trace names a trace row this one lacks.
     short = trace_of([req(0)], [0], ["a"])
-    with pytest.raises(ValueError, match="row 2 names request 1, but the trace has 1 requests"):
+    with pytest.raises(ValueError, match="row 2 names trace row 1, but the trace has 1 rows"):
         energy_breakdown(result, table, short)

@@ -1,17 +1,17 @@
 """The run-level DRAM engine against the per-burst reference.
 
 `plan`'s run table, expanded to commands, must be exactly the stream
-`schedule` yields on every channel, each row naming the trace row of its
-first command and each RD row reading for one chunk.  `simulate` must
+`schedule` yields on every channel, every command naming the trace row
+`schedule`'s does, and must not depend on the chunk column.  `simulate` must
 accept, reject and total run tables and command streams exactly as the
 command-by-command replay in reference.py does, and the per-request
 ACTs and reads and the per-chunk completions read off the table and
 the trace must be the replay's, and a tagged trace's energy split must
 come within 1e-15 of the exact split by those counts.  Checked on hand
 traces, on every trace of the default sweep, on random and interleaved
-traces and configs, on runs of contiguous equal-size requests (the
-extents `plan` merges), on those requests regrouped into counted rows,
-on random chunk columns, on traces where tRAS
+traces and configs, on runs of contiguous equal-size requests, a row
+each, on those requests regrouped into counted rows, on random chunk
+columns, on traces where tRAS
 first binds mid-channel, on perturbed command streams and run tables,
 and on hand tables whose rules break on several channels, out of
 channel order or outside the config.
@@ -93,18 +93,9 @@ def assert_engine_matches_reference(config, trace):
     table = plan(config, trace)
     expected = list(schedule(config, trace))
     commands = commands_of(config, table)
-    # The expanded table is schedule's stream.  A row names the trace row
-    # of its first command, and each read of an RD row loads the chunk
-    # of the trace row that row names.
-    heads = np.zeros(len(commands), bool)
-    heads[np.cumsum(table.count) - table.count] = True
-    order = np.argsort([cmd.channel for cmd in commands], kind="stable")
-    got, want = [commands[i] for i in order], by_channel(expected)
-    assert unnamed(got) == unnamed(want)
-    got_request = np.array([cmd.request_index for cmd in got], np.int64)
-    want_request = np.array([cmd.request_index for cmd in want], np.int64)
-    assert got_request[heads[order]].tolist() == want_request[heads[order]].tolist()
-    assert trace.chunk[got_request].tolist() == trace.chunk[want_request].tolist()
+    # The expanded table is schedule's stream, every command naming the
+    # trace row it reads for.
+    assert by_channel(commands) == by_channel(expected)
 
     result = simulate(config, table)
     totals, per_request = reference_simulate(config, expected)
@@ -167,7 +158,7 @@ def extent_runs(blocks):
 )
 def test_hand_traces_match_reference(requests):
     # Once in one chunk, once with every third request starting a new
-    # chunk, often inside an extent and inside a run.
+    # chunk, which the per-chunk completions read off the table follow.
     config = dram(p_bg_mw=0.0)
     for chunks in (None, [i // 3 for i in range(len(requests))]):
         assert_engine_matches_reference(config, trace_of(requests, chunks))
@@ -345,9 +336,8 @@ def test_default_sweep_traces_match_reference(sweep_traces):
     assert counts[8.0, "traditional"][:2] == (198_396, 202_180)
     assert counts[1.6, "bitplane"][2] == 1_931
     assert counts[1.6, "traditional"][2] == 728
-    # One table row per run and per PRE/ACT, not per burst.  Cutting
-    # extents where the chunk changes adds 4,972 rows (144,126 without).
-    # No PRE waits for tRAS, so all 17,482 openings (ACTs) are timed in
+    # One table row per run and per PRE/ACT, not per burst, and no run
+    # crosses a trace row.  No PRE waits for tRAS, so all 17,482 openings (ACTs) are timed in
     # closed form and none steps the bank state machine.
     assert sum(c[1] for c in counts.values()) == 1_020_159
     assert rows == 149_098
@@ -504,18 +494,16 @@ def test_state_machine_takes_over_where_t_ras_binds(case):
     st.one_of(extent_traces(), interleaved_traces()),
     st.randoms(use_true_random=False),
 )
-def test_chunk_changes_cut_rd_rows(config, trace, rng):
-    # Any chunk column, chunks revisited included: no RD row reads for two
-    # chunks (assert_engine_matches_reference), and the cuts leave the
-    # commands as they are without chunks.
-    chunk = [rng.randint(0, 3) for _ in range(len(trace))]
-    table, commands, result = assert_engine_matches_reference(
-        config, Trace(trace.addr, trace.size, chunk=chunk)
-    )
-    plain = plan(config, Trace(trace.addr, trace.size))
-    assert unnamed(by_channel(commands)) == unnamed(by_channel(commands_of(config, plain)))
-    assert result == simulate(config, plain)
-    assert len(table) >= len(plain)
+def test_plan_does_not_read_the_chunk_column(config, trace, rng):
+    # Any chunk column, chunks revisited included, gives the table the
+    # trace gives without one: a run never crosses a trace row, and a
+    # row loads one chunk, so no RD row reads for two chunks.
+    chunk = [rng.randint(0, 3) for _ in range(trace.addr.size)]
+    table = plan(config, Trace(trace.addr, trace.size, chunk=chunk, count=trace.count))
+    plain = plan(config, Trace(trace.addr, trace.size, count=trace.count))
+    for name, column in vars(plain).items():
+        got = getattr(table, name)
+        assert got.dtype == column.dtype and np.array_equal(got, column), name
 
 
 def regroup(trace, rng):
