@@ -20,12 +20,12 @@ chunk.  The skip format has no region, so a `Resolved` read never
 carries it, and `translate` has no case for it.
 
 A request stream is a `Trace`: read-only numpy columns, in issue order,
-each row standing for `count` back-to-back block-granular reads of
-`size` bytes.  The bit-plane trace has one request a row; the
-traditional trace has one row per loaded chunk, its extent read one
-block at a time.  The constructor rejects any other row, so the DRAM
-model's `plan` takes the rows as they come.  `Trace.per_request` lists
-the same stream one request a row, as a trace file writes it.
+each row one extent of `size` bytes from `addr` on, read one 64-byte
+block at a time.  The bit-plane trace has one row per plane span, the
+traditional trace one row per loaded chunk, its FP16 extent.  A
+request is one block read, so `len(trace)` is the trace's bytes over
+the block.  The constructor rejects any other row, so the DRAM model's
+`plan` takes the rows as they come.
 """
 
 from __future__ import annotations
@@ -85,41 +85,19 @@ def first_invalid(addr: np.ndarray, size: np.ndarray):
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _counts(values) -> np.ndarray:
-    """values as int64, raising for the first that is not a whole number
-    in the int64 range rather than letting the cast truncate or wrap it."""
-    values = np.asarray(values)
-    if values.dtype.kind == "i":
-        return values
-    try:
-        with np.errstate(invalid="ignore"):
-            cast = values.astype(np.int64)
-    except (OverflowError, TypeError, ValueError):
-        raise ValueError("trace column count holds a value that is not an int64 whole number")
-    exact = cast == values
-    if not exact.all():
-        row = int(np.argmin(exact))
-        raise ValueError(f"trace row {row} has count {values[row]}, not an int64 whole number")
-    return cast
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A request stream as read-only columns, one row per run of reads,
-    in issue order.
+    """A request stream as read-only columns, one row per extent, in
+    issue order.
 
-    Row i stands for count[i] back-to-back reads of size[i] bytes from
-    addr[i] on, so the stream holds len(trace) == count.sum() requests.
-    addr and size are byte address and length (int64): every row reads
-    whole BLOCK-aligned blocks at a non-negative address and ends within
-    the int64 range, which the constructor checks, so consumers need
-    not.  count (int64, each at least 1) defaults to all 1.  tag holds
-    each row's index into labels (int32, -1 for untagged); chunk holds
-    the id of the directory chunk the row loads (int32, -1 for none).
-    tag and chunk default to all -1.  A column given in its type is
-    kept as it is: a read-only `np.broadcast_to` view, such as the
-    traditional trace's size column or the default count, holds no
-    memory per row.
+    Row i reads size[i] bytes from addr[i] on, one BLOCK at a time, so
+    the stream holds len(trace) == size.sum() // BLOCK requests.  addr
+    and size are byte address and length (int64): every row reads whole
+    BLOCK-aligned blocks at a non-negative address, which the
+    constructor checks, so consumers need not.  tag holds each row's
+    index into labels (int32, -1 for untagged); chunk holds the id of
+    the directory chunk the row loads (int32, -1 for none).  tag and
+    chunk default to all -1.
     """
 
     addr: np.ndarray
@@ -127,7 +105,6 @@ class Trace:
     tag: np.ndarray = None
     labels: tuple = ()
     chunk: np.ndarray = None
-    count: np.ndarray = None
 
     def __post_init__(self) -> None:
         n = len(self.addr)
@@ -136,10 +113,6 @@ class Trace:
             "size": (self.size, np.int64),
             "tag": (np.full(n, -1) if self.tag is None else self.tag, np.int32),
             "chunk": (np.full(n, -1) if self.chunk is None else self.chunk, np.int32),
-            "count": (
-                np.broadcast_to(np.int64(1), n) if self.count is None else _counts(self.count),
-                np.int64,
-            ),
         }
         for name, (values, dtype) in columns.items():
             column = np.asarray(values, dtype).reshape(-1)
@@ -151,57 +124,33 @@ class Trace:
         bad = first_invalid(self.addr, self.size)
         if bad is not None:
             raise ValueError(bad[1])
-        requests = 0
-        if n:
-            count, most = self.count, int(self.count.max())
-            if count.min() < 1:
-                row = int(np.argmax(count < 1))
-                raise ValueError(f"trace row {row} has count {count[row]}, below 1")
-            # Python ints: neither bound can wrap.
-            if int(self.addr.max()) + int(self.size.max()) * most > _INT64_MAX:
-                over = np.flatnonzero(count > (_INT64_MAX - self.addr) // self.size)
-                if over.size:
-                    row = int(over[0])
-                    raise ValueError(
-                        f"trace row {row} reads {count[row]} x [{self.addr[row]},"
-                        f" +{self.size[row]}), which ends past the int64 range"
-                    )
-            requests = int(count.sum()) if n * most <= _INT64_MAX else sum(count.tolist())
-        object.__setattr__(self, "_requests", requests)
+        reads = self.size // BLOCK
+        # Python ints where the int64 sum could wrap.
+        wraps = n and n * int(reads.max()) > _INT64_MAX
+        object.__setattr__(self, "_reads", sum(reads.tolist()) if wraps else int(reads.sum()))
         if n and not -1 <= self.tag.min() <= self.tag.max() < len(self.labels):
             raise ValueError(f"tag codes must lie in [-1, {len(self.labels)})")
 
     def __len__(self) -> int:
-        """The number of requests, count.sum(), not of rows."""
-        return self._requests
-
-    def per_request(self) -> Trace:
-        """The same stream one request a row: row i becomes count[i]
-        rows of size[i] bytes, the k-th at addr[i] + k * size[i]."""
-        count = self.count
-        rows = np.repeat(np.arange(count.size), count)
-        step = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
-        size = self.size[rows]
-        return Trace(
-            self.addr[rows] + step * size, size, self.tag[rows], self.labels, self.chunk[rows]
-        )
+        """The number of requests, 64-byte block reads, not of rows."""
+        return self._reads
 
     def check_tagged(self) -> None:
         """Raise unless every row carries a tag, naming the first request
         of the first row without one."""
-        if len(self) and self.tag.min() < 0:
+        if self.tag.size and self.tag.min() < 0:
             row = int(np.argmax(self.tag < 0))
-            raise ValueError(f"request {int(self.count[:row].sum())} is untagged")
+            raise ValueError(f"request {sum(self.size[:row].tolist()) // BLOCK} is untagged")
 
     def bytes_by_tag(self) -> np.ndarray:
         """Total bytes per label, in labels order (int64).  Every row must
         carry a tag."""
         self.check_tagged()
         totals = np.zeros(len(self.labels), np.int64)
-        if len(self):
+        if self.tag.size:
             # A trace holds few runs of one tag: sum each run, then each tag.
             heads = np.flatnonzero(np.r_[True, self.tag[1:] != self.tag[:-1]])
-            np.add.at(totals, self.tag[heads], np.add.reduceat(self.size * self.count, heads))
+            np.add.at(totals, self.tag[heads], np.add.reduceat(self.size, heads))
         return totals
 
     def __eq__(self, other) -> bool:
@@ -209,7 +158,7 @@ class Trace:
             return NotImplemented
         return self.labels == other.labels and all(
             np.array_equal(getattr(self, c), getattr(other, c))
-            for c in ("addr", "size", "tag", "chunk", "count")
+            for c in ("addr", "size", "tag", "chunk")
         )
 
     __hash__ = None

@@ -35,7 +35,7 @@ from .experiment import reduction, run_sweep, solve_assignment
 from .files import write_file
 from .workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 # Stable column schema for the plot-ready CSV (documented in README.md;
 # bump REPORT_SCHEMA_VERSION when touching either).
@@ -331,9 +331,8 @@ def cmd_trace(args) -> int:
 
 
 def render_trace(trace: Trace) -> str:
-    """Trace file text: one 'byte_addr len_bytes tag' line per request,
-    the tag left out for an untagged one."""
-    trace = trace.per_request()
+    """Trace file text: one 'byte_addr len_bytes tag' line per row, the
+    tag left out for an untagged one."""
     # Tag code -1 picks the trailing "".
     tags = [f" {getattr(label, 'value', label)}" for label in trace.labels] + [""]
     return "".join(
@@ -343,10 +342,9 @@ def render_trace(trace: Trace) -> str:
 
 
 def parse_trace(path: str) -> Trace:
-    """Read a trace file into columns; tags become codes into the labels
-    in order of first appearance, a missing tag code -1.  Back-to-back
-    lines of one size and tag, each starting where the one before ends,
-    become one counted row, so `render_trace` gives the file back."""
+    """Read a trace file into columns, one row per line; tags become
+    codes into the labels in order of first appearance, a missing tag
+    code -1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -379,12 +377,7 @@ def parse_trace(path: str) -> Trace:
     if bad is not None:
         row, message = bad
         raise ValueError(f"{path}:{line_of[row]}: {message}")
-    starts = np.ones(addr.size, bool)
-    starts[1:] = (addr[1:] != addr[:-1] + size[:-1]) | (size[1:] != size[:-1])
-    starts[1:] |= tag[1:] != tag[:-1]
-    heads = np.flatnonzero(starts)
-    count = np.diff(np.r_[heads, addr.size])
-    return Trace(addr[heads], size[heads], tag[heads], tuple(codes), count=count)
+    return Trace(addr, size, tag, tuple(codes))
 
 
 def cmd_sim(args) -> int:

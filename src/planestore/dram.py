@@ -1,11 +1,16 @@
 """Simplified multi-channel DDR5 timing and energy model.
 
 The controller is deliberately plain: per-channel FCFS with an open-page
-policy.  The traces this package produces are long sequential streams, so
-a reordering scheduler would buy almost nothing and would make the hand
-oracles in the tests much harder to check.  Refresh, ODT and thermal
-effects are out of scope; the comparisons built on top of this model are
-relative, and those effects land on both sides nearly identically.
+policy, which keeps the hand oracles in the tests checkable.  It issues
+no PRE or ACT before the channel's last read, so every row opening is
+exposed, and that is not free.  An estimate on the default geometry
+(ROADMAP.md, "Open rows in parallel with reads", which plans the fix)
+lets a run's PRE and ACT issue up to four runs early, reads still in
+order: the latency reduction rises by 1.7 points at 8.0 bits but by
+16.7 at 1.6 bits, where bit-plane traces open rows far more often.
+Refresh, ODT and thermal effects are out of scope; the comparisons built
+on top of this model are relative, and those effects land on both sides
+nearly identically.
 
 Timing follows the usual bank state machine: a read needs an open row
 (ACT, then tRCD), consecutive reads are spaced by tCCD (the long flavour
@@ -52,10 +57,10 @@ from .bitplane import BLOCK
 
 
 # Run-table limits: channel and bank ids lie below ID_LIMIT (int16
-# columns); requests, rows, columns and read counts below INDEX_LIMIT
-# (int32 columns).  Timings lie below TIMING_LIMIT, so one read moves
-# its channel's clock by less than 2**33 cycles and issue cycles fit
-# int64 (docs/dram-model.md).
+# columns); trace rows, DRAM rows, columns and read counts below
+# INDEX_LIMIT (int32 columns).  Timings lie below TIMING_LIMIT, so one
+# read moves its channel's clock by less than 2**33 cycles and issue
+# cycles fit int64 (docs/dram-model.md).
 ID_LIMIT = 1 << 15
 INDEX_LIMIT = 1 << 31
 TIMING_LIMIT = 1 << 31
@@ -205,14 +210,14 @@ def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
     an open-page policy: a row hit costs just the RD; a miss precharges
     the stale row (if any) and activates the new one first.  Yields
     commands lazily, one burst at a time.  Trace row i is read as its
-    size * count bytes from addr on, each command naming i.  This is the
+    size bytes from addr on, each command naming i.  This is the
     reference statement of the policy; `plan` computes the same stream
     faster.
     """
     channels = [_ChannelState(config) for _ in range(config.channels)]
-    rows = zip(trace.addr.tolist(), trace.size.tolist(), trace.count.tolist())
-    for index, (addr, size, count) in enumerate(rows):
-        for offset in range(0, size * count, BLOCK):
+    rows = zip(trace.addr.tolist(), trace.size.tolist())
+    for index, (addr, size) in enumerate(rows):
+        for offset in range(0, size, BLOCK):
             ch, bank, row, column = map_address(config, addr + offset)
             st = channels[ch]
             if st.open_row[bank] != row:
@@ -358,10 +363,10 @@ def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, le
 def plan(config: DramConfig, trace: Trace) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
-    Trace row i is one extent: count[i] * size[i] / BLOCK bursts from
-    global burst addr[i] / BLOCK on.  Channels interleave on the burst
-    itself, one fixed 64-byte BLOCK, so an extent covers one contiguous
-    range of burst indices within each channel, found in closed form.
+    Trace row i is one extent: size[i] / BLOCK bursts from global burst
+    addr[i] / BLOCK on.  Channels interleave on the burst itself, one
+    fixed 64-byte BLOCK, so an extent covers one contiguous range of
+    burst indices within each channel, found in closed form.
     Cut at row boundaries, each piece is a run: reads to consecutive
     columns of one (bank, row), issued t_ccd_l apart.  A run becomes one
     RD row, preceded by the PRE and ACT rows that open its row if it is
@@ -372,19 +377,18 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     steps once per opening (`_open_rows`).  Rows are grouped by channel,
     each channel's in stream order.  No array is as long as the burst
     count, and each temporary is freed after its last use.  A trace of
-    INDEX_LIMIT requests or more, or one that reaches DRAM row
-    INDEX_LIMIT, does not fit the table and raises.
+    INDEX_LIMIT rows or more, or one that reaches DRAM row INDEX_LIMIT,
+    does not fit the table and raises.
     """
-    if len(trace) >= INDEX_LIMIT:
+    if trace.addr.size >= INDEX_LIMIT:
         raise ValueError(
-            f"a trace of {len(trace)} requests does not fit the run table,"
-            f" which numbers requests below {INDEX_LIMIT}"
+            f"a trace of {trace.addr.size} rows does not fit the run table,"
+            f" which numbers trace rows below {INDEX_LIMIT}"
         )
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block.
     first = trace.addr // BLOCK
     total = trace.size // BLOCK
-    total *= trace.count
 
     # An extent of T bursts from global burst G reads on min(T, channels)
     # channels: the channel of G + skip reads G + skip, G + skip +

@@ -415,13 +415,12 @@ def gen_trace(
     Chunks go out in directory order, each chunk's rows contiguous;
     skipped chunks emit nothing in either mode.  bitplane mode resolves
     each chunk in the bloated logical space and fetches only the planes
-    its format needs, one request per plane span, trimmed against a
+    its format needs, one row per plane span, trimmed against a
     per-plane high-water mark so a block straddling two chunks is never
     fetched twice.  traditional mode streams each chunk's full-width
-    words from its packed extent, one request per block, as one row
-    whose count is the extent's blocks; it has no logical space, so it
-    never resolves.  Both layouts are the canonical placement for the
-    directory.
+    words from its packed extent, one row per extent; it has no logical
+    space, so it never resolves.  Both layouts are the canonical
+    placement for the directory.
 
     The work runs on the directory's and the assignment's columns: one
     translate_traditional call, or one resolve call for all loaded
@@ -435,17 +434,8 @@ def gen_trace(
     kind = directory.kind[loaded].astype(np.int32)
     chunk = np.flatnonzero(loaded).astype(np.int32)
     if mode == "traditional":
-        # One row per loaded chunk: its extent, read one block at a time.
-        # size, BLOCK on every row, is a read-only view that holds no rows.
         extent_lo, extent_size = translate_traditional(directory, loaded)
-        return Trace(
-            extent_lo,
-            np.broadcast_to(np.int64(BLOCK), extent_lo.size),
-            kind,
-            KIND_LABELS,
-            chunk,
-            extent_size // BLOCK,
-        )
+        return Trace(extent_lo, extent_size, kind, KIND_LABELS, chunk)
 
     # Each loaded chunk becomes one read of its format's region (the
     # skip format has none, and no chunk at it is read).
@@ -488,7 +478,7 @@ def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
 
 
 def trace_bytes(trace: Trace) -> int:
-    return int(np.dot(trace.size, trace.count))
+    return BLOCK * len(trace)
 
 
 def bytes_by_kind(trace: Trace) -> dict:

@@ -44,8 +44,8 @@ condition over every row, where the package decides the all-valid case
 by reductions first.
 
 reference_trace is the trace generator the package started from: one
-request object per plane span, or per 64-byte block in traditional
-mode, trimmed against a per-plane high-water dictionary.  The columnar
+row object per plane span, trimmed against a per-plane high-water
+dictionary, or per chunk extent in traditional mode.  The columnar
 `gen_trace` must produce the same rows.
 
 `scalar_resolve` and `scalar_translate` are the package's bit-plane
@@ -897,7 +897,7 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
     Chunks go out in directory order; skipped chunks emit nothing.
     bitplane mode fetches each needed plane's span, minus the blocks a
     previous chunk already fetched on that plane; traditional mode
-    fetches the chunk's FP16 extent one block at a time.
+    fetches the chunk's FP16 extent, one row per chunk.
     """
     table = build_regions(directory.num_weights, assignment.ladder)
     bases = {region.fmt: region.base_bit for region in table.regions}
@@ -908,8 +908,7 @@ def reference_trace(assignment, directory, mode: str, guard=NO_GUARD) -> list:
             continue
         if mode == "traditional":
             lo, size = scalar_translate_traditional(directory, chunk.chunk_id)
-            for addr in range(lo, lo + size, BLOCK):
-                rows.append(TraceRow(addr, BLOCK, chunk.kind, chunk.chunk_id))
+            rows.append(TraceRow(lo, size, chunk.kind, chunk.chunk_id))
             continue
         read = LogicalRead(
             bases[fmt] + chunk.start * fmt.total_bits, chunk.length * fmt.total_bits

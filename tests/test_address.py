@@ -189,8 +189,7 @@ def test_traditional_trace_ignores_the_format():
         for formats in ([FP16, FP0, FP16], [FP8, FP0, FP4], [FP4, FP0, FP12])
     ]
     assert traces[0] == traces[1] == traces[2]
-    stream = traces[0].per_request()
-    assert stream.addr.tolist() == list(range(0, 1024, 64)) + list(range(1280, 1920, 64))
+    assert traces[0].addr.tolist() == [0, 1280] and traces[0].size.tolist() == [1024, 640]
 
 
 def test_traditional_chunk_bases_aligned():
@@ -261,43 +260,14 @@ def test_request_validation():
         Trace([64], [30])
 
 
-@pytest.mark.parametrize(
-    "count, message",
-    [
-        (0, "trace row 1 has count 0, below 1"),
-        (-3, "trace row 1 has count -3, below 1"),
-        (2.5, "trace row 1 has count 2.5, not an int64 whole number"),
-        (float("nan"), "trace row 1 has count nan, not an int64 whole number"),
-        (1e30, r"trace row 1 has count 1e\+30, not an int64 whole number"),
-        # Row 1 reads 64 bytes from 2**62 - 64, so 2**56 reads end at
-        # 2**63 - 64 and one more passes the int64 range.
-        (
-            (1 << 56) + 1,
-            r"trace row 1 reads 72057594037927937 x \[4611686018427387840, \+64\),"
-            " which ends past the int64 range",
-        ),
-    ],
-)
-def test_trace_rejects_a_bad_count_naming_its_row(count, message):
-    # A count is checked, not cast: a fraction would truncate and an
-    # overflowing end would wrap.
-    addr, size = [0, (1 << 62) - 64, 64], [64, 64, 64]
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Trace(addr, size, count=[1, count, 1])
-    assert len(Trace(addr, size, count=[1, 1 << 56, 1])) == (1 << 56) + 2
-
-
-def test_a_counted_row_is_its_requests():
-    trace = Trace([0, 640], [64, 128], [0, 1], ("a", "b"), [3, 4], [10, 2])
-    assert len(trace) == 12
-    assert trace.bytes_by_tag().tolist() == [640, 256]
-    stream = trace.per_request()
-    assert stream == Trace(
-        [*range(0, 640, 64), 640, 768], [64] * 10 + [128] * 2, [0] * 10 + [1] * 2,
-        ("a", "b"), [3] * 10 + [4] * 2,
-    )
-    assert stream.per_request() == stream != trace
-    untagged = Trace([0, 640], [64, 64], [0, -1], ("a",), count=[10, 1])
+def test_a_row_is_its_reads():
+    # len counts 64-byte reads, not rows, in Python ints past the int64
+    # sum; an untagged row is named by its first read.
+    trace = Trace([0, 640], [640, 128], [0, 1], ("a", "b"), [3, 4])
+    assert (len(trace), trace.addr.size) == (12, 2)
+    assert trace.bytes_by_tag().tolist() == [640, 128]
+    assert len(Trace([0] * 3, [1 << 62] * 3)) == 3 << 56
+    untagged = Trace([0, 640], [640, 64], [0, -1], ("a",))
     with pytest.raises(ValueError, match=r"^request 10 is untagged$"):
         untagged.bytes_by_tag()
 

@@ -747,32 +747,28 @@ def test_trace_text_round_trips_through_columns(tmp_path):
     assert render_trace(trace) == text
 
 
-# A gap, a size change, a tag change and an untagged line, each starting
-# a row, between two pairs of back-to-back lines.
+# A gap, a size change, a tag change and an untagged line between two
+# pairs of back-to-back lines.
 HAND_TRACE = "0 64 a\n64 64 a\n128 64 b\n256 128 b\n384 64\n1048576 64 a\n1048640 64 a\n"
 
 
-def test_the_reader_groups_back_to_back_lines(tmp_path, capsys):
+def test_the_hand_trace_reads_one_row_per_line(tmp_path, capsys):
     path = tmp_path / "hand.txt"
     path.write_text(HAND_TRACE)
     trace = parse_trace(str(path))
-    assert trace.count.tolist() == [2, 1, 1, 1, 2]
-    assert len(trace) == 7
     lines = [line.split() for line in HAND_TRACE.splitlines()]
-    plain = Trace(
+    assert trace == Trace(
         [int(f[0]) for f in lines],
         [int(f[1]) for f in lines],
         [("a", "b").index(f[2]) if len(f) == 3 else -1 for f in lines],
         ("a", "b"),
     )
-    assert trace.per_request() == plain
     assert render_trace(trace) == HAND_TRACE
-    config = dram()
-    assert run_trace(config, trace)[1] == run_trace(config, plain)[1]
     assert main(["sim", str(path)]) == 0
     sim = json.loads(capsys.readouterr().out)
+    # Seven lines, eight 64-byte reads: the 128-byte line is two.
     assert {k: sim[k] for k in ("requests", "num_reads", "num_acts", "bytes_transferred")} == {
-        "requests": 7, "num_reads": 8, "num_acts": 5, "bytes_transferred": 512,
+        "requests": 8, "num_reads": 8, "num_acts": 5, "bytes_transferred": 512,
     }
     assert sim["total_cycles"] == 187
 
@@ -792,17 +788,38 @@ def test_default_trace_files_round_trip_through_rows(default_trace_files, mode):
     assert render_trace(parse_trace(str(path))) == path.read_text()
 
 
-def test_the_traditional_file_parses_to_one_row_per_extent(default_trace_files):
-    # 198,396 one-block lines, one stream per loaded chunk, and chunks of
-    # one kind back to back: a row per request would plan 202,180 table
-    # rows.
+def test_the_traditional_file_is_one_line_per_extent(default_trace_files):
+    # One line per loaded chunk, its FP16 extent, read as one row.
     path = default_trace_files / "trace_traditional_8.txt"
     trace = parse_trace(str(path))
-    assert len(trace) == path.read_text().count("\n") == 198_396
-    assert trace.addr.size == 189
+    assert path.read_text().count("\n") == trace.addr.size == 801
+    assert len(trace) == 198_396
     table, result = run_trace(load_config(env={}).dram, trace)
-    assert len(table) == 6_041
+    # A table row per run and per PRE or ACT, not per read.
+    assert len(table) == 8_469
     assert result.num_reads == 198_396
+
+
+@pytest.mark.parametrize("mode, reads", [("bitplane", 132_288), ("traditional", 198_396)])
+def test_a_per_block_trace_file_simulates_the_same(
+    default_trace_files, tmp_path, capsys, mode, reads
+):
+    # Trace files once held one line per 64-byte block.  Such a file
+    # still reads, a row per line, and simulates to the same result.
+    path = default_trace_files / f"trace_{mode}_8.txt"
+    blocks = []
+    for line in path.read_text().splitlines():
+        addr, size, tag = line.split()
+        blocks += [f"{a} 64 {tag}\n" for a in range(int(addr), int(addr) + int(size), 64)]
+    per_block = tmp_path / "per_block.txt"
+    per_block.write_text("".join(blocks))
+    assert len(blocks) == reads
+    results = []
+    for trace in (path, per_block):
+        assert main(["sim", str(trace)]) == 0
+        results.append(json.loads(capsys.readouterr().out))
+        del results[-1]["trace"]
+    assert results[0] == results[1]
 
 
 def test_sim_round_trip(small_config, tmp_path, capsys):
@@ -881,7 +898,7 @@ def run_compare(config, out, capsys):
 # sha256 of the report `planestore compare --out out` writes on the
 # built-in defaults.  A change that only makes the program faster must
 # leave these bytes alone.
-DEFAULT_REPORT_SHA256 = "da9fd487746966b0c27f61824182c58114571d2fb09d3664fde45fc31ff543d5"
+DEFAULT_REPORT_SHA256 = "6e36b7ce517b4c030844f2c677657431f15e8cf6d7b242ab2b99556964b02b43"
 
 
 @pytest.fixture(scope="module")
@@ -897,6 +914,16 @@ def default_report(tmp_path_factory):
 
 def test_default_report_bytes_are_pinned(default_report):
     assert hashlib.sha256(default_report).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_default_report_requests_are_64_byte_reads(default_report):
+    # In both modes a request is one 64-byte read: the bytes over 64, and
+    # the read count the read energy gives back.
+    e_rd_pj = DEFAULTS["dram"]["e_rd_pj"]
+    for entry in json.loads(default_report)["targets"]:
+        for mode in entry["modes"].values():
+            assert mode["requests"] * 64 == mode["bytes"]
+            assert mode["requests"] == round(mode["energy_breakdown_pj"]["read"] / e_rd_pj)
 
 
 def test_default_report_averages_land_on_their_targets(default_report):
@@ -1220,12 +1247,14 @@ def test_report_names_a_field_of_the_wrong_type(small_config, tmp_path, capsys, 
     assert one_line_error(capsys) == f"error: corrupted report {report}: {message}\n"
 
 
-def test_report_rejects_schema_mismatch(small_config, tmp_path, capsys):
+# Version 2 counted bitplane requests as plane spans, not 64-byte reads.
+@pytest.mark.parametrize("version", [REPORT_SCHEMA_VERSION - 1, REPORT_SCHEMA_VERSION + 1])
+def test_report_rejects_schema_mismatch(small_config, tmp_path, capsys, version):
     out = tmp_path / "out"
     run_compare(small_config, out, capsys)
     path = out / "comparison.json"
     data = json.loads(path.read_text())
-    data["schema_version"] = REPORT_SCHEMA_VERSION + 1
+    data["schema_version"] = version
     path.write_text(json.dumps(data))
     assert main(["report", str(path)]) == 1
     err = capsys.readouterr().err

@@ -9,17 +9,16 @@ ACTs and reads and the per-chunk completions read off the table and
 the trace must be the replay's, and a tagged trace's energy split must
 come within 1e-15 of the exact split by those counts.  Checked on hand
 traces, on every trace of the default sweep, on random and interleaved
-traces and configs, on runs of contiguous equal-size requests, a row
-each, on those requests regrouped into counted rows, on random chunk
-columns, on traces where tRAS
-first binds mid-channel, on perturbed command streams and run tables,
-and on hand tables whose rules break on several channels, out of
-channel order or outside the config.
+traces and configs, on runs of contiguous equal-size extents, on those
+extents cut into more rows (one a block, as a per-block trace file
+reads, included), on random chunk columns, on traces where tRAS first
+binds mid-channel, on perturbed command streams and run tables, and on
+hand tables whose rules break on several channels, out of channel
+order or outside the config.
 """
 
 import contextlib
 import dataclasses
-import random
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -75,11 +74,6 @@ def commands_of(config, table):
     return commands
 
 
-def unnamed(stream):
-    """A command stream without its request indices."""
-    return [cmd._replace(request_index=0) for cmd in stream]
-
-
 def by_channel(stream):
     """A command stream as its channels' streams, one after another.
 
@@ -102,13 +96,13 @@ def assert_engine_matches_reference(config, trace):
     assert result == totals
     assert result == reference_simulate(config, commands)[0]
     # What energy_breakdown reads: each trace row's ACTs from the table's
-    # ACT rows, its reads from its size and count.  schedule names rows
-    # too, so the replay's per-request columns are per row.
+    # ACT rows, its reads from its size.  schedule names rows too, so the
+    # replay's per-request columns are per row.
     acts = np.bincount(
         table.request_index[table.kind == CommandKind.ACT], minlength=trace.addr.size
     )
     assert acts.tolist() == list(per_request.acts)
-    assert (trace.size * trace.count // 64).tolist() == list(per_request.reads)
+    assert (trace.size // 64).tolist() == list(per_request.reads)
     if len(trace) and trace.tag.min() >= 0:
         assert_breakdown_exact(result, table, trace, per_request)
     # What chunk_latency_deltas reads: a chunk's latest RD row completion
@@ -220,31 +214,32 @@ def test_bad_address_raises_the_scalar_error():
     # columns still reach the reference scheduler's per-burst checks.
     config = dram()
     for bad, match in ((96, "not 64-byte aligned"), (-64, "negative")):
-        raw = SimpleNamespace(
-            addr=np.array([0, bad]), size=np.array([64, 64]), count=np.array([1, 1])
-        )
+        raw = SimpleNamespace(addr=np.array([0, bad]), size=np.array([64, 64]))
         with pytest.raises(ValueError, match=match):
             list(schedule(config, raw))
 
 
 class LongTrace:
-    """A stand-in for a trace of n requests that holds no columns."""
+    """A stand-in for a trace of n rows and 64 times as many reads, whose
+    addr column holds nothing but its size."""
 
     def __init__(self, n):
-        self.n = n
+        self.addr = SimpleNamespace(size=n)
 
     def __len__(self):
-        return self.n
+        return 64 * self.addr.size
 
 
 def test_plan_refuses_traces_beyond_the_int32_columns():
-    # The run table numbers requests and DRAM rows in int32.  A trace
-    # too long is refused before plan reads a column, so the stand-in
-    # allocates nothing; one request shorter gets past the check.
+    # The run table numbers trace rows and DRAM rows in int32.  A trace
+    # of too many rows is refused before plan reads a column, so the
+    # stand-in allocates nothing; one row fewer gets past the check,
+    # however many reads its rows make.
     config = dram()
-    with pytest.raises(ValueError, match="a trace of 2147483648 requests does not fit"):
+    with pytest.raises(ValueError, match="a trace of 2147483648 rows does not fit"):
         plan(config, LongTrace(1 << 31))
-    with pytest.raises(AttributeError):
+    assert len(LongTrace((1 << 31) - 1)) > 1 << 31
+    with pytest.raises(TypeError):
         plan(config, LongTrace((1 << 31) - 1))
     # Row r of channel 0 starts at byte r * 2**20 on the default config.
     table = plan(config, trace_of([((1 << 51) - 64, 64)]))
@@ -268,7 +263,7 @@ def test_engine_working_set_at_8_bits():
     # The default config at 8.0 bits.  The run table is 29 bytes a row,
     # and neither plan nor the replay holds more than a few row-long
     # temporaries at once.  The traditional trace is one row per loaded
-    # chunk, and its size column is a view that holds no rows.
+    # chunk.
     cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -499,89 +494,66 @@ def test_plan_does_not_read_the_chunk_column(config, trace, rng):
     # trace gives without one: a run never crosses a trace row, and a
     # row loads one chunk, so no RD row reads for two chunks.
     chunk = [rng.randint(0, 3) for _ in range(trace.addr.size)]
-    table = plan(config, Trace(trace.addr, trace.size, chunk=chunk, count=trace.count))
-    plain = plan(config, Trace(trace.addr, trace.size, count=trace.count))
+    table = plan(config, Trace(trace.addr, trace.size, chunk=chunk))
+    plain = plan(config, Trace(trace.addr, trace.size))
     for name, column in vars(plain).items():
         got = getattr(table, name)
         assert got.dtype == column.dtype and np.array_equal(got, column), name
 
 
-def regroup(trace, rng):
-    """A trace of count-1 rows with random runs of back-to-back requests
-    of one size, chunk and tag joined into counted rows.  The requests
-    stay as they are, in order."""
-    addr, size, tag, chunk = (c.tolist() for c in (trace.addr, trace.size, trace.tag, trace.chunk))
-    rows = []
-    for i in range(len(addr)):
-        if rows and rng.random() < 0.7:
-            head, count = rows[-1]
-            if (
-                addr[i] == addr[head] + size[head] * count
-                and (size[i], chunk[i], tag[i]) == (size[head], chunk[head], tag[head])
-            ):
-                rows[-1] = head, count + 1
-                continue
-        rows.append((i, 1))
-    heads = [head for head, _ in rows]
+def split(trace, p, seed):
+    """The same extents cut into more rows: before each block but an
+    extent's first with probability p, each piece keeping its row's tag
+    and chunk.  At p = 1 every row is one block, as a trace file written
+    one line per block reads."""
+    blocks = trace.size // 64
+    row = np.repeat(np.arange(blocks.size), blocks)
+    block = np.arange(row.size) - (np.cumsum(blocks) - blocks)[row]
+    heads = np.flatnonzero((block == 0) | (np.random.default_rng(seed).random(row.size) < p))
     return Trace(
-        trace.addr[heads], trace.size[heads], trace.tag[heads], trace.labels,
-        trace.chunk[heads], [count for _, count in rows],
+        trace.addr[row[heads]] + 64 * block[heads], 64 * np.diff(np.r_[heads, row.size]),
+        trace.tag[row[heads]], trace.labels, trace.chunk[row[heads]],
     )
 
 
-def assert_same_stream(config, counted, plain):
-    """counted and plain hold one request stream in different rows: every
-    figure read off either is the same."""
-    assert counted.per_request() == plain
-    assert len(counted) == len(plain)
-    assert trace_bytes(counted) == trace_bytes(plain)
-    assert counted.bytes_by_tag().tolist() == plain.bytes_by_tag().tolist()
-    (table, result), (plain_table, plain_result) = (
-        run_trace(config, trace) for trace in (counted, plain)
+def assert_same_figures(config, pieces, trace):
+    """pieces and trace read one stream in different rows: every figure
+    read off either is the same."""
+    assert len(pieces) == len(trace) and trace_bytes(pieces) == trace_bytes(trace)
+    assert pieces.bytes_by_tag().tolist() == trace.bytes_by_tag().tolist()
+    (table, result), (whole_table, whole_result) = (run_trace(config, t) for t in (pieces, trace))
+    assert result == whole_result
+    assert energy_breakdown(result, table, pieces) == energy_breakdown(
+        whole_result, whole_table, trace
     )
-    assert result == plain_result
-    assert energy_breakdown(result, table, counted) == energy_breakdown(
-        plain_result, plain_table, plain
-    )
-    chunks = int(plain.chunk.max()) + 1 if len(plain) else 0
+    chunks = int(trace.chunk.max()) + 1 if trace.chunk.size else 0
     assert np.array_equal(
-        chunk_latency_deltas(counted, table, config, chunks),
-        chunk_latency_deltas(plain, plain_table, config, chunks),
+        chunk_latency_deltas(pieces, table, config, chunks),
+        chunk_latency_deltas(trace, whole_table, config, chunks),
     )
-    return result
 
 
 @settings(deadline=None, max_examples=150)
 @given(
     st.one_of(configs, st.just(dram())),
     st.one_of(extent_traces(), interleaved_traces()),
-    st.randoms(use_true_random=False),
+    st.sampled_from([0.3, 1.0]),
+    st.integers(0, 2**32 - 1),
 )
-def test_counted_rows_are_their_requests(config, trace, rng):
-    # A tag per chunk, so the energy split is checked too.  On the
-    # counted rows plan matches schedule, which reads a row's requests
-    # back to back, and both give the per-request stream's commands.
-    plain = Trace(trace.addr, trace.size, trace.chunk % 3, ("a", "b", "c"), trace.chunk)
-    counted = regroup(plain, rng)
-    result = assert_same_stream(config, counted, plain)
-    _, commands, _ = assert_engine_matches_reference(config, counted)
-    expected = list(schedule(config, plain))
-    assert unnamed(list(schedule(config, counted))) == unnamed(expected)
-    assert unnamed(by_channel(commands)) == unnamed(by_channel(expected))
-    assert reference_simulate(config, expected)[0] == result
+def test_split_extents_give_the_same_figures(config, trace, p, seed):
+    # A tag per chunk, so the energy split is checked too.
+    tagged = Trace(trace.addr, trace.size, trace.chunk % 3, ("a", "b", "c"), trace.chunk)
+    assert_same_figures(config, split(tagged, p, seed), tagged)
 
 
 @pytest.mark.parametrize("target", [1.6, 8.0])
-def test_default_traditional_traces_regroup_exactly(sweep_traces, target):
-    # The traditional trace's one row per chunk, its one row per request,
-    # and random groupings in between all give the same figures.
+def test_default_traditional_traces_split_exactly(sweep_traces, target):
+    # The traditional trace's one row per chunk, its one row per block
+    # and a random cut in between all give the same figures.
     cfg, traces = sweep_traces
     trace = traces[target, "traditional"]
-    plain = trace.per_request()
-    assert assert_same_stream(cfg.dram, trace, plain) == run_trace(cfg.dram, plain)[1]
-    rng = random.Random(target)
-    for _ in range(2):
-        assert_same_stream(cfg.dram, regroup(plain, rng), plain)
+    for p in (1.0, 0.1):
+        assert_same_figures(cfg.dram, split(trace, p, 0), trace)
 
 
 def same_verdict(config, stream, table=None):

@@ -1,12 +1,12 @@
 """The columnar trace generator against the per-object reference.
 
-`gen_trace` must emit, request for request (`Trace.per_request`), the
-address, size, kind and chunk that reference.py's `reference_trace`
-emits: on every trace of the default sweep and on random geometries,
-assignments, ladders and guards.  Also checked: the Trace type's own validation, how many
-bytes the bitplane layout can fetch beyond the traditional one, and
-that the bytes a bitplane trace fetches are enough to serve every
-chunk it loads.
+`gen_trace` must emit, row for row, the address, size, kind and chunk
+that reference.py's `reference_trace` emits: on every trace of the
+default sweep and on random geometries, assignments, ladders and
+guards.  Also checked: the Trace type's own validation, how many bytes
+the bitplane layout can fetch beyond the traditional one, and that the
+bytes a bitplane trace fetches are enough to serve every chunk it
+loads.
 """
 
 from pathlib import Path
@@ -24,6 +24,7 @@ from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
     FAMILY_PARAMETERS,
     KIND_LABELS,
+    TRACE_MODES,
     ImportanceModel,
     ModelGeometry,
     ScoreDistribution,
@@ -57,8 +58,7 @@ DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yam
 
 
 def rows_of(trace):
-    """A Trace's requests as (addr, size, kind, chunk_id) tuples."""
-    trace = trace.per_request()
+    """A Trace's rows as (addr, size, kind, chunk_id) tuples."""
     assert trace.labels == KIND_LABELS
     kinds = [trace.labels[code] for code in trace.tag.tolist()]
     return list(zip(trace.addr.tolist(), trace.size.tolist(), kinds, trace.chunk.tolist()))
@@ -75,15 +75,15 @@ def test_default_sweep_traces_match_reference():
     cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
-    requests = {}
+    traces = {}
     for target in cfg.targets:
         _, assignment = solve_assignment(directory, scores, target, cfg.ladder, cfg.band_profile)
-        for mode in ("bitplane", "traditional"):
-            requests[target, mode] = len(
-                assert_matches_reference(assignment, directory, mode, cfg.guard)
-            )
-    assert len(requests) == 10
-    assert requests[8.0, "traditional"] == 198_396
+        for mode in TRACE_MODES:
+            traces[target, mode] = assert_matches_reference(assignment, directory, mode, cfg.guard)
+    assert len(traces) == 10
+    # (64-byte reads, rows): the traditional trace is one row per loaded chunk.
+    sizes = {mode: (len(traces[8.0, mode]), traces[8.0, mode].addr.size) for mode in TRACE_MODES}
+    assert sizes == {"traditional": (198_396, 801), "bitplane": (132_288, 8_262)}
 
 
 # --- random geometries, ladders, assignments and guards ---------------------
@@ -181,7 +181,7 @@ def test_random_traces_match_reference(case):
 
 
 def chunk_bytes(trace, directory):
-    return np.bincount(trace.chunk, weights=trace.size * trace.count, minlength=len(directory))
+    return np.bincount(trace.chunk, weights=trace.size, minlength=len(directory))
 
 
 @settings(deadline=None, max_examples=150)
@@ -256,7 +256,8 @@ def test_all_skipped_assignment_gives_empty_traces():
 
 def test_trace_defaults_and_equality():
     trace = Trace([0, 128], [64, 192])
-    assert len(trace) == 2
+    # Two rows of one and three 64-byte reads.
+    assert (len(trace), trace.addr.size) == (4, 2)
     assert trace.tag.tolist() == [-1, -1] and trace.chunk.tolist() == [-1, -1]
     assert trace == Trace(np.array([0, 128]), np.array([64, 192]))
     assert trace != Trace([0, 128], [64, 192], [0, 0], ("a",))
@@ -267,6 +268,8 @@ def test_trace_defaults_and_equality():
     "columns, match",
     [
         (([0], [64, 64]), "size has 2 rows"),
+        (([0], [64], [0, 0], ("a",)), "tag has 2 rows"),
+        (([0], [64], None, (), [0, 0]), "chunk has 2 rows"),
         (([-64], [64]), "negative address"),
         (([0], [0]), "not 64B-granular"),
         (([0], [64], [1], ("a",)), "tag codes"),

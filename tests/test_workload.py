@@ -379,22 +379,19 @@ def kinds_of(trace):
 def test_traditional_trace_single_extent():
     directory, assignment = two_head_setup()
     trace = gen_trace(assignment, directory, "traditional", NO_GUARD)
-    # One row for the one loaded chunk, standing for its 32 blocks.
+    # One row for the one loaded chunk, its extent of 32 blocks.
     assert len(trace) == 32
-    assert trace.addr.tolist() == [0] and trace.count.tolist() == [32]
-    stream = trace.per_request()
-    assert stream.addr.tolist() == list(range(0, 2048, 64))
-    assert (stream.size == 64).all()
-    assert all(kind is ChunkKind.ATTENTION_HEAD for kind in kinds_of(stream))
-    assert (stream.chunk == 0).all()
+    assert trace.addr.tolist() == [0] and trace.size.tolist() == [2048]
+    assert kinds_of(trace) == [ChunkKind.ATTENTION_HEAD]
+    assert trace.chunk.tolist() == [0]
 
 
 def test_bitplane_trace_one_request_per_plane():
     directory, assignment = two_head_setup()
     trace = gen_trace(assignment, directory, "bitplane", NO_GUARD)
-    assert len(trace) == 16
+    assert (len(trace), trace.addr.size) == (32, 16)
     stride = plane_stride_for(2048)
-    # One request per plane, in plane order: plane p's span starts at p * stride.
+    # One row per plane, in plane order: plane p's span starts at p * stride.
     assert (trace.size == 128).all()
     assert trace.addr.tolist() == [p * stride for p in range(16)]
 
