@@ -1,17 +1,17 @@
 """Experiment configuration: one YAML file, fully resolved, embedded in reports.
 
-Every knob the comparison depends on lives here with a checked-in default,
-so a report plus its embedded config is enough to rerun the experiment.
-Precedence, lowest to highest: built-in defaults, the YAML file, the
-PLANESTORE_OUT environment variable (output directory only), then
-explicit CLI flags (--seed, --out, where a subcommand takes them).
+Every knob the comparison depends on lives in DEFAULTS with a checked-in
+value, so a report plus its embedded config is enough to rerun the
+experiment.  DEFAULTS is also the schema: a file's keys and value types
+are those of DEFAULTS, and one walk merges the file over it and checks
+it.  Precedence, lowest to highest: built-in defaults, the YAML file,
+then explicit CLI flags (--seed, --out, where a subcommand takes them).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import os
 from dataclasses import dataclass
 
 import yaml
@@ -26,8 +26,6 @@ from .workload import (
     ScoreDistribution,
 )
 from .bitplane import ChunkKind
-
-OUTPUT_DIR_ENV = "PLANESTORE_OUT"
 
 # The checked-in default grid: a two-layer scaled stand-in for a large
 # decoder (8 heads and 512 neurons per layer, one pinned-width predictor
@@ -95,10 +93,6 @@ DEFAULTS: dict = {
     "output": {"dir": "out"},
 }
 
-_DIST_KEYS = ("family", "a", "b", "mix", "a_lo", "b_lo")
-_LADDER_KEYS = ("name", "exp_bits", "man_bits")
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Typed view of one resolved configuration.
@@ -119,72 +113,61 @@ class ExperimentConfig:
     resolved: dict
 
 
-# Sections whose inner structure varies with a discriminator field are
-# replaced wholesale instead of key-merged; partial overrides would mix
-# parameters from two different distribution families.
-_REPLACE_SECTIONS = ("importance",)
+def _resolve(value, default, where: str = "", whole: bool = False):
+    """``value`` merged over ``default`` and checked against its types.
 
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ValueError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ValueError(f"config key {where!r} must be a mapping")
-            if not path and key in _REPLACE_SECTIONS:
-                out[key] = copy.deepcopy(value)
-            else:
-                out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _check_keys(data: dict, known: tuple, required: tuple, where: str) -> None:
-    extra = set(data) - set(known)
-    if extra:
-        raise ValueError(f"unknown keys {sorted(map(str, extra))} in {where}")
-    missing = [key for key in required if key not in data]
-    if missing:
-        raise ValueError(f"{where} needs {', '.join(map(repr, missing))}")
-
-
-def _build_distribution(data: dict, where: str) -> ScoreDistribution:
-    _check_keys(data, _DIST_KEYS, ("family",), where)
-    # Every parameter the family reads must be given, so that the
-    # ScoreDistribution field defaults never decide a result the embedded
-    # config does not record.
-    _check_keys(data, _DIST_KEYS, FAMILY_PARAMETERS.get(data["family"], ()), where)
-    return ScoreDistribution(**data)
-
-
-def _check_types(value, default, where: str) -> None:
-    """Reject a value whose type differs from the built-in default's.
-
-    An integer field takes an integer, a float field any finite number
-    (YAML's .nan and .inf are floats too), a string field a string;
-    lists must not be empty, and each item is checked against the
-    default's first.  Keys the defaults lack are left to the
-    code that reads them.
+    A mapping takes only its default's keys and keeps the default's value
+    for each key it leaves out, except a whole entry, which gives its own:
+    a list item every key of its default, a score distribution its family
+    and every parameter that family reads (so ScoreDistribution's field
+    defaults never decide a result the embedded config does not record).
+    The importance section is replaced wholesale, since a partial
+    override would mix two families' parameters; each of its entries,
+    under whatever kind name, is a score distribution.  A list must not
+    be empty, and each item is a whole entry shaped like the default's
+    first.  An integer field takes an integer, a float field any finite
+    number (YAML's .nan and .inf are floats too), a string field a
+    string.  The result shares no container with either argument.
     """
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key {where!r} must be a mapping")
+        if where == "importance":
+            shape = next(iter(default.values()))
+            return {
+                kind: _resolve(entry, shape, f"{where}.{kind}", whole=True)
+                for kind, entry in value.items()
+            }
+        extra = value.keys() - default.keys() if whole else ()
+        if extra:
+            raise ValueError(f"unknown keys {sorted(map(str, extra))} in {where}")
+        out = {}
         for key, item in value.items():
-            if key in default:
-                _check_types(item, default[key], f"{where}.{key}" if where else key)
-        return
+            at = f"{where}.{key}" if where else key
+            if key not in default:
+                raise ValueError(f"unknown config key {at!r}")
+            out[key] = _resolve(item, default[key], at)
+        if not whole:
+            return {
+                key: out[key] if key in out else copy.deepcopy(item)
+                for key, item in default.items()
+            }
+        needs = default
+        if "family" in default:
+            needs = ("family", *FAMILY_PARAMETERS.get(out.get("family"), ()))
+        missing = [key for key in needs if key not in out]
+        if missing:
+            raise ValueError(f"{where} needs {', '.join(map(repr, missing))}")
+        return out
     if isinstance(default, list):
         if not isinstance(value, list):
             raise ValueError(f"config key {where!r} must be a list")
         if not value:
             raise ValueError(f"config key {where!r} must not be empty")
-        for index, item in enumerate(value):
-            _check_types(item, default[0], f"{where}[{index}]")
-        return
+        return [
+            _resolve(item, default[0], f"{where}[{index}]", whole=True)
+            for index, item in enumerate(value)
+        ]
     if isinstance(default, float):
         ok, want = isinstance(value, (int, float)), "a number"
     elif isinstance(default, int):
@@ -195,22 +178,14 @@ def _check_types(value, default, where: str) -> None:
         raise ValueError(f"config key {where!r} must be {want}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"config key {where!r} must be finite, got {value!r}")
+    return value
 
 
 def build_config(resolved: dict) -> ExperimentConfig:
-    """Typed objects from a fully merged plain-data config."""
-    # importance is replaced wholesale, so every entry there, under
-    # whatever kind name, follows the shape of one default distribution.
-    schema = dict(DEFAULTS)
-    schema["importance"] = dict.fromkeys(
-        resolved["importance"], DEFAULTS["importance"]["attention_head"]
-    )
-    _check_types(resolved, schema, "")
-    for index, entry in enumerate(resolved["ladder"]):
-        _check_keys(entry, _LADDER_KEYS, _LADDER_KEYS, f"ladder[{index}]")
+    """Typed objects from a config `_resolve` has merged and checked."""
     ladder = tuple(FpFormat(**entry) for entry in resolved["ladder"])
     check_ladder(ladder)
-    guard = GuardConfig(resolved["guard"]["exp_bits"], resolved["guard"]["man_bits"])
+    guard = GuardConfig(**resolved["guard"])
     geometry = ModelGeometry(**resolved["geometry"])
     if ChunkKind.PREDICTOR.value in resolved["importance"]:
         raise ValueError(
@@ -225,14 +200,12 @@ def build_config(resolved: dict) -> ExperimentConfig:
                 f" 'default' or {', '.join(map(repr, scored))}"
             )
     dists = {
-        ChunkKind(kind): _build_distribution(params, f"importance.{kind}")
+        ChunkKind(kind): ScoreDistribution(**params)
         for kind, params in resolved["importance"].items()
         if kind != "default"
     }
     if "default" in resolved["importance"]:
-        distribution = _build_distribution(
-            resolved["importance"]["default"], "importance.default"
-        )
+        distribution = ScoreDistribution(**resolved["importance"]["default"])
         if dists:
             raise ValueError("importance: give either 'default' or per-kind entries")
     elif dists:
@@ -291,13 +264,9 @@ def _parse_yaml(text: str):
 
 
 def load_config(
-    path: str | None = None,
-    seed: int | None = None,
-    out: str | None = None,
-    env: dict | None = None,
+    path: str | None = None, seed: int | None = None, out: str | None = None
 ) -> ExperimentConfig:
-    """Defaults, then the file, then PLANESTORE_OUT, then explicit flags."""
-    env = os.environ if env is None else env
+    """Defaults, then the file, then explicit flags."""
     data: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -311,12 +280,9 @@ def load_config(
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {path} must hold a mapping")
         data = loaded
-    resolved = _merge(DEFAULTS, data)
-    if OUTPUT_DIR_ENV in env:
-        resolved["output"]["dir"] = env[OUTPUT_DIR_ENV]
+    resolved = _resolve(data, DEFAULTS)
     if out is not None:
         resolved["output"]["dir"] = out
     if seed is not None:
         resolved["seed"] = int(seed)
     return build_config(resolved)
-

@@ -91,22 +91,22 @@ def check_ladder(ladder: Sequence[FpFormat]) -> None:
 class GuardConfig:
     """Extra exponent/mantissa planes fetched beyond the target width."""
 
-    guard_exp: int
-    guard_man: int
+    exp_bits: int
+    man_bits: int
 
     def __post_init__(self) -> None:
-        if self.guard_exp not in (0, 1, 2):
-            raise ValueError(f"guard_exp must be in 0..2, got {self.guard_exp}")
-        if self.guard_man not in (0, 1, 2):
-            raise ValueError(f"guard_man must be in 0..2, got {self.guard_man}")
+        if self.exp_bits not in (0, 1, 2):
+            raise ValueError(f"guard exp_bits must be in 0..2, got {self.exp_bits}")
+        if self.man_bits not in (0, 1, 2):
+            raise ValueError(f"guard man_bits must be in 0..2, got {self.man_bits}")
 
 
 def fetched_widths(fmt: FpFormat, guard: GuardConfig) -> tuple[int, int]:
     """Exponent/mantissa plane counts actually read for (fmt, guard)."""
     if fmt.is_skip:
         raise ValueError("skipped chunk has no planes")
-    exp = min(FP16_EXP_BITS, fmt.exp_bits + guard.guard_exp)
-    man = min(FP16_MAN_BITS, fmt.man_bits + guard.guard_man)
+    exp = min(FP16_EXP_BITS, fmt.exp_bits + guard.exp_bits)
+    man = min(FP16_MAN_BITS, fmt.man_bits + guard.man_bits)
     return exp, man
 
 

@@ -1,8 +1,8 @@
 """Reference implementations used as test oracles, and the typed defaults.
 
 The typed defaults (the format ladder, the band profile, the DRAM
-constants) come from `config.load_config(env={})`, so that the tests
-and the package read one set of built-in values.
+constants) come from `config.load_config()`, so that the tests and the
+package read one set of built-in values.
 
 `convert_words`, `dequantize` and `encode_fp16` are the bit-twiddling
 conversion the store's planes serve: nothing in the package converts
@@ -118,7 +118,7 @@ from planestore.workload import (
     _PREDICTOR,
 )
 
-DEFAULT = load_config(env={})
+DEFAULT = load_config()
 LADDER = DEFAULT.ladder
 FP16, FP12, FP8, FP6, FP4, FP0 = LADDER
 BAND_PROFILE = DEFAULT.band_profile

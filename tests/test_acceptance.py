@@ -58,7 +58,7 @@ from reference import (
 
 @pytest.fixture(scope="module")
 def cfg():
-    return load_config(env={})
+    return load_config()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Config loading and the command-line harness."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -32,7 +33,7 @@ from planestore.cli import (
     parse_trace,
     render_trace,
 )
-from planestore.config import DEFAULTS, OUTPUT_DIR_ENV, load_config
+from planestore.config import DEFAULTS, load_config
 from planestore.dram import run_trace, schedule
 from planestore.experiment import (
     chunk_latency_deltas,
@@ -92,7 +93,7 @@ def write_config(tmp_path, text, name="cfg.yaml"):
 
 
 def test_default_config_resolves():
-    cfg = load_config(env={})
+    cfg = load_config()
     assert cfg.seed == 1234
     assert cfg.targets == (1.6, 3.2, 4.8, 6.4, 8.0)
     assert [f.name for f in cfg.ladder] == ["FP16", "FP12", "FP8", "FP6", "FP4", "FP0"]
@@ -110,12 +111,12 @@ def test_readme_python_example_runs():
 
 
 def test_checked_in_default_file_matches_builtins():
-    cfg = load_config(str(DEFAULT_YAML), env={})
+    cfg = load_config(str(DEFAULT_YAML))
     assert cfg.resolved == DEFAULTS
 
 
 def test_config_merge_is_partial(tmp_path, small_config):
-    cfg = load_config(small_config, env={})
+    cfg = load_config(small_config)
     # Overridden keys take, untouched keys keep their defaults.
     assert cfg.geometry.layers == 1
     assert cfg.dram.t_rcd == 34
@@ -125,15 +126,15 @@ def test_config_merge_is_partial(tmp_path, small_config):
 def test_unknown_key_rejected(tmp_path):
     path = write_config(tmp_path, "geometri: {layers: 2}\n")
     with pytest.raises(ValueError, match="unknown config key 'geometri'"):
-        load_config(path, env={})
+        load_config(path)
     path = write_config(tmp_path, "dram: {t_rcdx: 3}\n", "d.yaml")
     with pytest.raises(ValueError, match="dram.t_rcdx"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_importance_section_replaces_wholesale(tmp_path):
     path = write_config(tmp_path, "importance:\n  default: {family: uniform}\n")
-    cfg = load_config(path, env={})
+    cfg = load_config(path)
     # No leftovers from the default per-kind mixtures.
     assert cfg.importance.dist_for(ChunkKind.ATTENTION_HEAD).family == "uniform"
 
@@ -146,27 +147,20 @@ def test_importance_default_and_per_kind_conflict(tmp_path):
         "  mlp_neuron: {family: uniform}\n",
     )
     with pytest.raises(ValueError, match="either 'default' or per-kind"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_importance_empty_rejected(tmp_path):
     path = write_config(tmp_path, "importance: {}\n")
     with pytest.raises(ValueError, match="importance needs"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_seed_and_out_overrides(small_config):
-    cfg = load_config(small_config, seed=99, out="elsewhere", env={})
+    cfg = load_config(small_config, seed=99, out="elsewhere")
     assert cfg.seed == 99
     assert cfg.importance.seed == 99
     assert cfg.output_dir == "elsewhere"
-
-
-def test_env_var_sets_output_dir(small_config):
-    env = {OUTPUT_DIR_ENV: "from-env"}
-    assert load_config(small_config, env=env).output_dir == "from-env"
-    # An explicit flag still wins over the environment.
-    assert load_config(small_config, out="flag", env=env).output_dir == "flag"
 
 
 def test_config_ladder_is_constructed(tmp_path):
@@ -177,7 +171,7 @@ def test_config_ladder_is_constructed(tmp_path):
         "  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
         "solver: {gains: [0.1], exponents: [1.0]}\n",
     )
-    cfg = load_config(path, env={})
+    cfg = load_config(path)
     assert [f.total_bits for f in cfg.ladder] == [16, 0]
 
 
@@ -190,13 +184,13 @@ def test_config_bad_bias_rejected(tmp_path):
         "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
     )
     with pytest.raises(ValueError, match=r"unknown keys \['bias'\] in ladder\[0\]"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def test_empty_targets_rejected(tmp_path):
     path = write_config(tmp_path, "targets: []\n")
     with pytest.raises(ValueError, match="targets"):
-        load_config(path, env={})
+        load_config(path)
 
 
 def one_line_error(capsys) -> str:
@@ -283,6 +277,9 @@ BAD_CONFIGS = [
     ("dram: {p_bg_mw: 1.0e+308}\n", "the simulated background energy is inf"),
     ("dram: {e_act_pj: 1.0e+308}\n", "the simulated activation energy is inf"),
     ("dram: {e_act_pj: 1.0e+303}\n", "a tag's simulated energy is not finite"),
+    # The guard's errors name the config's own keys.
+    ("guard: {exp_bits: 3}\n", "guard exp_bits must be in 0..2, got 3"),
+    ("guard: {man_bits: 3}\n", "guard man_bits must be in 0..2, got 3"),
 ]
 
 
@@ -307,9 +304,78 @@ def test_config_errors_do_not_depend_on_libyaml(tmp_path, capsys, monkeypatch, t
 
 
 def test_config_data_do_not_depend_on_libyaml(monkeypatch):
-    with_libyaml = load_config(str(DEFAULT_YAML), env={}).resolved
+    with_libyaml = load_config(str(DEFAULT_YAML)).resolved
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    assert load_config(str(DEFAULT_YAML), env={}).resolved == with_libyaml
+    assert load_config(str(DEFAULT_YAML)).resolved == with_libyaml
+
+
+def config_nodes(node=DEFAULTS, path=()):
+    """(path, default) for every value below the root of DEFAULTS, a path
+    being the keys and list indices that reach it."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield path + (key,), child
+        if isinstance(child, (dict, list)):
+            yield from config_nodes(child, path + (key,))
+
+
+def key_name(path) -> str:
+    """A node's name in the config's errors: 'ladder[0].name'."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+def load_with(tmp_path, path, value):
+    """Load the defaults written out in full, the node at ``path`` set to ``value``."""
+    data = copy.deepcopy(DEFAULTS)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return load_config(write_config(tmp_path, yaml.safe_dump(data)))
+
+
+SCALARS = [(path, leaf) for path, leaf in config_nodes() if not isinstance(leaf, (dict, list))]
+SECTIONS = [(path, node) for path, node in config_nodes() if isinstance(node, (dict, list))]
+WRONG_TYPES = {
+    str: ("a string", [1, None, 2.0]),
+    int: ("an integer", ["1", 1.5, True, None]),
+    float: ("a number", ["1.0", False, [1.0]]),
+}
+
+
+@pytest.mark.parametrize("path, leaf", SCALARS, ids=[key_name(p) for p, _ in SCALARS])
+def test_every_scalar_key_takes_only_its_type(tmp_path, path, leaf):
+    want, values = WRONG_TYPES[type(leaf)]
+    for value in values:
+        message = f"config key '{key_name(path)}' must be {want}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_with(tmp_path, path, value)
+    if isinstance(leaf, float):
+        for value in (math.nan, math.inf, -math.inf):
+            message = f"config key '{key_name(path)}' must be finite, got {value!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_with(tmp_path, path, value)
+
+
+@pytest.mark.parametrize("path, node", SECTIONS, ids=[key_name(p) for p, _ in SECTIONS])
+def test_every_section_rejects_null(tmp_path, path, node):
+    # importance is replaced wholesale, yet a null one is still no mapping.
+    want = "a mapping" if isinstance(node, dict) else "a list"
+    message = f"config key '{key_name(path)}' must be {want}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_with(tmp_path, path, None)
+
+
+def test_resolved_config_shares_nothing(small_config):
+    before = copy.deepcopy(DEFAULTS)
+    for cfg in (load_config(), load_config(str(DEFAULT_YAML)), load_config(small_config)):
+        cfg.resolved["ladder"][0]["name"] = "changed"
+        cfg.resolved["dram"]["t_rcd"] = 1
+        cfg.resolved["targets"][0] = 0.5
+        cfg.resolved["solver"]["gains"].append(1.0)
+        next(iter(cfg.resolved["importance"].values()))["family"] = "changed"
+    assert DEFAULTS == before
+    assert load_config().resolved == before
 
 
 FP16_RUNG = "  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
@@ -686,7 +752,7 @@ def test_trace_assignment_csv_matches_per_chunk_rows(tmp_path, capsys):
         ["trace", "--config", str(DEFAULT_YAML), "--out", str(out), "--target", "4.8"]
     ) == 0
     capsys.readouterr()
-    cfg = load_config(str(DEFAULT_YAML), env={})
+    cfg = load_config(str(DEFAULT_YAML))
     directory = enumerate_chunks(cfg.geometry)
     rows = chunks(directory)
     scores = reference_gen_scores(rows, cfg.importance)
@@ -727,7 +793,7 @@ def test_trace_files_match_the_reference_generator(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["trace", "--config", config, "--out", str(out), "--target", "4.8"]) == 0
     capsys.readouterr()
-    cfg = load_config(config, env={})
+    cfg = load_config(config)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
     _, assignment = solve_assignment(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
@@ -794,7 +860,7 @@ def test_the_traditional_file_is_one_line_per_extent(default_trace_files):
     trace = parse_trace(str(path))
     assert path.read_text().count("\n") == trace.addr.size == 801
     assert len(trace) == 198_396
-    table, result = run_trace(load_config(env={}).dram, trace)
+    table, result = run_trace(load_config().dram, trace)
     # A table row per run and per PRE or ACT, not per read.
     assert len(table) == 8_469
     assert result.num_reads == 198_396
@@ -907,7 +973,6 @@ def default_report(tmp_path_factory):
     defaults, run from an empty directory."""
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(tmp_path_factory.mktemp("default"))
-        patch.delenv(OUTPUT_DIR_ENV, raising=False)
         assert main(["compare", "--out", "out"]) == 0
         return Path("out", "comparison.json").read_bytes()
 
@@ -1024,7 +1089,7 @@ def test_achieved_average_leaves_the_predictors_out(tmp_path, capsys):
     assert main(["compare", "--config", path, "--out", str(out)]) == 0
     [entry] = json.loads((out / "comparison.json").read_text())["targets"]
     assert abs(entry["achieved_avg_bits"] - 6.0) <= 0.05
-    cfg = load_config(path, env={})
+    cfg = load_config(path)
     directory = enumerate_chunks(cfg.geometry)
     # `trace` solves through the same step.
     scores = gen_scores(directory, cfg.importance)
@@ -1041,7 +1106,7 @@ PREDICTOR_HEAVY = ModelGeometry(2, 8, 36864, 512, 7200, 40_000_000)
 
 
 def test_target_above_the_top_rung_is_unreachable_at_any_predictor_share():
-    cfg = load_config(env={})
+    cfg = load_config()
     directory = enumerate_chunks(PREDICTOR_HEAVY)
     scores = gen_scores(directory, cfg.importance)
     message = r"^target 16\.4 bits/weight is outside the achievable range \[0\.000, 16\.000\]$"
@@ -1054,7 +1119,7 @@ def test_solver_tolerance_is_a_twentieth_of_a_bit_per_non_predictor_weight(predi
     # The achievable averages run from 0 (every scored chunk skipped)
     # to 16 (every scored chunk FP16), whatever share of the weights
     # predictors hold.
-    cfg = load_config(env={})
+    cfg = load_config()
     geometry = dataclasses.replace(PREDICTOR_HEAVY, predictor_weights_per_layer=predictor)
     directory = enumerate_chunks(geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -1073,7 +1138,7 @@ def test_solver_tolerance_is_a_twentieth_of_a_bit_per_non_predictor_weight(predi
 def test_chunk_latency_deltas_telescope_to_total():
     geometry = ModelGeometry(1, 4, 8192, 8, 4096, 4096)
     directory = enumerate_chunks(geometry)
-    cfg = load_config(env={})
+    cfg = load_config()
     scores = gen_scores(directory, cfg.importance)
     _, assignment = solve_assignment(directory, scores, 6.0, cfg.ladder, cfg.band_profile)
     for mode in ("bitplane", "traditional"):
@@ -1157,7 +1222,7 @@ def test_all_fp8_assignment_halves_bytes():
     geometry = ModelGeometry(1, 8, 8192, 0, 4096, 0)
     directory = enumerate_chunks(geometry)
     assignment = assignment_of((FP8,) * len(directory), (FP8,))
-    cfg = load_config(env={})
+    cfg = load_config()
     result = compare_assignment(directory, assignment, NO_GUARD, cfg.dram)
     assert result["reductions"]["bytes_pct"] == 50.0
     assert 45.0 <= result["reductions"]["total_energy_pct"] <= 55.0

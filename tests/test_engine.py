@@ -264,7 +264,7 @@ def test_engine_working_set_at_8_bits():
     # and neither plan nor the replay holds more than a few row-long
     # temporaries at once.  The traditional trace is one row per loaded
     # chunk.
-    cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
+    cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
     _, assignment = solve_assignment(directory, scores, 8.0, cfg.ladder, cfg.band_profile)
@@ -291,7 +291,7 @@ def test_engine_working_set_at_8_bits():
 @pytest.fixture(scope="module")
 def sweep_traces():
     """Every (target, mode) request stream of configs/default.yaml at seed 1234."""
-    cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
+    cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
     traces = {}

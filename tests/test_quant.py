@@ -90,7 +90,7 @@ def test_plane_set_examples():
 def test_plane_count_law():
     for fmt in LADDER[:-1]:
         for g in GUARDS:
-            expected = 1 + min(5, fmt.exp_bits + g.guard_exp) + min(10, fmt.man_bits + g.guard_man)
+            expected = 1 + min(5, fmt.exp_bits + g.exp_bits) + min(10, fmt.man_bits + g.man_bits)
             assert len(plane_set(fmt, g)) == expected
 
 

@@ -72,7 +72,7 @@ def assert_matches_reference(assignment, directory, mode, guard):
 
 
 def test_default_sweep_traces_match_reference():
-    cfg = load_config(str(DEFAULT_YAML), seed=1234, env={})
+    cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
     traces = {}
