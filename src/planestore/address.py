@@ -16,8 +16,10 @@ maps a whole array of logical reads and `translate` fans every
 resolved read out into its plane spans.  `workload.gen_trace` calls
 them for bit-plane mode only, on the chunk directory's `start` and
 `length` columns, so a trace costs one call of each, not one per
-chunk.  The skip format has no region, so a `Resolved` read never
-carries it, and `translate` has no case for it.
+chunk.  `resolve` is a read's one check, so `translate` takes its
+columns with the same `RegionTable` and checks nothing.  The skip
+format has no region, so no code names it, and `translate` has no case
+for it.
 
 A request stream is a `Trace`: read-only numpy columns, in issue order,
 each row one extent of `size` bytes from `addr` on, read one 64-byte
@@ -192,37 +194,16 @@ def _first_failure(*masks: np.ndarray):
     return row, next(k for k, mask in enumerate(masks) if mask[row])
 
 
-@dataclass(frozen=True, eq=False)
-class Resolved:
-    """Resolved reads as columns: read i serves weights [start[i],
-    start[i] + count[i]) at formats[code[i]].  No format is the skip
-    format: a skipped chunk has no region, so nothing resolves to it."""
-
-    formats: tuple
-    code: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "formats", tuple(self.formats))
-        for fmt in self.formats:
-            if fmt.is_skip:
-                raise ValueError(f"{fmt.name}: a read cannot resolve to the skip format")
-        for name in ("code", "start", "count"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), np.int64).reshape(-1))
-        if not self.code.size == self.start.size == self.count.size:
-            raise ValueError("resolved columns differ in length")
-        if self.code.size and not 0 <= self.code.min() <= self.code.max() < len(self.formats):
-            raise ValueError(f"format codes must lie in [0, {len(self.formats)})")
-
-
-def resolve(table: RegionTable, addr_bit, len_bits) -> Resolved:
+def resolve(table: RegionTable, addr_bit, len_bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Map logical reads, given as bit address and bit length columns, to
-    their formats and weight ranges.
+    their regions and weight ranges.
 
+    Returns (code, start, count) int64 columns: read i serves weights
+    [start[i], start[i] + count[i]) at table.regions[code[i]]'s format.
     Raises for the first read that is negative, runs beyond the logical
-    space, crosses a region boundary or is not weight-aligned, checked in
-    that order.
+    space, crosses a region boundary, is not weight-aligned or is empty,
+    checked in that order, so every range returned is non-empty and lies
+    inside the image.
     """
     addr = np.asarray(addr_bit, np.int64).reshape(-1)
     length = np.asarray(len_bits, np.int64).reshape(-1)
@@ -242,17 +223,20 @@ def resolve(table: RegionTable, addr_bit, len_bits) -> Resolved:
         end > table.total_logical_bits,
         end > ends[region],
         (offset % width != 0) | (length % width != 0),
+        length == 0,
     )
     if failure is not None:
+        row, k = failure
         raise ValueError(
             (
                 "negative logical read",
                 "read beyond the logical space",
                 "cross-region read",
                 "not weight-aligned",
-            )[failure[1]]
+                f"weight range [{offset[row] // width[row]}, +0) is empty",
+            )[k]
         )
-    return Resolved(tuple(r.fmt for r in table.regions), region, offset // width, length // width)
+    return region, offset // width, length // width
 
 
 def plane_span(stride: int, plane, start, count):
@@ -266,43 +250,27 @@ def plane_span(stride: int, plane, start, count):
     return lo, hi - lo
 
 
-def _check_ranges(resolved: Resolved, num_weights: int) -> None:
-    """Raise for the first read whose weight range lies outside the
-    image or is empty, checked in that order."""
-    start, count = resolved.start, resolved.count
-    failure = _first_failure(
-        (start < 0) | (count < 0) | (start + count > num_weights), count == 0
-    )
-    if failure is not None:
-        row, k = failure
-        reason = ("outside the image", "is empty")[k]
-        raise ValueError(f"weight range [{start[row]}, +{count[row]}) {reason}")
-
-
 def translate(
-    resolved: Resolved, guard: GuardConfig, num_weights: int
+    table: RegionTable, code: np.ndarray, start: np.ndarray, count: np.ndarray, guard: GuardConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One aligned span per needed plane of every resolved read, in the
-    image of num_weights weights.
+    """One aligned span per needed plane of every read, in the table's
+    image.  code, start and count are columns `resolve` returned for the
+    table; nothing here checks them again.
 
     Returns (read, plane, lo, size) int64 columns: the reads in their
     given order, each read's spans in ascending address order (planes
     sit at increasing bases, so that is also plane order).
     """
-    code = resolved.code
-    _check_ranges(resolved, num_weights)
-    # One plane set per format, expanded to every read of that format.
-    sets = [plane_set(fmt, guard) for fmt in resolved.formats]
-    by_format = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
+    # One plane set per region, expanded to every read of that region.
+    sets = [plane_set(region.fmt, guard) for region in table.regions]
+    by_region = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
     for k, planes in enumerate(sets):
-        by_format[k, : len(planes)] = planes
+        by_region[k, : len(planes)] = planes
     counts = np.array([len(planes) for planes in sets], np.int64)[code]
     read = np.repeat(np.arange(code.size), counts)
     slot = np.arange(read.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    plane = by_format[code[read], slot]
-    lo, size = plane_span(
-        plane_stride_for(num_weights), plane, resolved.start[read], resolved.count[read]
-    )
+    plane = by_region[code[read], slot]
+    lo, size = plane_span(plane_stride_for(table.num_weights), plane, start[read], count[read])
     return read, plane, lo, size
 
 

@@ -31,9 +31,9 @@ from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image, unpack_full
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
-from .experiment import reduction, run_sweep, solve_assignment
+from .experiment import KIND_REDUCTIONS, TOTAL_REDUCTIONS, reduction, run_sweep, solve_assignment
 from .files import write_file
-from .workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
+from .workload import TRACE_MODES, enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
 REPORT_SCHEMA_VERSION = 3
 
@@ -180,15 +180,11 @@ def check_report(report: dict) -> None:
             return field(*path, numeric=True)
 
         tag = f"target {number('target_bits')}"
-        for mode in ("bitplane", "traditional"):
+        for mode in TRACE_MODES:
             field("modes", mode)
         number("achieved_avg_bits")
         number("modes", "bitplane", "predictor_byte_share")
-        for raw, pct in (
-            ("bytes", "bytes_pct"),
-            ("total_energy_pj", "total_energy_pct"),
-            ("total_latency_ns", "total_latency_pct"),
-        ):
+        for raw, pct in TOTAL_REDUCTIONS:
             expect(
                 f"{tag} {pct}",
                 number("reductions", pct),
@@ -197,10 +193,7 @@ def check_report(report: dict) -> None:
             )
         per_kind = field("reductions", "per_kind")
         for kind in per_kind:
-            for raw, pct in (
-                ("energy_per_weight_pj", "energy_per_weight_pct"),
-                ("mean_chunk_latency_ns", "mean_chunk_latency_pct"),
-            ):
+            for raw, pct in KIND_REDUCTIONS:
                 expect(
                     f"{tag} {kind} {pct}",
                     number("reductions", "per_kind", kind, pct),
@@ -213,7 +206,7 @@ def _load_report(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"corrupted report {path}: {exc}")
     if not isinstance(data, dict):
         raise ValueError(f"corrupted report {path}: not a JSON object")
@@ -321,7 +314,7 @@ def cmd_trace(args) -> int:
     write_file(path, buf.getvalue())
     print(f"assignment: {path}")
 
-    modes = ("bitplane", "traditional") if args.mode == "both" else (args.mode,)
+    modes = TRACE_MODES if args.mode == "both" else (args.mode,)
     for mode in modes:
         trace = gen_trace(assignment, directory, mode, config.guard)
         path = os.path.join(out, f"trace_{mode}_{tag}.txt")
@@ -350,6 +343,8 @@ def parse_trace(path: str) -> Trace:
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"cannot read trace: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read trace {path}: {exc}")
     addr, size, tag, line_of = [], [], [], []
     codes: dict = {}
     for lineno, line in enumerate(lines, 1):
@@ -504,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, help="bits/weight target (default: first)")
     p.add_argument(
         "--mode",
-        choices=("bitplane", "traditional", "both"),
+        choices=(*TRACE_MODES, "both"),
         default="both",
     )
     p.set_defaults(func=cmd_trace)

@@ -269,8 +269,11 @@ def load_config(
     """Defaults, then the file, then explicit flags."""
     data: dict = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config file {path}: {exc}") from None
         try:
             loaded = _parse_yaml(text)
         except yaml.YAMLError as exc:

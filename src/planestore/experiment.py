@@ -19,6 +19,7 @@ from .bitplane import KIND_LABELS, ChunkDirectory
 from .dram import DramConfig, energy_breakdown, read_completions, run_trace
 from .quant import GuardConfig
 from .workload import (
+    TRACE_MODES,
     FormatAssignment,
     ImportanceModel,
     assign_formats,
@@ -122,6 +123,20 @@ def run_mode(
     }
 
 
+# (raw field, reduction field) pairs: each reduction is the cut in the
+# raw field from the traditional mode to the bitplane one, for the
+# totals and for each chunk kind.
+TOTAL_REDUCTIONS = (
+    ("bytes", "bytes_pct"),
+    ("total_energy_pj", "total_energy_pct"),
+    ("total_latency_ns", "total_latency_pct"),
+)
+KIND_REDUCTIONS = (
+    ("energy_per_weight_pj", "energy_per_weight_pct"),
+    ("mean_chunk_latency_ns", "mean_chunk_latency_pct"),
+)
+
+
 def reduction(traditional: float, bitplane: float) -> float:
     """Percent reduction, the headline sense: 1 - bitplane/traditional."""
     if traditional == 0:
@@ -137,31 +152,17 @@ def compare_assignment(
 ) -> dict:
     """Run both layouts for one fixed assignment and diff them."""
     modes = {
-        mode: run_mode(directory, assignment, mode, guard, dram_config)
-        for mode in ("bitplane", "traditional")
+        mode: run_mode(directory, assignment, mode, guard, dram_config) for mode in TRACE_MODES
     }
+
+    def reductions_of(pairs, smart, plain) -> dict:
+        return {pct: reduction(plain[raw], smart[raw]) for raw, pct in pairs}
+
     smart, plain = modes["bitplane"], modes["traditional"]
-    per_kind = {}
-    for key in plain["per_kind"]:
-        per_kind[key] = {
-            "energy_per_weight_pct": reduction(
-                plain["per_kind"][key]["energy_per_weight_pj"],
-                smart["per_kind"][key]["energy_per_weight_pj"],
-            ),
-            "mean_chunk_latency_pct": reduction(
-                plain["per_kind"][key]["mean_chunk_latency_ns"],
-                smart["per_kind"][key]["mean_chunk_latency_ns"],
-            ),
-        }
-    reductions = {
-        "bytes_pct": reduction(plain["bytes"], smart["bytes"]),
-        "total_energy_pct": reduction(
-            plain["total_energy_pj"], smart["total_energy_pj"]
-        ),
-        "total_latency_pct": reduction(
-            plain["total_latency_ns"], smart["total_latency_ns"]
-        ),
-        "per_kind": per_kind,
+    reductions = reductions_of(TOTAL_REDUCTIONS, smart, plain)
+    reductions["per_kind"] = {
+        key: reductions_of(KIND_REDUCTIONS, smart["per_kind"][key], plain["per_kind"][key])
+        for key in plain["per_kind"]
     }
     return {"modes": modes, "reductions": reductions}
 

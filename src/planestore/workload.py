@@ -446,9 +446,9 @@ def gen_trace(
     rung_bits = np.array([fmt.total_bits for fmt in ladder], np.int64)
     code = assignment.codes[loaded]
     start, length = directory.start[loaded], directory.length[loaded]
-    resolved = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
+    reads = resolve(table, rung_base[code] + start * rung_bits[code], length * rung_bits[code])
     # Map each plane span to its loaded chunk.
-    read, planes, lo, size = translate(resolved, guard, directory.num_weights)
+    read, planes, lo, size = translate(table, *reads, guard)
     keep, addr, size = _trim_seams(planes, lo, size)
     row_chunk = read[keep]
     return Trace(addr, size, kind[row_chunk], KIND_LABELS, chunk[row_chunk])

@@ -52,8 +52,10 @@ dictionary, or per chunk extent in traditional mode.  The columnar
 address functions as they were when `gen_trace` called them once per
 chunk, taking one `LogicalRead` or one resolved `(format, start,
 count)`; the package's array-valued versions must agree with them read
-by read, errors included.  `scalar_translate_traditional` places one
-chunk's FP16 extent by a running sum over the directory's lengths.
+by read.  `scalar_resolve` is the one check on a read, errors included,
+and `scalar_translate` takes only ranges it returned.
+`scalar_translate_traditional` places one chunk's FP16 extent by a
+running sum over the directory's lengths.
 reference_trace builds its rows with all three.
 
 The package holds the chunk directory and the format assignment as
@@ -835,7 +837,12 @@ class LogicalRead:
 
 
 def scalar_resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int, int]:
-    """Map a logical read to (format, start_weight, weight_count)."""
+    """Map a logical read to (format, start_weight, weight_count).
+
+    Raises for a read that is negative, runs beyond the logical space,
+    crosses a region boundary, is not weight-aligned or is empty, checked
+    in that order, so the range returned is non-empty and inside the
+    image."""
     if read.addr_bit + read.len_bits > table.total_logical_bits:
         raise ValueError("read beyond the logical space")
     bases = [r.base_bit for r in table.regions]
@@ -847,6 +854,8 @@ def scalar_resolve(table: RegionTable, read: LogicalRead) -> tuple[FpFormat, int
     offset = read.addr_bit - region.base_bit
     if offset % width or read.len_bits % width:
         raise ValueError("not weight-aligned")
+    if read.len_bits == 0:
+        raise ValueError(f"weight range [{offset // width}, +0) is empty")
     return region.fmt, offset // width, read.len_bits // width
 
 
@@ -854,16 +863,14 @@ def scalar_translate(
     resolved: tuple[FpFormat, int, int], guard: GuardConfig, num_weights: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One aligned span per needed plane covering the weight range, in
-    the image of num_weights weights.
+    the image of num_weights weights.  The range is one `scalar_resolve`
+    returned, so it is non-empty and inside the image, and nothing here
+    checks it again.
 
     Returns (plane, lo, size) int64 arrays in ascending address order
     (planes sit at increasing bases, so that is also plane order).
     """
     fmt, start, count = resolved
-    if not 0 <= start <= start + count <= num_weights:
-        raise ValueError(f"weight range [{start}, +{count}) outside the image")
-    if count == 0:
-        raise ValueError(f"weight range [{start}, +{count}) is empty")
     planes = np.array(plane_set(fmt, guard), np.int64)
     lo, size = plane_span(plane_stride_for(num_weights), planes, start, count)
     return planes, lo, size

@@ -148,9 +148,9 @@ def test_04_bloated_space_sizes_and_resolve_round_trip():
             addr_bits.append(region.base_bit + start * width)
             len_bits.append(count * width)
             expected.append((region.fmt, start, count))
-        resolved = resolve(table, addr_bits, len_bits)
-        got = zip(resolved.code.tolist(), resolved.start.tolist(), resolved.count.tolist())
-        assert [(resolved.formats[code], start, count) for code, start, count in got] == expected
+        code, start, count = (c.tolist() for c in resolve(table, addr_bits, len_bits))
+        got = [(table.regions[k].fmt, s, n) for k, s, n in zip(code, start, count)]
+        assert got == expected
 
 
 def test_05_transferred_bytes_track_format_width():

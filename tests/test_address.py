@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planestore.address import (
-    Resolved,
     Trace,
     build_regions,
     first_invalid,
@@ -41,20 +40,31 @@ from reference import (
 LADDER5 = [FP16, FP12, FP8, FP6, FP4]
 
 
-def rows_of(resolved: Resolved) -> list:
-    """Resolved reads as (format, start, count) tuples."""
-    columns = (resolved.code.tolist(), resolved.start.tolist(), resolved.count.tolist())
-    return [(resolved.formats[code], start, count) for code, start, count in zip(*columns)]
+def rows_of(table, reads) -> list:
+    """resolve's (code, start, count) columns as (format, start, count)
+    tuples."""
+    code, start, count = (column.tolist() for column in reads)
+    return [(table.regions[k].fmt, s, n) for k, s, n in zip(code, start, count)]
 
 
 def resolve_one(table, addr_bit: int, len_bits: int) -> tuple:
-    [row] = rows_of(resolve(table, [addr_bit], [len_bits]))
+    [row] = rows_of(table, resolve(table, [addr_bit], [len_bits]))
     return row
 
 
-def one(fmt, start: int, count: int) -> Resolved:
-    """A single resolved read."""
-    return Resolved((fmt,), [0], [start], [count])
+def logical_read(table, fmt, start: int, count: int) -> tuple:
+    """(addr_bit, len_bits) of weights [start, start + count) at fmt."""
+    [region] = [r for r in table.regions if r.fmt == fmt]
+    width = fmt.total_bits
+    return region.base_bit + start * width, count * width
+
+
+def spans_of(fmt, start: int, count: int, num_weights: int, guard=NO_GUARD) -> tuple:
+    """translate's columns for one read of weights [start, start + count)
+    at fmt, in an image of num_weights weights: resolve, then translate."""
+    table = build_regions(num_weights, [fmt])
+    addr, length = logical_read(table, fmt, start, count)
+    return translate(table, *resolve(table, [addr], [length]), guard)
 
 
 def test_build_regions_sizes():
@@ -110,6 +120,17 @@ def test_resolve_errors():
         resolve_one(t, 2688 + 64 * 4, 4)
 
 
+def test_a_batch_names_its_first_failing_read():
+    # An empty read is checked with the other rules, read by read, so the
+    # batch's error is that of whichever failing read comes first.
+    t = build_regions(64, LADDER5)
+    empty, misaligned = (1024 + 24, 0), (1025, 12)
+    with pytest.raises(ValueError, match=r"^weight range \[2, \+0\) is empty$"):
+        resolve(t, *zip(empty, misaligned))
+    with pytest.raises(ValueError, match="^not weight-aligned$"):
+        resolve(t, *zip(misaligned, empty))
+
+
 def test_resolve_roundtrip():
     t = build_regions(512, LADDER5)
     for region in t.regions:
@@ -123,31 +144,23 @@ def test_resolve_roundtrip():
 
 
 def test_translate_whole_planes():
-    _, planes, lo, size = translate(one(FP16, 0, 32768), GuardConfig(0, 0), 32768)
+    _, planes, lo, size = spans_of(FP16, 0, 32768, 32768)
     assert len(lo) == 16
     assert (size == 4096).all()
     assert lo.tolist() == [p * 4096 for p in range(16)]
 
 
 def test_translate_single_burst_per_plane():
-    _, planes, lo, size = translate(one(FP8, 0, 512), GuardConfig(0, 0), 512)
+    _, planes, lo, size = spans_of(FP8, 0, 512, 512)
     assert len(lo) == 8
     assert (size == 64).all()
 
 
 def test_translate_neuron_chunk():
-    _, planes, lo, size = translate(one(FP6, 0, 7200), GuardConfig(0, 0), 7200)
+    _, planes, lo, size = spans_of(FP6, 0, 7200, 7200)
     assert len(lo) == 6
     assert (size == 960).all()
     assert set(planes.tolist()) == set(plane_set(FP6, NO_GUARD))
-
-
-def test_translate_rejects_fp0():
-    # The skip format has no region, so no resolved read can carry it.
-    with pytest.raises(ValueError, match="FP0: a read cannot resolve to the skip format"):
-        one(FP0, 0, 8)
-    with pytest.raises(ValueError, match="skip format"):
-        Resolved((FP16, FP0), [0], [0], [8])
 
 
 def test_plane_span_brute_force():
@@ -199,12 +212,16 @@ def test_traditional_chunk_bases_aligned():
 
 
 def test_empty_read_rejected():
-    for start in (0, 100):
+    table = build_regions(512, LADDER5)
+    # An empty read at a region's end starts the next region; at the
+    # space's end it is still the last region's.
+    for fmt, start in ((FP8, 0), (FP8, 100), (FP4, 512)):
         message = rf"^weight range \[{start}, \+0\) is empty$"
+        addr, length = logical_read(table, fmt, start, 0)
         with pytest.raises(ValueError, match=message):
-            translate(one(FP8, start, 0), NO_GUARD, 512)
+            resolve(table, [addr], [length])
         with pytest.raises(ValueError, match=message):
-            scalar_translate((FP8, start, 0), NO_GUARD, 512)
+            scalar_resolve(table, LogicalRead(addr, length))
 
 
 @settings(max_examples=200, deadline=None)
@@ -237,7 +254,7 @@ def test_traditional_extents_tile_the_directory_in_order(chunks):
 )
 def test_proportionality_amortizes(fmt, count, start):
     num = start + count
-    smart = translate(one(fmt, start, count), GuardConfig(0, 0), num)[3].sum()
+    smart = spans_of(fmt, start, count, num)[3].sum()
     # The traditional side fetches a count-weight chunk whole.
     [(_, trad)] = extents([count])
     planes = len(plane_set(fmt, NO_GUARD))
@@ -247,8 +264,8 @@ def test_proportionality_amortizes(fmt, count, start):
 
 
 def test_determinism():
-    a = translate(one(FP6, 123, 4567), GuardConfig(1, 1), 9999)
-    b = translate(one(FP6, 123, 4567), GuardConfig(1, 1), 9999)
+    a = spans_of(FP6, 123, 4567, 9999, GuardConfig(1, 1))
+    b = spans_of(FP6, 123, 4567, 9999, GuardConfig(1, 1))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert a[2].tolist() == sorted(a[2].tolist())
 
@@ -347,28 +364,17 @@ def test_resolve_matches_scalar_resolve(data):
         assert outcome(resolve_one, table, addr, length) == want
     resolved = assert_batch_matches(expected, lambda: resolve(table, *zip(*reads)))
     if resolved is not None:
-        assert rows_of(resolved) == expected
+        assert rows_of(table, resolved) == expected
 
 
 @st.composite
 def resolved_reads(draw, num_weights):
-    """(format, (start, count)) reads at a loaded format, some of them
-    empty, ending just past the weights or starting or counting below 0."""
-    start = draw(st.integers(-2, num_weights + 2))
-    near_end = st.integers(-2, 2).map(lambda d: num_weights - start + d)
-    count = draw(st.one_of(st.integers(-2, num_weights + 2), near_end))
+    """(format, (start, count)) reads at a loaded format, as `resolve`
+    returns them: non-empty and inside the image, some ending at its
+    last weight."""
+    start = draw(st.integers(0, num_weights - 1))
+    count = draw(st.one_of(st.integers(1, num_weights - start), st.just(num_weights - start)))
     return draw(st.sampled_from(LADDER5)), (start, count)
-
-
-def batch_of(reads) -> Resolved:
-    """The reads as one Resolved, each distinct format listed once."""
-    formats = tuple(dict.fromkeys(fmt for fmt, _ in reads))
-    return Resolved(
-        formats,
-        [formats.index(fmt) for fmt, _ in reads],
-        [start for _, (start, _) in reads],
-        [count for _, (_, count) in reads],
-    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,20 +385,21 @@ def batch_of(reads) -> Resolved:
     st.builds(GuardConfig, st.integers(0, 2), st.integers(0, 2)),
 )
 def test_translate_matches_scalar_translate(case, guard):
+    # The reads' errors are resolve's, which test_resolve_matches_scalar_resolve
+    # covers; here every read is one resolve returns.
     num_weights, reads = case
     expected = [
         outcome(scalar_translate, (fmt, start, count), guard, num_weights)
         for fmt, (start, count) in reads
     ]
     for (fmt, (start, count)), want in zip(reads, expected):
-        got = outcome(translate, one(fmt, start, count), guard, num_weights)
-        assert got == want if want[0] == "error" else got[1:] == want
-    spans = assert_batch_matches(expected, lambda: translate(batch_of(reads), guard, num_weights))
-    if spans is not None:
-        read, *columns = (c.tolist() for c in spans)
-        for i, want in enumerate(expected):
-            rows = [k for k, r in enumerate(read) if r == i]
-            assert tuple([column[k] for k in rows] for column in columns) == want
+        assert outcome(spans_of, fmt, start, count, num_weights, guard)[1:] == want
+    table = build_regions(num_weights, LADDER)
+    logical = [logical_read(table, fmt, start, count) for fmt, (start, count) in reads]
+    read, *columns = (c.tolist() for c in translate(table, *resolve(table, *zip(*logical)), guard))
+    for i, want in enumerate(expected):
+        rows = [k for k, r in enumerate(read) if r == i]
+        assert tuple([column[k] for k in rows] for column in columns) == want
 
 
 # --- request rows ------------------------------------------------------------

@@ -1250,6 +1250,25 @@ def test_report_rejects_corrupt_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, prefix",
+    [
+        (["compare", "--out", "out", "--config"], "config file"),
+        (["sim"], "cannot read trace"),
+        (["report"], "corrupted report"),
+    ],
+)
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, monkeypatch, command, prefix):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"seed: 1\n\xff\n")
+    assert main([*command, str(bad)]) == 1
+    assert one_line_error(capsys) == (
+        f"error: {prefix} {bad}: 'utf-8' codec can't decode byte 0xff"
+        " in position 8: invalid start byte\n"
+    )
+
+
+@pytest.mark.parametrize(
     "targets, message",
     [
         ([{}], "missing field 'target_bits'"),
