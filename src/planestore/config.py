@@ -4,8 +4,10 @@ Every knob the comparison depends on lives in DEFAULTS with a checked-in
 value, so a report plus its embedded config is enough to rerun the
 experiment.  DEFAULTS is also the schema: a file's keys and value types
 are those of DEFAULTS, and one walk merges the file over it and checks
-it.  Precedence, lowest to highest: built-in defaults, the YAML file,
-then explicit CLI flags (--seed, --out, where a subcommand takes them).
+it.  Every mapping merges key by key, importance by scored chunk kind;
+lists, and each importance entry a file gives, are taken whole.
+Precedence, lowest to highest: built-in defaults, the YAML file, then
+explicit CLI flags (--seed, --out, where a subcommand takes them).
 """
 
 from __future__ import annotations
@@ -117,44 +119,36 @@ def _resolve(value, default, where: str = "", whole: bool = False):
     """``value`` merged over ``default`` and checked against its types.
 
     A mapping takes only its default's keys and keeps the default's value
-    for each key it leaves out, except a whole entry, which gives its own:
-    a list item every key of its default, a score distribution its family
-    and every parameter that family reads (so ScoreDistribution's field
-    defaults never decide a result the embedded config does not record).
-    The importance section is replaced wholesale, since a partial
-    override would mix two families' parameters; each of its entries,
-    under whatever kind name, is a score distribution.  A list must not
-    be empty, and each item is a whole entry shaped like the default's
-    first.  An integer field takes an integer, a float field any finite
-    number (YAML's .nan and .inf are floats too), a string field a
-    string.  The result shares no container with either argument.
+    for each key it leaves out, so importance keeps the default of each
+    kind a file does not name.  A whole entry gives its own keys instead:
+    a list item every key of its default, a score distribution (whose
+    default has a ``family`` key) its family and every parameter that
+    family reads.  So ScoreDistribution's field defaults never decide a
+    result the embedded config does not record, and no entry mixes two
+    families' parameters.  A list must not be empty, and each item is a
+    whole entry shaped like the default's first.  An integer field takes
+    an integer, a float field any finite number (YAML's .nan and .inf are
+    floats too), a string field a string.  The result shares no container
+    with either argument.
     """
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config key {where!r} must be a mapping")
-        if where == "importance":
-            shape = next(iter(default.values()))
-            return {
-                kind: _resolve(entry, shape, f"{where}.{kind}", whole=True)
-                for kind, entry in value.items()
-            }
-        extra = value.keys() - default.keys() if whole else ()
-        if extra:
-            raise ValueError(f"unknown keys {sorted(map(str, extra))} in {where}")
         out = {}
         for key, item in value.items():
             at = f"{where}.{key}" if where else key
             if key not in default:
                 raise ValueError(f"unknown config key {at!r}")
             out[key] = _resolve(item, default[key], at)
-        if not whole:
+        if "family" in default:
+            needs = ("family", *FAMILY_PARAMETERS.get(out.get("family"), ()))
+        elif whole:
+            needs = default
+        else:
             return {
                 key: out[key] if key in out else copy.deepcopy(item)
                 for key, item in default.items()
             }
-        needs = default
-        if "family" in default:
-            needs = ("family", *FAMILY_PARAMETERS.get(out.get("family"), ()))
         missing = [key for key in needs if key not in out]
         if missing:
             raise ValueError(f"{where} needs {', '.join(map(repr, missing))}")
@@ -187,32 +181,15 @@ def build_config(resolved: dict) -> ExperimentConfig:
     check_ladder(ladder)
     guard = GuardConfig(**resolved["guard"])
     geometry = ModelGeometry(**resolved["geometry"])
-    if ChunkKind.PREDICTOR.value in resolved["importance"]:
-        raise ValueError(
-            "config key 'importance.predictor': predictor chunks ride the top rung"
-            " and draw no score"
-        )
-    scored = [kind.value for kind in ChunkKind if kind is not ChunkKind.PREDICTOR]
-    for kind in resolved["importance"]:
-        if kind != "default" and kind not in scored:
-            raise ValueError(
-                f"config key 'importance.{kind}' names no chunk kind: importance takes"
-                f" 'default' or {', '.join(map(repr, scored))}"
-            )
-    dists = {
-        ChunkKind(kind): ScoreDistribution(**params)
-        for kind, params in resolved["importance"].items()
-        if kind != "default"
-    }
-    if "default" in resolved["importance"]:
-        distribution = ScoreDistribution(**resolved["importance"]["default"])
-        if dists:
-            raise ValueError("importance: give either 'default' or per-kind entries")
-    elif dists:
-        distribution = dists
-    else:
-        raise ValueError("importance needs 'default' or per-kind entries")
-    importance = ImportanceModel(seed=resolved["seed"], distribution=distribution)
+    if resolved["seed"] < 0:
+        raise ValueError(f"config key 'seed' must be non-negative, got {resolved['seed']}")
+    importance = ImportanceModel(
+        seed=resolved["seed"],
+        distributions={
+            ChunkKind(kind): ScoreDistribution(**params)
+            for kind, params in resolved["importance"].items()
+        },
+    )
     profile = BandProfile(
         gains=tuple(resolved["solver"]["gains"]),
         exponents=tuple(resolved["solver"]["exponents"]),

@@ -141,21 +141,14 @@ class ScoreDistribution:
 
 @dataclass(frozen=True, eq=False)
 class ImportanceModel:
-    """Seeded per-kind score distributions.  distribution may be a single
-    ScoreDistribution for every kind or a mapping keyed by ChunkKind."""
+    """Seeded score distributions, one per scored chunk kind."""
 
     seed: int
-    distribution: object
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError("seed must be unsigned")
+    distributions: Mapping[ChunkKind, ScoreDistribution]
 
     def dist_for(self, kind: ChunkKind) -> ScoreDistribution:
-        if isinstance(self.distribution, ScoreDistribution):
-            return self.distribution
         try:
-            return self.distribution[kind]
+            return self.distributions[kind]
         except KeyError:
             raise ValueError(f"no score distribution for chunk kind {kind.value!r}")
 

@@ -72,7 +72,8 @@ geometry:
   weights_per_neuron: 4096
   predictor_weights_per_layer: 4096
 importance:
-  default: {family: uniform}
+  attention_head: {family: uniform}
+  mlp_neuron: {family: uniform}
 """
 
 
@@ -132,28 +133,21 @@ def test_unknown_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_importance_section_replaces_wholesale(tmp_path):
-    path = write_config(tmp_path, "importance:\n  default: {family: uniform}\n")
+def test_importance_merges_by_kind(tmp_path):
+    # A file naming one kind keeps the other kind's default distribution.
+    one_kind = SMALL_YAML.replace("  mlp_neuron: {family: uniform}\n", "")
+    path = write_config(tmp_path, one_kind)
     cfg = load_config(path)
-    # No leftovers from the default per-kind mixtures.
-    assert cfg.importance.dist_for(ChunkKind.ATTENTION_HEAD).family == "uniform"
-
-
-def test_importance_default_and_per_kind_conflict(tmp_path):
-    path = write_config(
-        tmp_path,
-        "importance:\n"
-        "  default: {family: uniform}\n"
-        "  mlp_neuron: {family: uniform}\n",
-    )
-    with pytest.raises(ValueError, match="either 'default' or per-kind"):
-        load_config(path)
-
-
-def test_importance_empty_rejected(tmp_path):
-    path = write_config(tmp_path, "importance: {}\n")
-    with pytest.raises(ValueError, match="importance needs"):
-        load_config(path)
+    assert cfg.resolved["importance"] == {
+        "attention_head": {"family": "uniform"},
+        "mlp_neuron": DEFAULTS["importance"]["mlp_neuron"],
+    }
+    mlp = cfg.importance.dist_for(ChunkKind.MLP_NEURON)
+    assert dataclasses.asdict(mlp) == DEFAULTS["importance"]["mlp_neuron"]
+    empty = write_config(tmp_path, "importance: {}\n", "empty.yaml")
+    assert load_config(empty).resolved == DEFAULTS
+    # Every scored kind draws from a distribution, so the sweep runs.
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_seed_and_out_overrides(small_config):
@@ -183,7 +177,7 @@ def test_config_bad_bias_rejected(tmp_path):
         "  - {name: FP16, exp_bits: 5, man_bits: 10, bias: 14}\n"
         "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
     )
-    with pytest.raises(ValueError, match=r"unknown keys \['bias'\] in ladder\[0\]"):
+    with pytest.raises(ValueError, match=re.escape("unknown config key 'ladder[0].bias'")):
         load_config(path)
 
 
@@ -205,8 +199,8 @@ BAD_CONFIGS = [
     ("geometry:\n  layers: 1.5\n", "'geometry.layers' must be an integer, got 1.5"),
     ("dram:\n  clock_ns: fast\n", "'dram.clock_ns' must be a number"),
     ("targets: [1.6, eight]\n", "'targets[1]' must be a number"),
-    ("importance:\n  default: {family: beta, a: two}\n",
-     "'importance.default.a' must be a number"),
+    ("importance:\n  attention_head: {family: beta, a: two}\n",
+     "'importance.attention_head.a' must be a number"),
     # The burst is a fixed 64-byte block, not a key.
     ("dram:\n  burst_bytes: 64\n", "unknown config key 'dram.burst_bytes'"),
     # Representable in YAML, not in the memory model.
@@ -220,7 +214,7 @@ BAD_CONFIGS = [
      "ladder[0] needs 'man_bits'"),
     ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10, extra: 1}\n"
      "  - {name: FP0, exp_bits: 0, man_bits: 0}\n",
-     "unknown keys ['extra'] in ladder[0]"),
+     "unknown config key 'ladder[0].extra'"),
     ("solver: {gains: [], exponents: []}\n", "config key 'solver.gains' must not be empty"),
     # Only the skip rung has no exponent.
     ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
@@ -234,11 +228,12 @@ BAD_CONFIGS = [
      "solver: {gains: [0.1], exponents: [1.0]}\ntargets: [4.0]\n",
      "ladder must end in a skip level (0 bits), not FP8"),
     # Every parameter a family reads must be in the config it embeds.
-    ("importance:\n  default: {family: beta}\n", "importance.default needs 'a', 'b'"),
-    ("importance:\n  default: {family: beta, a: 2.0}\n", "importance.default needs 'b'"),
-    ("importance:\n  default: {family: two_point}\n", "importance.default needs 'mix'"),
-    ("importance:\n  default: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
-     "importance.default needs 'b_lo'"),
+    ("importance:\n  attention_head: {family: beta}\n", "importance.attention_head needs 'a', 'b'"),
+    ("importance:\n  mlp_neuron: {family: beta, a: 2.0}\n", "importance.mlp_neuron needs 'b'"),
+    ("importance:\n  attention_head: {family: two_point}\n",
+     "importance.attention_head needs 'mix'"),
+    ("importance:\n  mlp_neuron: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
+     "importance.mlp_neuron needs 'b_lo'"),
     # Nothing to load: the predictor fraction would divide by zero.
     ("geometry: {heads_per_layer: 0, neurons_per_layer: 0, predictor_weights_per_layer: 0}\n",
      "geometry holds no weights"),
@@ -247,20 +242,22 @@ BAD_CONFIGS = [
     ("dram:\n  e_rd_pj: .inf\n", "config key 'dram.e_rd_pj' must be finite, got inf"),
     ("solver: {gains: [.nan, 0.0569, 0.0549, 0.0068, 0.0031]}\n",
      "config key 'solver.gains[0]' must be finite, got nan"),
-    ("importance:\n  default: {family: beta, a: .nan, b: 2.0}\n",
-     "config key 'importance.default.a' must be finite, got nan"),
+    ("importance:\n  mlp_neuron: {family: beta, a: .nan, b: 2.0}\n",
+     "config key 'importance.mlp_neuron.a' must be finite, got nan"),
     # Two rungs of one name would merge in the report's format counts.
     ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
      "  - {name: X, exp_bits: 5, man_bits: 6}\n  - {name: X, exp_bits: 5, man_bits: 2}\n"
      "  - {name: FP0, exp_bits: 0, man_bits: 0}\n"
      "solver: {gains: [0.1, 0.1, 0.1], exponents: [1.0, 1.0, 1.0]}\n",
      "ladder names 'X' twice"),
-    # Predictors ride the top rung, so a score model for them decides nothing.
+    # importance's keys are the scored kinds: predictors ride the top rung
+    # and draw no score, and no one distribution stands in for every kind.
     ("importance:\n  predictor: {family: uniform}\n  attention_head: {family: uniform}\n",
-     "config key 'importance.predictor': predictor chunks ride the top rung and draw no score"),
-    ("importance:\n  foo: {family: uniform}\n",
-     "config key 'importance.foo' names no chunk kind: importance takes 'default' or"
-     " 'attention_head', 'mlp_neuron'"),
+     "unknown config key 'importance.predictor'"),
+    ("importance:\n  foo: {family: uniform}\n", "unknown config key 'importance.foo'"),
+    ("importance:\n  default: {family: uniform}\n", "unknown config key 'importance.default'"),
+    # numpy's generators take no negative seed.
+    ("seed: -3\n", "config key 'seed' must be non-negative, got -3"),
     # The run table holds channel and bank ids as int16, columns as int32.
     ("dram:\n  banks_per_channel: 40000\n", "banks_per_channel must be below 32768, got 40000"),
     ("dram:\n  channels: 32768\n", "channels must be below 32768, got 32768"),
@@ -288,6 +285,12 @@ def test_bad_config_values_are_one_line_errors(tmp_path, capsys, text, message):
     path = write_config(tmp_path, text)
     assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert message in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", [["pack", "--count", "64"], ["compare"]], ids=lambda c: c[0])
+def test_negative_seed_flag_names_its_key(tmp_path, capsys, command):
+    assert main([*command, "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    assert "config key 'seed' must be non-negative, got -1" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("text", [text for text, _ in BAD_CONFIGS])
@@ -359,7 +362,6 @@ def test_every_scalar_key_takes_only_its_type(tmp_path, path, leaf):
 
 @pytest.mark.parametrize("path, node", SECTIONS, ids=[key_name(p) for p, _ in SECTIONS])
 def test_every_section_rejects_null(tmp_path, path, node):
-    # importance is replaced wholesale, yet a null one is still no mapping.
     want = "a mapping" if isinstance(node, dict) else "a list"
     message = f"config key '{key_name(path)}' must be {want}"
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -44,6 +44,13 @@ UNIFORM = ScoreDistribution("uniform")
 SIXTHS = ThresholdSet((5 / 6, 4 / 6, 3 / 6, 2 / 6, 1 / 6), LADDER)
 
 
+def every_kind(seed, distribution):
+    """A score model drawing every scored chunk kind from ``distribution``."""
+    return ImportanceModel(
+        seed, {ChunkKind.ATTENTION_HEAD: distribution, ChunkKind.MLP_NEURON: distribution}
+    )
+
+
 def flat_geometry(chunks, weights=64, predictor=0):
     return ModelGeometry(
         layers=1,
@@ -106,7 +113,7 @@ def test_enumerate_scaled_geometry():
 
 def test_uniform_scores_mean():
     directory = enumerate_chunks(flat_geometry(1000))
-    scores = gen_scores(directory, ImportanceModel(42, UNIFORM))
+    scores = gen_scores(directory, every_kind(42, UNIFORM))
     assert scores.shape == (1000,)
     assert 0.45 <= scores.mean() <= 0.55
     assert scores.min() >= 0.0 and scores.max() <= 1.0
@@ -114,13 +121,13 @@ def test_uniform_scores_mean():
 
 def test_beta_scores_mean():
     directory = enumerate_chunks(flat_geometry(1000))
-    scores = gen_scores(directory, ImportanceModel(7, ScoreDistribution("beta", a=2, b=5)))
+    scores = gen_scores(directory, every_kind(7, ScoreDistribution("beta", a=2, b=5)))
     assert scores.mean() == pytest.approx(2 / 7, abs=0.02)
 
 
 def test_two_point_scores_are_prune_only():
     directory = enumerate_chunks(flat_geometry(200))
-    model = ImportanceModel(3, ScoreDistribution("two_point", mix=0.4))
+    model = every_kind(3, ScoreDistribution("two_point", mix=0.4))
     scores = gen_scores(directory, model)
     assert set(np.unique(scores)) <= {0.0, 1.0}
     assignment = assign_formats(directory, scores, SIXTHS)
@@ -129,9 +136,9 @@ def test_two_point_scores_are_prune_only():
 
 def test_scores_deterministic_per_seed():
     directory = enumerate_chunks(flat_geometry(50))
-    a = gen_scores(directory, ImportanceModel(9, UNIFORM))
-    b = gen_scores(directory, ImportanceModel(9, UNIFORM))
-    c = gen_scores(directory, ImportanceModel(10, UNIFORM))
+    a = gen_scores(directory, every_kind(9, UNIFORM))
+    b = gen_scores(directory, every_kind(9, UNIFORM))
+    c = gen_scores(directory, every_kind(10, UNIFORM))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -139,7 +146,7 @@ def test_scores_deterministic_per_seed():
 def test_predictor_chunks_consume_no_randomness():
     bare = enumerate_chunks(flat_geometry(40))
     padded = enumerate_chunks(flat_geometry(40, predictor=16))
-    model = ImportanceModel(11, UNIFORM)
+    model = every_kind(11, UNIFORM)
     assert np.array_equal(gen_scores(bare, model), gen_scores(padded, model))
 
 
@@ -250,7 +257,7 @@ def test_assignment_score_count_checked():
 
 def test_top_heavy_thresholds_prune_almost_everything():
     directory = enumerate_chunks(flat_geometry(2000))
-    scores = gen_scores(directory, ImportanceModel(1, UNIFORM))
+    scores = gen_scores(directory, every_kind(1, UNIFORM))
     near_one = ThresholdSet(tuple(1 - k * 1e-6 for k in range(1, 6)), LADDER)
     assignment = assign_formats(directory, scores, near_one)
     dropped = sum(1 for f in formats_of(assignment) if f.is_skip)
@@ -259,7 +266,7 @@ def test_top_heavy_thresholds_prune_almost_everything():
 
 def test_quantile_thresholds_split_in_sixths():
     directory = enumerate_chunks(flat_geometry(6000))
-    scores = gen_scores(directory, ImportanceModel(4, UNIFORM))
+    scores = gen_scores(directory, every_kind(4, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
     for fmt in LADDER:
         share = sum(1 for f in formats_of(assignment) if f is fmt) / 6000
@@ -284,7 +291,7 @@ def test_avg_bits_examples():
 
 def test_solver_reaches_full_precision():
     directory = enumerate_chunks(flat_geometry(400, predictor=32))
-    scores = gen_scores(directory, ImportanceModel(2, UNIFORM))
+    scores = gen_scores(directory, every_kind(2, UNIFORM))
     ts = solve_thresholds(directory, scores, 16.0, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
     assert avg_bits(assignment, directory) == 16.0
@@ -304,7 +311,7 @@ def test_solver_floor_with_all_zero_scores():
 @pytest.mark.parametrize("target", [4.8, 8.0, 12.0])
 def test_solver_hits_target(target):
     directory = enumerate_chunks(flat_geometry(1000, 96, predictor=128))
-    scores = gen_scores(directory, ImportanceModel(42, UNIFORM))
+    scores = gen_scores(directory, every_kind(42, UNIFORM))
     ts = solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
     assignment = assign_formats(directory, scores, ts)
     assert avg_bits(assignment, directory) == pytest.approx(target, abs=0.05)
@@ -312,7 +319,7 @@ def test_solver_hits_target(target):
 
 def test_solver_rejects_unreachable_targets():
     directory = enumerate_chunks(flat_geometry(100, 64, predictor=64))
-    scores = gen_scores(directory, ImportanceModel(8, UNIFORM))
+    scores = gen_scores(directory, every_kind(8, UNIFORM))
     for target in (-0.1, 16.06):
         with pytest.raises(ValueError, match=r"achievable range \[0\.000, 16\.000\]"):
             solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
@@ -324,7 +331,7 @@ def test_solver_reaches_the_all_skipped_assignment(seed):
     # the top score and target 0 skips every scored chunk.
     geometry = ModelGeometry(2, 8, 36864, 512, 7200, 75456)
     directory = enumerate_chunks(geometry)
-    scores = gen_scores(directory, ImportanceModel(seed, ScoreDistribution("beta", 5.0, 1.5)))
+    scores = gen_scores(directory, every_kind(seed, ScoreDistribution("beta", 5.0, 1.5)))
     ts = solve_thresholds(directory, scores, 0.0, LADDER, BAND_PROFILE)
     assert min(ts.values) > scores.max()
     assignment = assign_formats(directory, scores, ts)
@@ -335,7 +342,7 @@ def test_solver_reaches_the_all_skipped_assignment(seed):
 
 def test_solver_deterministic():
     directory = enumerate_chunks(flat_geometry(300, predictor=16))
-    scores = gen_scores(directory, ImportanceModel(6, UNIFORM))
+    scores = gen_scores(directory, every_kind(6, UNIFORM))
     a = solve_thresholds(directory, scores, 6.0, LADDER, BAND_PROFILE)
     b = solve_thresholds(directory, scores, 6.0, LADDER, BAND_PROFILE)
     assert a.values == b.values
@@ -343,7 +350,7 @@ def test_solver_deterministic():
 
 def test_raising_a_threshold_never_adds_bits():
     directory = enumerate_chunks(flat_geometry(500))
-    scores = gen_scores(directory, ImportanceModel(13, UNIFORM))
+    scores = gen_scores(directory, every_kind(13, UNIFORM))
     base = solve_thresholds(directory, scores, 7.0, LADDER, BAND_PROFILE)
     baseline = avg_bits(assign_formats(directory, scores, base), directory)
     for k in range(5):
@@ -408,7 +415,7 @@ def test_all_fp8_trace_is_half_the_bytes():
 def test_traditional_bytes_formula():
     g = ModelGeometry(1, 2, 1000, 3, 52, 36)
     directory = enumerate_chunks(g)
-    scores = gen_scores(directory, ImportanceModel(21, UNIFORM))
+    scores = gen_scores(directory, every_kind(21, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
     trace = gen_trace(assignment, directory, "traditional", NO_GUARD)
     expected = sum(
@@ -470,7 +477,7 @@ def test_guard_planes_expand_the_fetch():
 
 def test_trace_determinism():
     directory = enumerate_chunks(flat_geometry(20, 640, predictor=64))
-    scores = gen_scores(directory, ImportanceModel(17, UNIFORM))
+    scores = gen_scores(directory, every_kind(17, UNIFORM))
     assignment = assign_formats(directory, scores, SIXTHS)
     for mode in ("bitplane", "traditional"):
         assert gen_trace(assignment, directory, mode, NO_GUARD) == gen_trace(
