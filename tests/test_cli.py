@@ -199,7 +199,7 @@ BAD_CONFIGS = [
     ("geometry:\n  layers: 1.5\n", "'geometry.layers' must be an integer, got 1.5"),
     ("dram:\n  clock_ns: fast\n", "'dram.clock_ns' must be a number"),
     ("targets: [1.6, eight]\n", "'targets[1]' must be a number"),
-    ("importance:\n  attention_head: {family: beta, a: two}\n",
+    ("importance:\n  attention_head: {a: two, family: beta}\n",
      "'importance.attention_head.a' must be a number"),
     # The burst is a fixed 64-byte block, not a key.
     ("dram:\n  burst_bytes: 64\n", "unknown config key 'dram.burst_bytes'"),
@@ -242,7 +242,7 @@ BAD_CONFIGS = [
     ("dram:\n  e_rd_pj: .inf\n", "config key 'dram.e_rd_pj' must be finite, got inf"),
     ("solver: {gains: [.nan, 0.0569, 0.0549, 0.0068, 0.0031]}\n",
      "config key 'solver.gains[0]' must be finite, got nan"),
-    ("importance:\n  mlp_neuron: {family: beta, a: .nan, b: 2.0}\n",
+    ("importance:\n  mlp_neuron: {a: .nan, b: 2.0, family: beta}\n",
      "config key 'importance.mlp_neuron.a' must be finite, got nan"),
     # Two rungs of one name would merge in the report's format counts.
     ("ladder:\n  - {name: FP16, exp_bits: 5, man_bits: 10}\n"
