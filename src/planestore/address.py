@@ -147,12 +147,17 @@ class Trace:
     def bytes_by_tag(self) -> np.ndarray:
         """Total bytes per label, in labels order (int64).  Every row must
         carry a tag."""
+        return self.sum_by_tag(self.size)
+
+    def sum_by_tag(self, values: np.ndarray) -> np.ndarray:
+        """The sum of an integer per row over each label's rows, in
+        labels order (int64).  Every row must carry a tag."""
         self.check_tagged()
         totals = np.zeros(len(self.labels), np.int64)
         if self.tag.size:
             # A trace holds few runs of one tag: sum each run, then each tag.
             heads = np.flatnonzero(np.r_[True, self.tag[1:] != self.tag[:-1]])
-            np.add.at(totals, self.tag[heads], np.add.reduceat(self.size, heads))
+            np.add.at(totals, self.tag[heads], np.add.reduceat(values, heads))
         return totals
 
     def __eq__(self, other) -> bool:

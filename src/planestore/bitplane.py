@@ -8,7 +8,7 @@ the store-image file format below relies on exactly this layout.
 
 The chunk directory cuts the weight index space into the pieces that
 get a format each (attention heads, MLP neurons, predictor blocks).  It
-is two columns, one row per chunk: a length and a kind code.
+is three columns, one row per chunk: a length, a kind code and a layer.
 """
 
 from __future__ import annotations
@@ -50,26 +50,37 @@ class ChunkDirectory:
     int64 columns.
 
     Chunk i holds length[i] weights of kind KIND_LABELS[kind[i]] and
-    starts where chunk i - 1 ends, at start[i]; its id is i.
+    starts where chunk i - 1 ends, at start[i]; its id is i.  It lies in
+    model layer layer[i]; a layer's chunks are consecutive, so the column
+    never decreases, and a directory built without one is one layer, 0.
     """
 
     length: np.ndarray
     kind: np.ndarray
+    layer: np.ndarray = None
     start: np.ndarray = field(init=False, repr=False)
     num_weights: int = field(init=False)
 
     def __post_init__(self) -> None:
         length = np.array(self.length, np.int64).reshape(-1)
         kind = np.array(self.kind, np.int64).reshape(-1)
+        layer = np.zeros(length.size, np.int64) if self.layer is None else (
+            np.array(self.layer, np.int64).reshape(-1)
+        )
         if length.size != kind.size:
             raise ValueError(f"{length.size} chunk lengths for {kind.size} kinds")
+        if layer.size != length.size:
+            raise ValueError(f"{length.size} chunk lengths for {layer.size} layers")
+        if (layer[1:] < layer[:-1]).any():
+            raise ValueError("chunk layers must not decrease")
         if length.size and length.min() <= 0:
             chunk = int(np.argmax(length <= 0))
             raise ValueError(f"chunk {chunk}: length {length[chunk]} is not positive")
         if kind.size and not 0 <= kind.min() <= kind.max() < len(KIND_LABELS):
             raise ValueError(f"chunk kind codes must lie in [0, {len(KIND_LABELS)})")
         start = np.cumsum(length) - length
-        for name, column in (("length", length), ("kind", kind), ("start", start)):
+        columns = {"length": length, "kind": kind, "layer": layer, "start": start}
+        for name, column in columns.items():
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "num_weights", int(length.sum()))

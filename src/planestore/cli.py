@@ -378,7 +378,7 @@ def parse_trace(path: str) -> Trace:
 def cmd_sim(args) -> int:
     config = load_config(args.config)
     trace = parse_trace(args.trace)
-    table, result = run_trace(config.dram, trace)
+    result = run_trace(config.dram, trace)
     payload = {
         "trace": args.trace,
         "requests": len(trace),
@@ -390,7 +390,7 @@ def cmd_sim(args) -> int:
         "energy_pj": dict(result.energy_pj),
     }
     if len(trace) and trace.tag.min() >= 0:
-        payload["energy_by_tag_pj"] = energy_breakdown(result, table, trace)
+        payload["energy_by_tag_pj"] = energy_breakdown(result, trace)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.result is not None:
         write_file(args.result, text)

@@ -123,10 +123,11 @@ def _resolve(value, default, where: str = "", whole: bool = False):
     kind a file does not name.  A whole entry gives its own keys instead:
     a list item every key of its default, a score distribution (whose
     default has a ``family`` key) its family and every parameter that
-    family reads.  So ScoreDistribution's field defaults never decide a
-    result the embedded config does not record, and no entry mixes two
-    families' parameters.  A list must not be empty, and each item is a
-    whole entry shaped like the default's first.  An integer field takes
+    family reads, and no other.  So ScoreDistribution's field defaults
+    never decide a result the embedded config does not record, no entry
+    mixes two families' parameters, and the embedded config names only
+    parameters that decided the scores.  A list must not be empty, and
+    each item is a whole entry shaped like the default's first.  An integer field takes
     an integer, a float field any finite number (YAML's .nan and .inf are
     floats too), a string field a string.  The result shares no container
     with either argument.
@@ -152,6 +153,10 @@ def _resolve(value, default, where: str = "", whole: bool = False):
         missing = [key for key in needs if key not in out]
         if missing:
             raise ValueError(f"{where} needs {', '.join(map(repr, missing))}")
+        family = out.get("family")
+        unread = [key for key in out if key not in needs]
+        if family in FAMILY_PARAMETERS and unread:
+            raise ValueError(f"{where}: family {family!r} does not read {unread[0]!r}")
         return out
     if isinstance(default, list):
         if not isinstance(value, list):

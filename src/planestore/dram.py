@@ -24,13 +24,18 @@ reference.  `plan` computes the same command stream as a run table, one
 RD row per run of reads to consecutive columns of an open row within
 one trace row, timed in closed form up to a channel's first row opening
 where tRAS binds and stepped once per opening from there.  `simulate`
-replays a table, recording every row's first broken legality rule
-vectorized over all channels at once, and returns totals only, which
-must be finite; `energy_breakdown` (per-tag integer counts) and
-`read_completions` read the other figures off the table and the trace.
-Both `schedule` and `plan` take the request stream as an
-`address.Trace`.  `plan` relies on its rows being valid, which the Trace
-constructor checks; `schedule`, the reference, maps every burst through
+replays a trace's tables one at a time, recording every row's first
+broken legality rule vectorized over all channels at once, and returns
+the totals, which must be finite, and each request's completion and
+ACT count; `energy_breakdown` (per-tag integer counts) and the chunk
+latencies read the rest off those and the trace.  `run_trace`, the
+production path, cuts a trace into pieces (`compare` cuts at layers)
+and plans and replays one piece at a time, each from the `DramState`
+the pieces before it leave (`carry`), so no more than one piece's
+table is held at once; any cuts give the one-piece result.  Both
+`schedule` and `plan` take the request stream as an `address.Trace`.
+`plan` relies on its rows being valid, which the Trace constructor
+checks; `schedule`, the reference, maps every burst through
 `map_address` and so still raises its per-burst errors on bare columns.
 docs/dram-model.md shows why the run-level recurrences are exact.
 
@@ -47,8 +52,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -287,15 +292,6 @@ class CommandTable:
     def __len__(self) -> int:
         return self.kind.size
 
-    def check_requests(self, n_rows: int) -> None:
-        """Raise unless every row names one of a trace's n_rows rows."""
-        if self.request_index.size and self.request_index.max() >= n_rows:
-            row = int(np.argmax(self.request_index >= n_rows))
-            raise ValueError(
-                f"command table row {row} names trace row {int(self.request_index[row])},"
-                f" but the trace has {n_rows} rows"
-            )
-
 
 # The column types `plan` builds: with kind's int8, 29 bytes a row.
 _COLUMN_TYPES = {
@@ -307,6 +303,9 @@ _COLUMN_TYPES = {
     "request_index": np.int32,
     "count": np.int32,
 }
+
+
+_TABLE_COLUMNS = ("kind", *_COLUMN_TYPES)
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -360,96 +359,142 @@ def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, le
     return act_cycles, rd_cycles
 
 
-def plan(config: DramConfig, trace: Trace) -> CommandTable:
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Position of the first item of each run of equal keys."""
+    head = np.empty(keys.size, bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
+def _ends(keys: np.ndarray) -> np.ndarray:
+    """Position of the last item of each run of equal keys."""
+    end = np.empty(keys.size, bool)
+    end[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=end[:-1])
+    return np.flatnonzero(end)
+
+
+def _lookup(keys: np.ndarray, query: np.ndarray, column: np.ndarray, missing: int):
+    """column's value at the position of each query in the ascending
+    keys, missing where a query is not among them."""
+    if not keys.size:
+        return np.full(query.size, missing, column.dtype)
+    at = np.searchsorted(keys, query)
+    np.minimum(at, keys.size - 1, out=at)
+    return np.where(keys[at] == query, column[at], missing)
+
+
+def plan(
+    config: DramConfig, trace: Trace, rows: tuple | None = None, state: DramState | None = None
+) -> CommandTable:
     """schedule()'s command stream as a run table: one RD row per run.
 
     Trace row i is one extent: size[i] / BLOCK bursts from global burst
     addr[i] / BLOCK on.  Channels interleave on the burst itself, one
-    fixed 64-byte BLOCK, so an extent covers one contiguous range of
-    burst indices within each channel, found in closed form.
-    Cut at row boundaries, each piece is a run: reads to consecutive
-    columns of one (bank, row), issued t_ccd_l apart.  A run becomes one
-    RD row, preceded by the PRE and ACT rows that open its row if it is
-    not a hit, and each of those rows names the run's trace row in
-    request_index.  Each run's first read is the channel's last read
-    plus a lead fixed by the run alone, a cumulative sum, until a PRE
-    must wait for tRAS; from that opening on the bank state machine
+    fixed 64-byte BLOCK, so stripe s, the global bursts from
+    s * channels * columns_per_row on, is page s (a bank's row) of every
+    channel.  Each extent is cut at stripe boundaries, and each piece
+    spread over the channels it touches: there it is one run, reads to
+    consecutive columns of one (bank, row), issued t_ccd_l apart.  A run
+    becomes one RD row, preceded by the PRE and ACT rows that open its
+    row if it is not a hit, and each of those rows names the run's trace
+    row in request_index.  Each run's first read is the channel's last
+    read plus a lead fixed by the run alone, a cumulative sum, until a
+    PRE must wait for tRAS; from that opening on the bank state machine
     steps once per opening (`_open_rows`).  Rows are grouped by channel,
     each channel's in stream order.  No array is as long as the burst
     count, and each temporary is freed after its last use.  A trace of
     INDEX_LIMIT rows or more, or one that reaches DRAM row INDEX_LIMIT,
     does not fit the table and raises.
+
+    rows = (lo, hi) plans only trace rows lo to hi - 1, request_index
+    still numbering the whole trace's rows, from state, the `DramState`
+    the rows before them leave (`carry`; None for the initial state).
+    Planned so piece after piece, the tables taken channel by channel
+    are the one-piece table's rows (docs/dram-model.md, "Layer cuts").
     """
     if trace.addr.size >= INDEX_LIMIT:
         raise ValueError(
             f"a trace of {trace.addr.size} rows does not fit the run table,"
             f" which numbers trace rows below {INDEX_LIMIT}"
         )
+    lo, hi = (0, trace.addr.size) if rows is None else rows
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block.
-    first = trace.addr // BLOCK
-    total = trace.size // BLOCK
-
-    # An extent of T bursts from global burst G reads on min(T, channels)
-    # channels: the channel of G + skip reads G + skip, G + skip +
-    # channels, ..., ceil((T - skip) / channels) consecutive burst indices
-    # within the channel from lo on, up to end.  Ranges are listed
-    # channel after channel, each channel's in stream order.
-    channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
-    trace_row, skip = _spread(np.minimum(total, channels))
-    if not trace_row.size:
+    first = trace.addr[lo:hi] // BLOCK
+    end = trace.size[lo:hi] // BLOCK
+    end += first
+    if not end.size:
         return CommandTable(
             np.zeros(0, np.int8), **{name: np.zeros(0, t) for name, t in _COLUMN_TYPES.items()}
         )
-    lo, ch = np.divmod(first[trace_row] + skip, channels)
-    end = lo - (skip - total[trace_row]) // channels
-    del first, total, skip
-    by_channel = _stable_order(ch)
-    ch, trace_row, lo, end = (a[by_channel] for a in (ch.astype(np.int16), trace_row, lo, end))
-    del by_channel
-    last_row = int(end.max() - 1) // (cpr * banks)
+    channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
+    stripe = channels * cpr
+    last_row = int(end.max() - 1) // stripe // banks
     if last_row >= INDEX_LIMIT:
         raise ValueError(
             f"the trace reaches DRAM row {last_row}; the run table holds rows below {INDEX_LIMIT}"
         )
 
-    # Cut each range at row boundaries: one run per page (a bank's row)
-    # it touches.  A run reads bursts local .. local + length - 1.
-    first_page = lo // cpr
-    piece_of, page = _spread((end - 1) // cpr - first_page + 1)
-    page += first_page[piece_of]
-    del first_page
-    page_start = page * cpr
-    local = np.maximum(lo[piece_of], page_start)
-    del lo
-    length = np.minimum(end[piece_of], page_start + cpr)
+    # Cut each extent at stripe boundaries: its piece in stripe s reads
+    # global bursts start .. start + length - 1.
+    head = first // stripe
+    piece_of, page = _spread((end - 1) // stripe - head + 1)
+    page += head[piece_of]
+    del head
+    start = page * stripe
+    length = start + stripe
+    np.maximum(start, first[piece_of], out=start)
+    del first
+    np.minimum(length, end[piece_of], out=length)
     del end
-    length -= local
-    length = length.astype(np.int32)
-    ch = ch[piece_of]
-    request = trace_row[piece_of].astype(np.int32)
-    del trace_row, piece_of
-    local -= page_start
-    column = local.astype(np.int32)
-    del local, page_start
+    length -= start
+    # A piece reads on min(length, channels) channels: from burst start +
+    # skip, one in every `channels`, a run of consecutive columns.
+    run_of, skip = _spread(np.minimum(length, channels))
+    length = length[run_of]
+    length -= skip
+    length += channels - 1
+    length //= channels
+    skip += start[run_of]
+    del start
+    ch = (skip % channels).astype(np.int16)
+    by_channel = _stable_order(ch)
+    ch = ch[by_channel]
+    length = length[by_channel].astype(np.int32)
+    column = skip[by_channel] // channels
+    del skip
+    run_of = run_of[by_channel]
+    del by_channel
+    page = page[run_of]
+    column -= page * cpr
+    column = column.astype(np.int32)
+    request = piece_of[run_of].astype(np.int32)
+    request += lo
+    del piece_of, run_of
     bank = (page % banks).astype(np.int16)
     page //= banks
     row = page.astype(np.int32)
     del page
 
+    # What the rows before the piece leave: each channel's last read,
+    # which is its last command, and its bank, and each bank's open row
+    # and the cycle of its ACT.
+    state = DramState.initial(config) if state is None else state
     t_l, t_s = config.t_ccd_l, config.t_ccd_s
     # A run opens its row unless the previous run on its bank had the
-    # same row; it precharges first if its bank had a run at all.
+    # same row; it precharges first if its bank had a row open at all.
     n_runs = length.size
     key = ch.astype(np.int32) * banks + bank
     by_bank = _stable_order(key)
     key = key[by_bank]
     # The row each run's bank had open: its previous run's, -1 for none.
     previous = np.empty(n_runs, np.int32)
-    previous[0] = -1
     previous[1:] = row[by_bank[:-1]]
-    previous[1:][key[1:] != key[:-1]] = -1
-    del key
+    heads = _heads(key)
+    previous[heads] = _lookup(state.key, key[heads], state.open_rows(), -1)
+    del key, heads
     closed = np.empty(n_runs, np.int32)
     closed[by_bank] = previous
     del by_bank, previous
@@ -461,12 +506,16 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
 
     # The closed form (docs/dram-model.md, "Openings"): a run's first read
     # is the channel's last read E_prev plus its lead, the tCCD after the
-    # channel's previous run (1 for its first run), and for an opening at
-    # least 1 + tRP (if it precharges) + tRCD.  So E, a run's last read,
-    # is a cumulative sum over its channel from -1.
-    starts = np.flatnonzero(np.r_[True, ch[1:] != ch[:-1]])  # each channel's first run
+    # channel's previous read (1 for its first read), and for an opening
+    # at least 1 + tRP (if it precharges) + tRCD.  So E, a run's last
+    # read, is a cumulative sum over its channel from its last read
+    # before the piece, -1 for none.
+    starts = _heads(ch)  # each channel's first run
     lead = np.where(np.r_[False, bank[1:] == bank[:-1]], t_l, t_s)
-    lead[starts] = 1
+    base = state.last_read[ch[starts]]
+    lead[starts] = np.where(
+        base < 0, 1, np.where(bank[starts] == state.last_bank[ch[starts]], t_l, t_s)
+    )
     pres = has_pre[opens]
     act = np.where(pres, 1 + config.t_rp, 1)
     leads = np.maximum(lead[opens], act + config.t_rcd)
@@ -474,41 +523,58 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     tail = np.multiply(length - 1, t_l, dtype=np.int64)
     rd_cycle = tail + lead
     del lead
-    ends = np.add.reduceat(rd_cycle, starts)  # rebase each channel at -1
-    rd_cycle[starts[1:]] -= ends[:-1]
-    rd_cycle[0] -= 1
+    # Rebase each channel at its last read before the piece.
+    ends = np.add.reduceat(rd_cycle, starts)
+    rd_cycle[starts] += base
+    rd_cycle[starts[1:]] -= base[:-1] + ends[:-1]
     np.cumsum(rd_cycle, out=rd_cycle)
     rd_cycle -= tail
-    del tail, starts, ends
+    del tail, ends, base
     firsts = rd_cycle[opens]
     act += firsts - leads
 
     # It is exact up to a channel's first PRE that comes less than tRAS
-    # after the ACT of the previous opening on its bank.  From there on
-    # _open_rows steps the channel's openings, and each shifts its runs.
+    # after the ACT of the previous opening on its bank, in the piece or
+    # before it.  From there on _open_rows steps the channel's openings,
+    # and each shifts its runs.
     chan_of, open_bank = ch[opens], bank[opens]
-    by_bank = _stable_order(chan_of.astype(np.int32) * banks + open_bank)
+    key = chan_of.astype(np.int32) * banks + open_bank
+    by_bank = _stable_order(key)
+    key = key[by_bank]
+    before = np.empty(opens.size, np.int64)  # the ACT before each opening on its bank
+    before[1:] = act[by_bank[:-1]]
+    heads = _heads(key)
+    # An opening that precharges, the only kind that can bind, had one.
+    before[heads] = _lookup(state.key, key[heads], state.cycle, 0)
     binds = np.zeros(opens.size, bool)
-    binds[by_bank[1:]] = act[by_bank[1:]] - config.t_rp < act[by_bank[:-1]] + config.t_ras
+    binds[by_bank] = act[by_bank] - config.t_rp < before + config.t_ras
     binds = np.flatnonzero(binds & pres)
-    del by_bank
+    del by_bank, key, heads, before
     if binds.size:
         moves = firsts - leads  # each opening's E_prev, less the previous one's first read
         moves[1:] -= firsts[:-1]
         first_rd = firsts.copy()
         for first in binds[np.r_[True, chan_of[binds[1:]] != chan_of[binds[:-1]]]].tolist():
             c = int(chan_of[first])
-            lo, stop = np.searchsorted(chan_of, [c, c + 1])
+            begin, stop = np.searchsorted(chan_of, [c, c + 1])
             act_at = np.zeros(banks, np.int64)
-            np.maximum.at(act_at, open_bank[lo:first], act[lo:first])
+            own = slice(*np.searchsorted(state.key, [c * banks, (c + 1) * banks]))
+            act_at[state.key[own] - c * banks] = state.cycle[own]
+            np.maximum.at(act_at, open_bank[begin:first], act[begin:first])
             act[first:stop], first_rd[first:stop] = _open_rows(
-                config, act_at.tolist(), int(firsts[first - 1]),
+                config, act_at.tolist(), int(firsts[first - 1]) if first else 0,
                 *(a[first:stop].tolist() for a in (open_bank, pres, moves, leads)),
             )
-        first_rd -= firsts  # how late each opening's runs issue
-        rd_cycle += np.repeat(first_rd, np.diff(np.r_[opens, n_runs]))
-        del moves, first_rd
-    del firsts, leads, chan_of, open_bank
+        # How late each opening's runs issue; a channel's runs before its
+        # first opening in the piece, row hits, are on time.
+        first_rd -= firsts
+        hits = starts[~opening[starts]]
+        at = np.r_[opens, hits]
+        late = np.r_[first_rd, np.zeros(hits.size, np.int64)][np.argsort(at, kind="stable")]
+        at.sort()
+        rd_cycle += np.repeat(late, np.diff(np.r_[at, n_runs]))
+        del moves, first_rd, hits, at, late
+    del firsts, leads, chan_of, open_bank, starts
 
     # Table order: runs as listed (channel after channel, each in stream
     # order), each preceded by its PRE and ACT rows.  Each per-run column
@@ -546,12 +612,98 @@ def plan(config: DramConfig, trace: Trace) -> CommandTable:
     return CommandTable(**columns)
 
 
+@dataclass(frozen=True, eq=False)
+class DramState:
+    """What a command stream leaves the commands after it, which is all
+    that crosses a cut.
+
+    Per channel, int64 columns of config.channels rows, -1 for none: the
+    cycle of its last command (last_cycle), and the cycle and bank of
+    its last read (last_read, last_bank).  Per bank that has seen an ACT
+    or PRE, ascending in key = channel * banks_per_channel + bank: the
+    newest one's kind, its row (the row open after an ACT) and its cycle.
+    """
+
+    last_cycle: np.ndarray
+    last_read: np.ndarray
+    last_bank: np.ndarray
+    key: np.ndarray
+    kind: np.ndarray
+    row: np.ndarray
+    cycle: np.ndarray
+
+    @classmethod
+    def initial(cls, config: DramConfig) -> DramState:
+        """The state before any command: nothing issued, every bank closed."""
+        none = np.full(config.channels, -1, np.int64)
+        empty = np.zeros(0, np.int64)
+        return cls(none, none, none, empty, empty, empty, empty)
+
+    def open_rows(self) -> np.ndarray:
+        """Each bank's open row, -1 for a closed one."""
+        return np.where(self.kind == _ACT, self.row, -1)
+
+
+def carry(config: DramConfig, state: DramState, table: CommandTable) -> DramState:
+    """The state that state leaves once table, the commands after it,
+    has issued.
+
+    table's rows must lie within the config, as a legal table's do, in
+    any channel order; a table `plan` builds, grouped by channel, is
+    read without sorting but for its ACT and PRE rows."""
+    channel, kind, bank = table.channel, table.kind, table.bank
+    order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
+    if order is not None:
+        channel, kind, bank = channel[order], kind[order], bank[order]
+
+    def at(rows):  # table positions of grouped rows
+        return rows if order is None else order[rows]
+
+    def end_cycle(rows):  # the cycle of each row's last command
+        rows = at(rows)
+        return np.multiply(table.count[rows] - 1, config.t_ccd_l, dtype=np.int64) + (
+            table.issue_cycle[rows]
+        )
+
+    last_cycle, last_read, last_bank = (
+        c.copy() for c in (state.last_cycle, state.last_read, state.last_bank)
+    )
+    last = _ends(channel)
+    last_cycle[channel[last]] = end_cycle(last)
+    rd = np.flatnonzero(kind == _RD)
+    rd = rd[_ends(channel[rd])]
+    last_read[channel[rd]] = end_cycle(rd)
+    last_bank[channel[rd]] = bank[rd]
+    # Each bank's newest ACT or PRE, after the state's, then the newest
+    # per key of both.
+    other = np.flatnonzero(kind != _RD)
+    key = channel[other].astype(np.int32) * config.banks_per_channel + bank[other]
+    by_key = _stable_order(key)
+    newest = other[by_key[_ends(key[by_key])]]
+    key = np.concatenate((state.key, key[by_key][_ends(key[by_key])]))
+    by_key = np.argsort(key, kind="stable")
+    by_key = by_key[_ends(key[by_key])]
+    newest = at(newest)
+    columns = (
+        np.concatenate((state.kind, table.kind[newest])),
+        np.concatenate((state.row, table.row[newest])),
+        np.concatenate((state.cycle, table.issue_cycle[newest])),
+    )
+    return DramState(
+        last_cycle, last_read, last_bank, key[by_key], *(c[by_key] for c in columns)
+    )
+
+
 _TOO_LARGE = "clock_ns or an energy constant is too large"
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Totals of one simulated trace."""
+    """Totals of one simulated trace, and per request (a command's
+    request_index, a trace row in a planned table) its completion, the
+    cycle its last data beat arrives, and its ACT count, both int64 and
+    0 for an index no read or ACT names, up to the largest index a
+    command names.  Equality compares the totals only."""
 
     total_cycles: int
     total_ns: float
@@ -559,6 +711,16 @@ class SimResult:
     bytes_transferred: int
     num_acts: int
     num_reads: int
+    completion: np.ndarray = field(compare=False, repr=False)
+    acts: np.ndarray = field(compare=False, repr=False)
+
+    def check_requests(self, n_rows: int) -> None:
+        """Raise unless the result counts the requests of a trace's n_rows rows."""
+        if self.completion.size != n_rows:
+            raise ValueError(
+                f"the simulated result counts {self.completion.size} trace rows,"
+                f" but the trace has {n_rows}"
+            )
 
 
 # The replay's checks in the order it applies them to one command; the
@@ -585,7 +747,7 @@ def _latest(flags: np.ndarray, after: int) -> np.ndarray:
     return np.repeat(np.r_[-1, at], np.diff(np.r_[0, at + after, flags.size]))
 
 
-def _first_violation(config: DramConfig, table: CommandTable):
+def _first_violation(config: DramConfig, table: CommandTable, state: DramState):
     """The message for the table's first illegal row, or None when all
     are legal.
 
@@ -593,14 +755,15 @@ def _first_violation(config: DramConfig, table: CommandTable):
     in stream order.  Each row's first command is checked against the
     state the rows before it on its channel leave: the last cycle of the
     previous row, the last read of the previous RD row, and the bank's
-    newest ACT or PRE (open if it was an ACT).  Up to a channel's first
-    illegal row that is exactly the state a command-by-command replay
-    holds, and channels share no state, so the replay stops at the
-    earliest of the channels' first illegal rows in table order.  The
-    later reads of an RD row need no check of their own: nothing else
-    issues on the channel between them, they stay on the open row, and
-    they are t_ccd_l >= 1 apart, which satisfies the bus, tCCD and tRCD
-    rules once the first read does.
+    newest ACT or PRE (open if it was an ACT).  The table continues the
+    stream that left state, which answers where no row of the table
+    before it does.  Up to a channel's first illegal row that is exactly
+    the state a command-by-command replay holds, and channels share no
+    state, so the replay stops at the earliest of the channels' first
+    illegal rows in table order.  The later reads of an RD row need no
+    check of their own: nothing else issues on the channel between them,
+    they stay on the open row, and they are t_ccd_l >= 1 apart, which
+    satisfies the bus, tCCD and tRCD rules once the first read does.
 
     `fail` holds each row's first broken rule as an index into
     `_VIOLATIONS`, len(_VIOLATIONS) for a legal row.  The rules are
@@ -609,7 +772,7 @@ def _first_violation(config: DramConfig, table: CommandTable):
     mask, computed with the read spacing, waits for its turn.
     """
     channel = table.channel
-    n, banks = channel.size, config.banks_per_channel
+    n, channels, banks = channel.size, config.channels, config.banks_per_channel
     # plan's tables are grouped already; only other tables are gathered.
     order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
     columns = (channel, table.kind, table.bank, table.row, table.issue_cycle, table.count)
@@ -625,43 +788,62 @@ def _first_violation(config: DramConfig, table: CommandTable):
     last += cycle
     previous_last = np.empty(n, np.int64)
     previous_last[1:] = last[:-1]
-    previous_last[np.r_[True, ch[1:] != ch[:-1]]] = -1
+    heads = _heads(ch)  # each channel's first row
+    previous_last[heads] = state.last_cycle[np.clip(ch[heads], 0, channels - 1)]
     bus = cycle <= previous_last
-    del previous_last
-    # Each RD row after the first of its channel against the RD row
-    # before it, the channel's previous read: t_ccd_l on the same bank,
+    del previous_last, heads
+    # Each RD row against the channel's previous read, that of the RD
+    # row before it or else the state's: t_ccd_l on the same bank,
     # t_ccd_s across banks.
     rd = np.flatnonzero(kind == _RD)
-    before, rd = rd[:-1], rd[1:]
-    same_bank = bank[before] == bank[rd]
-    spacing = last[before]
+    prior = np.empty(rd.size, np.int64)
+    prior[1:] = last[rd[:-1]]
     del last
-    spacing += np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
-    early = ch[before] == ch[rd]
-    early &= cycle[rd] < spacing
+    prior_bank = np.empty(rd.size, bank.dtype)
+    prior_bank[1:] = bank[rd[:-1]]
+    heads = _heads(ch[rd])
+    inside = np.clip(ch[rd[heads]], 0, channels - 1)
+    prior[heads], prior_bank[heads] = state.last_read[inside], state.last_bank[inside]
+    del heads, inside
+    same_bank = prior_bank == bank[rd]
+    del prior_bank
+    early = prior >= 0  # -1: the channel's first read
+    prior += np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
+    early &= cycle[rd] < prior
     fail[rd[early]] = np.where(same_bank[early], 9, 10)
-    del rd, before, same_bank, spacing, early
+    del rd, prior, same_bank, early
 
     # Bank state, grouped by (channel, bank).  Channels and banks outside
     # the config share one key below and one above: their rows fail the
     # first rule, and no other row reads their state.
-    key = (np.clip(ch, -1, config.channels).astype(np.int64) + 1) * (banks + 2)
+    key = (np.clip(ch, -1, channels).astype(np.int64) + 1) * (banks + 2)
     key += np.clip(bank, -1, banks)
     by_bank = _stable_order(key)
     key = key[by_bank]
     prev = _latest((kind != _RD)[by_bank], 1)  # the newest ACT or PRE before
     prev[prev < _latest(np.r_[True, key[1:] != key[:-1]], 0)] = -1
     del key
-    state = np.empty(n, np.int64)
-    state[by_bank] = np.where(prev >= 0, by_bank[prev], -1)
+    newest = np.empty(n, np.int64)
+    newest[by_bank] = np.where(prev >= 0, by_bank[prev], -1)
     del by_bank, prev
-    has_state = state >= 0
-    state[~has_state] = 0
-    is_open = has_state & (kind[state] == _ACT)
-    since = cycle - cycle[state]  # cycles since the bank's newest ACT or PRE
+    has_state = newest >= 0
+    newest[~has_state] = 0
+    state_kind, state_row, since = kind[newest], row[newest], cycle - cycle[newest]
+    del newest
+    # Rows no row of the table before them answers: the state's newest.
+    missing = np.flatnonzero(~has_state)
+    key = np.clip(ch[missing], 0, channels - 1).astype(np.int64) * banks
+    key += np.clip(bank[missing], 0, banks - 1)
+    state_kind[missing] = _lookup(state.key, key, state.kind, -1)
+    has_state[missing] = state_kind[missing] >= 0
+    state_row[missing] = _lookup(state.key, key, state.row, -1)
+    since[missing] = cycle[missing] - _lookup(state.key, key, state.cycle, 0)
+    del key, missing
+    is_open = has_state & (state_kind == _ACT)
+    del state_kind
     is_act, is_pre, is_rd = kind == _ACT, kind == _PRE, kind == _RD
     fail[is_rd & (since < config.t_rcd)] = 8
-    fail[is_rd & (row[state] != row)] = 7
+    fail[is_rd & (state_row != row)] = 7
     fail[is_rd & ~is_open] = 6
     fail[is_pre & (since < config.t_ras)] = 5
     fail[is_pre & ~is_open] = 4
@@ -669,7 +851,7 @@ def _first_violation(config: DramConfig, table: CommandTable):
     fail[is_act & is_open] = 2
     del has_state, is_open, since, is_act, is_pre, is_rd
     fail[bus] = 1
-    fail[(bank < 0) | (bank >= banks) | (ch < 0) | (ch >= config.channels)] = 0
+    fail[(bank < 0) | (bank >= banks) | (ch < 0) | (ch >= channels)] = 0
 
     bad = np.flatnonzero(fail < len(_VIOLATIONS))
     if not bad.size:
@@ -680,11 +862,11 @@ def _first_violation(config: DramConfig, table: CommandTable):
     j = int(firsts[np.argmin(firsts if order is None else order[firsts])])
     return _VIOLATIONS[fail[j]].format(
         ch=int(ch[j]), bank=int(bank[j]), row=int(row[j]), cycle=int(cycle[j]),
-        open_row=int(row[state[j]]),
+        open_row=int(state_row[j]),
     )
 
 
-def read_completions(config: DramConfig, table: CommandTable):
+def _read_completions(config: DramConfig, table: CommandTable):
     """(table position, completion cycle) of every RD row: its last read
     issues (count - 1) * t_ccd_l after its first, and its data has
     arrived CAS latency plus one burst after that."""
@@ -695,28 +877,55 @@ def read_completions(config: DramConfig, table: CommandTable):
     return rd, done
 
 
-def simulate(config: DramConfig, table: CommandTable) -> SimResult:
-    """Replay a command table, checking legality, and total it up.
+def simulate(config: DramConfig, tables: Iterable[CommandTable]) -> SimResult:
+    """Replay a trace's command tables, checking legality, and total them
+    up.
 
-    An RD row stands for its count reads.  The stream must respect the
-    bank state machine and the configured timings; the first violation,
-    in table order, raises ValueError naming the constraint.  The trace
-    ends at the last data beat (or the last command, for a stream with
-    no reads).  Background energy covers every channel for the whole
-    span, busy or not: standby power does not care who is reading.
+    The tables are one stream cut at row boundaries, in stream order:
+    each is replayed from the `DramState` the tables before it leave
+    (`carry`) and then dropped, so no more than one is held at a time
+    when tables yields them one by one, as `run_trace` does.  Any cuts
+    give the same result and the same first violation.  An RD row
+    stands for its count reads.  The stream must respect the bank state machine and the
+    configured timings; the first violation, in table order, raises
+    ValueError naming the constraint.  The trace ends at the last data
+    beat (or the last command, for a stream with no reads).  Background
+    energy covers every channel for the whole span, busy or not: standby
+    power does not care who is reading.
     """
-    if len(table):
-        violation = _first_violation(config, table)
-        if violation is not None:
-            raise ValueError(violation)
-
-    rd, done = read_completions(config, table)
-    count_rd = int(table.count[rd].sum())
-    count_act = int(np.count_nonzero(table.kind == _ACT))
-    if rd.size:
-        total_cycles = int(done.max())
-    else:
-        total_cycles = int(table.issue_cycle.max()) + 1 if len(table) else 0
+    state = DramState.initial(config)
+    count_rd = count_act = 0
+    end_cycle, last_cycle = 0, -1
+    per_request = []  # (first index, completions, ACT counts) per table
+    for table in tables:
+        if len(table):
+            violation = _first_violation(config, table, state)
+            if violation is not None:
+                raise ValueError(violation)
+            state = carry(config, state, table)
+            rd, done = _read_completions(config, table)
+            count_rd += int(table.count[rd].sum())
+            request = table.request_index
+            acts = request[table.kind == _ACT]
+            count_act += acts.size
+            last_cycle = max(last_cycle, int(table.issue_cycle.max()))
+            first = int(request.min())
+            completion = np.zeros(int(request.max()) + 1 - first, np.int64)
+            if rd.size:
+                end_cycle = max(end_cycle, int(done.max()))
+                np.maximum.at(completion, request[rd] - first, done)
+            acts = np.bincount(acts - first, minlength=completion.size)
+            per_request.append((first, completion, acts))
+            del rd, done, request
+        del table
+    total_cycles = end_cycle if count_rd else last_cycle + 1
+    n = max((first + c.size for first, c, _ in per_request), default=0)
+    completion, acts = np.zeros(n, np.int64), np.zeros(n, np.int64)
+    for first, done, counts in per_request:
+        part = completion[first:first + done.size]
+        np.maximum(part, done, out=part)
+        acts[first:first + counts.size] += counts
+    del per_request
     total_ns = total_cycles * config.clock_ns
     e_act = config.e_act_pj * count_act
     e_rd = config.e_rd_pj * count_rd
@@ -737,29 +946,46 @@ def simulate(config: DramConfig, table: CommandTable) -> SimResult:
         bytes_transferred=BLOCK * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
+        completion=completion,
+        acts=acts,
     )
 
 
-def run_trace(config: DramConfig, trace: Trace) -> tuple[CommandTable, SimResult]:
-    """Plan and replay in one go (the production path): the run table
-    and its totals."""
-    table = plan(config, trace)
-    return table, simulate(config, table)
+def _tables(config: DramConfig, trace: Trace, cuts) -> Iterator[CommandTable]:
+    """The trace's run tables, one per piece between cuts, each planned
+    from the state the tables before it leave."""
+    bounds = [*(int(cut) for cut in cuts), trace.addr.size]
+    lo, state = 0, DramState.initial(config)
+    for hi in bounds:
+        table = plan(config, trace, (lo, hi), state)
+        if hi < bounds[-1]:
+            state = carry(config, state, table)
+        yield table
+        del table  # before the next piece is planned
+        lo = hi
 
 
-def energy_breakdown(result: SimResult, table: CommandTable, trace: Trace) -> dict:
+def run_trace(config: DramConfig, trace: Trace, cuts=()) -> SimResult:
+    """Plan and replay in one go (the production path): the trace cut
+    before each trace row in cuts (ascending), one table planned and
+    replayed at a time, so the working set follows the largest piece.
+    Any cuts give the same result."""
+    return simulate(config, _tables(config, trace, cuts))
+
+
+def energy_breakdown(result: SimResult, trace: Trace) -> dict:
     """Split a result's energy across the trace's tags.
 
-    table is the run table result replayed, and trace the request
-    stream it was planned from.  A tag's ACTs are the ACT rows that name
-    its trace rows, and its reads its bytes over the block; activation
-    energy is split by ACT count, read and background energy by read
-    count.  The split is keyed by the trace's labels, and the category
-    totals sum back to the result's total.  Every row must carry a tag.
+    result is the simulated trace's, whose requests are its rows.  A
+    tag's ACTs are those of its rows, and its reads its bytes over the
+    block; activation energy is split by ACT count, read and background
+    energy by read count.  The split is keyed by the trace's labels, and
+    the category totals sum back to the result's total.  Every row must
+    carry a tag.
     """
-    table.check_requests(trace.addr.size)
+    result.check_requests(trace.addr.size)
     reads = trace.bytes_by_tag() // BLOCK
-    acts = np.bincount(trace.tag[table.request_index[table.kind == _ACT]], minlength=reads.size)
+    acts = trace.sum_by_tag(result.acts)
     e = result.energy_pj
     split = np.zeros(reads.size)
     with np.errstate(over="ignore"):  # an overflow raises below, as one error

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitplane import KIND_LABELS, ChunkDirectory
-from .dram import DramConfig, energy_breakdown, read_completions, run_trace
+from .dram import DramConfig, energy_breakdown, run_trace
 from .quant import GuardConfig
 from .workload import (
     TRACE_MODES,
@@ -41,12 +41,12 @@ def solve_assignment(directory, scores, target_bits: float, ladder, profile: Ban
     return thresholds, assign_formats(directory, scores, thresholds)
 
 
-def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int) -> np.ndarray:
+def chunk_latency_deltas(trace, result, dram_config: DramConfig, num_chunks: int) -> np.ndarray:
     """Marginal load time of each of num_chunks directory chunks, 0 for a
     chunk with no rows: how far the trace clock advances while that
-    chunk's requests complete.  table is the trace's run table, whose RD
-    rows each read for one chunk, the chunk of the trace row they name.
-    A chunk is loaded when the latest of its rows completes, which on a
+    chunk's requests complete.  result is the simulated trace's, whose
+    requests are its rows, each loading the chunk the trace names.  A
+    chunk is loaded when the latest of its rows completes, which on a
     multi-channel trace need not be its last one.  Chunks are taken in
     the order the trace first names them, however many segments of the
     chunk column their rows form, and a chunk's delta is how far its
@@ -58,16 +58,24 @@ def chunk_latency_deltas(trace, table, dram_config: DramConfig, num_chunks: int)
     if chunk.size:
         if chunk.min() < 0:
             raise ValueError(f"trace row {int(np.argmax(chunk < 0))} loads no chunk")
-        table.check_requests(chunk.size)
-        rd, done = read_completions(dram_config, table)
+        result.check_requests(chunk.size)
+        heads = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]])
+        segments = chunk[heads]
         loaded = np.zeros(num_chunks, np.int64)
-        np.maximum.at(loaded, chunk[table.request_index[rd]], done)
-        segments = chunk[np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1]]
+        np.maximum.at(loaded, segments, np.maximum.reduceat(result.completion, heads))
         ids, first = np.unique(segments, return_index=True)
         order = ids[np.argsort(first)]
         ends = np.maximum.accumulate(np.r_[0, loaded[order]])
         latency[order] = np.diff(ends) * dram_config.clock_ns
     return latency
+
+
+def layer_cuts(directory: ChunkDirectory, trace) -> np.ndarray:
+    """The trace rows whose chunk lies in another layer than the row
+    before's: cut there, the engine holds one layer's tables at a time,
+    and any cuts give the same result."""
+    layer = directory.layer[trace.chunk]
+    return np.flatnonzero(layer[1:] != layer[:-1]) + 1
 
 
 def run_mode(
@@ -77,14 +85,15 @@ def run_mode(
     guard: GuardConfig,
     dram_config: DramConfig,
 ) -> dict:
-    """Trace one mode, simulate it, and summarize what the report needs."""
+    """Trace one mode, simulate it layer by layer, and summarize what the
+    report needs."""
     trace = gen_trace(assignment, directory, mode, guard)
-    table, result = run_trace(dram_config, trace)
-    energy_by_kind = energy_breakdown(result, table, trace)
+    result = run_trace(dram_config, trace, layer_cuts(directory, trace))
+    energy_by_kind = energy_breakdown(result, trace)
     byte_split = bytes_by_kind(trace)
     # A fully deduplicated chunk advanced the clock by nothing; it still
     # counts, it is simply a zero-cost load.
-    latency = chunk_latency_deltas(trace, table, dram_config, len(directory))
+    latency = chunk_latency_deltas(trace, result, dram_config, len(directory))
     loaded = assignment.loaded
     kinds = {}
     for code, kind in enumerate(KIND_LABELS):

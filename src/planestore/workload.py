@@ -82,14 +82,18 @@ def enumerate_chunks(geometry: ModelGeometry) -> ChunkDirectory:
     """Tile the weight space: per layer heads, then neurons, then predictor.
 
     A layer holds its kinds in KIND_LABELS order, and every layer is the
-    same, so the directory repeats one layer's columns.
+    same, so the directory repeats one layer's columns, each chunk
+    numbered with its layer.
     """
     g = geometry
     counts = [g.heads_per_layer, g.neurons_per_layer, 1 if g.predictor_weights_per_layer else 0]
     lengths = [g.weights_per_head, g.weights_per_neuron, g.predictor_weights_per_layer]
     length = np.repeat(lengths, counts)
     kind = np.repeat(np.arange(len(KIND_LABELS)), counts)
-    return ChunkDirectory(np.tile(length, g.layers), np.tile(kind, g.layers))
+    return ChunkDirectory(
+        np.tile(length, g.layers), np.tile(kind, g.layers),
+        np.repeat(np.arange(g.layers), length.size),
+    )
 
 
 # The parameters each score distribution family reads.

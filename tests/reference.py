@@ -24,15 +24,16 @@ array through the package's streaming `pack`.
 
 `from_commands` turns any `DramCommand` stream into a `CommandTable`
 of count-1 rows, so that `simulate` can replay hand-written and
-`schedule` streams.
+`schedule` streams.  `cut` splits a table into pieces at row
+boundaries, as `run_trace` hands `simulate` one layer at a time.
 
 reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.  The
 package's vectorized replay must accept and reject exactly the streams
 it does, with the same message, and total them identically.  Beside
 the totals it returns each request's completion, reads and ACTs
-(`PerRequest`), which the package reads off the run table and the
-trace instead.
+(`PerRequest`); the package's `SimResult` carries the completions and
+ACTs, and the reads are the trace's sizes.
 
 reference_energy_breakdown is `energy_breakdown` in exact arithmetic:
 it sums the replay's per-request ACTs and reads per tag and splits the
@@ -657,6 +658,16 @@ def from_commands(commands: Iterable[DramCommand]) -> CommandTable:
     return CommandTable(kind, *cols[1:], count=np.ones(kind.size, np.int64))
 
 
+def cut(table: CommandTable, at: Iterable[int]) -> list:
+    """table as pieces of consecutive rows, cut before each row in at
+    (ascending)."""
+    bounds = [0, *at, len(table)]
+    return [
+        CommandTable(**{name: column[lo:hi] for name, column in vars(table).items()})
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 class PerRequest(NamedTuple):
     """Per-request columns, indexed by request_index up to the largest
     one a command names: the last data beat, the RD and the ACT count."""
@@ -756,6 +767,11 @@ def reference_simulate(
         "background": e_bg,
         "total": e_act + e_rd + e_bg,
     }
+    per_request = PerRequest(
+        completion=tuple(completion.get(i, 0) for i in range(n_requests)),
+        reads=tuple(reads.get(i, 0) for i in range(n_requests)),
+        acts=tuple(acts.get(i, 0) for i in range(n_requests)),
+    )
     totals = SimResult(
         total_cycles=total_cycles,
         total_ns=total_ns,
@@ -763,12 +779,10 @@ def reference_simulate(
         bytes_transferred=BLOCK * count_rd,
         num_acts=count_act,
         num_reads=count_rd,
+        completion=np.array(per_request.completion, np.int64),
+        acts=np.array(per_request.acts, np.int64),
     )
-    return totals, PerRequest(
-        completion=tuple(completion.get(i, 0) for i in range(n_requests)),
-        reads=tuple(reads.get(i, 0) for i in range(n_requests)),
-        acts=tuple(acts.get(i, 0) for i in range(n_requests)),
-    )
+    return totals, per_request
 
 
 def reference_energy_breakdown(result: SimResult, per_request: PerRequest, trace) -> tuple:
@@ -798,16 +812,15 @@ def reference_energy_breakdown(result: SimResult, per_request: PerRequest, trace
     return counts, energy
 
 
-def assert_breakdown_exact(result: SimResult, table, trace, per_request: PerRequest) -> None:
-    """`energy_breakdown` of a replayed table counts each tag's ACTs and
+def assert_breakdown_exact(result: SimResult, trace, per_request: PerRequest) -> None:
+    """`energy_breakdown` of a simulated trace counts each tag's ACTs and
     reads as the replay does, and each tag's energy is within 1e-15
     relative of the exact split."""
     counts, exact = reference_energy_breakdown(result, per_request, trace)
-    named = table.request_index[table.kind == CommandKind.ACT]
-    acts = np.bincount(trace.tag[named], minlength=len(trace.labels))
+    acts = trace.sum_by_tag(result.acts)
     reads = trace.bytes_by_tag() // BLOCK
     assert list(counts.values()) == list(zip(acts.tolist(), reads.tolist()))
-    split = energy_breakdown(result, table, trace)
+    split = energy_breakdown(result, trace)
     assert split.keys() == exact.keys()
     for label, want in exact.items():
         assert abs(Fraction(split[label]) - want) <= want * Fraction(1e-15), label

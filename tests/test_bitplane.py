@@ -265,12 +265,20 @@ def test_directory_validation():
     # Starts follow from the lengths, so the chunks tile [0, 12) exactly.
     assert d.start.tolist() == [0, 4, 8]
     assert d.num_weights == 12
-    for column in (d.length, d.kind, d.start):
+    # Built without layers, a directory is one layer.
+    assert d.layer.tolist() == [0, 0, 0]
+    for column in (d.length, d.kind, d.layer, d.start):
         assert column.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 1
+    assert ChunkDirectory([4, 4, 4], [0, 1, 2], [0, 0, 1]).layer.tolist() == [0, 0, 1]
     with pytest.raises(ValueError, match="3 chunk lengths for 2 kinds"):
         ChunkDirectory([4, 4, 4], [0, 1])
+    with pytest.raises(ValueError, match="3 chunk lengths for 2 layers"):
+        ChunkDirectory([4, 4, 4], [0, 1, 2], [0, 1])
+    # A layer's chunks are consecutive.
+    with pytest.raises(ValueError, match="chunk layers must not decrease"):
+        ChunkDirectory([4, 4, 4], [0, 1, 2], [0, 1, 0])
     with pytest.raises(ValueError, match="chunk 1: length 0 is not positive"):
         ChunkDirectory([4, 0], [2, 2])
     with pytest.raises(ValueError, match="chunk 0: length -4"):

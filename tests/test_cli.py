@@ -34,7 +34,7 @@ from planestore.cli import (
     render_trace,
 )
 from planestore.config import DEFAULTS, load_config
-from planestore.dram import run_trace, schedule
+from planestore.dram import plan, run_trace, schedule
 from planestore.experiment import (
     chunk_latency_deltas,
     compare_assignment,
@@ -234,6 +234,12 @@ BAD_CONFIGS = [
      "importance.attention_head needs 'mix'"),
     ("importance:\n  mlp_neuron: {family: beta_mixture, a: 2.0, b: 2.0, mix: 0.5, a_lo: 1.0}\n",
      "importance.mlp_neuron needs 'b_lo'"),
+    # ... and no parameter it does not read, which would ride along in
+    # the report without deciding a score.
+    ("importance:\n  attention_head: {family: uniform, a: 3.0, mix: 0.9}\n",
+     "importance.attention_head: family 'uniform' does not read 'a'"),
+    ("importance:\n  mlp_neuron: {family: two_point, mix: 0.5, b: 2.0}\n",
+     "importance.mlp_neuron: family 'two_point' does not read 'b'"),
     # Nothing to load: the predictor fraction would divide by zero.
     ("geometry: {heads_per_layer: 0, neurons_per_layer: 0, predictor_weights_per_layer: 0}\n",
      "geometry holds no weights"),
@@ -862,10 +868,10 @@ def test_the_traditional_file_is_one_line_per_extent(default_trace_files):
     trace = parse_trace(str(path))
     assert path.read_text().count("\n") == trace.addr.size == 801
     assert len(trace) == 198_396
-    table, result = run_trace(load_config().dram, trace)
+    table = plan(load_config().dram, trace)
     # A table row per run and per PRE or ACT, not per read.
     assert len(table) == 8_469
-    assert result.num_reads == 198_396
+    assert run_trace(load_config().dram, trace).num_reads == 198_396
 
 
 @pytest.mark.parametrize("mode, reads", [("bitplane", 132_288), ("traditional", 198_396)])
@@ -1164,18 +1170,19 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     # Chunk 1's read queues behind them on channel 0 and finishes at 124.
     config = dram(clock_ns=1.0)
     trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
-    table, _ = run_trace(config, trace)
+    result = run_trace(config, trace)
     _, per_request = reference_simulate(config, schedule(config, trace))
     assert per_request.completion == (76, 88, 100, 112, 76, 124)
+    assert result.completion.tolist() == list(per_request.completion)
     # One entry per directory chunk; chunk 2 has no rows.
-    assert chunk_latency_deltas(trace, table, config, 3).tolist() == [112.0, 12.0, 0.0]
+    assert chunk_latency_deltas(trace, result, config, 3).tolist() == [112.0, 12.0, 0.0]
     untagged = Trace([0], [64])
     with pytest.raises(ValueError, match="trace row 0 loads no chunk"):
-        chunk_latency_deltas(untagged, run_trace(config, untagged)[0], config, 1)
-    # A table planned from another trace names a trace row this one lacks.
+        chunk_latency_deltas(untagged, run_trace(config, untagged), config, 1)
+    # A result simulated from another trace counts rows this one lacks.
     short = Trace([0, 256], [64] * 2, chunk=[0, 0])
-    with pytest.raises(ValueError, match="row 3 names trace row 2, but the trace has 2 rows"):
-        chunk_latency_deltas(short, table, config, 3)
+    with pytest.raises(ValueError, match="counts 6 trace rows, but the trace has 2"):
+        chunk_latency_deltas(short, result, config, 3)
 
 
 @pytest.mark.parametrize("first, then", [(0, 1), (1, 0)])
@@ -1187,10 +1194,10 @@ def test_chunk_latency_charges_a_revisited_chunk_once(first, then):
     # them, whatever their ids.
     config = dram(clock_ns=1.0)
     trace = Trace([0, 1 << 20, 64], [64] * 3, chunk=[first, then, first])
-    table, result = run_trace(config, trace)
+    result = run_trace(config, trace)
     _, per_request = reference_simulate(config, schedule(config, trace))
     assert per_request.completion == (76, 187, 76)
-    deltas = chunk_latency_deltas(trace, table, config, 2)
+    deltas = chunk_latency_deltas(trace, result, config, 2)
     assert deltas[[first, then]].tolist() == [76.0, 111.0]
     assert deltas.sum() == result.total_ns
 

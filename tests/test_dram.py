@@ -17,7 +17,7 @@ from planestore.dram import (
     DramCommand,
     energy_breakdown,
     map_address,
-    read_completions,
+    plan,
     run_trace,
     schedule,
     simulate,
@@ -39,7 +39,7 @@ def trace_of(requests, tags=None, labels=()):
 
 
 def totals(config, trace):
-    return run_trace(config, trace)[1]
+    return run_trace(config, trace)
 
 
 def kinds(commands):
@@ -167,21 +167,20 @@ def test_schedule_is_lazy():
 # --- simulation -------------------------------------------------------------
 
 def test_single_burst_completion():
-    table, result = run_trace(CFG, trace_of([req(0)]))
+    result = run_trace(CFG, trace_of([req(0)]))
     assert result.total_cycles == 76
     assert math.isclose(result.total_ns, 76 * CFG.clock_ns)
     assert result.total_ns == pytest.approx(31.7, abs=0.05)
     assert result.bytes_transferred == 64
-    rd, done = read_completions(CFG, table)
-    assert (rd.tolist(), done.tolist()) == ([1], [76])
+    assert (result.completion.tolist(), result.acts.tolist()) == ([76], [1])
 
 
 def test_empty_trace():
-    table, result = run_trace(CFG, trace_of([]))
+    result = run_trace(CFG, trace_of([]))
     assert result.total_cycles == 0
     assert result.energy_pj["total"] == 0.0
-    assert len(table) == 0
-    assert read_completions(CFG, table)[1].tolist() == []
+    assert len(plan(CFG, trace_of([]))) == 0
+    assert result.completion.tolist() == result.acts.tolist() == []
     assert result.bytes_transferred == 0
 
 
@@ -226,16 +225,19 @@ def test_breakdown_rejects_an_overflowing_share():
     # Finite totals, but an energy times a tag's count overflows.
     config = dram(e_act_pj=1e308 / 2)
     trace = trace_of([req(0), req(8192 * 4), req(8192 * 8)], [0, 0, 1], ["a", "b"])
-    table, result = run_trace(config, trace)
+    result = run_trace(config, trace)
     assert result.num_acts == 3 and math.isfinite(result.energy_pj["total"])
     with pytest.raises(ValueError, match="a tag's simulated energy is not finite"):
-        energy_breakdown(result, table, trace)
+        energy_breakdown(result, trace)
 
 
 def test_determinism():
     requests = [req(64 * i, 64) for i in range(0, 40, 3)]
-    (a, first), (b, second) = (run_trace(CFG, trace_of(requests)) for _ in range(2))
+    first, second = (run_trace(CFG, trace_of(requests)) for _ in range(2))
     assert first == second
+    assert np.array_equal(first.completion, second.completion)
+    assert np.array_equal(first.acts, second.acts)
+    a, b = (plan(CFG, trace_of(requests)) for _ in range(2))
     assert all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
@@ -243,17 +245,15 @@ def test_per_request_accounting():
     # Request 0 reads one block on each channel, request 1 one more on
     # channel 0, a row hit after request 0's read there.
     trace = trace_of([req(0, 256), req(1024, 64)])
-    table, result = run_trace(CFG, trace)
+    result = run_trace(CFG, trace)
     assert (trace.size // 64).tolist() == [4, 1]
     assert sum(trace.size // 64) == result.num_reads
-    acts = table.request_index[table.kind == CommandKind.ACT]
-    assert np.bincount(acts, minlength=2).tolist() == [4, 0]
-    assert acts.size == result.num_acts
-    rd, done = read_completions(CFG, table)
-    assert table.request_index[rd].tolist() == [0, 1, 0, 0, 0]
-    # Request 1's read follows request 0's on channel 0 by t_ccd_l.
-    assert done[1] == done[0] + CFG.t_ccd_l
-    assert max(done.tolist()) == result.total_cycles
+    assert result.acts.tolist() == [4, 0]
+    assert result.acts.sum() == result.num_acts
+    # Request 0's four reads, one a channel, complete together; request
+    # 1's read follows request 0's on channel 0 by t_ccd_l.
+    assert result.completion.tolist() == [76, 76 + CFG.t_ccd_l]
+    assert result.completion.max() == result.total_cycles
 
 
 # --- command stream legality ------------------------------------------------
@@ -273,7 +273,7 @@ def pre(ch, bank, row, cycle, index=0):
 def rejects(stream, match):
     """The replay rejects stream with the reference replay's message."""
     with pytest.raises(ValueError, match=match) as got:
-        simulate(CFG, from_commands(stream))
+        simulate(CFG, [from_commands(stream)])
     with pytest.raises(ValueError) as want:
         reference_simulate(CFG, stream)
     assert str(got.value) == str(want.value)
@@ -328,7 +328,7 @@ def test_command_bus_conflict_rejected():
 
 def test_legal_hand_stream_accepted():
     stream = [act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), pre(0, 0, 0, 77), act(0, 0, 1, 111)]
-    result = simulate(CFG, from_commands(stream))
+    result = simulate(CFG, [from_commands(stream)])
     assert result.num_acts == 2
     assert result.num_reads == 1
     assert result == reference_simulate(CFG, stream)[0]
@@ -388,10 +388,10 @@ def test_sorted_stream_minimizes_activates():
 @example([(0, 256), (4, 256)])
 def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
-    table, result = run_trace(CFG, trace_of(requests))
+    table, result = plan(CFG, trace_of(requests)), run_trace(CFG, trace_of(requests))
     stream = list(schedule(CFG, trace_of(requests)))
     assert result.bytes_transferred == sum(n for _, n in requests)
-    assert result == simulate(CFG, from_commands(stream))
+    assert result == simulate(CFG, [from_commands(stream)])
     # Each row names the request of its first command.  A run never
     # crosses a trace row, so a request whose reads all continue another's
     # DRAM rows (the example) still names rows of its own.
@@ -406,15 +406,15 @@ def test_random_traces_conserve_bytes_and_replay(reqs):
 
 def test_breakdown_single_category():
     trace = trace_of([req(0, 256), req(4096, 64)], [0, 0], ["predictor"])
-    table, result = run_trace(CFG, trace)
-    split = energy_breakdown(result, table, trace)
+    result = run_trace(CFG, trace)
+    split = energy_breakdown(result, trace)
     assert split == {"predictor": pytest.approx(result.energy_pj["total"])}
 
 
 def test_breakdown_symmetric_categories():
     trace = trace_of([req(64 * i) for i in range(8)], [0, 1] * 4, ("a", "b"))
-    table, result = run_trace(CFG, trace)
-    split = energy_breakdown(result, table, trace)
+    result = run_trace(CFG, trace)
+    split = energy_breakdown(result, trace)
     assert split["a"] == pytest.approx(split["b"], rel=0.01)
     assert split["a"] + split["b"] == pytest.approx(result.energy_pj["total"])
 
@@ -422,9 +422,9 @@ def test_breakdown_symmetric_categories():
 def test_breakdown_follows_byte_share():
     # Request 1 reads 5 blocks, all row hits after request 0's ACTs.
     trace = trace_of([req(0, 960), req(4096, 320)], [0, 1], ["big", "small"])
-    table, result = run_trace(NO_BG, trace)
-    split = energy_breakdown(result, table, trace)
-    acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=2)
+    result = run_trace(NO_BG, trace)
+    split = energy_breakdown(result, trace)
+    acts = result.acts
     assert acts.tolist() == [4, 0]
     assert split["big"] >= split["small"]
     assert split["small"] == pytest.approx(NO_BG.e_rd_pj * 5 + NO_BG.e_act_pj * acts[1])
@@ -449,29 +449,28 @@ SMALL_ROWS = dram(row_bytes=256, banks_per_channel=2)
 def test_breakdown_equals_request_by_request_loop(reqs, drop_acts):
     trace = trace_of([req(64 * slot, 64 * n) for slot, n, _ in reqs], [t for *_, t in reqs],
                      ("a", "b", "c", "unused"))
-    table, result = run_trace(SMALL_ROWS, trace)
+    result = run_trace(SMALL_ROWS, trace)
     totals, per_request = reference_simulate(SMALL_ROWS, schedule(SMALL_ROWS, trace))
     assert result == totals
     if drop_acts:
         # A result with no ACTs gives no tag an activation share.
         result = dataclasses.replace(result, num_acts=0)
-    assert_breakdown_exact(result, table, trace, per_request)
+    assert_breakdown_exact(result, trace, per_request)
 
 
 def test_breakdown_example_has_every_act_pattern():
     # The example above: request 0 opens several rows, 1 and 2 none.
     trace = trace_of([req(0, 768), req(128), req(192)], [0, 1, 0], ("a", "b"))
-    table, _ = run_trace(SMALL_ROWS, trace)
-    acts = np.bincount(table.request_index[table.kind == CommandKind.ACT], minlength=3)
+    acts = run_trace(SMALL_ROWS, trace).acts
     assert acts[0] > 1 and acts[1:].tolist() == [0, 0]
 
 
 def test_breakdown_requires_tags():
     trace = trace_of([req(0), req(256)], [0, -1], ["a"])
-    table, result = run_trace(CFG, trace)
+    result = run_trace(CFG, trace)
     with pytest.raises(ValueError, match="untagged"):
-        energy_breakdown(result, table, trace)
-    # A table planned from a longer trace names a trace row this one lacks.
+        energy_breakdown(result, trace)
+    # A result simulated from a longer trace counts a row this one lacks.
     short = trace_of([req(0)], [0], ["a"])
-    with pytest.raises(ValueError, match="row 2 names trace row 1, but the trace has 1 rows"):
-        energy_breakdown(result, table, short)
+    with pytest.raises(ValueError, match="counts 2 trace rows, but the trace has 1"):
+        energy_breakdown(result, short)

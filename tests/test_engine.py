@@ -4,17 +4,20 @@
 `schedule` yields on every channel, every command naming the trace row
 `schedule`'s does, and must not depend on the chunk column.  `simulate` must
 accept, reject and total run tables and command streams exactly as the
-command-by-command replay in reference.py does, and the per-request
-ACTs and reads and the per-chunk completions read off the table and
-the trace must be the replay's, and a tagged trace's energy split must
-come within 1e-15 of the exact split by those counts.  Checked on hand
-traces, on every trace of the default sweep, on random and interleaved
-traces and configs, on runs of contiguous equal-size extents, on those
-extents cut into more rows (one a block, as a per-block trace file
-reads, included), on random chunk columns, on traces where tRAS first
-binds mid-channel, on perturbed command streams and run tables, and on
-hand tables whose rules break on several channels, out of channel
-order or outside the config.
+command-by-command replay in reference.py does, whole or cut into
+pieces anywhere, and the per-request completions and ACTs it returns
+and the reads the trace gives must be the replay's, and a tagged
+trace's energy split must come within 1e-15 of the exact split by those
+counts.  A trace cut anywhere must plan, piece by piece from the state
+`carry` takes across each cut, to the one-piece table's rows channel
+by channel.  Checked on hand traces, on every trace of the default
+sweep, on random and interleaved traces and configs (up to 1,024
+channels for the cuts), on runs of contiguous equal-size extents, on
+those extents cut into more rows (one a block, as a per-block trace
+file reads, included), on random chunk columns, on traces where tRAS
+first binds mid-channel, on perturbed command streams and run tables,
+and on hand tables whose rules break on several channels, out of
+channel order or outside the config.
 """
 
 import contextlib
@@ -34,17 +37,18 @@ from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
     DramCommand,
+    DramState,
+    carry,
     energy_breakdown,
     plan,
-    read_completions,
     run_trace,
     schedule,
     simulate,
 )
-from planestore.experiment import chunk_latency_deltas, solve_assignment
+from planestore.experiment import chunk_latency_deltas, layer_cuts, solve_assignment
 from planestore.workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
-from reference import assert_breakdown_exact, dram, from_commands, reference_simulate
+from reference import assert_breakdown_exact, cut, dram, from_commands, reference_simulate
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 KINDS = list(CommandKind)
@@ -91,28 +95,18 @@ def assert_engine_matches_reference(config, trace):
     # trace row it reads for.
     assert by_channel(commands) == by_channel(expected)
 
-    result = simulate(config, table)
+    result = simulate(config, [table])
     totals, per_request = reference_simulate(config, expected)
     assert result == totals
     assert result == reference_simulate(config, commands)[0]
-    # What energy_breakdown reads: each trace row's ACTs from the table's
-    # ACT rows, its reads from its size.  schedule names rows too, so the
-    # replay's per-request columns are per row.
-    acts = np.bincount(
-        table.request_index[table.kind == CommandKind.ACT], minlength=trace.addr.size
-    )
-    assert acts.tolist() == list(per_request.acts)
+    # What energy_breakdown and chunk_latency_deltas read: each trace
+    # row's completion and ACTs, and its reads from its size.  schedule
+    # names rows too, so the replay's per-request columns are per row.
+    assert result.completion.tolist() == list(per_request.completion)
+    assert result.acts.tolist() == list(per_request.acts)
     assert (trace.size // 64).tolist() == list(per_request.reads)
     if len(trace) and trace.tag.min() >= 0:
-        assert_breakdown_exact(result, table, trace, per_request)
-    # What chunk_latency_deltas reads: a chunk's latest RD row completion
-    # is its latest request completion.
-    ids, chunk_of = np.unique(trace.chunk, return_inverse=True)
-    rd, done = read_completions(config, table)
-    got_done, want_done = np.zeros(ids.size, np.int64), np.zeros(ids.size, np.int64)
-    np.maximum.at(got_done, chunk_of[table.request_index[rd]], done)
-    np.maximum.at(want_done, chunk_of, np.array(per_request.completion, np.int64))
-    assert got_done.tolist() == want_done.tolist()
+        assert_breakdown_exact(result, trace, per_request)
     return table, commands, result
 
 
@@ -260,10 +254,12 @@ def traced(fn, *args):
 
 
 def test_engine_working_set_at_8_bits():
-    # The default config at 8.0 bits.  The run table is 29 bytes a row,
-    # and neither plan nor the replay holds more than a few row-long
-    # temporaries at once.  The traditional trace is one row per loaded
-    # chunk.
+    # The default config at 8.0 bits, the whole trace in one piece.  The
+    # run table is 29 bytes a row, and neither plan nor the replay holds
+    # more than a few row-long temporaries at once: plan peaks near 60
+    # bytes a row (73 at 64 and 1,024 channels before it cut extents at
+    # stripes), the replay near 43.  The traditional trace is one row per
+    # loaded chunk.
     cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -278,14 +274,33 @@ def test_engine_working_set_at_8_bits():
         "column": "int32", "issue_cycle": "int64", "request_index": "int32", "count": "int32",
     }
     assert sum(column.nbytes for column in vars(table).values()) <= 30 * len(table)
-    assert peak <= 100 * len(table)
-    _, _, peak = traced(simulate, cfg.dram, table)
-    assert peak <= 80 * len(table)
+    assert peak <= 64 * len(table)
+    _, _, peak = traced(simulate, cfg.dram, [table])
+    assert peak <= 48 * len(table)
     # An extent reads on at most as many channels as it has bursts, so
     # plan's working set follows the table, not the channel count.
     for channels in (64, 1024):
         wide, _, peak = traced(plan, dataclasses.replace(cfg.dram, channels=channels), trace)
-        assert peak <= 100 * len(wide)
+        assert peak <= 68 * len(wide)
+
+
+def test_working_set_follows_the_largest_layer():
+    # The default geometry's layer at 8.0 bits, once and four times over:
+    # planned and replayed a layer at a time, the four-layer bitplane
+    # trace peaks less than half as high again as the one-layer one.
+    cfg = load_config(str(DEFAULT_YAML), seed=1234)
+    peaks = []
+    for layers in (1, 4):
+        directory = enumerate_chunks(dataclasses.replace(cfg.geometry, layers=layers))
+        scores = gen_scores(directory, cfg.importance)
+        _, assignment = solve_assignment(directory, scores, 8.0, cfg.ladder, cfg.band_profile)
+        trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
+        cuts = layer_cuts(directory, trace)
+        assert len(cuts) == layers - 1
+        result, _, peak = traced(run_trace, cfg.dram, trace, cuts)
+        assert result == run_trace(cfg.dram, trace)
+        peaks.append(peak)
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.fixture(scope="module")
@@ -501,6 +516,66 @@ def test_plan_does_not_read_the_chunk_column(config, trace, rng):
         assert got.dtype == column.dtype and np.array_equal(got, column), name
 
 
+def cut_points(n):
+    """Cut positions in 0..n, ascending, repeats and the ends included,
+    so a piece may be empty."""
+    return st.lists(st.integers(0, n), max_size=6).map(sorted)
+
+
+def assert_cuts_are_exact(config, trace, cuts):
+    """Planned piece by piece, each from the state the pieces before it
+    leave, the tables taken channel by channel are the one-piece table's
+    rows, and replayed piece by piece, or through run_trace, they give
+    its result, per request included."""
+    whole = plan(config, trace)
+    bounds = [0, *cuts, trace.addr.size]
+    tables, state = [], DramState.initial(config)
+    for piece in zip(bounds, bounds[1:]):
+        tables.append(plan(config, trace, piece, state))
+        state = carry(config, state, tables[-1])
+    joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in vars(whole)}
+    by_channel = np.argsort(joined["channel"], kind="stable")
+    for name, column in vars(whole).items():
+        got = joined[name][by_channel]
+        assert got.dtype == column.dtype and np.array_equal(got, column), name
+    want = simulate(config, [whole])
+    for result in (simulate(config, tables), run_trace(config, trace, cuts)):
+        assert result == want
+        assert np.array_equal(result.completion, want.completion)
+        assert np.array_equal(result.acts, want.acts)
+
+
+# Channel counts up to 1,024, and tRAS up to 300, so that it often binds.
+wide_configs = st.builds(
+    dram,
+    channels=st.sampled_from([1, 2, 3, 5, 16, 64, 1024]),
+    banks_per_channel=st.integers(1, 8),
+    row_bytes=st.sampled_from([64, 128, 256, 512]),
+    t_rcd=st.one_of(st.integers(1, 4), st.integers(1, 40)),
+    t_rp=st.one_of(st.integers(1, 4), st.integers(1, 40)),
+    t_ras=st.integers(40, 300),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(configs, wide_configs, st.just(dram())),
+    st.one_of(traces, extent_traces(), interleaved_traces()),
+    st.data(),
+)
+def test_cut_traces_plan_and_replay_as_one(config, trace, data):
+    assert_cuts_are_exact(config, trace, data.draw(cut_points(trace.addr.size)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(handoff_cases(), st.data())
+def test_cuts_where_t_ras_binds(case, data):
+    # The thrashed banks' openings step the bank state machine, which a
+    # cut restarts from the carried ACT cycles, mid-thrash included.
+    config, trace = case
+    assert_cuts_are_exact(config, trace, data.draw(cut_points(trace.addr.size)))
+
+
 def split(trace, p, seed):
     """The same extents cut into more rows: before each block but an
     extent's first with probability p, each piece keeping its row's tag
@@ -521,15 +596,13 @@ def assert_same_figures(config, pieces, trace):
     read off either is the same."""
     assert len(pieces) == len(trace) and trace_bytes(pieces) == trace_bytes(trace)
     assert pieces.bytes_by_tag().tolist() == trace.bytes_by_tag().tolist()
-    (table, result), (whole_table, whole_result) = (run_trace(config, t) for t in (pieces, trace))
-    assert result == whole_result
-    assert energy_breakdown(result, table, pieces) == energy_breakdown(
-        whole_result, whole_table, trace
-    )
+    result, whole = run_trace(config, pieces), run_trace(config, trace)
+    assert result == whole
+    assert energy_breakdown(result, pieces) == energy_breakdown(whole, trace)
     chunks = int(trace.chunk.max()) + 1 if trace.chunk.size else 0
     assert np.array_equal(
-        chunk_latency_deltas(pieces, table, config, chunks),
-        chunk_latency_deltas(trace, whole_table, config, chunks),
+        chunk_latency_deltas(pieces, result, config, chunks),
+        chunk_latency_deltas(trace, whole, config, chunks),
     )
 
 
@@ -556,23 +629,29 @@ def test_default_traditional_traces_split_exactly(sweep_traces, target):
         assert_same_figures(cfg.dram, split(trace, p, 0), trace)
 
 
-def same_verdict(config, stream, table=None):
-    """Both replays raise the same message, or return the same result.
+def same_verdict(config, stream, table=None, cuts=None):
+    """Both replays raise the same message, or return the same result,
+    per-request figures included.
 
     The reference replays stream; simulate replays table, which must
-    encode stream, or when table is None stream's `from_commands` table."""
-
-    def replay():
-        return simulate(config, from_commands(stream) if table is None else table)
-
+    encode stream, or when table is None stream's `from_commands` table:
+    whole, and cut before each row in cuts, or when cuts is None, cut
+    once before each row in turn."""
+    table = from_commands(stream) if table is None else table
+    cuttings = [[], *([[k] for k in range(len(table) + 1)] if cuts is None else [cuts])]
     try:
-        want, _ = reference_simulate(config, stream)
+        want, per_request = reference_simulate(config, stream)
     except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            replay()
-        assert str(got.value) == str(exc)
+        for at in cuttings:
+            with pytest.raises(ValueError) as got:
+                simulate(config, cut(table, at))
+            assert str(got.value) == str(exc), at
     else:
-        assert replay() == want
+        for at in cuttings:
+            got = simulate(config, cut(table, at))
+            assert got == want, at
+            assert got.completion.tolist() == list(per_request.completion), at
+            assert got.acts.tolist() == list(per_request.acts), at
 
 
 def cmd(kind, ch, bank, row, cycle):
@@ -669,7 +748,7 @@ def test_perturbed_schedules_get_the_reference_verdict(config, trace, data):
         stream[i] = stream[i]._replace(kind=data.draw(st.sampled_from(KINDS)))
     elif i + 1 < len(stream):
         stream[i], stream[i + 1] = stream[i + 1], stream[i]
-    same_verdict(config, stream)
+    same_verdict(config, stream, cuts=data.draw(cut_points(len(stream))))
 
 
 @settings(deadline=None, max_examples=300)
@@ -687,4 +766,4 @@ def test_perturbed_run_tables_get_the_reference_verdict(config, trace, data):
     else:
         column[i] += data.draw(st.sampled_from([-1, 1]))
     table = dataclasses.replace(table, **{name: column})
-    same_verdict(config, commands_of(config, table), table)
+    same_verdict(config, commands_of(config, table), table, data.draw(cut_points(len(table))))

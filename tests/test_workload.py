@@ -97,9 +97,12 @@ def test_enumerate_small_example():
 
 def test_enumerate_layer_order():
     g = ModelGeometry(2, 1, 8, 2, 4, 6)
-    kinds = [c.kind.value for c in chunks(enumerate_chunks(g))]
+    directory = enumerate_chunks(g)
+    kinds = [c.kind.value for c in chunks(directory)]
     layer = ["attention_head", "mlp_neuron", "mlp_neuron", "predictor"]
     assert kinds == layer + layer
+    # Each chunk is numbered with its layer.
+    assert directory.layer.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_enumerate_scaled_geometry():
