@@ -24,19 +24,21 @@ reference.  `plan` computes the same command stream as a run table, one
 RD row per run of reads to consecutive columns of an open row within
 one trace row, timed in closed form up to a channel's first row opening
 where tRAS binds and stepped once per opening from there.  `simulate`
-replays a trace's tables one at a time, recording every row's first
-broken legality rule vectorized over all channels at once, and returns
-the totals, which must be finite, and each request's completion and
-ACT count; `energy_breakdown` (per-tag integer counts) and the chunk
-latencies read the rest off those and the trace.  `run_trace`, the
-production path, cuts a trace into pieces (`compare` cuts at layers)
-and plans and replays one piece at a time, each from the `DramState`
-the pieces before it leave (`carry`), so no more than one piece's
-table is held at once; any cuts give the one-piece result.  Both
-`schedule` and `plan` take the request stream as an `address.Trace`.
-`plan` relies on its rows being valid, which the Trace constructor
-checks; `schedule`, the reference, maps every burst through
-`map_address` and so still raises its per-burst errors on bare columns.
+adds up a trace's tables one at a time and returns the totals, which
+must be finite, and each request's completion and ACT count;
+`energy_breakdown` (per-tag integer counts) and the chunk latencies
+read the rest off those and the trace.  `simulate` trusts its tables
+to be legal: production hands it only tables `plan` built, and the
+tests replay every table shape `plan` builds against the bank state
+machine (tests/reference.py, `replay`).  `run_trace`, the production
+path, cuts a trace into pieces (`compare` cuts at layers) and plans
+and totals one piece at a time, each from the `DramState` the pieces
+before it leave (`carry`), so no more than one piece's table is held
+at once; any cuts give the one-piece result.  Both `schedule` and
+`plan` take the request stream as an `address.Trace`.  `plan` relies
+on its rows being valid, which the Trace constructor checks;
+`schedule`, the reference, maps every burst through `map_address` and
+so still raises its per-burst errors on bare columns.
 docs/dram-model.md shows why the run-level recurrences are exact.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
@@ -723,149 +725,6 @@ class SimResult:
             )
 
 
-# The replay's checks in the order it applies them to one command; the
-# first that fails names the violation.
-_VIOLATIONS = (
-    "command addresses channel {ch} bank {bank} outside the config",
-    "command bus conflict on channel {ch} at cycle {cycle}",
-    "activate on channel {ch} bank {bank} with a row already open",
-    "t_rp violated on channel {ch} bank {bank}",
-    "precharge on channel {ch} bank {bank} with no open row",
-    "t_ras violated on channel {ch} bank {bank}",
-    "read on channel {ch} bank {bank} with no open row",
-    "read to row {row} on channel {ch} bank {bank} while row {open_row} is open",
-    "t_rcd violated on channel {ch} bank {bank}",
-    "t_ccd_l violated on channel {ch}",
-    "t_ccd_s violated on channel {ch}",
-)
-
-
-def _latest(flags: np.ndarray, after: int) -> np.ndarray:
-    """Index of the nearest True in flags at or before each row (after 0)
-    or strictly before it (after 1), or -1 for none."""
-    at = np.flatnonzero(flags)
-    return np.repeat(np.r_[-1, at], np.diff(np.r_[0, at + after, flags.size]))
-
-
-def _first_violation(config: DramConfig, table: CommandTable, state: DramState):
-    """The message for the table's first illegal row, or None when all
-    are legal.
-
-    The rows are checked in one pass, grouped by channel, each channel's
-    in stream order.  Each row's first command is checked against the
-    state the rows before it on its channel leave: the last cycle of the
-    previous row, the last read of the previous RD row, and the bank's
-    newest ACT or PRE (open if it was an ACT).  The table continues the
-    stream that left state, which answers where no row of the table
-    before it does.  Up to a channel's first illegal row that is exactly
-    the state a command-by-command replay holds, and channels share no
-    state, so the replay stops at the earliest of the channels' first
-    illegal rows in table order.  The later reads of an RD row need no
-    check of their own: nothing else issues on the channel between them,
-    they stay on the open row, and they are t_ccd_l >= 1 apart, which
-    satisfies the bus, tCCD and tRCD rules once the first read does.
-
-    `fail` holds each row's first broken rule as an index into
-    `_VIOLATIONS`, len(_VIOLATIONS) for a legal row.  The rules are
-    recorded from last to first, so an earlier rule overwrites a later
-    one.  Each rule's inputs are freed once it is recorded, but the bus
-    mask, computed with the read spacing, waits for its turn.
-    """
-    channel = table.channel
-    n, channels, banks = channel.size, config.channels, config.banks_per_channel
-    # plan's tables are grouped already; only other tables are gathered.
-    order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
-    columns = (channel, table.kind, table.bank, table.row, table.issue_cycle, table.count)
-    if order is not None:
-        columns = tuple(c[order] for c in columns)
-    ch, kind, bank, row, cycle, count = columns
-    cycle = np.asarray(cycle, np.int64)
-    fail = np.full(n, len(_VIOLATIONS), np.int8)
-
-    # Bus and read spacing: the last cycle of each row and of each RD
-    # row's last read.
-    last = np.multiply(count - 1, config.t_ccd_l, dtype=np.int64)
-    last += cycle
-    previous_last = np.empty(n, np.int64)
-    previous_last[1:] = last[:-1]
-    heads = _heads(ch)  # each channel's first row
-    previous_last[heads] = state.last_cycle[np.clip(ch[heads], 0, channels - 1)]
-    bus = cycle <= previous_last
-    del previous_last, heads
-    # Each RD row against the channel's previous read, that of the RD
-    # row before it or else the state's: t_ccd_l on the same bank,
-    # t_ccd_s across banks.
-    rd = np.flatnonzero(kind == _RD)
-    prior = np.empty(rd.size, np.int64)
-    prior[1:] = last[rd[:-1]]
-    del last
-    prior_bank = np.empty(rd.size, bank.dtype)
-    prior_bank[1:] = bank[rd[:-1]]
-    heads = _heads(ch[rd])
-    inside = np.clip(ch[rd[heads]], 0, channels - 1)
-    prior[heads], prior_bank[heads] = state.last_read[inside], state.last_bank[inside]
-    del heads, inside
-    same_bank = prior_bank == bank[rd]
-    del prior_bank
-    early = prior >= 0  # -1: the channel's first read
-    prior += np.where(same_bank, config.t_ccd_l, config.t_ccd_s)
-    early &= cycle[rd] < prior
-    fail[rd[early]] = np.where(same_bank[early], 9, 10)
-    del rd, prior, same_bank, early
-
-    # Bank state, grouped by (channel, bank).  Channels and banks outside
-    # the config share one key below and one above: their rows fail the
-    # first rule, and no other row reads their state.
-    key = (np.clip(ch, -1, channels).astype(np.int64) + 1) * (banks + 2)
-    key += np.clip(bank, -1, banks)
-    by_bank = _stable_order(key)
-    key = key[by_bank]
-    prev = _latest((kind != _RD)[by_bank], 1)  # the newest ACT or PRE before
-    prev[prev < _latest(np.r_[True, key[1:] != key[:-1]], 0)] = -1
-    del key
-    newest = np.empty(n, np.int64)
-    newest[by_bank] = np.where(prev >= 0, by_bank[prev], -1)
-    del by_bank, prev
-    has_state = newest >= 0
-    newest[~has_state] = 0
-    state_kind, state_row, since = kind[newest], row[newest], cycle - cycle[newest]
-    del newest
-    # Rows no row of the table before them answers: the state's newest.
-    missing = np.flatnonzero(~has_state)
-    key = np.clip(ch[missing], 0, channels - 1).astype(np.int64) * banks
-    key += np.clip(bank[missing], 0, banks - 1)
-    state_kind[missing] = _lookup(state.key, key, state.kind, -1)
-    has_state[missing] = state_kind[missing] >= 0
-    state_row[missing] = _lookup(state.key, key, state.row, -1)
-    since[missing] = cycle[missing] - _lookup(state.key, key, state.cycle, 0)
-    del key, missing
-    is_open = has_state & (state_kind == _ACT)
-    del state_kind
-    is_act, is_pre, is_rd = kind == _ACT, kind == _PRE, kind == _RD
-    fail[is_rd & (since < config.t_rcd)] = 8
-    fail[is_rd & (state_row != row)] = 7
-    fail[is_rd & ~is_open] = 6
-    fail[is_pre & (since < config.t_ras)] = 5
-    fail[is_pre & ~is_open] = 4
-    fail[is_act & has_state & ~is_open & (since < config.t_rp)] = 3
-    fail[is_act & is_open] = 2
-    del has_state, is_open, since, is_act, is_pre, is_rd
-    fail[bus] = 1
-    fail[(bank < 0) | (bank >= banks) | (ch < 0) | (ch >= channels)] = 0
-
-    bad = np.flatnonzero(fail < len(_VIOLATIONS))
-    if not bad.size:
-        return None
-    # Each channel's first illegal row, then the earliest in table order.
-    bad_ch = ch[bad]
-    firsts = bad[np.r_[True, bad_ch[1:] != bad_ch[:-1]]]
-    j = int(firsts[np.argmin(firsts if order is None else order[firsts])])
-    return _VIOLATIONS[fail[j]].format(
-        ch=int(ch[j]), bank=int(bank[j]), row=int(row[j]), cycle=int(cycle[j]),
-        open_row=int(state_row[j]),
-    )
-
-
 def _read_completions(config: DramConfig, table: CommandTable):
     """(table position, completion cycle) of every RD row: its last read
     issues (count - 1) * t_ccd_l after its first, and its data has
@@ -878,31 +737,23 @@ def _read_completions(config: DramConfig, table: CommandTable):
 
 
 def simulate(config: DramConfig, tables: Iterable[CommandTable]) -> SimResult:
-    """Replay a trace's command tables, checking legality, and total them
-    up.
+    """Total a trace's command tables.
 
     The tables are one stream cut at row boundaries, in stream order:
-    each is replayed from the `DramState` the tables before it leave
-    (`carry`) and then dropped, so no more than one is held at a time
-    when tables yields them one by one, as `run_trace` does.  Any cuts
-    give the same result and the same first violation.  An RD row
-    stands for its count reads.  The stream must respect the bank state machine and the
-    configured timings; the first violation, in table order, raises
-    ValueError naming the constraint.  The trace ends at the last data
-    beat (or the last command, for a stream with no reads).  Background
-    energy covers every channel for the whole span, busy or not: standby
-    power does not care who is reading.
+    each is totalled and then dropped, so no more than one is held at a
+    time when tables yields them one by one, as `run_trace` does.  Any
+    cuts give the same result.  An RD row stands for its count reads.
+    The tables must be legal, as `plan`'s are: `sim` and `compare` pass
+    it only tables they planned themselves.  The trace ends at the last
+    data beat (or the last command, for a stream with no reads).
+    Background energy covers every channel for the whole span, busy or
+    not: standby power does not care who is reading.
     """
-    state = DramState.initial(config)
     count_rd = count_act = 0
     end_cycle, last_cycle = 0, -1
     per_request = []  # (first index, completions, ACT counts) per table
     for table in tables:
         if len(table):
-            violation = _first_violation(config, table, state)
-            if violation is not None:
-                raise ValueError(violation)
-            state = carry(config, state, table)
             rd, done = _read_completions(config, table)
             count_rd += int(table.count[rd].sum())
             request = table.request_index
@@ -966,9 +817,9 @@ def _tables(config: DramConfig, trace: Trace, cuts) -> Iterator[CommandTable]:
 
 
 def run_trace(config: DramConfig, trace: Trace, cuts=()) -> SimResult:
-    """Plan and replay in one go (the production path): the trace cut
+    """Plan and total in one go (the production path): the trace cut
     before each trace row in cuts (ascending), one table planned and
-    replayed at a time, so the working set follows the largest piece.
+    totalled at a time, so the working set follows the largest piece.
     Any cuts give the same result."""
     return simulate(config, _tables(config, trace, cuts))
 

@@ -203,6 +203,7 @@ def test_06_memory_model_matches_hand_traces():
             for c in commands
         ]
         assert got == expected
+        reference.replay(cfg, [from_commands(commands)])
         result = simulate(cfg, [from_commands(commands)])
         assert result.total_cycles == cycles
         assert result.energy_pj["total"] == act * n_act + rd * n_rd

@@ -23,7 +23,7 @@ from planestore.dram import (
     simulate,
 )
 
-from reference import assert_breakdown_exact, dram, from_commands, reference_simulate
+from reference import assert_breakdown_exact, dram, from_commands, reference_simulate, replay
 
 CFG = dram()
 NO_BG = dram(p_bg_mw=0.0)
@@ -273,7 +273,7 @@ def pre(ch, bank, row, cycle, index=0):
 def rejects(stream, match):
     """The replay rejects stream with the reference replay's message."""
     with pytest.raises(ValueError, match=match) as got:
-        simulate(CFG, [from_commands(stream)])
+        replay(CFG, [from_commands(stream)])
     with pytest.raises(ValueError) as want:
         reference_simulate(CFG, stream)
     assert str(got.value) == str(want.value)
@@ -328,6 +328,7 @@ def test_command_bus_conflict_rejected():
 
 def test_legal_hand_stream_accepted():
     stream = [act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), pre(0, 0, 0, 77), act(0, 0, 1, 111)]
+    replay(CFG, [from_commands(stream)])
     result = simulate(CFG, [from_commands(stream)])
     assert result.num_acts == 2
     assert result.num_reads == 1
@@ -390,6 +391,8 @@ def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
     table, result = plan(CFG, trace_of(requests)), run_trace(CFG, trace_of(requests))
     stream = list(schedule(CFG, trace_of(requests)))
+    replay(CFG, [table])
+    replay(CFG, [from_commands(stream)])
     assert result.bytes_transferred == sum(n for _, n in requests)
     assert result == simulate(CFG, [from_commands(stream)])
     # Each row names the request of its first command.  A run never

@@ -2,22 +2,24 @@
 
 `plan`'s run table, expanded to commands, must be exactly the stream
 `schedule` yields on every channel, every command naming the trace row
-`schedule`'s does, and must not depend on the chunk column.  `simulate` must
-accept, reject and total run tables and command streams exactly as the
-command-by-command replay in reference.py does, whole or cut into
-pieces anywhere, and the per-request completions and ACTs it returns
+`schedule`'s does, and must not depend on the chunk column.
+reference.py's vectorized `replay` must accept and reject, and
+`simulate` must total, run tables and command streams exactly as the
+command-by-command replay there does, whole or cut into pieces
+anywhere, and the per-request completions and ACTs `simulate` returns
 and the reads the trace gives must be the replay's, and a tagged
 trace's energy split must come within 1e-15 of the exact split by those
 counts.  A trace cut anywhere must plan, piece by piece from the state
 `carry` takes across each cut, to the one-piece table's rows channel
-by channel.  Checked on hand traces, on every trace of the default
-sweep, on random and interleaved traces and configs (up to 1,024
-channels for the cuts), on runs of contiguous equal-size extents, on
-those extents cut into more rows (one a block, as a per-block trace
-file reads, included), on random chunk columns, on traces where tRAS
-first binds mid-channel, on perturbed command streams and run tables,
-and on hand tables whose rules break on several channels, out of
-channel order or outside the config.
+by channel.  `simulate` trusts its tables, so every table `plan` builds
+here is replayed, whole and piece by piece.  Checked on hand traces, on
+every trace of the default sweep, on random and interleaved traces and
+configs (up to 1,024 channels for the cuts), on runs of contiguous
+equal-size extents, on those extents cut into more rows (one a block,
+as a per-block trace file reads, included), on random chunk columns, on
+traces where tRAS first binds mid-channel, on perturbed command streams
+and run tables, and on hand tables whose rules break on several
+channels, out of channel order or outside the config.
 """
 
 import contextlib
@@ -48,7 +50,9 @@ from planestore.dram import (
 from planestore.experiment import chunk_latency_deltas, layer_cuts, solve_assignment
 from planestore.workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
-from reference import assert_breakdown_exact, cut, dram, from_commands, reference_simulate
+from reference import (
+    assert_breakdown_exact, cut, dram, from_commands, reference_simulate, replay,
+)
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 KINDS = list(CommandKind)
@@ -95,6 +99,7 @@ def assert_engine_matches_reference(config, trace):
     # trace row it reads for.
     assert by_channel(commands) == by_channel(expected)
 
+    replay(config, [table])
     result = simulate(config, [table])
     totals, per_request = reference_simulate(config, expected)
     assert result == totals
@@ -255,11 +260,11 @@ def traced(fn, *args):
 
 def test_engine_working_set_at_8_bits():
     # The default config at 8.0 bits, the whole trace in one piece.  The
-    # run table is 29 bytes a row, and neither plan nor the replay holds
+    # run table is 29 bytes a row, and neither plan nor simulate holds
     # more than a few row-long temporaries at once: plan peaks near 60
     # bytes a row (73 at 64 and 1,024 channels before it cut extents at
-    # stripes), the replay near 43.  The traditional trace is one row per
-    # loaded chunk.
+    # stripes), simulate near 24 (43 when it replayed every table).  The
+    # traditional trace is one row per loaded chunk.
     cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -276,7 +281,7 @@ def test_engine_working_set_at_8_bits():
     assert sum(column.nbytes for column in vars(table).values()) <= 30 * len(table)
     assert peak <= 64 * len(table)
     _, _, peak = traced(simulate, cfg.dram, [table])
-    assert peak <= 48 * len(table)
+    assert peak <= 32 * len(table)
     # An extent reads on at most as many channels as it has bursts, so
     # plan's working set follows the table, not the channel count.
     for channels in (64, 1024):
@@ -301,6 +306,30 @@ def test_working_set_follows_the_largest_layer():
         assert result == run_trace(cfg.dram, trace)
         peaks.append(peak)
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_run_trace_carries_once_per_cut():
+    # simulate only totals what plan built, so the one carry per cut is
+    # plan's: the state the next piece starts from.
+    cfg = load_config(str(DEFAULT_YAML), seed=1234)
+    directory = enumerate_chunks(cfg.geometry)
+    scores = gen_scores(directory, cfg.importance)
+    _, assignment = solve_assignment(directory, scores, 8.0, cfg.ladder, cfg.band_profile)
+    trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
+    cuts = layer_cuts(directory, trace)
+    assert len(cuts) == cfg.geometry.layers - 1 > 0
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return carry(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "carry", counting)
+        result = run_trace(cfg.dram, trace, cuts)
+    assert len(calls) == len(cuts)
+    assert result == run_trace(cfg.dram, trace)
+    replay(cfg.dram, engine._tables(cfg.dram, trace, cuts))
 
 
 @pytest.fixture(scope="module")
@@ -533,6 +562,7 @@ def assert_cuts_are_exact(config, trace, cuts):
     for piece in zip(bounds, bounds[1:]):
         tables.append(plan(config, trace, piece, state))
         state = carry(config, state, tables[-1])
+    replay(config, tables)
     joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in vars(whole)}
     by_channel = np.argsort(joined["channel"], kind="stable")
     for name, column in vars(whole).items():
@@ -596,6 +626,7 @@ def assert_same_figures(config, pieces, trace):
     read off either is the same."""
     assert len(pieces) == len(trace) and trace_bytes(pieces) == trace_bytes(trace)
     assert pieces.bytes_by_tag().tolist() == trace.bytes_by_tag().tolist()
+    replay(config, [plan(config, pieces)])
     result, whole = run_trace(config, pieces), run_trace(config, trace)
     assert result == whole
     assert energy_breakdown(result, pieces) == energy_breakdown(whole, trace)
@@ -630,13 +661,13 @@ def test_default_traditional_traces_split_exactly(sweep_traces, target):
 
 
 def same_verdict(config, stream, table=None, cuts=None):
-    """Both replays raise the same message, or return the same result,
-    per-request figures included.
+    """Both replays raise the same message, or accept, and then simulate
+    returns the reference's result, per-request figures included.
 
-    The reference replays stream; simulate replays table, which must
-    encode stream, or when table is None stream's `from_commands` table:
-    whole, and cut before each row in cuts, or when cuts is None, cut
-    once before each row in turn."""
+    The reference replays stream; replay and simulate take table, which
+    must encode stream, or when table is None stream's `from_commands`
+    table: whole, and cut before each row in cuts, or when cuts is None,
+    cut once before each row in turn."""
     table = from_commands(stream) if table is None else table
     cuttings = [[], *([[k] for k in range(len(table) + 1)] if cuts is None else [cuts])]
     try:
@@ -644,10 +675,11 @@ def same_verdict(config, stream, table=None, cuts=None):
     except ValueError as exc:
         for at in cuttings:
             with pytest.raises(ValueError) as got:
-                simulate(config, cut(table, at))
+                replay(config, cut(table, at))
             assert str(got.value) == str(exc), at
     else:
         for at in cuttings:
+            replay(config, cut(table, at))
             got = simulate(config, cut(table, at))
             assert got == want, at
             assert got.completion.tolist() == list(per_request.completion), at
