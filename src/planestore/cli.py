@@ -334,108 +334,20 @@ def render_trace(trace: Trace) -> str:
     )
 
 
-# The characters str.split() splits ASCII text at.  Of them only "\n"
-# ends a line: open()'s universal newlines turn "\r\n" and "\r" into it.
-_SPACE = np.zeros(256, bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-
-
-def _padded(data: np.ndarray, start: np.ndarray, end: np.ndarray, left: bool):
-    """The fields data[start:end] as the rows of a uint8 matrix as wide as
-    the longest, padded with "0" on the left when left, else with NUL on
-    the right; None when the matrix would be larger than data."""
-    length = end - start
-    width = int(length.max())
-    if start.size * width > data.size:
-        return None
-    pad = np.zeros(width, np.uint8)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((pad, data, pad)), width)
-    if left:
-        out = windows[end]  # each field's last width bytes, pad included
-        out[np.arange(width) < width - length[:, None]] = ord("0")
-    else:
-        out = windows[start + width]
-        out[np.arange(width) >= length[:, None]] = 0
-    return out
-
-
-def _decimals(data: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """The values of the fields data[start:end], or None unless each is
-    1 to 18 decimal digits, and so below 1 << 62."""
-    if not start.size:
-        return np.zeros(0, np.int64)
-    digits = _padded(data, start, end, left=True)
-    if digits is None or digits.shape[1] > 18:
-        return None
-    digits -= ord("0")  # any other byte wraps above 9
-    if (digits > 9).any():
-        return None
-    value = np.zeros(start.size, np.int64)
-    for column in digits.T:
-        value *= 10
-        value += column
-    return value
-
-
-def _trace_columns(text: str):
-    """parse_trace's (addr, size, tag, labels, line number of a row) read
-    from the whole text at once, or None where `_trace_lines` must read
-    it: text with a character other than printable ASCII and blanks, a
-    line of other than two or three fields, an address or length that is
-    not plain decimal digits below 1 << 62, or tags too long to compare
-    as fixed-width bytes."""
-    if not text.isascii():
-        return None
-    data = np.frombuffer(text.encode("ascii"), np.uint8)
-    line_ends = np.flatnonzero(data == ord("\n"))
-    low = data < ord(" ")
-    if np.count_nonzero(low) > line_ends.size and not _SPACE[data[low]].all():
-        return None
-    del low
-    # Each field's first and one-past-last byte.
-    byte = np.zeros(data.size + 2, bool)
-    np.greater(data, ord(" "), out=byte[1:-1])
-    edge = np.flatnonzero(byte[1:] != byte[:-1])
-    del byte
-    start, end = edge[0::2], edge[1::2]
-    # A row starts at the first field and at the first after a line end.
-    heads = np.r_[0, np.searchsorted(start, line_ends)]
-    heads = heads[np.r_[True, heads[1:] != heads[:-1]] & (heads < start.size)]
-    fields = np.diff(np.r_[heads, start.size])
-    if ((fields < 2) | (fields > 3)).any():
-        return None
-    addr = _decimals(data, start[heads], end[heads])
-    size = _decimals(data, start[heads + 1], end[heads + 1])
-    if addr is None or size is None:
-        return None
-    tag = np.full(heads.size, -1, np.int64)
-    labels: tuple = ()
-    tagged = fields == 3
-    if tagged.any():
-        third = heads[tagged] + 2
-        words = _padded(data, start[third], end[third], left=False)
-        if words is None:
-            return None
-        names, seen, codes = np.unique(
-            words.view(f"S{words.shape[1]}").ravel(), return_index=True, return_inverse=True
-        )
-        # Codes in order of first appearance, as the line reader gives.
-        order = np.argsort(seen)
-        rank = np.empty(order.size, np.int64)
-        rank[order] = np.arange(order.size)
-        tag[tagged] = rank[codes.ravel()]
-        labels = tuple(name.decode("ascii") for name in names[order])
-    row_start = start[heads]
-    return addr, size, tag, labels, lambda row: text.count("\n", 0, int(row_start[row])) + 1
-
-
-def _trace_lines(path: str, text: str):
-    """parse_trace's columns read one line at a time, raising at the
-    first line that is not 'byte_addr len_bytes [tag]' with both numbers
-    below 1 << 62."""
+def parse_trace(path: str) -> Trace:
+    """Read a trace file into columns, one row per line; tags become
+    codes into the labels in order of first appearance, a missing tag
+    code -1."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read trace: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read trace {path}: {exc}")
     addr, size, tag, line_of = [], [], [], []
     codes: dict = {}
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(lines, 1):
         fields = line.split()
         if not fields:
             continue
@@ -456,27 +368,11 @@ def _trace_lines(path: str, text: str):
         tag.append(codes.setdefault(fields[2], len(codes)) if len(fields) == 3 else -1)
         line_of.append(lineno)
     addr, size, tag = (np.array(c, np.int64) for c in (addr, size, tag))
-    return addr, size, tag, tuple(codes), line_of.__getitem__
-
-
-def parse_trace(path: str) -> Trace:
-    """Read a trace file into columns, one row per line; tags become
-    codes into the labels in order of first appearance, a missing tag
-    code -1.  The whole text is read at once, and line by line only
-    when that fails, to name the first bad line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read trace: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"cannot read trace {path}: {exc}")
-    addr, size, tag, labels, line_of = _trace_columns(text) or _trace_lines(path, text)
     bad = first_invalid(addr, size)
     if bad is not None:
         row, message = bad
-        raise ValueError(f"{path}:{line_of(row)}: {message}")
-    return Trace(addr, size, tag, labels)
+        raise ValueError(f"{path}:{line_of[row]}: {message}")
+    return Trace(addr, size, tag, tuple(codes))
 
 
 def cmd_sim(args) -> int:

@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from planestore import cli
 from planestore.address import Trace
@@ -986,70 +984,6 @@ def test_trace_errors_name_the_bad_line(tmp_path, bad, message):
         with pytest.raises(ValueError) as got:
             parse_trace(str(path))
         assert str(got.value) == f"{path}:6: {message}"
-
-
-def test_plain_trace_files_are_read_whole(default_trace_files):
-    # The files `trace` writes never need the line-by-line reader.
-    for mode in ("bitplane", "traditional"):
-        text = (default_trace_files / f"trace_{mode}_8.txt").read_text()
-        assert cli._trace_columns(text) is not None
-
-
-def trace_texts(number, tag, blank):
-    """Texts of up to 12 lines, mostly of a number, a number and maybe a
-    tag, now and then of 0-4 fields, each line's fields split by one
-    blank and maybe led by one."""
-    line = st.one_of(
-        *[st.tuples(number, number)] * 3,
-        *[st.tuples(number, number, tag)] * 4,
-        st.lists(st.one_of(number, tag), max_size=4),
-    )
-    return st.lists(st.tuples(line, blank, st.one_of(st.just(""), blank)), max_size=12).map(
-        lambda lines: "".join(lead + sep.join(fields) + "\n" for fields, sep, lead in lines)
-    )
-
-
-# Plain texts: decimal numbers, ASCII tags and blanks.  Odd ones add
-# numbers int() reads or rejects, tags of any character, and blanks
-# str.split() splits at that are not ASCII.
-plain_number = st.one_of(
-    st.integers(0, 1 << 40).map(str), st.integers(0, 1 << 20).map(lambda n: str(64 * n))
-)
-plain_tag = st.sampled_from(["a", "b", "attention_head", "mlp_neuron"])
-plain_blank = st.sampled_from([" ", "  ", "\t", "\x0b", "\x1c"])
-odd = st.sampled_from([
-    "0064", "+64", "-64", "1_024", "\u0663", "64.0", "6x4", "999999999999999936",
-    "4611686018427387903", "4611686018427387904", "\xe9", "a\x00b", "\x01", "t" * 40,
-])
-trace_text = st.one_of(
-    trace_texts(plain_number, plain_tag, plain_blank),
-    trace_texts(
-        st.one_of(plain_number, odd), st.one_of(plain_tag, odd),
-        st.one_of(plain_blank, st.just("\xa0")),
-    ),
-)
-
-
-@settings(deadline=None, max_examples=300)
-@given(trace_text)
-def test_trace_text_reads_the_same_whole_and_line_by_line(text):
-    # Where the whole-text reader answers, it gives the line reader's
-    # columns and line numbers; where the line reader raises, the
-    # whole-text reader leaves the text to it.
-    whole = cli._trace_columns(text)
-    try:
-        lines = cli._trace_lines("t.txt", text)
-    except ValueError:
-        assert whole is None
-        return
-    if whole is None:
-        return
-    for got, want in zip(whole[:3], lines[:3]):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert whole[3] == lines[3]
-    assert [whole[4](row) for row in range(whole[0].size)] == [
-        lines[4](row) for row in range(lines[0].size)
-    ]
 
 
 def test_sim_rejects_non_finite_results(tmp_path, capsys):

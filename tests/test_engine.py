@@ -329,7 +329,6 @@ def test_run_trace_carries_once_per_cut():
         result = run_trace(cfg.dram, trace, cuts)
     assert len(calls) == len(cuts)
     assert result == run_trace(cfg.dram, trace)
-    replay(cfg.dram, engine._tables(cfg.dram, trace, cuts))
 
 
 @pytest.fixture(scope="module")
@@ -382,6 +381,21 @@ def test_default_sweep_traces_match_reference(sweep_traces):
     assert rows == 149_098
     assert sum(c[2] for c in counts.values()) == 17_482
     assert steps[0] == 0
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"banks_per_channel": 2, "t_ras": 300}], ids=["defaults", "t_ras_binds"]
+)
+def test_production_tables_replay(sweep_traces, overrides):
+    # The tables run_trace totals for every (target, mode) of the sweep,
+    # planned a layer cut at a time as compare plans them, on the
+    # defaults and on two banks a channel with a long tRAS, where most
+    # openings step the bank state machine.
+    cfg, traces = sweep_traces
+    config = dataclasses.replace(cfg.dram, **overrides)
+    directory = enumerate_chunks(cfg.geometry)
+    for trace in traces.values():
+        replay(config, engine._tables(config, trace, layer_cuts(directory, trace)))
 
 
 # --- random configs, traces and streams -------------------------------------
