@@ -20,25 +20,29 @@ issue cycle plus tCL plus the burst transfer time.  One command may issue
 per channel per cycle.
 
 `schedule` states that policy one burst at a time and is the readable
-reference.  `plan` computes the same command stream as a run table, one
-RD row per run of reads to consecutive columns of an open row within
-one trace row, timed in closed form up to a channel's first row opening
-where tRAS binds and stepped once per opening from there.  `simulate`
-adds up a trace's tables one at a time and returns the totals, which
-must be finite, and each request's completion and ACT count;
+reference.  `plan` computes the same stream as a run table (`RunTable`),
+one row per run of reads to consecutive columns of an open row within
+one trace row, each with its first read's cycle, and for each run that
+opens its row the cycle of its ACT and whether a PRE comes first.  It
+times the runs in closed form up to a channel's first row opening
+where tRAS binds, and steps once per opening from there.  The run is
+the engine's one unit: no PRE, ACT or RD row is ever built.  `simulate`
+adds up a trace's run tables one at a time and returns the totals,
+which must be finite, and each request's completion and ACT count;
 `energy_breakdown` (per-tag integer counts) and the chunk latencies
 read the rest off those and the trace.  `simulate` trusts its tables
 to be legal: production hands it only tables `plan` built, and the
-tests replay every table shape `plan` builds against the bank state
-machine (tests/reference.py, `replay`).  `run_trace`, the production
-path, cuts a trace into pieces (`compare` cuts at layers) and plans
-and totals one piece at a time, each from the `DramState` the pieces
-before it leave (`carry`), so no more than one piece's table is held
-at once; any cuts give the one-piece result.  Both `schedule` and
-`plan` take the request stream as an `address.Trace`.  `plan` relies
-on its rows being valid, which the Trace constructor checks;
-`schedule`, the reference, maps every burst through `map_address` and
-so still raises its per-burst errors on bare columns.
+tests expand every table shape `plan` builds into commands and replay
+them against the bank state machine (tests/reference.py, `expand` and
+`replay`).  `run_trace`, the production path, cuts a trace into pieces
+(`compare` cuts at layers) and plans and totals one piece at a time,
+each from the `DramState` `plan` returned for the piece before, so no
+more than one piece's table is held at once; any cuts give the
+one-piece result.  Both `schedule` and `plan` take the request stream
+as an `address.Trace`.  `plan` relies on its rows being valid, which
+the Trace constructor checks; `schedule`, the reference, maps every
+burst through `map_address` and so still raises its per-burst errors on
+bare columns.
 docs/dram-model.md shows why the run-level recurrences are exact.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
@@ -252,62 +256,55 @@ def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
             yield DramCommand(CommandKind.RD, ch, bank, row, column, rd_at, index)
 
 
-# Plain ints: numpy compares a column with an int several times faster
+# A plain int: numpy compares a column with an int several times faster
 # than with an IntEnum member.
-_ACT, _RD, _PRE = (int(kind) for kind in (CommandKind.ACT, CommandKind.RD, CommandKind.PRE))
+_ACT = int(CommandKind.ACT)
 
 
 @dataclass(frozen=True, eq=False)
-class CommandTable:
-    """A timed command stream as columns, one row per command or run.
+class RunTable:
+    """A planned piece of a trace, one row per run: count reads to
+    consecutive columns of one open (bank, row) for one trace row, the
+    k-th at issue_cycle + k * t_ccd_l, column + k.
 
-    kind holds the row's CommandKind value; the other per-row columns
-    mirror DramCommand's fields for the row's first command, so
-    request_index is the trace row of that command; in a table `plan`
-    builds, every read of an RD row is for that trace row.  `plan`
-    builds the columns in the types of `_COLUMN_TYPES` (kind int8), 29
-    bytes a row; wider integer columns are taken too.  An RD row stands
-    for count reads to consecutive columns of its (bank, row), the k-th
-    at issue_cycle + k * t_ccd_l, column + k; every other row has count 1.
-    A channel's rows are in its stream order; rows of different
-    channels may interleave in any order.
+    Per run: channel, bank, row and column of its first read, the cycle
+    of that read (issue_cycle), count, the trace row it reads for
+    (request), and whether it opens its row first (opening).  Per
+    opening, in run order: the cycle of its ACT (act_cycle), and whether
+    a PRE closes the bank's open row tRP before it (precharges).  Runs
+    are grouped by channel, each channel's in stream order.  The run
+    columns are int16 for ids, int64 for issue_cycle, int32 else, and
+    opening is bool: 29 bytes a run, and 9 more an opening.
     """
 
-    kind: np.ndarray
     channel: np.ndarray
     bank: np.ndarray
     row: np.ndarray
     column: np.ndarray
     issue_cycle: np.ndarray
-    request_index: np.ndarray
     count: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.kind.size and not 0 <= self.kind.min() <= self.kind.max() < len(CommandKind):
-            raise ValueError(f"command kind codes must lie in [0, {len(CommandKind)})")
-        reads = self.count[self.kind == _RD]
-        if (reads < 1).any() or (self.count[self.kind != _RD] != 1).any():
-            raise ValueError("an RD row needs a count of at least 1, any other row 1")
-        if (self.request_index < 0).any():
-            raise ValueError("a row's request_index must not be negative")
+    request: np.ndarray
+    opening: np.ndarray
+    act_cycle: np.ndarray
+    precharges: np.ndarray
 
     def __len__(self) -> int:
-        return self.kind.size
+        return self.count.size
 
 
-# The column types `plan` builds: with kind's int8, 29 bytes a row.
-_COLUMN_TYPES = {
+# The column types `plan` builds.
+_RUN_TYPES = {
     "channel": np.int16,
     "bank": np.int16,
     "row": np.int32,
     "column": np.int32,
     "issue_cycle": np.int64,
-    "request_index": np.int32,
     "count": np.int32,
+    "request": np.int32,
+    "opening": np.bool_,
+    "act_cycle": np.int64,
+    "precharges": np.bool_,
 }
-
-
-_TABLE_COLUMNS = ("kind", *_COLUMN_TYPES)
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -389,8 +386,8 @@ def _lookup(keys: np.ndarray, query: np.ndarray, column: np.ndarray, missing: in
 
 def plan(
     config: DramConfig, trace: Trace, rows: tuple | None = None, state: DramState | None = None
-) -> CommandTable:
-    """schedule()'s command stream as a run table: one RD row per run.
+) -> tuple[RunTable, DramState]:
+    """schedule()'s command stream as a run table, and the state it leaves.
 
     Trace row i is one extent: size[i] / BLOCK bursts from global burst
     addr[i] / BLOCK on.  Channels interleave on the burst itself, one
@@ -399,22 +396,22 @@ def plan(
     channel.  Each extent is cut at stripe boundaries, and each piece
     spread over the channels it touches: there it is one run, reads to
     consecutive columns of one (bank, row), issued t_ccd_l apart.  A run
-    becomes one RD row, preceded by the PRE and ACT rows that open its
-    row if it is not a hit, and each of those rows names the run's trace
-    row in request_index.  Each run's first read is the channel's last
-    read plus a lead fixed by the run alone, a cumulative sum, until a
-    PRE must wait for tRAS; from that opening on the bank state machine
-    steps once per opening (`_open_rows`).  Rows are grouped by channel,
-    each channel's in stream order.  No array is as long as the burst
-    count, and each temporary is freed after its last use.  A trace of
-    INDEX_LIMIT rows or more, or one that reaches DRAM row INDEX_LIMIT,
-    does not fit the table and raises.
+    that is not a row hit opens its row: an ACT, preceded by a PRE if
+    its bank had another row open, each for the run's trace row.  Each
+    run's first read is the channel's last read plus a lead fixed by the
+    run alone, a cumulative sum, until a PRE must wait for tRAS; from
+    that opening on the bank state machine steps once per opening
+    (`_open_rows`).  No array is as long as the burst count.  A trace
+    of INDEX_LIMIT rows or more, or one that reaches DRAM row
+    INDEX_LIMIT, does not fit the table and raises.
 
-    rows = (lo, hi) plans only trace rows lo to hi - 1, request_index
-    still numbering the whole trace's rows, from state, the `DramState`
-    the rows before them leave (`carry`; None for the initial state).
-    Planned so piece after piece, the tables taken channel by channel
-    are the one-piece table's rows (docs/dram-model.md, "Layer cuts").
+    rows = (lo, hi) plans only trace rows lo to hi - 1, request still
+    numbering the whole trace's rows, from state, the `DramState` the
+    rows before them leave (None for the initial state).  The state
+    returned is the one the rows up to hi leave, so pieces planned one
+    after another, each from the state the one before returned, taken
+    channel by channel are the one-piece table's runs
+    (docs/dram-model.md, "Layer cuts").
     """
     if trace.addr.size >= INDEX_LIMIT:
         raise ValueError(
@@ -422,15 +419,17 @@ def plan(
             f" which numbers trace rows below {INDEX_LIMIT}"
         )
     lo, hi = (0, trace.addr.size) if rows is None else rows
+    # What the rows before the piece leave: each channel's last read,
+    # which is its last command, and its bank, and each bank's open row
+    # and the cycle of its ACT.
+    state = DramState.initial(config) if state is None else state
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block.
     first = trace.addr[lo:hi] // BLOCK
     end = trace.size[lo:hi] // BLOCK
     end += first
     if not end.size:
-        return CommandTable(
-            np.zeros(0, np.int8), **{name: np.zeros(0, t) for name, t in _COLUMN_TYPES.items()}
-        )
+        return RunTable(**{name: np.zeros(0, t) for name, t in _RUN_TYPES.items()}), state
     channels, banks, cpr = config.channels, config.banks_per_channel, config.columns_per_row
     stripe = channels * cpr
     last_row = int(end.max() - 1) // stripe // banks
@@ -480,10 +479,6 @@ def plan(
     row = page.astype(np.int32)
     del page
 
-    # What the rows before the piece leave: each channel's last read,
-    # which is its last command, and its bank, and each bank's open row
-    # and the cycle of its ACT.
-    state = DramState.initial(config) if state is None else state
     t_l, t_s = config.t_ccd_l, config.t_ccd_s
     # A run opens its row unless the previous run on its bank had the
     # same row; it precharges first if its bank had a row open at all.
@@ -501,10 +496,9 @@ def plan(
     closed[by_bank] = previous
     del by_bank, previous
     opening = closed != row
-    has_pre = opening & (closed >= 0)
-    pre_row = closed[has_pre]
-    del closed
     opens = np.flatnonzero(opening)
+    pres = closed[opens] >= 0
+    del closed
 
     # The closed form (docs/dram-model.md, "Openings"): a run's first read
     # is the channel's last read E_prev plus its lead, the tCCD after the
@@ -518,7 +512,6 @@ def plan(
     lead[starts] = np.where(
         base < 0, 1, np.where(bank[starts] == state.last_bank[ch[starts]], t_l, t_s)
     )
-    pres = has_pre[opens]
     act = np.where(pres, 1 + config.t_rp, 1)
     leads = np.maximum(lead[opens], act + config.t_rcd)
     lead[opens] = leads
@@ -551,6 +544,9 @@ def plan(
     binds = np.zeros(opens.size, bool)
     binds[by_bank] = act[by_bank] - config.t_rp < before + config.t_ras
     binds = np.flatnonzero(binds & pres)
+    # Each bank's last opening in the piece, whose ACT the state keeps.
+    newest = _ends(key)
+    newest_key, newest = key[newest], by_bank[newest]
     del by_bank, key, heads, before
     if binds.size:
         moves = firsts - leads  # each opening's E_prev, less the previous one's first read
@@ -578,40 +574,28 @@ def plan(
         del moves, first_rd, hits, at, late
     del firsts, leads, chan_of, open_bank, starts
 
-    # Table order: runs as listed (channel after channel, each in stream
-    # order), each preceded by its PRE and ACT rows.  Each per-run column
-    # is freed once its table column is built.
-    rows_of = np.add(opening, has_pre, dtype=np.intp)
-    rows_of += 1
-    rd_pos = np.cumsum(rows_of)
-    rd_pos -= 1
-    act_pos, pre_pos = rd_pos[opening] - 1, rd_pos[has_pre] - 2
-    kind = np.full(int(rd_pos[-1]) + 1, _RD, np.int8)
-    kind[act_pos], kind[pre_pos] = _ACT, _PRE
-    run_of = np.repeat(np.arange(n_runs), rows_of)  # each table row's run
-    del rd_pos, rows_of
-    runs = {
-        "channel": ch, "bank": bank, "row": row, "column": column,
-        "issue_cycle": rd_cycle, "request_index": request, "count": length,
-    }
-    # (ACT rows, PRE rows) of the columns where those differ from the run.
-    patches = {
-        "row": (None, pre_row),
-        "column": (None, 0),
-        "issue_cycle": (act, act[pres] - config.t_rp),
-        "count": (1, 1),
-    }
-    del ch, bank, row, column, rd_cycle, request, length, pre_row, act, pres
-    columns = {"kind": kind}
-    for name in _COLUMN_TYPES:
-        out = runs.pop(name)[run_of]
-        act, pre = patches.get(name, (None, None))
-        if act is not None:
-            out[act_pos] = act
-        if pre is not None:
-            out[pre_pos] = pre
-        columns[name] = out
-    return CommandTable(**columns)
+    # The state the piece leaves: each channel's last run holds its last
+    # read, which is its last command, and each bank's newest ACT or PRE
+    # is its last opening's ACT; the banks the piece does not open keep
+    # theirs.
+    last = _ends(ch)
+    last_read, last_bank = state.last_read.copy(), state.last_bank.copy()
+    last_read[ch[last]] = np.multiply(length[last] - 1, t_l, dtype=np.int64) + rd_cycle[last]
+    last_bank[ch[last]] = bank[last]
+    key = np.concatenate((state.key, newest_key))
+    order = np.argsort(key, kind="stable")
+    order = order[_ends(key[order])]  # per key, the piece's entry if it has one
+    newest_columns = (np.full(newest.size, _ACT), row[opens[newest]], act[newest])
+    after = DramState(
+        last_read, last_read, last_bank, key[order],
+        *(np.concatenate(pair)[order]
+          for pair in zip((state.kind, state.row, state.cycle), newest_columns)),
+    )
+    table = RunTable(
+        channel=ch, bank=bank, row=row, column=column, issue_cycle=rd_cycle, count=length,
+        request=request, opening=opening, act_cycle=act, precharges=pres,
+    )
+    return table, after
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,6 +608,7 @@ class DramState:
     its last read (last_read, last_bank).  Per bank that has seen an ACT
     or PRE, ascending in key = channel * banks_per_channel + bank: the
     newest one's kind, its row (the row open after an ACT) and its cycle.
+    `plan` returns the state its piece leaves.
     """
 
     last_cycle: np.ndarray
@@ -646,66 +631,15 @@ class DramState:
         return np.where(self.kind == _ACT, self.row, -1)
 
 
-def carry(config: DramConfig, state: DramState, table: CommandTable) -> DramState:
-    """The state that state leaves once table, the commands after it,
-    has issued.
-
-    table's rows must lie within the config, as a legal table's do, in
-    any channel order; a table `plan` builds, grouped by channel, is
-    read without sorting but for its ACT and PRE rows."""
-    channel, kind, bank = table.channel, table.kind, table.bank
-    order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
-    if order is not None:
-        channel, kind, bank = channel[order], kind[order], bank[order]
-
-    def at(rows):  # table positions of grouped rows
-        return rows if order is None else order[rows]
-
-    def end_cycle(rows):  # the cycle of each row's last command
-        rows = at(rows)
-        return np.multiply(table.count[rows] - 1, config.t_ccd_l, dtype=np.int64) + (
-            table.issue_cycle[rows]
-        )
-
-    last_cycle, last_read, last_bank = (
-        c.copy() for c in (state.last_cycle, state.last_read, state.last_bank)
-    )
-    last = _ends(channel)
-    last_cycle[channel[last]] = end_cycle(last)
-    rd = np.flatnonzero(kind == _RD)
-    rd = rd[_ends(channel[rd])]
-    last_read[channel[rd]] = end_cycle(rd)
-    last_bank[channel[rd]] = bank[rd]
-    # Each bank's newest ACT or PRE, after the state's, then the newest
-    # per key of both.
-    other = np.flatnonzero(kind != _RD)
-    key = channel[other].astype(np.int32) * config.banks_per_channel + bank[other]
-    by_key = _stable_order(key)
-    newest = other[by_key[_ends(key[by_key])]]
-    key = np.concatenate((state.key, key[by_key][_ends(key[by_key])]))
-    by_key = np.argsort(key, kind="stable")
-    by_key = by_key[_ends(key[by_key])]
-    newest = at(newest)
-    columns = (
-        np.concatenate((state.kind, table.kind[newest])),
-        np.concatenate((state.row, table.row[newest])),
-        np.concatenate((state.cycle, table.issue_cycle[newest])),
-    )
-    return DramState(
-        last_cycle, last_read, last_bank, key[by_key], *(c[by_key] for c in columns)
-    )
-
-
 _TOO_LARGE = "clock_ns or an energy constant is too large"
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """Totals of one simulated trace, and per request (a command's
-    request_index, a trace row in a planned table) its completion, the
-    cycle its last data beat arrives, and its ACT count, both int64 and
-    0 for an index no read or ACT names, up to the largest index a
-    command names.  Equality compares the totals only."""
+    """Totals of one simulated trace, and per request (a run's trace row)
+    its completion, the cycle its last data beat arrives, and its ACT
+    count, both int64 and 0 for a row no run names, up to the largest
+    row a run names.  Equality compares the totals only."""
 
     total_cycles: int
     total_ns: float
@@ -725,51 +659,38 @@ class SimResult:
             )
 
 
-def _read_completions(config: DramConfig, table: CommandTable):
-    """(table position, completion cycle) of every RD row: its last read
-    issues (count - 1) * t_ccd_l after its first, and its data has
-    arrived CAS latency plus one burst after that."""
-    rd = np.flatnonzero(table.kind == _RD)
-    done = np.multiply(table.count[rd] - 1, config.t_ccd_l, dtype=np.int64)
-    done += table.issue_cycle[rd]
-    done += config.t_cl + config.burst_cycles
-    return rd, done
+def simulate(config: DramConfig, tables: Iterable[RunTable]) -> SimResult:
+    """Total a trace's run tables.
 
-
-def simulate(config: DramConfig, tables: Iterable[CommandTable]) -> SimResult:
-    """Total a trace's command tables.
-
-    The tables are one stream cut at row boundaries, in stream order:
+    The tables are one stream cut at run boundaries, in stream order:
     each is totalled and then dropped, so no more than one is held at a
     time when tables yields them one by one, as `run_trace` does.  Any
-    cuts give the same result.  An RD row stands for its count reads.
-    The tables must be legal, as `plan`'s are: `sim` and `compare` pass
-    it only tables they planned themselves.  The trace ends at the last
-    data beat (or the last command, for a stream with no reads).
-    Background energy covers every channel for the whole span, busy or
-    not: standby power does not care who is reading.
+    cuts give the same result.  A run's last read issues (count - 1) *
+    t_ccd_l after its first, and its data has arrived CAS latency plus
+    one burst after that; an opening is one ACT.  The tables must be
+    `plan`'s, whose timing is legal by construction.  The trace ends at
+    the last data beat.  Background energy covers every channel for the
+    whole span, busy or not: standby power does not care who is reading.
     """
-    count_rd = count_act = 0
-    end_cycle, last_cycle = 0, -1
+    count_rd = count_act = end_cycle = 0
     per_request = []  # (first index, completions, ACT counts) per table
     for table in tables:
         if len(table):
-            rd, done = _read_completions(config, table)
-            count_rd += int(table.count[rd].sum())
-            request = table.request_index
-            acts = request[table.kind == _ACT]
-            count_act += acts.size
-            last_cycle = max(last_cycle, int(table.issue_cycle.max()))
+            done = np.multiply(table.count - 1, config.t_ccd_l, dtype=np.int64)
+            done += table.issue_cycle
+            done += config.t_cl + config.burst_cycles
+            count_rd += int(table.count.sum())
+            end_cycle = max(end_cycle, int(done.max()))
+            request = table.request
             first = int(request.min())
             completion = np.zeros(int(request.max()) + 1 - first, np.int64)
-            if rd.size:
-                end_cycle = max(end_cycle, int(done.max()))
-                np.maximum.at(completion, request[rd] - first, done)
+            np.maximum.at(completion, request - first, done)
+            acts = request[table.opening]
+            count_act += acts.size
             acts = np.bincount(acts - first, minlength=completion.size)
             per_request.append((first, completion, acts))
-            del rd, done, request
+            del done, request
         del table
-    total_cycles = end_cycle if count_rd else last_cycle + 1
     n = max((first + c.size for first, c, _ in per_request), default=0)
     completion, acts = np.zeros(n, np.int64), np.zeros(n, np.int64)
     for first, done, counts in per_request:
@@ -777,7 +698,7 @@ def simulate(config: DramConfig, tables: Iterable[CommandTable]) -> SimResult:
         np.maximum(part, done, out=part)
         acts[first:first + counts.size] += counts
     del per_request
-    total_ns = total_cycles * config.clock_ns
+    total_ns = end_cycle * config.clock_ns
     e_act = config.e_act_pj * count_act
     e_rd = config.e_rd_pj * count_rd
     e_bg = config.p_bg_mw * config.channels * total_ns  # mW * ns = pJ
@@ -791,7 +712,7 @@ def simulate(config: DramConfig, tables: Iterable[CommandTable]) -> SimResult:
         if not math.isfinite(value):
             raise ValueError(f"the simulated {name} is {value}: {_TOO_LARGE}")
     return SimResult(
-        total_cycles=total_cycles,
+        total_cycles=end_cycle,
         total_ns=total_ns,
         energy_pj=energy,
         bytes_transferred=BLOCK * count_rd,
@@ -802,15 +723,12 @@ def simulate(config: DramConfig, tables: Iterable[CommandTable]) -> SimResult:
     )
 
 
-def _tables(config: DramConfig, trace: Trace, cuts) -> Iterator[CommandTable]:
+def _tables(config: DramConfig, trace: Trace, cuts) -> Iterator[RunTable]:
     """The trace's run tables, one per piece between cuts, each planned
-    from the state the tables before it leave."""
-    bounds = [*(int(cut) for cut in cuts), trace.addr.size]
-    lo, state = 0, DramState.initial(config)
-    for hi in bounds:
-        table = plan(config, trace, (lo, hi), state)
-        if hi < bounds[-1]:
-            state = carry(config, state, table)
+    from the state the piece before it leaves."""
+    lo, state = 0, None
+    for hi in [*(int(cut) for cut in cuts), trace.addr.size]:
+        table, state = plan(config, trace, (lo, hi), state)
         yield table
         del table  # before the next piece is planned
         lo = hi

@@ -390,6 +390,10 @@ def solve_thresholds(
     lo, hi = 0.0, THETA_MAX
     for _ in range(80):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            # No float lies between lo and hi: every step from here on
+            # measures a knob already measured, and cannot change best.
+            break
         values = thresholds_at(mid)
         got = measured(values)
         if abs(got - target_avg_bits) < best_err:

@@ -22,23 +22,31 @@ transpose must write and read the same bytes, which
 `assert_same_planes` checks.  `pack_array` packs a whole in-memory word
 array through the package's streaming `pack`.
 
-`from_commands` turns any `DramCommand` stream into a `CommandTable`
-of count-1 rows, so that `replay` and `simulate` can take hand-written
+`expand` turns a run table `plan` built into the command table it
+encodes: each run an RD row of its reads, behind the PRE and ACT rows
+that open its row.  The production engine holds runs only; the
+`CommandTable`, its validation, the row interleave and `carry`, which
+takes a `DramState` across a command table, live here, so that every
+table shape `plan` builds is expanded and replayed in the tests.
+`expanded` expands a trace's run tables one after another, as
+`run_trace` plans them, and `planned` plans and expands a trace in one
+piece.  `from_commands` turns any `DramCommand` stream into a
+`CommandTable` of count-1 rows, so that `replay` can take hand-written
 and `schedule` streams.  `cut` splits a table into pieces at row
-boundaries, as `run_trace` hands `simulate` one layer at a time.
+boundaries, as `run_trace` plans one layer at a time.
 
 reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.
-`replay` is the same check vectorized over a run table's rows, one
+`replay` is the same check vectorized over a command table's rows, one
 table at a time from the `DramState` the tables before it leave.  It
 once ran inside the package's `simulate` on every table; `simulate`
 now trusts `plan`, and the tests replay every table shape `plan`
 builds instead.  `replay` must accept and reject exactly the streams
 reference_simulate does, with the same message, and `simulate` must
-total the accepted ones identically.  Beside the totals
-reference_simulate returns each request's completion, reads and ACTs
-(`PerRequest`); the package's `SimResult` carries the completions and
-ACTs, and the reads are the trace's sizes.
+total the run tables of the accepted ones identically.  Beside the
+totals reference_simulate returns each request's completion, reads
+and ACTs (`PerRequest`); the package's `SimResult` carries the
+completions and ACTs, and the reads are the trace's sizes.
 
 reference_energy_breakdown is `energy_breakdown` in exact arithmetic:
 it sums the replay's per-request ACTs and reads per tag and splits the
@@ -102,19 +110,17 @@ from planestore.bitplane import (
 from planestore.config import load_config
 from planestore.dram import (
     CommandKind,
-    CommandTable,
     DramCommand,
     DramConfig,
     DramState,
+    RunTable,
     SimResult,
-    _ACT,
-    _PRE,
-    _RD,
+    _ends,
     _heads,
     _lookup,
     _stable_order,
-    carry,
     energy_breakdown,
+    plan,
 )
 from planestore.quant import (
     FP16_BIAS,
@@ -656,6 +662,181 @@ def ref_encode_fp16(value: float) -> int:
     sign = 1 if math.copysign(1.0, value) < 0 else 0
     code = _nearest_even_code(_magnitude_table(5, 10, 15), abs(Fraction(value)))
     return (sign << 15) | code
+
+
+# Plain ints: numpy compares a column with an int several times faster
+# than with an IntEnum member.
+_ACT, _RD, _PRE = (int(kind) for kind in (CommandKind.ACT, CommandKind.RD, CommandKind.PRE))
+
+
+@dataclass(frozen=True, eq=False)
+class CommandTable:
+    """A timed command stream as columns, one row per command or run.
+
+    kind holds the row's CommandKind value; the other per-row columns
+    mirror DramCommand's fields for the row's first command, so
+    request_index is the trace row of that command.  An RD row stands
+    for count reads to consecutive columns of its (bank, row), the k-th
+    at issue_cycle + k * t_ccd_l, column + k; every other row has count
+    1.  A channel's rows are in its stream order; rows of different
+    channels may interleave in any order.  `expand` builds the columns
+    in the types of `_COLUMN_TYPES` (kind int8), 29 bytes a row; wider
+    integer columns are taken too.
+    """
+
+    kind: np.ndarray
+    channel: np.ndarray
+    bank: np.ndarray
+    row: np.ndarray
+    column: np.ndarray
+    issue_cycle: np.ndarray
+    request_index: np.ndarray
+    count: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.kind.size and not 0 <= self.kind.min() <= self.kind.max() < len(CommandKind):
+            raise ValueError(f"command kind codes must lie in [0, {len(CommandKind)})")
+        reads = self.count[self.kind == _RD]
+        if (reads < 1).any() or (self.count[self.kind != _RD] != 1).any():
+            raise ValueError("an RD row needs a count of at least 1, any other row 1")
+        if (self.request_index < 0).any():
+            raise ValueError("a row's request_index must not be negative")
+
+    def __len__(self) -> int:
+        return self.kind.size
+
+
+# The column types `expand` builds: with kind's int8, 29 bytes a row.
+_COLUMN_TYPES = {
+    "channel": np.int16,
+    "bank": np.int16,
+    "row": np.int32,
+    "column": np.int32,
+    "issue_cycle": np.int64,
+    "request_index": np.int32,
+    "count": np.int32,
+}
+
+
+def expand(config: DramConfig, runs: RunTable, state: DramState) -> CommandTable:
+    """runs, a run table planned from state, as the command table it
+    encodes: each run an RD row of its count reads, preceded by the PRE
+    and ACT rows that open its row if it is an opening, each naming the
+    run's trace row.  A PRE closes the row its bank has open: the
+    previous run's on its bank, or else state's."""
+    n = len(runs)
+    opening = runs.opening
+    has_pre = np.zeros(n, bool)
+    has_pre[np.flatnonzero(opening)[runs.precharges]] = True
+    key = runs.channel.astype(np.int64) * config.banks_per_channel + runs.bank
+    by_bank = _stable_order(key)
+    key = key[by_bank]
+    previous = np.empty(n, np.int64)
+    previous[1:] = runs.row[by_bank[:-1]]
+    heads = _heads(key)
+    previous[heads] = _lookup(state.key, key[heads], state.open_rows(), -1)
+    closed = np.empty(n, np.int64)
+    closed[by_bank] = previous
+
+    # Table order: runs as listed, each preceded by its PRE and ACT rows.
+    rows_of = np.add(opening, has_pre, dtype=np.intp)
+    rows_of += 1
+    rd_pos = np.cumsum(rows_of)
+    rd_pos -= 1
+    act_pos, pre_pos = rd_pos[opening] - 1, rd_pos[has_pre] - 2
+    kind = np.full(int(rows_of.sum()), _RD, np.int8)
+    kind[act_pos], kind[pre_pos] = _ACT, _PRE
+    run_of = np.repeat(np.arange(n), rows_of)  # each table row's run
+    act = runs.act_cycle
+    # (ACT rows, PRE rows) of the columns where those differ from the run.
+    patches = {
+        "row": (None, closed[has_pre]),
+        "column": (None, 0),
+        "issue_cycle": (act, act[runs.precharges] - config.t_rp),
+        "count": (1, 1),
+    }
+    columns = {"kind": kind}
+    for name, dtype in _COLUMN_TYPES.items():
+        source = runs.request if name == "request_index" else getattr(runs, name)
+        out = source[run_of].astype(dtype)
+        act_value, pre_value = patches.get(name, (None, None))
+        if act_value is not None:
+            out[act_pos] = act_value
+        if pre_value is not None:
+            out[pre_pos] = pre_value
+        columns[name] = out
+    return CommandTable(**columns)
+
+
+def carry(config: DramConfig, state: DramState, table: CommandTable) -> DramState:
+    """The state that state leaves once table, the commands after it,
+    has issued.
+
+    table's rows must lie within the config, as a legal table's do, in
+    any channel order; a table grouped by channel, as `expand` builds
+    them, is read without sorting but for its ACT and PRE rows."""
+    channel, kind, bank = table.channel, table.kind, table.bank
+    order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
+    if order is not None:
+        channel, kind, bank = channel[order], kind[order], bank[order]
+
+    def at(rows):  # table positions of grouped rows
+        return rows if order is None else order[rows]
+
+    def end_cycle(rows):  # the cycle of each row's last command
+        rows = at(rows)
+        return np.multiply(table.count[rows] - 1, config.t_ccd_l, dtype=np.int64) + (
+            table.issue_cycle[rows]
+        )
+
+    last_cycle, last_read, last_bank = (
+        c.copy() for c in (state.last_cycle, state.last_read, state.last_bank)
+    )
+    last = _ends(channel)
+    last_cycle[channel[last]] = end_cycle(last)
+    rd = np.flatnonzero(kind == _RD)
+    rd = rd[_ends(channel[rd])]
+    last_read[channel[rd]] = end_cycle(rd)
+    last_bank[channel[rd]] = bank[rd]
+    # Each bank's newest ACT or PRE, after the state's, then the newest
+    # per key of both.
+    other = np.flatnonzero(kind != _RD)
+    key = channel[other].astype(np.int32) * config.banks_per_channel + bank[other]
+    by_key = _stable_order(key)
+    newest = other[by_key[_ends(key[by_key])]]
+    key = np.concatenate((state.key, key[by_key][_ends(key[by_key])]))
+    by_key = np.argsort(key, kind="stable")
+    by_key = by_key[_ends(key[by_key])]
+    newest = at(newest)
+    columns = (
+        np.concatenate((state.kind, table.kind[newest])),
+        np.concatenate((state.row, table.row[newest])),
+        np.concatenate((state.cycle, table.issue_cycle[newest])),
+    )
+    return DramState(
+        last_cycle, last_read, last_bank, key[by_key], *(c[by_key] for c in columns)
+    )
+
+
+def expanded(config: DramConfig, tables: Iterable[RunTable]):
+    """A trace's run tables, as `run_trace` plans them, each as its
+    command table, expanded from the state the tables before it leave."""
+    state = DramState.initial(config)
+    for runs in tables:
+        table = expand(config, runs, state)
+        state = carry(config, state, table)
+        yield table
+
+
+def planned(config: DramConfig, trace) -> CommandTable:
+    """The command table of trace planned in one piece."""
+    return expand(config, plan(config, trace)[0], DramState.initial(config))
+
+
+def assert_same_state(got: DramState, want: DramState) -> None:
+    for name, column in vars(want).items():
+        value = getattr(got, name)
+        assert value.dtype == column.dtype and np.array_equal(value, column), name
 
 
 def from_commands(commands: Iterable[DramCommand]) -> CommandTable:

@@ -34,7 +34,7 @@ from planestore.cli import (
     render_trace,
 )
 from planestore.config import DEFAULTS, load_config
-from planestore.dram import plan, run_trace, schedule
+from planestore.dram import DramState, plan, run_trace, schedule
 from planestore.experiment import (
     chunk_latency_deltas,
     compare_assignment,
@@ -50,6 +50,7 @@ from reference import (
     assignment_of,
     chunks,
     dram,
+    expand,
     format_for,
     reference_gen_scores,
     reference_pack,
@@ -868,9 +869,11 @@ def test_the_traditional_file_is_one_line_per_extent(default_trace_files):
     trace = parse_trace(str(path))
     assert path.read_text().count("\n") == trace.addr.size == 801
     assert len(trace) == 198_396
-    table = plan(load_config().dram, trace)
-    # A table row per run and per PRE or ACT, not per read.
-    assert len(table) == 8_469
+    runs, _ = plan(load_config().dram, trace)
+    # A run table row per run, and a command table row per run and per
+    # PRE or ACT, not per read.
+    assert len(runs) == 4_685
+    assert len(expand(load_config().dram, runs, DramState.initial(load_config().dram))) == 8_469
     assert run_trace(load_config().dram, trace).num_reads == 198_396
 
 
@@ -1020,6 +1023,39 @@ def default_report(tmp_path_factory):
 
 def test_default_report_bytes_are_pinned(default_report):
     assert hashlib.sha256(default_report).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def test_compare_crosses_each_traced_boundary_once_per_mode(default_report, tmp_path):
+    # benchmarks/tracer.py wraps these names and books one series entry
+    # per call: a default compare calls each once per (target, mode),
+    # inside that mode's run_mode, and dram.schedule is still there to
+    # wrap.  A second simulate call per trace would put the traced
+    # dram.bursts series out of step with the report.
+    from planestore import dram, experiment
+
+    assert callable(dram.schedule)
+    log = []
+
+    def logged(module, name):
+        inner = getattr(module, name)
+
+        def call(*args, **kwargs):
+            log.append(args[2] if name == "run_mode" else name)
+            return inner(*args, **kwargs)
+
+        return call
+
+    boundaries = ["gen_trace", "simulate", "energy_breakdown", "chunk_latency_deltas"]
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in [(experiment, "run_mode"), (dram, "simulate")] + [
+            (experiment, name) for name in boundaries if name != "simulate"
+        ]:
+            patch.setattr(module, name, logged(module, name))
+        patch.chdir(tmp_path)
+        assert main(["compare", "--out", "out"]) == 0
+        assert Path("out", "comparison.json").read_bytes() == default_report
+    per_mode = [["bitplane", *boundaries], ["traditional", *boundaries]]
+    assert log == sum(per_mode, []) * len(DEFAULTS["targets"])
 
 
 def test_default_report_requests_are_64_byte_reads(default_report):

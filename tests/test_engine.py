@@ -1,18 +1,21 @@
 """The run-level DRAM engine against the per-burst reference.
 
-`plan`'s run table, expanded to commands, must be exactly the stream
-`schedule` yields on every channel, every command naming the trace row
-`schedule`'s does, and must not depend on the chunk column.
-reference.py's vectorized `replay` must accept and reject, and
-`simulate` must total, run tables and command streams exactly as the
-command-by-command replay there does, whole or cut into pieces
-anywhere, and the per-request completions and ACTs `simulate` returns
-and the reads the trace gives must be the replay's, and a tagged
-trace's energy split must come within 1e-15 of the exact split by those
-counts.  A trace cut anywhere must plan, piece by piece from the state
-`carry` takes across each cut, to the one-piece table's rows channel
-by channel.  `simulate` trusts its tables, so every table `plan` builds
-here is replayed, whole and piece by piece.  Checked on hand traces, on
+`plan`'s run table, expanded to commands (reference.py's `expand`),
+must be exactly the stream `schedule` yields on every channel, every
+command naming the trace row `schedule`'s does, and must not depend on
+the chunk column.  reference.py's vectorized `replay` must accept and
+reject command tables and streams exactly as the command-by-command
+replay there does, whole or cut into pieces anywhere; `simulate` must
+total a run table as that replay totals its expansion, and the
+per-request completions and ACTs `simulate` returns and the reads the
+trace gives must be the replay's, and a tagged trace's energy split
+must come within 1e-15 of the exact split by those counts.  A trace
+cut anywhere must plan, piece by piece from the state `plan` returns
+for the piece before, to the one-piece table's rows channel by
+channel, and that state must be the one reference.py's `carry` takes
+across the piece's expansion.  `simulate` trusts its tables, so every
+table `plan` builds here is expanded and replayed, whole and piece by
+piece.  Checked on hand traces, on
 every trace of the default sweep, on random and interleaved traces and
 configs (up to 1,024 channels for the cuts), on runs of contiguous
 equal-size extents, on those extents cut into more rows (one a block,
@@ -40,7 +43,6 @@ from planestore.dram import (
     CommandKind,
     DramCommand,
     DramState,
-    carry,
     energy_breakdown,
     plan,
     run_trace,
@@ -51,7 +53,8 @@ from planestore.experiment import chunk_latency_deltas, layer_cuts, solve_assign
 from planestore.workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
 from reference import (
-    assert_breakdown_exact, cut, dram, from_commands, reference_simulate, replay,
+    assert_breakdown_exact, assert_same_state, carry, cut, dram, expand, expanded,
+    from_commands, planned, reference_simulate, replay,
 )
 
 DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -92,7 +95,8 @@ def by_channel(stream):
 
 
 def assert_engine_matches_reference(config, trace):
-    table = plan(config, trace)
+    runs, _ = plan(config, trace)
+    table = expand(config, runs, DramState.initial(config))
     expected = list(schedule(config, trace))
     commands = commands_of(config, table)
     # The expanded table is schedule's stream, every command naming the
@@ -100,7 +104,7 @@ def assert_engine_matches_reference(config, trace):
     assert by_channel(commands) == by_channel(expected)
 
     replay(config, [table])
-    result = simulate(config, [table])
+    result = simulate(config, [runs])
     totals, per_request = reference_simulate(config, expected)
     assert result == totals
     assert result == reference_simulate(config, commands)[0]
@@ -190,7 +194,7 @@ def test_first_read_after_an_opening_waits_for_t_ccd():
 
 def test_malformed_run_table_rejected():
     # Four channels, each an ACT and an RD row of two reads.
-    table = plan(dram(), trace_of([(0, 512)]))
+    table = planned(dram(), trace_of([(0, 512)]))
     act, rd = 0, 1
     assert run_table(table)[:2] == [("ACT", 0, 0, 0, 1), ("RD", 0, 0, 34, 2)]
     # One request of eight bursts: channel 0 reads its bursts 0 and 4.
@@ -241,7 +245,7 @@ def test_plan_refuses_traces_beyond_the_int32_columns():
     with pytest.raises(TypeError):
         plan(config, LongTrace((1 << 31) - 1))
     # Row r of channel 0 starts at byte r * 2**20 on the default config.
-    table = plan(config, trace_of([((1 << 51) - 64, 64)]))
+    table, _ = plan(config, trace_of([((1 << 51) - 64, 64)]))
     assert table.row.max() == (1 << 31) - 1
     with pytest.raises(ValueError, match="reaches DRAM row 2147483648; the run table holds rows"):
         plan(config, trace_of([(1 << 51, 64)]))
@@ -260,11 +264,10 @@ def traced(fn, *args):
 
 def test_engine_working_set_at_8_bits():
     # The default config at 8.0 bits, the whole trace in one piece.  The
-    # run table is 29 bytes a row, and neither plan nor simulate holds
-    # more than a few row-long temporaries at once: plan peaks near 60
-    # bytes a row (73 at 64 and 1,024 channels before it cut extents at
-    # stripes), simulate near 24 (43 when it replayed every table).  The
-    # traditional trace is one row per loaded chunk.
+    # run table is 29 bytes a run and 9 more an opening, and neither plan
+    # nor simulate holds more than a few run-long temporaries at once:
+    # plan peaks near 50 bytes a run, simulate near 16.  The traditional
+    # trace is one row per loaded chunk.
     cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -273,25 +276,28 @@ def test_engine_working_set_at_8_bits():
     assert (len(trace), trace.addr.size) == (198_396, 801)
     assert kept <= 32 * trace.addr.size
     trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
-    table, _, peak = traced(plan, cfg.dram, trace)
+    (table, _), _, peak = traced(plan, cfg.dram, trace)
     assert {name: str(column.dtype) for name, column in vars(table).items()} == {
-        "kind": "int8", "channel": "int16", "bank": "int16", "row": "int32",
-        "column": "int32", "issue_cycle": "int64", "request_index": "int32", "count": "int32",
+        "channel": "int16", "bank": "int16", "row": "int32", "column": "int32",
+        "issue_cycle": "int64", "count": "int32", "request": "int32", "opening": "bool",
+        "act_cycle": "int64", "precharges": "bool",
     }
-    assert sum(column.nbytes for column in vars(table).values()) <= 30 * len(table)
-    assert peak <= 64 * len(table)
+    openings = int(table.opening.sum())
+    assert (len(table), openings) == (33_791, 2_040)
+    assert sum(column.nbytes for column in vars(table).values()) == 29 * len(table) + 9 * openings
+    assert peak <= 56 * len(table)
     _, _, peak = traced(simulate, cfg.dram, [table])
-    assert peak <= 32 * len(table)
+    assert peak <= 20 * len(table)
     # An extent reads on at most as many channels as it has bursts, so
     # plan's working set follows the table, not the channel count.
     for channels in (64, 1024):
-        wide, _, peak = traced(plan, dataclasses.replace(cfg.dram, channels=channels), trace)
-        assert peak <= 68 * len(wide)
+        (wide, _), _, peak = traced(plan, dataclasses.replace(cfg.dram, channels=channels), trace)
+        assert peak <= 56 * len(wide)
 
 
 def test_working_set_follows_the_largest_layer():
     # The default geometry's layer at 8.0 bits, once and four times over:
-    # planned and replayed a layer at a time, the four-layer bitplane
+    # planned and totalled a layer at a time, the four-layer bitplane
     # trace peaks less than half as high again as the one-layer one.
     cfg = load_config(str(DEFAULT_YAML), seed=1234)
     peaks = []
@@ -308,9 +314,10 @@ def test_working_set_follows_the_largest_layer():
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
-def test_run_trace_carries_once_per_cut():
-    # simulate only totals what plan built, so the one carry per cut is
-    # plan's: the state the next piece starts from.
+def test_run_trace_plans_each_piece_once():
+    # compare's path on the default 8.0-bit bitplane trace: one plan per
+    # layer, each from the state the one before returned.  With no
+    # command rows built, its traced peak stays under 1.0 MB.
     cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -318,17 +325,23 @@ def test_run_trace_carries_once_per_cut():
     trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
     cuts = layer_cuts(directory, trace)
     assert len(cuts) == cfg.geometry.layers - 1 > 0
-    calls = []
+    calls = []  # (rows, the state handed in, the state returned) per plan
 
-    def counting(*args):
-        calls.append(None)
-        return carry(*args)
+    def recording(config, trace, rows, state):
+        table, after = plan(config, trace, rows, state)
+        calls.append((rows, state, after))
+        return table, after
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine, "carry", counting)
+        patch.setattr(engine, "plan", recording)
         result = run_trace(cfg.dram, trace, cuts)
-    assert len(calls) == len(cuts)
+    bounds = [0, *cuts, trace.addr.size]
+    assert [rows for rows, _, _ in calls] == list(zip(bounds, bounds[1:]))
+    assert calls[0][1] is None
+    assert all(now[1] is before[2] for before, now in zip(calls, calls[1:]))
     assert result == run_trace(cfg.dram, trace)
+    _, _, peak = traced(run_trace, cfg.dram, trace, cuts)
+    assert peak <= 1_000_000
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +408,7 @@ def test_production_tables_replay(sweep_traces, overrides):
     config = dataclasses.replace(cfg.dram, **overrides)
     directory = enumerate_chunks(cfg.geometry)
     for trace in traces.values():
-        replay(config, engine._tables(config, trace, layer_cuts(directory, trace)))
+        replay(config, expanded(config, engine._tables(config, trace, layer_cuts(directory, trace))))
 
 
 # --- random configs, traces and streams -------------------------------------
@@ -552,11 +565,12 @@ def test_plan_does_not_read_the_chunk_column(config, trace, rng):
     # trace gives without one: a run never crosses a trace row, and a
     # row loads one chunk, so no RD row reads for two chunks.
     chunk = [rng.randint(0, 3) for _ in range(trace.addr.size)]
-    table = plan(config, Trace(trace.addr, trace.size, chunk=chunk))
-    plain = plan(config, Trace(trace.addr, trace.size))
+    table, state = plan(config, Trace(trace.addr, trace.size, chunk=chunk))
+    plain, plain_state = plan(config, Trace(trace.addr, trace.size))
     for name, column in vars(plain).items():
         got = getattr(table, name)
         assert got.dtype == column.dtype and np.array_equal(got, column), name
+    assert_same_state(state, plain_state)
 
 
 def cut_points(n):
@@ -566,24 +580,31 @@ def cut_points(n):
 
 
 def assert_cuts_are_exact(config, trace, cuts):
-    """Planned piece by piece, each from the state the pieces before it
-    leave, the tables taken channel by channel are the one-piece table's
-    rows, and replayed piece by piece, or through run_trace, they give
-    its result, per request included."""
-    whole = plan(config, trace)
+    """Planned piece by piece, each from the state plan returned for the
+    piece before, which is the state `carry` takes across that piece's
+    expansion, the expanded tables taken channel by channel are the
+    one-piece table's rows, and replayed piece by piece they are legal.
+    Totalled piece by piece, or through run_trace, they give its result,
+    per request included, and the last piece leaves its state."""
+    whole_runs, whole_state = plan(config, trace)
+    whole = expand(config, whole_runs, DramState.initial(config))
     bounds = [0, *cuts, trace.addr.size]
-    tables, state = [], DramState.initial(config)
+    runs, tables, state = [], [], DramState.initial(config)
     for piece in zip(bounds, bounds[1:]):
-        tables.append(plan(config, trace, piece, state))
-        state = carry(config, state, tables[-1])
+        piece_runs, after = plan(config, trace, piece, state)
+        tables.append(expand(config, piece_runs, state))
+        assert_same_state(after, carry(config, state, tables[-1]))
+        runs.append(piece_runs)
+        state = after
+    assert_same_state(state, whole_state)
     replay(config, tables)
     joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in vars(whole)}
     by_channel = np.argsort(joined["channel"], kind="stable")
     for name, column in vars(whole).items():
         got = joined[name][by_channel]
         assert got.dtype == column.dtype and np.array_equal(got, column), name
-    want = simulate(config, [whole])
-    for result in (simulate(config, tables), run_trace(config, trace, cuts)):
+    want = simulate(config, [whole_runs])
+    for result in (simulate(config, runs), run_trace(config, trace, cuts)):
         assert result == want
         assert np.array_equal(result.completion, want.completion)
         assert np.array_equal(result.acts, want.acts)
@@ -640,7 +661,7 @@ def assert_same_figures(config, pieces, trace):
     read off either is the same."""
     assert len(pieces) == len(trace) and trace_bytes(pieces) == trace_bytes(trace)
     assert pieces.bytes_by_tag().tolist() == trace.bytes_by_tag().tolist()
-    replay(config, [plan(config, pieces)])
+    replay(config, [planned(config, pieces)])
     result, whole = run_trace(config, pieces), run_trace(config, trace)
     assert result == whole
     assert energy_breakdown(result, pieces) == energy_breakdown(whole, trace)
@@ -674,14 +695,15 @@ def test_default_traditional_traces_split_exactly(sweep_traces, target):
         assert_same_figures(cfg.dram, split(trace, p, 0), trace)
 
 
-def same_verdict(config, stream, table=None, cuts=None):
+def same_verdict(config, stream, table=None, cuts=None, runs=None):
     """Both replays raise the same message, or accept, and then simulate
-    returns the reference's result, per-request figures included.
+    returns the reference's result for runs, the run table table
+    expands, per-request figures included.
 
-    The reference replays stream; replay and simulate take table, which
-    must encode stream, or when table is None stream's `from_commands`
-    table: whole, and cut before each row in cuts, or when cuts is None,
-    cut once before each row in turn."""
+    The reference replays stream; replay takes table, which must encode
+    stream, or when table is None stream's `from_commands` table: whole,
+    and cut before each row in cuts, or when cuts is None, cut once
+    before each row in turn."""
     table = from_commands(stream) if table is None else table
     cuttings = [[], *([[k] for k in range(len(table) + 1)] if cuts is None else [cuts])]
     try:
@@ -694,10 +716,11 @@ def same_verdict(config, stream, table=None, cuts=None):
     else:
         for at in cuttings:
             replay(config, cut(table, at))
-            got = simulate(config, cut(table, at))
-            assert got == want, at
-            assert got.completion.tolist() == list(per_request.completion), at
-            assert got.acts.tolist() == list(per_request.acts), at
+        if runs is not None:
+            got = simulate(config, [runs])
+            assert got == want
+            assert got.completion.tolist() == list(per_request.completion)
+            assert got.acts.tolist() == list(per_request.acts)
 
 
 def cmd(kind, ch, bank, row, cycle):
@@ -800,16 +823,20 @@ def test_perturbed_schedules_get_the_reference_verdict(config, trace, data):
 @settings(deadline=None, max_examples=300)
 @given(configs, st.one_of(interleaved_traces(), extent_traces()), st.data())
 def test_perturbed_run_tables_get_the_reference_verdict(config, trace, data):
-    # One row of a planned run table moved in time or sent to another
-    # row or bank.  A row that follows a multi-read run is checked against
+    # One run of a planned run table moved in time or sent to another
+    # row or bank, or one opening's ACT (and its PRE) moved in time, then
+    # expanded.  A row that follows a multi-read run is checked against
     # that run's last read, not its first.
-    table = plan(config, trace)
-    i = data.draw(st.integers(0, len(table) - 1))
-    name = data.draw(st.sampled_from(["issue_cycle", "issue_cycle", "row", "bank"]))
-    column = getattr(table, name).copy()
-    if name == "issue_cycle":
+    runs, _ = plan(config, trace)
+    name = data.draw(st.sampled_from(["issue_cycle", "issue_cycle", "row", "bank", "act_cycle"]))
+    column = getattr(runs, name).copy()
+    i = data.draw(st.integers(0, column.size - 1))
+    if name.endswith("cycle"):
         column[i] += data.draw(st.one_of(st.integers(-12, 12), st.integers(-60, 60)))
     else:
         column[i] += data.draw(st.sampled_from([-1, 1]))
-    table = dataclasses.replace(table, **{name: column})
-    same_verdict(config, commands_of(config, table), table, data.draw(cut_points(len(table))))
+    runs = dataclasses.replace(runs, **{name: column})
+    table = expand(config, runs, DramState.initial(config))
+    same_verdict(
+        config, commands_of(config, table), table, data.draw(cut_points(len(table))), runs
+    )
