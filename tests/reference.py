@@ -834,6 +834,7 @@ def planned(config: DramConfig, trace) -> CommandTable:
 
 
 def assert_same_state(got: DramState, want: DramState) -> None:
+    """got and want hold the same columns, dtypes included."""
     for name, column in vars(want).items():
         value = getattr(got, name)
         assert value.dtype == column.dtype and np.array_equal(value, column), name
