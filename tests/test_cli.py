@@ -869,12 +869,13 @@ def test_the_traditional_file_is_one_line_per_extent(default_trace_files):
     trace = parse_trace(str(path))
     assert path.read_text().count("\n") == trace.addr.size == 801
     assert len(trace) == 198_396
-    runs, _ = plan(load_config().dram, trace)
+    config = load_config().dram
+    runs, _ = plan(config, trace)
     # A run table row per run, and a command table row per run and per
     # PRE or ACT, not per read.
     assert len(runs) == 4_685
-    assert len(expand(load_config().dram, runs, DramState.initial(load_config().dram))) == 8_469
-    assert run_trace(load_config().dram, trace).num_reads == 198_396
+    assert len(expand(config, runs, DramState.initial(config))) == 8_469
+    assert run_trace(config, trace).num_reads == 198_396
 
 
 @pytest.mark.parametrize("mode, reads", [("bitplane", 132_288), ("traditional", 198_396)])
@@ -1047,9 +1048,8 @@ def test_compare_crosses_each_traced_boundary_once_per_mode(default_report, tmp_
 
     boundaries = ["gen_trace", "simulate", "energy_breakdown", "chunk_latency_deltas"]
     with pytest.MonkeyPatch.context() as patch:
-        for module, name in [(experiment, "run_mode"), (dram, "simulate")] + [
-            (experiment, name) for name in boundaries if name != "simulate"
-        ]:
+        for name in ["run_mode", *boundaries]:
+            module = dram if name == "simulate" else experiment
             patch.setattr(module, name, logged(module, name))
         patch.chdir(tmp_path)
         assert main(["compare", "--out", "out"]) == 0
