@@ -17,10 +17,10 @@ row.  Apart from the score draws, nothing here loops over chunks.
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,18 +129,22 @@ class ScoreDistribution:
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError("mixture weight must lie in [0, 1]")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        # Draw order is part of the determinism contract: one uniform for
-        # the simple families, uniform-then-beta for the mixture.
+    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+        """A zero-argument callable drawing one score from rng per call.
+
+        Draw order is part of the determinism contract: one uniform for
+        the simple families, uniform-then-beta for the mixture.
+        """
+        random, beta = rng.random, rng.beta
         if self.family == "uniform":
-            return float(rng.random())
+            return random
         if self.family == "beta":
-            return float(rng.beta(self.a, self.b))
+            return functools.partial(beta, self.a, self.b)
+        mix = self.mix
         if self.family == "two_point":
-            return 1.0 if rng.random() < self.mix else 0.0
-        hi = rng.random() < self.mix
-        a, b = (self.a, self.b) if hi else (self.a_lo, self.b_lo)
-        return float(rng.beta(a, b))
+            return lambda: 1.0 if random() < mix else 0.0
+        a, b, a_lo, b_lo = self.a, self.b, self.a_lo, self.b_lo
+        return lambda: beta(a, b) if random() < mix else beta(a_lo, b_lo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,16 +165,19 @@ def gen_scores(directory: ChunkDirectory, model: ImportanceModel) -> np.ndarray:
     """One score per non-predictor chunk, in directory order.
 
     Predictor chunks consume no randomness, so adding or removing them
-    from the geometry does not shift every other chunk's draw.
+    from the geometry does not shift every other chunk's draw.  Each
+    kind's distribution is resolved once, in the order the kinds first
+    appear, and every scored chunk then costs one call of its kind's
+    sampler on the shared stream.
     """
     rng = np.random.default_rng(model.seed)
-    out = []
-    for code in directory.kind.tolist():
-        if code == _PREDICTOR:
-            continue
-        out.append(model.dist_for(KIND_LABELS[code]).draw(rng))
-    scores = np.asarray(out, dtype=np.float64)
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+    codes = directory.kind[directory.kind != _PREDICTOR].tolist()
+    draws = [None] * len(KIND_LABELS)
+    for code in dict.fromkeys(codes):
+        draws[code] = model.dist_for(KIND_LABELS[code]).sampler(rng)
+    scores = np.array([draws[code]() for code in codes], np.float64)
+    # Written so that a NaN fails it too.
+    if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
         raise AssertionError("score distribution left [0, 1]")
     return scores
 
@@ -313,6 +320,26 @@ def _force_decreasing(raw: list) -> list:
     return out
 
 
+def _band_indices(theta: float, profile: BandProfile, prefix: list) -> tuple:
+    """Each band's quantile index at knob position theta.
+
+    prefix[i] is the weight of the i highest-scoring chunks.  Band k's
+    cumulative fraction clip(sum_{j<=k} gains[j] * theta ** exponents[j],
+    0, 1) of that weight is first reached at the chunk of rank index_k,
+    the lowest-scoring one for a fraction of 1, and -1 stands for a band
+    that holds no weight.  No index falls as theta rises.
+    """
+    mass = prefix[-1]
+    last = len(prefix) - 2
+    out = []
+    total = 0.0
+    for gain, exponent in zip(profile.gains, profile.exponents):
+        total += gain * theta**exponent
+        want = min(max(total, 0.0), 1.0) * mass
+        out.append(-1 if want <= 0.0 else min(bisect.bisect_left(prefix, want) - 1, last))
+    return tuple(out)
+
+
 def solve_thresholds(
     directory: ChunkDirectory,
     scores: Sequence[float],
@@ -327,57 +354,66 @@ def solve_thresholds(
     cumulative weight fraction per band via the profile, each fraction
     becomes a weighted score quantile, and the resulting average rises
     monotonically with the knob.  Tolerance is +/-0.05 bits.  An
-    unreachable target raises with the achievable range.  With no
+    unreachable target raises with the achievable range, and a score
+    outside [0, 1] (NaN included) raises naming its chunk.  With no
     scored chunks the cuts decide nothing, and any target gets the same
     staircase.
+
+    The scores are sorted once per call.  A step then costs one bisect
+    per band into integer prefix sums of the chunk lengths for the
+    quantiles, and one per cut for the average: the weight scoring at or
+    above each cut, differenced and weighted by the rung widths.  Every
+    partial sum is an integer below 2**53, so the average is the float
+    a per-chunk dot product gives.  The bisection stops once the band
+    indices at its two ends differ in one band by one index, or not at
+    all: no index falls as the knob rises, so every knob between the
+    ends gives one of the two threshold sets already measured, and the
+    best set changes only on a strictly smaller error.
     """
     ladder = tuple(ladder)
     if len(profile.gains) != len(ladder) - 1:
         raise ValueError("band profile does not match the ladder")
     scores = np.asarray(scores, dtype=np.float64)
-    lens = directory.length[directory.kind != _PREDICTOR].astype(np.float64)
+    scored = directory.kind != _PREDICTOR
+    lens = directory.length[scored]
     if scores.shape != lens.shape:
         raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
-    widths = np.asarray([f.total_bits for f in ladder[:-1]], dtype=np.float64)
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        first = int(np.argmax(outside))
+        chunk = int(np.flatnonzero(scored)[first])
+        raise ValueError(f"score {float(scores[first])} of chunk {chunk} is not in [0, 1]")
 
     if scores.size == 0:
         n = len(ladder) - 1
         return ThresholdSet(tuple((n - k) / (n + 1) for k in range(n)), ladder)
 
-    # The bisection's steps work on a handful of values, so they use
-    # plain floats: the same operations np.cumsum, np.clip and
-    # np.searchsorted would do, without their per-call cost.
-    order = np.argsort(-scores, kind="stable")
-    s_desc = scores[order].tolist()
-    cum = np.cumsum(lens[order]).tolist()
-    mass = cum[-1]
+    # Chunks in descending score order: neg[i] is minus the score of
+    # rank i, so neg ascends, and prefix[i] is the weight of the i
+    # highest-scoring chunks.  Ties may go in any order: no cut or
+    # average depends on it.
+    negated = -scores
+    order = np.argsort(negated)
+    neg = negated[order].tolist()
+    prefix = np.concatenate(([0], np.cumsum(lens[order]))).tolist()
+    mass = prefix[-1]
+    widths = [f.total_bits for f in ladder[:-1]]
 
-    def quantile(fraction: float) -> float:
-        want = fraction * mass
-        if want <= 0.0:
-            return math.inf
-        if want >= mass:
-            return s_desc[-1]
-        return s_desc[bisect.bisect_left(cum, want)]
+    def measure(indices: tuple) -> tuple:
+        """(cuts, average) of the set the band indices give.  A chunk
+        scoring at or above cut k and below cut k-1 gets rung k, as in
+        assign_formats, and the skip rung counts 0 bits."""
+        cuts = _force_decreasing([-neg[i] if i >= 0 else math.inf for i in indices])
+        bits = above = 0
+        for width, cut in zip(widths, cuts):
+            reached = prefix[bisect.bisect_right(neg, -cut)]
+            bits += width * (reached - above)
+            above = reached
+        return tuple(cuts), bits / mass
 
-    def thresholds_at(theta: float) -> tuple:
-        terms = [g * theta**p for g, p in zip(profile.gains, profile.exponents)]
-        fractions = [min(max(f, 0.0), 1.0) for f in itertools.accumulate(terms)]
-        return tuple(_force_decreasing([quantile(f) for f in fractions]))
-
-    # Cuts are score quantiles, so most bisection steps repeat a set.
-    # Scores bucket as in assign_formats; the skip rung counts 0 bits.
-    bits_of = np.append(widths, 0.0)
-    averages: dict = {}
-
-    def measured(values: tuple) -> float:
-        if values not in averages:
-            codes = _bucket(scores, values)
-            averages[values] = float(np.dot(lens, bits_of[codes])) / mass
-        return averages[values]
-
-    lo_set, hi_set = thresholds_at(0.0), thresholds_at(THETA_MAX)
-    lo_avg, hi_avg = measured(lo_set), measured(hi_set)
+    lo, hi = 0.0, THETA_MAX
+    lo_at, hi_at = _band_indices(lo, profile, prefix), _band_indices(hi, profile, prefix)
+    (lo_set, lo_avg), (hi_set, hi_avg) = measure(lo_at), measure(hi_at)
     if not lo_avg - 0.05 <= target_avg_bits <= hi_avg + 0.05:
         raise ValueError(
             f"target {target_avg_bits} bits/weight is outside the achievable range"
@@ -387,21 +423,21 @@ def solve_thresholds(
     best_set, best_err = lo_set, abs(lo_avg - target_avg_bits)
     if abs(hi_avg - target_avg_bits) < best_err:
         best_set, best_err = hi_set, abs(hi_avg - target_avg_bits)
-    lo, hi = 0.0, THETA_MAX
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            # No float lies between lo and hi: every step from here on
-            # measures a knob already measured, and cannot change best.
+        if mid == lo or mid == hi or sum(abs(a - b) for a, b in zip(lo_at, hi_at)) <= 1:
+            # No float lies between lo and hi, or every knob between
+            # them gives the set at lo or at hi: every step from here on
+            # measures a set already measured, and cannot change best.
             break
-        values = thresholds_at(mid)
-        got = measured(values)
+        at = _band_indices(mid, profile, prefix)
+        values, got = measure(at)
         if abs(got - target_avg_bits) < best_err:
             best_set, best_err = values, abs(got - target_avg_bits)
         if got < target_avg_bits:
-            lo = mid
+            lo, lo_at = mid, at
         else:
-            hi = mid
+            hi, hi_at = mid, at
     return ThresholdSet(best_set, ladder)
 
 
@@ -466,7 +502,9 @@ def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
     # High-water mark: the last block fetched on the span's plane so far,
     # -1 if none.  A plane's spans come in chunk order and chunks in
     # weight order, so that is the last block of the plane's previous span.
-    order = np.argsort(planes, kind="stable")
+    # Plane numbers lie in 0..15: as int16 keys the stable sort takes
+    # numpy's radix path, in the same order.
+    order = np.argsort(planes.astype(np.int16), kind="stable")
     by_plane = planes[order]
     previous = np.r_[-1, last[order][:-1]]
     previous[np.r_[True, by_plane[1:] != by_plane[:-1]]] = -1

@@ -78,9 +78,18 @@ columns.  `chunks` and `formats_of` read them back one chunk at a time,
 `format_for` is the per-score bucket rule `assign_formats` must match.
 `reference_enumerate_chunks` and `reference_gen_scores` are the
 per-chunk loops the package's `enumerate_chunks` and `gen_scores`
-started from.  `reference_solve_thresholds` is the solver before its
-bisection remembered the average of each threshold set it had measured:
-it builds a `ThresholdSet` per step and masks every score once per cut.
+started from.  `reference_gen_scores` looks each chunk's distribution
+up again and draws through `reference_draw`, the per-call draw that
+the package's per-family `ScoreDistribution.sampler` replaced; both
+must take the same draws from the stream, in the same order.
+`reference_solve_thresholds` is the solver as it started: every one of
+its 80 bisection steps builds a `ThresholdSet`, masks every score once
+per cut and takes the average as a dot product over every chunk.  The
+package's solver instead measures a set from integer prefix sums of
+the lengths in score order, and stops as soon as no knob left can give
+a set it has not measured.  On scores in [0, 1] the two must
+return the same set and raise the same errors; the package also
+rejects any other score, which the reference does not check.
 """
 
 from __future__ import annotations
@@ -135,6 +144,7 @@ from planestore.workload import (
     THETA_MAX,
     BandProfile,
     FormatAssignment,
+    ScoreDistribution,
     ThresholdSet,
     _force_decreasing,
     _PREDICTOR,
@@ -260,6 +270,21 @@ def reference_enumerate_chunks(geometry) -> list[ChunkRow]:
     return chunks
 
 
+def reference_draw(dist: ScoreDistribution, rng: np.random.Generator) -> float:
+    """One score from dist: the per-call draw the package's per-family
+    samplers replaced.  One uniform for the simple families,
+    uniform-then-beta for the mixture."""
+    if dist.family == "uniform":
+        return float(rng.random())
+    if dist.family == "beta":
+        return float(rng.beta(dist.a, dist.b))
+    if dist.family == "two_point":
+        return 1.0 if rng.random() < dist.mix else 0.0
+    hi = rng.random() < dist.mix
+    a, b = (dist.a, dist.b) if hi else (dist.a_lo, dist.b_lo)
+    return float(rng.beta(a, b))
+
+
 def reference_gen_scores(rows, model) -> np.ndarray:
     """One score per non-predictor chunk row, in order.
 
@@ -271,7 +296,7 @@ def reference_gen_scores(rows, model) -> np.ndarray:
     for chunk in rows:
         if chunk.kind is ChunkKind.PREDICTOR:
             continue
-        score = model.dist_for(chunk.kind).draw(rng)
+        score = reference_draw(model.dist_for(chunk.kind), rng)
         out.append(score)
     scores = np.asarray(out, dtype=np.float64)
     if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):

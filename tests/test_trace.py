@@ -148,15 +148,62 @@ def test_thresholds_match_the_per_step_solver(family, geometry, seed, spots, dat
     directory = enumerate_chunks(geometry)
     scores = gen_scores(directory, model)
     for spot in spots:
-        target = spot * FP16.total_bits
-        try:
-            want = reference_solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
-            assert str(got.value) == str(exc)
-        else:
-            assert solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE) == want
+        assert_same_solve(directory, scores, spot * FP16.total_bits)
+
+
+def assert_same_solve(directory, scores, target):
+    """solve_thresholds gives reference_solve_thresholds' set, or raises
+    its error."""
+    try:
+        want = reference_solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE)
+        assert str(got.value) == str(exc)
+    else:
+        assert solve_thresholds(directory, scores, target, LADDER, BAND_PROFILE) == want
+
+
+# One scored chunk, with or without a predictor beside it.
+single_chunk = st.builds(
+    ModelGeometry,
+    layers=st.just(1),
+    heads_per_layer=st.just(1),
+    weights_per_head=st.integers(1, 3000),
+    neurons_per_layer=st.just(0),
+    weights_per_neuron=st.just(1),
+    predictor_weights_per_layer=st.integers(0, 1200),
+)
+unit_scores = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    geometry=st.one_of(geometries, single_chunk),
+    spots=st.lists(
+        st.one_of(st.floats(-0.05, 1.05), st.sampled_from([-0.01, 0.0, 1.0, 1.01])),
+        min_size=1, max_size=4,
+    ),
+    data=st.data(),
+)
+def test_thresholds_match_the_per_step_solver_on_raw_scores(geometry, spots, data):
+    # Scores drawn as raw vectors, not from a family: exact 0.0 and 1.0,
+    # and values repeated from a small pool, down to one value for every
+    # chunk.  The prefix-sum average and the early stop must give the
+    # reference's set wherever ties sit, and the same error past either
+    # end of the achievable range.
+    directory = enumerate_chunks(geometry)
+    n = sum(row.kind is not ChunkKind.PREDICTOR for row in chunks(directory))
+    pool = data.draw(st.lists(unit_scores, min_size=1, max_size=4), label="pool")
+    scores = data.draw(
+        st.one_of(
+            st.lists(unit_scores, min_size=n, max_size=n),
+            st.lists(st.sampled_from(pool), min_size=n, max_size=n),
+        ),
+        label="scores",
+    )
+    for spot in spots:
+        assert_same_solve(directory, np.array(scores), spot * FP16.total_bits)
 
 
 @st.composite

@@ -1,12 +1,17 @@
 """Tests for geometry, scores, threshold solving and trace generation."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planestore import workload
 from planestore.address import Trace
 from planestore.bitplane import ChunkKind, plane_stride_for
+from planestore.config import load_config
 from planestore.quant import GuardConfig
 from planestore.workload import (
     FormatAssignment,
@@ -38,7 +43,10 @@ from reference import (
     chunks,
     format_for,
     formats_of,
+    reference_solve_thresholds,
 )
+
+DEFAULT_YAML = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
 
 UNIFORM = ScoreDistribution("uniform")
 SIXTHS = ThresholdSet((5 / 6, 4 / 6, 3 / 6, 2 / 6, 1 / 6), LADDER)
@@ -172,6 +180,16 @@ def test_missing_kind_distribution_rejected():
     model = ImportanceModel(5, {ChunkKind.MLP_NEURON: UNIFORM})
     with pytest.raises(ValueError, match="attention_head"):
         gen_scores(directory, model)
+
+
+def test_scores_outside_the_unit_interval_are_caught(monkeypatch):
+    # `min() < 0` and `max() > 1` are both False for a NaN; the check
+    # must still catch it.
+    directory = enumerate_chunks(flat_geometry(5))
+    for bad in (math.nan, -0.5, 1.5):
+        monkeypatch.setattr(ScoreDistribution, "sampler", lambda self, rng: lambda: bad)
+        with pytest.raises(AssertionError, match=r"left \[0, 1\]"):
+            gen_scores(directory, every_kind(1, UNIFORM))
 
 
 def test_distribution_validation():
@@ -341,6 +359,52 @@ def test_solver_reaches_the_all_skipped_assignment(seed):
     assert avg_bits(assignment, directory) == 0.0
     # Only the two layers' predictors load.
     assert [f for f in formats_of(assignment) if not f.is_skip] == [FP16, FP16]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5, 1.5])
+def test_solver_rejects_scores_outside_the_unit_interval(bad):
+    cfg = load_config(str(DEFAULT_YAML))
+    directory = enumerate_chunks(cfg.geometry)
+    scores = gen_scores(directory, cfg.importance)
+    # Score 520 is the first head of the second layer: chunk 521, after
+    # the first layer's predictor.  The first bad chunk is named.
+    for position, chunk in ((3, 3), (520, 521)):
+        bent = scores.copy()
+        bent[[position, -1]] = bad
+        with pytest.raises(ValueError) as caught:
+            solve_thresholds(directory, bent, 4.8, cfg.ladder, cfg.band_profile)
+        assert str(caught.value) == f"score {bad} of chunk {chunk} is not in [0, 1]"
+    # The ends of the interval are scores like any other.
+    edges = scores.copy()
+    edges[[3, 4]] = 0.0, 1.0
+    got = solve_thresholds(directory, edges, 4.8, cfg.ladder, cfg.band_profile)
+    assert got == reference_solve_thresholds(directory, edges, 4.8, cfg.ladder, cfg.band_profile)
+
+
+@pytest.mark.parametrize("seed", [1234, 7])
+def test_solver_stops_once_the_ends_are_one_index_apart(monkeypatch, seed):
+    # Each knob the bisection measures costs one `_band_indices` call.
+    # Stopping once the two ends' band indices are one index apart keeps
+    # each default target within 25; running the bisection until the
+    # knob's floats run out takes about 60.
+    cfg = load_config(str(DEFAULT_YAML), seed=seed)
+    directory = enumerate_chunks(cfg.geometry)
+    scores = gen_scores(directory, cfg.importance)
+    calls = []
+    band_indices = workload._band_indices
+
+    def counted(*args):
+        calls.append(args[0])
+        return band_indices(*args)
+
+    monkeypatch.setattr(workload, "_band_indices", counted)
+    for target in cfg.targets:
+        calls.clear()
+        got = solve_thresholds(directory, scores, target, cfg.ladder, cfg.band_profile)
+        assert 2 < len(calls) <= 25, (target, len(calls))
+        assert got == reference_solve_thresholds(
+            directory, scores, target, cfg.ladder, cfg.band_profile
+        )
 
 
 def test_solver_deterministic():
