@@ -172,9 +172,7 @@ def gen_scores(directory: ChunkDirectory, model: ImportanceModel) -> np.ndarray:
     """
     rng = np.random.default_rng(model.seed)
     codes = directory.kind[directory.kind != _PREDICTOR].tolist()
-    draws = [None] * len(KIND_LABELS)
-    for code in dict.fromkeys(codes):
-        draws[code] = model.dist_for(KIND_LABELS[code]).sampler(rng)
+    draws = {code: model.dist_for(KIND_LABELS[code]).sampler(rng) for code in dict.fromkeys(codes)}
     scores = np.array([draws[code]() for code in codes], np.float64)
     # Written so that a NaN fails it too.
     if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
