@@ -36,13 +36,14 @@ tests expand every table shape `plan` builds into commands and replay
 them against the bank state machine (tests/reference.py, `expand` and
 `replay`).  `run_trace`, the production path, cuts a trace into pieces
 (`compare` cuts at layers) and plans and totals one piece at a time,
-each from the `DramState` `plan` returned for the piece before, so no
-more than one piece's table is held at once; any cuts give the
-one-piece result.  Both `schedule` and `plan` take the request stream
-as an `address.Trace`.  `plan` relies on its rows being valid, which
-the Trace constructor checks; `schedule`, the reference, maps every
-burst through `map_address` and so still raises its per-burst errors on
-bare columns.
+each from the `DramState` `plan` returned for the piece before: two
+columns per channel and three per opened bank, the command-level state
+living in the tests.  So no more than one piece's table is held at
+once, and any cuts give the one-piece result.  Both `schedule` and
+`plan` take the request stream as an `address.Trace`.  `plan` relies
+on its rows being valid, which the Trace constructor checks;
+`schedule`, the reference, maps every burst through `map_address` and
+so still raises its per-burst errors on bare columns.
 docs/dram-model.md shows why the run-level recurrences are exact.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
@@ -256,11 +257,6 @@ def schedule(config: DramConfig, trace: Trace) -> Iterator[DramCommand]:
             yield DramCommand(CommandKind.RD, ch, bank, row, column, rd_at, index)
 
 
-# A plain int: numpy compares a column with an int several times faster
-# than with an IntEnum member.
-_ACT = int(CommandKind.ACT)
-
-
 @dataclass(frozen=True, eq=False)
 class RunTable:
     """A planned piece of a trace, one row per run: count reads to
@@ -419,9 +415,6 @@ def plan(
             f" which numbers trace rows below {INDEX_LIMIT}"
         )
     lo, hi = (0, trace.addr.size) if rows is None else rows
-    # What the rows before the piece leave: each channel's last read,
-    # which is its last command, and its bank, and each bank's open row
-    # and the cycle of its ACT.
     state = DramState.initial(config) if state is None else state
     # A Trace's rows are non-empty whole blocks at aligned addresses, and
     # a burst is one block.
@@ -490,7 +483,7 @@ def plan(
     previous = np.empty(n_runs, np.int32)
     previous[1:] = row[by_bank[:-1]]
     heads = _heads(key)
-    previous[heads] = _lookup(state.key, key[heads], state.open_rows(), -1)
+    previous[heads] = _lookup(state.key, key[heads], state.row, -1)
     del key, heads
     closed = np.empty(n_runs, np.int32)
     closed[by_bank] = previous
@@ -575,9 +568,8 @@ def plan(
     del firsts, leads, chan_of, open_bank, starts
 
     # The state the piece leaves: each channel's last run holds its last
-    # read, which is its last command, and each bank's newest ACT or PRE
-    # is its last opening's ACT; the banks the piece does not open keep
-    # theirs.
+    # read, and each bank's last opening its open row and that ACT; the
+    # banks the piece does not open keep theirs.
     last = _ends(ch)
     last_read, last_bank = state.last_read.copy(), state.last_bank.copy()
     last_read[ch[last]] = np.multiply(length[last] - 1, t_l, dtype=np.int64) + rd_cycle[last]
@@ -585,11 +577,10 @@ def plan(
     key = np.concatenate((state.key, newest_key))
     order = np.argsort(key, kind="stable")
     order = order[_ends(key[order])]  # per key, the piece's entry if it has one
-    newest_columns = (np.full(newest.size, _ACT), row[opens[newest]], act[newest])
     after = DramState(
-        last_read, last_read, last_bank, key[order],
-        *(np.concatenate(pair)[order]
-          for pair in zip((state.kind, state.row, state.cycle), newest_columns)),
+        last_read, last_bank, key[order],
+        np.concatenate((state.row, row[opens[newest]]))[order],
+        np.concatenate((state.cycle, act[newest]))[order],
     )
     table = RunTable(
         channel=ch, bank=bank, row=row, column=column, issue_cycle=rd_cycle, count=length,
@@ -600,22 +591,22 @@ def plan(
 
 @dataclass(frozen=True, eq=False)
 class DramState:
-    """What a command stream leaves the commands after it, which is all
-    that crosses a cut.
+    """What a planned piece leaves the rows after it, which is all that
+    crosses a cut: two columns per channel and three per opened bank.
 
     Per channel, int64 columns of config.channels rows, -1 for none: the
-    cycle of its last command (last_cycle), and the cycle and bank of
-    its last read (last_read, last_bank).  Per bank that has seen an ACT
-    or PRE, ascending in key = channel * banks_per_channel + bank: the
-    newest one's kind, its row (the row open after an ACT) and its cycle.
-    `plan` returns the state its piece leaves.
+    cycle and bank of its last read (last_read, last_bank), which is
+    also its last command.  Per bank that has seen an ACT, ascending in
+    key = channel * banks_per_channel + bank: the row that ACT opened,
+    still open, and its cycle.  `plan` returns the state its piece
+    leaves.  A command stream may also end a channel on a PRE or leave a
+    bank precharged, which `plan` never does; the state that tracks
+    those lives in the tests (tests/reference.py, `CommandState`).
     """
 
-    last_cycle: np.ndarray
     last_read: np.ndarray
     last_bank: np.ndarray
     key: np.ndarray
-    kind: np.ndarray
     row: np.ndarray
     cycle: np.ndarray
 
@@ -624,11 +615,7 @@ class DramState:
         """The state before any command: nothing issued, every bank closed."""
         none = np.full(config.channels, -1, np.int64)
         empty = np.zeros(0, np.int64)
-        return cls(none, none, none, empty, empty, empty, empty)
-
-    def open_rows(self) -> np.ndarray:
-        """Each bank's open row, -1 for a closed one."""
-        return np.where(self.kind == _ACT, self.row, -1)
+        return cls(none, none, empty, empty, empty)
 
 
 _TOO_LARGE = "clock_ns or an energy constant is too large"

@@ -235,21 +235,34 @@ def _bucket(scores: np.ndarray, cuts) -> np.ndarray:
 
     A score gets the rung of the first cut it reaches (cuts[k] itself
     gets rung k), so its position counts the cuts above it.  On the
-    negated cuts, which ascend, that count is a left-sided search; a NaN
-    score reaches no cut and gets the last rung.
+    negated cuts, which ascend, that count is a left-sided search.
     """
     return np.searchsorted(-np.asarray(cuts, np.float64), -scores, side="left")
+
+
+def _checked_scores(directory: ChunkDirectory, scores: Sequence[float]):
+    """(scores as float64, the scored-chunk mask): one score per
+    non-predictor chunk, in chunk order, each in [0, 1].  A score
+    outside it (NaN included) raises naming its chunk."""
+    scores = np.asarray(scores, dtype=np.float64)
+    scored = directory.kind != _PREDICTOR
+    wanted = int(scored.sum())
+    if scores.shape != (wanted,):
+        raise ValueError(f"got {scores.size} scores for {wanted} scored chunks")
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        first = int(np.argmax(outside))
+        chunk = int(np.flatnonzero(scored)[first])
+        raise ValueError(f"score {float(scores[first])} of chunk {chunk} is not in [0, 1]")
+    return scores, scored
 
 
 def assign_formats(
     directory: ChunkDirectory, scores: Sequence[float], thresholds: ThresholdSet
 ) -> FormatAssignment:
-    """Bucket every chunk by its score; predictors are pinned full width."""
-    scores = np.asarray(scores, dtype=np.float64)
-    scored = directory.kind != _PREDICTOR
-    wanted = int(scored.sum())
-    if scores.size != wanted:
-        raise ValueError(f"got {scores.size} scores for {wanted} scored chunks")
+    """Bucket every chunk by its score; predictors are pinned full width.
+    A score outside [0, 1] raises, as in `solve_thresholds`."""
+    scores, scored = _checked_scores(directory, scores)
     codes = np.zeros(len(directory), np.int64)
     codes[scored] = _bucket(scores, thresholds.values)
     return FormatAssignment(codes, thresholds.ladder)
@@ -371,16 +384,8 @@ def solve_thresholds(
     ladder = tuple(ladder)
     if len(profile.gains) != len(ladder) - 1:
         raise ValueError("band profile does not match the ladder")
-    scores = np.asarray(scores, dtype=np.float64)
-    scored = directory.kind != _PREDICTOR
+    scores, scored = _checked_scores(directory, scores)
     lens = directory.length[scored]
-    if scores.shape != lens.shape:
-        raise ValueError(f"got {scores.size} scores for {lens.size} scored chunks")
-    outside = ~((scores >= 0.0) & (scores <= 1.0))
-    if outside.any():
-        first = int(np.argmax(outside))
-        chunk = int(np.flatnonzero(scored)[first])
-        raise ValueError(f"score {float(scores[first])} of chunk {chunk} is not in [0, 1]")
 
     if scores.size == 0:
         n = len(ladder) - 1

@@ -25,12 +25,20 @@ array through the package's streaming `pack`.
 `expand` turns a run table `plan` built into the command table it
 encodes: each run an RD row of its reads, behind the PRE and ACT rows
 that open its row.  The production engine holds runs only; the
-`CommandTable`, its validation, the row interleave and `carry`, which
-takes a `DramState` across a command table, live here, so that every
-table shape `plan` builds is expanded and replayed in the tests.
-`expanded` expands a trace's run tables one after another, as
-`run_trace` plans them, and `planned` plans and expands a trace in one
-piece.  `from_commands` turns any `DramCommand` stream into a
+`CommandTable`, its validation, the row interleave, `CommandState` and
+`carry`, which takes a `CommandState` across a command table, live
+here, so that every table shape `plan` builds is expanded and replayed
+in the tests.  `CommandState` is the state any command stream leaves:
+besides what `plan`'s `DramState` holds (each channel's last read and
+its bank, and each opened bank's row and ACT cycle), each channel's
+last command and each bank's newest ACT or PRE with its kind, which
+only a hand-made stream sets apart, by ending a channel on a PRE or
+leaving a bank precharged.  `narrow` asserts that a `CommandState` is
+one a planned stream can leave and gives its `DramState`.
+`expanded` plans and expands a trace piece by piece, as `run_trace`
+plans it, and checks each piece's state against `narrow` of the
+carried one; `planned` plans and expands a trace in one piece.
+`from_commands` turns any `DramCommand` stream into a
 `CommandTable` of count-1 rows, so that `replay` can take hand-written
 and `schedule` streams.  `cut` splits a table into pieces at row
 boundaries, as `run_trace` plans one layer at a time.
@@ -38,7 +46,7 @@ boundaries, as `run_trace` plans one layer at a time.
 reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.
 `replay` is the same check vectorized over a command table's rows, one
-table at a time from the `DramState` the tables before it leave.  It
+table at a time from the `CommandState` the tables before it leave.  It
 once ran inside the package's `simulate` on every table; `simulate`
 now trusts `plan`, and the tests replay every table shape `plan`
 builds instead.  `replay` must accept and reject exactly the streams
@@ -101,7 +109,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -759,7 +767,7 @@ def expand(config: DramConfig, runs: RunTable, state: DramState) -> CommandTable
     previous = np.empty(n, np.int64)
     previous[1:] = runs.row[by_bank[:-1]]
     heads = _heads(key)
-    previous[heads] = _lookup(state.key, key[heads], state.open_rows(), -1)
+    previous[heads] = _lookup(state.key, key[heads], state.row, -1)
     closed = np.empty(n, np.int64)
     closed[by_bank] = previous
 
@@ -793,7 +801,48 @@ def expand(config: DramConfig, runs: RunTable, state: DramState) -> CommandTable
     return CommandTable(**columns)
 
 
-def carry(config: DramConfig, state: DramState, table: CommandTable) -> DramState:
+@dataclass(frozen=True, eq=False)
+class CommandState:
+    """What a command stream leaves the commands after it: `DramState`
+    widened to any stream.
+
+    Per channel, int64 columns of config.channels rows, -1 for none: the
+    cycle of its last command (last_cycle), and the cycle and bank of
+    its last read (last_read, last_bank).  Per bank that has seen an ACT
+    or PRE, ascending in key = channel * banks_per_channel + bank: the
+    newest one's kind, its row (the row open after an ACT) and its
+    cycle.  A stream `plan` builds ends each channel on a read and each
+    bank on an ACT, and `narrow` drops what that makes redundant.
+    """
+
+    last_cycle: np.ndarray
+    last_read: np.ndarray
+    last_bank: np.ndarray
+    key: np.ndarray
+    kind: np.ndarray
+    row: np.ndarray
+    cycle: np.ndarray
+
+    @classmethod
+    def initial(cls, config: DramConfig) -> CommandState:
+        """The state before any command: nothing issued, every bank closed."""
+        none = np.full(config.channels, -1, np.int64)
+        empty = np.zeros(0, np.int64)
+        return cls(none, none, none, empty, empty, empty, empty)
+
+
+def narrow(state: CommandState) -> DramState:
+    """state as the `DramState` `plan` returns, once asserted to be one
+    a planned stream can leave: each channel's last command is its last
+    read, and each bank's newest ACT or PRE is an ACT."""
+    assert np.array_equal(state.last_cycle, state.last_read), (
+        "a channel's last command is not its last read"
+    )
+    assert (state.kind == _ACT).all(), "a bank's newest ACT or PRE is a PRE"
+    return DramState(state.last_read, state.last_bank, state.key, state.row, state.cycle)
+
+
+def carry(config: DramConfig, state: CommandState, table: CommandTable) -> CommandState:
     """The state that state leaves once table, the commands after it,
     has issued.
 
@@ -838,24 +887,41 @@ def carry(config: DramConfig, state: DramState, table: CommandTable) -> DramStat
         np.concatenate((state.row, table.row[newest])),
         np.concatenate((state.cycle, table.issue_cycle[newest])),
     )
-    return DramState(
+    return CommandState(
         last_cycle, last_read, last_bank, key[by_key], *(c[by_key] for c in columns)
     )
 
 
-def expanded(config: DramConfig, tables: Iterable[RunTable]):
-    """A trace's run tables, as `run_trace` plans them, each as its
-    command table, expanded from the state the tables before it leave."""
-    state = DramState.initial(config)
-    for runs in tables:
+class Piece(NamedTuple):
+    """One planned piece of a trace: its run table, the state `plan`
+    returned for it, and the run table's expansion."""
+
+    runs: RunTable
+    state: DramState
+    table: CommandTable
+
+
+def expanded(config: DramConfig, trace, cuts: Iterable[int] = ()) -> Iterator[Piece]:
+    """trace planned and expanded piece by piece, cut before each trace
+    row in cuts (ascending), as `run_trace` plans it: each piece from
+    the state `plan` returned for the piece before.  Asserts that the
+    state `plan` returns for each piece is `narrow` of the one `carry`
+    takes across the pieces' expansions."""
+    bounds = [0, *(int(at) for at in cuts), trace.addr.size]
+    state, carried = DramState.initial(config), CommandState.initial(config)
+    for piece in zip(bounds, bounds[1:]):
+        runs, after = plan(config, trace, piece, state)
         table = expand(config, runs, state)
-        state = carry(config, state, table)
-        yield table
+        carried = carry(config, carried, table)
+        assert_same_state(after, narrow(carried))
+        yield Piece(runs, after, table)
+        state = after
 
 
 def planned(config: DramConfig, trace) -> CommandTable:
     """The command table of trace planned in one piece."""
-    return expand(config, plan(config, trace)[0], DramState.initial(config))
+    (piece,) = expanded(config, trace)
+    return piece.table
 
 
 def assert_same_state(got: DramState, want: DramState) -> None:
@@ -1028,7 +1094,7 @@ def _latest(flags: np.ndarray, after: int) -> np.ndarray:
     return np.repeat(np.r_[-1, at], np.diff(np.r_[0, at + after, flags.size]))
 
 
-def _first_violation(config: DramConfig, table: CommandTable, state: DramState):
+def _first_violation(config: DramConfig, table: CommandTable, state: CommandState):
     """The message for the table's first illegal row, or None when all
     are legal.
 
@@ -1152,11 +1218,11 @@ def replay(config: DramConfig, tables: Iterable[CommandTable]) -> None:
     the configured timings.
 
     The tables are one stream cut at row boundaries, in stream order:
-    each is checked from the `DramState` the tables before it leave
+    each is checked from the `CommandState` the tables before it leave
     (`carry`), so any cuts give the same verdict.  An RD row stands for
     its count reads.  The first violation, in table order, raises
     ValueError in `reference_simulate`'s words."""
-    state = DramState.initial(config)
+    state = CommandState.initial(config)
     for table in tables:
         if len(table):
             violation = _first_violation(config, table, state)

@@ -24,8 +24,8 @@ from planestore.dram import (
 )
 
 from reference import (
-    assert_breakdown_exact, assert_same_state, dram, from_commands, planned, reference_simulate,
-    replay,
+    CommandState, assert_breakdown_exact, assert_same_state, carry, dram, from_commands, narrow,
+    planned, reference_simulate, replay,
 )
 
 CFG = dram()
@@ -340,6 +340,30 @@ def test_legal_hand_stream_accepted():
     result = reference_simulate(CFG, stream)[0]
     assert result.num_acts == 2
     assert result.num_reads == 1
+
+
+@pytest.mark.parametrize(
+    "stream, match",
+    [
+        (
+            [act(0, 0, 0, 0), rd(0, 0, 0, 0, 34), pre(0, 0, 0, 77)],
+            "last command is not its last read",
+        ),
+        (
+            [act(0, 0, 0, 0), act(0, 1, 0, 1), rd(0, 0, 0, 0, 34), pre(0, 1, 0, 78),
+             rd(0, 0, 0, 1, 79)],
+            "newest ACT or PRE is a PRE",
+        ),
+    ],
+    ids=["ends_on_a_pre", "leaves_a_bank_precharged"],
+)
+def test_narrow_refuses_what_no_run_table_leaves(stream, match):
+    # Legal streams the replay takes, but no run table ends a channel on
+    # a PRE or leaves a bank precharged, so plan's state cannot hold them.
+    table = from_commands(stream)
+    replay(CFG, [table])
+    with pytest.raises(AssertionError, match=match):
+        narrow(carry(CFG, CommandState.initial(CFG), table))
 
 
 def test_out_of_config_and_unknown_kinds_rejected():

@@ -12,8 +12,9 @@ trace gives must be the replay's, and a tagged trace's energy split
 must come within 1e-15 of the exact split by those counts.  A trace
 cut anywhere must plan, piece by piece from the state `plan` returns
 for the piece before, to the one-piece table's rows channel by
-channel, and that state must be the one reference.py's `carry` takes
-across the piece's expansion.  `simulate` trusts its tables, so every
+channel, and that state must be the command-level state reference.py's
+`carry` takes across the pieces' expansions, narrowed (`narrow`) to
+what `plan` keeps.  `simulate` trusts its tables, so every
 table `plan` builds here is expanded and replayed, whole and piece by
 piece.  Checked on hand traces, on
 every trace of the default sweep, on random and interleaved traces and
@@ -53,7 +54,7 @@ from planestore.experiment import chunk_latency_deltas, layer_cuts, solve_assign
 from planestore.workload import enumerate_chunks, gen_scores, gen_trace, trace_bytes
 
 from reference import (
-    assert_breakdown_exact, assert_same_state, carry, cut, dram, expand, expanded,
+    assert_breakdown_exact, assert_same_state, cut, dram, expand, expanded,
     from_commands, planned, reference_simulate, replay,
 )
 
@@ -95,8 +96,7 @@ def by_channel(stream):
 
 
 def assert_engine_matches_reference(config, trace):
-    runs, _ = plan(config, trace)
-    table = expand(config, runs, DramState.initial(config))
+    ((runs, _, table),) = expanded(config, trace)
     expected = list(schedule(config, trace))
     commands = commands_of(config, table)
     # The expanded table is schedule's stream, every command naming the
@@ -403,12 +403,15 @@ def test_production_tables_replay(sweep_traces, overrides):
     # The tables run_trace totals for every (target, mode) of the sweep,
     # planned a layer cut at a time as compare plans them, on the
     # defaults and on two banks a channel with a long tRAS, where most
-    # openings step the bank state machine.
+    # openings step the bank state machine.  `expanded` also asserts
+    # that the state plan returns for each piece is the one carry takes
+    # across the expansions, narrowed.
     cfg, traces = sweep_traces
     config = dataclasses.replace(cfg.dram, **overrides)
     directory = enumerate_chunks(cfg.geometry)
     for trace in traces.values():
-        replay(config, expanded(config, engine._tables(config, trace, layer_cuts(directory, trace))))
+        pieces = expanded(config, trace, layer_cuts(directory, trace))
+        replay(config, (piece.table for piece in pieces))
 
 
 # --- random configs, traces and streams -------------------------------------
@@ -581,22 +584,16 @@ def cut_points(n):
 
 def assert_cuts_are_exact(config, trace, cuts):
     """Planned piece by piece, each from the state plan returned for the
-    piece before, which is the state `carry` takes across that piece's
-    expansion, the expanded tables taken channel by channel are the
-    one-piece table's rows, and replayed piece by piece they are legal.
-    Totalled piece by piece, or through run_trace, they give its result,
-    per request included, and the last piece leaves its state."""
-    whole_runs, whole_state = plan(config, trace)
-    whole = expand(config, whole_runs, DramState.initial(config))
-    bounds = [0, *cuts, trace.addr.size]
-    runs, tables, state = [], [], DramState.initial(config)
-    for piece in zip(bounds, bounds[1:]):
-        piece_runs, after = plan(config, trace, piece, state)
-        tables.append(expand(config, piece_runs, state))
-        assert_same_state(after, carry(config, state, tables[-1]))
-        runs.append(piece_runs)
-        state = after
-    assert_same_state(state, whole_state)
+    piece before, which is the state `carry` takes across the pieces'
+    expansions, narrowed (`expanded` asserts it), the expanded tables
+    taken channel by channel are the one-piece table's rows, and
+    replayed piece by piece they are legal.  Totalled piece by piece, or
+    through run_trace, they give its result, per request included, and
+    the last piece leaves its state."""
+    ((whole_runs, whole_state, whole),) = expanded(config, trace)
+    pieces = list(expanded(config, trace, cuts))
+    assert_same_state(pieces[-1].state, whole_state)
+    runs, tables = [p.runs for p in pieces], [p.table for p in pieces]
     replay(config, tables)
     joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in vars(whole)}
     by_channel = np.argsort(joined["channel"], kind="stable")

@@ -238,11 +238,13 @@ cut_sets = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(cut_sets, st.lists(st.floats(0.0, 1.0), max_size=10), st.integers(0, 3))
 def test_assignment_matches_format_for_at_every_cut(thresholds, extra, predictor):
-    # Scores exactly at each cut, one step above and one below it, plus
-    # the ends and NaN: a score equal to values[k] gets ladder[k].
-    scores = [0.0, 1.0, float("nan"), *extra]
+    # Scores exactly at each cut, one step above and one below it where
+    # that stays in [0, 1], plus the ends: a score equal to values[k]
+    # gets ladder[k].  Any other score is rejected (see below).
+    scores = [0.0, 1.0, *extra]
     for cut in thresholds.values:
-        scores += [cut, np.nextafter(cut, 2.0), np.nextafter(cut, -1.0)]
+        near = (cut, np.nextafter(cut, 2.0), np.nextafter(cut, -1.0))
+        scores += [score for score in near if 0.0 <= score <= 1.0]
     # Two layers put a predictor chunk between the scored ones.
     half = -(-len(scores) // 2)
     scores += [0.5] * (2 * half - len(scores))
@@ -366,19 +368,31 @@ def test_solver_rejects_scores_outside_the_unit_interval(bad):
     cfg = load_config(str(DEFAULT_YAML))
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
-    # Score 520 is the first head of the second layer: chunk 521, after
-    # the first layer's predictor.  The first bad chunk is named.
-    for position, chunk in ((3, 3), (520, 521)):
-        bent = scores.copy()
-        bent[[position, -1]] = bad
-        with pytest.raises(ValueError) as caught:
-            solve_thresholds(directory, bent, 4.8, cfg.ladder, cfg.band_profile)
-        assert str(caught.value) == f"score {bad} of chunk {chunk} is not in [0, 1]"
+
+    def solve(scores):
+        return solve_thresholds(directory, scores, 4.8, cfg.ladder, cfg.band_profile)
+
+    def assign(scores):
+        return assign_formats(directory, scores, thresholds)
+
+    thresholds = solve(scores)
+    # The solver and the assignment share one check.  Score 520 is the
+    # first head of the second layer: chunk 521, after the first layer's
+    # predictor.  The first bad chunk is named.
+    for call in (solve, assign):
+        for position, chunk in ((3, 3), (520, 521)):
+            bent = scores.copy()
+            bent[[position, -1]] = bad
+            with pytest.raises(ValueError) as caught:
+                call(bent)
+            assert str(caught.value) == f"score {bad} of chunk {chunk} is not in [0, 1]"
     # The ends of the interval are scores like any other.
     edges = scores.copy()
     edges[[3, 4]] = 0.0, 1.0
-    got = solve_thresholds(directory, edges, 4.8, cfg.ladder, cfg.band_profile)
+    got = solve(edges)
     assert got == reference_solve_thresholds(directory, edges, 4.8, cfg.ladder, cfg.band_profile)
+    assigned = formats_of(assign(edges))[3:5]
+    assert assigned == (format_for(thresholds, 0.0), format_for(thresholds, 1.0))
 
 
 @pytest.mark.parametrize("seed", [1234, 7])
