@@ -4,7 +4,10 @@ A packed image holds 16 contiguous bit arrays, one per plane under the
 quant module's numbering (sign, exponent MSB first, mantissa MSB first).
 Plane p of weight w is bit (15 - p) of its stored word. Within a plane,
 weight w lands at byte w >> 3, bit 7 - (w & 7) (MSB-first within bytes);
-the store-image file format below relies on exactly this layout.
+the store-image file format below relies on exactly this layout.  The
+plane bits past the last weight, up to the plane stride, are padding:
+pack writes them zero and load_image clears them, so a loaded image
+holds exactly the planes pack builds from its words.
 
 The chunk directory cuts the weight index space into the pieces that
 get a format each (attention heads, MLP neurons, predictor blocks).  It
@@ -228,7 +231,12 @@ def save_image(image: BitPlaneImage, ladder: Sequence[FpFormat], path: str) -> N
 
 
 def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
-    """Read a store-image file, checking its header against its size."""
+    """Read a store-image file, checking its header against its size.
+
+    Padding loads as zero: every plane bit past ``num_weights`` is
+    cleared, whatever the file holds there, so the image equals the one
+    pack builds from its words and saving it writes pack's bytes.
+    """
     with open(path, "rb") as f:
         if f.read(4) != IMAGE_MAGIC:
             raise ValueError(f"{path}: not a plane-store image")
@@ -264,4 +272,9 @@ def load_image(path: str) -> tuple[BitPlaneImage, tuple[FpFormat, ...]]:
         planes = np.empty((NUM_PLANES, stride), dtype=np.uint8)
         if f.readinto(planes.data) != planes.nbytes:
             raise ValueError(f"{path}: truncated plane data")
+    used, tail = divmod(num_weights, 8)
+    if tail:
+        planes[:, used] &= (0xFF << (8 - tail)) & 0xFF  # the tail weights' bits
+        used += 1
+    planes[:, used:] = 0
     return BitPlaneImage(num_weights, planes), tuple(ladder)

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .address import Trace, build_regions, first_invalid, region_report
-from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image, unpack_full
+from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image
+from .bitplane import unpack_full  # unused here; benchmarks/tracer.py wraps it by name
 from .config import ExperimentConfig, load_config
 from .dram import energy_breakdown, run_trace
 from .experiment import KIND_REDUCTIONS, TOTAL_REDUCTIONS, reduction, run_sweep, solve_assignment
@@ -218,9 +219,13 @@ def cmd_pack(args) -> int:
     ladder = config.ladder
     with contextlib.ExitStack() as stack:
         if args.repack is not None:
-            old, ladder = load_image(args.repack)
-            count = old.num_weights
-            read = lambda lo, hi: unpack_full(old, lo, hi)
+            # load_image clears the padding, so the loaded planes are the
+            # ones pack would build from the image's words.
+            try:
+                image, ladder = load_image(args.repack)
+            except OSError as exc:
+                raise ValueError(f"cannot read image: {exc}")
+            count = image.num_weights
         elif args.weights is not None:
             try:
                 fh = stack.enter_context(open(args.weights, "rb"))
@@ -267,7 +272,8 @@ def cmd_pack(args) -> int:
                 f"size mismatch: {args.repack or args.weights} holds {count} words, "
                 f"expected {args.count}"
             )
-        image = pack(count, read)
+        if args.repack is None:
+            image = pack(count, read)
 
     path = args.image or os.path.join(_out_dir(config), "model.sqbp")
     save_image(image, ladder, path)
@@ -482,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags(p, "config", "seed", "out")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--weights", help="raw little-endian FP16 word file")
-    src.add_argument("--repack", help="existing image to unpack and repack")
+    src.add_argument("--repack", help="existing image to load and save again, padding cleared")
     p.add_argument(
         "--count", type=int, help="seeded-generator weight count, or the count a source must hold"
     )

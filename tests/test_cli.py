@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -20,6 +21,8 @@ from planestore.address import Trace
 from planestore.bitplane import (
     CODEC_BLOCK,
     KIND_LABELS,
+    NUM_PLANES,
+    BitPlaneImage,
     ChunkKind,
     load_image,
     plane_stride_for,
@@ -55,6 +58,7 @@ from reference import (
     reference_gen_scores,
     reference_pack,
     reference_simulate,
+    reference_unpack_full,
     reference_trace,
 )
 
@@ -688,23 +692,81 @@ def test_repack_of_lying_header_is_one_line_error(small_config, tmp_path, capsys
     assert one_line_error(capsys).startswith(f"error: {image}: {message}")
 
 
-def test_repack_zeroes_padding_bits(small_config, tmp_path):
-    # 1001 weights: the last used byte of each plane holds one weight bit,
-    # and two whole bytes of padding follow it up to the 128-byte stride.
-    clean, dirty, out = tmp_path / "clean.sqbp", tmp_path / "dirty.sqbp", tmp_path / "out.sqbp"
-    assert main(["pack", "--config", small_config, "--count", "1001", "--image", str(clean)]) == 0
-    whole = bytearray(clean.read_bytes())
-    stride = plane_stride_for(1001)
-    planes = len(whole) - 16 * stride
-    for p in range(16):
-        row = planes + p * stride
-        whole[row + 125] |= 0x7F
-        whole[row + 126 : row + stride] = b"\xff" * (stride - 126)
-    dirty.write_bytes(bytes(whole))
+def _dirty_padding(whole: bytes, count: int, rng) -> bytes:
+    """An image file's bytes with every plane bit past count set at random."""
+    stride = plane_stride_for(count)
+    head = len(whole) - NUM_PLANES * stride
+    planes = np.frombuffer(whole, np.uint8, offset=head).reshape(NUM_PLANES, stride).copy()
+    garbage = rng.integers(0, 256, planes.shape, dtype=np.uint8)
+    used, tail = divmod(count, 8)
+    if tail:
+        pad = np.uint8(0xFF >> tail)  # the bits of byte `used` past the last weight
+        planes[:, used] = planes[:, used] & ~pad | garbage[:, used] & pad
+        used += 1
+    planes[:, used:] = garbage[:, used:]
+    return whole[:head] + planes.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 1001, 65535, 65536, 65537, 70001])
+def test_loaded_padding_is_zero_whatever_the_file_holds(small_config, tmp_path, count):
+    # An image loads as the planes the reference codec packs from its
+    # words, and its repack writes the clean image's bytes.  65536 weights
+    # fill their 8192-byte planes, so that image has no padding to dirty.
+    rng = np.random.default_rng(count)
+    words = rng.integers(0, 1 << 16, count, dtype=np.uint16)
+    raw, clean = tmp_path / "w.f16", tmp_path / "clean.sqbp"
+    dirty, out = tmp_path / "dirty.sqbp", tmp_path / "out.sqbp"
+    words.astype("<u2").tofile(raw)
+    pack = ["pack", "--config", small_config]
+    assert main([*pack, "--weights", str(raw), "--image", str(clean)]) == 0
+    whole = clean.read_bytes()
+    dirtied = _dirty_padding(whole, count, rng)
+    dirty.write_bytes(dirtied)
+    stride = plane_stride_for(count)
+    planes = np.frombuffer(dirtied[-NUM_PLANES * stride :], np.uint8).reshape(NUM_PLANES, stride)
+    # Only padding changed: the file's planes still decode to the words.
+    assert np.array_equal(reference_unpack_full(BitPlaneImage(count, planes)), words)
+    assert (dirtied != whole) == (8 * stride > count)
+
     image, _ = load_image(str(dirty))
-    assert np.array_equal(unpack_full(image), unpack_full(load_image(str(clean))[0]))
-    assert main(["pack", "--config", small_config, "--repack", str(dirty), "--image", str(out)]) == 0
-    assert out.read_bytes() == clean.read_bytes() != dirty.read_bytes()
+    assert np.array_equal(unpack_full(image), words)
+    assert_same_planes(image, reference_pack(reference_unpack_full(image)))
+    assert main([*pack, "--repack", str(dirty), "--image", str(out)]) == 0
+    assert out.read_bytes() == whole
+
+
+def test_repack_in_place_and_of_a_truncated_source(small_config, tmp_path, capsys):
+    # The source is read whole before the target is unlinked, so a repack
+    # onto itself rewrites the image, and a failed load leaves the target.
+    image, other = tmp_path / "a.sqbp", tmp_path / "b.sqbp"
+    pack = ["pack", "--config", small_config]
+    assert main([*pack, "--count", "70001", "--image", str(image)]) == 0
+    assert main([*pack, "--count", "1001", "--image", str(other)]) == 0
+    clean, kept = image.read_bytes(), other.read_bytes()
+    in_place = [*pack, "--repack", str(image), "--image", str(image)]
+    assert main(in_place) == 0
+    assert image.read_bytes() == clean
+    image.write_bytes(_dirty_padding(clean, 70001, np.random.default_rng(0)))
+    assert main(in_place) == 0
+    assert image.read_bytes() == clean
+    capsys.readouterr()
+
+    cut = tmp_path / "cut.sqbp"
+    cut.write_bytes(clean[:-1])
+    assert main([*pack, "--repack", str(cut), "--image", str(other)]) == 1
+    assert one_line_error(capsys) == f"error: {cut}: truncated plane data\n"
+    assert other.read_bytes() == kept
+
+
+def test_repack_source_that_cannot_be_opened_names_its_role(small_config, tmp_path, capsys):
+    out = tmp_path / "out.sqbp"
+    for source, code in ((tmp_path, errno.EISDIR), (tmp_path / "missing.sqbp", errno.ENOENT)):
+        argv = ["pack", "--config", small_config, "--repack", str(source), "--image", str(out)]
+        assert main(argv) == 1
+        assert one_line_error(capsys) == (
+            f"error: cannot read image: [Errno {code}] {os.strerror(code)}: '{source}'\n"
+        )
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- regions
