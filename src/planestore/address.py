@@ -43,6 +43,32 @@ from .quant import FpFormat, GuardConfig, plane_set
 FP16_BYTES = 2  # traditional layout stores every weight full-precision
 
 
+def _spread(lengths: np.ndarray):
+    """(owner, rank) of every item, group after group, when group i
+    holds lengths[i] items: owner is the item's group, rank its position
+    in the group."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    rank = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
+    return owner, rank
+
+
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Position of the first item of each run of equal keys."""
+    head = np.empty(keys.size, bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable").  numpy sorts 16-bit keys stably
+    by radix, several times faster than wider ones, so keys that fit in
+    16 bits (as banks and planes do) are sorted as such."""
+    if keys.size and -(1 << 15) <= keys.min() and keys.max() < 1 << 15:
+        keys = keys.astype(np.int16)
+    return np.argsort(keys, kind="stable")
+
+
 @dataclass(frozen=True)
 class Region:
     fmt: FpFormat
@@ -156,7 +182,7 @@ class Trace:
         totals = np.zeros(len(self.labels), np.int64)
         if self.tag.size:
             # A trace holds few runs of one tag: sum each run, then each tag.
-            heads = np.flatnonzero(np.r_[True, self.tag[1:] != self.tag[:-1]])
+            heads = _heads(self.tag)
             np.add.at(totals, self.tag[heads], np.add.reduceat(values, heads))
         return totals
 
@@ -271,9 +297,7 @@ def translate(
     by_region = np.zeros((len(sets), max(map(len, sets), default=0)), np.int64)
     for k, planes in enumerate(sets):
         by_region[k, : len(planes)] = planes
-    counts = np.array([len(planes) for planes in sets], np.int64)[code]
-    read = np.repeat(np.arange(code.size), counts)
-    slot = np.arange(read.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    read, slot = _spread(np.array([len(planes) for planes in sets], np.int64)[code])
     plane = by_region[code[read], slot]
     lo, size = plane_span(plane_stride_for(table.num_weights), plane, start[read], count[read])
     return read, plane, lo, size

@@ -31,7 +31,7 @@ from .address import Trace, build_regions, first_invalid, region_report
 from .bitplane import KIND_LABELS, ChunkKind, load_image, pack, save_image
 from .bitplane import unpack_full  # unused here; benchmarks/tracer.py wraps it by name
 from .config import ExperimentConfig, load_config
-from .dram import energy_breakdown, run_trace
+from .dram import energy_breakdown, simulate
 from .experiment import KIND_REDUCTIONS, TOTAL_REDUCTIONS, reduction, run_sweep, solve_assignment
 from .files import write_file
 from .workload import TRACE_MODES, enumerate_chunks, gen_scores, gen_trace, trace_bytes
@@ -384,7 +384,7 @@ def parse_trace(path: str) -> Trace:
 def cmd_sim(args) -> int:
     config = load_config(args.config)
     trace = parse_trace(args.trace)
-    result = run_trace(config.dram, trace)
+    result = simulate(config.dram, trace)
     payload = {
         "trace": args.trace,
         "requests": len(trace),

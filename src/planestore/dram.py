@@ -26,24 +26,22 @@ one trace row, each with its first read's cycle, and for each run that
 opens its row the cycle of its ACT and whether a PRE comes first.  It
 times the runs in closed form up to a channel's first row opening
 where tRAS binds, and steps once per opening from there.  The run is
-the engine's one unit: no PRE, ACT or RD row is ever built.  `simulate`
-adds up a trace's run tables one at a time and returns the totals,
-which must be finite, and each request's completion and ACT count;
-`energy_breakdown` (per-tag integer counts) and the chunk latencies
-read the rest off those and the trace.  `simulate` trusts its tables
-to be legal: production hands it only tables `plan` built, and the
-tests expand every table shape `plan` builds into commands and replay
-them against the bank state machine (tests/reference.py, `expand` and
-`replay`).  `run_trace`, the production path, cuts a trace into pieces
-(`compare` cuts at layers) and plans and totals one piece at a time,
-each from the `DramState` `plan` returned for the piece before: two
-columns per channel and three per opened bank, the command-level state
-living in the tests.  So no more than one piece's table is held at
-once, and any cuts give the one-piece result.  Both `schedule` and
-`plan` take the request stream as an `address.Trace`.  `plan` relies
-on its rows being valid, which the Trace constructor checks;
-`schedule`, the reference, maps every burst through `map_address` and
-so still raises its per-burst errors on bare columns.
+the engine's one unit: no PRE, ACT or RD row is ever built.  The tests
+expand every table shape `plan` builds into commands and replay them
+against the bank state machine (tests/reference.py, `expand` and
+`replay`).  `simulate` is the engine's one entry: it cuts a trace into
+pieces (`compare` cuts at layers), plans each from the `DramState`
+`plan` returned for the piece before (two columns per channel and
+three per opened bank, the command-level state living in the tests),
+and adds the piece's runs into the totals, which must be finite, and
+each trace row's completion and ACT count before it plans the next.
+So no more than one piece's table is held at once, and any cuts give
+the one-piece result.  `energy_breakdown` (per-tag integer counts) and
+the chunk latencies read the rest off those and the trace.  Both
+`schedule` and `plan` take the request stream as an `address.Trace`.
+`plan` relies on its rows being valid, which the Trace constructor
+checks; `schedule`, the reference, maps every burst through
+`map_address` and so still raises its per-burst errors on bare columns.
 docs/dram-model.md shows why the run-level recurrences are exact.
 
 Energy is the textbook three-term sum: e_act per activation (precharge
@@ -60,11 +58,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .address import Trace
+from .address import Trace, _heads, _spread, _stable_order
 from .bitplane import BLOCK
 
 
@@ -303,24 +301,6 @@ _RUN_TYPES = {
 }
 
 
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable").  numpy sorts 16-bit keys stably
-    by radix, several times faster than wider ones, so keys that fit in
-    16 bits (as banks do) are sorted as such."""
-    if keys.size and -(1 << 15) <= keys.min() and keys.max() < 1 << 15:
-        keys = keys.astype(np.int16)
-    return np.argsort(keys, kind="stable")
-
-
-def _spread(lengths: np.ndarray):
-    """(owner, rank) of every item, group after group, when group i
-    holds lengths[i] items: owner is the item's group, rank its position
-    in the group."""
-    owner = np.repeat(np.arange(lengths.size), lengths)
-    rank = np.arange(owner.size) - (np.cumsum(lengths) - lengths)[owner]
-    return owner, rank
-
-
 def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, leads):
     """Bank state machine of one channel, one step per row opening, from
     its first opening where tRAS binds to its end.
@@ -352,14 +332,6 @@ def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, le
         act_cycles.append(act)
         rd_cycles.append(rd)
     return act_cycles, rd_cycles
-
-
-def _heads(keys: np.ndarray) -> np.ndarray:
-    """Position of the first item of each run of equal keys."""
-    head = np.empty(keys.size, bool)
-    head[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=head[1:])
-    return np.flatnonzero(head)
 
 
 def _ends(keys: np.ndarray) -> np.ndarray:
@@ -545,7 +517,7 @@ def plan(
         moves = firsts - leads  # each opening's E_prev, less the previous one's first read
         moves[1:] -= firsts[:-1]
         first_rd = firsts.copy()
-        for first in binds[np.r_[True, chan_of[binds[1:]] != chan_of[binds[:-1]]]].tolist():
+        for first in binds[_heads(chan_of[binds])].tolist():
             c = int(chan_of[first])
             begin, stop = np.searchsorted(chan_of, [c, c + 1])
             act_at = np.zeros(banks, np.int64)
@@ -623,10 +595,9 @@ _TOO_LARGE = "clock_ns or an energy constant is too large"
 
 @dataclass(frozen=True)
 class SimResult:
-    """Totals of one simulated trace, and per request (a run's trace row)
-    its completion, the cycle its last data beat arrives, and its ACT
-    count, both int64 and 0 for a row no run names, up to the largest
-    row a run names.  Equality compares the totals only."""
+    """Totals of one simulated trace, and one per trace row: its
+    completion, the cycle its last data beat arrives, and its ACT count,
+    both int64.  Equality compares the totals only."""
 
     total_cycles: int
     total_ns: float
@@ -646,45 +617,36 @@ class SimResult:
             )
 
 
-def simulate(config: DramConfig, tables: Iterable[RunTable]) -> SimResult:
-    """Total a trace's run tables.
+def simulate(config: DramConfig, trace: Trace, cuts=()) -> SimResult:
+    """Plan a trace and total it, the engine's one entry.
 
-    The tables are one stream cut at run boundaries, in stream order:
-    each is totalled and then dropped, so no more than one is held at a
-    time when tables yields them one by one, as `run_trace` does.  Any
-    cuts give the same result.  A run's last read issues (count - 1) *
-    t_ccd_l after its first, and its data has arrived CAS latency plus
-    one burst after that; an opening is one ACT.  The tables must be
-    `plan`'s, whose timing is legal by construction.  The trace ends at
-    the last data beat.  Background energy covers every channel for the
-    whole span, busy or not: standby power does not care who is reading.
+    The trace is cut before each trace row in cuts (ascending), and each
+    piece planned from the state `plan` returned for the piece before,
+    totalled and dropped, so the working set follows the largest piece;
+    any cuts give the same result.  A run's last read issues
+    (count - 1) * t_ccd_l after its first, and its data has arrived CAS
+    latency plus one burst after that; an opening is one ACT.  The trace
+    ends at the last data beat.  Background energy covers every channel
+    for the whole span, busy or not: standby power does not care who is
+    reading.
     """
-    count_rd = count_act = end_cycle = 0
-    per_request = []  # (first index, completions, ACT counts) per table
-    for table in tables:
-        if len(table):
-            done = np.multiply(table.count - 1, config.t_ccd_l, dtype=np.int64)
-            done += table.issue_cycle
-            done += config.t_cl + config.burst_cycles
-            count_rd += int(table.count.sum())
-            end_cycle = max(end_cycle, int(done.max()))
-            request = table.request
-            first = int(request.min())
-            completion = np.zeros(int(request.max()) + 1 - first, np.int64)
-            np.maximum.at(completion, request - first, done)
-            acts = request[table.opening]
-            count_act += acts.size
-            acts = np.bincount(acts - first, minlength=completion.size)
-            per_request.append((first, completion, acts))
-            del done, request
-        del table
-    n = max((first + c.size for first, c, _ in per_request), default=0)
+    n = trace.addr.size
     completion, acts = np.zeros(n, np.int64), np.zeros(n, np.int64)
-    for first, done, counts in per_request:
-        part = completion[first:first + done.size]
-        np.maximum(part, done, out=part)
-        acts[first:first + counts.size] += counts
-    del per_request
+    count_rd = count_act = end_cycle = 0
+    lo, state = 0, None
+    for hi in [*(int(cut) for cut in cuts), n]:
+        table, state = plan(config, trace, (lo, hi), state)
+        done = np.multiply(table.count - 1, config.t_ccd_l, dtype=np.int64)
+        done += table.issue_cycle
+        done += config.t_cl + config.burst_cycles
+        count_rd += int(table.count.sum())
+        end_cycle = max(end_cycle, int(done.max(initial=0)))
+        np.maximum.at(completion, table.request, done)
+        opened = table.request[table.opening]
+        count_act += opened.size
+        acts[lo:hi] += np.bincount(opened - lo, minlength=hi - lo)
+        del table, done, opened  # before the next piece is planned
+        lo = hi
     total_ns = end_cycle * config.clock_ns
     e_act = config.e_act_pj * count_act
     e_rd = config.e_rd_pj * count_rd
@@ -708,25 +670,6 @@ def simulate(config: DramConfig, tables: Iterable[RunTable]) -> SimResult:
         completion=completion,
         acts=acts,
     )
-
-
-def _tables(config: DramConfig, trace: Trace, cuts) -> Iterator[RunTable]:
-    """The trace's run tables, one per piece between cuts, each planned
-    from the state the piece before it leaves."""
-    lo, state = 0, None
-    for hi in [*(int(cut) for cut in cuts), trace.addr.size]:
-        table, state = plan(config, trace, (lo, hi), state)
-        yield table
-        del table  # before the next piece is planned
-        lo = hi
-
-
-def run_trace(config: DramConfig, trace: Trace, cuts=()) -> SimResult:
-    """Plan and total in one go (the production path): the trace cut
-    before each trace row in cuts (ascending), one table planned and
-    totalled at a time, so the working set follows the largest piece.
-    Any cuts give the same result."""
-    return simulate(config, _tables(config, trace, cuts))
 
 
 def energy_breakdown(result: SimResult, trace: Trace) -> dict:

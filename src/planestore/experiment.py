@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import dram
+from .address import _heads
 from .bitplane import KIND_LABELS, ChunkDirectory
-from .dram import DramConfig, energy_breakdown, run_trace
+from .dram import DramConfig, energy_breakdown
 from .quant import GuardConfig
 from .workload import (
     TRACE_MODES,
@@ -59,7 +61,7 @@ def chunk_latency_deltas(trace, result, dram_config: DramConfig, num_chunks: int
         if chunk.min() < 0:
             raise ValueError(f"trace row {int(np.argmax(chunk < 0))} loads no chunk")
         result.check_requests(chunk.size)
-        heads = np.flatnonzero(np.r_[True, chunk[1:] != chunk[:-1]])
+        heads = _heads(chunk)
         segments = chunk[heads]
         loaded = np.zeros(num_chunks, np.int64)
         np.maximum.at(loaded, segments, np.maximum.reduceat(result.completion, heads))
@@ -72,7 +74,7 @@ def chunk_latency_deltas(trace, result, dram_config: DramConfig, num_chunks: int
 
 def layer_cuts(directory: ChunkDirectory, trace) -> np.ndarray:
     """The trace rows whose chunk lies in another layer than the row
-    before's: cut there, the engine holds one layer's tables at a time,
+    before's: cut there, the engine holds one layer's run table at a time,
     and any cuts give the same result."""
     layer = directory.layer[trace.chunk]
     return np.flatnonzero(layer[1:] != layer[:-1]) + 1
@@ -88,7 +90,8 @@ def run_mode(
     """Trace one mode, simulate it layer by layer, and summarize what the
     report needs."""
     trace = gen_trace(assignment, directory, mode, guard)
-    result = run_trace(dram_config, trace, layer_cuts(directory, trace))
+    # Through the module: benchmarks/tracer.py wraps dram.simulate by name.
+    result = dram.simulate(dram_config, trace, layer_cuts(directory, trace))
     energy_by_kind = energy_breakdown(result, trace)
     byte_split = bytes_by_kind(trace)
     # A fully deduplicated chunk advanced the clock by nothing; it still

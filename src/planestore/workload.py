@@ -24,7 +24,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .address import Trace, build_regions, resolve, translate, translate_traditional
+from .address import (
+    Trace, _heads, _stable_order, build_regions, resolve, translate, translate_traditional,
+)
 from .bitplane import BLOCK, KIND_LABELS, ChunkDirectory, ChunkKind
 from .quant import FpFormat, GuardConfig, check_ladder
 
@@ -505,12 +507,9 @@ def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
     # High-water mark: the last block fetched on the span's plane so far,
     # -1 if none.  A plane's spans come in chunk order and chunks in
     # weight order, so that is the last block of the plane's previous span.
-    # Plane numbers lie in 0..15: as int16 keys the stable sort takes
-    # numpy's radix path, in the same order.
-    order = np.argsort(planes.astype(np.int16), kind="stable")
-    by_plane = planes[order]
+    order = _stable_order(planes)
     previous = np.r_[-1, last[order][:-1]]
-    previous[np.r_[True, by_plane[1:] != by_plane[:-1]]] = -1
+    previous[_heads(planes[order])] = -1
     high_water = np.empty_like(last)
     high_water[order] = previous
     start = np.maximum(first, high_water + 1)

@@ -35,26 +35,27 @@ last command and each bank's newest ACT or PRE with its kind, which
 only a hand-made stream sets apart, by ending a channel on a PRE or
 leaving a bank precharged.  `narrow` asserts that a `CommandState` is
 one a planned stream can leave and gives its `DramState`.
-`expanded` plans and expands a trace piece by piece, as `run_trace`
+`expanded` plans and expands a trace piece by piece, as `simulate`
 plans it, and checks each piece's state against `narrow` of the
 carried one; `planned` plans and expands a trace in one piece.
 `from_commands` turns any `DramCommand` stream into a
 `CommandTable` of count-1 rows, so that `replay` can take hand-written
 and `schedule` streams.  `cut` splits a table into pieces at row
-boundaries, as `run_trace` plans one layer at a time.
+boundaries, as `simulate` plans one layer at a time.
 
 reference_simulate is the per-command legality replay the DRAM model
 started from: one dictionary update per command, in stream order.
 `replay` is the same check vectorized over a command table's rows, one
 table at a time from the `CommandState` the tables before it leave.  It
-once ran inside the package's `simulate` on every table; `simulate`
-now trusts `plan`, and the tests replay every table shape `plan`
-builds instead.  `replay` must accept and reject exactly the streams
-reference_simulate does, with the same message, and `simulate` must
-total the run tables of the accepted ones identically.  Beside the
-totals reference_simulate returns each request's completion, reads
-and ACTs (`PerRequest`); the package's `SimResult` carries the
-completions and ACTs, and the reads are the trace's sizes.
+once ran inside the package's `simulate` on every table; the package
+now holds only tables `plan` builds, and the tests replay every table
+shape `plan` builds instead.  `replay` must accept and reject exactly
+the streams reference_simulate does, with the same message, and
+`simulate` must total a trace as reference_simulate totals its
+`schedule` stream.  Beside the totals reference_simulate returns each
+request's completion, reads and ACTs (`PerRequest`); the package's
+`SimResult` carries the completions and ACTs, and the reads are the
+trace's sizes.
 
 reference_energy_breakdown is `energy_breakdown` in exact arithmetic:
 it sums the replay's per-request ACTs and reads per tag and splits the
@@ -893,17 +894,16 @@ def carry(config: DramConfig, state: CommandState, table: CommandTable) -> Comma
 
 
 class Piece(NamedTuple):
-    """One planned piece of a trace: its run table, the state `plan`
-    returned for it, and the run table's expansion."""
+    """One planned piece of a trace: the state `plan` returned for it,
+    and its run table's expansion."""
 
-    runs: RunTable
     state: DramState
     table: CommandTable
 
 
 def expanded(config: DramConfig, trace, cuts: Iterable[int] = ()) -> Iterator[Piece]:
     """trace planned and expanded piece by piece, cut before each trace
-    row in cuts (ascending), as `run_trace` plans it: each piece from
+    row in cuts (ascending), as `simulate` plans it: each piece from
     the state `plan` returned for the piece before.  Asserts that the
     state `plan` returns for each piece is `narrow` of the one `carry`
     takes across the pieces' expansions."""
@@ -914,7 +914,7 @@ def expanded(config: DramConfig, trace, cuts: Iterable[int] = ()) -> Iterator[Pi
         table = expand(config, runs, state)
         carried = carry(config, carried, table)
         assert_same_state(after, narrow(carried))
-        yield Piece(runs, after, table)
+        yield Piece(after, table)
         state = after
 
 

@@ -22,7 +22,7 @@ from planestore.address import (
 from planestore.bitplane import ChunkKind, unpack_full
 from planestore.cli import main
 from planestore.config import load_config
-from planestore.dram import plan, schedule, simulate
+from planestore.dram import schedule, simulate
 from planestore.experiment import compare_assignment, run_sweep
 from planestore.quant import GuardConfig, plane_set
 from planestore.workload import (
@@ -205,7 +205,7 @@ def test_06_memory_model_matches_hand_traces():
         ]
         assert got == expected
         reference.replay(cfg, [from_commands(commands)])
-        result = simulate(cfg, [plan(cfg, trace)[0]])
+        result = simulate(cfg, trace)
         assert result.total_cycles == cycles
         assert result.energy_pj["total"] == act * n_act + rd * n_rd
 

@@ -37,7 +37,7 @@ from planestore.cli import (
     render_trace,
 )
 from planestore.config import DEFAULTS, load_config
-from planestore.dram import DramState, plan, run_trace, schedule
+from planestore.dram import DramState, plan, schedule, simulate
 from planestore.experiment import (
     chunk_latency_deltas,
     compare_assignment,
@@ -937,7 +937,7 @@ def test_the_traditional_file_is_one_line_per_extent(default_trace_files):
     # PRE or ACT, not per read.
     assert len(runs) == 4_685
     assert len(expand(config, runs, DramState.initial(config))) == 8_469
-    assert run_trace(config, trace).num_reads == 198_396
+    assert simulate(config, trace).num_reads == 198_396
 
 
 @pytest.mark.parametrize("mode, reads", [("bitplane", 132_288), ("traditional", 198_396)])
@@ -1301,7 +1301,7 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     # Chunk 1's read queues behind them on channel 0 and finishes at 124.
     config = dram(clock_ns=1.0)
     trace = Trace([0, 256, 512, 768, 64, 1024], [64] * 6, chunk=[0, 0, 0, 0, 0, 1])
-    result = run_trace(config, trace)
+    result = simulate(config, trace)
     _, per_request = reference_simulate(config, schedule(config, trace))
     assert per_request.completion == (76, 88, 100, 112, 76, 124)
     assert result.completion.tolist() == list(per_request.completion)
@@ -1309,7 +1309,7 @@ def test_chunk_latency_takes_each_chunks_latest_completion():
     assert chunk_latency_deltas(trace, result, config, 3).tolist() == [112.0, 12.0, 0.0]
     untagged = Trace([0], [64])
     with pytest.raises(ValueError, match="trace row 0 loads no chunk"):
-        chunk_latency_deltas(untagged, run_trace(config, untagged), config, 1)
+        chunk_latency_deltas(untagged, simulate(config, untagged), config, 1)
     # A result simulated from another trace counts rows this one lacks.
     short = Trace([0, 256], [64] * 2, chunk=[0, 0])
     with pytest.raises(ValueError, match="counts 6 trace rows, but the trace has 2"):
@@ -1325,7 +1325,7 @@ def test_chunk_latency_charges_a_revisited_chunk_once(first, then):
     # them, whatever their ids.
     config = dram(clock_ns=1.0)
     trace = Trace([0, 1 << 20, 64], [64] * 3, chunk=[first, then, first])
-    result = run_trace(config, trace)
+    result = simulate(config, trace)
     _, per_request = reference_simulate(config, schedule(config, trace))
     assert per_request.completion == (76, 187, 76)
     deltas = chunk_latency_deltas(trace, result, config, 2)

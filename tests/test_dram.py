@@ -19,8 +19,8 @@ from planestore.dram import (
     energy_breakdown,
     map_address,
     plan,
-    run_trace,
     schedule,
+    simulate,
 )
 
 from reference import (
@@ -39,10 +39,6 @@ def req(addr, length=64):
 def trace_of(requests, tags=None, labels=()):
     """A Trace from req() pairs, with tag codes into labels."""
     return Trace([a for a, _ in requests], [n for _, n in requests], tags, labels)
-
-
-def totals(config, trace):
-    return run_trace(config, trace)
 
 
 def kinds(commands):
@@ -170,7 +166,7 @@ def test_schedule_is_lazy():
 # --- simulation -------------------------------------------------------------
 
 def test_single_burst_completion():
-    result = run_trace(CFG, trace_of([req(0)]))
+    result = simulate(CFG, trace_of([req(0)]))
     assert result.total_cycles == 76
     assert math.isclose(result.total_ns, 76 * CFG.clock_ns)
     assert result.total_ns == pytest.approx(31.7, abs=0.05)
@@ -179,7 +175,7 @@ def test_single_burst_completion():
 
 
 def test_empty_trace():
-    result = run_trace(CFG, trace_of([]))
+    result = simulate(CFG, trace_of([]))
     assert result.total_cycles == 0
     assert result.energy_pj["total"] == 0.0
     table, state = plan(CFG, trace_of([]))
@@ -192,21 +188,21 @@ def test_empty_trace():
 @pytest.mark.parametrize("n", [1, 10, 100])
 def test_back_to_back_row_hits_closed_form(n):
     requests = [req(256 * i) for i in range(n)]
-    result = totals(CFG, trace_of(requests))
+    result = simulate(CFG, trace_of(requests))
     expected = CFG.t_rcd + CFG.t_cl + (n - 1) * CFG.t_ccd_l + CFG.burst_cycles
     assert result.total_cycles == expected
 
 
 def test_energy_is_exact_with_no_background():
     requests = [req(0, 256), req(4096, 128), req(1 << 20)]
-    result = totals(NO_BG, trace_of(requests))
+    result = simulate(NO_BG, trace_of(requests))
     expected = NO_BG.e_act_pj * result.num_acts + NO_BG.e_rd_pj * result.num_reads
     assert result.energy_pj["total"] == expected
     assert result.energy_pj["background"] == 0.0
 
 
 def test_energy_components_sum_to_total():
-    result = totals(CFG, trace_of([req(0, 512), req(1 << 16, 192)]))
+    result = simulate(CFG, trace_of([req(0, 512), req(1 << 16, 192)]))
     e = result.energy_pj
     assert math.isclose(e["total"], e["activation"] + e["read"] + e["background"])
     assert e["background"] > 0
@@ -223,14 +219,14 @@ def test_energy_components_sum_to_total():
 )
 def test_non_finite_results_are_rejected(fields, match):
     with pytest.raises(ValueError, match=match):
-        totals(dram(**fields), trace_of([req(0, 512)]))
+        simulate(dram(**fields), trace_of([req(0, 512)]))
 
 
 def test_breakdown_rejects_an_overflowing_share():
     # Finite totals, but an energy times a tag's count overflows.
     config = dram(e_act_pj=1e308 / 2)
     trace = trace_of([req(0), req(8192 * 4), req(8192 * 8)], [0, 0, 1], ["a", "b"])
-    result = run_trace(config, trace)
+    result = simulate(config, trace)
     assert result.num_acts == 3 and math.isfinite(result.energy_pj["total"])
     with pytest.raises(ValueError, match="a tag's simulated energy is not finite"):
         energy_breakdown(result, trace)
@@ -238,7 +234,7 @@ def test_breakdown_rejects_an_overflowing_share():
 
 def test_determinism():
     requests = [req(64 * i, 64) for i in range(0, 40, 3)]
-    first, second = (run_trace(CFG, trace_of(requests)) for _ in range(2))
+    first, second = (simulate(CFG, trace_of(requests)) for _ in range(2))
     assert first == second
     assert np.array_equal(first.completion, second.completion)
     assert np.array_equal(first.acts, second.acts)
@@ -251,7 +247,7 @@ def test_per_request_accounting():
     # Request 0 reads one block on each channel, request 1 one more on
     # channel 0, a row hit after request 0's read there.
     trace = trace_of([req(0, 256), req(1024, 64)])
-    result = run_trace(CFG, trace)
+    result = simulate(CFG, trace)
     assert (trace.size // 64).tolist() == [4, 1]
     assert sum(trace.size // 64) == result.num_reads
     assert result.acts.tolist() == [4, 0]
@@ -379,14 +375,14 @@ def test_out_of_config_and_unknown_kinds_rejected():
 
 def test_byte_conservation():
     requests = [req(0, 320), req(8192, 64), req(1 << 19, 1024)]
-    result = totals(CFG, trace_of(requests))
+    result = simulate(CFG, trace_of(requests))
     assert result.bytes_transferred == sum(n for _, n in requests)
 
 
 def test_adding_a_request_never_helps():
     base = [req(256 * i) for i in range(6)]
     longer = base + [req(1 << 21, 128)]
-    a, b = totals(CFG, trace_of(base)), totals(CFG, trace_of(longer))
+    a, b = simulate(CFG, trace_of(base)), simulate(CFG, trace_of(longer))
     assert b.total_cycles >= a.total_cycles
     assert b.energy_pj["total"] >= a.energy_pj["total"]
 
@@ -420,7 +416,7 @@ def test_sorted_stream_minimizes_activates():
 @example([(0, 256), (4, 256)])
 def test_random_traces_conserve_bytes_and_replay(reqs):
     requests = [req(64 * slot, length) for slot, length in reqs]
-    table, result = planned(CFG, trace_of(requests)), run_trace(CFG, trace_of(requests))
+    table, result = planned(CFG, trace_of(requests)), simulate(CFG, trace_of(requests))
     stream = list(schedule(CFG, trace_of(requests)))
     replay(CFG, [table])
     replay(CFG, [from_commands(stream)])
@@ -440,14 +436,14 @@ def test_random_traces_conserve_bytes_and_replay(reqs):
 
 def test_breakdown_single_category():
     trace = trace_of([req(0, 256), req(4096, 64)], [0, 0], ["predictor"])
-    result = run_trace(CFG, trace)
+    result = simulate(CFG, trace)
     split = energy_breakdown(result, trace)
     assert split == {"predictor": pytest.approx(result.energy_pj["total"])}
 
 
 def test_breakdown_symmetric_categories():
     trace = trace_of([req(64 * i) for i in range(8)], [0, 1] * 4, ("a", "b"))
-    result = run_trace(CFG, trace)
+    result = simulate(CFG, trace)
     split = energy_breakdown(result, trace)
     assert split["a"] == pytest.approx(split["b"], rel=0.01)
     assert split["a"] + split["b"] == pytest.approx(result.energy_pj["total"])
@@ -456,7 +452,7 @@ def test_breakdown_symmetric_categories():
 def test_breakdown_follows_byte_share():
     # Request 1 reads 5 blocks, all row hits after request 0's ACTs.
     trace = trace_of([req(0, 960), req(4096, 320)], [0, 1], ["big", "small"])
-    result = run_trace(NO_BG, trace)
+    result = simulate(NO_BG, trace)
     split = energy_breakdown(result, trace)
     acts = result.acts
     assert acts.tolist() == [4, 0]
@@ -483,7 +479,7 @@ SMALL_ROWS = dram(row_bytes=256, banks_per_channel=2)
 def test_breakdown_equals_request_by_request_loop(reqs, drop_acts):
     trace = trace_of([req(64 * slot, 64 * n) for slot, n, _ in reqs], [t for *_, t in reqs],
                      ("a", "b", "c", "unused"))
-    result = run_trace(SMALL_ROWS, trace)
+    result = simulate(SMALL_ROWS, trace)
     totals, per_request = reference_simulate(SMALL_ROWS, schedule(SMALL_ROWS, trace))
     assert result == totals
     if drop_acts:
@@ -495,13 +491,13 @@ def test_breakdown_equals_request_by_request_loop(reqs, drop_acts):
 def test_breakdown_example_has_every_act_pattern():
     # The example above: request 0 opens several rows, 1 and 2 none.
     trace = trace_of([req(0, 768), req(128), req(192)], [0, 1, 0], ("a", "b"))
-    acts = run_trace(SMALL_ROWS, trace).acts
+    acts = simulate(SMALL_ROWS, trace).acts
     assert acts[0] > 1 and acts[1:].tolist() == [0, 0]
 
 
 def test_breakdown_requires_tags():
     trace = trace_of([req(0), req(256)], [0, -1], ["a"])
-    result = run_trace(CFG, trace)
+    result = simulate(CFG, trace)
     with pytest.raises(ValueError, match="untagged"):
         energy_breakdown(result, trace)
     # A result simulated from a longer trace counts a row this one lacks.

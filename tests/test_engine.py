@@ -6,17 +6,17 @@ command naming the trace row `schedule`'s does, and must not depend on
 the chunk column.  reference.py's vectorized `replay` must accept and
 reject command tables and streams exactly as the command-by-command
 replay there does, whole or cut into pieces anywhere; `simulate` must
-total a run table as that replay totals its expansion, and the
-per-request completions and ACTs `simulate` returns and the reads the
+total a trace as that replay totals `schedule`'s stream, and the
+per-row completions and ACTs `simulate` returns and the reads the
 trace gives must be the replay's, and a tagged trace's energy split
 must come within 1e-15 of the exact split by those counts.  A trace
 cut anywhere must plan, piece by piece from the state `plan` returns
 for the piece before, to the one-piece table's rows channel by
 channel, and that state must be the command-level state reference.py's
 `carry` takes across the pieces' expansions, narrowed (`narrow`) to
-what `plan` keeps.  `simulate` trusts its tables, so every
-table `plan` builds here is expanded and replayed, whole and piece by
-piece.  Checked on hand traces, on
+what `plan` keeps; `simulate` must give the one-piece result at any
+cuts.  Every table `plan` builds here is expanded and replayed, whole
+and piece by piece.  Checked on hand traces, on
 every trace of the default sweep, on random and interleaved traces and
 configs (up to 1,024 channels for the cuts), on runs of contiguous
 equal-size extents, on those extents cut into more rows (one a block,
@@ -46,7 +46,6 @@ from planestore.dram import (
     DramState,
     energy_breakdown,
     plan,
-    run_trace,
     schedule,
     simulate,
 )
@@ -96,7 +95,7 @@ def by_channel(stream):
 
 
 def assert_engine_matches_reference(config, trace):
-    ((runs, _, table),) = expanded(config, trace)
+    ((_, table),) = expanded(config, trace)
     expected = list(schedule(config, trace))
     commands = commands_of(config, table)
     # The expanded table is schedule's stream, every command naming the
@@ -104,7 +103,7 @@ def assert_engine_matches_reference(config, trace):
     assert by_channel(commands) == by_channel(expected)
 
     replay(config, [table])
-    result = simulate(config, [runs])
+    result = simulate(config, trace)
     totals, per_request = reference_simulate(config, expected)
     assert result == totals
     assert result == reference_simulate(config, commands)[0]
@@ -264,10 +263,11 @@ def traced(fn, *args):
 
 def test_engine_working_set_at_8_bits():
     # The default config at 8.0 bits, the whole trace in one piece.  The
-    # run table is 29 bytes a run and 9 more an opening, and neither plan
-    # nor simulate holds more than a few run-long temporaries at once:
-    # plan peaks near 50 bytes a run, simulate near 16.  The traditional
-    # trace is one row per loaded chunk.
+    # run table is 29 bytes a run and 9 more an opening, and plan holds
+    # no more than a few run-long temporaries at once: it peaks near 50
+    # bytes a run.  simulate plans the same piece and totals it, which
+    # adds under 20 bytes a run to plan's peak.  The traditional trace is
+    # one row per loaded chunk.
     cfg = load_config(str(DEFAULT_YAML), seed=1234)
     directory = enumerate_chunks(cfg.geometry)
     scores = gen_scores(directory, cfg.importance)
@@ -276,7 +276,7 @@ def test_engine_working_set_at_8_bits():
     assert (len(trace), trace.addr.size) == (198_396, 801)
     assert kept <= 32 * trace.addr.size
     trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
-    (table, _), _, peak = traced(plan, cfg.dram, trace)
+    (table, _), _, plan_peak = traced(plan, cfg.dram, trace)
     assert {name: str(column.dtype) for name, column in vars(table).items()} == {
         "channel": "int16", "bank": "int16", "row": "int32", "column": "int32",
         "issue_cycle": "int64", "count": "int32", "request": "int32", "opening": "bool",
@@ -285,9 +285,9 @@ def test_engine_working_set_at_8_bits():
     openings = int(table.opening.sum())
     assert (len(table), openings) == (33_791, 2_040)
     assert sum(column.nbytes for column in vars(table).values()) == 29 * len(table) + 9 * openings
-    assert peak <= 56 * len(table)
-    _, _, peak = traced(simulate, cfg.dram, [table])
-    assert peak <= 20 * len(table)
+    assert plan_peak <= 56 * len(table)
+    _, _, peak = traced(simulate, cfg.dram, trace)
+    assert peak <= plan_peak + 20 * len(table)
     # An extent reads on at most as many channels as it has bursts, so
     # plan's working set follows the table, not the channel count.
     for channels in (64, 1024):
@@ -308,13 +308,13 @@ def test_working_set_follows_the_largest_layer():
         trace = gen_trace(assignment, directory, "bitplane", cfg.guard)
         cuts = layer_cuts(directory, trace)
         assert len(cuts) == layers - 1
-        result, _, peak = traced(run_trace, cfg.dram, trace, cuts)
-        assert result == run_trace(cfg.dram, trace)
+        result, _, peak = traced(simulate, cfg.dram, trace, cuts)
+        assert result == simulate(cfg.dram, trace)
         peaks.append(peak)
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
-def test_run_trace_plans_each_piece_once():
+def test_simulate_plans_each_piece_once():
     # compare's path on the default 8.0-bit bitplane trace: one plan per
     # layer, each from the state the one before returned.  With no
     # command rows built, its traced peak stays under 1.0 MB.
@@ -334,13 +334,13 @@ def test_run_trace_plans_each_piece_once():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "plan", recording)
-        result = run_trace(cfg.dram, trace, cuts)
+        result = simulate(cfg.dram, trace, cuts)
     bounds = [0, *cuts, trace.addr.size]
     assert [rows for rows, _, _ in calls] == list(zip(bounds, bounds[1:]))
     assert calls[0][1] is None
     assert all(now[1] is before[2] for before, now in zip(calls, calls[1:]))
-    assert result == run_trace(cfg.dram, trace)
-    _, _, peak = traced(run_trace, cfg.dram, trace, cuts)
+    assert result == simulate(cfg.dram, trace)
+    _, _, peak = traced(simulate, cfg.dram, trace, cuts)
     assert peak <= 1_000_000
 
 
@@ -400,7 +400,7 @@ def test_default_sweep_traces_match_reference(sweep_traces):
     "overrides", [{}, {"banks_per_channel": 2, "t_ras": 300}], ids=["defaults", "t_ras_binds"]
 )
 def test_production_tables_replay(sweep_traces, overrides):
-    # The tables run_trace totals for every (target, mode) of the sweep,
+    # The tables simulate totals for every (target, mode) of the sweep,
     # planned a layer cut at a time as compare plans them, on the
     # defaults and on two banks a channel with a long tRAS, where most
     # openings step the bank state machine.  `expanded` also asserts
@@ -552,8 +552,9 @@ def test_state_machine_takes_over_where_t_ras_binds(case):
     # channel's openings step through _open_rows, starting from the
     # closed form's state; the stream's openings before the thrash do not.
     config, trace = case
+    _, _, result = assert_engine_matches_reference(config, trace)
     with counted_steps() as steps:
-        _, _, result = assert_engine_matches_reference(config, trace)
+        planned(config, trace)
     assert 0 < steps[0] < result.num_acts
 
 
@@ -587,24 +588,23 @@ def assert_cuts_are_exact(config, trace, cuts):
     piece before, which is the state `carry` takes across the pieces'
     expansions, narrowed (`expanded` asserts it), the expanded tables
     taken channel by channel are the one-piece table's rows, and
-    replayed piece by piece they are legal.  Totalled piece by piece, or
-    through run_trace, they give its result, per request included, and
-    the last piece leaves its state."""
-    ((whole_runs, whole_state, whole),) = expanded(config, trace)
+    replayed piece by piece they are legal.  simulate at the cuts gives
+    the one-piece result, per row included, and the last piece leaves
+    the one-piece state."""
+    ((whole_state, whole),) = expanded(config, trace)
     pieces = list(expanded(config, trace, cuts))
     assert_same_state(pieces[-1].state, whole_state)
-    runs, tables = [p.runs for p in pieces], [p.table for p in pieces]
+    tables = [p.table for p in pieces]
     replay(config, tables)
     joined = {name: np.concatenate([getattr(t, name) for t in tables]) for name in vars(whole)}
     by_channel = np.argsort(joined["channel"], kind="stable")
     for name, column in vars(whole).items():
         got = joined[name][by_channel]
         assert got.dtype == column.dtype and np.array_equal(got, column), name
-    want = simulate(config, [whole_runs])
-    for result in (simulate(config, runs), run_trace(config, trace, cuts)):
-        assert result == want
-        assert np.array_equal(result.completion, want.completion)
-        assert np.array_equal(result.acts, want.acts)
+    result, want = simulate(config, trace, cuts), simulate(config, trace)
+    assert result == want
+    assert np.array_equal(result.completion, want.completion)
+    assert np.array_equal(result.acts, want.acts)
 
 
 # Channel counts up to 1,024, and tRAS up to 300, so that it often binds.
@@ -659,7 +659,7 @@ def assert_same_figures(config, pieces, trace):
     assert len(pieces) == len(trace) and trace_bytes(pieces) == trace_bytes(trace)
     assert pieces.bytes_by_tag().tolist() == trace.bytes_by_tag().tolist()
     replay(config, [planned(config, pieces)])
-    result, whole = run_trace(config, pieces), run_trace(config, trace)
+    result, whole = simulate(config, pieces), simulate(config, trace)
     assert result == whole
     assert energy_breakdown(result, pieces) == energy_breakdown(whole, trace)
     chunks = int(trace.chunk.max()) + 1 if trace.chunk.size else 0
@@ -692,10 +692,8 @@ def test_default_traditional_traces_split_exactly(sweep_traces, target):
         assert_same_figures(cfg.dram, split(trace, p, 0), trace)
 
 
-def same_verdict(config, stream, table=None, cuts=None, runs=None):
-    """Both replays raise the same message, or accept, and then simulate
-    returns the reference's result for runs, the run table table
-    expands, per-request figures included.
+def same_verdict(config, stream, table=None, cuts=None):
+    """Both replays raise the same message, or accept.
 
     The reference replays stream; replay takes table, which must encode
     stream, or when table is None stream's `from_commands` table: whole,
@@ -704,7 +702,7 @@ def same_verdict(config, stream, table=None, cuts=None, runs=None):
     table = from_commands(stream) if table is None else table
     cuttings = [[], *([[k] for k in range(len(table) + 1)] if cuts is None else [cuts])]
     try:
-        want, per_request = reference_simulate(config, stream)
+        reference_simulate(config, stream)
     except ValueError as exc:
         for at in cuttings:
             with pytest.raises(ValueError) as got:
@@ -713,11 +711,6 @@ def same_verdict(config, stream, table=None, cuts=None, runs=None):
     else:
         for at in cuttings:
             replay(config, cut(table, at))
-        if runs is not None:
-            got = simulate(config, [runs])
-            assert got == want
-            assert got.completion.tolist() == list(per_request.completion)
-            assert got.acts.tolist() == list(per_request.acts)
 
 
 def cmd(kind, ch, bank, row, cycle):
@@ -834,6 +827,4 @@ def test_perturbed_run_tables_get_the_reference_verdict(config, trace, data):
         column[i] += data.draw(st.sampled_from([-1, 1]))
     runs = dataclasses.replace(runs, **{name: column})
     table = expand(config, runs, DramState.initial(config))
-    same_verdict(
-        config, commands_of(config, table), table, data.draw(cut_points(len(table))), runs
-    )
+    same_verdict(config, commands_of(config, table), table, data.draw(cut_points(len(table))))
