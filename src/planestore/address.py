@@ -69,6 +69,42 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+def _ends(keys: np.ndarray) -> np.ndarray:
+    """Position of the last item of each run of equal keys."""
+    end = np.empty(keys.size, bool)
+    end[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=end[:-1])
+    return np.flatnonzero(end)
+
+
+def _lookup(keys: np.ndarray, query: np.ndarray, column: np.ndarray, missing: int):
+    """column's value at the position of each query in the ascending
+    keys, missing where a query is not among them."""
+    if not keys.size:
+        return np.full(query.size, missing, column.dtype)
+    at = np.searchsorted(keys, query)
+    np.minimum(at, keys.size - 1, out=at)
+    return np.where(keys[at] == query, column[at], missing)
+
+
+def _previous(keys, values, known_keys, known, missing):
+    """(previous, order).  previous[i] is values at the last item before
+    i with keys[i], or for a key's first item `_lookup(known_keys, keys[i],
+    known, missing)`, in values' dtype; order is the stable order of keys."""
+    order = _stable_order(keys)
+    heads = order[_heads(keys[order])]
+    previous = np.empty(keys.size, values.dtype)
+    previous[order[1:]] = values[order[:-1]]
+    previous[heads] = _lookup(known_keys, keys[heads], known, missing)
+    return previous, order
+
+
+def _newest(keys: np.ndarray) -> np.ndarray:
+    """Position of each key's last item, keys ascending."""
+    order = _stable_order(keys)
+    return order[_ends(keys[order])]
+
+
 @dataclass(frozen=True)
 class Region:
     fmt: FpFormat

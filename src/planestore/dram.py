@@ -62,7 +62,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .address import Trace, _heads, _spread, _stable_order
+from .address import Trace, _ends, _heads, _lookup, _newest, _previous, _spread, _stable_order
 from .bitplane import BLOCK
 
 
@@ -334,24 +334,6 @@ def _open_rows(config: DramConfig, act_at: list, rd: int, banks, pres, moves, le
     return act_cycles, rd_cycles
 
 
-def _ends(keys: np.ndarray) -> np.ndarray:
-    """Position of the last item of each run of equal keys."""
-    end = np.empty(keys.size, bool)
-    end[-1:] = True
-    np.not_equal(keys[1:], keys[:-1], out=end[:-1])
-    return np.flatnonzero(end)
-
-
-def _lookup(keys: np.ndarray, query: np.ndarray, column: np.ndarray, missing: int):
-    """column's value at the position of each query in the ascending
-    keys, missing where a query is not among them."""
-    if not keys.size:
-        return np.full(query.size, missing, column.dtype)
-    at = np.searchsorted(keys, query)
-    np.minimum(at, keys.size - 1, out=at)
-    return np.where(keys[at] == query, column[at], missing)
-
-
 def plan(
     config: DramConfig, trace: Trace, rows: tuple | None = None, state: DramState | None = None
 ) -> tuple[RunTable, DramState]:
@@ -447,19 +429,8 @@ def plan(
     t_l, t_s = config.t_ccd_l, config.t_ccd_s
     # A run opens its row unless the previous run on its bank had the
     # same row; it precharges first if its bank had a row open at all.
-    n_runs = length.size
-    key = ch.astype(np.int32) * banks + bank
-    by_bank = _stable_order(key)
-    key = key[by_bank]
-    # The row each run's bank had open: its previous run's, -1 for none.
-    previous = np.empty(n_runs, np.int32)
-    previous[1:] = row[by_bank[:-1]]
-    heads = _heads(key)
-    previous[heads] = _lookup(state.key, key[heads], state.row, -1)
-    del key, heads
-    closed = np.empty(n_runs, np.int32)
-    closed[by_bank] = previous
-    del by_bank, previous
+    # closed, from _previous, is the row each run's bank had open, -1 for none.
+    closed = _previous(ch.astype(np.int32) * banks + bank, row, state.key, state.row, -1)[0]
     opening = closed != row
     opens = np.flatnonzero(opening)
     pres = closed[opens] >= 0
@@ -499,20 +470,14 @@ def plan(
     # and each shifts its runs.
     chan_of, open_bank = ch[opens], bank[opens]
     key = chan_of.astype(np.int32) * banks + open_bank
-    by_bank = _stable_order(key)
-    key = key[by_bank]
-    before = np.empty(opens.size, np.int64)  # the ACT before each opening on its bank
-    before[1:] = act[by_bank[:-1]]
-    heads = _heads(key)
-    # An opening that precharges, the only kind that can bind, had one.
-    before[heads] = _lookup(state.key, key[heads], state.cycle, 0)
-    binds = np.zeros(opens.size, bool)
-    binds[by_bank] = act[by_bank] - config.t_rp < before + config.t_ras
-    binds = np.flatnonzero(binds & pres)
-    # Each bank's last opening in the piece, whose ACT the state keeps.
-    newest = _ends(key)
-    newest_key, newest = key[newest], by_bank[newest]
-    del by_bank, key, heads, before
+    # The ACT before each opening on its bank.  An opening that
+    # precharges, the only kind that can bind, had one.
+    before, by_bank = _previous(key, act, state.key, state.cycle, 0)
+    binds = np.flatnonzero((act - config.t_rp < before + config.t_ras) & pres)
+    # Each bank's last opening, whose ACT the state keeps, ends its key in _previous's order.
+    newest = by_bank[_ends(key[by_bank])]
+    newest_key = key[newest]
+    del by_bank, key, before
     if binds.size:
         moves = firsts - leads  # each opening's E_prev, less the previous one's first read
         moves[1:] -= firsts[:-1]
@@ -520,9 +485,7 @@ def plan(
         for first in binds[_heads(chan_of[binds])].tolist():
             c = int(chan_of[first])
             begin, stop = np.searchsorted(chan_of, [c, c + 1])
-            act_at = np.zeros(banks, np.int64)
-            own = slice(*np.searchsorted(state.key, [c * banks, (c + 1) * banks]))
-            act_at[state.key[own] - c * banks] = state.cycle[own]
+            act_at = _lookup(state.key, c * banks + np.arange(banks), state.cycle, 0)
             np.maximum.at(act_at, open_bank[begin:first], act[begin:first])
             act[first:stop], first_rd[first:stop] = _open_rows(
                 config, act_at.tolist(), int(firsts[first - 1]) if first else 0,
@@ -535,7 +498,7 @@ def plan(
         at = np.r_[opens, hits]
         late = np.r_[first_rd, np.zeros(hits.size, np.int64)][np.argsort(at, kind="stable")]
         at.sort()
-        rd_cycle += np.repeat(late, np.diff(np.r_[at, n_runs]))
+        rd_cycle += np.repeat(late, np.diff(np.r_[at, length.size]))
         del moves, first_rd, hits, at, late
     del firsts, leads, chan_of, open_bank, starts
 
@@ -547,8 +510,7 @@ def plan(
     last_read[ch[last]] = np.multiply(length[last] - 1, t_l, dtype=np.int64) + rd_cycle[last]
     last_bank[ch[last]] = bank[last]
     key = np.concatenate((state.key, newest_key))
-    order = np.argsort(key, kind="stable")
-    order = order[_ends(key[order])]  # per key, the piece's entry if it has one
+    order = _newest(key)  # per key, the piece's entry if it has one
     after = DramState(
         last_read, last_bank, key[order],
         np.concatenate((state.row, row[opens[newest]]))[order],

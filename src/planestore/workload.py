@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .address import (
-    Trace, _heads, _stable_order, build_regions, resolve, translate, translate_traditional,
+    Trace, _previous, build_regions, resolve, translate, translate_traditional,
 )
 from .bitplane import BLOCK, KIND_LABELS, ChunkDirectory, ChunkKind
 from .quant import FpFormat, GuardConfig, check_ladder
@@ -505,13 +505,10 @@ def _trim_seams(planes: np.ndarray, lo: np.ndarray, size: np.ndarray) -> tuple:
     first = lo // BLOCK
     last = (lo + size) // BLOCK - 1
     # High-water mark: the last block fetched on the span's plane so far,
-    # -1 if none.  A plane's spans come in chunk order and chunks in
-    # weight order, so that is the last block of the plane's previous span.
-    order = _stable_order(planes)
-    previous = np.r_[-1, last[order][:-1]]
-    previous[_heads(planes[order])] = -1
-    high_water = np.empty_like(last)
-    high_water[order] = previous
+    # -1 if none.  A plane's spans come in chunk order and chunks in weight
+    # order, so it is the last block of the plane's previous span (_previous).
+    none = np.zeros(0, np.int64)
+    high_water = _previous(planes, last, none, none, -1)[0]
     start = np.maximum(first, high_water + 1)
     keep = start <= last
     start, last = start[keep], last[keep]

@@ -114,7 +114,17 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from planestore.address import FP16_BYTES, RegionTable, build_regions, plane_span
+from planestore.address import (
+    FP16_BYTES,
+    RegionTable,
+    _heads,
+    _lookup,
+    _newest,
+    _previous,
+    _stable_order,
+    build_regions,
+    plane_span,
+)
 from planestore.bitplane import (
     BLOCK,
     KIND_LABELS,
@@ -133,10 +143,6 @@ from planestore.dram import (
     DramState,
     RunTable,
     SimResult,
-    _ends,
-    _heads,
-    _lookup,
-    _stable_order,
     energy_breakdown,
     plan,
 )
@@ -763,14 +769,7 @@ def expand(config: DramConfig, runs: RunTable, state: DramState) -> CommandTable
     has_pre = np.zeros(n, bool)
     has_pre[np.flatnonzero(opening)[runs.precharges]] = True
     key = runs.channel.astype(np.int64) * config.banks_per_channel + runs.bank
-    by_bank = _stable_order(key)
-    key = key[by_bank]
-    previous = np.empty(n, np.int64)
-    previous[1:] = runs.row[by_bank[:-1]]
-    heads = _heads(key)
-    previous[heads] = _lookup(state.key, key[heads], state.row, -1)
-    closed = np.empty(n, np.int64)
-    closed[by_bank] = previous
+    closed = _previous(key, runs.row, state.key, state.row, -1)[0]
 
     # Table order: runs as listed, each preceded by its PRE and ACT rows.
     rows_of = np.add(opening, has_pre, dtype=np.intp)
@@ -848,18 +847,10 @@ def carry(config: DramConfig, state: CommandState, table: CommandTable) -> Comma
     has issued.
 
     table's rows must lie within the config, as a legal table's do, in
-    any channel order; a table grouped by channel, as `expand` builds
-    them, is read without sorting but for its ACT and PRE rows."""
+    any channel order."""
     channel, kind, bank = table.channel, table.kind, table.bank
-    order = None if (channel[1:] >= channel[:-1]).all() else _stable_order(channel)
-    if order is not None:
-        channel, kind, bank = channel[order], kind[order], bank[order]
-
-    def at(rows):  # table positions of grouped rows
-        return rows if order is None else order[rows]
 
     def end_cycle(rows):  # the cycle of each row's last command
-        rows = at(rows)
         return np.multiply(table.count[rows] - 1, config.t_ccd_l, dtype=np.int64) + (
             table.issue_cycle[rows]
         )
@@ -867,22 +858,20 @@ def carry(config: DramConfig, state: CommandState, table: CommandTable) -> Comma
     last_cycle, last_read, last_bank = (
         c.copy() for c in (state.last_cycle, state.last_read, state.last_bank)
     )
-    last = _ends(channel)
+    last = _newest(channel)
     last_cycle[channel[last]] = end_cycle(last)
     rd = np.flatnonzero(kind == _RD)
-    rd = rd[_ends(channel[rd])]
+    rd = rd[_newest(channel[rd])]
     last_read[channel[rd]] = end_cycle(rd)
     last_bank[channel[rd]] = bank[rd]
     # Each bank's newest ACT or PRE, after the state's, then the newest
     # per key of both.
     other = np.flatnonzero(kind != _RD)
     key = channel[other].astype(np.int32) * config.banks_per_channel + bank[other]
-    by_key = _stable_order(key)
-    newest = other[by_key[_ends(key[by_key])]]
-    key = np.concatenate((state.key, key[by_key][_ends(key[by_key])]))
-    by_key = np.argsort(key, kind="stable")
-    by_key = by_key[_ends(key[by_key])]
-    newest = at(newest)
+    newest = _newest(key)
+    key = np.concatenate((state.key, key[newest]))
+    newest = other[newest]
+    by_key = _newest(key)
     columns = (
         np.concatenate((state.kind, table.kind[newest])),
         np.concatenate((state.row, table.row[newest])),

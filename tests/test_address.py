@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planestore.address import (
     Trace,
+    _ends,
+    _newest,
+    _previous,
     build_regions,
     first_invalid,
     plane_span,
@@ -261,6 +264,40 @@ def test_proportionality_amortizes(fmt, count, start):
     # Per plane the aligned span exceeds the payload by under two blocks.
     tol = (planes * 2 * 64 + 64) / (2 * count)
     assert abs(smart / trad - planes / 16) <= tol
+
+
+_INT32 = st.integers(-(2**31), 2**31 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), _INT32), max_size=40),
+    st.sampled_from([0, -(2**40), 2**40]),
+    st.dictionaries(st.integers(0, 8), _INT32, max_size=5),
+    _INT32,
+    st.sampled_from([np.int32, np.int64]),
+)
+@example([], 0, {}, -1, np.int64)
+@example([(3, 5), (3, 6), (3, 7)], 2**40, {3: 9}, -1, np.int32)  # one key, a hit
+@example([(0, 1), (1, 2), (2, 3), (5, 4)], 0, {4: 9}, 0, np.int64)  # distinct keys, misses
+def test_previous_and_newest_match_a_dict_walk(items, offset, fallback, missing, dtype):
+    # An offset of 2**40 puts every key outside int16, where _stable_order
+    # sorts them as they come instead of by radix.
+    keys = np.array([k for k, _ in items], np.int64) + offset
+    values = np.array([v for _, v in items], dtype)
+    known_keys = np.array(sorted(fallback), np.int64) + offset
+    known = np.array([fallback[k] for k in sorted(fallback)], np.int64)
+    previous, order = _previous(keys, values, known_keys, known, missing)
+    # The oracle: walk the items, keeping each key's newest value.
+    seen, want, newest = {}, [], {}
+    for i, (k, v) in enumerate(items):
+        want.append(seen.get(k, fallback.get(k, missing)))
+        seen[k], newest[k] = v, i
+    assert previous.tolist() == want and previous.dtype == dtype
+    assert order.tolist() == sorted(range(len(items)), key=lambda i: items[i][0])
+    assert _newest(keys).tolist() == [newest[k] for k in sorted(newest)]
+    # The returned order ends each key on that key's _newest item.
+    assert order[_ends(keys[order])].tolist() == _newest(keys).tolist()
 
 
 def test_determinism():
